@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race crash bench bench-server bench-stall bench-shards bench-replica bench-tune bench-read bench-ycsb experiments examples fuzz serve clean cover fmt-check doc-check doc-links
+.PHONY: all build test race crash bench bench-server bench-stall bench-shards bench-replica bench-tune bench-read bench-ycsb experiments examples fuzz serve clean cover fmt-check doc-check doc-links bench-check
 
 all: build test
 
@@ -11,7 +11,7 @@ build:
 	$(GO) build ./...
 	$(GO) vet ./...
 
-test: fmt-check doc-check doc-links
+test: fmt-check doc-check doc-links bench-check
 	$(GO) vet ./...
 	$(GO) test ./...
 	$(GO) test -race ./internal/server/ ./internal/client/ ./internal/shard/ ./internal/tuner/
@@ -52,6 +52,13 @@ doc-links:
 		-protocol PROTOCOL.md -protosrc internal/server/protocol.go \
 		$$tmp/lsmserver.help $$tmp/lsmctl.help $$tmp/lsmtune.help \
 		&& echo "doc-links: OK"
+
+# The repo's benchmark (benchmark/, see BENCHMARK.json) is a nested
+# module, so `go build ./... && go test ./...` neither builds nor runs it;
+# it imports lsm.go and internal/ symbols, so a change there can break it
+# while tier-1 stays green. Its smoke test runs every workload small.
+bench-check:
+	cd benchmark && $(GO) vet . && $(GO) test .
 
 # Per-package statement coverage, with floors on the observability,
 # shard-routing, replication, and self-tuning packages: the instruments
@@ -128,8 +135,8 @@ bench-tune:
 
 # Read-path allocation discipline and batched wire reads: allocs/op for
 # the allocating vs append point-read APIs (and across the learned-index
-# fence lookups), MULTIGET vs sequential GET at batch 1/8/64, streamed
-# vs paged scan (experiment E18). Appends to bench_results.txt so
+# fence lookups), MULTIGET vs sequential GET at batch 1/8/64, the
+# streamed full-range scan (experiment E18). Appends to bench_results.txt so
 # before/after runs accumulate. The same numbers are gated in CI by
 # TestGetAllocs/TestMultiGetAllocs.
 bench-read:

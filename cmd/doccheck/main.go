@@ -21,7 +21,9 @@
 //     Op* constants declared in -protosrc, by name and by value, in both
 //     directions — a new opcode without documentation, a documented
 //     opcode that was removed, or a renumbering on either side fails the
-//     build.
+//     build. A retired opcode keeps its constant, marked `// reserved`,
+//     and its row, whose text says "reserved"; either mark without the
+//     other fails too.
 package main
 
 import (
@@ -48,12 +50,14 @@ var (
 	// output: two leading spaces, then -name.
 	helpFlag = regexp.MustCompile(`(?m)^\s+-([A-Za-z0-9][A-Za-z0-9.-]*)`)
 	// goOpcode matches an opcode constant declaration in the protocol
-	// source: a tab-indented `OpName Opcode = N` line.
-	goOpcode = regexp.MustCompile(`(?m)^\t(Op[A-Za-z]+)\s+Opcode\s*=\s*(\d+)`)
+	// source: a tab-indented `OpName Opcode = N` line; the rest of the
+	// line (a trailing comment, if any) is captured.
+	goOpcode = regexp.MustCompile(`(?m)^\t(Op[A-Za-z]+)\s+Opcode\s*=\s*(\d+)(.*)$`)
 	// docOpcode matches one row of the PROTOCOL.md opcode table: the row
 	// leads with the numeric value, then the Go constant name in a code
-	// span (`| 3 | ` + "`OpPut`" + ` | ...`).
-	docOpcode = regexp.MustCompile("(?m)^\\|\\s*(\\d+)\\s*\\|\\s*`(Op[A-Za-z]+)`")
+	// span (`| 3 | ` + "`OpPut`" + ` | ...`); the rest of the row is
+	// captured.
+	docOpcode = regexp.MustCompile("(?m)^\\|\\s*(\\d+)\\s*\\|\\s*`(Op[A-Za-z]+)`(.*)$")
 )
 
 func main() {
@@ -187,8 +191,10 @@ func checkProtocol(docPath, srcPath string, complain func(string, ...any)) {
 	}
 
 	declared := map[string]string{} // OpName -> value
+	reserved := map[string]bool{}   // OpName -> marked reserved in source
 	for _, m := range goOpcode.FindAllStringSubmatch(string(src), -1) {
 		declared[m[1]] = m[2]
+		reserved[m[1]] = strings.Contains(m[3], "reserved")
 	}
 	if len(declared) == 0 {
 		complain("%s: no Op* Opcode constants found", srcPath)
@@ -200,6 +206,10 @@ func checkProtocol(docPath, srcPath string, complain func(string, ...any)) {
 			complain("%s: opcode %s documented twice (as %s and %s)", docPath, m[2], prev, m[1])
 		}
 		documented[m[2]] = m[1]
+		if docReserved := strings.Contains(m[3], "reserved"); docReserved != reserved[m[2]] {
+			complain("%s: opcode %s reserved=%v in the table but reserved=%v in %s",
+				docPath, m[2], docReserved, reserved[m[2]], srcPath)
+		}
 	}
 	if len(documented) == 0 {
 		complain("%s: no opcode table rows found (want `| N | OpName | ...`)", docPath)

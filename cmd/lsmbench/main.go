@@ -1,5 +1,5 @@
 // Command lsmbench runs the experiment suite that regenerates the
-// tutorial's performance claims (experiments E1–E18; see DESIGN.md for
+// tutorial's performance claims (experiments E1–E19; see DESIGN.md for
 // the index and EXPERIMENTS.md for recorded results).
 //
 // Usage:

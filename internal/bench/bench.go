@@ -91,7 +91,7 @@ func Registry() []Experiment {
 		{"E17", "Online self-tuning across a workload shift",
 			"When a write-heavy workload flips to read-heavy mid-run, the online tuner walks a write-tuned engine across the leveling/tiering continuum and recovers at least 80% of the best static configuration's post-shift read throughput (point lookups plus short scans), while the frozen write-tuned engine does not; every knob move is auditable in the event log.", E17},
 		{"E18", "Zero-allocation read hot path and batched wire reads",
-			"Pooled decode scratch and append-style reads take the warm point lookup to zero allocations (the learned-index paths included); batching point reads into MULTIGET frames beats sequential GET round trips by at least 2x at batch 64, and a streamed SCAN outpaces the paged scan it replaced.", E18},
+			"Pooled decode scratch and append-style reads take the warm point lookup to zero allocations (the learned-index paths included); batching point reads into MULTIGET frames beats sequential GET round trips by at least 2x at batch 64; a full-range scan streams as frames on one request.", E18},
 		{"E19", "YCSB core mixes and TTL reclamation",
 			"Over one engine configuration the YCSB mixes rank C >= B >= D >= A >= F in throughput — each added update steals WAL+memtable time from reads and F pays a read before every write; expiring keys serve until their deadline, read as absent immediately after it, and the bytes return only at the next bottommost compaction (footprint shrinks, ExpiredDrops > 0).", E19},
 	}

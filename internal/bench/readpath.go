@@ -5,7 +5,8 @@
 // read re-measured across the fence-lookup implementations (binary
 // fences, PLR, RadixSpline), and the network reads — MULTIGET versus
 // sequential GET round trips at batch 1/8/64 on Zipfian keys, plus the
-// streamed scan against the paged scan it replaced.
+// streamed full-range scan (the paged scan it replaced is retired; its
+// last measured number is kept in EXPERIMENTS.md).
 package bench
 
 import (
@@ -159,8 +160,7 @@ func e18Learned(w io.Writer, scale Scale) error {
 }
 
 // e18Wire: MULTIGET vs sequential GETs at batch 1/8/64 on Zipfian keys,
-// then the streamed scan against the paged scan, over a real loopback
-// server.
+// then the streamed full-range scan, over a real loopback server.
 func e18Wire(w io.Writer, scale Scale) error {
 	cfg := config(scale)
 	dir, cleanup, err := tempDir()
@@ -239,32 +239,23 @@ func e18Wire(w io.Writer, scale Scale) error {
 	fmt.Fprintln(w, "\nMULTIGET vs sequential GET round trips (Zipfian keys, loopback):")
 	t.Print(w)
 
-	// Streamed vs paged scan over the full keyspace.
+	// Streamed scan over the full keyspace.
+	count := 0
+	start := time.Now()
+	err = cl.ScanStream([]byte{0}, []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
+		0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF},
+		func(k, v []byte) bool {
+			count++
+			return true
+		})
+	if err != nil {
+		return err
+	}
+	el := time.Since(start)
 	st := NewTable("scan path", "keys", "ms", "Kkeys/s")
-	scanOnce := func(name string, scan func(lo, hi []byte, fn func(k, v []byte) bool) error) error {
-		count := 0
-		start := time.Now()
-		err := scan([]byte{0}, []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
-			0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF},
-			func(k, v []byte) bool {
-				count++
-				return true
-			})
-		if err != nil {
-			return err
-		}
-		el := time.Since(start)
-		st.Row(name, count, float64(el.Microseconds())/1000,
-			float64(count)/el.Seconds()/1e3)
-		return nil
-	}
-	if err := scanOnce("paged SCAN", cl.ScanAllPaged); err != nil {
-		return err
-	}
-	if err := scanOnce("streamed SCAN", cl.ScanStream); err != nil {
-		return err
-	}
-	fmt.Fprintln(w, "\nfull-range scan: paged round trips vs streamed frames:")
+	st.Row("streamed SCAN", count, float64(el.Microseconds())/1000,
+		float64(count)/el.Seconds()/1e3)
+	fmt.Fprintln(w, "\nfull-range scan, streamed frames:")
 	st.Print(w)
 	return nil
 }

@@ -138,7 +138,7 @@ func (c *Client) Close() error {
 
 // Get returns the value of key, or ErrNotFound.
 func (c *Client) Get(key []byte) ([]byte, error) {
-	resp, err := c.call(&server.Request{Op: server.OpGet, Key: key}, false)
+	resp, err := c.call(&server.Request{Op: server.OpGet, Key: key})
 	if err != nil {
 		return nil, err
 	}
@@ -147,7 +147,7 @@ func (c *Client) Get(key []byte) ([]byte, error) {
 
 // Put stores key -> value.
 func (c *Client) Put(key, value []byte) error {
-	_, err := c.call(&server.Request{Op: server.OpPut, Key: key, Value: value}, false)
+	_, err := c.call(&server.Request{Op: server.OpPut, Key: key, Value: value})
 	return err
 }
 
@@ -160,7 +160,7 @@ func (c *Client) PutTTL(key, value []byte, ttl time.Duration) error {
 	if millis == 0 && ttl > 0 {
 		millis = 1
 	}
-	_, err := c.call(&server.Request{Op: server.OpPutTTL, Key: key, Value: value, TTLMillis: millis}, false)
+	_, err := c.call(&server.Request{Op: server.OpPutTTL, Key: key, Value: value, TTLMillis: millis})
 	return err
 }
 
@@ -169,7 +169,7 @@ func (c *Client) PutTTL(key, value []byte, ttl time.Duration) error {
 // resolves it inside the key's group-commit loop, so concurrent Incrs
 // never lose updates.
 func (c *Client) Incr(key []byte, delta int64) (int64, error) {
-	resp, err := c.call(&server.Request{Op: server.OpIncr, Key: key, Delta: delta}, false)
+	resp, err := c.call(&server.Request{Op: server.OpIncr, Key: key, Delta: delta})
 	if err != nil {
 		return 0, err
 	}
@@ -189,7 +189,7 @@ func (c *Client) Cas(key, expected, newValue []byte) error {
 		req.HasExpected = true
 		req.Expected = expected
 	}
-	_, err := c.call(req, false)
+	_, err := c.call(req)
 	return err
 }
 
@@ -206,7 +206,7 @@ func (c *Client) SketchCard() (uint64, error) {
 }
 
 func (c *Client) sketch(req *server.Request) (uint64, error) {
-	resp, err := c.call(req, false)
+	resp, err := c.call(req)
 	if err != nil {
 		return 0, err
 	}
@@ -219,35 +219,20 @@ func (c *Client) sketch(req *server.Request) (uint64, error) {
 
 // Delete removes key.
 func (c *Client) Delete(key []byte) error {
-	_, err := c.call(&server.Request{Op: server.OpDelete, Key: key}, false)
+	_, err := c.call(&server.Request{Op: server.OpDelete, Key: key})
 	return err
 }
 
 // Batch applies ops atomically on the server.
 func (c *Client) Batch(ops []Op) error {
-	_, err := c.call(&server.Request{Op: server.OpBatch, Ops: ops}, false)
+	_, err := c.call(&server.Request{Op: server.OpBatch, Ops: ops})
 	return err
-}
-
-// Scan returns up to limit pairs in [lo, hi] (limit <= 0 uses the server
-// default). more reports a truncated result; continue with ScanAll or a
-// follow-up Scan from just past the last key.
-func (c *Client) Scan(lo, hi []byte, limit int) (pairs []KV, more bool, err error) {
-	if limit < 0 {
-		limit = 0
-	}
-	resp, err := c.call(&server.Request{Op: server.OpScan, Lo: lo, Hi: hi, Limit: uint64(limit)}, true)
-	if err != nil {
-		return nil, false, err
-	}
-	return resp.Pairs, resp.More, nil
 }
 
 // ScanAll streams every pair in [lo, hi] to fn, until fn returns false
 // or the range is exhausted. It rides a single streamed SCANSTREAM
 // request — one request frame for the whole range, the server pushing
-// response frames as it walks — instead of paging Scan round trips.
-// With retries enabled, a transient mid-stream failure resumes just
+// response frames as it walks. With retries enabled, a transient mid-stream failure resumes just
 // past the last delivered key, so fn sees every pair exactly once.
 func (c *Client) ScanAll(lo, hi []byte, fn func(key, value []byte) bool) error {
 	backoff := c.opts.RetryBackoff
@@ -255,7 +240,7 @@ func (c *Client) ScanAll(lo, hi []byte, fn func(key, value []byte) bool) error {
 	for {
 		var last []byte
 		delivered := false
-		err := c.scanStreamOnce(lo, hi, func(k, v []byte) bool {
+		err := c.ScanStream(lo, hi, func(k, v []byte) bool {
 			delivered = true
 			last = append(last[:0], k...)
 			return fn(k, v)
@@ -281,42 +266,12 @@ func (c *Client) ScanAll(lo, hi []byte, fn func(key, value []byte) bool) error {
 	}
 }
 
-// ScanAllPaged is ScanAll's page-at-a-time predecessor: it walks the
-// range with repeated SCAN round trips, resuming past each truncated
-// response. Kept for servers predating SCANSTREAM and as the oracle
-// the streamed path is tested against.
-func (c *Client) ScanAllPaged(lo, hi []byte, fn func(key, value []byte) bool) error {
-	for {
-		pairs, more, err := c.Scan(lo, hi, 0)
-		if err != nil {
-			return err
-		}
-		for _, p := range pairs {
-			if !fn(p.Key, p.Value) {
-				return nil
-			}
-		}
-		if !more || len(pairs) == 0 {
-			return nil
-		}
-		// Resume just past the last key: appending 0x00 yields the
-		// smallest key strictly greater under bytewise order.
-		last := pairs[len(pairs)-1].Key
-		lo = append(append(make([]byte, 0, len(last)+1), last...), 0)
-	}
-}
-
 // ScanStream issues one streamed SCANSTREAM request for [lo, hi] and
-// delivers every pair to fn as frames arrive; fn returning false
-// cancels the stream. Unlike ScanAll it never retries: a transport
-// failure mid-stream surfaces immediately.
+// delivers every pair to fn as frames arrive, until completion, fn
+// returning false (which cancels the stream), or the first error. Unlike
+// ScanAll it never retries: a transport failure mid-stream surfaces
+// immediately.
 func (c *Client) ScanStream(lo, hi []byte, fn func(key, value []byte) bool) error {
-	return c.scanStreamOnce(lo, hi, fn)
-}
-
-// scanStreamOnce runs one SCANSTREAM request to completion, early stop,
-// or first error.
-func (c *Client) scanStreamOnce(lo, hi []byte, fn func(key, value []byte) bool) error {
 	w, err := c.wire()
 	if err != nil {
 		return err
@@ -390,7 +345,7 @@ func (c *Client) MultiGet(keys [][]byte) ([][]byte, error) {
 	if len(keys) == 0 {
 		return nil, nil
 	}
-	resp, err := c.call(&server.Request{Op: server.OpMultiGet, Keys: keys}, false)
+	resp, err := c.call(&server.Request{Op: server.OpMultiGet, Keys: keys})
 	if err != nil {
 		return nil, err
 	}
@@ -408,7 +363,7 @@ func (c *Client) MultiGet(keys [][]byte) ([][]byte, error) {
 // per-opcode latency quantiles, engine iostat snapshot, and both event
 // rings).
 func (c *Client) Stats() ([]byte, error) {
-	resp, err := c.call(&server.Request{Op: server.OpStats}, false)
+	resp, err := c.call(&server.Request{Op: server.OpStats})
 	if err != nil {
 		return nil, err
 	}
@@ -419,7 +374,7 @@ func (c *Client) Stats() ([]byte, error) {
 // read-path trace. The key being absent is not an error: the trace
 // reports the outcome (that miss path is what TRACE exists to explain).
 func (c *Client) Trace(key []byte) (*iostat.Trace, error) {
-	resp, err := c.call(&server.Request{Op: server.OpTrace, Key: key}, false)
+	resp, err := c.call(&server.Request{Op: server.OpTrace, Key: key})
 	if err != nil {
 		return nil, err
 	}
@@ -432,7 +387,7 @@ func (c *Client) Trace(key []byte) (*iostat.Trace, error) {
 
 // Ping round-trips an empty request.
 func (c *Client) Ping() error {
-	_, err := c.call(&server.Request{Op: server.OpPing}, false)
+	_, err := c.call(&server.Request{Op: server.OpPing})
 	return err
 }
 
@@ -444,7 +399,7 @@ type ShardSeq = server.ShardSeq
 // PutSeq stores key -> value and returns the write's (shard, seq)
 // coordinate (nil against servers without sequence watermarks).
 func (c *Client) PutSeq(key, value []byte) ([]ShardSeq, error) {
-	resp, err := c.call(&server.Request{Op: server.OpPut, Key: key, Value: value}, false)
+	resp, err := c.call(&server.Request{Op: server.OpPut, Key: key, Value: value})
 	if err != nil {
 		return nil, err
 	}
@@ -454,7 +409,7 @@ func (c *Client) PutSeq(key, value []byte) ([]ShardSeq, error) {
 // BatchSeq applies ops like Batch and returns one coordinate per shard
 // the batch touched.
 func (c *Client) BatchSeq(ops []Op) ([]ShardSeq, error) {
-	resp, err := c.call(&server.Request{Op: server.OpBatch, Ops: ops}, false)
+	resp, err := c.call(&server.Request{Op: server.OpBatch, Ops: ops})
 	if err != nil {
 		return nil, err
 	}
@@ -466,7 +421,7 @@ func (c *Client) BatchSeq(ops []Op) ([]ShardSeq, error) {
 // replication catches up to the write that produced the coordinate —
 // then reads. minSeq 0 degrades to a plain Get.
 func (c *Client) GetAtSeq(key []byte, minSeq uint64) ([]byte, error) {
-	resp, err := c.call(&server.Request{Op: server.OpGetSeq, Key: key, MinSeq: minSeq}, false)
+	resp, err := c.call(&server.Request{Op: server.OpGetSeq, Key: key, MinSeq: minSeq})
 	if err != nil {
 		return nil, err
 	}
@@ -477,7 +432,7 @@ func (c *Client) GetAtSeq(key []byte, minSeq uint64) ([]byte, error) {
 // server's checkpoint root and returns the durable marker's JSON
 // (files, bytes, per-shard seqs).
 func (c *Client) Checkpoint(name string) ([]byte, error) {
-	resp, err := c.call(&server.Request{Op: server.OpCheckpoint, Key: []byte(name)}, false)
+	resp, err := c.call(&server.Request{Op: server.OpCheckpoint, Key: []byte(name)})
 	if err != nil {
 		return nil, err
 	}
@@ -492,7 +447,7 @@ func (c *Client) Merkle(buckets int, seqs []uint64) (*replica.Tree, error) {
 	if buckets < 0 {
 		buckets = 0
 	}
-	resp, err := c.call(&server.Request{Op: server.OpMerkle, Buckets: uint64(buckets), Seqs: seqs}, false)
+	resp, err := c.call(&server.Request{Op: server.OpMerkle, Buckets: uint64(buckets), Seqs: seqs})
 	if err != nil {
 		return nil, err
 	}
@@ -504,14 +459,14 @@ func (c *Client) Merkle(buckets int, seqs []uint64) (*replica.Tree, error) {
 }
 
 // call runs one request with the retry policy.
-func (c *Client) call(req *server.Request, scan bool) (server.Response, error) {
+func (c *Client) call(req *server.Request) (server.Response, error) {
 	backoff := c.opts.RetryBackoff
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		w, err := c.wire()
 		if err == nil {
 			var resp server.Response
-			resp, err = c.roundTrip(w, req, scan)
+			resp, err = c.roundTrip(w, req)
 			if err == nil {
 				return resp, nil
 			}
@@ -540,8 +495,8 @@ func (c *Client) call(req *server.Request, scan bool) (server.Response, error) {
 }
 
 // roundTrip issues req on w and waits for its response.
-func (c *Client) roundTrip(w *wire, req *server.Request, scan bool) (server.Response, error) {
-	p, err := w.send(req, scan)
+func (c *Client) roundTrip(w *wire, req *server.Request) (server.Response, error) {
+	p, err := w.send(req)
 	if err != nil {
 		return server.Response{}, err
 	}
@@ -644,11 +599,11 @@ func (c *Client) dropWire(w *wire, err error) {
 // ---------------------------------------------------------------------------
 
 type pendingCall struct {
-	ch   chan server.Response
-	scan bool
-	// stream marks a multi-response call (SCANSTREAM): the read loop
-	// keeps delivering frames on ch until a final frame (more=0 or a
-	// non-OK status) instead of resolving after one.
+	ch chan server.Response
+	// stream marks a multi-response call (SCANSTREAM): responses decode
+	// as scan frames, and the read loop keeps delivering them on ch until
+	// a final frame (more=0 or a non-OK status) instead of resolving
+	// after one.
 	stream bool
 	// quit, when non-nil, is closed by the consumer on early exit so a
 	// blocked read-loop delivery can bail instead of wedging the wire.
@@ -688,8 +643,8 @@ func dialWire(addr string, opts Options) (*wire, error) {
 }
 
 // send registers a pending call and writes the request frame.
-func (w *wire) send(req *server.Request, scan bool) (*pendingCall, error) {
-	return w.sendCall(req, &pendingCall{ch: make(chan server.Response, 1), scan: scan})
+func (w *wire) send(req *server.Request) (*pendingCall, error) {
+	return w.sendCall(req, &pendingCall{ch: make(chan server.Response, 1)})
 }
 
 // sendStream registers a streaming call: scan-shaped frames keep
@@ -697,7 +652,6 @@ func (w *wire) send(req *server.Request, scan bool) (*pendingCall, error) {
 func (w *wire) sendStream(req *server.Request) (*pendingCall, error) {
 	return w.sendCall(req, &pendingCall{
 		ch:     make(chan server.Response, 32),
-		scan:   true,
 		stream: true,
 		quit:   make(chan struct{}),
 	})
@@ -795,7 +749,7 @@ func (w *wire) readLoop(maxFrame int) {
 		if p == nil {
 			continue // abandoned (timed out) request
 		}
-		resp, err := server.DecodeResponse(payload, p.scan)
+		resp, err := server.DecodeResponse(payload, p.stream)
 		if err != nil {
 			w.fail(err)
 			return

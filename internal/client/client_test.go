@@ -14,6 +14,7 @@ import (
 	"lsmkv/internal/client"
 	"lsmkv/internal/core"
 	"lsmkv/internal/server"
+	"lsmkv/internal/shard"
 	"lsmkv/internal/vfs"
 )
 
@@ -21,7 +22,7 @@ import (
 // address.
 func startBackend(t *testing.T) string {
 	t.Helper()
-	db, err := core.Open(core.Options{Dir: "db", FS: vfs.NewMem(), MemtableBytes: 4 << 20})
+	db, err := shard.Open(core.Options{Dir: "db", FS: vfs.NewMem(), MemtableBytes: 4 << 20}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

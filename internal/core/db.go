@@ -611,29 +611,13 @@ func (db *DB) l0RunsLocked() int {
 }
 
 // Get returns the newest visible value of key.
-func (db *DB) Get(key []byte) ([]byte, error) {
-	if db.lat == nil {
-		return db.get(key, kv.MaxSeqNum, nil)
-	}
-	start := time.Now()
-	value, err := db.get(key, kv.MaxSeqNum, nil)
-	db.lat.Get.Observe(time.Since(start))
-	return value, err
-}
+func (db *DB) Get(key []byte) ([]byte, error) { return db.GetAppend(key, nil) }
 
 // GetAppend is Get with the value appended to dst (which may be nil)
 // instead of freshly allocated, returning the extended slice. With the
 // target block resident in the cache and dst capacious enough, a lookup
 // performs zero heap allocations — the steady-state read hot path.
-func (db *DB) GetAppend(key, dst []byte) ([]byte, error) {
-	if db.lat == nil {
-		return db.getAppend(key, kv.MaxSeqNum, dst, nil)
-	}
-	start := time.Now()
-	value, err := db.getAppend(key, kv.MaxSeqNum, dst, nil)
-	db.lat.Get.Observe(time.Since(start))
-	return value, err
-}
+func (db *DB) GetAppend(key, dst []byte) ([]byte, error) { return db.timedGet(key, dst, nil) }
 
 // GetTraced is Get with a full read-path trace: which buffers and sorted
 // runs were consulted, how each run screened the probe (fences, sequence
@@ -642,18 +626,27 @@ func (db *DB) GetAppend(key, dst []byte) ([]byte, error) {
 // the interesting case for diagnosing read amplification.
 func (db *DB) GetTraced(key []byte) ([]byte, *iostat.Trace, error) {
 	tr := iostat.NewTrace(key)
-	start := time.Now()
-	value, err := db.get(key, kv.MaxSeqNum, tr)
-	elapsed := time.Since(start)
-	tr.ElapsedUs = float64(elapsed.Nanoseconds()) / 1e3
-	if db.lat != nil {
-		db.lat.Get.Observe(elapsed)
-	}
+	value, err := db.timedGet(key, nil, tr)
 	return value, tr, err
 }
 
-func (db *DB) get(key []byte, snap kv.SeqNum, tr *iostat.Trace) ([]byte, error) {
-	return db.getAppend(key, snap, nil, tr)
+// timedGet is the one timed point read: it stamps tr (when tracing) and
+// the Get histogram (when tracking latency) with the lookup's wall time,
+// and reads the clock only when one of them wants it.
+func (db *DB) timedGet(key, dst []byte, tr *iostat.Trace) ([]byte, error) {
+	if tr == nil && db.lat == nil {
+		return db.getAppend(key, kv.MaxSeqNum, dst, nil)
+	}
+	start := time.Now()
+	value, err := db.getAppend(key, kv.MaxSeqNum, dst, tr)
+	elapsed := time.Since(start)
+	if tr != nil {
+		tr.ElapsedUs = float64(elapsed.Nanoseconds()) / 1e3
+	}
+	if db.lat != nil {
+		db.lat.Get.Observe(elapsed)
+	}
+	return value, err
 }
 
 func (db *DB) getAppend(key []byte, snap kv.SeqNum, dst []byte, tr *iostat.Trace) ([]byte, error) {

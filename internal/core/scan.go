@@ -56,7 +56,7 @@ func (s *Snapshot) Get(key []byte) ([]byte, error) {
 	if s.released {
 		return nil, errSnapshotReleased
 	}
-	return s.db.get(key, s.seq, nil)
+	return s.db.getAppend(key, s.seq, nil, nil)
 }
 
 // Scan iterates the snapshot over [lo, hi]; see DB.Scan.

@@ -21,7 +21,7 @@ import (
 func TestIncrConcurrent(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			srv, _ := startShardedServer(t, vfs.NewMem(), shards)
+			srv, _ := startServer(t, vfs.NewMem(), shards, nil)
 
 			const writers = 8
 			const perWriter = 50
@@ -88,7 +88,7 @@ func TestIncrConcurrent(t *testing.T) {
 func TestCasConcurrent(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			srv, _ := startShardedServer(t, vfs.NewMem(), shards)
+			srv, _ := startServer(t, vfs.NewMem(), shards, nil)
 
 			const writers = 8
 			const perWriter = 20
@@ -164,7 +164,7 @@ func atoiBytes(b []byte) (int, error) {
 // TestCasErrors: conflict paths map to the non-transient ErrCASMismatch
 // and a failed CAS never mutates the cell.
 func TestCasErrors(t *testing.T) {
-	srv, _ := startServer(t, vfs.NewMem(), nil)
+	srv, _ := startServer(t, vfs.NewMem(), 1, nil)
 	cl := dialTest(t, srv, nil)
 
 	// Absence assertion on an absent key creates.
@@ -199,7 +199,7 @@ func TestCasErrors(t *testing.T) {
 // reads as absent; the server stamps the absolute expiry from the
 // client-supplied duration.
 func TestPutTTLOverWire(t *testing.T) {
-	srv, _ := startServer(t, vfs.NewMem(), nil)
+	srv, _ := startServer(t, vfs.NewMem(), 1, nil)
 	cl := dialTest(t, srv, nil)
 
 	if err := cl.PutTTL([]byte("lease"), []byte("held"), 500*time.Millisecond); err != nil {
@@ -227,7 +227,7 @@ func TestPutTTLOverWire(t *testing.T) {
 // TestSketchOverWire: the per-shard write sketches answer frequency and
 // cardinality queries over the wire and surface in STATS.
 func TestSketchOverWire(t *testing.T) {
-	srv, _ := startShardedServer(t, vfs.NewMem(), 2)
+	srv, _ := startServer(t, vfs.NewMem(), 2, nil)
 	cl := dialTest(t, srv, nil)
 
 	const distinct = 200

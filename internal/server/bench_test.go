@@ -34,7 +34,7 @@ func BenchmarkGroupCommit(b *testing.B) {
 
 func runCommitBench(b *testing.B, writers, maxOps int) {
 	fs := slowSyncFS{FS: vfs.NewMem(), delay: 200 * time.Microsecond}
-	srv, db := startServer(b, fs, func(c *server.Config) {
+	srv, db := startServer(b, fs, 1, func(c *server.Config) {
 		if maxOps > 0 {
 			c.MaxCommitOps = maxOps
 		}

@@ -2,9 +2,11 @@ package server
 
 import (
 	"errors"
+	"time"
 
 	"lsmkv/internal/core"
 	"lsmkv/internal/kv"
+	"lsmkv/internal/sketch"
 )
 
 // rmwOp is one read-modify-write (INCR or CAS) riding a commitReq. The
@@ -26,13 +28,11 @@ type rmwOp struct {
 	err         error  // resolution failure
 }
 
-// commitReq is one write request (PUT, DELETE, BATCH, or a
-// read-modify-write) — or, against a sharded engine, one shard's slice of
-// it — waiting for a group-commit loop. done receives the commit outcome
-// exactly once; on success, seq holds the shard's sequence watermark
-// after the commit group applied (0 when the engine does not expose
-// sequence numbers), which the ack layer forwards to clients as their
-// read-your-writes coordinate.
+// commitReq is one shard's slice of a write request (PUT, DELETE, BATCH,
+// or a read-modify-write) waiting for that shard's group-commit loop.
+// done receives the commit outcome exactly once; on success, seq holds
+// the shard's sequence watermark after the commit group applied, which
+// the ack layer forwards to clients as their read-your-writes coordinate.
 type commitReq struct {
 	ops   []core.BatchOp
 	rmw   *rmwOp // when non-nil, ops is produced by resolution
@@ -41,50 +41,39 @@ type commitReq struct {
 	done  chan error
 }
 
-// committer is one group-commit loop: a single goroutine drains its
-// submission channel, coalescing every write request it can grab (up to
-// maxOps engine ops) into one apply call — one WAL record and, when sync
-// is on, one fsync for the whole group. Under load the group grows toward
-// maxOps and the fsync cost amortizes across writers; idle, each write
-// commits alone with no added latency.
+// committer is one shard's group-commit loop: a single goroutine drains
+// its submission channel, coalescing every write request it can grab (up
+// to maxOps engine ops) into one ApplyShardBatch call — one WAL record
+// and, when sync is on, one fsync for the whole group. Under load the
+// group grows toward maxOps and the fsync cost amortizes across writers;
+// idle, each write commits alone with no added latency.
 //
-// A single-engine server runs one committer applying through
-// Engine.ApplyBatch; a sharded server runs one per shard, each applying
-// through ApplyShardBatch, so shards group-commit (and fsync)
+// The server runs one per shard, so shards group-commit (and fsync)
 // independently — the per-shard WAL is pointless if every shard's commits
 // still funnel through one loop.
 type committer struct {
-	apply  func(ops []core.BatchOp, sync bool) error
+	eng    Engine
+	shard  int
 	ch     chan *commitReq
 	maxOps int
 	sync   bool
-	// get reads the current value of a key for read-modify-write
-	// resolution (nil disables RMW; such submissions fail cleanly).
-	get func(key []byte) ([]byte, error)
-	// now is the clock RMW resolution uses to judge pending TTL entries.
-	now func() int64
-	// observe, when non-nil, receives each successfully committed group's
-	// ops — the write-stream feed for the server's per-shard sketches. It
-	// runs on the commit loop, so implementations need no writer-side
-	// locking of their own.
-	observe func(ops []core.BatchOp)
-	// lastSeq, when non-nil, reads the shard's applied watermark after a
-	// group commits. The group's watermark is necessarily >= every member
-	// write's own sequence number, so it is a valid (if slightly
-	// conservative) read-your-writes coordinate for each of them.
-	lastSeq func() uint64
-	metrics *Metrics
-	done    chan struct{}
+	// sketches is fed each successfully committed group's keys — the
+	// write-stream feed behind SKETCH. Only the commit loop writes it.
+	sketches *sketch.Set
+	metrics  *Metrics
+	done     chan struct{}
 }
 
-func newCommitter(apply func(ops []core.BatchOp, sync bool) error, maxOps int, sync bool, m *Metrics) *committer {
+func newCommitter(eng Engine, shard, maxOps int, sync bool, m *Metrics) *committer {
 	return &committer{
-		apply:   apply,
-		ch:      make(chan *commitReq, 4096),
-		maxOps:  maxOps,
-		sync:    sync,
-		metrics: m,
-		done:    make(chan struct{}),
+		eng:      eng,
+		shard:    shard,
+		ch:       make(chan *commitReq, 4096),
+		maxOps:   maxOps,
+		sync:     sync,
+		sketches: sketch.NewSet(),
+		metrics:  m,
+		done:     make(chan struct{}),
 	}
 }
 
@@ -104,13 +93,10 @@ func (c *committer) stop() {
 	<-c.done
 }
 
-// errNoRMW reports a read-modify-write submitted to a committer without
-// a read hook (an engine that cannot serve point reads by key).
-var errNoRMW = errors.New("server: engine does not support read-modify-write")
-
 // currentValue resolves key's value as the pending group ops (applied in
 // order) overlay it on the engine: the newest pending op for key wins,
-// with TTL entries judged against now. found=false means the key is
+// with TTL entries judged against the wall clock (the one that stamped
+// their expiry at dispatch). found=false means the key is
 // absent (deleted, expired, or never written).
 func (c *committer) currentValue(key []byte, pending []core.BatchOp) (value []byte, found bool, err error) {
 	for i := len(pending) - 1; i >= 0; i-- {
@@ -123,7 +109,7 @@ func (c *committer) currentValue(key []byte, pending []core.BatchOp) (value []by
 			return nil, false, nil
 		case kv.KindSetTTL:
 			exp, payload, ok := kv.SplitExpiryValue(op.Value)
-			if !ok || c.now() >= exp {
+			if !ok || time.Now().UnixNano() >= exp {
 				return nil, false, nil
 			}
 			return payload, true, nil
@@ -131,10 +117,9 @@ func (c *committer) currentValue(key []byte, pending []core.BatchOp) (value []by
 			return op.Value, true, nil
 		}
 	}
-	if c.get == nil {
-		return nil, false, errNoRMW
-	}
-	v, err := c.get(key)
+	// The engine routes by key, and every key this committer sees belongs
+	// to its shard.
+	v, err := c.eng.GetAppend(key, nil)
 	if errors.Is(err, core.ErrNotFound) {
 		return nil, false, nil
 	}
@@ -219,17 +204,18 @@ func (c *committer) loop() {
 		c.metrics.CommitQueue.Add(int64(-len(reqs)))
 		var err error
 		if len(ops) > 0 {
-			err = c.apply(ops, c.sync)
+			err = c.eng.ApplyShardBatch(c.shard, ops, c.sync)
 			c.metrics.observeCommit(len(ops))
 		}
+		// The group's watermark is necessarily >= every member write's own
+		// sequence number, so it is a valid (if slightly conservative)
+		// read-your-writes coordinate for each of them.
 		var seq uint64
 		if err == nil {
-			if c.observe != nil {
-				c.observe(ops)
+			for _, op := range ops {
+				c.sketches.Observe(op.Key)
 			}
-			if c.lastSeq != nil {
-				seq = c.lastSeq()
-			}
+			seq = c.eng.LastSeqs()[c.shard]
 		}
 		for _, r := range reqs {
 			r.seq = seq

@@ -18,8 +18,8 @@ import (
 // conn is one client connection. Three goroutines cooperate to give
 // pipelining without unbounded buffering:
 //
-//   - readLoop decodes frames; reads (GET/SCAN/STATS/PING) execute
-//     inline, writes are handed to the server-wide group committer and a
+//   - readLoop decodes frames; reads (GET/SCANSTREAM/STATS/PING) execute
+//     inline, writes are handed to their shards' group committers and a
 //     pending-ack token is queued on acks.
 //   - ackLoop awaits each write's commit outcome in submission order and
 //     emits its response.
@@ -50,9 +50,9 @@ type conn struct {
 	draining bool
 }
 
-// pendingWrite tracks one write awaiting its commit group — or, for a
-// BATCH spanning shards, awaiting every involved shard's commit group.
-// The ack goes out only after all of them complete; the first error wins.
+// pendingWrite tracks one write awaiting its shard's commit group — for a
+// BATCH spanning shards, every involved shard's. The ack goes out only
+// after all of them complete; the first error wins.
 type pendingWrite struct {
 	id    uint32
 	op    Opcode
@@ -173,8 +173,6 @@ func (c *conn) dispatch(req *Request) {
 		c.handleGet(req, start)
 	case OpMultiGet:
 		c.handleMultiGet(req, start)
-	case OpScan:
-		c.handleScan(req, start)
 	case OpScanStream:
 		c.handleScanStream(req, start)
 	case OpStats:
@@ -214,25 +212,13 @@ func (c *conn) finishRead(req *Request, start time.Time, resp *Response) {
 	c.send(resp)
 }
 
+// handleGet serves GET: the value lands directly after the response
+// header in the pooled buffer — no intermediate value slice at all.
 func (c *conn) handleGet(req *Request, start time.Time) {
-	ag := c.srv.appendEng
-	if ag == nil {
-		value, err := c.srv.cfg.DB.Get(req.Key)
-		resp := Response{ID: req.ID, Status: StatusOK, Value: value}
-		if errors.Is(err, core.ErrNotFound) {
-			resp = Response{ID: req.ID, Status: StatusNotFound}
-		} else if err != nil {
-			resp = errResponse(req.ID, err)
-		}
-		c.finishRead(req, start, &resp)
-		return
-	}
-	// Append-capable engine: the value lands directly after the response
-	// header in the pooled buffer — no intermediate value slice at all.
 	rb := getRespBuf()
 	rb.b = binary.LittleEndian.AppendUint32(rb.b, req.ID)
 	rb.b = append(rb.b, byte(StatusOK))
-	b, err := ag.GetAppend(req.Key, rb.b)
+	b, err := c.srv.cfg.DB.GetAppend(req.Key, rb.b)
 	switch {
 	case err == nil:
 		rb.b = b
@@ -246,32 +232,11 @@ func (c *conn) handleGet(req *Request, start time.Time) {
 	c.sendBuf(rb)
 }
 
-// handleMultiGet serves the MULTIGET opcode: one batched lookup whose
-// response carries found/value slots aligned with the request's keys.
-// Engines exposing MultiGet (the sharded facade) fan the batch out per
-// shard in parallel; others fall back to a sequential key loop.
+// handleMultiGet serves the MULTIGET opcode: one batched lookup, fanned
+// out per shard in parallel by the engine, whose response carries
+// found/value slots aligned with the request's keys.
 func (c *conn) handleMultiGet(req *Request, start time.Time) {
-	var vals [][]byte
-	var err error
-	if mg := c.srv.multiEng; mg != nil {
-		vals, err = mg.MultiGet(req.Keys)
-	} else {
-		vals = make([][]byte, len(req.Keys))
-		for i, k := range req.Keys {
-			v, gerr := c.srv.cfg.DB.Get(k)
-			if errors.Is(gerr, core.ErrNotFound) {
-				continue
-			}
-			if gerr != nil {
-				err = gerr
-				break
-			}
-			if v == nil {
-				v = []byte{}
-			}
-			vals[i] = v
-		}
-	}
+	vals, err := c.srv.cfg.DB.MultiGet(req.Keys)
 	if err != nil {
 		resp := errResponse(req.ID, err)
 		c.finishRead(req, start, &resp)
@@ -283,33 +248,6 @@ func (c *conn) handleMultiGet(req *Request, start time.Time) {
 	rb.b = AppendMultiGetValues(rb.b, vals)
 	c.srv.metrics.observeOp(req.Op, time.Since(start))
 	c.sendBuf(rb)
-}
-
-func (c *conn) handleScan(req *Request, start time.Time) {
-	limit := int(req.Limit)
-	if limit <= 0 || limit > c.srv.cfg.MaxScanResults {
-		limit = c.srv.cfg.MaxScanResults
-	}
-	byteBudget := c.srv.cfg.MaxFrameBytes / 2
-	resp := Response{ID: req.ID, Status: StatusOK, Pairs: make([]KV, 0, 16)}
-	used := 0
-	err := c.srv.cfg.DB.Scan(req.Lo, req.Hi, func(k, v []byte) bool {
-		if len(resp.Pairs) >= limit || used >= byteBudget {
-			resp.More = true
-			return false
-		}
-		// The callback's slices are only valid during the call.
-		resp.Pairs = append(resp.Pairs, KV{
-			Key:   append([]byte(nil), k...),
-			Value: append([]byte(nil), v...),
-		})
-		used += len(k) + len(v) + 16
-		return true
-	})
-	if err != nil {
-		resp = errResponse(req.ID, err)
-	}
-	c.finishRead(req, start, &resp)
 }
 
 // handleScanStream serves SCANSTREAM: the whole scan flows to the
@@ -402,20 +340,11 @@ const getSeqWaitTimeout = 30 * time.Second
 
 // handleGetSeq serves the read-your-writes GET: wait until the key's
 // shard has applied at least MinSeq (on a follower, until replication
-// catches up), then read. Engines without sequence watermarks degrade to
-// a plain GET when MinSeq is 0 and reject otherwise.
+// catches up), then read.
 func (c *conn) handleGetSeq(req *Request, start time.Time) {
 	if req.MinSeq > 0 {
-		if c.srv.seqEng == nil {
-			resp := Response{ID: req.ID, Status: StatusError, Value: []byte("server: engine has no sequence watermarks")}
-			c.finishRead(req, start, &resp)
-			return
-		}
-		shard := 0
-		if c.srv.sharded != nil {
-			shard = c.srv.sharded.ShardOf(req.Key)
-		}
-		if err := c.srv.seqEng.WaitForSeq(shard, req.MinSeq, getSeqWaitTimeout); err != nil {
+		db := c.srv.cfg.DB
+		if err := db.WaitForSeq(db.ShardOf(req.Key), req.MinSeq, getSeqWaitTimeout); err != nil {
 			resp := errResponse(req.ID, err)
 			c.finishRead(req, start, &resp)
 			return
@@ -430,7 +359,7 @@ func (c *conn) handleGetSeq(req *Request, start time.Time) {
 // committers; the response body is the durable marker's JSON.
 func (c *conn) handleCheckpoint(req *Request, start time.Time) {
 	name := string(req.Key)
-	if c.srv.ckptEng == nil || c.srv.cfg.CheckpointDir == "" {
+	if c.srv.cfg.CheckpointDir == "" {
 		resp := Response{ID: req.ID, Status: StatusError, Value: []byte("server: checkpoints not enabled (no -checkpoint-dir)")}
 		c.finishRead(req, start, &resp)
 		return
@@ -440,7 +369,7 @@ func (c *conn) handleCheckpoint(req *Request, start time.Time) {
 		c.finishRead(req, start, &resp)
 		return
 	}
-	info, err := c.srv.ckptEng.Checkpoint(filepath.Join(c.srv.cfg.CheckpointDir, name))
+	info, err := c.srv.cfg.DB.Checkpoint(filepath.Join(c.srv.cfg.CheckpointDir, name))
 	if err != nil {
 		resp := errResponse(req.ID, err)
 		c.finishRead(req, start, &resp)
@@ -460,11 +389,6 @@ func (c *conn) handleCheckpoint(req *Request, start time.Time) {
 // (current watermarks when empty). The full scan runs inline, blocking
 // only this connection.
 func (c *conn) handleMerkle(req *Request, start time.Time) {
-	if c.srv.merkleEng == nil {
-		resp := Response{ID: req.ID, Status: StatusError, Value: []byte("server: engine has no Merkle support")}
-		c.finishRead(req, start, &resp)
-		return
-	}
 	seqs := req.Seqs
 	if len(seqs) == 0 {
 		seqs = nil
@@ -472,16 +396,14 @@ func (c *conn) handleMerkle(req *Request, start time.Time) {
 	// An explicit vector may be ahead of this server (a follower still
 	// catching up to the primary's pin point): wait for each shard before
 	// pinning, so cross-server comparison doesn't race replication.
-	if seqs != nil && c.srv.seqEng != nil {
-		for shard, seq := range seqs {
-			if err := c.srv.seqEng.WaitForSeq(shard, seq, getSeqWaitTimeout); err != nil {
-				resp := errResponse(req.ID, err)
-				c.finishRead(req, start, &resp)
-				return
-			}
+	for shard, seq := range seqs {
+		if err := c.srv.cfg.DB.WaitForSeq(shard, seq, getSeqWaitTimeout); err != nil {
+			resp := errResponse(req.ID, err)
+			c.finishRead(req, start, &resp)
+			return
 		}
 	}
-	tree, err := c.srv.merkleEng.MerkleAt(int(req.Buckets), seqs)
+	tree, err := c.srv.cfg.DB.MerkleAt(int(req.Buckets), seqs)
 	if err != nil {
 		resp := errResponse(req.ID, err)
 		c.finishRead(req, start, &resp)
@@ -528,11 +450,12 @@ func (c *conn) handleReplSync(req *Request, start time.Time) {
 // teardown rather than a protocol condition.
 var errStreamStopped = errors.New("server: stream stopped")
 
-// submitWrite routes ops to their group committer(s) and queues the ack.
-// Against a sharded engine, point writes go to the owning shard's
-// committer and a BATCH is split into per-shard sub-batches, each
-// submitted to its shard's committer; the ack waits for all of them. All
-// channels apply backpressure by blocking the read loop when full.
+// submitWrite routes ops to their shards' group committers and queues
+// the ack. Ops that all land on one shard — every point write, and any
+// BATCH at one shard — go to that shard's committer as they are, so they
+// commit as one WAL record; a BATCH spanning shards is split into
+// per-shard sub-batches and the ack waits for all of them. All channels
+// apply backpressure by blocking the read loop when full.
 func (c *conn) submitWrite(req *Request, start time.Time, ops []core.BatchOp) {
 	if c.srv.cfg.ReadOnly {
 		resp := Response{ID: req.ID, Status: StatusError, Value: []byte("server: read-only replica (writes go to the primary)")}
@@ -544,28 +467,31 @@ func (c *conn) submitWrite(req *Request, start time.Time, ops []core.BatchOp) {
 		return
 	}
 	pw := &pendingWrite{id: req.ID, op: req.Op, start: start}
-	if se := c.srv.sharded; se == nil {
-		cr := &commitReq{ops: ops, done: make(chan error, 1)}
-		c.srv.committers[0].submit(cr)
-		pw.reqs = append(pw.reqs, cr)
-	} else if len(ops) == 1 {
-		shard := se.ShardOf(ops[0].Key)
+	submit := func(shard int, ops []core.BatchOp) {
 		cr := &commitReq{ops: ops, shard: shard, done: make(chan error, 1)}
 		c.srv.committers[shard].submit(cr)
 		pw.reqs = append(pw.reqs, cr)
-	} else {
-		subs := make([][]core.BatchOp, len(c.srv.committers))
-		for _, op := range ops {
-			i := se.ShardOf(op.Key)
-			subs[i] = append(subs[i], op)
-		}
-		for i, sub := range subs {
-			if len(sub) == 0 {
+	}
+	db := c.srv.cfg.DB
+	first := db.ShardOf(ops[0].Key)
+	var subs [][]core.BatchOp // nil while every op lands on first
+	for i, op := range ops[1:] {
+		shard := db.ShardOf(op.Key)
+		if subs == nil {
+			if shard == first {
 				continue
 			}
-			cr := &commitReq{ops: sub, shard: i, done: make(chan error, 1)}
-			c.srv.committers[i].submit(cr)
-			pw.reqs = append(pw.reqs, cr)
+			subs = make([][]core.BatchOp, len(c.srv.committers))
+			subs[first] = append(subs[first], ops[:i+1]...)
+		}
+		subs[shard] = append(subs[shard], op)
+	}
+	if subs == nil {
+		submit(first, ops)
+	}
+	for i, sub := range subs {
+		if len(sub) > 0 {
+			submit(i, sub)
 		}
 	}
 	c.acks <- pw
@@ -579,14 +505,10 @@ func (c *conn) handleSketch(req *Request, start time.Time) {
 	var est uint64
 	switch req.Sub {
 	case SketchFreq:
-		shard := 0
-		if se := c.srv.sharded; se != nil {
-			shard = se.ShardOf(req.Key)
-		}
-		est = c.srv.sketches[shard].Freq(req.Key)
+		est = c.srv.committers[c.srv.cfg.DB.ShardOf(req.Key)].sketches.Freq(req.Key)
 	case SketchCard:
-		for _, set := range c.srv.sketches {
-			est += set.Card()
+		for _, cm := range c.srv.committers {
+			est += cm.sketches.Card()
 		}
 	}
 	resp := Response{ID: req.ID, Status: StatusOK, Value: binary.AppendUvarint(nil, est)}
@@ -610,10 +532,7 @@ func (c *conn) submitRMW(req *Request, start time.Time) {
 		hasExpected: req.HasExpected,
 		newValue:    req.Value,
 	}
-	shard := 0
-	if se := c.srv.sharded; se != nil {
-		shard = se.ShardOf(req.Key)
-	}
+	shard := c.srv.cfg.DB.ShardOf(req.Key)
 	cr := &commitReq{rmw: rmw, shard: shard, done: make(chan error, 1)}
 	c.srv.committers[shard].submit(cr)
 	c.acks <- &pendingWrite{id: req.ID, op: req.Op, start: start, reqs: []*commitReq{cr}}
@@ -642,7 +561,7 @@ func (c *conn) ackLoop() {
 			case pw.op == OpIncr:
 				resp.Value = binary.AppendVarint(nil, rmw.result)
 			}
-		} else if c.srv.seqEng != nil {
+		} else {
 			// Successful write acks carry (shard, seq) coordinates for
 			// read-your-writes against replicas; clients that predate them
 			// ignore ack bodies.

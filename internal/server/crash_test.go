@@ -11,6 +11,7 @@ import (
 	"lsmkv/internal/client"
 	"lsmkv/internal/core"
 	"lsmkv/internal/server"
+	"lsmkv/internal/shard"
 	"lsmkv/internal/vfs"
 )
 
@@ -29,7 +30,7 @@ func TestNetworkCrashRecovery(t *testing.T) {
 		FS:            fs,
 		MemtableBytes: 64 << 10, // small enough that the run crosses flushes
 	}
-	db, err := core.Open(opts)
+	db, err := shard.Open(opts, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

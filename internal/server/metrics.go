@@ -192,14 +192,14 @@ type metricsPayload struct {
 	// backpressure (see OPERATIONS.md).
 	EngineLatencies map[string]iostat.LatencySummary `json:"engine_latencies,omitempty"`
 	// EngineShards carries each shard's own counter snapshot, indexed by
-	// shard, when the engine is keyspace-sharded (Engine above stays the
-	// aggregate). A skewed shard shows up here as one entry's flush and
-	// stall counters running ahead of its peers'.
-	EngineShards []iostat.Snapshot `json:"engine_shards,omitempty"`
-	// EngineSeqs carries the per-shard applied sequence watermarks when
-	// the engine exposes them — the replication coordinate system: compare
-	// a primary's and follower's vectors to see lag shard by shard.
-	EngineSeqs []uint64 `json:"engine_seq,omitempty"`
+	// shard — one entry at one shard (Engine above stays the aggregate). A
+	// skewed shard shows up here as one entry's flush and stall counters
+	// running ahead of its peers'.
+	EngineShards []iostat.Snapshot `json:"engine_shards"`
+	// EngineSeqs carries the per-shard applied sequence watermarks — the
+	// replication coordinate system: compare a primary's and follower's
+	// vectors to see lag shard by shard.
+	EngineSeqs []uint64 `json:"engine_seq"`
 	// Replication is this server's follower-loop status (set only on
 	// followers): connection state, applied vs primary watermarks, lag.
 	Replication *replica.FollowerStatus `json:"replication,omitempty"`
@@ -226,16 +226,13 @@ func (s *Server) payload() metricsPayload {
 		Server:          s.metrics.Snapshot(),
 		Engine:          s.cfg.DB.Stats(),
 		EngineLatencies: s.cfg.DB.Latencies(),
+		EngineShards:    s.cfg.DB.ShardStats(),
+		EngineSeqs:      s.cfg.DB.LastSeqs(),
+		Tuner:           s.cfg.DB.TunerStatus(),
 		Events: eventsPayload{
 			Server: s.Events(),
 			Engine: s.cfg.DB.Events(),
 		},
-	}
-	if s.sharded != nil {
-		p.EngineShards = s.sharded.ShardStats()
-	}
-	if s.seqEng != nil {
-		p.EngineSeqs = s.seqEng.LastSeqs()
 	}
 	if s.cfg.Follower != nil {
 		st := s.cfg.Follower.Status()
@@ -245,11 +242,8 @@ func (s *Server) payload() metricsPayload {
 		st := s.cfg.Repl.Status()
 		p.ReplPrimary = &st
 	}
-	if s.tunerEng != nil {
-		p.Tuner = s.tunerEng.TunerStatus()
-	}
-	for _, set := range s.sketches {
-		p.Sketches = append(p.Sketches, SketchSnapshot{DistinctKeys: set.Card()})
+	for _, c := range s.committers {
+		p.Sketches = append(p.Sketches, SketchSnapshot{DistinctKeys: c.sketches.Card()})
 	}
 	return p
 }

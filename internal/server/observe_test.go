@@ -15,7 +15,7 @@ import (
 // TestTraceOpcode round-trips a read-path trace over the wire: hit,
 // miss, and a post-flush hit that must show sorted-run decisions.
 func TestTraceOpcode(t *testing.T) {
-	srv, db := startServer(t, vfs.NewMem(), nil)
+	srv, db := startServer(t, vfs.NewMem(), 1, nil)
 	cl := dialTest(t, srv, nil)
 
 	if err := cl.Put([]byte("k"), []byte("v")); err != nil {
@@ -58,7 +58,7 @@ func TestTraceOpcode(t *testing.T) {
 // TestMetricsPercentiles checks that /metrics carries per-opcode latency
 // quantiles for the server and per-operation histograms for the engine.
 func TestMetricsPercentiles(t *testing.T) {
-	srv, _ := startServer(t, vfs.NewMem(), nil)
+	srv, _ := startServer(t, vfs.NewMem(), 1, nil)
 	cl := dialTest(t, srv, nil)
 
 	for i := 0; i < 32; i++ {
@@ -104,7 +104,7 @@ func TestMetricsPercentiles(t *testing.T) {
 // TestEventsEndpoint exercises /events: the engine ring carries flush
 // events, and the server ring records the drain.
 func TestEventsEndpoint(t *testing.T) {
-	srv, db := startServer(t, vfs.NewMem(), nil)
+	srv, db := startServer(t, vfs.NewMem(), 1, nil)
 	cl := dialTest(t, srv, nil)
 
 	if err := cl.Put([]byte("k"), []byte("v")); err != nil {

@@ -22,29 +22,28 @@
 //	GET        key
 //	PUT        key value
 //	DELETE     key
-//	SCAN       lo hi uvarint(limit)      // limit 0 = server default
 //	BATCH      uvarint(n) then n× (uint8 kind, key[, value])  // kind 0=put 1=delete
 //	STATS      (empty)
 //	PING       (empty)
 //	TRACE      key
 //	MULTIGET   uvarint(n) then n× key    // batched point reads
-//	SCANSTREAM lo hi uvarint(limit)      // server-streamed scan
+//	SCANSTREAM lo hi uvarint(limit)      // server-streamed scan; limit 0 = server default
 //	PUTTTL     key value uvarint(ttlMillis)
 //	INCR       key varint(delta)         // atomic counter add
 //	CAS        key uint8(hasExpected)[, expected] newValue
 //	SKETCH     uint8(sub)[, key]         // sub 1=freq(key) 2=card
 //
-// Response bodies: GET returns the raw value; SCAN returns uint8(more),
-// uvarint(count), then count× (key value); STATS returns JSON; TRACE
+// Response bodies: GET returns the raw value; STATS returns JSON; TRACE
 // returns the JSON-encoded read-path trace (StatusOK even when the key is
 // absent — the trace itself reports found/not-found); MULTIGET returns
 // uvarint(n), then n× (uint8 found[, value]) aligned with the request's
 // keys; INCR returns varint(result); SKETCH returns uvarint(estimate);
 // CAS answers StatusConflict on mismatch; error statuses carry the
 // message as raw bytes. SCANSTREAM answers with an open-ended sequence of
-// SCAN-shaped frames on the request's ID — more=1 means another frame
-// follows, the frame with more=0 ends the stream — so a full scan costs
-// one request instead of one round trip per page. PROTOCOL.md is the
+// scan frames on the request's ID, each uint8(more), uvarint(count), then
+// count× (key value) — more=1 means another frame follows, the frame with
+// more=0 ends the stream — so a full scan costs one request whatever the
+// range size. PROTOCOL.md is the
 // complete wire reference; cmd/doccheck cross-checks its opcode table
 // against the constants below.
 package server
@@ -69,9 +68,12 @@ const (
 	OpGet    Opcode = 2
 	OpPut    Opcode = 3
 	OpDelete Opcode = 4
-	OpScan   Opcode = 5
-	OpBatch  Opcode = 6
-	OpStats  Opcode = 7
+	// OpScan was the paged SCAN, retired in favour of OpScanStream. The
+	// number stays reserved so it is never reused: a frame carrying it
+	// decodes to errScanRetired and is answered with StatusError.
+	OpScan  Opcode = 5 // reserved
+	OpBatch Opcode = 6
+	OpStats Opcode = 7
 	// OpTrace is a GET that also returns the read path taken: every run
 	// consulted, each filter/fence decision, and cache behavior.
 	OpTrace Opcode = 8
@@ -97,10 +99,9 @@ const (
 	// each way amortizes framing, syscalls, and scheduling across the
 	// batch, and the server fans the keys out to their shards in parallel.
 	OpMultiGet Opcode = 13
-	// OpScanStream is SCAN answered as an open-ended stream of SCAN-shaped
-	// frames on this request's ID instead of one bounded page. Like
-	// REPLSYNC the stream occupies the connection's read loop until the
-	// final (more=0) frame.
+	// OpScanStream is a range scan answered as an open-ended stream of
+	// scan frames on this request's ID. Like REPLSYNC the stream occupies
+	// the connection's read loop until the final (more=0) frame.
 	OpScanStream Opcode = 14
 	// OpPutTTL is PUT with a time-to-live: the body carries the TTL in
 	// milliseconds and the server stamps the absolute expiry at commit.
@@ -134,8 +135,6 @@ func (o Opcode) String() string {
 		return "put"
 	case OpDelete:
 		return "delete"
-	case OpScan:
-		return "scan"
 	case OpBatch:
 		return "batch"
 	case OpStats:
@@ -209,6 +208,9 @@ var (
 	ErrMalformed = errors.New("server: malformed frame")
 	// ErrFrameTooLarge indicates a frame exceeding the configured bound.
 	ErrFrameTooLarge = errors.New("server: frame exceeds size limit")
+	// errScanRetired answers the reserved opcode 5 with more than a bare
+	// "malformed", for a client that predates SCANSTREAM.
+	errScanRetired = fmt.Errorf("%w: opcode 5 (paged SCAN) is retired; use SCANSTREAM (14)", ErrMalformed)
 )
 
 // batch op wire kinds.
@@ -263,7 +265,7 @@ type Response struct {
 	Status Status
 	// Value holds the GET value, the STATS JSON, or the error message.
 	Value []byte
-	// Pairs and More carry SCAN results.
+	// Pairs and More carry one SCANSTREAM frame.
 	Pairs []KV
 	More  bool
 }
@@ -321,10 +323,6 @@ func AppendRequest(dst []byte, req *Request) []byte {
 	case OpPut:
 		dst = kv.AppendLengthPrefixed(dst, req.Key)
 		dst = kv.AppendLengthPrefixed(dst, req.Value)
-	case OpScan:
-		dst = kv.AppendLengthPrefixed(dst, req.Lo)
-		dst = kv.AppendLengthPrefixed(dst, req.Hi)
-		dst = binary.AppendUvarint(dst, req.Limit)
 	case OpBatch:
 		dst = binary.AppendUvarint(dst, uint64(len(req.Ops)))
 		for _, op := range req.Ops {
@@ -435,17 +433,7 @@ func DecodeRequest(payload []byte) (Request, error) {
 			return req, ErrMalformed
 		}
 	case OpScan:
-		if req.Lo, body, ok = kv.DecodeLengthPrefixed(body); !ok {
-			return req, ErrMalformed
-		}
-		if req.Hi, body, ok = kv.DecodeLengthPrefixed(body); !ok {
-			return req, ErrMalformed
-		}
-		var w int
-		if req.Limit, w = binary.Uvarint(body); w <= 0 {
-			return req, ErrMalformed
-		}
-		body = body[w:]
+		return req, errScanRetired
 	case OpBatch:
 		count, w := binary.Uvarint(body)
 		if w <= 0 {
@@ -634,7 +622,7 @@ func AppendResponse(dst []byte, resp *Response) []byte {
 }
 
 // DecodeResponse parses a frame payload into a Response. scan selects the
-// SCAN body shape (the status byte alone cannot distinguish an empty
+// scan-frame body shape (the status byte alone cannot distinguish an empty
 // value from an empty result set). Returned slices alias payload.
 func DecodeResponse(payload []byte, scan bool) (Response, error) {
 	var resp Response

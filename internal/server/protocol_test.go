@@ -39,8 +39,6 @@ func TestRequestRoundTrip(t *testing.T) {
 		{ID: 4, Op: OpDelete, Key: []byte("gone")},
 		{ID: 5, Op: OpPut, Key: []byte("k"), Value: []byte("v")},
 		{ID: 6, Op: OpPut, Key: []byte("k"), Value: nil},
-		{ID: 7, Op: OpScan, Lo: []byte("a"), Hi: []byte("z"), Limit: 42},
-		{ID: 8, Op: OpScan, Lo: nil, Hi: nil, Limit: 0},
 		{ID: 9, Op: OpBatch, Ops: []core.BatchOp{
 			core.PutOp([]byte("a"), []byte("1")),
 			core.DeleteOp([]byte("b")),
@@ -123,7 +121,7 @@ func TestDecodeRequestMalformed(t *testing.T) {
 		"get missing key":    {0, 0, 0, 0, byte(OpGet)},
 		"get empty key":      append([]byte{0, 0, 0, 0, byte(OpGet)}, 0),
 		"put missing value":  append([]byte{0, 0, 0, 0, byte(OpPut)}, 1, 'k'),
-		"scan missing limit": append([]byte{0, 0, 0, 0, byte(OpScan)}, 1, 'a', 1, 'z'),
+		"retired paged scan": append([]byte{0, 0, 0, 0, byte(OpScan)}, 1, 'a', 1, 'z', 10),
 		"ping trailing junk": append([]byte{0, 0, 0, 0, byte(OpPing)}, 0xFF),
 		"batch lying count":  append([]byte{0, 0, 0, 0, byte(OpBatch)}, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F),
 		"batch bad kind":     append([]byte{0, 0, 0, 0, byte(OpBatch)}, 1, 7, 1, 'k'),

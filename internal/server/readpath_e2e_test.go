@@ -1,7 +1,7 @@
 // End-to-end coverage for the batched read path: MULTIGET frames
-// against both sharded (parallel fan-out) and unsharded (sequential
-// fallback) engines, and the streamed SCAN path checked as a property
-// against the paged scan and a flat-map oracle — including a mid-stream
+// against one-shard and sharded (parallel fan-out) engines, and the
+// streamed SCAN path checked as a property against a flat-map oracle —
+// including a mid-stream
 // connection kill that must surface as a transport error on the client
 // and leave no goroutines behind on the server.
 package server_test
@@ -27,63 +27,18 @@ import (
 	"lsmkv/internal/vfs"
 )
 
-// startShardedServerCfg is startShardedServer with a config hook.
-func startShardedServerCfg(t testing.TB, n int, mutate func(*server.Config)) (*server.Server, *shard.DB) {
-	t.Helper()
-	db, err := shard.Open(core.Options{
-		Dir:           "db",
-		FS:            vfs.NewMem(),
-		MemtableBytes: 4 << 20,
-	}, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := server.Config{DB: db, SyncWrites: true}
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	srv, err := server.New(cfg)
-	if err != nil {
-		db.Close()
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		db.Close()
-		t.Fatal(err)
-	}
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- srv.Serve(ln) }()
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		srv.Shutdown(ctx)
-		<-serveDone
-		db.Close()
-	})
-	for srv.Addr() == "" {
-		time.Sleep(time.Millisecond)
-	}
-	return srv, db
-}
-
-// TestMultiGetEndToEnd drives MULTIGET over the wire against a 3-shard
-// engine (the parallel fan-out path): values come back aligned with the
-// requested keys, absent keys are nil (not an error), and a present key
-// with an empty value stays distinguishable from an absent one.
+// TestMultiGetEndToEnd drives MULTIGET over the wire against a one-shard
+// engine (one in-line probe loop) and a 3-shard one (parallel fan-out):
+// values come back aligned with the requested keys, absent keys are nil
+// (not an error), and a present key with an empty value stays
+// distinguishable from an absent one.
 func TestMultiGetEndToEnd(t *testing.T) {
-	srv, _ := startShardedServerCfg(t, 3, nil)
-	cl := dialTest(t, srv, nil)
-	runMultiGetSuite(t, cl)
-}
-
-// TestMultiGetUnshardedFallback runs the same suite against a plain
-// core.DB server: no MultiGetter interface, so the handler loops
-// sequential Gets. Semantics must be identical to the fan-out path.
-func TestMultiGetUnshardedFallback(t *testing.T) {
-	srv, _ := startServer(t, vfs.NewMem(), nil)
-	cl := dialTest(t, srv, nil)
-	runMultiGetSuite(t, cl)
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			srv, _ := startServer(t, vfs.NewMem(), shards, nil)
+			runMultiGetSuite(t, dialTest(t, srv, nil))
+		})
+	}
 }
 
 func runMultiGetSuite(t *testing.T, cl *client.Client) {
@@ -146,15 +101,15 @@ func runMultiGetSuite(t *testing.T, cl *client.Client) {
 }
 
 // TestScanStreamProperty: at shard counts 1, 3, and 8, a streamed scan,
-// the paged scan it replaced, and a sorted flat map must agree exactly —
-// full range and sub-ranges — with the server's page size forced small
+// ScanAll over it, and a sorted flat map must agree exactly — full range
+// and sub-ranges — with the server's frame size forced small
 // so the stream spans many frames. Concurrent streams on one connection
 // exercise the demux under the race detector (make test runs this
 // package with -race).
 func TestScanStreamProperty(t *testing.T) {
 	for _, shards := range []int{1, 3, 8} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			srv, _ := startShardedServerCfg(t, shards, func(c *server.Config) {
+			srv, _ := startServer(t, vfs.NewMem(), shards, func(c *server.Config) {
 				c.MaxScanResults = 17 // many frames per stream
 			})
 			cl := dialTest(t, srv, nil)
@@ -217,10 +172,9 @@ func TestScanStreamProperty(t *testing.T) {
 			for _, r := range ranges {
 				exp := inRange(r[0], r[1])
 				streamed := collect(cl.ScanStream, r[0], r[1])
-				paged := collect(cl.ScanAllPaged, r[0], r[1])
 				scanAll := collect(cl.ScanAll, r[0], r[1])
 				for name, got := range map[string][]string{
-					"streamed": streamed, "paged": paged, "scanall": scanAll,
+					"streamed": streamed, "scanall": scanAll,
 				} {
 					if len(got) != len(exp) {
 						t.Fatalf("%s saw %d keys, oracle %d (range %q..%q)",
@@ -279,7 +233,7 @@ func TestScanStreamProperty(t *testing.T) {
 // wedge the connection — late frames for the cancelled stream are
 // discarded and subsequent calls on the same client work.
 func TestScanStreamEarlyStop(t *testing.T) {
-	srv, _ := startShardedServerCfg(t, 3, func(c *server.Config) {
+	srv, _ := startServer(t, vfs.NewMem(), 3, func(c *server.Config) {
 		c.MaxScanResults = 10
 	})
 	cl := dialTest(t, srv, nil)

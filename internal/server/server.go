@@ -12,97 +12,33 @@ import (
 	"lsmkv/internal/core"
 	"lsmkv/internal/iostat"
 	"lsmkv/internal/replica"
-	"lsmkv/internal/sketch"
 	"lsmkv/internal/tuner"
 )
 
-// Engine is the storage surface the server fronts. Both *core.DB and the
-// public *lsmkv.DB satisfy it.
+// Engine is the storage surface the server fronts: exactly the methods
+// it calls, satisfied by *shard.DB and so by the public *lsmkv.DB that
+// embeds it. Every method is documented there. A one-shard engine runs
+// the same routing and per-shard committer code as an N-shard one.
 type Engine interface {
-	Get(key []byte) ([]byte, error)
-	// GetTraced is Get with a read-path trace (the TRACE opcode); the
-	// trace is valid even when the error is the engine's not-found.
+	NumShards() int
+	ShardOf(key []byte) int
+
+	GetAppend(key, dst []byte) ([]byte, error)
+	MultiGet(keys [][]byte) ([][]byte, error)
 	GetTraced(key []byte) ([]byte, *iostat.Trace, error)
 	Scan(lo, hi []byte, fn func(key, value []byte) bool) error
-	ApplyBatch(ops []core.BatchOp, sync bool) error
-	Stats() iostat.Snapshot
-	// Latencies returns engine-level per-operation latency summaries
-	// (nil when the engine is not tracking latency).
-	Latencies() map[string]iostat.LatencySummary
-	// Events returns the engine's retained lifecycle events, oldest first.
-	Events() []iostat.Event
-	Flush() error
-}
-
-// ShardedEngine is the optional upgrade interface a keyspace-sharded
-// engine (the public *lsmkv.DB) exposes. When Config.DB implements it and
-// reports more than one shard, the server routes point writes to
-// per-shard group-commit loops, splits BATCH requests into per-shard
-// sub-batches, and publishes per-shard counter snapshots in /metrics and
-// STATS.
-type ShardedEngine interface {
-	Engine
-	// NumShards returns the engine's shard count.
-	NumShards() int
-	// ShardOf returns the shard index owning key.
-	ShardOf(key []byte) int
-	// ApplyShardBatch applies ops — all owned by shard i — atomically on
-	// that shard.
 	ApplyShardBatch(i int, ops []core.BatchOp, sync bool) error
-	// ShardStats returns each shard's counter snapshot, indexed by shard.
-	ShardStats() []iostat.Snapshot
-}
+	Flush() error
 
-// SeqEngine is the optional interface an engine with per-shard sequence
-// watermarks exposes (the public *lsmkv.DB). It unlocks sequence-carrying
-// write acks, the GETSEQ read-your-writes opcode, and the engine_seq
-// field in STATS//metrics.
-type SeqEngine interface {
-	Engine
-	// LastSeqs returns the per-shard applied sequence watermarks.
 	LastSeqs() []uint64
-	// WaitForSeq blocks until shard's watermark reaches seq or timeout.
 	WaitForSeq(shard int, seq uint64, timeout time.Duration) error
-}
-
-// CheckpointEngine is the optional interface for engines that support
-// online backups (the CHECKPOINT opcode).
-type CheckpointEngine interface {
 	Checkpoint(dstDir string) (checkpoint.Marker, error)
-}
-
-// MerkleEngine is the optional interface for engines that can summarize
-// their logical content for divergence checks (the MERKLE opcode).
-type MerkleEngine interface {
 	MerkleAt(buckets int, seqs []uint64) (*replica.Tree, error)
-}
 
-// AppendGetter is the optional interface for engines whose point reads
-// can append the value into a caller-supplied buffer (core, shard, and
-// the public facade all do). The server uses it to encode GET responses
-// straight into pooled response buffers — the wire side of the
-// zero-allocation read path.
-type AppendGetter interface {
-	// GetAppend appends the value to dst and returns the extended slice;
-	// on any error (including not-found) dst is returned unchanged.
-	GetAppend(key, dst []byte) ([]byte, error)
-}
-
-// MultiGetter is the optional interface for engines that serve batched
-// point reads natively (the MULTIGET opcode). The public *lsmkv.DB
-// implements it with per-shard parallel fan-out; engines without it get
-// a sequential per-key fallback.
-type MultiGetter interface {
-	// MultiGet returns values aligned with keys; nil entries mean absent.
-	MultiGet(keys [][]byte) ([][]byte, error)
-}
-
-// TunerEngine is the optional interface for engines running the online
-// self-tuner (the public *lsmkv.DB). It surfaces per-shard tuner status
-// in STATS//metrics and powers `lsmctl tune status`.
-type TunerEngine interface {
-	// TunerStatus returns one status per shard tuner; nil when the tuner
-	// is not running.
+	Stats() iostat.Snapshot
+	ShardStats() []iostat.Snapshot
+	Latencies() map[string]iostat.LatencySummary
+	Events() []iostat.Event
 	TunerStatus() []tuner.Status
 }
 
@@ -136,8 +72,7 @@ type Config struct {
 	// MaxCommitOps bounds the ops folded into one engine batch. Default
 	// 4096.
 	MaxCommitOps int
-	// MaxScanResults bounds pairs per SCAN response (the client sees
-	// More=true and continues from the last key). Default 4096.
+	// MaxScanResults bounds pairs per SCANSTREAM frame. Default 4096.
 	MaxScanResults int
 	// Repl, when set, serves REPLSYNC streams from this primary-side
 	// shipper. The caller owns its lifecycle and must have wired it to the
@@ -199,22 +134,9 @@ func (c Config) withDefaults() (Config, error) {
 type Server struct {
 	cfg     Config
 	metrics *Metrics
-	// committers hold one group-commit loop per shard (a single one for
-	// unsharded engines); sharded is non-nil when cfg.DB reports more
-	// than one shard, and routes point writes and splits batches.
+	// committers hold one group-commit loop per shard, indexed by shard.
 	committers []*committer
-	sharded    ShardedEngine // nil for single-shard engines
-	// sketches hold one write-stream sketch set per shard (aligned with
-	// committers), fed from each commit loop and queried by SKETCH.
-	sketches []*sketch.Set
-	// Optional engine capabilities, nil when cfg.DB lacks them.
-	seqEng    SeqEngine
-	ckptEng   CheckpointEngine
-	merkleEng MerkleEngine
-	tunerEng  TunerEngine
-	multiEng  MultiGetter
-	appendEng AppendGetter
-	bucket    *TokenBucket // nil when unlimited
+	bucket     *TokenBucket // nil when unlimited
 	// events records serving-layer incidents (sheds, rejected
 	// connections, drain); engine events live in the engine's own ring.
 	events *iostat.EventLog
@@ -239,58 +161,9 @@ func New(cfg Config) (*Server, error) {
 		events:  iostat.NewEventLog(0),
 		conns:   make(map[*conn]struct{}),
 	}
-	if sq, ok := cfg.DB.(SeqEngine); ok {
-		s.seqEng = sq
-	}
-	if ce, ok := cfg.DB.(CheckpointEngine); ok {
-		s.ckptEng = ce
-	}
-	if me, ok := cfg.DB.(MerkleEngine); ok {
-		s.merkleEng = me
-	}
-	if te, ok := cfg.DB.(TunerEngine); ok {
-		s.tunerEng = te
-	}
-	if mg, ok := cfg.DB.(MultiGetter); ok {
-		s.multiEng = mg
-	}
-	if ag, ok := cfg.DB.(AppendGetter); ok {
-		s.appendEng = ag
-	}
-	if se, ok := cfg.DB.(ShardedEngine); ok && se.NumShards() > 1 {
-		s.sharded = se
-		for i := 0; i < se.NumShards(); i++ {
-			i := i
-			c := newCommitter(
-				func(ops []core.BatchOp, sync bool) error {
-					return se.ApplyShardBatch(i, ops, sync)
-				},
-				cfg.MaxCommitOps, cfg.SyncWrites, s.metrics)
-			if s.seqEng != nil {
-				c.lastSeq = func() uint64 { return s.seqEng.LastSeqs()[i] }
-			}
-			s.committers = append(s.committers, c)
-		}
-	} else {
-		c := newCommitter(cfg.DB.ApplyBatch, cfg.MaxCommitOps, cfg.SyncWrites, s.metrics)
-		if s.seqEng != nil {
-			c.lastSeq = func() uint64 { return s.seqEng.LastSeqs()[0] }
-		}
-		s.committers = []*committer{c}
-	}
-	s.sketches = make([]*sketch.Set, len(s.committers))
-	for i, c := range s.committers {
-		set := sketch.NewSet()
-		s.sketches[i] = set
-		// cfg.DB.Get routes by key, so even a per-shard committer's RMW
-		// reads land on the right shard.
-		c.get = cfg.DB.Get
-		c.now = func() int64 { return time.Now().UnixNano() }
-		c.observe = func(ops []core.BatchOp) {
-			for _, op := range ops {
-				set.Observe(op.Key)
-			}
-		}
+	for i := 0; i < cfg.DB.NumShards(); i++ {
+		s.committers = append(s.committers,
+			newCommitter(cfg.DB, i, cfg.MaxCommitOps, cfg.SyncWrites, s.metrics))
 	}
 	if cfg.RatePerSec > 0 {
 		s.bucket = NewTokenBucket(cfg.RatePerSec, cfg.Burst)
@@ -325,7 +198,7 @@ func (s *Server) ListenAndServe(addr string) error {
 }
 
 // Serve accepts connections on ln until Shutdown closes it. It returns
-// nil after a clean shutdown.
+// nil after a clean shutdown, including one that ran before Serve did.
 func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
 	if s.ln != nil {
@@ -333,12 +206,20 @@ func (s *Server) Serve(ln net.Listener) error {
 		return errors.New("server: already serving")
 	}
 	s.ln = ln
-	s.mu.Unlock()
-	if s.started.CompareAndSwap(false, true) {
-		for _, c := range s.committers {
-			c.start()
-		}
+	// Shutdown sets draining and then takes mu to close the listener it
+	// finds: if it got there first it found none, and closing ln falls to
+	// us. Starting the committers in the same critical section means
+	// Shutdown, which looks at started after its own, sees them.
+	if s.draining.Load() {
+		s.mu.Unlock()
+		ln.Close()
+		return nil
 	}
+	s.started.Store(true)
+	for _, c := range s.committers {
+		c.start()
+	}
+	s.mu.Unlock()
 	s.cfg.Logf("server: listening on %s", ln.Addr())
 	var acceptDelay time.Duration // backoff for transient accept errors
 	for {

@@ -6,13 +6,16 @@ import (
 	"fmt"
 	"net"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"lsmkv"
 	"lsmkv/internal/client"
 	"lsmkv/internal/core"
 	"lsmkv/internal/server"
+	"lsmkv/internal/shard"
 	"lsmkv/internal/vfs"
 )
 
@@ -58,20 +61,26 @@ func (f slowSyncFile) Sync() error {
 	return f.File.Sync()
 }
 
-func testDBOpts(fs vfs.FS) core.Options {
-	return core.Options{
+// The server's one engine surface is satisfied by the shard layer and,
+// through embedding, by the public facade.
+var (
+	_ server.Engine = (*shard.DB)(nil)
+	_ server.Engine = (*lsmkv.DB)(nil)
+)
+
+// startServer is the one way these tests get a served engine: it opens
+// an n-shard engine on fs (the server has a single engine surface, so a
+// "plain" server is shards=1), serves it on a loopback listener, and
+// registers teardown. mutate, when non-nil, adjusts the config before
+// server.New.
+func startServer(t testing.TB, fs vfs.FS, shards int, mutate func(*server.Config)) (*server.Server, *shard.DB) {
+	t.Helper()
+	db, err := shard.Open(core.Options{
 		Dir:           "db",
 		FS:            fs,
 		MemtableBytes: 4 << 20,
 		TrackLatency:  true,
-	}
-}
-
-// startServer opens an engine on fs and serves it on a loopback
-// listener. mutate, when non-nil, adjusts the config before server.New.
-func startServer(t testing.TB, fs vfs.FS, mutate func(*server.Config)) (*server.Server, *core.DB) {
-	t.Helper()
-	db, err := core.Open(testDBOpts(fs))
+	}, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +125,7 @@ func dialTest(t testing.TB, srv *server.Server, opts *client.Options) *client.Cl
 }
 
 func TestServerBasicOps(t *testing.T) {
-	srv, _ := startServer(t, vfs.NewMem(), nil)
+	srv, _ := startServer(t, vfs.NewMem(), 1, nil)
 	cl := dialTest(t, srv, nil)
 
 	if err := cl.Ping(); err != nil {
@@ -148,15 +157,15 @@ func TestServerBasicOps(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	pairs, more, err := cl.Scan([]byte("a"), []byte("z"), 0)
-	if err != nil {
+	var scanned []string
+	if err := cl.ScanAll([]byte("a"), []byte("z"), func(k, v []byte) bool {
+		scanned = append(scanned, string(k)+"="+string(v))
+		return true
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if more || len(pairs) != 2 {
-		t.Fatalf("scan: %d pairs (more=%v), want 2", len(pairs), more)
-	}
-	if string(pairs[0].Key) != "c1" || string(pairs[1].Key) != "c2" {
-		t.Fatalf("scan keys: %q %q", pairs[0].Key, pairs[1].Key)
+	if fmt.Sprint(scanned) != "[c1=x c2=y]" {
+		t.Fatalf("scan: %v, want [c1=x c2=y]", scanned)
 	}
 	body, err := cl.Stats()
 	if err != nil {
@@ -173,41 +182,6 @@ func TestServerBasicOps(t *testing.T) {
 	}
 }
 
-func TestScanPagination(t *testing.T) {
-	srv, _ := startServer(t, vfs.NewMem(), func(c *server.Config) { c.MaxScanResults = 10 })
-	cl := dialTest(t, srv, nil)
-	const n = 37
-	var ops []client.Op
-	for i := 0; i < n; i++ {
-		ops = append(ops, client.PutOp([]byte(fmt.Sprintf("k%03d", i)), []byte(fmt.Sprintf("v%d", i))))
-	}
-	if err := cl.Batch(ops); err != nil {
-		t.Fatal(err)
-	}
-	pairs, more, err := cl.Scan([]byte("k"), []byte("l"), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !more || len(pairs) != 10 {
-		t.Fatalf("page 1: %d pairs more=%v, want 10 true", len(pairs), more)
-	}
-	seen := 0
-	err = cl.ScanAll([]byte("k"), []byte("l"), func(k, v []byte) bool {
-		want := fmt.Sprintf("k%03d", seen)
-		if string(k) != want {
-			t.Fatalf("ScanAll order: got %q want %q", k, want)
-		}
-		seen++
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seen != n {
-		t.Fatalf("ScanAll saw %d keys, want %d", seen, n)
-	}
-}
-
 // TestPipelinedThroughput is the acceptance E2E: concurrent pipelined
 // clients must sustain >= 10x the throughput of one-request-per-round-
 // trip operation. The engine runs on a filesystem with a 1ms fsync and
@@ -216,7 +190,7 @@ func TestScanPagination(t *testing.T) {
 // amortizes each fsync across an entire commit group.
 func TestPipelinedThroughput(t *testing.T) {
 	fs := slowSyncFS{FS: vfs.NewMem(), delay: time.Millisecond}
-	srv, _ := startServer(t, fs, nil)
+	srv, _ := startServer(t, fs, 1, nil)
 	cl := dialTest(t, srv, nil)
 
 	// Sequential: wait for each ack before issuing the next request.
@@ -273,10 +247,54 @@ func TestPipelinedThroughput(t *testing.T) {
 	}
 }
 
+// TestShutdownRacesServe: Shutdown that runs before Serve has registered
+// its listener used to find nothing to close and leave Serve blocked in
+// Accept for ever. Even rounds order the two deterministically (Shutdown
+// first), odd rounds race them; either way Serve must return nil.
+func TestShutdownRacesServe(t *testing.T) {
+	for round := 0; round < 40; round++ {
+		db, err := shard.Open(core.Options{Dir: "db", FS: vfs.NewMem()}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := server.New(server.Config{DB: db})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		shutDone := make(chan error, 1)
+		shutdown := func() { shutDone <- srv.Shutdown(context.Background()) }
+		if round%2 == 0 {
+			shutdown()
+		} else {
+			go shutdown()
+		}
+		serveDone := make(chan error, 1)
+		go func() { serveDone <- srv.Serve(ln) }()
+		select {
+		case err := <-serveDone:
+			if err != nil {
+				t.Fatalf("round %d: Serve = %v, want nil", round, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("round %d: Serve still blocked in Accept after Shutdown", round)
+		}
+		if err := <-shutDone; err != nil {
+			t.Fatalf("round %d: Shutdown = %v", round, err)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestShutdownDrains: a drain mid-load answers every in-flight request
 // and loses no acknowledged write — the zero-dropped-acks guarantee.
 func TestShutdownDrains(t *testing.T) {
-	srv, db := startServer(t, vfs.NewMem(), nil)
+	srv, db := startServer(t, vfs.NewMem(), 1, nil)
 
 	const writers = 16
 	var (
@@ -339,7 +357,7 @@ func TestShutdownDrains(t *testing.T) {
 }
 
 func TestConnectionLimit(t *testing.T) {
-	srv, _ := startServer(t, vfs.NewMem(), func(c *server.Config) { c.MaxConns = 2 })
+	srv, _ := startServer(t, vfs.NewMem(), 1, func(c *server.Config) { c.MaxConns = 2 })
 	c1 := dialTest(t, srv, nil)
 	c2 := dialTest(t, srv, nil)
 	if err := c1.Ping(); err != nil {
@@ -367,7 +385,7 @@ func TestConnectionLimit(t *testing.T) {
 }
 
 func TestBackpressureThrottles(t *testing.T) {
-	srv, _ := startServer(t, vfs.NewMem(), func(c *server.Config) {
+	srv, _ := startServer(t, vfs.NewMem(), 1, func(c *server.Config) {
 		c.RatePerSec = 200
 		c.Burst = 10
 		c.MaxThrottleDelay = 5 * time.Millisecond
@@ -411,7 +429,7 @@ func TestBackpressureThrottles(t *testing.T) {
 }
 
 func TestMetricsEndpoint(t *testing.T) {
-	srv, _ := startServer(t, vfs.NewMem(), nil)
+	srv, _ := startServer(t, vfs.NewMem(), 1, nil)
 	cl := dialTest(t, srv, nil)
 	if err := cl.Put([]byte("k"), []byte("v")); err != nil {
 		t.Fatal(err)
@@ -461,7 +479,7 @@ func TestMetricsEndpoint(t *testing.T) {
 // gets an error response and the connection keeps serving; a broken
 // frame closes the connection.
 func TestMalformedFrames(t *testing.T) {
-	srv, _ := startServer(t, vfs.NewMem(), nil)
+	srv, _ := startServer(t, vfs.NewMem(), 1, nil)
 
 	nc, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
@@ -469,18 +487,28 @@ func TestMalformedFrames(t *testing.T) {
 	}
 	defer nc.Close()
 
-	// Valid frame, unknown opcode -> server.StatusError, connection survives.
-	bad := []byte{9, 0, 0, 0, 7, 0, 0, 0, 99, 1, 2, 3, 4}
-	if _, err := nc.Write(bad); err != nil {
-		t.Fatal(err)
-	}
-	payload, err := server.ReadFrame(nc, server.DefaultMaxFrameBytes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := server.DecodeResponse(payload, false)
-	if err != nil || resp.Status != server.StatusError {
-		t.Fatalf("want server.StatusError response, got %+v, %v", resp, err)
+	// Valid frame, unknown opcode -> server.StatusError, connection
+	// survives. So does a well-formed frame of the retired paged SCAN
+	// (opcode 5, reserved): its error names the replacement.
+	var payload []byte
+	for _, bad := range [][]byte{
+		{9, 0, 0, 0, 7, 0, 0, 0, 99, 1, 2, 3, 4},
+		{10, 0, 0, 0, 8, 0, 0, 0, byte(server.OpScan), 1, 'a', 1, 'z', 10},
+	} {
+		if _, err := nc.Write(bad); err != nil {
+			t.Fatal(err)
+		}
+		payload, err = server.ReadFrame(nc, server.DefaultMaxFrameBytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := server.DecodeResponse(payload, false)
+		if err != nil || resp.Status != server.StatusError || resp.ID != uint32(bad[4]) {
+			t.Fatalf("want server.StatusError response on ID %d, got %+v, %v", bad[4], resp, err)
+		}
+		if bad[8] == byte(server.OpScan) && !strings.Contains(string(resp.Value), "SCANSTREAM") {
+			t.Fatalf("retired SCAN error does not name its replacement: %q", resp.Value)
+		}
 	}
 	// Still serving: a ping round-trips.
 	ping := server.AppendRequest(nil, &server.Request{ID: 5, Op: server.OpPing})
@@ -511,7 +539,7 @@ func TestMalformedFrames(t *testing.T) {
 			t.Fatal("connection still open after framing loss")
 		}
 	}
-	if got := srv.Metrics().DecodeErrors.Load(); got < 2 {
-		t.Fatalf("DecodeErrors = %d, want >= 2", got)
+	if got := srv.Metrics().DecodeErrors.Load(); got < 3 {
+		t.Fatalf("DecodeErrors = %d, want >= 3", got)
 	}
 }

@@ -18,52 +18,13 @@ import (
 	"lsmkv/internal/vfs"
 )
 
-// startShardedServer serves an n-shard engine on a loopback listener; the
-// server detects the ShardedEngine interface and runs one group-commit
-// loop per shard.
-func startShardedServer(t testing.TB, fs vfs.FS, n int) (*server.Server, *shard.DB) {
-	t.Helper()
-	db, err := shard.Open(core.Options{
-		Dir:           "db",
-		FS:            fs,
-		MemtableBytes: 4 << 20,
-		TrackLatency:  true,
-	}, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := server.New(server.Config{DB: db, SyncWrites: true})
-	if err != nil {
-		db.Close()
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		db.Close()
-		t.Fatal(err)
-	}
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- srv.Serve(ln) }()
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		srv.Shutdown(ctx)
-		<-serveDone
-		db.Close()
-	})
-	for srv.Addr() == "" {
-		time.Sleep(time.Millisecond)
-	}
-	return srv, db
-}
-
 // TestShardedServerEndToEnd drives the full network path against a
 // 3-shard engine: point writes route to per-shard committers, BATCH
 // frames split across shards and acknowledge only when every sub-batch
 // commits, scans merge the shards back into one ordered stream, and the
 // STATS payload carries the per-shard counter breakdown.
 func TestShardedServerEndToEnd(t *testing.T) {
-	srv, db := startShardedServer(t, vfs.NewMem(), 3)
+	srv, db := startServer(t, vfs.NewMem(), 3, nil)
 	cl := dialTest(t, srv, nil)
 
 	const n = 300
@@ -161,7 +122,7 @@ func TestShardedServerEndToEnd(t *testing.T) {
 // into per-shard sub-batches; the client sees one acknowledgment and
 // every op is visible afterward (the ack waits for all sub-commits).
 func TestShardedBatchAtomicPerShard(t *testing.T) {
-	srv, _ := startShardedServer(t, vfs.NewMem(), 3)
+	srv, _ := startServer(t, vfs.NewMem(), 3, nil)
 	cl := dialTest(t, srv, nil)
 
 	var ops []client.Op
@@ -179,6 +140,37 @@ func TestShardedBatchAtomicPerShard(t *testing.T) {
 		if _, err := cl.Get([]byte(fmt.Sprintf("span-%03d", i))); err != nil {
 			t.Fatalf("op %d of acknowledged spanning batch missing: %v", i, err)
 		}
+	}
+}
+
+// TestBatchOnOneShardIsOneWALRecord: a multi-op BATCH whose ops all land
+// on one shard goes whole to that shard's committer and commits as one
+// WAL record — every BATCH at one shard, and at three shards one whose
+// keys were picked to share a shard.
+func TestBatchOnOneShardIsOneWALRecord(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			srv, db := startServer(t, vfs.NewMem(), shards, nil)
+			cl := dialTest(t, srv, nil)
+			var ops []client.Op
+			for i := 0; len(ops) < 20; i++ {
+				if k := []byte(fmt.Sprintf("one-%04d", i)); db.ShardOf(k) == 0 {
+					ops = append(ops, client.PutOp(k, []byte("v")))
+				}
+			}
+			before := db.Stats().WALRecords
+			if err := cl.Batch(ops); err != nil {
+				t.Fatal(err)
+			}
+			if got := db.Stats().WALRecords - before; got != 1 {
+				t.Fatalf("%d-op batch on one shard wrote %d WAL records, want 1", len(ops), got)
+			}
+			for _, op := range ops {
+				if _, err := cl.Get(op.Key); err != nil {
+					t.Fatalf("get %q after batch: %v", op.Key, err)
+				}
+			}
+		})
 	}
 }
 

@@ -396,7 +396,7 @@ func TestCrashMidFlushOneShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	flushStart := dryFS.OpCount()
-	if err := dryDB.Engine(1).Flush(); err != nil {
+	if err := dryDB.engines[1].Flush(); err != nil {
 		t.Fatal(err)
 	}
 	flushEnd := dryFS.OpCount()
@@ -419,7 +419,7 @@ func TestCrashMidFlushOneShard(t *testing.T) {
 			t.Fatalf("seed %d: fill: %v", seed, err)
 		}
 		fs.CrashAfter(flushStart + 1 + rng.Int63n(flushEnd-flushStart))
-		db.Engine(1).Flush() // expected to fail partway — the crash point is inside
+		db.engines[1].Flush() // expected to fail partway — the crash point is inside
 		fs.CrashNow()
 		db.Close()
 

@@ -28,7 +28,7 @@ func TestSingleShardPassthroughs(t *testing.T) {
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.WaitIdle(); err != nil {
+	if err := db.Compact(); err != nil {
 		t.Fatal(err)
 	}
 	if db.ShardOf(tkey(0)) != 0 {
@@ -92,7 +92,7 @@ func TestShardLogfPrefix(t *testing.T) {
 		db.Put(tkey(i), tval(i))
 	}
 	db.Flush()
-	db.WaitIdle()
+	db.Compact()
 	db.Close()
 	found := false
 	for _, l := range lines {
@@ -114,7 +114,7 @@ func TestOperationsAfterClose(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.NewScanner(nil, nil); err == nil {
+	if _, err := db.newScanner(nil, nil); err == nil {
 		t.Fatal("NewScanner on closed DB succeeded")
 	}
 	if err := db.Scan(nil, nil, func(k, v []byte) bool { return true }); err == nil {
@@ -163,7 +163,7 @@ func TestSnapshotMergedEarlyStop(t *testing.T) {
 		t.Fatalf("merged snapshot early stop saw %d", seen)
 	}
 	// Scanner form, stepping past the end.
-	sc, err := snap.NewScanner(tkey(98), nil)
+	sc, err := snap.newScanner(tkey(98), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

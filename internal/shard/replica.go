@@ -6,14 +6,16 @@ import (
 
 	"lsmkv/internal/checkpoint"
 	"lsmkv/internal/core"
+	"lsmkv/internal/replica"
 )
 
 // Replication surface: sequence numbers are per shard (each engine runs
 // its own counter), so watermarks, waits, and replicated applies all
 // carry a shard index, and the cross-shard watermark is a vector.
 
-// LastSeqs returns every shard's applied sequence number, indexed by
-// shard.
+// LastSeqs returns every shard's applied sequence watermark, indexed by
+// shard: writes acked at (shard, seq) are visible once
+// LastSeqs()[shard] >= seq.
 func (db *DB) LastSeqs() []uint64 {
 	out := make([]uint64, db.n)
 	for i, eng := range db.engines {
@@ -22,8 +24,9 @@ func (db *DB) LastSeqs() []uint64 {
 	return out
 }
 
-// WaitForSeq blocks until shard i's watermark reaches seq (see
-// core.DB.WaitForSeq).
+// WaitForSeq blocks until shard's watermark reaches seq, the timeout
+// elapses, or the database closes — the read-your-writes primitive for
+// replica reads.
 func (db *DB) WaitForSeq(shard int, seq uint64, timeout time.Duration) error {
 	if shard < 0 || shard >= db.n {
 		return fmt.Errorf("lsmkv: shard %d out of range [0,%d)", shard, db.n)
@@ -31,8 +34,9 @@ func (db *DB) WaitForSeq(shard int, seq uint64, timeout time.Duration) error {
 	return db.engines[shard].WaitForSeq(seq, timeout)
 }
 
-// ApplyReplicated applies one replicated WAL record to shard i,
-// preserving its sequence numbers.
+// ApplyReplicated applies one replicated WAL record to shard,
+// preserving its original sequence numbers; idempotent at or below the
+// watermark. Followers apply the primary's commit stream with it.
 func (db *DB) ApplyReplicated(shard int, payload []byte) (uint64, error) {
 	if shard < 0 || shard >= db.n {
 		return 0, fmt.Errorf("lsmkv: shard %d out of range [0,%d)", shard, db.n)
@@ -40,10 +44,14 @@ func (db *DB) ApplyReplicated(shard int, payload []byte) (uint64, error) {
 	return db.engines[shard].ApplyReplicated(payload)
 }
 
-// CommitHook observes every committed batch, tagged with its shard.
+// CommitHook observes every committed write batch (shard, first
+// sequence number, op count, logical WAL payload). It runs under the
+// engine lock: copy the payload if retaining it, return quickly.
 type CommitHook func(shard int, firstSeq uint64, count int, payload []byte)
 
-// SetCommitHook installs fn on every shard engine; nil detaches.
+// SetCommitHook installs fn as the commit-stream observer on every shard
+// engine (nil detaches); the replication primary feeds its backlogs from
+// it.
 func (db *DB) SetCommitHook(fn CommitHook) {
 	for i, eng := range db.engines {
 		if fn == nil {
@@ -57,10 +65,10 @@ func (db *DB) SetCommitHook(fn CommitHook) {
 	}
 }
 
-// SnapshotAt pins a read view at an explicit per-shard sequence vector
+// snapshotAt pins a read view at an explicit per-shard sequence vector
 // (see core.DB.NewSnapshotAt); primary and follower pin equal vectors to
 // compare identical logical states. Callers must Release it.
-func (db *DB) SnapshotAt(seqs []uint64) (*Snapshot, error) {
+func (db *DB) snapshotAt(seqs []uint64) (*Snapshot, error) {
 	if len(seqs) != db.n {
 		return nil, fmt.Errorf("lsmkv: snapshot vector has %d shards, database has %d", len(seqs), db.n)
 	}
@@ -78,13 +86,31 @@ func (db *DB) SnapshotAt(seqs []uint64) (*Snapshot, error) {
 	return &Snapshot{db: db, snaps: snaps}, nil
 }
 
-// Checkpoint copies a consistent file set for every shard into dstDir
-// and commits it with a CHECKPOINT marker (temp + sync + rename — the
-// marker's presence defines completeness; a crash mid-checkpoint leaves
-// a markerless directory Sweep clears). The layout mirrors the source:
-// shard-i subdirectories plus a SHARDS marker when sharded, a flat
-// engine directory when not, so the checkpoint opens as a database
-// directly.
+// MerkleAt summarizes the database's logical content at the given
+// per-shard sequence vector (nil means the current watermarks). Equal
+// trees at equal vectors mean primary and follower hold identical data.
+func (db *DB) MerkleAt(buckets int, seqs []uint64) (*replica.Tree, error) {
+	if seqs == nil {
+		seqs = db.LastSeqs()
+	}
+	snap, err := db.snapshotAt(seqs)
+	if err != nil {
+		return nil, err
+	}
+	defer snap.Release()
+	return replica.BuildTree(buckets, seqs, func(fn func(key, value []byte) bool) error {
+		return snap.Scan(nil, nil, fn)
+	})
+}
+
+// Checkpoint copies a manifest-consistent file set for every shard into
+// dstDir without pausing writes (sstables are hard-linked when the
+// filesystem supports it) and commits it with a CHECKPOINT marker (temp +
+// sync + rename — the marker's presence defines completeness; a crash
+// mid-checkpoint leaves a markerless directory Sweep clears). The layout
+// mirrors the source: shard-i subdirectories plus a SHARDS marker when
+// sharded, a flat engine directory when not, so the checkpoint opens as
+// a database directly (online backup, follower bootstrap).
 func (db *DB) Checkpoint(dstDir string) (checkpoint.Marker, error) {
 	var m checkpoint.Marker
 	if checkpoint.IsComplete(db.fs, dstDir) {

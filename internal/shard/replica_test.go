@@ -139,10 +139,10 @@ func TestShardIndexValidation(t *testing.T) {
 	if err := db.WaitForSeq(2, 1, time.Millisecond); err == nil {
 		t.Fatal("out-of-range shard accepted by WaitForSeq")
 	}
-	if _, err := db.SnapshotAt([]uint64{0}); err == nil {
+	if _, err := db.snapshotAt([]uint64{0}); err == nil {
 		t.Fatal("short seq vector accepted by SnapshotAt")
 	}
-	if _, err := db.SnapshotAt([]uint64{1 << 40, 1 << 40}); err == nil {
+	if _, err := db.snapshotAt([]uint64{1 << 40, 1 << 40}); err == nil {
 		t.Fatal("future seq vector accepted by SnapshotAt")
 	}
 }
@@ -190,7 +190,7 @@ func TestShardedSnapshotAtPinsVector(t *testing.T) {
 		}
 	}
 	pin := db.LastSeqs()
-	snap, err := db.SnapshotAt(pin)
+	snap, err := db.snapshotAt(pin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,6 +211,20 @@ func TestShardedSnapshotAtPinsVector(t *testing.T) {
 	}
 	if _, err := snap.Get(tkey(999)); !errors.Is(err, core.ErrNotFound) {
 		t.Fatalf("post-pin key visible in snapshot: %v", err)
+	}
+	// MerkleAt pins the same way: 50 entries at the vector, 51 and a
+	// different root at the current watermarks (nil).
+	atPin, err := db.MerkleAt(16, pin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	now, err := db.MerkleAt(16, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if atPin.Entries != 50 || now.Entries != 51 || atPin.Root == now.Root {
+		t.Fatalf("MerkleAt(pin) = %d entries root %s; MerkleAt(nil) = %d entries root %s",
+			atPin.Entries, atPin.Root, now.Entries, now.Root)
 	}
 }
 

@@ -49,10 +49,10 @@ func (h scanHeap) Swap(a, b int) { h[a], h[b] = h[b], h[a] }
 func (h *scanHeap) Push(x any)   { *h = append(*h, x.(scanItem)) }
 func (h *scanHeap) Pop() any     { old := *h; n := len(old); it := old[n-1]; *h = old[:n-1]; return it }
 
-// NewScanner returns a merged Scanner over [lo, hi] (inclusive; nil hi
+// newScanner returns a merged Scanner over [lo, hi] (inclusive; nil hi
 // scans to the end of the keyspace) at the latest sequence number of each
 // shard. Callers must Close it.
-func (db *DB) NewScanner(lo, hi []byte) (*Scanner, error) {
+func (db *DB) newScanner(lo, hi []byte) (*Scanner, error) {
 	subs := make([]*core.Scanner, 0, db.n)
 	for _, eng := range db.engines {
 		sc, err := eng.NewScanner(lo, hi)
@@ -152,7 +152,7 @@ func (db *DB) Scan(lo, hi []byte, fn func(key, value []byte) bool) error {
 }
 
 func (db *DB) scanMerged(lo, hi []byte, fn func(key, value []byte) bool) error {
-	sc, err := db.NewScanner(lo, hi)
+	sc, err := db.newScanner(lo, hi)
 	if err != nil {
 		return err
 	}
@@ -165,7 +165,8 @@ func (db *DB) scanMerged(lo, hi []byte, fn func(key, value []byte) bool) error {
 	return sc.Err()
 }
 
-// Snapshot is a vector of per-shard snapshots. Each shard's view is a
+// Snapshot pins a point-in-time view as a vector of per-shard snapshots
+// (the public lsmkv.Snapshot is this type). Each shard's view is a
 // consistent point in that shard's history; the vector is NOT an atomic
 // cut across shards — writes racing with NewSnapshot may land in some
 // shards' views and not others'. Within one shard the usual snapshot
@@ -192,7 +193,7 @@ func (s *Snapshot) Get(key []byte) ([]byte, error) {
 
 // Scan iterates the snapshot vector over [lo, hi]; see DB.Scan.
 func (s *Snapshot) Scan(lo, hi []byte, fn func(key, value []byte) bool) error {
-	sc, err := s.NewScanner(lo, hi)
+	sc, err := s.newScanner(lo, hi)
 	if err != nil {
 		return err
 	}
@@ -205,8 +206,8 @@ func (s *Snapshot) Scan(lo, hi []byte, fn func(key, value []byte) bool) error {
 	return sc.Err()
 }
 
-// NewScanner returns a merged Scanner pinned at the snapshot vector.
-func (s *Snapshot) NewScanner(lo, hi []byte) (*Scanner, error) {
+// newScanner returns a merged Scanner pinned at the snapshot vector.
+func (s *Snapshot) newScanner(lo, hi []byte) (*Scanner, error) {
 	subs := make([]*core.Scanner, 0, len(s.snaps))
 	for _, snap := range s.snaps {
 		sc, err := snap.NewScanner(lo, hi)

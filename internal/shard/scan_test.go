@@ -125,7 +125,7 @@ func TestScannerShardTagging(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sc, err := db.NewScanner(nil, nil)
+	sc, err := db.newScanner(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestScannerCloseMidStream(t *testing.T) {
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	sc, err := db.NewScanner(nil, nil)
+	sc, err := db.newScanner(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

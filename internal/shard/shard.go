@@ -47,7 +47,9 @@ const (
 
 // DB routes operations across n independent core engines. Point
 // operations go to the shard owning the key; scans merge all shards;
-// batches are split into per-shard sub-batches applied in parallel.
+// batches are split into per-shard sub-batches applied in parallel. It is
+// safe for concurrent use. The public lsmkv.DB embeds it, so the doc
+// comments on its methods are the public API's.
 type DB struct {
 	dir     string
 	fs      vfs.FS
@@ -190,22 +192,20 @@ func ShardDir(dir string, i int) string {
 	return filepath.Join(dir, fmt.Sprintf("%s%d", dirPrefix, i))
 }
 
-// NumShards returns the shard count.
+// NumShards returns the open database's shard count (1 unless sharding
+// was configured).
 func (db *DB) NumShards() int { return db.n }
 
-// ShardOf returns the shard index owning key.
+// ShardOf returns the index of the shard that owns key.
 func (db *DB) ShardOf(key []byte) int { return Of(key, db.n) }
 
-// Engine returns shard i's underlying engine (test and tooling access).
-func (db *DB) Engine(i int) *core.DB { return db.engines[i] }
+// Get returns the newest value of key, or ErrNotFound.
+func (db *DB) Get(key []byte) ([]byte, error) { return db.GetAppend(key, nil) }
 
-// Get returns the value for key, routed to the owning shard.
-func (db *DB) Get(key []byte) ([]byte, error) {
-	return db.engines[Of(key, db.n)].Get(key)
-}
-
-// GetTraced is Get with a read-path trace; the trace is stamped with the
-// shard that served it.
+// GetTraced is Get with a read-path trace, stamped with the shard that
+// served it. The trace is returned even on ErrNotFound — absent keys are
+// the interesting case for diagnosing read amplification. Tracing
+// allocates; use it for diagnostics, not hot paths.
 func (db *DB) GetTraced(key []byte) ([]byte, *iostat.Trace, error) {
 	i := Of(key, db.n)
 	v, tr, err := db.engines[i].GetTraced(key)
@@ -215,8 +215,11 @@ func (db *DB) GetTraced(key []byte) ([]byte, *iostat.Trace, error) {
 	return v, tr, err
 }
 
-// GetAppend is Get with the value appended to dst instead of freshly
-// allocated, routed to the owning shard (the zero-allocation read path).
+// GetAppend is Get with the value appended to dst (which may be nil)
+// instead of freshly allocated, returning the extended slice; on any
+// error, ErrNotFound included, dst comes back unchanged. Reusing one dst
+// buffer across lookups makes the steady-state (cache-hit) read path
+// allocation-free; see DESIGN.md "Read path allocations".
 func (db *DB) GetAppend(key, dst []byte) ([]byte, error) {
 	return db.engines[Of(key, db.n)].GetAppend(key, dst)
 }
@@ -225,7 +228,8 @@ func (db *DB) GetAppend(key, dst []byte) ([]byte, error) {
 // nil entry with a nil error means that key was absent. Keys are grouped
 // by owning shard and the per-shard probe loops run in parallel, so one
 // batch amortizes routing and scheduling the way ApplyBatch amortizes
-// fsyncs. Duplicate keys are looked up once per occurrence.
+// fsyncs. Duplicate keys are looked up once per occurrence. The MULTIGET
+// wire opcode maps directly onto this.
 func (db *DB) MultiGet(keys [][]byte) ([][]byte, error) {
 	vals := make([][]byte, len(keys))
 	if db.n == 1 {
@@ -298,7 +302,7 @@ func (db *DB) multiGetIdx(s int, keys, vals [][]byte, ix []int) error {
 // MultiGetTraced is MultiGet with one read-path trace per key (absent
 // keys included — the interesting case), each stamped with the serving
 // shard. The probes run sequentially so traces align with keys without
-// interleaving.
+// interleaving. Tracing allocates; use it for diagnostics.
 func (db *DB) MultiGetTraced(keys [][]byte) ([][]byte, []*iostat.Trace, error) {
 	vals := make([][]byte, len(keys))
 	trs := make([]*iostat.Trace, len(keys))
@@ -319,40 +323,47 @@ func (db *DB) MultiGetTraced(keys [][]byte) ([][]byte, []*iostat.Trace, error) {
 	return vals, trs, nil
 }
 
-// Put writes key=value to the owning shard.
+// Put stores key -> value, overwriting any previous version.
 func (db *DB) Put(key, value []byte) error {
 	return db.engines[Of(key, db.n)].Put(key, value)
 }
 
-// PutTTL writes key=value with a relative time-to-live to the owning
-// shard.
+// PutTTL stores key -> value with a time-to-live: after ttl elapses the
+// key reads as absent (Get returns ErrNotFound, scans skip it) and the
+// bottommost compaction that next touches it reclaims the space. See
+// TUNING.md "Expiring keys" for the lazy-vs-compaction reclamation
+// model.
 func (db *DB) PutTTL(key, value []byte, ttl time.Duration) error {
 	return db.engines[Of(key, db.n)].PutTTL(key, value, ttl)
 }
 
-// Incr atomically adds delta to the counter at key on the owning shard
-// and returns the new value.
+// Incr atomically adds delta to the 8-byte little-endian counter at key
+// and returns the new value. An absent key starts at zero, so the first
+// Incr of a counter returns delta. A value of any other width fails
+// with ErrNotCounter. Counters are ordinary values: Get returns the
+// 8-byte encoding, and Put can seed or reset one.
 func (db *DB) Incr(key []byte, delta int64) (int64, error) {
 	return db.engines[Of(key, db.n)].Incr(key, delta)
 }
 
 // CompareAndSwap atomically replaces key's value with newValue if the
-// current value equals expected (nil expected asserts absence), on the
-// owning shard.
+// current value equals expected; a nil expected asserts the key is
+// absent. On mismatch it returns ErrCASMismatch and changes nothing.
 func (db *DB) CompareAndSwap(key, expected, newValue []byte) error {
 	return db.engines[Of(key, db.n)].CompareAndSwap(key, expected, newValue)
 }
 
-// Delete writes a tombstone for key to the owning shard.
+// Delete removes key.
 func (db *DB) Delete(key []byte) error {
 	return db.engines[Of(key, db.n)].Delete(key)
 }
 
 // ApplyBatch splits ops by owning shard and applies the sub-batches in
 // parallel, preserving the caller's op order within each shard. Each
-// sub-batch is atomic and durable per shard (one WAL record per shard); a
-// batch spanning shards is NOT atomic across them — a crash can persist
-// some shards' sub-batches and not others'.
+// sub-batch is atomic per shard (one WAL record per shard) and, when
+// syncWAL is true, fsynced before ApplyBatch returns; a batch spanning
+// shards is NOT atomic across them — a crash can persist some shards'
+// sub-batches and not others'.
 func (db *DB) ApplyBatch(ops []core.BatchOp, syncWAL bool) error {
 	if db.n == 1 {
 		return db.engines[0].ApplyBatch(ops, syncWAL)
@@ -383,10 +394,11 @@ func (db *DB) ApplyBatch(ops []core.BatchOp, syncWAL bool) error {
 	return firstErr
 }
 
-// ApplyShardBatch applies ops directly to shard i. Every op must belong
-// to shard i by routing; callers (the server's per-shard group-commit
-// workers) are expected to have split with SplitBatch or routed with
-// ShardOf.
+// ApplyShardBatch applies ops directly to shard i as one atomic,
+// optionally synced batch. Every op must belong to shard i by routing;
+// callers (the server's per-shard group-commit workers) are expected to
+// have split with SplitBatch or routed with ShardOf. Most callers want
+// ApplyBatch.
 func (db *DB) ApplyShardBatch(i int, ops []core.BatchOp, syncWAL bool) error {
 	if i < 0 || i >= db.n {
 		return fmt.Errorf("shard: index %d out of range [0,%d)", i, db.n)
@@ -409,7 +421,7 @@ func SplitBatch(ops []core.BatchOp, n int) [][]core.BatchOp {
 	return subs
 }
 
-// Flush forces every shard's memtable to level 0.
+// Flush forces every shard's write buffer to storage (level 0).
 func (db *DB) Flush() error {
 	for _, eng := range db.engines {
 		if err := eng.Flush(); err != nil {
@@ -419,8 +431,8 @@ func (db *DB) Flush() error {
 	return nil
 }
 
-// WaitIdle blocks until every shard's background maintenance is quiet.
-func (db *DB) WaitIdle() error {
+// Compact blocks until no shard has flush or compaction work left.
+func (db *DB) Compact() error {
 	for _, eng := range db.engines {
 		if err := eng.WaitIdle(); err != nil {
 			return err
@@ -429,8 +441,8 @@ func (db *DB) WaitIdle() error {
 	return nil
 }
 
-// RunValueLogGC runs one value-log GC attempt per shard, reporting
-// whether any shard collected a segment.
+// RunValueLogGC runs one value-log GC attempt per shard (key-value
+// separation only), reporting whether any shard reclaimed a segment.
 func (db *DB) RunValueLogGC() (bool, error) {
 	any := false
 	for _, eng := range db.engines {
@@ -443,8 +455,8 @@ func (db *DB) RunValueLogGC() (bool, error) {
 	return any, nil
 }
 
-// Close closes every shard engine; the first error wins but all engines
-// are closed regardless.
+// Close flushes and shuts down every shard engine; the first error wins
+// but all engines are closed regardless.
 func (db *DB) Close() error {
 	db.mu.Lock()
 	if db.closed {
@@ -467,8 +479,8 @@ func (db *DB) Close() error {
 	return firstErr
 }
 
-// Stats returns the aggregate I/O accounting: the per-shard counters
-// summed.
+// Stats returns a snapshot of the aggregate I/O counters: the per-shard
+// counters summed.
 func (db *DB) Stats() iostat.Snapshot {
 	agg := db.stats[0].Snapshot()
 	for _, s := range db.stats[1:] {
@@ -477,7 +489,8 @@ func (db *DB) Stats() iostat.Snapshot {
 	return agg
 }
 
-// ShardStats returns each shard's own counter snapshot, indexed by shard.
+// ShardStats returns each shard's own I/O counter snapshot, indexed by
+// shard. With one shard it is Stats in a one-element slice.
 func (db *DB) ShardStats() []iostat.Snapshot {
 	out := make([]iostat.Snapshot, db.n)
 	for i, s := range db.stats {
@@ -486,9 +499,11 @@ func (db *DB) ShardStats() []iostat.Snapshot {
 	return out
 }
 
-// Latencies returns aggregate operation latency summaries. All shards
-// record into one shared histogram set, so these are true aggregate
-// quantiles, not an average of per-shard quantiles.
+// Latencies returns per-operation latency summaries keyed "get", "put",
+// "delete", "scan", "batch", plus "stall" for write-stall episodes;
+// zero-count histograms are omitted. Nil unless latency tracking is on.
+// All shards record into one shared histogram set, so these are true
+// aggregate quantiles, not an average of per-shard quantiles.
 func (db *DB) Latencies() map[string]iostat.LatencySummary {
 	if db.n == 1 {
 		return db.engines[0].Latencies()
@@ -496,8 +511,9 @@ func (db *DB) Latencies() map[string]iostat.LatencySummary {
 	return db.lat.Summaries()
 }
 
-// Events returns every shard's lifecycle events merged into one
-// time-ordered stream, each event tagged with its shard.
+// Events returns the retained engine lifecycle events, oldest first:
+// every shard's ring merged into one time-ordered stream, each event
+// tagged with its shard.
 func (db *DB) Events() []iostat.Event {
 	if db.n == 1 {
 		return db.engines[0].Events()
@@ -535,7 +551,8 @@ func (db *DB) Levels() []core.LevelInfo {
 	return out
 }
 
-// TotalRuns returns the total sorted-run count across all shards.
+// TotalRuns returns the total sorted-run count across all shards: what a
+// worst-case point lookup probes, summed over the keyspace.
 func (db *DB) TotalRuns() int {
 	n := 0
 	for _, eng := range db.engines {
@@ -544,7 +561,8 @@ func (db *DB) TotalRuns() int {
 	return n
 }
 
-// IndexMemory returns resident index bytes across all shards.
+// IndexMemory returns the resident bytes of pinned fences, filters, and
+// learned models across all shards.
 func (db *DB) IndexMemory() int {
 	total := 0
 	for _, eng := range db.engines {

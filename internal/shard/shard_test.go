@@ -109,7 +109,7 @@ func TestKeysLandOnRoutedShardOnly(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		owner := db.ShardOf(tkey(i))
 		for s := 0; s < db.NumShards(); s++ {
-			_, err := db.Engine(s).Get(tkey(i))
+			_, err := db.engines[s].Get(tkey(i))
 			if s == owner && err != nil {
 				t.Fatalf("key %d missing from owner shard %d: %v", i, owner, err)
 			}
@@ -329,7 +329,7 @@ func TestAggregateStatsEventsLevels(t *testing.T) {
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.WaitIdle(); err != nil {
+	if err := db.Compact(); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {

@@ -23,11 +23,13 @@ import (
 	"time"
 
 	"lsmkv/internal/cache"
+	"lsmkv/internal/checkpoint"
 	"lsmkv/internal/compaction"
 	"lsmkv/internal/core"
 	"lsmkv/internal/filter"
 	"lsmkv/internal/iostat"
 	"lsmkv/internal/rangefilter"
+	"lsmkv/internal/replica"
 	"lsmkv/internal/shard"
 	"lsmkv/internal/sstable"
 	"lsmkv/internal/tuner"
@@ -304,9 +306,6 @@ func WiscKey() *Options {
 
 // toCore maps public options to the engine configuration.
 func (o *Options) toCore(dir string) (core.Options, error) {
-	if o == nil {
-		o = Default()
-	}
 	t := o.SizeRatio
 	if t < 2 {
 		t = 10
@@ -407,97 +406,44 @@ func (o *Options) toCore(dir string) (core.Options, error) {
 }
 
 // DB is a handle to an open database. It is safe for concurrent use.
+// Everything but Open and StartTuning is the embedded engine's method set
+// — reads, writes, scans, snapshots, stats, tuning control, replication
+// and backup — documented once, on internal/shard.DB.
 type DB struct {
-	inner *shard.DB
+	*shard.DB
 }
 
 // Open creates or reopens the database at dir with the given design.
 // A nil opts selects Default().
 func Open(dir string, opts *Options) (*DB, error) {
-	o := optsOrDefault(opts)
-	copts, err := o.toCore(dir)
+	if opts == nil {
+		opts = Default()
+	}
+	copts, err := opts.toCore(dir)
 	if err != nil {
 		return nil, err
 	}
-	inner, err := shard.Open(copts, o.Shards)
+	inner, err := shard.Open(copts, opts.Shards)
 	if err != nil {
 		return nil, err
 	}
-	db := &DB{inner: inner}
-	if o.AutoTune {
-		db.StartTuning(o.AutoTuneInterval)
+	db := &DB{DB: inner}
+	if opts.AutoTune {
+		db.StartTuning(opts.AutoTuneInterval)
 	}
 	return db, nil
 }
 
-func optsOrDefault(o *Options) *Options {
-	if o == nil {
-		return Default()
-	}
-	return o
-}
-
-// Put stores key -> value, overwriting any previous version.
-func (db *DB) Put(key, value []byte) error { return db.inner.Put(key, value) }
-
-// Get returns the newest value of key, or ErrNotFound.
-func (db *DB) Get(key []byte) ([]byte, error) { return db.inner.Get(key) }
-
-// GetAppend is Get with the value appended to dst (which may be nil)
-// instead of freshly allocated, returning the extended slice. Reusing
-// one dst buffer across lookups makes the steady-state (cache-hit) read
-// path allocation-free; see DESIGN.md "Read path allocations".
-func (db *DB) GetAppend(key, dst []byte) ([]byte, error) { return db.inner.GetAppend(key, dst) }
-
-// MultiGet looks up a batch of keys in one call and returns values
-// aligned with keys; a nil entry with a nil error means that key was
-// absent. Keys are routed to their owning shards and probed in parallel
-// per shard, amortizing batch overheads the way ApplyBatch amortizes
-// fsyncs. The MULTIGET wire opcode maps directly onto this.
-func (db *DB) MultiGet(keys [][]byte) ([][]byte, error) { return db.inner.MultiGet(keys) }
-
-// MultiGetTraced is MultiGet with one read-path trace per key, absent
-// keys included. Tracing allocates; use it for diagnostics.
-func (db *DB) MultiGetTraced(keys [][]byte) ([][]byte, []*Trace, error) {
-	return db.inner.MultiGetTraced(keys)
+// StartTuning launches the online self-tuning controller (one tuner per
+// shard) sampling every interval (<= 0 selects the 10s default).
+// Idempotent while running. Options.AutoTune calls this at Open.
+func (db *DB) StartTuning(interval time.Duration) {
+	db.DB.StartTuning(tuner.Config{Interval: interval})
 }
 
 // Trace is the record of one traced point lookup: every buffer and sorted
 // run consulted, how each screened the probe, and the block-level work.
 type Trace = iostat.Trace
-
-// GetTraced is Get with a read-path trace. The trace is returned even on
-// ErrNotFound — absent keys are the interesting case for diagnosing read
-// amplification. Tracing allocates; use it for diagnostics, not hot paths.
-func (db *DB) GetTraced(key []byte) ([]byte, *Trace, error) { return db.inner.GetTraced(key) }
-
-// PutTTL stores key -> value with a time-to-live: after ttl elapses the
-// key reads as absent (Get returns ErrNotFound, scans skip it) and the
-// bottommost compaction that next touches it reclaims the space. See
-// TUNING.md "Expiring keys" for the lazy-vs-compaction reclamation
-// model.
-func (db *DB) PutTTL(key, value []byte, ttl time.Duration) error {
-	return db.inner.PutTTL(key, value, ttl)
-}
-
-// Incr atomically adds delta to the 8-byte little-endian counter at key
-// and returns the new value. An absent key starts at zero, so the first
-// Incr of a counter returns delta. A value of any other width fails
-// with ErrNotCounter. Counters are ordinary values: Get returns the
-// 8-byte encoding, and Put can seed or reset one.
-func (db *DB) Incr(key []byte, delta int64) (int64, error) {
-	return db.inner.Incr(key, delta)
-}
-
-// CompareAndSwap atomically replaces key's value with newValue if the
-// current value equals expected; a nil expected asserts the key is
-// absent. On mismatch it returns ErrCASMismatch and changes nothing.
-func (db *DB) CompareAndSwap(key, expected, newValue []byte) error {
-	return db.inner.CompareAndSwap(key, expected, newValue)
-}
-
-// Delete removes key.
-func (db *DB) Delete(key []byte) error { return db.inner.Delete(key) }
 
 // BatchOp is one operation in an atomically committed write batch; build
 // with PutOp / DeleteOp.
@@ -509,105 +455,20 @@ func PutOp(key, value []byte) BatchOp { return core.PutOp(key, value) }
 // DeleteOp builds a tombstone operation for ApplyBatch.
 func DeleteOp(key []byte) BatchOp { return core.DeleteOp(key) }
 
-// ApplyBatch applies ops atomically under one WAL record per shard; when
-// sync is true an fsync per touched shard makes the batch durable before
-// returning. This is the group-commit primitive the network server
-// coalesces concurrent writers onto. With Shards > 1 atomicity holds per
-// shard, not across shards: a crash can persist some shards' portions of
-// a spanning batch and not others'.
-func (db *DB) ApplyBatch(ops []BatchOp, sync bool) error {
-	return db.inner.ApplyBatch(ops, sync)
-}
-
-// NumShards returns the open database's shard count (1 unless sharding
-// was configured).
-func (db *DB) NumShards() int { return db.inner.NumShards() }
-
-// ShardOf returns the index of the shard that owns key.
-func (db *DB) ShardOf(key []byte) int { return db.inner.ShardOf(key) }
-
-// ApplyShardBatch applies ops — all of which must route to shard i — as
-// one atomic, optionally synced batch on that shard. It is the per-shard
-// group-commit primitive; most callers want ApplyBatch.
-func (db *DB) ApplyShardBatch(i int, ops []BatchOp, sync bool) error {
-	return db.inner.ApplyShardBatch(i, ops, sync)
-}
-
-// ShardStats returns each shard's own I/O counter snapshot, indexed by
-// shard. With one shard it is Stats in a one-element slice.
-func (db *DB) ShardStats() []iostat.Snapshot { return db.inner.ShardStats() }
-
-// Scan calls fn for every key in [lo, hi] (inclusive), ascending, until
-// fn returns false.
-func (db *DB) Scan(lo, hi []byte, fn func(key, value []byte) bool) error {
-	return db.inner.Scan(lo, hi, fn)
-}
-
-// Snapshot pins a consistent point-in-time view. With Shards > 1 the
-// view is one snapshot per shard: consistent within each shard, but not
-// an atomic cut across shards.
-type Snapshot struct{ inner *shard.Snapshot }
-
-// NewSnapshot captures the current state; callers must Release it.
-func (db *DB) NewSnapshot() *Snapshot {
-	return &Snapshot{inner: db.inner.NewSnapshot()}
-}
-
-// Get reads key at the snapshot.
-func (s *Snapshot) Get(key []byte) ([]byte, error) { return s.inner.Get(key) }
-
-// Scan iterates the snapshot like DB.Scan.
-func (s *Snapshot) Scan(lo, hi []byte, fn func(key, value []byte) bool) error {
-	return s.inner.Scan(lo, hi, fn)
-}
-
-// Release unpins the snapshot.
-func (s *Snapshot) Release() { s.inner.Release() }
-
-// Flush forces the write buffer to storage.
-func (db *DB) Flush() error { return db.inner.Flush() }
-
-// Compact blocks until no flush or compaction work remains.
-func (db *DB) Compact() error { return db.inner.WaitIdle() }
-
-// RunValueLogGC collects one value-log segment (key-value separation
-// only); reports whether a segment was reclaimed.
-func (db *DB) RunValueLogGC() (bool, error) { return db.inner.RunValueLogGC() }
-
-// Stats returns a snapshot of the engine's I/O counters.
-func (db *DB) Stats() iostat.Snapshot { return db.inner.Stats() }
+// Snapshot pins a consistent point-in-time view; get one from
+// DB.NewSnapshot and Release it. With Shards > 1 the view is one snapshot
+// per shard: consistent within each shard, but not an atomic cut across
+// shards.
+type Snapshot = shard.Snapshot
 
 // LatencySummary carries one operation's latency quantiles.
 type LatencySummary = iostat.LatencySummary
 
-// Latencies returns per-operation latency summaries keyed "get", "put",
-// "delete", "scan", "batch", plus "stall" for write-stall episodes;
-// zero-count histograms are omitted. Nil unless Options.TrackLatency is
-// set.
-func (db *DB) Latencies() map[string]LatencySummary { return db.inner.Latencies() }
-
 // Event is one recorded engine lifecycle event.
 type Event = iostat.Event
 
-// Events returns the retained engine lifecycle events, oldest first.
-func (db *DB) Events() []Event { return db.inner.Events() }
-
 // LevelInfo describes one level of the tree.
 type LevelInfo = core.LevelInfo
-
-// Levels returns per-level structure information.
-func (db *DB) Levels() []LevelInfo { return db.inner.Levels() }
-
-// TotalRuns returns the number of sorted runs a worst-case point lookup
-// probes.
-func (db *DB) TotalRuns() int { return db.inner.TotalRuns() }
-
-// IndexMemory returns resident bytes of pinned fences, filters, and
-// learned models.
-func (db *DB) IndexMemory() int { return db.inner.IndexMemory() }
-
-// DebugString renders the tree shape.
-func (db *DB) DebugString() string { return db.inner.DebugString() }
 
 // TunerStatus is one shard tuner's externally visible state: the live
 // knob set, the design it is steering toward, the last signal sample,
@@ -618,25 +479,14 @@ type TunerStatus = tuner.Status
 // rationale.
 type TunerDecision = tuner.Decision
 
-// StartTuning launches the online self-tuning controller (one tuner per
-// shard) sampling every interval (<= 0 selects the 10s default).
-// Idempotent while running. Options.AutoTune calls this at Open.
-func (db *DB) StartTuning(interval time.Duration) {
-	db.inner.StartTuning(tuner.Config{Interval: interval})
-}
+// CheckpointInfo is the durable record of a completed checkpoint.
+type CheckpointInfo = checkpoint.Marker
 
-// StopTuning halts the self-tuning controller, keeping whatever knob
-// values it last applied.
-func (db *DB) StopTuning() { db.inner.StopTuning() }
+// MerkleTree is a Merkle summary of the database's logical content at a
+// sequence vector.
+type MerkleTree = replica.Tree
 
-// FreezeTuning holds (true) or releases (false) the tuner: frozen tuners
-// keep sampling and reporting but apply no knob moves — the operator's
-// way to pin the current design while diagnosing.
-func (db *DB) FreezeTuning(frozen bool) { db.inner.FreezeTuning(frozen) }
-
-// TunerStatus returns one status per shard tuner, indexed by shard; nil
-// when tuning is not running.
-func (db *DB) TunerStatus() []TunerStatus { return db.inner.TunerStatus() }
-
-// Close flushes and shuts down the engine.
-func (db *DB) Close() error { return db.inner.Close() }
+// CommitHook observes every committed write batch (shard, first
+// sequence number, op count, logical WAL payload). It runs under the
+// engine lock: copy the payload if retaining it, return quickly.
+type CommitHook = shard.CommitHook

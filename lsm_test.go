@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
+	"time"
 
 	"lsmkv/internal/iostat"
 )
@@ -190,4 +192,35 @@ func TestThrottleFacade(t *testing.T) {
 	if err := db.Compact(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestPublicMethodSetGolden pins the exported method sets that *DB and
+// *Snapshot get by embedding / aliasing internal/shard types: a method
+// dropped from shard.DB would silently leave the public API, and a new
+// exported one would silently join it. Either is a deliberate edit here.
+func TestPublicMethodSetGolden(t *testing.T) {
+	golden := map[reflect.Type][]string{
+		reflect.TypeOf((*DB)(nil)): {
+			"ApplyBatch", "ApplyReplicated", "ApplyShardBatch", "Checkpoint",
+			"Close", "Compact", "CompareAndSwap", "DebugString", "Delete",
+			"Events", "Flush", "FreezeTuning", "Get", "GetAppend", "GetTraced",
+			"Incr", "IndexMemory", "LastSeqs", "Latencies", "Levels",
+			"MerkleAt", "MultiGet", "MultiGetTraced", "NewSnapshot",
+			"NumShards", "Put", "PutTTL", "RunValueLogGC", "Scan",
+			"SetCommitHook", "ShardOf", "ShardStats", "StartTuning", "Stats",
+			"StopTuning", "TotalRuns", "TunerStatus", "WaitForSeq",
+		},
+		reflect.TypeOf((*Snapshot)(nil)): {"Get", "Release", "Scan"},
+	}
+	for typ, want := range golden {
+		var got []string // reflect lists exported methods sorted by name
+		for i := 0; i < typ.NumMethod(); i++ {
+			got = append(got, typ.Method(i).Name)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%v method set changed:\n got  %v\n want %v", typ, got, want)
+		}
+	}
+	// The one method the facade redefines keeps its public signature.
+	var _ func(*DB, time.Duration) = (*DB).StartTuning
 }
