@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race crash bench bench-server bench-stall bench-shards bench-replica bench-tune bench-read bench-ycsb experiments examples fuzz serve clean cover fmt-check doc-check doc-links bench-check
+.PHONY: all build test race crash bench bench-server experiments examples fuzz serve clean cover fmt-check doc-check doc-links bench-check
 
 all: build test
 
@@ -103,53 +103,17 @@ crash:
 	$(GO) test ./internal/core/ -run 'TestCrash' -count=1 -crash.iters=100
 	$(GO) test ./internal/shard/ -run 'Crash' -count=1 -shardcrash.iters=50
 
-# One testing.B bench per experiment (E1-E14) plus per-package microbenches.
+# `make bench E=E14` runs one experiment of cmd/lsmbench and prints its
+# claim-vs-measured table (E14 compaction-pool stalls, E15 shard sweep,
+# E16 checkpoint and follower lag, E17 online tuning, E18 read-path
+# allocations and MULTIGET, E19 YCSB mixes and TTL reclaim; DESIGN.md
+# indexes them all). Without E it runs every testing.B in the module.
 bench:
+ifdef E
+	$(GO) run ./cmd/lsmbench -e $(E)
+else
 	$(GO) test -bench=. -benchmem ./...
-
-# Single-worker vs pooled compaction under write-heavy ingest: Put
-# p99/p999 and total stall/slowdown time (experiment E14). Appends the
-# table to bench_results.txt so before/after runs accumulate.
-bench-stall:
-	$(GO) run ./cmd/lsmbench -e E14 | tee -a bench_results.txt
-
-# Keyspace sharding under a saturating multi-writer ingest: aggregate
-# throughput and Put tail at 1/2/4/8 shards (experiment E15). Appends the
-# table to bench_results.txt so before/after runs accumulate.
-bench-shards:
-	$(GO) run ./cmd/lsmbench -e E15 | tee -a bench_results.txt
-
-# Replication & online backup: checkpoint wall time vs database size,
-# steady-state follower lag under sustained ingest, and follower read
-# fan-out (experiment E16). Appends the table to bench_results.txt so
-# before/after runs accumulate.
-bench-replica:
-	$(GO) run ./cmd/lsmbench -e E16 | tee -a bench_results.txt
-
-# Online self-tuning across a workload shift: static write-tuned vs
-# static read-tuned vs tuner-driven engine, claim-vs-measured rows plus
-# the tuner's decision log (experiment E17). Appends to bench_results.txt
-# so before/after runs accumulate.
-bench-tune:
-	$(GO) run ./cmd/lsmbench -e E17 | tee -a bench_results.txt
-
-# Read-path allocation discipline and batched wire reads: allocs/op for
-# the allocating vs append point-read APIs (and across the learned-index
-# fence lookups), MULTIGET vs sequential GET at batch 1/8/64, the
-# streamed full-range scan (experiment E18). Appends to bench_results.txt so
-# before/after runs accumulate. The same numbers are gated in CI by
-# TestGetAllocs/TestMultiGetAllocs.
-bench-read:
-	$(GO) run ./cmd/lsmbench -e E18 | tee -a bench_results.txt
-	$(GO) test . -run xxx -bench 'BenchmarkDBGet' -benchtime 2000x -benchmem | tee -a bench_results.txt
-
-# YCSB core mixes (A/B/C/D/F) over one engine configuration — throughput
-# and read/write p99 per mix — plus the TTL lifecycle demo: leases serve
-# before expiry, read absent after, and bottommost compaction reclaims
-# the bytes (footprint shrink, ExpiredDrops > 0). Experiment E19.
-# Appends to bench_results.txt so before/after runs accumulate.
-bench-ycsb:
-	$(GO) run ./cmd/lsmbench -e E19 | tee -a bench_results.txt
+endif
 
 # Group-commit microbench: coalesced vs per-op-sync committer over the
 # full network stack (see bench_results.txt for a recorded run).

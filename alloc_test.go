@@ -170,3 +170,46 @@ func TestMultiGetAllocs(t *testing.T) {
 			batch, allocs, allocs/batch, ceiling)
 	}
 }
+
+// TestWriteAllocs bounds the write path the same way: a single Put and a
+// 32-op ApplyBatch into a WAL-backed memtable large enough that no flush
+// lands inside the measured runs. The ceilings are what the engine's one
+// commit function costs: the WAL record grown by append (a Put's fits in
+// 4 allocations, a 32-op batch's in 10), and the caller's ops handed to
+// the memtable as they are, not copied into a second slice first (which
+// made the batch 11).
+func TestWriteAllocs(t *testing.T) {
+	opts := Default()
+	opts.MemtableBytes = 64 << 20
+	db, err := Open(t.TempDir(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+
+	key, value := []byte("alloc-write-key"), make([]byte, 64)
+	put := func() {
+		if err := db.Put(key, value); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ops := make([]BatchOp, 32)
+	for i := range ops {
+		ops[i] = PutOp(workload.Key(int64(i)), value)
+	}
+	batch := func() {
+		if err := db.ApplyBatch(ops, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 16; i++ {
+		put()
+		batch()
+	}
+	if allocs := testing.AllocsPerRun(200, put); allocs > 4 {
+		t.Errorf("Put: %.2f allocs/op, ceiling 4", allocs)
+	}
+	if allocs := testing.AllocsPerRun(200, batch); allocs > 10 {
+		t.Errorf("32-op ApplyBatch: %.2f allocs/op, ceiling 10", allocs)
+	}
+}

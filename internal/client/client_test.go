@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -113,7 +114,10 @@ func TestRetryRedials(t *testing.T) {
 // error, not a hang.
 func TestNoRetryFailsFast(t *testing.T) {
 	backend := startBackend(t)
-	addr := flakyProxy(t, backend, 1)
+	// Every connection dies: when the read loop notices the first close
+	// before the Put, the Put redials, and that connection must be dead
+	// too or the call legitimately succeeds.
+	addr := flakyProxy(t, backend, math.MaxInt)
 	cl, err := client.Dial(addr, nil)
 	if err != nil {
 		t.Fatal(err) // accept succeeded; close comes later

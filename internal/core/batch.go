@@ -18,12 +18,6 @@ import (
 
 var errBadBatch = errors.New("core: corrupt WAL batch")
 
-type batchEntry struct {
-	kind  kv.Kind
-	key   []byte
-	value []byte
-}
-
 // BatchOp is one operation in an atomically committed write batch. Kind
 // must be kv.KindSet, kv.KindSetTTL, or kv.KindDelete; Value is ignored
 // for deletes. For KindSetTTL the Value must already carry the expiry
@@ -32,6 +26,28 @@ type BatchOp struct {
 	Kind  kv.Kind
 	Key   []byte
 	Value []byte
+	// RMW, when non-nil, makes the op a read-modify-write (IncrOp, CASOp)
+	// that the commit resolves against the key's current value.
+	RMW *RMW
+}
+
+// RMW is the read-modify-write half of an IncrOp or CASOp: the request,
+// and the outcome the commit writes back. The commit resolves RMW ops in
+// slice order, each against the earlier ops of its batch overlaid on the
+// engine, and commits the survivors as plain sets. An op whose resolution
+// fails (Err) is left out of the batch without failing the others.
+type RMW struct {
+	// Incr selects INCR (add Delta to the 8-byte little-endian counter at
+	// Key, absent = 0) over CAS (store the op's Value if the current value
+	// equals Expected; a nil Expected asserts the key absent).
+	Incr     bool
+	Delta    int64
+	Expected []byte
+
+	// Result is the counter after a successful INCR. Err is the
+	// resolution failure: ErrNotCounter, ErrCASMismatch, or a read error.
+	Result int64
+	Err    error
 }
 
 // PutOp builds a set operation.
@@ -50,6 +66,18 @@ func DeleteOp(key []byte) BatchOp {
 	return BatchOp{Kind: kv.KindDelete, Key: key}
 }
 
+// IncrOp builds an atomic counter increment; read the outcome from the
+// op's RMW once the batch has been applied.
+func IncrOp(key []byte, delta int64) BatchOp {
+	return BatchOp{Kind: kv.KindSet, Key: key, RMW: &RMW{Incr: true, Delta: delta}}
+}
+
+// CASOp builds a compare-and-swap of key to newValue; a nil expected
+// asserts the key absent.
+func CASOp(key, expected, newValue []byte) BatchOp {
+	return BatchOp{Kind: kv.KindSet, Key: key, Value: newValue, RMW: &RMW{Expected: expected}}
+}
+
 // ApplyBatch applies ops atomically: one WAL record covers the whole
 // batch, and when sync is true a single fsync makes every op durable
 // before the call returns. This is the group-commit hook the network
@@ -66,153 +94,57 @@ func (db *DB) ApplyBatch(ops []BatchOp, sync bool) error {
 		start := time.Now()
 		defer func() { db.lat.Batch.Observe(time.Since(start)) }()
 	}
-	entries := make([]batchEntry, len(ops))
-	for i, op := range ops {
-		if len(op.Key) == 0 {
-			return errors.New("lsmkv: empty key")
-		}
-		switch op.Kind {
-		case kv.KindSet:
-			entries[i] = batchEntry{kind: kv.KindSet, key: op.Key, value: op.Value}
-		case kv.KindSetTTL:
-			// The value already carries its expiry prefix; TTL entries are
-			// never vlog-separated (the separation gate below tests KindSet).
-			if len(op.Value) < kv.ExpiryLen {
-				return errors.New("lsmkv: ttl op value missing expiry prefix")
-			}
-			entries[i] = batchEntry{kind: kv.KindSetTTL, key: op.Key, value: op.Value}
-		case kv.KindDelete:
-			entries[i] = batchEntry{kind: kv.KindDelete, key: op.Key}
-		default:
-			return errors.New("lsmkv: batch op kind must be set, setttl, or delete")
-		}
+	n, err := db.commit(ops, sync, 0, nil)
+	if n > 0 {
+		db.opts.Stats.BatchCommits.Add(1)
+		db.opts.Stats.BatchedOps.Add(int64(n))
 	}
-
-	// Key-value separation happens outside the lock, like single writes:
-	// append separated values to the log, store pointers instead. One
-	// vlog sync covers every separated value in the batch.
-	separated := false
-	if db.vlog != nil {
-		for i := range entries {
-			e := &entries[i]
-			if e.kind == kv.KindSet && len(e.value) >= db.opts.ValueThreshold {
-				ptr, err := db.vlog.Append(e.key, e.value)
-				if err != nil {
-					return err
-				}
-				e.kind = kv.KindValuePointer
-				e.value = ptr.Encode()
-				separated = true
-			}
-		}
-		if separated && (sync || db.opts.WALSync) {
-			if err := db.vlog.Sync(); err != nil {
-				return err
-			}
-		}
-	}
-
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.waitWriteLocked(); err != nil {
-		return err
-	}
-	firstSeq := db.seq + 1
-	db.seq += kv.SeqNum(len(entries))
-	var rec []byte
-	if db.wal != nil {
-		rec = encodeBatch(firstSeq, entries)
-		if err := db.wal.AddRecord(rec); err != nil {
-			return err
-		}
-		db.opts.Stats.WALRecords.Add(1)
-		if db.opts.WALSync {
-			db.opts.Stats.WALSyncs.Add(1) // AddRecord synced internally
-		} else if sync {
-			if err := db.wal.Sync(); err != nil {
-				return err
-			}
-			db.opts.Stats.WALSyncs.Add(1)
-		}
-	}
-	if db.commitHook != nil {
-		// Ship the logical batch: when vlog separation rewrote entries
-		// into pointers, re-encode from the caller's untouched ops so
-		// followers receive resolvable values.
-		payload := rec
-		if separated || rec == nil {
-			logical := make([]batchEntry, len(ops))
-			for i, op := range ops {
-				logical[i] = batchEntry{kind: op.Kind, key: op.Key, value: op.Value}
-				if op.Kind == kv.KindDelete {
-					logical[i].value = nil
-				}
-			}
-			payload = encodeBatch(firstSeq, logical)
-		}
-		db.commitHook(uint64(firstSeq), len(entries), payload)
-	}
-	var nbytes int64
-	for i, e := range entries {
-		db.mem.Add(kv.Entry{Key: kv.MakeInternalKey(e.key, firstSeq+kv.SeqNum(i), e.kind), Value: e.value})
-		nbytes += int64(len(e.key) + len(e.value))
-	}
-	db.opts.Stats.BytesWritten.Add(nbytes)
-	db.opts.Stats.BatchCommits.Add(1)
-	db.opts.Stats.BatchedOps.Add(int64(len(entries)))
-	db.opts.Stats.WriteOps.Add(int64(len(entries)))
-	db.notifySeqLocked()
-
-	if db.mem.ApproxSize() >= db.opts.MemtableBytes {
-		return db.freezeMemLocked()
-	}
-	return nil
+	return err
 }
 
-func encodeBatch(firstSeq kv.SeqNum, entries []batchEntry) []byte {
+func encodeBatch(firstSeq kv.SeqNum, ops []BatchOp) []byte {
 	out := binary.AppendUvarint(nil, uint64(firstSeq))
-	out = binary.AppendUvarint(out, uint64(len(entries)))
-	for _, e := range entries {
-		out = append(out, byte(e.kind))
-		out = kv.AppendLengthPrefixed(out, e.key)
-		out = kv.AppendLengthPrefixed(out, e.value)
+	out = binary.AppendUvarint(out, uint64(len(ops)))
+	for _, op := range ops {
+		out = append(out, byte(op.Kind))
+		out = kv.AppendLengthPrefixed(out, op.Key)
+		out = kv.AppendLengthPrefixed(out, op.Value)
 	}
 	return out
 }
 
-func decodeBatch(data []byte, fn func(seq kv.SeqNum, kind kv.Kind, key, value []byte) error) error {
-	firstSeq, w := binary.Uvarint(data)
+// decodeBatch parses one record; the returned ops alias data.
+func decodeBatch(data []byte) (firstSeq kv.SeqNum, ops []BatchOp, err error) {
+	first, w := binary.Uvarint(data)
 	if w <= 0 {
-		return errBadBatch
+		return 0, nil, errBadBatch
 	}
 	data = data[w:]
 	count, w := binary.Uvarint(data)
 	if w <= 0 {
-		return errBadBatch
+		return 0, nil, errBadBatch
 	}
 	data = data[w:]
+	// An entry is at least 3 bytes, so the frame bounds the allocation
+	// whatever the count claims.
+	ops = make([]BatchOp, 0, min(count, uint64(len(data)/3)))
 	for i := uint64(0); i < count; i++ {
 		if len(data) < 1 {
-			return errBadBatch
+			return 0, nil, errBadBatch
 		}
-		kind := kv.Kind(data[0])
+		op := BatchOp{Kind: kv.Kind(data[0])}
 		data = data[1:]
-		var key, value []byte
 		var ok bool
-		key, data, ok = kv.DecodeLengthPrefixed(data)
-		if !ok {
-			return errBadBatch
+		if op.Key, data, ok = kv.DecodeLengthPrefixed(data); !ok {
+			return 0, nil, errBadBatch
 		}
-		value, data, ok = kv.DecodeLengthPrefixed(data)
-		if !ok {
-			return errBadBatch
+		if op.Value, data, ok = kv.DecodeLengthPrefixed(data); !ok {
+			return 0, nil, errBadBatch
 		}
-		if err := fn(kv.SeqNum(firstSeq)+kv.SeqNum(i), kind, key, value); err != nil {
-			return err
-		}
+		ops = append(ops, op)
 	}
 	if len(data) != 0 {
-		return errBadBatch
+		return 0, nil, errBadBatch
 	}
-	return nil
+	return kv.SeqNum(first), ops, nil
 }

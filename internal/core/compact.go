@@ -18,7 +18,9 @@ import (
 // lists file numbers leaving the tree in the same job (compaction
 // inputs), so their keys are not double-counted.
 func (db *DB) writerOptionsForLevel(level int, expectedEntries int, exclude map[uint64]bool) sstable.WriterOptions {
+	db.mu.Lock() // Retune rewrites the filter budget under it
 	fp := db.opts.FilterPolicy
+	db.mu.Unlock()
 	if fp.Kind != filter.KindNone {
 		bits := db.filterBitsForLevel(level, expectedEntries, exclude)
 		if bits <= 0 && db.opts.MonkeyFilters {

@@ -80,9 +80,10 @@ type DB struct {
 	// snapshots maps active snapshot seqs to their refcounts.
 	snapshots map[kv.SeqNum]int
 
-	// rmwMu serializes the embedded read-modify-write primitives (Incr,
-	// CompareAndSwap) against each other; the network server bypasses it
-	// by folding RMW resolution into its per-shard commit loop instead.
+	// rmwMu serializes commits that carry a read-modify-write op (Incr,
+	// CompareAndSwap, the server's INCR/CAS) from resolution to memtable
+	// insert, so each reads its predecessor's outcome. Plain writes do not
+	// take it. Lock order: rmwMu before mu.
 	rmwMu sync.Mutex
 
 	// commitHook observes every committed batch for replication;
@@ -222,14 +223,13 @@ func (db *DB) replayWALs() error {
 	recovered := 0
 	for i, n := range nums {
 		complete, err := wal.Replay(db.opts.FS, db.walPath(n), func(payload []byte) error {
-			return decodeBatch(payload, func(seq kv.SeqNum, kind kv.Kind, key, value []byte) error {
-				db.mem.Add(kv.Entry{Key: kv.MakeInternalKey(key, seq, kind), Value: value})
-				if seq > db.seq {
-					db.seq = seq
-				}
-				recovered++
-				return nil
-			})
+			firstSeq, ops, err := decodeBatch(payload)
+			if err != nil {
+				return err
+			}
+			db.insertLocked(firstSeq, ops)
+			recovered += len(ops)
+			return nil
 		})
 		if err != nil {
 			return fmt.Errorf("replay %06d.wal: %w", n, err)
@@ -280,15 +280,7 @@ func (db *DB) rotateWALLocked() error {
 }
 
 // Put stores key -> value.
-func (db *DB) Put(key, value []byte) error {
-	if db.lat == nil {
-		return db.write(kv.KindSet, key, value)
-	}
-	start := time.Now()
-	err := db.write(kv.KindSet, key, value)
-	db.lat.Put.Observe(time.Since(start))
-	return err
-}
+func (db *DB) Put(key, value []byte) error { return db.writeOne(PutOp(key, value)) }
 
 // PutTTL stores key -> value with a relative time-to-live: the entry
 // stops being served the moment ttl elapses (lazy read-path filtering)
@@ -300,63 +292,51 @@ func (db *DB) PutTTL(key, value []byte, ttl time.Duration) error {
 
 // PutAtExpiry is PutTTL with an absolute unix-nanosecond expiry.
 func (db *DB) PutAtExpiry(key, value []byte, expiryUnixNano int64) error {
-	stored := kv.AppendExpiryValue(nil, expiryUnixNano, value)
-	if db.lat == nil {
-		return db.write(kv.KindSetTTL, key, stored)
-	}
-	start := time.Now()
-	err := db.write(kv.KindSetTTL, key, stored)
-	db.lat.Put.Observe(time.Since(start))
-	return err
+	return db.writeOne(PutTTLOp(key, value, expiryUnixNano))
 }
+
+// Delete removes key (writes a tombstone).
+func (db *DB) Delete(key []byte) error { return db.writeOne(DeleteOp(key)) }
 
 // Incr atomically adds delta to the signed 8-byte little-endian counter
 // at key (treating an absent key as zero) and returns the new value. A
 // present value of any other width fails with ErrNotCounter. A TTL on
 // the previous version does not carry over.
 func (db *DB) Incr(key []byte, delta int64) (int64, error) {
-	db.rmwMu.Lock()
-	defer db.rmwMu.Unlock()
-	cur, err := db.Get(key)
-	var n int64
-	switch {
-	case err == nil:
-		v, ok := DecodeCounter(cur)
-		if !ok {
-			return 0, ErrNotCounter
-		}
-		n = v + delta
-	case errors.Is(err, ErrNotFound):
-		n = delta
-	default:
+	op := IncrOp(key, delta)
+	if err := db.writeOne(op); err != nil {
 		return 0, err
 	}
-	if err := db.Put(key, AppendCounter(nil, n)); err != nil {
-		return 0, err
-	}
-	return n, nil
+	return op.RMW.Result, op.RMW.Err
 }
 
 // CompareAndSwap atomically replaces key's value with newValue if the
 // current value equals expected; expected == nil asserts the key is
 // absent. On disagreement it returns ErrCASMismatch and writes nothing.
 func (db *DB) CompareAndSwap(key, expected, newValue []byte) error {
-	db.rmwMu.Lock()
-	defer db.rmwMu.Unlock()
-	cur, err := db.Get(key)
-	switch {
-	case err == nil:
-		if expected == nil || !bytesEqual(cur, expected) {
-			return ErrCASMismatch
-		}
-	case errors.Is(err, ErrNotFound):
-		if expected != nil {
-			return ErrCASMismatch
-		}
-	default:
+	op := CASOp(key, expected, newValue)
+	if err := db.writeOne(op); err != nil {
 		return err
 	}
-	return db.Put(key, newValue)
+	return op.RMW.Err
+}
+
+// writeOne commits a single-op write, timed as a "delete" when it is a
+// tombstone and as a "put" otherwise.
+func (db *DB) writeOne(op BatchOp) error {
+	ops := [1]BatchOp{op}
+	if db.lat == nil {
+		_, err := db.commit(ops[:], false, 0, nil)
+		return err
+	}
+	start := time.Now()
+	_, err := db.commit(ops[:], false, 0, nil)
+	h := &db.lat.Put
+	if op.Kind == kv.KindDelete {
+		h = &db.lat.Delete
+	}
+	h.Observe(time.Since(start))
+	return err
 }
 
 // AppendCounter appends the 8-byte little-endian encoding of an Incr
@@ -374,84 +354,6 @@ func DecodeCounter(v []byte) (int64, bool) {
 		return 0, false
 	}
 	return int64(binary.LittleEndian.Uint64(v)), true
-}
-
-func bytesEqual(a, b []byte) bool { return string(a) == string(b) }
-
-// Delete removes key (writes a tombstone).
-func (db *DB) Delete(key []byte) error {
-	if db.lat == nil {
-		return db.write(kv.KindDelete, key, nil)
-	}
-	start := time.Now()
-	err := db.write(kv.KindDelete, key, nil)
-	db.lat.Delete.Observe(time.Since(start))
-	return err
-}
-
-func (db *DB) write(kind kv.Kind, key, value []byte) error {
-	if len(key) == 0 {
-		return errors.New("lsmkv: empty key")
-	}
-	// Key-value separation happens outside the lock: append the value to
-	// the log and store the pointer instead.
-	storedKind := kind
-	storedValue := value
-	if kind == kv.KindSet && db.vlog != nil && len(value) >= db.opts.ValueThreshold {
-		ptr, err := db.vlog.Append(key, value)
-		if err != nil {
-			return err
-		}
-		// Under WALSync the write is acknowledged as durable, so the
-		// separated value the WAL record points into must be durable too.
-		if db.opts.WALSync {
-			if err := db.vlog.Sync(); err != nil {
-				return err
-			}
-		}
-		storedKind = kv.KindValuePointer
-		storedValue = ptr.Encode()
-	}
-
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.waitWriteLocked(); err != nil {
-		return err
-	}
-	db.seq++
-	seq := db.seq
-	var rec []byte
-	if db.wal != nil {
-		rec = encodeBatch(seq, []batchEntry{{kind: storedKind, key: key, value: storedValue}})
-		if err := db.wal.AddRecord(rec); err != nil {
-			return err
-		}
-		db.opts.Stats.WALRecords.Add(1)
-		if db.opts.WALSync {
-			db.opts.Stats.WALSyncs.Add(1)
-		}
-	}
-	if db.commitHook != nil {
-		// The replication stream carries the logical record: original
-		// kind and value, not the vlog pointer a follower couldn't
-		// resolve.
-		payload := rec
-		if storedKind != kind || rec == nil {
-			payload = encodeBatch(seq, []batchEntry{{kind: kind, key: key, value: value}})
-		}
-		db.commitHook(uint64(seq), 1, payload)
-	}
-	db.mem.Add(kv.Entry{Key: kv.MakeInternalKey(key, seq, storedKind), Value: storedValue})
-	db.opts.Stats.BytesWritten.Add(int64(len(key) + len(storedValue)))
-	db.opts.Stats.WriteOps.Add(1)
-	db.notifySeqLocked()
-
-	if db.mem.ApproxSize() >= db.opts.MemtableBytes {
-		if err := db.freezeMemLocked(); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // freezeMemLocked moves the active memtable to the flush queue and starts

@@ -193,7 +193,7 @@ func (o Options) withDefaults() (Options, error) {
 		o.MaxImmutableMemtables = 2
 	}
 	if o.Shape.BaseBytes == 0 {
-		o.Shape.BaseBytes = uint64(o.MemtableBytes) * uint64(maxInt(o.Shape.SizeRatio, 2))
+		o.Shape.BaseBytes = uint64(o.MemtableBytes) * uint64(max(o.Shape.SizeRatio, 2))
 	}
 	if err := o.Shape.Validate(); err != nil {
 		return o, err
@@ -248,18 +248,4 @@ func (o Options) withDefaults() (Options, error) {
 		o.Logf = func(string, ...any) {}
 	}
 	return o, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

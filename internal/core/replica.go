@@ -144,74 +144,25 @@ func (db *DB) WaitForSeq(seq uint64, timeout time.Duration) error {
 //
 // Records at or below the current watermark are idempotent no-ops;
 // a record starting beyond watermark+1 returns ErrReplicaGap. Returns
-// the engine's applied watermark after the call. The payload is
-// retained (memtable entries alias it); callers must not reuse it.
+// the engine's applied watermark after the call. The payload is not
+// retained: the WAL writer and the memtable both copy what they keep.
 func (db *DB) ApplyReplicated(payload []byte) (uint64, error) {
-	var (
-		first, last kv.SeqNum
-		entries     []kv.Entry
-		nbytes      int64
-	)
-	if err := decodeBatch(payload, func(seq kv.SeqNum, kind kv.Kind, key, value []byte) error {
-		if entries == nil {
-			first = seq
-		}
-		last = seq
-		entries = append(entries, kv.Entry{Key: kv.MakeInternalKey(key, seq, kind), Value: value})
-		nbytes += int64(len(key) + len(value))
-		return nil
-	}); err != nil {
+	firstSeq, ops, err := decodeBatch(payload)
+	if err != nil {
 		return 0, err
 	}
-	if len(entries) == 0 {
+	if len(ops) == 0 {
 		return db.LastSeq(), nil
 	}
-
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return 0, ErrClosed
+	n, err := db.commit(ops, false, firstSeq, payload)
+	if n > 0 {
+		db.opts.Stats.ReplRecordsApplied.Add(1)
+		db.opts.Stats.ReplBytesApplied.Add(int64(len(payload)))
 	}
-	if err := db.waitWriteLocked(); err != nil {
+	if err != nil {
 		return 0, err
 	}
-	prev := db.seq
-	if last <= prev {
-		return uint64(prev), nil // duplicate delivery
-	}
-	if first > prev+1 {
-		return 0, fmt.Errorf("%w: batch starts at %d, engine at %d", ErrReplicaGap, first, prev)
-	}
-	if db.wal != nil {
-		if err := db.wal.AddRecord(payload); err != nil {
-			return 0, err
-		}
-		db.opts.Stats.WALRecords.Add(1)
-		if db.opts.WALSync {
-			db.opts.Stats.WALSyncs.Add(1)
-		}
-	}
-	for _, e := range entries {
-		// Skip the already-applied prefix of a partially duplicate batch;
-		// those seqs are in the memtable (or flushed) from the first
-		// delivery.
-		if e.Key.Seq <= prev {
-			continue
-		}
-		db.mem.Add(e)
-	}
-	db.seq = last
-	db.opts.Stats.BytesWritten.Add(nbytes)
-	db.opts.Stats.ReplRecordsApplied.Add(1)
-	db.opts.Stats.ReplBytesApplied.Add(int64(len(payload)))
-	db.notifySeqLocked()
-
-	if db.mem.ApproxSize() >= db.opts.MemtableBytes {
-		if err := db.freezeMemLocked(); err != nil {
-			return 0, err
-		}
-	}
-	return uint64(last), nil
+	return db.LastSeq(), nil
 }
 
 // NewSnapshotAt pins a read view at an explicit sequence number, which

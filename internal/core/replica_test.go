@@ -1,12 +1,15 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
 
+	"lsmkv/internal/kv"
 	"lsmkv/internal/vfs"
 )
 
@@ -35,57 +38,212 @@ func (h *hookRecorder) snapshot() (firsts []uint64, counts []int, payloads [][]b
 }
 
 // TestCommitHookStream checks that the hook sees every write in sequence
-// order with contiguous framing, and that replaying the captured payloads
-// through ApplyReplicated reproduces the database exactly.
+// order with contiguous framing, and that the engine's write surfaces are
+// one path: a seeded history of put / put-ttl / delete / incr / cas
+// (conflicts and non-counters included) is applied (a) op by op through
+// the single-write API, (b) as one ApplyBatch, and (c) as ApplyReplicated
+// of the hook payloads (a) and (b) produced. The per-op RMW outcomes, the
+// hook payloads (a's, concatenated, against b's one record), the
+// watermark and the full scan must all agree, with a flat-map oracle and
+// with each other, before and after reopen, with and without value
+// separation.
 func TestCommitHookStream(t *testing.T) {
-	src := openDB(t, smallOpts(t.TempDir()))
-	defer src.Close()
-	rec := &hookRecorder{}
-	src.SetCommitHook(rec.hook)
+	for _, separate := range []bool{false, true} {
+		t.Run(fmt.Sprintf("separation=%v", separate), func(t *testing.T) {
+			const now = int64(1_000_000)
+			optsFor := func() Options {
+				opts := smallOpts(t.TempDir())
+				opts.Clock = func() int64 { return now }
+				opts.ValueSeparation = separate
+				opts.ValueThreshold = 64
+				return opts
+			}
 
-	for i := 0; i < 200; i++ {
-		if err := src.Put(key(i), val(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := src.ApplyBatch([]BatchOp{
-		PutOp(key(1000), val(1000)),
-		DeleteOp(key(3)),
-		PutOp(key(1001), val(1001)),
-	}, false); err != nil {
-		t.Fatal(err)
-	}
-	if err := src.Delete(key(7)); err != nil {
-		t.Fatal(err)
-	}
+			// The history, with the outcome a serial map oracle gives each op.
+			rng := rand.New(rand.NewSource(14))
+			oracle := map[string][]byte{}
+			var history []BatchOp
+			var wantResult []int64
+			var wantErr []error
+			for i := 0; i < 600; i++ {
+				k := key(rng.Intn(40))
+				var op BatchOp
+				var result int64
+				var opErr error
+				switch r := rng.Intn(100); {
+				case r < 35:
+					v := val(i)
+					if rng.Intn(2) == 0 {
+						v = bytes.Repeat([]byte{byte('a' + i%26)}, 64+rng.Intn(200)) // separated when on
+					}
+					op = PutOp(k, v)
+					oracle[string(k)] = v
+				case r < 45:
+					expiry := now + int64(rng.Intn(3)-1)*1000 // a third expired already, a third expiring now
+					op = PutTTLOp(k, val(i), expiry)
+					if delete(oracle, string(k)); expiry > now {
+						oracle[string(k)] = val(i)
+					}
+				case r < 60:
+					op = DeleteOp(k)
+					delete(oracle, string(k))
+				case r < 80:
+					if rng.Intn(4) > 0 {
+						k = []byte(fmt.Sprintf("ctr%d", rng.Intn(4)))
+					}
+					op = IncrOp(k, int64(rng.Intn(9)-4))
+					cur, ok := oracle[string(k)]
+					if n, isCounter := DecodeCounter(cur); ok && !isCounter {
+						opErr = ErrNotCounter
+					} else {
+						result = n + op.RMW.Delta
+						oracle[string(k)] = AppendCounter(nil, result)
+					}
+				default:
+					cur, ok := oracle[string(k)]
+					expected := cur
+					if !ok {
+						expected = nil
+					}
+					if rng.Intn(3) == 0 {
+						expected = []byte("stale")
+					}
+					op = CASOp(k, expected, val(i))
+					if ok != (expected != nil) || !bytes.Equal(cur, expected) {
+						opErr = ErrCASMismatch
+					} else {
+						oracle[string(k)] = val(i)
+					}
+				}
+				history = append(history, op)
+				wantResult = append(wantResult, result)
+				wantErr = append(wantErr, opErr)
+			}
+			checkOutcome := func(path string, i int, result int64, err error) {
+				t.Helper()
+				if !errors.Is(err, wantErr[i]) || result != wantResult[i] {
+					t.Fatalf("%s: op %d gave (%d, %v), oracle (%d, %v)", path, i, result, err, wantResult[i], wantErr[i])
+				}
+			}
 
-	firsts, counts, payloads := rec.snapshot()
-	if len(firsts) != 202 {
-		t.Fatalf("hook saw %d commits, want 202", len(firsts))
-	}
-	next := uint64(1)
-	for i := range firsts {
-		if firsts[i] != next {
-			t.Fatalf("commit %d starts at seq %d, want %d (stream must be contiguous)", i, firsts[i], next)
-		}
-		next += uint64(counts[i])
-	}
-	if got := src.LastSeq(); got != next-1 {
-		t.Fatalf("engine watermark %d, want %d", got, next-1)
-	}
+			// (a) op by op.
+			aOpts, aRec := optsFor(), &hookRecorder{}
+			a := openDB(t, aOpts)
+			a.SetCommitHook(aRec.hook)
+			for i, op := range history {
+				var result int64
+				var err error
+				switch {
+				case op.RMW != nil && op.RMW.Incr:
+					result, err = a.Incr(op.Key, op.RMW.Delta)
+				case op.RMW != nil:
+					err = a.CompareAndSwap(op.Key, op.RMW.Expected, op.Value)
+				case op.Kind == kv.KindDelete:
+					err = a.Delete(op.Key)
+				case op.Kind == kv.KindSetTTL:
+					expiry, payload, _ := kv.SplitExpiryValue(op.Value)
+					err = a.PutAtExpiry(op.Key, payload, expiry)
+				default:
+					err = a.Put(op.Key, op.Value)
+				}
+				checkOutcome("single", i, result, err)
+			}
 
-	dst := openDB(t, smallOpts(t.TempDir()))
-	defer dst.Close()
-	for i, p := range payloads {
-		w, err := dst.ApplyReplicated(p)
-		if err != nil {
-			t.Fatalf("apply commit %d: %v", i, err)
-		}
-		if want := firsts[i] + uint64(counts[i]) - 1; w != want {
-			t.Fatalf("apply commit %d returned watermark %d, want %d", i, w, want)
-		}
+			// (b) the same history as one batch.
+			bOpts, bRec := optsFor(), &hookRecorder{}
+			b := openDB(t, bOpts)
+			b.SetCommitHook(bRec.hook)
+			if err := b.ApplyBatch(history, false); err != nil {
+				t.Fatal(err)
+			}
+			for i, op := range history {
+				if op.RMW != nil {
+					checkOutcome("batch", i, op.RMW.Result, op.RMW.Err)
+				}
+			}
+
+			// The hook stream is contiguous, and a's records concatenated are
+			// b's one record byte for byte.
+			aFirsts, aCounts, aPayloads := aRec.snapshot()
+			next := uint64(1)
+			var committed []BatchOp
+			for i := range aFirsts {
+				if aFirsts[i] != next {
+					t.Fatalf("commit %d starts at seq %d, want %d (stream must be contiguous)", i, aFirsts[i], next)
+				}
+				next += uint64(aCounts[i])
+				_, ops, err := decodeBatch(aPayloads[i])
+				if err != nil || len(ops) != aCounts[i] {
+					t.Fatalf("commit %d: %d ops, err %v, hook said %d", i, len(ops), err, aCounts[i])
+				}
+				committed = append(committed, ops...)
+			}
+			if got := a.LastSeq(); got != next-1 {
+				t.Fatalf("engine watermark %d, want %d", got, next-1)
+			}
+			bFirsts, bCounts, bPayloads := bRec.snapshot()
+			if len(bPayloads) != 1 || bFirsts[0] != 1 || bCounts[0] != len(committed) {
+				t.Fatalf("batch hook: %d records, first %v, counts %v; want one record of %d ops at seq 1",
+					len(bPayloads), bFirsts, bCounts, len(committed))
+			}
+			if !bytes.Equal(bPayloads[0], encodeBatch(1, committed)) {
+				t.Fatal("the batch's hook payload is not the single writes' payloads concatenated")
+			}
+
+			// (c) both streams replayed on followers.
+			replay := func(firsts []uint64, counts []int, payloads [][]byte) (*DB, Options) {
+				opts := optsFor()
+				dst := openDB(t, opts)
+				for i, p := range payloads {
+					w, err := dst.ApplyReplicated(p)
+					if err != nil {
+						t.Fatalf("apply commit %d: %v", i, err)
+					}
+					if want := firsts[i] + uint64(counts[i]) - 1; w != want {
+						t.Fatalf("apply commit %d returned watermark %d, want %d", i, w, want)
+					}
+				}
+				return dst, opts
+			}
+			ca, caOpts := replay(aFirsts, aCounts, aPayloads)
+			cb, cbOpts := replay(bFirsts, bCounts, bPayloads)
+
+			dbs := []*DB{a, b, ca, cb}
+			opts := []Options{aOpts, bOpts, caOpts, cbOpts}
+			check := func(when string) {
+				t.Helper()
+				n := 0
+				if err := a.Scan(nil, nil, func(k, v []byte) bool {
+					if want, ok := oracle[string(k)]; !ok || !bytes.Equal(v, want) {
+						t.Fatalf("%s: scan has %q=%q, oracle %q (present %v)", when, k, v, want, ok)
+					}
+					n++
+					return true
+				}); err != nil {
+					t.Fatal(err)
+				}
+				if n != len(oracle) {
+					t.Fatalf("%s: scan has %d keys, oracle %d", when, n, len(oracle))
+				}
+				for _, db := range dbs[1:] {
+					if got, want := db.LastSeq(), a.LastSeq(); got != want {
+						t.Fatalf("%s: watermark %d, single-write path has %d", when, got, want)
+					}
+					assertSameContent(t, a, db)
+				}
+			}
+			check("live")
+			for i := range dbs {
+				if err := dbs[i].Close(); err != nil {
+					t.Fatal(err)
+				}
+				dbs[i] = openDB(t, opts[i])
+				defer dbs[i].Close()
+			}
+			a = dbs[0]
+			check("reopened")
+		})
 	}
-	assertSameContent(t, src, dst)
 }
 
 // TestCommitHookValueSeparation checks the hook payload carries logical

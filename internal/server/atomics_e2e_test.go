@@ -11,34 +11,44 @@ import (
 	"time"
 
 	"lsmkv/internal/client"
+	"lsmkv/internal/core"
 	"lsmkv/internal/vfs"
 )
 
-// TestIncrConcurrent: 8 writers hammer one counter through independent
-// connections; the committer must serialize the read-modify-write so the
-// returned values are exactly a permutation of 1..N — the same set a
-// serial oracle would hand out, in some order.
+// TestIncrConcurrent: 8 writers hammer one counter, half of them through
+// independent connections and half through the embedded API of the very
+// engine being served. Both surfaces end in the engine's one commit
+// function, which serializes the read-modify-write, so the returned
+// values are exactly a permutation of 1..N — the same set a serial oracle
+// would hand out, in some order.
 func TestIncrConcurrent(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			srv, _ := startServer(t, vfs.NewMem(), shards, nil)
+			srv, db := startServer(t, vfs.NewMem(), shards, nil)
 
-			const writers = 8
-			const perWriter = 50
+			// Enough increments that losing one to a surface that skipped
+			// the lock is near certain (the embedded Incr and the wire INCR
+			// did not exclude each other once: 20 of 20 runs lost updates).
+			const writers = 16
+			const perWriter = 250
 			results := make([][]int64, writers)
 			var wg sync.WaitGroup
 			for w := 0; w < writers; w++ {
 				wg.Add(1)
 				go func(w int) {
 					defer wg.Done()
-					cl, err := client.Dial(srv.Addr(), nil)
-					if err != nil {
-						t.Error(err)
-						return
+					incr := db.Incr
+					if w%2 == 0 {
+						cl, err := client.Dial(srv.Addr(), nil)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						defer cl.Close()
+						incr = cl.Incr
 					}
-					defer cl.Close()
 					for i := 0; i < perWriter; i++ {
-						n, err := cl.Incr([]byte("hits"), 1)
+						n, err := incr([]byte("hits"), 1)
 						if err != nil {
 							t.Errorf("writer %d incr: %v", w, err)
 							return
@@ -54,8 +64,8 @@ func TestIncrConcurrent(t *testing.T) {
 
 			var all []int64
 			for _, rs := range results {
-				// Within one connection the counter must be monotone: a
-				// writer never sees its own increment go backwards.
+				// Within one writer the counter must be monotone: it never
+				// sees its own increment go backwards.
 				for i := 1; i < len(rs); i++ {
 					if rs[i] <= rs[i-1] {
 						t.Fatalf("per-writer regression: %d then %d", rs[i-1], rs[i])
@@ -82,13 +92,14 @@ func TestIncrConcurrent(t *testing.T) {
 	}
 }
 
-// TestCasConcurrent: 8 writers each push through a fixed number of
-// successful CAS increments on a shared decimal cell, retrying on
-// conflict. Lost updates would leave the final value short.
+// TestCasConcurrent: 8 writers, half over the wire and half on the served
+// engine's embedded API, each push through a fixed number of successful
+// CAS increments on a shared decimal cell, retrying on conflict. Lost
+// updates would leave the final value short.
 func TestCasConcurrent(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			srv, _ := startServer(t, vfs.NewMem(), shards, nil)
+			srv, db := startServer(t, vfs.NewMem(), shards, nil)
 
 			const writers = 8
 			const perWriter = 20
@@ -97,14 +108,20 @@ func TestCasConcurrent(t *testing.T) {
 				wg.Add(1)
 				go func(w int) {
 					defer wg.Done()
-					cl, err := client.Dial(srv.Addr(), nil)
-					if err != nil {
-						t.Error(err)
-						return
+					get, cas := db.Get, db.CompareAndSwap
+					notFound, mismatch := core.ErrNotFound, core.ErrCASMismatch
+					if w%2 == 0 {
+						cl, err := client.Dial(srv.Addr(), nil)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						defer cl.Close()
+						get, cas = cl.Get, cl.Cas
+						notFound, mismatch = client.ErrNotFound, client.ErrCASMismatch
 					}
-					defer cl.Close()
 					for done := 0; done < perWriter; {
-						cur, err := cl.Get([]byte("cell"))
+						cur, err := get([]byte("cell"))
 						var expected []byte
 						n := 0
 						switch {
@@ -114,17 +131,17 @@ func TestCasConcurrent(t *testing.T) {
 								return
 							}
 							expected = cur
-						case errors.Is(err, client.ErrNotFound):
+						case errors.Is(err, notFound):
 							expected = nil // assert absence
 						default:
 							t.Errorf("writer %d get: %v", w, err)
 							return
 						}
-						err = cl.Cas([]byte("cell"), expected, []byte(fmt.Sprint(n+1)))
+						err = cas([]byte("cell"), expected, []byte(fmt.Sprint(n+1)))
 						switch {
 						case err == nil:
 							done++
-						case errors.Is(err, client.ErrCASMismatch):
+						case errors.Is(err, mismatch):
 							// lost the race; re-read and retry
 						default:
 							t.Errorf("writer %d cas: %v", w, err)

@@ -200,8 +200,12 @@ func (c *conn) dispatch(req *Request) {
 		c.submitWrite(req, start, []core.BatchOp{core.DeleteOp(req.Key)})
 	case OpBatch:
 		c.submitWrite(req, start, req.Ops)
-	case OpIncr, OpCas:
-		c.submitRMW(req, start)
+	case OpIncr:
+		c.submitWrite(req, start, []core.BatchOp{core.IncrOp(req.Key, req.Delta)})
+	case OpCas:
+		// Expected is non-nil exactly when the request has one (see
+		// DecodeRequest); nil asserts the key absent.
+		c.submitWrite(req, start, []core.BatchOp{core.CASOp(req.Key, req.Expected, req.Value)})
 	}
 }
 
@@ -515,29 +519,6 @@ func (c *conn) handleSketch(req *Request, start time.Time) {
 	c.finishRead(req, start, &resp)
 }
 
-// submitRMW routes an INCR or CAS to its key's group committer, which
-// resolves it atomically under the shard's single-writer serialization;
-// the ack carries the result (or the conflict).
-func (c *conn) submitRMW(req *Request, start time.Time) {
-	if c.srv.cfg.ReadOnly {
-		resp := Response{ID: req.ID, Status: StatusError, Value: []byte("server: read-only replica (writes go to the primary)")}
-		c.finishRead(req, start, &resp)
-		return
-	}
-	rmw := &rmwOp{
-		op:          req.Op,
-		key:         req.Key,
-		delta:       req.Delta,
-		expected:    req.Expected,
-		hasExpected: req.HasExpected,
-		newValue:    req.Value,
-	}
-	shard := c.srv.cfg.DB.ShardOf(req.Key)
-	cr := &commitReq{rmw: rmw, shard: shard, done: make(chan error, 1)}
-	c.srv.committers[shard].submit(cr)
-	c.acks <- &pendingWrite{id: req.ID, op: req.Op, start: start, reqs: []*commitReq{cr}}
-}
-
 func (c *conn) ackLoop() {
 	for pw := range c.acks {
 		var err error
@@ -549,17 +530,16 @@ func (c *conn) ackLoop() {
 		resp := Response{ID: pw.id, Status: StatusOK}
 		if err != nil {
 			resp = errResponse(pw.id, err)
-		} else if len(pw.reqs) == 1 && pw.reqs[0].rmw != nil {
+		} else if rmw := pw.reqs[0].ops[0].RMW; rmw != nil {
 			// RMW acks own their body (the INCR result), so they carry no
 			// seq-ack coordinates; see PROTOCOL.md.
-			rmw := pw.reqs[0].rmw
 			switch {
-			case errors.Is(rmw.err, core.ErrCASMismatch):
-				resp = Response{ID: pw.id, Status: StatusConflict, Value: []byte(rmw.err.Error())}
-			case rmw.err != nil:
-				resp = errResponse(pw.id, rmw.err)
+			case errors.Is(rmw.Err, core.ErrCASMismatch):
+				resp = Response{ID: pw.id, Status: StatusConflict, Value: []byte(rmw.Err.Error())}
+			case rmw.Err != nil:
+				resp = errResponse(pw.id, rmw.Err)
 			case pw.op == OpIncr:
-				resp.Value = binary.AppendVarint(nil, rmw.result)
+				resp.Value = binary.AppendVarint(nil, rmw.Result)
 			}
 		} else {
 			// Successful write acks carry (shard, seq) coordinates for

@@ -40,11 +40,18 @@ func FuzzDecodeRequest(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 99, 1, 2, 3})
 	f.Add([]byte{6, 0, 0, 0, byte(OpScan), 1, 'a', 1, 'z', 10}) // retired opcode, once-valid body
 	f.Add(bytes.Repeat([]byte{0xFF}, 64))
+	f.Add(batchFrameWithIncrKind(2)) // BATCH op kinds are put and delete only
+	f.Add(batchFrameWithIncrKind(byte(OpIncr)))
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		req, err := DecodeRequest(payload)
 		if err != nil {
 			return
+		}
+		for _, op := range req.Ops {
+			if op.RMW != nil {
+				t.Fatalf("a BATCH body decoded into a read-modify-write op (payload %x)", payload)
+			}
 		}
 		re := AppendRequest(nil, &req)
 		req2, err := DecodeRequest(re)

@@ -113,6 +113,12 @@ func TestResponseRoundTrip(t *testing.T) {
 	}
 }
 
+// batchFrameWithIncrKind is a one-op BATCH frame, well formed except that
+// the op's kind byte is kind and its body is an INCR's (key, delta).
+func batchFrameWithIncrKind(kind byte) []byte {
+	return append([]byte{0, 0, 0, 0, byte(OpBatch)}, 1, kind, 1, 'k', 2)
+}
+
 func TestDecodeRequestMalformed(t *testing.T) {
 	cases := map[string][]byte{
 		"empty":              {},
@@ -127,6 +133,11 @@ func TestDecodeRequestMalformed(t *testing.T) {
 		"batch bad kind":     append([]byte{0, 0, 0, 0, byte(OpBatch)}, 1, 7, 1, 'k'),
 		"batch truncated":    append([]byte{0, 0, 0, 0, byte(OpBatch)}, 2, 0, 1, 'k', 0),
 		"key length overrun": append([]byte{0, 0, 0, 0, byte(OpGet)}, 200),
+
+		// A BATCH body holds puts and deletes only: no op kind reaches
+		// core.BatchOp.RMW, however INCR-shaped the rest of the op is.
+		"batch unassigned kind": batchFrameWithIncrKind(2),
+		"batch incr as kind":    batchFrameWithIncrKind(byte(OpIncr)),
 
 		"multiget missing count": {0, 0, 0, 0, byte(OpMultiGet)},
 		"multiget lying count":   append([]byte{0, 0, 0, 0, byte(OpMultiGet)}, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F),
