@@ -65,32 +65,17 @@ bench-check:
 # everything else leans on, the layer that splits the keyspace, the
 # subsystem that ships data off the box, and the controller that moves
 # knobs on a live tree must stay tested.
-IOSTAT_COVER_FLOOR = 90
-SHARD_COVER_FLOOR = 85
-REPLICA_COVER_FLOOR = 85
-TUNER_COVER_FLOOR = 85
+COVER_FLOORS = iostat:90 shard:85 replica:85 tuner:85
 cover:
 	$(GO) test -cover ./...
-	@pct=$$($(GO) test -cover ./internal/iostat/ | \
-		sed -n 's/.*coverage: \([0-9.]*\)% of statements.*/\1/p'); \
-	echo "internal/iostat coverage: $$pct% (floor $(IOSTAT_COVER_FLOOR)%)"; \
-	awk "BEGIN{exit !($$pct >= $(IOSTAT_COVER_FLOOR))}" || \
-		{ echo "internal/iostat coverage below floor"; exit 1; }
-	@pct=$$($(GO) test -cover ./internal/shard/ | \
-		sed -n 's/.*coverage: \([0-9.]*\)% of statements.*/\1/p'); \
-	echo "internal/shard coverage: $$pct% (floor $(SHARD_COVER_FLOOR)%)"; \
-	awk "BEGIN{exit !($$pct >= $(SHARD_COVER_FLOOR))}" || \
-		{ echo "internal/shard coverage below floor"; exit 1; }
-	@pct=$$($(GO) test -cover ./internal/replica/ | \
-		sed -n 's/.*coverage: \([0-9.]*\)% of statements.*/\1/p'); \
-	echo "internal/replica coverage: $$pct% (floor $(REPLICA_COVER_FLOOR)%)"; \
-	awk "BEGIN{exit !($$pct >= $(REPLICA_COVER_FLOOR))}" || \
-		{ echo "internal/replica coverage below floor"; exit 1; }
-	@pct=$$($(GO) test -cover ./internal/tuner/ | \
-		sed -n 's/.*coverage: \([0-9.]*\)% of statements.*/\1/p'); \
-	echo "internal/tuner coverage: $$pct% (floor $(TUNER_COVER_FLOOR)%)"; \
-	awk "BEGIN{exit !($$pct >= $(TUNER_COVER_FLOOR))}" || \
-		{ echo "internal/tuner coverage below floor"; exit 1; }
+	@for pf in $(COVER_FLOORS); do \
+		pkg=internal/$${pf%%:*}; floor=$${pf##*:}; \
+		pct=$$($(GO) test -cover ./$$pkg/ | \
+			sed -n 's/.*coverage: \([0-9.]*\)% of statements.*/\1/p'); \
+		echo "$$pkg coverage: $$pct% (floor $$floor%)"; \
+		awk "BEGIN{exit !($$pct >= $$floor)}" || \
+			{ echo "$$pkg coverage below floor"; exit 1; }; \
+	done
 
 race:
 	$(GO) test -race ./...

@@ -213,3 +213,46 @@ func TestWriteAllocs(t *testing.T) {
 		t.Errorf("32-op ApplyBatch: %.2f allocs/op, ceiling 10", allocs)
 	}
 }
+
+// TestScanAllocs bounds the range-read path: a 50-key Scan over flushed,
+// cache-warm data. fn owns its slices, so two copies per pair are the
+// floor (100); the rest is the scanner — the per-shard iterator stack
+// and the merge heaps, built once, and one block iterator per table that
+// is rebound, not reallocated, as it walks from block to block (a fresh
+// block and iterator per block made this 124).
+func TestScanAllocs(t *testing.T) {
+	opts := Default()
+	opts.MemtableBytes = 1 << 20
+	db, err := Open(t.TempDir(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+
+	const nKeys = 2000
+	for i := int64(0); i < nKeys; i++ {
+		if err := db.Put(workload.Key(i), workload.Value(i, 32)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	lo, hi := workload.Key(1000), workload.Key(1049)
+	scan := func() {
+		n := 0
+		if err := db.Scan(lo, hi, func(k, v []byte) bool { n++; return true }); err != nil {
+			t.Fatal(err)
+		}
+		if n != 50 {
+			t.Fatalf("scan saw %d keys, want 50", n)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		scan() // warm the cache
+	}
+	const ceiling = 121
+	if allocs := testing.AllocsPerRun(100, scan); allocs > ceiling {
+		t.Errorf("50-key Scan: %.1f allocs, ceiling %d", allocs, ceiling)
+	}
+}

@@ -401,9 +401,9 @@ func BenchmarkE12SharedHashing(b *testing.B) {
 }
 
 // BenchmarkDBGet guards the observability fast path: with TrackLatency
-// off (the default) a point lookup must cost exactly one nil check over
-// the uninstrumented read path, so the off/on sub-benchmarks should be
-// within noise of each other (the histogram update is ~two atomic adds).
+// off (the default) a point lookup must cost two nil checks, and no clock
+// read, over the uninstrumented read path, so the off/on sub-benchmarks
+// should be within noise of each other (the histogram update is ~two atomic adds).
 func BenchmarkDBGet(b *testing.B) {
 	for _, mode := range []struct {
 		name  string

@@ -98,7 +98,7 @@ func main() {
 		l0Slowdown   = flag.Int("l0-slowdown", 0, "L0 run count where writes start slowing (0 = engine default)")
 		l0Stop       = flag.Int("l0-stop", 0, "L0 run count where writes block (0 = engine default)")
 		debugAddr    = flag.String("debug-addr", "", "serve /debug/pprof and /debug/vars on this private HTTP address (empty disables)")
-		trackLatency = flag.Bool("track-latency", true, "record engine-level latency histograms (one nil check per op when off)")
+		trackLatency = flag.Bool("track-latency", true, "record engine-level latency histograms (no clock reads when off)")
 		ckptDir      = flag.String("checkpoint-dir", "", "enable the CHECKPOINT opcode, writing online backups under this directory")
 		follow       = flag.String("follow", "", "run as a read-only follower replicating from the primary at this address")
 		replBacklog  = flag.Int64("repl-backlog", 0, "per-shard replication backlog bytes for serving followers (0 = 16 MiB default)")

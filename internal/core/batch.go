@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/binary"
 	"errors"
-	"time"
 
 	"lsmkv/internal/kv"
 )
@@ -90,11 +89,9 @@ func (db *DB) ApplyBatch(ops []BatchOp, sync bool) error {
 	if len(ops) == 0 {
 		return nil
 	}
-	if db.lat != nil {
-		start := time.Now()
-		defer func() { db.lat.Batch.Observe(time.Since(start)) }()
-	}
+	start := db.now()
 	n, err := db.commit(ops, sync, 0, nil)
+	db.observe(latBatch, start)
 	if n > 0 {
 		db.opts.Stats.BatchCommits.Add(1)
 		db.opts.Stats.BatchedOps.Add(int64(n))

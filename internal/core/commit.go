@@ -217,17 +217,7 @@ func (db *DB) overlayGet(key []byte, pending []BatchOp) (value []byte, found boo
 		if !bytes.Equal(op.Key, key) {
 			continue
 		}
-		switch op.Kind {
-		case kv.KindDelete:
-			return nil, false, nil
-		case kv.KindSetTTL:
-			exp, payload, _ := kv.SplitExpiryValue(op.Value) // length checked by check
-			if db.opts.Clock() >= exp {
-				return nil, false, nil
-			}
-			return payload, true, nil
-		}
-		return op.Value, true, nil
+		return db.visible(op.Key, op.Kind, op.Value)
 	}
 	value, err = db.Get(key)
 	if errors.Is(err, ErrNotFound) {

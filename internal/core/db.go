@@ -104,8 +104,10 @@ type DB struct {
 	cache    *cache.Cache
 	vlog     *vlog.Log
 
-	// lat holds per-operation latency histograms; nil unless
-	// Options.TrackLatency, so the disabled path costs one nil check.
+	// lat holds per-operation latency histograms: Options.Latencies when
+	// the caller handed a set down, a private set under
+	// Options.TrackLatency, else nil — and then now/observe (read.go)
+	// never read the clock.
 	lat *iostat.OpLatencies
 	// events is the bounded lifecycle event ring; nil when disabled.
 	events *iostat.EventLog
@@ -325,17 +327,13 @@ func (db *DB) CompareAndSwap(key, expected, newValue []byte) error {
 // tombstone and as a "put" otherwise.
 func (db *DB) writeOne(op BatchOp) error {
 	ops := [1]BatchOp{op}
-	if db.lat == nil {
-		_, err := db.commit(ops[:], false, 0, nil)
-		return err
-	}
-	start := time.Now()
+	start := db.now()
 	_, err := db.commit(ops[:], false, 0, nil)
-	h := &db.lat.Put
 	if op.Kind == kv.KindDelete {
-		h = &db.lat.Delete
+		db.observe(latDelete, start)
+	} else {
+		db.observe(latPut, start)
 	}
-	h.Observe(time.Since(start))
 	return err
 }
 
@@ -366,6 +364,14 @@ func (db *DB) freezeMemLocked() error {
 	db.mem = db.newBuffer()
 	if !db.opts.DisableWAL {
 		if db.wal != nil {
+			// The outgoing log must be durable before its successor holds a
+			// record: an unsynced log can lose a suffix that ends on a
+			// record boundary, which replay cannot tell from a complete log,
+			// and it would then replay the successor across the hole.
+			// Writes that were synced as they committed left nothing to do.
+			if err := db.wal.Sync(); err != nil {
+				return err
+			}
 			if err := db.wal.Close(); err != nil {
 				return err
 			}
@@ -510,193 +516,6 @@ func (db *DB) l0RunsLocked() int {
 		return 0
 	}
 	return len(db.current.levels[0])
-}
-
-// Get returns the newest visible value of key.
-func (db *DB) Get(key []byte) ([]byte, error) { return db.GetAppend(key, nil) }
-
-// GetAppend is Get with the value appended to dst (which may be nil)
-// instead of freshly allocated, returning the extended slice. With the
-// target block resident in the cache and dst capacious enough, a lookup
-// performs zero heap allocations — the steady-state read hot path.
-func (db *DB) GetAppend(key, dst []byte) ([]byte, error) { return db.timedGet(key, dst, nil) }
-
-// GetTraced is Get with a full read-path trace: which buffers and sorted
-// runs were consulted, how each run screened the probe (fences, sequence
-// bounds, filters), and the block-level work the survivors cost. The trace
-// is returned even when the key is absent (err == ErrNotFound) — that is
-// the interesting case for diagnosing read amplification.
-func (db *DB) GetTraced(key []byte) ([]byte, *iostat.Trace, error) {
-	tr := iostat.NewTrace(key)
-	value, err := db.timedGet(key, nil, tr)
-	return value, tr, err
-}
-
-// timedGet is the one timed point read: it stamps tr (when tracing) and
-// the Get histogram (when tracking latency) with the lookup's wall time,
-// and reads the clock only when one of them wants it.
-func (db *DB) timedGet(key, dst []byte, tr *iostat.Trace) ([]byte, error) {
-	if tr == nil && db.lat == nil {
-		return db.getAppend(key, kv.MaxSeqNum, dst, nil)
-	}
-	start := time.Now()
-	value, err := db.getAppend(key, kv.MaxSeqNum, dst, tr)
-	elapsed := time.Since(start)
-	if tr != nil {
-		tr.ElapsedUs = float64(elapsed.Nanoseconds()) / 1e3
-	}
-	if db.lat != nil {
-		db.lat.Get.Observe(elapsed)
-	}
-	return value, err
-}
-
-func (db *DB) getAppend(key []byte, snap kv.SeqNum, dst []byte, tr *iostat.Trace) ([]byte, error) {
-	db.opts.Stats.PointLookups.Add(1)
-	base := len(dst)
-	value, kind, found, err := db.getInternal(key, snap, dst, tr)
-	if err != nil {
-		return dst, err
-	}
-	if !found || kind == kv.KindDelete {
-		if tr != nil && found && kind == kv.KindDelete {
-			tr.Tombstone = true
-		}
-		return dst, ErrNotFound
-	}
-	if kind == kv.KindSetTTL {
-		exp, payload, ok := kv.SplitExpiryValue(value[base:])
-		if !ok {
-			return dst, fmt.Errorf("lsmkv: corrupt ttl value for key %q", key)
-		}
-		if db.opts.Clock() >= exp {
-			// Past expiry the entry serves as a tombstone until compaction
-			// physically reclaims it.
-			if tr != nil {
-				tr.Tombstone = true
-			}
-			return dst, ErrNotFound
-		}
-		// Strip the expiry prefix in place, preserving the append contract
-		// (no extra allocation).
-		n := copy(value[base:], payload)
-		value = value[:base+n]
-		if tr != nil {
-			tr.Found = true
-			tr.SetValue(value[base:])
-		}
-		return value, nil
-	}
-	if kind == kv.KindValuePointer {
-		ptr, err := vlog.DecodePointer(value[base:])
-		if err != nil {
-			return dst, err
-		}
-		db.opts.Stats.VlogReads.Add(1)
-		v, err := db.vlog.Get(ptr)
-		if err != nil {
-			return dst, err
-		}
-		if tr != nil {
-			tr.VlogRead = true
-			tr.Found = true
-			tr.SetValue(v)
-		}
-		// Swap the appended pointer bytes for the resolved value.
-		return append(value[:base], v...), nil
-	}
-	if tr != nil {
-		tr.Found = true
-		tr.SetValue(value[base:])
-	}
-	return value, nil
-}
-
-// getInternal walks buffer -> immutables -> tree, newest first, returning
-// the first (newest visible) version of key appended to dst. tr, when
-// non-nil, records every screening decision along the way.
-func (db *DB) getInternal(key []byte, snap kv.SeqNum, dst []byte, tr *iostat.Trace) (value []byte, kind kv.Kind, found bool, err error) {
-	db.mu.Lock()
-	if db.closed {
-		db.mu.Unlock()
-		return nil, 0, false, ErrClosed
-	}
-	mem := db.mem
-	imms := make([]buffer, len(db.imms))
-	for i, im := range db.imms {
-		imms[i] = im.buf
-	}
-	v := db.current
-	v.ref()
-	db.mu.Unlock()
-	defer v.unref()
-
-	if value, kind, found = mem.Get(key, snap); found {
-		if tr != nil {
-			tr.MemtableHit = true
-			tr.Source = "memtable"
-		}
-		return append(dst, value...), kind, true, nil
-	}
-	for i := len(imms) - 1; i >= 0; i-- { // newest immutable first
-		if tr != nil {
-			tr.ImmutablesChecked++
-		}
-		if value, kind, found = imms[i].Get(key, snap); found {
-			if tr != nil {
-				tr.Source = fmt.Sprintf("immutable-%d", len(imms)-1-i)
-			}
-			return append(dst, value...), kind, true, nil
-		}
-	}
-
-	kh := filter.HashKey(key) // shared across every filter probe below
-	for li, level := range v.levels {
-		for ri := len(level) - 1; ri >= 0; ri-- { // newest run first
-			r := level[ri]
-			rt := tr.AddRun(li, len(level)-1-ri)
-			th := r.find(key)
-			if th == nil {
-				if rt != nil {
-					rt.Decision = iostat.DecisionFenceSkip
-				}
-				continue
-			}
-			if rt != nil {
-				rt.File = th.meta.Num
-			}
-			// Skip runs whose newest data is beyond the snapshot? Seq
-			// bounds prune only when the whole file is too new.
-			if kv.SeqNum(th.meta.SmallestSeq) > snap {
-				if rt != nil {
-					rt.Decision = iostat.DecisionSeqSkip
-				}
-				continue
-			}
-			if !th.reader.MayContainTraced(kh, rt) {
-				if rt != nil {
-					rt.Decision = iostat.DecisionFilterNegative
-				}
-				continue
-			}
-			db.opts.Stats.RunsProbed.Add(1)
-			if rt != nil {
-				rt.Decision = iostat.DecisionProbed
-			}
-			value, kind, found, err = th.reader.GetAppend(key, kh, snap, dst, rt)
-			if err != nil {
-				return nil, 0, false, err
-			}
-			if found {
-				if rt != nil {
-					rt.Found = true
-					tr.Source = fmt.Sprintf("L%d/run%d/file%d", li, len(level)-1-ri, th.meta.Num)
-				}
-				return value, kind, true, nil
-			}
-		}
-	}
-	return nil, 0, false, nil
 }
 
 // Flush forces the active memtable to storage and waits for completion.

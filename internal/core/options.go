@@ -157,8 +157,8 @@ type Options struct {
 	// Stats receives I/O accounting. Nil allocates a private instance.
 	Stats *iostat.Stats
 	// TrackLatency enables per-operation latency histograms for Get, Put,
-	// Delete, and Scan (read via DB.Latencies). Off by default; the
-	// disabled hot path pays exactly one nil check per operation.
+	// Delete, Scan and ApplyBatch (read via DB.Latencies). Off by default;
+	// disabled, no operation reads the clock.
 	TrackLatency bool
 	// Latencies, when non-nil, is the OpLatencies instance the engine
 	// records into (and implies TrackLatency). The shard router shares one

@@ -1,0 +1,186 @@
+package core
+
+import (
+	"errors"
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"os"
+	"sort"
+	"strings"
+	"testing"
+
+	"lsmkv/internal/kv"
+)
+
+// TestCorruptTTLSurfacesOnEveryRead: a KindSetTTL entry too short to hold
+// its expiry prefix (a local write cannot make one — check rejects it —
+// so it is planted in the memtable) is an error on every read form. Get
+// always said so; scans used to skip the key as if it had expired.
+func TestCorruptTTLSurfacesOnEveryRead(t *testing.T) {
+	db := openDB(t, smallOpts(t.TempDir()))
+	defer db.Close()
+	if err := db.Put([]byte("a"), []byte("fine")); err != nil {
+		t.Fatal(err)
+	}
+	db.mu.Lock()
+	db.insertLocked(db.seq+1, []BatchOp{{Kind: kv.KindSetTTL, Key: []byte("b"), Value: []byte("short")}})
+	db.mu.Unlock()
+	snap := db.NewSnapshot()
+	defer snap.Release()
+
+	corrupt := func(form string, err error) {
+		t.Helper()
+		if err == nil || errors.Is(err, ErrNotFound) || !strings.Contains(err.Error(), "corrupt ttl value") {
+			t.Errorf("%s: err = %v, want a corrupt-ttl error", form, err)
+		}
+	}
+	_, err := db.Get([]byte("b"))
+	corrupt("Get", err)
+	_, err = snap.Get([]byte("b"))
+	corrupt("Snapshot.Get", err)
+	seen := 0
+	corrupt("Scan", db.Scan(nil, nil, func(k, v []byte) bool { seen++; return true }))
+	if seen != 1 {
+		t.Errorf("Scan handed fn %d pairs before the corrupt entry, want 1", seen)
+	}
+	corrupt("Snapshot.Scan", snap.Scan(nil, nil, func(k, v []byte) bool { return true }))
+	sc, err := db.NewScanner(nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for sc.Next() {
+	}
+	corrupt("NewScanner", sc.Err())
+	corrupt("Scanner.Close", sc.Close())
+}
+
+// TestOneReadPath pins the read path's structure, as TestOneWritePath
+// does the write path's: across the non-test files of sstable, core and
+// shard, each read-side decision has one site. A second copy fails here,
+// listing where it is, instead of in review.
+func TestOneReadPath(t *testing.T) {
+	// sstable: data blocks are read from the file in one place. (OpenReader
+	// reads the footer and the pinned auxiliary blocks through its own
+	// local handle, spelled f.ReadAt.)
+	sstable := parseFuncs(t, "../sstable")
+	wantSites(t, "sstable: data-block ReadAt (r.f.ReadAt)", sstable.sites["r.f.ReadAt"], "loadBlock")
+	wantSites(t, "sstable: decodeBlockInto", sstable.sites["decodeBlockInto"], "loadBlock")
+
+	// core: an entry's kind is interpreted — expiry prefix split, value
+	// pointer decoded — by the resolver alone. Two listed exceptions do
+	// not resolve a read: compaction's GC (runCompaction's expired closure)
+	// judges expiry to drop entries, and value-log GC compares a pointer
+	// for identity.
+	core := parseFuncs(t, ".")
+	wantSites(t, "core: kv.SplitExpiryValue", core.sites["kv.SplitExpiryValue"], "visible", "runCompaction")
+	wantSites(t, "core: vlog.DecodePointer", core.sites["vlog.DecodePointer"], "visible", "RunValueLogGC")
+	// A version is ref'd for a read only in pin; Checkpoint and compaction
+	// take theirs inside larger critical sections, and buildVersion refs
+	// table handles, not a version.
+	var refs []string
+	for callee, fns := range core.sites {
+		if strings.HasSuffix(callee, ".ref") {
+			refs = append(refs, fns...)
+		}
+	}
+	wantSites(t, "core: x.ref()", refs, "pin", "Checkpoint", "runCompaction", "buildVersion")
+
+	// shard: the shard count is compared with 1 only where the answer is a
+	// matter of on-disk layout or output format.
+	allowed := map[string]string{
+		"Open":        "layout: a fresh directory gets a marker (or a migration), and stale root files are swept, only when sharded",
+		"shardOpts":   "layout: a lone engine lives in the root, several in shard-i/ with a log prefix",
+		"Checkpoint":  "layout: the checkpoint mirrors the source's",
+		"DebugString": "format: the per-shard header is printed only when there are several",
+		"Of":          "routing: the jump hash is undefined below one bucket, and one bucket needs no hash",
+	}
+	shard := parseFuncs(t, "../shard")
+	for _, fn := range shard.nCompares {
+		if allowed[fn] == "" {
+			t.Errorf("shard: %s compares the shard count with 1; only %v may (layout or format)", fn, sortedKeys(allowed))
+		}
+	}
+}
+
+// funcIndex is what TestOneReadPath looks at in one package's non-test
+// files: per rendered callee ("r.f.ReadAt", "kv.SplitExpiryValue") the
+// enclosing function of every call, and the functions that compare a
+// shard count (n, db.n, s.db.n) with the literal 1.
+type funcIndex struct {
+	sites     map[string][]string
+	nCompares []string
+}
+
+func parseFuncs(t *testing.T, dir string) funcIndex {
+	t.Helper()
+	pkgs, err := parser.ParseDir(token.NewFileSet(), dir, func(fi os.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := funcIndex{sites: map[string][]string{}}
+	for _, pkg := range pkgs {
+		for _, file := range pkg.Files {
+			for _, decl := range file.Decls {
+				fn, ok := decl.(*ast.FuncDecl)
+				if !ok {
+					continue
+				}
+				ast.Inspect(fn, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.CallExpr:
+						if callee := render(n.Fun); callee != "" {
+							x.sites[callee] = append(x.sites[callee], fn.Name.Name)
+						}
+					case *ast.BinaryExpr:
+						a, b := render(n.X), render(n.Y)
+						isN := func(s string) bool { return s == "n" || strings.HasSuffix(s, ".n") }
+						if n.Op != token.ADD && n.Op != token.SUB && (isN(a) && b == "1" || a == "1" && isN(b)) {
+							x.nCompares = append(x.nCompares, fn.Name.Name)
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+	return x
+}
+
+// render spells an identifier, selector chain or integer literal; other
+// expressions render empty.
+func render(e ast.Expr) string {
+	switch e := e.(type) {
+	case *ast.Ident:
+		return e.Name
+	case *ast.BasicLit:
+		return e.Value
+	case *ast.SelectorExpr:
+		if x := render(e.X); x != "" {
+			return x + "." + e.Sel.Name
+		}
+	}
+	return ""
+}
+
+func wantSites(t *testing.T, what string, got []string, want ...string) {
+	t.Helper()
+	got = append([]string(nil), got...)
+	sort.Strings(got)
+	sort.Strings(want)
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("%s is in %v, want exactly %v", what, got, want)
+	}
+}
+
+func sortedKeys(m map[string]string) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"strings"
@@ -70,33 +69,22 @@ func (s *Snapshot) Scan(lo, hi []byte, fn func(key, value []byte) bool) error {
 // Scan calls fn for the newest visible version of every key in [lo, hi]
 // (inclusive bounds; nil hi scans to the end of the keyspace), in
 // ascending key order, until fn returns false or the range is exhausted.
-// Range filters screen runs that provably hold no key in the range before
-// any storage access.
+// fn owns the slices it is handed. Range filters screen runs that
+// provably hold no key in the range before any storage access.
 func (db *DB) Scan(lo, hi []byte, fn func(key, value []byte) bool) error {
-	if db.lat == nil {
-		return db.scan(lo, hi, kv.MaxSeqNum, fn)
-	}
-	start := time.Now()
+	start := db.now()
 	err := db.scan(lo, hi, kv.MaxSeqNum, fn)
-	db.lat.Scan.Observe(time.Since(start))
+	db.observe(latScan, start)
 	return err
 }
 
 func (db *DB) scan(lo, hi []byte, snap kv.SeqNum, fn func(key, value []byte) bool) error {
-	if hi != nil && bytes.Compare(lo, hi) > 0 {
-		return nil
-	}
 	sc, err := db.newScanner(lo, hi, snap)
 	if err != nil {
 		return err
 	}
 	defer sc.Close()
-	for sc.Next() {
-		if !fn(append([]byte(nil), sc.Key()...), append([]byte(nil), sc.Value()...)) {
-			break
-		}
-	}
-	return sc.Err()
+	return ScanAll(sc, fn)
 }
 
 // RunValueLogGC collects one value-log segment, relocating live values by
@@ -139,15 +127,16 @@ type LevelInfo struct {
 	Tombstones uint64
 }
 
-// Levels returns per-level structure info.
+// Levels returns per-level structure info (nil once the database is
+// closed).
 func (db *DB) Levels() []LevelInfo {
-	db.mu.Lock()
-	v := db.current
-	v.ref()
-	db.mu.Unlock()
-	defer v.unref()
-	out := make([]LevelInfo, 0, len(v.levels))
-	for i, level := range v.levels {
+	view, err := db.pin()
+	if err != nil {
+		return nil
+	}
+	defer view.v.unref()
+	out := make([]LevelInfo, 0, len(view.v.levels))
+	for i, level := range view.v.levels {
 		info := LevelInfo{Level: i, Runs: len(level)}
 		for _, r := range level {
 			info.Files += len(r.tables)
@@ -175,13 +164,13 @@ func (db *DB) TotalRuns() int {
 // IndexMemory returns resident bytes of pinned per-table structures
 // (fences, filters, learned models) across the current version.
 func (db *DB) IndexMemory() int {
-	db.mu.Lock()
-	v := db.current
-	v.ref()
-	db.mu.Unlock()
-	defer v.unref()
+	view, err := db.pin()
+	if err != nil {
+		return 0
+	}
+	defer view.v.unref()
 	total := 0
-	for _, level := range v.levels {
+	for _, level := range view.v.levels {
 		for _, r := range level {
 			for _, t := range r.tables {
 				total += t.reader.ApproxIndexMemory()

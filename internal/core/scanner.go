@@ -4,15 +4,15 @@ import (
 	"bytes"
 
 	"lsmkv/internal/kv"
-	"lsmkv/internal/vlog"
 )
 
 // Scanner is a pull-based range iterator: it yields the newest visible
 // version of every key in [lo, hi] (inclusive; nil hi means +inf),
 // ascending, with tombstones and shadowed versions already suppressed and
-// value-log pointers already resolved. DB.Scan is a thin loop over a
-// Scanner; the shard router heap-merges one Scanner per shard into a
-// single ordered stream, which is why the pull form exists.
+// value-log pointers already resolved (by DB.visible, as for point
+// reads). DB.Scan drains one through ScanAll; the shard router
+// heap-merges one Scanner per shard into a single ordered stream, which
+// is why the pull form exists.
 //
 // The Scanner pins the version it was created against (the tables it
 // reads cannot be deleted underneath it) until Close. Key and Value
@@ -57,29 +57,20 @@ func (s *Snapshot) NewScanner(lo, hi []byte) (*Scanner, error) {
 func (db *DB) newScanner(lo, hi []byte, snap kv.SeqNum) (*Scanner, error) {
 	db.opts.Stats.RangeLookups.Add(1)
 
-	db.mu.Lock()
-	if db.closed {
-		db.mu.Unlock()
-		return nil, ErrClosed
+	view, err := db.pin()
+	if err != nil {
+		return nil, err
 	}
-	mem := db.mem
-	imms := make([]buffer, len(db.imms))
-	for i, im := range db.imms {
-		imms[i] = im.buf
-	}
-	v := db.current
-	v.ref()
-	db.mu.Unlock()
 
 	// Youngest sources first: their merge ordinal breaks (impossible)
 	// ties, and more importantly this keeps the reasoning simple.
 	var iters []kv.Iterator
-	iters = append(iters, mem.NewIterator())
-	for i := len(imms) - 1; i >= 0; i-- {
-		iters = append(iters, imms[i].NewIterator())
+	iters = append(iters, view.mem.NewIterator())
+	for i := len(view.imms) - 1; i >= 0; i-- {
+		iters = append(iters, view.imms[i].NewIterator())
 	}
 	if hi == nil || bytes.Compare(lo, hi) <= 0 {
-		for _, level := range v.levels {
+		for _, level := range view.v.levels {
 			for ri := len(level) - 1; ri >= 0; ri-- {
 				r := level[ri]
 				tables := r.overlaps(lo, hi)
@@ -108,7 +99,7 @@ func (db *DB) newScanner(lo, hi []byte, snap kv.SeqNum) (*Scanner, error) {
 	}
 	return &Scanner{
 		db:   db,
-		v:    v,
+		v:    view.v,
 		m:    newMergingIter(iters),
 		lo:   append([]byte(nil), lo...),
 		hi:   hiCopy,
@@ -147,33 +138,16 @@ func (sc *Scanner) Next() bool {
 		}
 		sc.lastUser = append(sc.lastUser[:0], ik.UserKey...)
 		sc.haveLast = true
-		if ik.Kind == kv.KindDelete {
+		// lastUser is recorded either way, so the older versions of a
+		// deleted or expired key stay shadowed.
+		value, live, err := sc.db.visible(sc.lastUser, ik.Kind, sc.m.Value())
+		if err != nil {
+			sc.err = err
+			sc.valid = false
+			return false
+		}
+		if !live {
 			continue
-		}
-		value := sc.m.Value()
-		if ik.Kind == kv.KindSetTTL {
-			exp, payload, okv := kv.SplitExpiryValue(value)
-			if !okv || sc.db.opts.Clock() >= exp {
-				// Expired (or corrupt) TTL entry: logically absent; lastUser
-				// is already recorded, so older versions stay shadowed.
-				continue
-			}
-			value = payload
-		}
-		if ik.Kind == kv.KindValuePointer {
-			ptr, err := vlog.DecodePointer(value)
-			if err != nil {
-				sc.err = err
-				sc.valid = false
-				return false
-			}
-			sc.db.opts.Stats.VlogReads.Add(1)
-			value, err = sc.db.vlog.Get(ptr)
-			if err != nil {
-				sc.err = err
-				sc.valid = false
-				return false
-			}
 		}
 		sc.key = sc.lastUser
 		sc.value = value

@@ -283,11 +283,7 @@ func (c *conn) handleScanStream(req *Request, start time.Time) {
 			return false
 		default:
 		}
-		// The callback's slices are only valid during the call.
-		pairs = append(pairs, KV{
-			Key:   append([]byte(nil), k...),
-			Value: append([]byte(nil), v...),
-		})
+		pairs = append(pairs, KV{Key: k, Value: v})
 		used += len(k) + len(v) + 16
 		if len(pairs) >= limit || used >= byteBudget {
 			emit(true)

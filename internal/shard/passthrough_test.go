@@ -8,9 +8,10 @@ import (
 	"lsmkv/internal/vfs"
 )
 
-// TestSingleShardPassthroughs pins the n==1 fast paths: every aggregate
-// accessor must delegate straight to the lone engine with no sharded
-// bookkeeping (no marker, no shard dirs, no merge heap).
+// TestSingleShardPassthroughs: a 1-shard database runs the same routing,
+// merging and aggregating code as an N-shard one, and every accessor
+// must still answer exactly as the lone engine would (shard 0 everywhere,
+// no "shard 0:" sections, one ShardStats entry, latencies recorded once).
 func TestSingleShardPassthroughs(t *testing.T) {
 	fs := vfs.NewMem()
 	opts := testOpts(fs, "db")
@@ -39,6 +40,14 @@ func TestSingleShardPassthroughs(t *testing.T) {
 	}
 	if got := db.Latencies(); got["put"].Count == 0 {
 		t.Fatalf("Latencies passthrough empty: %+v", got)
+	}
+	for i := 0; i < 2; i++ {
+		if err := db.Scan(nil, nil, func(k, v []byte) bool { return true }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := db.Latencies()["scan"].Count; got != 2 {
+		t.Fatalf("2 scans recorded %d scan latencies", got)
 	}
 	if evs := db.Events(); len(evs) == 0 {
 		t.Fatal("Events passthrough empty after flush")

@@ -53,9 +53,15 @@ func (h *scanHeap) Pop() any     { old := *h; n := len(old); it := old[n-1]; *h 
 // scans to the end of the keyspace) at the latest sequence number of each
 // shard. Callers must Close it.
 func (db *DB) newScanner(lo, hi []byte) (*Scanner, error) {
-	subs := make([]*core.Scanner, 0, db.n)
-	for _, eng := range db.engines {
-		sc, err := eng.NewScanner(lo, hi)
+	return mergeScanners(db.n, func(i int) (*core.Scanner, error) { return db.engines[i].NewScanner(lo, hi) })
+}
+
+// mergeScanners opens one core Scanner per shard and merges them; a
+// failed open closes the ones before it.
+func mergeScanners(n int, open func(i int) (*core.Scanner, error)) (*Scanner, error) {
+	subs := make([]*core.Scanner, 0, n)
+	for i := 0; i < n; i++ {
+		sc, err := open(i)
 		if err != nil {
 			for _, s := range subs {
 				s.Close()
@@ -64,11 +70,7 @@ func (db *DB) newScanner(lo, hi []byte) (*Scanner, error) {
 		}
 		subs = append(subs, sc)
 	}
-	return newMerged(subs), nil
-}
-
-func newMerged(subs []*core.Scanner) *Scanner {
-	return &Scanner{subs: subs, h: make(scanHeap, 0, len(subs))}
+	return &Scanner{subs: subs, h: make(scanHeap, 0, n)}, nil
 }
 
 // Next advances to the next visible key across all shards, returning
@@ -81,22 +83,26 @@ func (mc *Scanner) Next() bool {
 		mc.started = true
 		for i, sub := range mc.subs {
 			if sub.Next() {
-				heap.Push(&mc.h, scanItem{sc: sub, shard: i})
+				mc.h = append(mc.h, scanItem{sc: sub, shard: i})
 			} else if err := sub.Err(); err != nil {
 				mc.err = err
 				return false
 			}
 		}
+		heap.Init(&mc.h)
 	} else if len(mc.h) > 0 {
-		top := mc.h[0]
-		if top.sc.Next() {
+		if top := mc.h[0]; top.sc.Next() {
 			heap.Fix(&mc.h, 0)
+		} else if err := top.sc.Err(); err != nil {
+			mc.err = err
+			return false
 		} else {
-			if err := top.sc.Err(); err != nil {
-				mc.err = err
-				return false
+			// Drop the exhausted shard (in place: heap.Pop would box it).
+			last := len(mc.h) - 1
+			mc.h[0] = mc.h[last]
+			if mc.h = mc.h[:last]; last > 0 {
+				heap.Fix(&mc.h, 0)
 			}
-			heap.Pop(&mc.h)
 		}
 	}
 	if len(mc.h) == 0 {
@@ -137,32 +143,18 @@ func (mc *Scanner) Close() error {
 
 // Scan calls fn for the newest visible version of every key in [lo, hi]
 // (inclusive; nil hi scans to the end of the keyspace) across all shards,
-// ascending, until fn returns false or the range is exhausted.
+// ascending, until fn returns false or the range is exhausted. fn owns
+// the slices it is handed: each call gets fresh copies it may keep.
 func (db *DB) Scan(lo, hi []byte, fn func(key, value []byte) bool) error {
-	if db.n == 1 {
-		return db.engines[0].Scan(lo, hi, fn)
+	if db.lat != nil {
+		defer func(start time.Time) { db.lat.Scan.Observe(time.Since(start)) }(time.Now())
 	}
-	if db.lat == nil {
-		return db.scanMerged(lo, hi, fn)
-	}
-	start := time.Now()
-	err := db.scanMerged(lo, hi, fn)
-	db.lat.Scan.Observe(time.Since(start))
-	return err
-}
-
-func (db *DB) scanMerged(lo, hi []byte, fn func(key, value []byte) bool) error {
 	sc, err := db.newScanner(lo, hi)
 	if err != nil {
 		return err
 	}
 	defer sc.Close()
-	for sc.Next() {
-		if !fn(append([]byte(nil), sc.Key()...), append([]byte(nil), sc.Value()...)) {
-			break
-		}
-	}
-	return sc.Err()
+	return core.ScanAll(sc, fn)
 }
 
 // Snapshot pins a point-in-time view as a vector of per-shard snapshots
@@ -198,28 +190,12 @@ func (s *Snapshot) Scan(lo, hi []byte, fn func(key, value []byte) bool) error {
 		return err
 	}
 	defer sc.Close()
-	for sc.Next() {
-		if !fn(append([]byte(nil), sc.Key()...), append([]byte(nil), sc.Value()...)) {
-			break
-		}
-	}
-	return sc.Err()
+	return core.ScanAll(sc, fn)
 }
 
 // newScanner returns a merged Scanner pinned at the snapshot vector.
 func (s *Snapshot) newScanner(lo, hi []byte) (*Scanner, error) {
-	subs := make([]*core.Scanner, 0, len(s.snaps))
-	for _, snap := range s.snaps {
-		sc, err := snap.NewScanner(lo, hi)
-		if err != nil {
-			for _, sub := range subs {
-				sub.Close()
-			}
-			return nil, err
-		}
-		subs = append(subs, sc)
-	}
-	return newMerged(subs), nil
+	return mergeScanners(len(s.snaps), func(i int) (*core.Scanner, error) { return s.snaps[i].NewScanner(lo, hi) })
 }
 
 // Release unpins every per-shard snapshot; idempotent.

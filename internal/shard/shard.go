@@ -11,7 +11,9 @@
 // and one engine directory per shard (shard-0 ... shard-N-1). A
 // single-shard database (the default) is byte-for-byte the classic
 // single-engine layout with no marker, so Shards=1 databases are fully
-// interchangeable with databases created before sharding existed. Opening
+// interchangeable with databases created before sharding existed. The
+// layout is all the shard count decides: every method runs the same
+// routing, merging and aggregating code at one shard as at N. Opening
 // an existing single-engine database with Shards=N>1 performs a one-shot
 // migration that streams every live key into the new shard engines; the
 // durable SHARDS marker is the commit point, so a crash mid-migration
@@ -20,6 +22,7 @@
 package shard
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -55,14 +58,13 @@ type DB struct {
 	fs      vfs.FS
 	n       int
 	engines []*core.DB
-	// stats holds the per-shard accounting handles. With n==1 the single
-	// engine keeps whatever handle the caller configured (so shared-stats
-	// callers still observe it); with n>1 every shard gets a private
-	// handle and aggregate views sum them.
+	// stats holds the accounting handles Stats sums: one private handle per
+	// shard, or — when the caller supplied Options.Stats — that one handle,
+	// which every shard engine then records into.
 	stats []*iostat.Stats
-	// lat is the latency histogram set shared by every shard engine, so
-	// aggregate quantiles come out of one set of histograms. Nil when
-	// latency tracking is off.
+	// lat is the latency histogram set every shard engine records into
+	// (handed down as Options.Latencies), so aggregate quantiles come out
+	// of one set of histograms. Nil when latency tracking is off.
 	lat *iostat.OpLatencies
 
 	mu     sync.Mutex
@@ -132,55 +134,55 @@ func Open(opts core.Options, shards int) (*DB, error) {
 		}
 	}
 
-	db := &DB{dir: opts.Dir, fs: fs, n: n}
-	if n == 1 {
-		eng, err := core.Open(opts)
-		if err != nil {
-			return nil, err
-		}
-		db.engines = []*core.DB{eng}
-		db.stats = []*iostat.Stats{eng.StatsHandle()}
-		return db, nil
-	}
-
-	// A crash between the migration's marker write and its root-file sweep
-	// leaves stale single-engine files beside the marker; clear them now.
-	if err := sweepRootEngineFiles(fs, opts.Dir); err != nil {
-		return nil, err
-	}
-	db.lat = opts.Latencies
+	db := &DB{dir: opts.Dir, fs: fs, n: n, lat: opts.Latencies}
 	if db.lat == nil && opts.TrackLatency {
 		db.lat = &iostat.OpLatencies{}
 	}
+	if n > 1 {
+		// Layout: a crash between the migration's marker write and its
+		// root-file sweep leaves stale single-engine files beside the
+		// marker; clear them now. (With one shard the root files are the
+		// engine.)
+		if err := sweepRootEngineFiles(fs, opts.Dir); err != nil {
+			return nil, err
+		}
+	}
 	db.engines = make([]*core.DB, n)
-	db.stats = make([]*iostat.Stats, n)
-	for i := 0; i < n; i++ {
-		db.stats[i] = &iostat.Stats{}
+	for i := range db.engines {
 		eng, err := core.Open(db.shardOpts(opts, i))
 		if err != nil {
-			for j := 0; j < i; j++ {
-				db.engines[j].Close()
+			for _, prev := range db.engines[:i] {
+				prev.Close()
 			}
 			return nil, fmt.Errorf("shard: opening shard %d: %w", i, err)
 		}
 		db.engines[i] = eng
+		db.stats = append(db.stats, eng.StatsHandle())
+	}
+	if opts.Stats != nil {
+		// Every engine records into the caller's one handle; summing it
+		// once per shard would multiply it.
+		db.stats = db.stats[:1]
 	}
 	return db, nil
 }
 
 // shardOpts derives shard i's engine options from the caller's: same
-// design point, private directory and stats handle, shared latency
-// histograms, and a log prefix identifying the shard.
+// design point, the caller's stats handle (a nil one makes the engine
+// allocate its own), and the shared latency histograms. Only where the engine lives depends on the
+// shard count: a lone engine sits in the database root — byte-for-byte
+// the classic single-engine layout — while each of several gets its own
+// shard-i/ directory and a log prefix saying which one is talking.
 func (db *DB) shardOpts(base core.Options, i int) core.Options {
 	o := base
-	o.Dir = ShardDir(base.Dir, i)
 	o.FS = db.fs
-	o.Stats = db.stats[i]
 	o.Latencies = db.lat
-	if base.Logf != nil {
-		logf := base.Logf
-		o.Logf = func(format string, args ...any) {
-			logf("shard %d: "+format, append([]any{i}, args...)...)
+	if db.n > 1 {
+		o.Dir = ShardDir(base.Dir, i)
+		if logf := base.Logf; logf != nil {
+			o.Logf = func(format string, args ...any) {
+				logf("shard %d: "+format, append([]any{i}, args...)...)
+			}
 		}
 	}
 	return o
@@ -225,78 +227,102 @@ func (db *DB) GetAppend(key, dst []byte) ([]byte, error) {
 }
 
 // MultiGet looks up every key and returns values aligned with keys; a
-// nil entry with a nil error means that key was absent. Keys are grouped
-// by owning shard and the per-shard probe loops run in parallel, so one
-// batch amortizes routing and scheduling the way ApplyBatch amortizes
-// fsyncs. Duplicate keys are looked up once per occurrence. The MULTIGET
-// wire opcode maps directly onto this.
+// nil entry with a nil error means that key was absent. Keys that all
+// live on one shard — every call on a 1-shard database, and any call on
+// a sharded one that happens to — are probed inline on the caller's
+// goroutine; otherwise they are grouped by owning shard and the per-shard
+// probe loops run in parallel, so one batch amortizes routing and
+// scheduling the way ApplyBatch amortizes fsyncs. Duplicate keys are
+// looked up once per occurrence. The MULTIGET wire opcode maps directly
+// onto this.
 func (db *DB) MultiGet(keys [][]byte) ([][]byte, error) {
 	vals := make([][]byte, len(keys))
-	if db.n == 1 {
-		return vals, db.multiGetIdx(0, keys, vals, nil)
+	if s, ok := soleShard(db.n, len(keys), func(i int) []byte { return keys[i] }); ok {
+		for i, k := range keys {
+			v, err := db.engines[s].Get(k)
+			if err := slot(vals, i, v, err); err != nil {
+				return vals, err
+			}
+		}
+		return vals, nil
 	}
 	idxs := make([][]int, db.n)
 	for i, k := range keys {
 		s := Of(k, db.n)
 		idxs[s] = append(idxs[s], i)
 	}
+	return vals, fanOut(idxs, func(s int, ix []int) error {
+		for _, i := range ix {
+			v, err := db.engines[s].Get(keys[i])
+			if err := slot(vals, i, v, err); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+// slot files one lookup's outcome under vals[i], for MultiGet and
+// MultiGetTraced alike: a found value (an empty one as a non-nil empty
+// slice, distinct from absent), nothing for ErrNotFound, and any other
+// error back to the caller.
+func slot(vals [][]byte, i int, v []byte, err error) error {
+	switch {
+	case err == nil:
+		if v == nil {
+			v = []byte{}
+		}
+		vals[i] = v
+	case errors.Is(err, core.ErrNotFound):
+	default:
+		return err
+	}
+	return nil
+}
+
+// soleShard reports the one shard every key of a call routes to, when
+// there is one: always on a 1-shard database, and on a sharded one
+// whenever the input happens to. Such a call runs on the caller's
+// goroutine against that engine, with no per-shard slices built.
+func soleShard(n, count int, keyAt func(i int) []byte) (int, bool) {
+	if count == 0 {
+		return 0, true
+	}
+	s := Of(keyAt(0), n)
+	for i := 1; i < count; i++ {
+		if Of(keyAt(i), n) != s {
+			return 0, false
+		}
+	}
+	return s, true
+}
+
+// fanOut runs work(s, parts[s]) concurrently for every shard s that has a
+// part and returns the first error any of them reported.
+func fanOut[T any](parts [][]T, work func(s int, part []T) error) error {
 	var (
 		wg       sync.WaitGroup
 		mu       sync.Mutex
 		firstErr error
 	)
-	for s, ix := range idxs {
-		if len(ix) == 0 {
+	for s, part := range parts {
+		if len(part) == 0 {
 			continue
 		}
 		wg.Add(1)
-		go func(s int, ix []int) {
+		go func(s int, part []T) {
 			defer wg.Done()
-			if err := db.multiGetIdx(s, keys, vals, ix); err != nil {
+			if err := work(s, part); err != nil {
 				mu.Lock()
 				if firstErr == nil {
 					firstErr = err
 				}
 				mu.Unlock()
 			}
-		}(s, ix)
+		}(s, part)
 	}
 	wg.Wait()
-	return vals, firstErr
-}
-
-// multiGetIdx probes shard s for keys[i] at each i in ix (all keys when
-// ix is nil), writing results into vals. Absent keys leave nil entries.
-func (db *DB) multiGetIdx(s int, keys, vals [][]byte, ix []int) error {
-	eng := db.engines[s]
-	get := func(i int) error {
-		v, err := eng.Get(keys[i])
-		switch err {
-		case nil:
-			if v == nil {
-				v = []byte{} // found-and-empty, distinct from absent
-			}
-			vals[i] = v
-		case core.ErrNotFound:
-		default:
-			return err
-		}
-		return nil
-	}
-	if ix == nil {
-		for i := range keys {
-			if err := get(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for _, i := range ix {
-		if err := get(i); err != nil {
-			return err
-		}
-	}
-	return nil
+	return firstErr
 }
 
 // MultiGetTraced is MultiGet with one read-path trace per key (absent
@@ -308,14 +334,7 @@ func (db *DB) MultiGetTraced(keys [][]byte) ([][]byte, []*iostat.Trace, error) {
 	trs := make([]*iostat.Trace, len(keys))
 	for i, k := range keys {
 		v, tr, err := db.GetTraced(k)
-		switch err {
-		case nil:
-			if v == nil {
-				v = []byte{} // found-and-empty, distinct from absent
-			}
-			vals[i] = v
-		case core.ErrNotFound:
-		default:
+		if err := slot(vals, i, v, err); err != nil {
 			return vals, trs, err
 		}
 		trs[i] = tr
@@ -359,39 +378,19 @@ func (db *DB) Delete(key []byte) error {
 }
 
 // ApplyBatch splits ops by owning shard and applies the sub-batches in
-// parallel, preserving the caller's op order within each shard. Each
+// parallel, preserving the caller's op order within each shard; a batch
+// whose ops all live on one shard is applied inline, as it stands. Each
 // sub-batch is atomic per shard (one WAL record per shard) and, when
 // syncWAL is true, fsynced before ApplyBatch returns; a batch spanning
 // shards is NOT atomic across them — a crash can persist some shards'
 // sub-batches and not others'.
 func (db *DB) ApplyBatch(ops []core.BatchOp, syncWAL bool) error {
-	if db.n == 1 {
-		return db.engines[0].ApplyBatch(ops, syncWAL)
+	if s, ok := soleShard(db.n, len(ops), func(i int) []byte { return ops[i].Key }); ok {
+		return db.engines[s].ApplyBatch(ops, syncWAL)
 	}
-	subs := SplitBatch(ops, db.n)
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	for i, sub := range subs {
-		if len(sub) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, sub []core.BatchOp) {
-			defer wg.Done()
-			if err := db.engines[i].ApplyBatch(sub, syncWAL); err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-			}
-		}(i, sub)
-	}
-	wg.Wait()
-	return firstErr
+	return fanOut(SplitBatch(ops, db.n), func(s int, sub []core.BatchOp) error {
+		return db.engines[s].ApplyBatch(sub, syncWAL)
+	})
 }
 
 // ApplyShardBatch applies ops directly to shard i as one atomic,
@@ -410,10 +409,6 @@ func (db *DB) ApplyShardBatch(i int, ops []core.BatchOp, syncWAL bool) error {
 // relative order within each.
 func SplitBatch(ops []core.BatchOp, n int) [][]core.BatchOp {
 	subs := make([][]core.BatchOp, n)
-	if n == 1 {
-		subs[0] = ops
-		return subs
-	}
 	for _, op := range ops {
 		i := Of(op.Key, n)
 		subs[i] = append(subs[i], op)
@@ -490,9 +485,10 @@ func (db *DB) Stats() iostat.Snapshot {
 }
 
 // ShardStats returns each shard's own I/O counter snapshot, indexed by
-// shard. With one shard it is Stats in a one-element slice.
+// shard. Engines opened on a caller-supplied Options.Stats handle all
+// record into it, so there is then one entry: the aggregate.
 func (db *DB) ShardStats() []iostat.Snapshot {
-	out := make([]iostat.Snapshot, db.n)
+	out := make([]iostat.Snapshot, len(db.stats))
 	for i, s := range db.stats {
 		out[i] = s.Snapshot()
 	}
@@ -504,20 +500,12 @@ func (db *DB) ShardStats() []iostat.Snapshot {
 // zero-count histograms are omitted. Nil unless latency tracking is on.
 // All shards record into one shared histogram set, so these are true
 // aggregate quantiles, not an average of per-shard quantiles.
-func (db *DB) Latencies() map[string]iostat.LatencySummary {
-	if db.n == 1 {
-		return db.engines[0].Latencies()
-	}
-	return db.lat.Summaries()
-}
+func (db *DB) Latencies() map[string]iostat.LatencySummary { return db.lat.Summaries() }
 
 // Events returns the retained engine lifecycle events, oldest first:
 // every shard's ring merged into one time-ordered stream, each event
 // tagged with its shard.
 func (db *DB) Events() []iostat.Event {
-	if db.n == 1 {
-		return db.engines[0].Events()
-	}
 	var all []iostat.Event
 	for i, eng := range db.engines {
 		evs := eng.Events()
@@ -571,18 +559,17 @@ func (db *DB) IndexMemory() int {
 	return total
 }
 
-// DebugString renders the tree shape; sharded databases get one section
-// per shard.
+// DebugString renders the tree shape; a sharded database gets one
+// indented section per shard under a "shard i:" header.
 func (db *DB) DebugString() string {
-	if db.n == 1 {
-		return db.engines[0].DebugString()
-	}
 	var b strings.Builder
 	for i, eng := range db.engines {
-		fmt.Fprintf(&b, "shard %d:\n", i)
-		for _, line := range strings.Split(strings.TrimRight(eng.DebugString(), "\n"), "\n") {
-			fmt.Fprintf(&b, "  %s\n", line)
+		tree := eng.DebugString()
+		if db.n > 1 { // output format only
+			tree = fmt.Sprintf("shard %d:\n  %s\n", i,
+				strings.ReplaceAll(strings.TrimRight(tree, "\n"), "\n", "\n  "))
 		}
+		b.WriteString(tree)
 	}
 	return b.String()
 }

@@ -117,20 +117,11 @@ type block struct {
 	hasHash   bool
 }
 
-// decodeBlock validates the CRC and splits the block into payload,
-// restart array, and optional hash index.
-func decodeBlock(raw []byte) (*block, error) {
-	blk := &block{}
-	if err := decodeBlockInto(blk, raw); err != nil {
-		return nil, err
-	}
-	return blk, nil
-}
-
-// decodeBlockInto is decodeBlock writing its result into a caller-owned
-// block, reusing the restart slice's capacity. The point-read hot path
-// feeds it pooled scratch so a cache-hit lookup decodes without
-// allocating.
+// decodeBlockInto validates the CRC and splits raw into payload, restart
+// array, and optional hash index, writing the view into a caller-owned
+// block and reusing its restart slice's capacity: point reads feed it
+// pooled scratch and table iterators their own block, so neither
+// allocates per block decoded.
 func decodeBlockInto(blk *block, raw []byte) error {
 	blk.data = nil
 	blk.hashIndex = fence.HashIndex{}
@@ -185,8 +176,6 @@ type blockIter struct {
 	valid   bool
 	err     error
 }
-
-func newBlockIter(b *block) *blockIter { return &blockIter{b: b} }
 
 // reset rebinds a (possibly pooled) iterator to a block, keeping the
 // decoded-key buffer's capacity so repeated lookups stop allocating.

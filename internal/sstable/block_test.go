@@ -17,9 +17,9 @@ func buildBlock(t testing.TB, restartInterval int, hashIndex bool, entries []kv.
 	for _, e := range entries {
 		bb.add(e.Key, e.Value)
 	}
-	blk, err := decodeBlock(bb.finish())
-	if err != nil {
-		t.Fatalf("decodeBlock: %v", err)
+	blk := new(block)
+	if err := decodeBlockInto(blk, bb.finish()); err != nil {
+		t.Fatalf("decodeBlockInto: %v", err)
 	}
 	return blk
 }
@@ -53,7 +53,7 @@ func TestBlockRoundTripAllEntries(t *testing.T) {
 		for _, hashIdx := range []bool{false, true} {
 			entries := sortedEntries(500, 7)
 			blk := buildBlock(t, interval, hashIdx, entries)
-			it := newBlockIter(blk)
+			it := &blockIter{b: blk}
 			i := 0
 			for ok := it.First(); ok; ok = it.Next() {
 				if kv.CompareInternal(it.Key(), entries[i].Key) != 0 {
@@ -78,7 +78,7 @@ func TestBlockRoundTripAllEntries(t *testing.T) {
 func TestBlockSeekGEMatchesLinearScan(t *testing.T) {
 	entries := sortedEntries(300, 9)
 	blk := buildBlock(t, 8, false, entries)
-	it := newBlockIter(blk)
+	it := &blockIter{b: blk}
 	rng := rand.New(rand.NewSource(10))
 	for trial := 0; trial < 300; trial++ {
 		target := kv.MakeSearchKey(
@@ -120,13 +120,13 @@ func TestBlockDecodeRejectsCorruption(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		mut := append([]byte(nil), raw...)
 		mut[rng.Intn(len(mut))] ^= 1 << uint(rng.Intn(8))
-		if _, err := decodeBlock(mut); err == nil {
+		if err := decodeBlockInto(new(block), mut); err == nil {
 			t.Fatal("bit flip not detected")
 		}
 	}
 	// Truncations must fail too.
 	for _, n := range []int{0, 1, 4, len(raw) / 2, len(raw) - 1} {
-		if _, err := decodeBlock(raw[:n]); err == nil {
+		if err := decodeBlockInto(new(block), raw[:n]); err == nil {
 			t.Fatalf("truncation to %d accepted", n)
 		}
 	}
@@ -169,11 +169,11 @@ func TestBlockPropertyQuick(t *testing.T) {
 		if len(entries) == 0 {
 			return true
 		}
-		blk, err := decodeBlock(bb.finish())
-		if err != nil {
+		blk := new(block)
+		if decodeBlockInto(blk, bb.finish()) != nil {
 			return false
 		}
-		it := newBlockIter(blk)
+		it := &blockIter{b: blk}
 		i := 0
 		for ok := it.First(); ok; ok = it.Next() {
 			if i >= len(entries) ||

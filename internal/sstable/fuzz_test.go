@@ -26,12 +26,12 @@ func FuzzDecodeBlock(f *testing.F) {
 	f.Add(mut)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		blk, err := decodeBlock(data)
-		if err != nil {
+		blk := new(block)
+		if decodeBlockInto(blk, data) != nil {
 			return // rejected input: fine
 		}
 		// Accepted input must iterate without panicking and in order.
-		it := newBlockIter(blk)
+		it := &blockIter{b: blk}
 		var prev kv.InternalKey
 		n := 0
 		for ok := it.First(); ok && n < 100000; ok = it.Next() {

@@ -33,7 +33,8 @@ type ReaderOptions struct {
 	FileNum uint64
 	// Cache is the shared block cache; nil disables caching.
 	Cache BlockCache
-	// Stats receives I/O accounting; nil disables accounting.
+	// Stats receives I/O accounting; nil keeps it in a private instance
+	// nobody reads.
 	Stats *iostat.Stats
 	// UseLearnedIndex consults the table's learned model (when present)
 	// instead of pure binary search over fences.
@@ -81,6 +82,9 @@ func OpenReader(f io.ReaderAt, size int64, opts ReaderOptions) (*Reader, error) 
 		readHandle(0), readHandle(16), readHandle(32), readHandle(48), readHandle(64)
 	flags := footer[80]
 
+	if opts.Stats == nil {
+		opts.Stats = &iostat.Stats{}
+	}
 	r := &Reader{f: f, size: size, opts: opts}
 	readRaw := func(h fence.BlockHandle) ([]byte, error) {
 		if h.Length == 0 {
@@ -216,43 +220,52 @@ func (r *Reader) ApproxIndexMemory() int {
 	return total
 }
 
-// readBlock fetches and decodes the data block behind handle h, consulting
-// the block cache first. rt, when non-nil, receives per-lookup cache and
-// read accounting for the read-path trace.
-func (r *Reader) readBlock(h fence.BlockHandle, rt *iostat.RunTrace) (*block, error) {
+// loadBlock is the one data-block loader, behind point lookups, table
+// iterators and prefetch alike: block-cache probe, ReadAt on a miss,
+// Stats and (when rt is non-nil) per-lookup trace accounting, then
+// decodeBlockInto the caller's blk. A cache hit allocates nothing; a miss
+// allocates the bytes the cache takes ownership of; with no cache the
+// read lands in *buf, the caller's reusable buffer, which blk aliases
+// until the caller's next load.
+func (r *Reader) loadBlock(blk *block, buf *[]byte, h fence.BlockHandle, rt *iostat.RunTrace) error {
+	c := r.opts.Cache
 	var raw []byte
-	if c := r.opts.Cache; c != nil {
-		if cached, ok := c.Get(r.opts.FileNum, h.Offset); ok {
-			if r.opts.Stats != nil {
-				r.opts.Stats.BlockCacheHits.Add(1)
-			}
+	cached := false
+	if c != nil {
+		if raw, cached = c.Get(r.opts.FileNum, h.Offset); cached {
+			r.opts.Stats.BlockCacheHits.Add(1)
 			if rt != nil {
 				rt.CacheHits++
 			}
-			return decodeBlock(cached)
-		}
-		if r.opts.Stats != nil {
+		} else {
 			r.opts.Stats.BlockCacheMisses.Add(1)
-		}
-		if rt != nil {
-			rt.CacheMisses++
+			if rt != nil {
+				rt.CacheMisses++
+			}
 		}
 	}
-	raw = make([]byte, h.Length)
-	if _, err := r.f.ReadAt(raw, int64(h.Offset)); err != nil {
-		return nil, err
-	}
-	if r.opts.Stats != nil {
+	if !cached {
+		if c != nil {
+			raw = make([]byte, h.Length)
+		} else {
+			if uint64(cap(*buf)) < h.Length {
+				*buf = make([]byte, h.Length)
+			}
+			raw = (*buf)[:h.Length]
+		}
+		if _, err := r.f.ReadAt(raw, int64(h.Offset)); err != nil {
+			return err
+		}
 		r.opts.Stats.BlockReads.Add(1)
 		r.opts.Stats.BytesRead.Add(int64(h.Length))
+		if rt != nil {
+			rt.BlockReads++
+		}
+		if c != nil {
+			c.Insert(r.opts.FileNum, h.Offset, raw)
+		}
 	}
-	if rt != nil {
-		rt.BlockReads++
-	}
-	if c := r.opts.Cache; c != nil {
-		c.Insert(r.opts.FileNum, h.Offset, raw)
-	}
-	return decodeBlock(raw)
+	return decodeBlockInto(blk, raw)
 }
 
 // PrefetchBlock loads the block at ordinal i into the cache without
@@ -261,8 +274,11 @@ func (r *Reader) PrefetchBlock(i int) error {
 	if i < 0 || i >= r.index.Len() {
 		return nil
 	}
-	_, err := r.readBlock(r.index.Entry(i).Handle, nil)
-	return err
+	var (
+		blk block
+		buf []byte
+	)
+	return r.loadBlock(&blk, &buf, r.index.Entry(i).Handle, nil)
 }
 
 // NumBlocks returns the number of data blocks.
@@ -305,7 +321,7 @@ func (r *Reader) findStartBlock(userKey []byte) int {
 	if r.model != nil && n > 0 {
 		x := learned.KeyToUint64(userKey)
 		_, lo, hi := r.model.Predict(x)
-		lo, hi = maxInt(0, minInt(lo, n-1)), maxInt(0, minInt(hi, n-1))
+		lo, hi = max(0, min(lo, n-1)), max(0, min(hi, n-1))
 		// The model predicts block ordinals, but its error bound only
 		// covers trained fence keys; verify the search landed strictly
 		// inside the window (then sortedness makes it globally correct)
@@ -316,12 +332,12 @@ func (r *Reader) findStartBlock(userKey []byte) int {
 				return bytes.Compare(r.index.Entry(lo+j).FirstKey, userKey) >= 0
 			})
 			if i == lo && lo > 0 {
-				lo = maxInt(0, lo-step)
+				lo = max(0, lo-step)
 				step *= 2
 				continue
 			}
 			if i == hi+1 && hi < n-1 {
-				hi = minInt(n-1, hi+step)
+				hi = min(n-1, hi+step)
 				step *= 2
 				continue
 			}
@@ -338,44 +354,23 @@ func (r *Reader) findStartBlock(userKey []byte) int {
 	return i
 }
 
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// MayContain consults the table's point filter without touching storage.
-// It returns true when the table must be probed.
-func (r *Reader) MayContain(kh filter.KeyHash) bool {
-	return r.MayContainTraced(kh, nil)
-}
-
-// MayContainTraced is MayContain with the filter verdict recorded into rt
-// (when non-nil) for the read-path trace.
-func (r *Reader) MayContainTraced(kh filter.KeyHash, rt *iostat.RunTrace) bool {
-	if r.filter == nil {
-		if rt != nil {
-			rt.Filter = iostat.FilterNone
-		}
-		return true
-	}
-	if r.opts.Stats != nil {
+// MayContain consults the table's point filter without touching storage,
+// recording the verdict into rt when tracing (rt non-nil). It returns
+// true when the table must be probed.
+func (r *Reader) MayContain(kh filter.KeyHash, rt *iostat.RunTrace) bool {
+	verdict := iostat.FilterNone
+	if r.filter != nil {
 		r.opts.Stats.FilterProbes.Add(1)
-	}
-	if r.filter.MayContainHash(kh) {
-		if rt != nil {
-			rt.Filter = iostat.FilterMaybe
+		verdict = iostat.FilterMaybe
+		if !r.filter.MayContainHash(kh) {
+			r.opts.Stats.FilterNegatives.Add(1)
+			verdict = iostat.FilterNegativeVerdict
 		}
-		return true
-	}
-	if r.opts.Stats != nil {
-		r.opts.Stats.FilterNegatives.Add(1)
 	}
 	if rt != nil {
-		rt.Filter = iostat.FilterNegativeVerdict
+		rt.Filter = verdict
 	}
-	return false
+	return verdict != iostat.FilterNegativeVerdict
 }
 
 // MayContainRange consults the table's range filter.
@@ -383,33 +378,21 @@ func (r *Reader) MayContainRange(lo, hi []byte) bool {
 	if r.rf == nil || r.rf.Kind() == rangefilter.KindNone {
 		return true
 	}
-	if r.opts.Stats != nil {
-		r.opts.Stats.RangeFilterProbes.Add(1)
-	}
+	r.opts.Stats.RangeFilterProbes.Add(1)
 	if r.rf.MayContainRange(lo, hi) {
 		return true
 	}
-	if r.opts.Stats != nil {
-		r.opts.Stats.RangeFilterNegatives.Add(1)
-	}
+	r.opts.Stats.RangeFilterNegatives.Add(1)
 	return false
 }
 
 // Get returns the newest version of userKey visible at snapshot seq.
 // found=false means the table holds no visible version. The caller is
 // expected to have consulted MayContain first (the engine screens runs
-// with the shared key hash); Get itself applies partitioned filters.
+// with the shared key hash); Get itself applies partitioned filters. It
+// is GetAppend (see scratch.go) with a fresh value and no trace.
 func (r *Reader) Get(userKey []byte, kh filter.KeyHash, seq kv.SeqNum) (value []byte, kind kv.Kind, found bool, err error) {
-	return r.GetTraced(userKey, kh, seq, nil)
-}
-
-// GetTraced is Get with the block-level work recorded into rt (when
-// non-nil): the fence/learned landing block, per-block partitioned filter
-// verdicts, and cache/read accounting. A nil rt makes it identical to Get.
-// Both delegate to GetAppend (see scratch.go), which recycles the decode
-// scratch and appends into a caller-supplied buffer.
-func (r *Reader) GetTraced(userKey []byte, kh filter.KeyHash, seq kv.SeqNum, rt *iostat.RunTrace) (value []byte, kind kv.Kind, found bool, err error) {
-	return r.GetAppend(userKey, kh, seq, nil, rt)
+	return r.GetAppend(userKey, kh, seq, nil, nil)
 }
 
 // NewIterator returns an iterator over the whole table.
@@ -418,29 +401,33 @@ func (r *Reader) NewIterator() kv.Iterator {
 }
 
 // tableIter is the two-level iterator: fence index on top, block iterator
-// below.
+// below. It owns one decoded block, one block iterator and (cache-less)
+// one read buffer, rebound to each block it walks into, so iterating a
+// table allocates per cache miss and not per block.
 type tableIter struct {
 	r        *Reader
 	blockOrd int
-	bi       *blockIter
+	blk      block
+	bi       blockIter
+	buf      []byte
+	loaded   bool // bi is bound to block blockOrd
 	err      error
 }
 
 var _ kv.Iterator = (*tableIter)(nil)
 
 func (ti *tableIter) loadBlock(ord int) bool {
+	ti.loaded = false
 	if ord < 0 || ord >= ti.r.index.Len() {
-		ti.bi = nil
 		return false
 	}
-	blk, err := ti.r.readBlock(ti.r.index.Entry(ord).Handle, nil)
-	if err != nil {
+	if err := ti.r.loadBlock(&ti.blk, &ti.buf, ti.r.index.Entry(ord).Handle, nil); err != nil {
 		ti.err = err
-		ti.bi = nil
 		return false
 	}
 	ti.blockOrd = ord
-	ti.bi = newBlockIter(blk)
+	ti.bi.reset(&ti.blk)
+	ti.loaded = true
 	return true
 }
 
@@ -481,7 +468,7 @@ func (ti *tableIter) SeekGE(target kv.InternalKey) bool {
 }
 
 func (ti *tableIter) Next() bool {
-	if ti.bi == nil {
+	if !ti.loaded {
 		return false
 	}
 	if ti.bi.Next() {
@@ -494,7 +481,7 @@ func (ti *tableIter) Next() bool {
 	return ti.advanceBlock()
 }
 
-func (ti *tableIter) Valid() bool { return ti.bi != nil && ti.bi.Valid() }
+func (ti *tableIter) Valid() bool { return ti.loaded && ti.bi.Valid() }
 
 func (ti *tableIter) Key() kv.InternalKey { return ti.bi.Key() }
 
@@ -504,13 +491,13 @@ func (ti *tableIter) Error() error {
 	if ti.err != nil {
 		return ti.err
 	}
-	if ti.bi != nil {
+	if ti.loaded {
 		return ti.bi.Error()
 	}
 	return nil
 }
 
 func (ti *tableIter) Close() error {
-	ti.bi = nil
+	ti.loaded = false
 	return ti.Error()
 }

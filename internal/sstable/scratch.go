@@ -38,62 +38,12 @@ func putReadScratch(sc *readScratch) {
 	scratchPool.Put(sc)
 }
 
-// readBlockInto is readBlock decoding into pooled scratch instead of a
-// fresh block. On the cache-hit path it performs no allocation; on a
-// miss with a cache configured it allocates only the raw buffer the
-// cache takes ownership of; with no cache it reuses the scratch's own
-// read buffer.
-func (r *Reader) readBlockInto(sc *readScratch, h fence.BlockHandle, rt *iostat.RunTrace) error {
-	c := r.opts.Cache
-	if c != nil {
-		if cached, ok := c.Get(r.opts.FileNum, h.Offset); ok {
-			if r.opts.Stats != nil {
-				r.opts.Stats.BlockCacheHits.Add(1)
-			}
-			if rt != nil {
-				rt.CacheHits++
-			}
-			return decodeBlockInto(&sc.blk, cached)
-		}
-		if r.opts.Stats != nil {
-			r.opts.Stats.BlockCacheMisses.Add(1)
-		}
-		if rt != nil {
-			rt.CacheMisses++
-		}
-	}
-	var raw []byte
-	if c != nil {
-		// The cache takes ownership of inserted bytes, so they must be
-		// freshly allocated.
-		raw = make([]byte, h.Length)
-	} else if uint64(cap(sc.raw)) >= h.Length {
-		raw = sc.raw[:h.Length]
-	} else {
-		raw = make([]byte, h.Length)
-		sc.raw = raw
-	}
-	if _, err := r.f.ReadAt(raw, int64(h.Offset)); err != nil {
-		return err
-	}
-	if r.opts.Stats != nil {
-		r.opts.Stats.BlockReads.Add(1)
-		r.opts.Stats.BytesRead.Add(int64(h.Length))
-	}
-	if rt != nil {
-		rt.BlockReads++
-	}
-	if c != nil {
-		c.Insert(r.opts.FileNum, h.Offset, raw)
-	}
-	return decodeBlockInto(&sc.blk, raw)
-}
-
-// GetAppend is Get with the found value appended to dst (which may be
-// nil) instead of freshly allocated, and the block-level work recorded
-// into rt when non-nil. It is the engine's steady-state point-read
-// entry: with the target block resident in the cache it performs zero
-// heap allocations.
+// GetAppend is the table's one point lookup: the newest version of
+// userKey visible at seq, its value appended to dst (which may be nil),
+// with the block-level work — the fence/learned landing block, per-block
+// partitioned filter verdicts, cache and read accounting — recorded into
+// rt when tracing (rt non-nil). With the target block resident in the
+// cache it performs zero heap allocations.
 func (r *Reader) GetAppend(userKey []byte, kh filter.KeyHash, seq kv.SeqNum, dst []byte, rt *iostat.RunTrace) (value []byte, kind kv.Kind, found bool, err error) {
 	sc := scratchPool.Get().(*readScratch)
 	defer putReadScratch(sc)
@@ -113,20 +63,16 @@ func (r *Reader) GetAppend(userKey []byte, kh filter.KeyHash, seq kv.SeqNum, dst
 			break
 		}
 		if r.partitions != nil {
-			if r.opts.Stats != nil {
-				r.opts.Stats.FilterProbes.Add(1)
-			}
+			r.opts.Stats.FilterProbes.Add(1)
 			if !r.partitions[b].MayContainHash(kh) {
-				if r.opts.Stats != nil {
-					r.opts.Stats.FilterNegatives.Add(1)
-				}
+				r.opts.Stats.FilterNegatives.Add(1)
 				if rt != nil {
 					rt.PartitionNegatives++
 				}
 				continue
 			}
 		}
-		if err := r.readBlockInto(sc, r.index.Entry(b).Handle, rt); err != nil {
+		if err := r.loadBlock(&sc.blk, &sc.raw, r.index.Entry(b).Handle, rt); err != nil {
 			return dst, 0, false, err
 		}
 		touched = true
@@ -168,9 +114,7 @@ func (r *Reader) GetAppend(userKey []byte, kh filter.KeyHash, seq kv.SeqNum, dst
 	if touched {
 		// The filter (or absence of one) admitted the probe but the key
 		// was not here: a superfluous storage access.
-		if r.opts.Stats != nil {
-			r.opts.Stats.FilterFalsePositives.Add(1)
-		}
+		r.opts.Stats.FilterFalsePositives.Add(1)
 		if rt != nil {
 			rt.FalsePositive = true
 		}

@@ -340,7 +340,7 @@ func TestStatsAccounting(t *testing.T) {
 	screened := 0
 	for i := 0; i < 500; i++ {
 		key := []byte(fmt.Sprintf("nope%08d", i))
-		if !r.MayContain(filter.HashKey(key)) {
+		if !r.MayContain(filter.HashKey(key), nil) {
 			screened++
 		}
 	}

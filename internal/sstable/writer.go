@@ -191,17 +191,10 @@ func (tw *Writer) flushBlock() error {
 			return err
 		}
 		tw.partitions = append(tw.partitions, data)
-		tw.filters.builder = tw.filters.policy.NewBuilder(maxInt(tw.filters.perBlock, 16))
+		tw.filters.builder = tw.filters.policy.NewBuilder(max(tw.filters.perBlock, 16))
 		tw.filters.perBlock = 0
 	}
 	return nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // writeRaw writes an auxiliary block (no compression, no trailer beyond

@@ -28,6 +28,7 @@ type Writer struct {
 	f      vfs.File
 	bw     *bufio.Writer
 	offset int64
+	synced int64 // offset as of the last successful Sync
 	sync   bool
 }
 
@@ -65,12 +66,20 @@ func (w *Writer) AddRecord(payload []byte) error {
 	return nil
 }
 
-// Sync flushes buffered records and fsyncs the file.
+// Sync flushes buffered records and fsyncs the file; with nothing
+// appended since the last Sync it does nothing.
 func (w *Writer) Sync() error {
+	if w.synced == w.offset {
+		return nil
+	}
 	if err := w.bw.Flush(); err != nil {
 		return err
 	}
-	return w.f.Sync()
+	if err := w.f.Sync(); err != nil {
+		return err
+	}
+	w.synced = w.offset
+	return nil
 }
 
 // Size returns the bytes logically appended so far.

@@ -223,11 +223,11 @@ type Options struct {
 	AutoTuneInterval time.Duration
 
 	// Stats, when non-nil, receives I/O accounting shared with the
-	// caller; otherwise the DB keeps a private instance.
+	// caller — every shard records into it, so ShardStats then holds that
+	// one aggregate; otherwise each shard keeps a private instance.
 	Stats *iostat.Stats
 	// TrackLatency enables per-operation latency histograms, read via
-	// DB.Latencies. Off by default; when off the hot path pays a single
-	// nil check.
+	// DB.Latencies. Off by default; when off no operation reads the clock.
 	TrackLatency bool
 	// EventLogSize bounds the in-memory ring of engine lifecycle events
 	// (flushes, compactions, WAL activity), read via DB.Events. 0 selects

@@ -161,19 +161,26 @@ func TestHybridKZFacade(t *testing.T) {
 	}
 }
 
+// TestSharedStatsHandle: a caller-supplied Stats handle receives the
+// database's accounting at any shard count — every shard engine records
+// into it — and the aggregate view reads it once, not once per shard.
 func TestSharedStatsHandle(t *testing.T) {
-	stats := &iostat.Stats{}
-	opts := Default()
-	opts.Stats = stats
-	db, err := Open(t.TempDir(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	db.Put([]byte("k"), []byte("v"))
-	db.Get([]byte("k"))
-	if stats.PointLookups.Load() != 1 {
-		t.Errorf("caller-provided stats not wired: %d", stats.PointLookups.Load())
+	for _, shards := range []int{1, 3} {
+		stats := &iostat.Stats{}
+		opts := Default()
+		opts.Stats = stats
+		opts.Shards = shards
+		db, err := Open(t.TempDir(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db.Put([]byte("k"), []byte("v"))
+		db.Get([]byte("k"))
+		if stats.PointLookups.Load() != 1 || db.Stats().PointLookups != 1 {
+			t.Errorf("shards=%d: caller's handle saw %d lookups, DB.Stats %d, want 1 and 1",
+				shards, stats.PointLookups.Load(), db.Stats().PointLookups)
+		}
+		db.Close()
 	}
 }
 
