@@ -14,8 +14,7 @@ build:
 test: fmt-check doc-check doc-links bench-check
 	$(GO) vet ./...
 	$(GO) test ./...
-	$(GO) test -race ./internal/server/ ./internal/client/ ./internal/shard/ ./internal/tuner/
-	$(GO) test -race ./internal/core/ -run 'TestRetune'
+	$(GO) test -race ./internal/core/ ./internal/server/ ./internal/client/ ./internal/shard/ ./internal/tuner/
 	$(MAKE) crash
 
 # gofmt is the only accepted formatting; -l lists offenders and the grep

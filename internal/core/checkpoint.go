@@ -24,11 +24,13 @@ type CheckpointInfo struct {
 // writes racing it — WAL replay stops at the copy's torn tail, the same
 // point-in-time rule crash recovery follows).
 //
-// Consistency without a write stall rests on three pins taken under the
-// engine lock: the manifest state is cloned (the file list), the current
-// version is referenced (compactions cannot delete the listed sstables),
-// and WAL deletion is deferred (flushes finishing mid-copy cannot remove
-// a log the clone still needs). Sstables are hard-linked when the
+// Consistency without a write stall rests on three pins taken under
+// db.mu, right after the active log is synced under commitMu (a commit in
+// flight finishes first; none starts until the pins are taken): the
+// manifest state is cloned (the file list), the current version is
+// referenced (compactions cannot delete the listed sstables), and WAL
+// deletion is deferred (flushes finishing mid-copy cannot remove a log
+// the clone still needs). Sstables are hard-linked when the
 // filesystem supports it — they are immutable, so sharing the inode is
 // safe — while WAL and value-log files, which receive concurrent
 // appends, are byte-copied. The caller commits the checkpoint by writing
@@ -39,19 +41,20 @@ func (db *DB) Checkpoint(dstDir string) (CheckpointInfo, error) {
 		return CheckpointInfo{}, err
 	}
 
-	db.mu.Lock()
-	if db.closed {
-		db.mu.Unlock()
-		return CheckpointInfo{}, ErrClosed
-	}
-	if db.wal != nil {
+	// commitMu keeps commits and rotations off the log while it is synced,
+	// and until the file set that names it is pinned.
+	db.commitMu.Lock()
+	err := db.checkOpen()
+	if err == nil && db.wal != nil {
 		// Flush and sync the active log so every write acked before this
 		// point is in the file the copy will read.
-		if err := db.wal.Sync(); err != nil {
-			db.mu.Unlock()
-			return CheckpointInfo{}, err
-		}
+		err = db.wal.Sync()
 	}
+	if err != nil {
+		db.commitMu.Unlock()
+		return CheckpointInfo{}, err
+	}
+	db.mu.Lock()
 	clone := db.state.Clone()
 	v := db.current
 	v.ref()
@@ -62,9 +65,10 @@ func (db *DB) Checkpoint(dstDir string) (CheckpointInfo, error) {
 	if db.wal != nil {
 		walNums = append(walNums, db.walNum)
 	}
-	seq := uint64(db.seq)
+	seq := db.seq.Load()
 	db.walPins++
 	db.mu.Unlock()
+	db.commitMu.Unlock()
 
 	info, err := db.copyCheckpointFiles(dstDir, clone, walNums)
 

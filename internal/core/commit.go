@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"time"
 
 	"lsmkv/internal/kv"
 )
@@ -17,9 +18,23 @@ import (
 // resolved, and has its large values moved to the value log. A replicated
 // record (rec is the record as shipped, firstSeq its ops[0]'s sequence
 // number) was through that on its primary and is logged verbatim. Both
-// then take the same steps under db.mu: backpressure, sequence numbers,
-// WAL append (and fsync), commit hook, memtable insert, counters, seq
-// waiters, and a memtable freeze when the buffer is full.
+// then go down the pipeline one at a time, under commitMu: room check
+// (db.mu), sequence numbers, WAL append and fsync, commit hook, memtable
+// insert, watermark and seq waiters (db.mu), and a memtable freeze when
+// the buffer is full. db.mu is held for the two short memory-only steps
+// and for no I/O, so a read never waits for a write's fsync.
+//
+// What the order guarantees:
+//   - Nothing is readable before its WAL record is appended, and synced
+//     when the caller asked: the memtable insert comes after both.
+//   - The watermark advances only after the insert, so a snapshot never
+//     names a half-inserted batch. (A plain read has no upper bound and
+//     may see an entry between its insert and the watermark; it is logged
+//     by then, and the write has not returned.)
+//   - Hook calls are gap-free and in sequence order: one commit at a time.
+//   - A memtable is frozen only between commits (freezeMem needs
+//     commitMu), so no record lands in a memtable whose log went to the
+//     flusher.
 //
 // It returns how many ops entered the memtable: fewer than len(ops) when
 // RMW ops failed resolution (see RMW.Err) or a replicated record
@@ -49,7 +64,7 @@ func (db *DB) commit(ops []BatchOp, sync bool, firstSeq kv.SeqNum, rec []byte) (
 	// op into a pointer.
 	stored, separated := ops, false
 	if !replicated && db.vlog != nil {
-		// Outside db.mu: append separated values to the log and store
+		// Before the pipeline: append separated values to the log and store
 		// pointers instead. A write acknowledged as durable needs the
 		// values its WAL record points into durable too; one vlog sync
 		// covers the batch.
@@ -73,13 +88,24 @@ func (db *DB) commit(ops []BatchOp, sync bool, firstSeq kv.SeqNum, rec []byte) (
 		}
 	}
 
+	db.slowdown()
+	if !db.commitMu.TryLock() {
+		// The clock is read only when there is a wait to measure.
+		start := time.Now()
+		db.commitMu.Lock()
+		db.opts.Stats.CommitWaitNs.Add(int64(time.Since(start)))
+	}
+	defer db.commitMu.Unlock()
+
 	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.waitWriteLocked(); err != nil {
+	err := db.waitRoomLocked()
+	db.mu.Unlock()
+	if err != nil {
 		return 0, err
 	}
+	// Under commitMu the watermark stands still: only a commit moves it.
+	prev := db.lastSeq()
 	if replicated {
-		prev := db.seq
 		if firstSeq+kv.SeqNum(len(ops))-1 <= prev {
 			return 0, nil // duplicate delivery
 		}
@@ -87,7 +113,7 @@ func (db *DB) commit(ops []BatchOp, sync bool, firstSeq kv.SeqNum, rec []byte) (
 			return 0, fmt.Errorf("%w: batch starts at %d, engine at %d", ErrReplicaGap, firstSeq, prev)
 		}
 	} else {
-		firstSeq = db.seq + 1
+		firstSeq = prev + 1
 	}
 	if db.wal != nil {
 		if rec == nil {
@@ -97,10 +123,11 @@ func (db *DB) commit(ops []BatchOp, sync bool, firstSeq kv.SeqNum, rec []byte) (
 			return 0, err
 		}
 		db.opts.Stats.WALRecords.Add(1)
-		if db.opts.WALSync {
-			db.opts.Stats.WALSyncs.Add(1) // AddRecord synced internally
-		} else if sync {
-			if err := db.wal.Sync(); err != nil {
+		if sync || db.opts.WALSync {
+			start := time.Now()
+			err := db.wal.Sync()
+			db.opts.Stats.WALSyncNs.Add(int64(time.Since(start)))
+			if err != nil {
 				return 0, err
 			}
 			db.opts.Stats.WALSyncs.Add(1)
@@ -117,30 +144,40 @@ func (db *DB) commit(ops []BatchOp, sync bool, firstSeq kv.SeqNum, rec []byte) (
 	}
 	// A replicated record may overlap the watermark; the already-applied
 	// prefix is in the memtable (or flushed) from its first delivery.
-	skip := int(db.seq + 1 - firstSeq)
+	skip := int(prev + 1 - firstSeq)
 	n := len(stored) - skip
-	db.opts.Stats.BytesWritten.Add(db.insertLocked(firstSeq+kv.SeqNum(skip), stored[skip:]))
+	db.opts.Stats.BytesWritten.Add(db.insert(firstSeq+kv.SeqNum(skip), stored[skip:]))
 	if !replicated {
 		db.opts.Stats.WriteOps.Add(int64(n))
 	}
+
+	db.mu.Lock()
+	db.seq.Store(uint64(firstSeq) + uint64(len(stored)) - 1)
 	db.notifySeqLocked()
+	db.mu.Unlock()
 
 	if db.mem.ApproxSize() >= db.opts.MemtableBytes {
-		return n, db.freezeMemLocked()
+		if err := db.freezeMem(); err != nil {
+			// The write is logged, inserted and visible: it succeeded. The
+			// failed rotation left (mem, wal) paired as they were; it
+			// becomes the sticky background error the next write meets.
+			db.mu.Lock()
+			db.setBgErrLocked(fmt.Errorf("wal rotation: %w", err))
+			db.mu.Unlock()
+		}
 	}
 	return n, nil
 }
 
-// insertLocked adds ops to the active memtable as entries firstSeq,
-// firstSeq+1, … and advances the watermark over them. It is the only
-// caller of mem.Add: commit's last data step, and all of what WAL replay
-// does with a recovered record. Caller holds db.mu or is in Open.
-func (db *DB) insertLocked(firstSeq kv.SeqNum, ops []BatchOp) (nbytes int64) {
+// insert adds ops to the active memtable as entries firstSeq,
+// firstSeq+1, … It is the only caller of mem.Add: commit's last data
+// step, and all of what WAL replay does with a recovered record. Caller
+// holds commitMu or is in Open, and moves the watermark afterwards.
+func (db *DB) insert(firstSeq kv.SeqNum, ops []BatchOp) (nbytes int64) {
 	for i, op := range ops {
 		db.mem.Add(kv.Entry{Key: kv.MakeInternalKey(op.Key, firstSeq+kv.SeqNum(i), op.Kind), Value: op.Value})
 		nbytes += int64(len(op.Key) + len(op.Value))
 	}
-	db.seq = max(db.seq, firstSeq+kv.SeqNum(len(ops))-1)
 	return nbytes
 }
 

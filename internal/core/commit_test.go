@@ -49,9 +49,9 @@ func TestOneWritePath(t *testing.T) {
 		}
 	}
 	for callee, want := range map[string]string{
-		"wal.AddRecord": "commit",       // db.wal.AddRecord(rec)
-		"commitHook":    "commit",       // db.commitHook(first, n, payload)
-		"mem.Add":       "insertLocked", // db.mem.Add(entry)
+		"wal.AddRecord": "commit", // db.wal.AddRecord(rec)
+		"commitHook":    "commit", // db.commitHook(first, n, payload)
+		"mem.Add":       "insert", // db.mem.Add(entry)
 	} {
 		if got := sites[callee]; len(got) != 1 || got[0] != want {
 			t.Errorf("%s is called from %v, want exactly one call, in %s", callee, got, want)

@@ -146,6 +146,7 @@ func (db *DB) flushOldestImm() error {
 
 	db.mu.Lock()
 	db.imms = db.imms[1:]
+	retired := db.publishLocked()
 	removeWAL := !db.opts.DisableWAL
 	if removeWAL && db.walPins > 0 {
 		// An online checkpoint is copying the WAL file set it pinned;
@@ -155,6 +156,7 @@ func (db *DB) flushOldestImm() error {
 		removeWAL = false
 	}
 	db.mu.Unlock()
+	retired.unref()
 	if removeWAL {
 		db.opts.FS.Remove(db.walPath(im.walNum))
 	}
@@ -195,7 +197,7 @@ func (db *DB) flushBufferToL0(buf buffer) error {
 // gcHorizon returns the sequence number below which superseded versions
 // are invisible to every snapshot. Caller holds db.mu.
 func (db *DB) gcHorizonLocked() kv.SeqNum {
-	h := db.seq
+	h := db.lastSeq()
 	for s := range db.snapshots {
 		if s < h {
 			h = s
@@ -550,12 +552,14 @@ func sortFilesBySmallest(files []*manifest.FileMeta) {
 
 // installVersionEdit mutates the manifest state under the lock, persists
 // it, builds and publishes the new version, and marks dropped tables
-// obsolete.
+// obsolete. It is the one place db.mu is held across file I/O; reads pin
+// the published state without db.mu, so only writers' two short
+// sections queue behind it.
 func (db *DB) installVersionEdit(edit func(*manifest.State), dropped map[uint64]bool) error {
 	db.mu.Lock()
 	newState := db.state.Clone()
 	edit(newState)
-	newState.LastSeq = uint64(db.seq)
+	newState.LastSeq = db.seq.Load()
 	if db.vlog != nil {
 		newState.VlogHead = db.vlog.ActiveSegment()
 	}
@@ -571,9 +575,11 @@ func (db *DB) installVersionEdit(edit func(*manifest.State), dropped map[uint64]
 	old := db.current
 	db.state = newState
 	db.current = newVersion
+	retired := db.publishLocked()
 	db.refreshMonkeyLocked()
 	db.refreshDebtLocked()
 	db.mu.Unlock()
+	retired.unref()
 
 	for num := range dropped {
 		if th := db.registry.get(num); th != nil {

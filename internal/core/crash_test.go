@@ -70,13 +70,26 @@ func crashKey(i int) string { return fmt.Sprintf("k%02d", i) }
 // put/delete operations (plus one mid-workload Flush barrier in relaxed
 // mode), stopping at the first error — which is how a crashed filesystem
 // surfaces. It reports the issued ops and the minimum durable prefix.
-func runCrashWorkload(fs vfs.FS, rng *rand.Rand, nOps int, walSync bool) crashResult {
+//
+// crashAtCommit > 0 freezes the filesystem from inside that commit, in
+// its commit hook: after the record's WAL append (and fsync, when synced)
+// and before its entries are inserted and the watermark published — a
+// point no filesystem-operation count can name.
+func runCrashWorkload(fs *vfs.Faulty, rng *rand.Rand, nOps int, walSync bool, crashAtCommit int) crashResult {
 	res := crashResult{}
 	db, err := Open(crashDBOpts(fs, walSync))
 	if err != nil {
 		return res
 	}
 	defer db.Close() // ignore errors: the FS may be frozen
+	if crashAtCommit > 0 {
+		commits := 0
+		db.SetCommitHook(func(uint64, int, []byte) {
+			if commits++; commits == crashAtCommit {
+				fs.CrashNow()
+			}
+		})
+	}
 
 	for i := 0; i < nOps; i++ {
 		op := crashOp{key: crashKey(rng.Intn(32))}
@@ -250,7 +263,7 @@ func crashIteration(seed int64, walSync, torn bool, faults func(*vfs.Faulty)) er
 	// Dry run: measure how many FS operations a full workload performs,
 	// so the crash point lands inside the run.
 	dry := vfs.NewFaulty(vfs.NewMem())
-	runCrashWorkload(dry, rand.New(rand.NewSource(seed)), nOps, walSync)
+	runCrashWorkload(dry, rand.New(rand.NewSource(seed)), nOps, walSync, 0)
 	totalOps := dry.OpCount()
 	if totalOps < 2 {
 		return fmt.Errorf("dry run performed no filesystem ops")
@@ -263,16 +276,19 @@ func crashIteration(seed int64, walSync, torn bool, faults func(*vfs.Faulty)) er
 		faults(fs)
 	}
 	fs.CrashAfter(1 + rng.Int63n(totalOps))
-	res := runCrashWorkload(fs, rand.New(rand.NewSource(seed)), nOps, walSync)
+	res := runCrashWorkload(fs, rand.New(rand.NewSource(seed)), nOps, walSync, 0)
 	fs.CrashNow() // a run that outlived its crash point crashes at the end
+	return verifyCrashImage(mem, res, rng, torn)
+}
 
-	// Materialize the disk and verify.
-	var tornRng *rand.Rand
-	if torn {
-		tornRng = rng
+// verifyCrashImage materializes the disk a crash left (torn tails drawn
+// from rng when torn), reopens on it and checks the recovered state
+// against the issued history.
+func verifyCrashImage(mem *vfs.Mem, res crashResult, rng *rand.Rand, torn bool) error {
+	if !torn {
+		rng = nil
 	}
-	img := mem.CrashImage(tornRng)
-	recovered, err := recoveredState(img)
+	recovered, err := recoveredState(mem.CrashImage(rng))
 	if err != nil {
 		return err
 	}
@@ -308,6 +324,31 @@ func TestCrashRecoveryRelaxed(t *testing.T) {
 	}
 }
 
+// TestCrashBetweenSyncAndPublish: power fails inside a commit, between
+// the WAL fsync and the watermark — the stretch the commit pipeline runs
+// without db.mu. Synced: that write is then acknowledged (nothing after
+// the fsync can fail), so it must be recovered. Relaxed: it and its
+// successors may or may not be, but what is recovered is a prefix, never
+// history with a hole.
+func TestCrashBetweenSyncAndPublish(t *testing.T) {
+	const nOps = 250
+	for i := 0; i < *crashIters; i++ {
+		seed := int64(7000 + i)
+		walSync, torn := i%2 == 0, i%4 >= 2
+		rng := rand.New(rand.NewSource(seed))
+		mem := vfs.NewMem()
+		fs := vfs.NewFaulty(mem)
+		at := 1 + rng.Intn(nOps)
+		res := runCrashWorkload(fs, rand.New(rand.NewSource(seed)), nOps, walSync, at)
+		if walSync && res.minPrefix < at {
+			t.Fatalf("seed %d: commit %d was synced before the crash, yet only %d writes were acknowledged", seed, at, res.minPrefix)
+		}
+		if err := verifyCrashImage(mem, res, rng, torn); err != nil {
+			t.Fatalf("seed %d (sync=%v torn=%v, crash in commit %d): %v", seed, walSync, torn, at, err)
+		}
+	}
+}
+
 // TestCrashRotatedWALIsDurable: in relaxed mode a log is synced when it
 // is rotated out, before its successor holds a record. Otherwise a crash
 // can cut the old log short on a record boundary — indistinguishable
@@ -329,9 +370,9 @@ func TestCrashRotatedWALIsDurable(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	db.mu.Lock()
-	err = db.freezeMemLocked()
-	db.mu.Unlock()
+	db.commitMu.Lock()
+	err = db.freezeMem()
+	db.commitMu.Unlock()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,7 +459,7 @@ func TestCrashCheckerRejectsGarbage(t *testing.T) {
 func TestCrashRecoveryEndOfRun(t *testing.T) {
 	mem := vfs.NewMem()
 	fs := vfs.NewFaulty(mem)
-	res := runCrashWorkload(fs, rand.New(rand.NewSource(42)), 200, false)
+	res := runCrashWorkload(fs, rand.New(rand.NewSource(42)), 200, false, 0)
 	if len(res.issued) != 200 {
 		t.Fatalf("workload stopped early: %d ops", len(res.issued))
 	}

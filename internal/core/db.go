@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"lsmkv/internal/cache"
@@ -56,18 +57,36 @@ type DB struct {
 	// unthrottled.
 	rate *compaction.RateLimiter
 
+	// commitMu serializes everything that appends to, syncs or replaces
+	// the (mem, wal, walNum) triple: commits, memtable freezes (commit,
+	// Flush, Close) and Checkpoint's log sync. File I/O on the log happens
+	// under it and never under mu. It also guards commitHook. Lock order:
+	// rmwMu, then commitMu, then mu. See DESIGN.md, "Locks".
+	commitMu sync.Mutex
+	// mem, wal and walNum change only with commitMu and mu both held, so
+	// holding either is enough to read them.
+	mem    buffer
+	wal    *wal.Writer
+	walNum uint64
+
+	// mu guards the in-memory state below, and nothing slow on the
+	// foreground paths: no commit, freeze, read or checkpoint does file I/O
+	// under it (a version install still saves the manifest under it).
 	mu      sync.Mutex
 	cond    *sync.Cond // wakes writers and waiters when maintenance progresses
 	bgCond  *sync.Cond // wakes background workers when work may exist
-	mem     buffer
 	imms    []immutableBuffer
-	wal     *wal.Writer
-	walNum  uint64
-	seq     kv.SeqNum
 	state   *manifest.State
 	current *version
 	closed  bool
 	bgErr   error
+	// seq is the applied watermark: every entry at or below it is in a
+	// memtable or a table. Stored with commitMu and mu held (or in Open),
+	// after the entries are inserted; loaded anywhere (lastSeq).
+	seq atomic.Uint64
+	// rs is the published read state: what pin hands a read, republished
+	// under mu wherever mem, imms or current change; nil once closed.
+	rs atomic.Pointer[readState]
 	// debtBytes is the pending compaction debt (bytes the tree must
 	// rewrite to satisfy its shape), recomputed on every version install;
 	// the slowdown band reads it per write.
@@ -83,12 +102,12 @@ type DB struct {
 	// rmwMu serializes commits that carry a read-modify-write op (Incr,
 	// CompareAndSwap, the server's INCR/CAS) from resolution to memtable
 	// insert, so each reads its predecessor's outcome. Plain writes do not
-	// take it. Lock order: rmwMu before mu.
+	// take it. Lock order: rmwMu first.
 	rmwMu sync.Mutex
 
-	// commitHook observes every committed batch for replication;
-	// seqWaiters park WaitForSeq callers until db.seq reaches their
-	// target.
+	// commitHook observes every committed batch for replication (guarded
+	// by commitMu); seqWaiters park WaitForSeq callers until the watermark
+	// reaches their target.
 	commitHook CommitHook
 	seqWaiters []seqWaiter
 	// walPins > 0 defers WAL file deletion (an online checkpoint is
@@ -162,7 +181,7 @@ func Open(opts Options) (*DB, error) {
 		return nil, err
 	}
 	db.state = state
-	db.seq = kv.SeqNum(state.LastSeq)
+	db.seq.Store(state.LastSeq)
 	db.current, err = db.buildVersion(state)
 	if err != nil {
 		db.shutdownPartial()
@@ -177,11 +196,12 @@ func Open(opts Options) (*DB, error) {
 		return nil, err
 	}
 	if !o.DisableWAL {
-		if err := db.rotateWALLocked(); err != nil {
+		if db.wal, db.walNum, err = db.createWAL(); err != nil {
 			db.shutdownPartial()
 			return nil, err
 		}
 	}
+	db.publishLocked()
 
 	db.workers.Add(1 + o.CompactionConcurrency)
 	go db.flushLoop()
@@ -229,7 +249,8 @@ func (db *DB) replayWALs() error {
 			if err != nil {
 				return err
 			}
-			db.insertLocked(firstSeq, ops)
+			db.insert(firstSeq, ops)
+			db.seq.Store(max(db.seq.Load(), uint64(firstSeq)+uint64(len(ops))-1))
 			recovered += len(ops)
 			return nil
 		})
@@ -263,22 +284,22 @@ func (db *DB) replayWALs() error {
 	return nil
 }
 
-// rotateWALLocked starts a fresh WAL for the active memtable. Caller may
-// hold db.mu or be in Open.
-func (db *DB) rotateWALLocked() error {
-	db.state.NextFileNum++
-	num := db.state.NextFileNum
-	w, err := wal.Create(db.opts.FS, db.walPath(num), wal.Options{SyncOnWrite: db.opts.WALSync})
+// createWAL creates the log file for a new active memtable under a fresh
+// file number. Caller holds commitMu (or is in Open) and not db.mu.
+func (db *DB) createWAL() (*wal.Writer, uint64, error) {
+	db.mu.Lock()
+	num := db.newFileNumLocked()
+	db.mu.Unlock()
+	// Never SyncOnWrite: commit syncs explicitly, so the fsync can be timed.
+	w, err := wal.Create(db.opts.FS, db.walPath(num), wal.Options{})
 	if err != nil {
-		return err
+		return nil, 0, err
 	}
-	db.wal = w
-	db.walNum = num
 	db.events.Add(iostat.Event{
 		Type: iostat.EventWALRotate, FromLevel: -1, ToLevel: -1,
 		Detail: fmt.Sprintf("wal %06d", num),
 	})
-	return nil
+	return w, num, nil
 }
 
 // Put stores key -> value.
@@ -354,51 +375,66 @@ func DecodeCounter(v []byte) (int64, bool) {
 	return int64(binary.LittleEndian.Uint64(v)), true
 }
 
-// freezeMemLocked moves the active memtable to the flush queue and starts
-// a fresh one. Caller holds db.mu.
-func (db *DB) freezeMemLocked() error {
+// freezeMem moves the active memtable to the flush queue and starts a
+// fresh one on a fresh log. Caller holds commitMu and not db.mu, so the
+// freeze falls between commits: no record can land in a memtable whose
+// log has been handed to the flusher. All file work — syncing the
+// outgoing log, creating its successor — is done before the swap and
+// outside db.mu; a failure there leaves (mem, wal, walNum) paired as they
+// were.
+func (db *DB) freezeMem() error {
 	if db.mem.Len() == 0 {
 		return nil
 	}
-	db.imms = append(db.imms, immutableBuffer{buf: db.mem, walNum: db.walNum})
-	db.mem = db.newBuffer()
-	if !db.opts.DisableWAL {
-		if db.wal != nil {
-			// The outgoing log must be durable before its successor holds a
-			// record: an unsynced log can lose a suffix that ends on a
-			// record boundary, which replay cannot tell from a complete log,
-			// and it would then replay the successor across the hole.
-			// Writes that were synced as they committed left nothing to do.
-			if err := db.wal.Sync(); err != nil {
-				return err
-			}
-			if err := db.wal.Close(); err != nil {
-				return err
-			}
+	var next *wal.Writer
+	var nextNum uint64
+	outgoing := db.wal
+	if outgoing != nil {
+		// The outgoing log must be durable before its successor holds a
+		// record: an unsynced log can lose a suffix that ends on a record
+		// boundary, which replay cannot tell from a complete log, and it
+		// would then replay the successor across the hole. Writes that
+		// were synced as they committed left nothing to do.
+		if err := outgoing.Sync(); err != nil {
+			return err
 		}
-		if err := db.rotateWALLocked(); err != nil {
+		var err error
+		if next, nextNum, err = db.createWAL(); err != nil {
 			return err
 		}
 	}
+	db.mu.Lock()
+	db.imms = append(db.imms, immutableBuffer{buf: db.mem, walNum: db.walNum})
+	db.mem, db.wal, db.walNum = db.newBuffer(), next, nextNum
+	retired := db.publishLocked()
 	db.bgCond.Broadcast()
+	db.mu.Unlock()
+	retired.unref()
+	if outgoing != nil {
+		return outgoing.Close() // synced above; its flush owns the file now
+	}
 	return nil
 }
 
-// waitWriteLocked applies the engine's graduated backpressure before a
-// write may proceed. Two bands:
+// The engine's graduated backpressure, applied before a write may
+// proceed, has two bands:
 //
-//  1. Soft slowdown: once level 0 or the pending compaction debt crosses
-//     its slowdown trigger, the write is delayed (lock released) by an
+//  1. Soft slowdown (slowdown): once level 0 or the pending compaction
+//     debt crosses its slowdown trigger, the write is delayed by an
 //     amount ramping quadratically toward SlowdownMaxDelay — smearing
 //     maintenance cost over many writes instead of saving it all for
 //     one cliff.
-//  2. Hard stop: at L0StopTrigger or a full flush queue, the write
-//     blocks until a worker makes room — the RocksDB stop trigger,
-//     now the last resort rather than the only mechanism.
-//
-// Caller holds db.mu; the lock may be released and reacquired.
-func (db *DB) waitWriteLocked() error {
-	if d := db.slowdownDelayLocked(); d > 0 {
+//  2. Hard stop (waitRoomLocked): at L0StopTrigger or a full flush
+//     queue, the write blocks until a worker makes room — the RocksDB
+//     stop trigger, now the last resort rather than the only mechanism.
+
+// slowdown sleeps the soft band's delay, if any. It runs before the
+// write queues for commitMu and holds no lock while asleep, so delayed
+// writers wait side by side, not in line.
+func (db *DB) slowdown() {
+	db.mu.Lock()
+	d := db.slowdownDelayLocked()
+	if d > 0 {
 		if !db.slowdownActive {
 			db.slowdownActive = true
 			db.events.Add(iostat.Event{
@@ -410,13 +446,20 @@ func (db *DB) waitWriteLocked() error {
 		db.opts.Stats.WriteSlowdowns.Add(1)
 		db.opts.Stats.WriteSlowdownNs.Add(int64(d))
 		db.bgCond.Broadcast()
-		db.mu.Unlock()
-		time.Sleep(d)
-		db.mu.Lock()
 	} else {
 		db.slowdownActive = false
 	}
+	db.mu.Unlock()
+	if d > 0 {
+		time.Sleep(d)
+	}
+}
 
+// waitRoomLocked is the hard stop, and the gate every commit passes: it
+// returns ErrClosed or the sticky background error when the engine can
+// take no more writes. Caller holds db.mu (and commitMu, so the room it
+// found is still there when the write lands); the wait releases db.mu.
+func (db *DB) waitRoomLocked() error {
 	if db.stallLocked() {
 		start := time.Now()
 		for !db.closed && db.bgErr == nil && db.stallLocked() {
@@ -520,21 +563,32 @@ func (db *DB) l0RunsLocked() int {
 
 // Flush forces the active memtable to storage and waits for completion.
 func (db *DB) Flush() error {
-	db.mu.Lock()
-	if db.closed {
-		db.mu.Unlock()
-		return ErrClosed
+	db.commitMu.Lock()
+	err := db.checkOpen()
+	if err == nil {
+		err = db.freezeMem()
 	}
-	if err := db.freezeMemLocked(); err != nil {
-		db.mu.Unlock()
+	db.commitMu.Unlock()
+	if err != nil {
 		return err
 	}
+	db.mu.Lock()
+	defer db.mu.Unlock()
 	for len(db.imms) > 0 && db.bgErr == nil && !db.closed {
 		db.cond.Wait()
 	}
-	err := db.bgErr
-	db.mu.Unlock()
-	return err
+	return db.bgErr
+}
+
+// checkOpen returns ErrClosed once Close has run. Close sets closed with
+// commitMu held, so under commitMu the answer stays true until unlock.
+func (db *DB) checkOpen() error {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if db.closed {
+		return ErrClosed
+	}
+	return nil
 }
 
 // WaitIdle blocks until no flush or compaction work remains: the flush
@@ -637,46 +691,56 @@ func (db *DB) compactionLoop() {
 
 // Close flushes the memtable and stops background work.
 func (db *DB) Close() error {
-	db.mu.Lock()
-	if db.closed {
-		db.mu.Unlock()
-		return ErrClosed
+	// commitMu is held from the final freeze until closed is set: a write
+	// cannot slip into the fresh memtable in between and be acknowledged
+	// out of a log that the clean-shutdown path below then deletes.
+	db.commitMu.Lock()
+	if err := db.checkOpen(); err != nil {
+		db.commitMu.Unlock()
+		return err
 	}
 	// Flush what we can before shutting down.
-	flushErr := db.freezeMemLocked()
+	flushErr := db.freezeMem()
+	db.mu.Lock()
 	for flushErr == nil && len(db.imms) > 0 && db.bgErr == nil {
 		db.bgCond.Broadcast()
 		db.cond.Wait()
 	}
 	db.closed = true
+	retired := db.publishLocked() // the closed state: reads now fail
 	db.cond.Broadcast()
 	db.bgCond.Broadcast()
 	db.closeSeqWaitersLocked()
 	db.mu.Unlock()
+	db.commitMu.Unlock()
+	retired.unref()
 
 	db.workers.Wait()
 
 	db.mu.Lock()
-	if db.wal != nil {
-		db.wal.Close()
-		// Only a clean shutdown may discard the log: after any flush or
-		// background failure the WAL can still hold acknowledged records
-		// that never reached a table, and the next open replays it.
-		if flushErr == nil && db.bgErr == nil && len(db.imms) == 0 {
-			db.opts.FS.Remove(db.walPath(db.walNum))
-		}
-	}
+	// Only a clean shutdown may discard the log: after any flush or
+	// background failure the WAL can still hold acknowledged records
+	// that never reached a table, and the next open replays it.
+	clean := flushErr == nil && db.bgErr == nil && len(db.imms) == 0
+	var dead []uint64
 	if db.walPins == 0 {
 		// Deferred removals for flushed-while-checkpointing WALs; their
 		// contents reached L0 tables, so they are dead weight. A
 		// checkpoint still in flight drains them itself when it unpins.
-		for _, n := range db.deferredWALs {
-			db.opts.FS.Remove(db.walPath(n))
-		}
-		db.deferredWALs = nil
+		dead, db.deferredWALs = db.deferredWALs, nil
 	}
 	cur := db.current
 	db.mu.Unlock()
+	if db.wal != nil {
+		// closed is set: no commit or checkpoint touches the log again.
+		db.wal.Close()
+		if clean {
+			db.opts.FS.Remove(db.walPath(db.walNum))
+		}
+	}
+	for _, n := range dead {
+		db.opts.FS.Remove(db.walPath(n))
+	}
 	if cur != nil {
 		cur.unref()
 	}
@@ -684,10 +748,7 @@ func (db *DB) Close() error {
 	if db.vlog != nil {
 		db.vlog.Close()
 	}
-	if flushErr != nil {
-		return flushErr
-	}
-	return nil
+	return flushErr
 }
 
 // Stats returns a snapshot of the engine's I/O counters.

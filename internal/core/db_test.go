@@ -276,9 +276,9 @@ func TestCrashRecoveryViaWAL(t *testing.T) {
 	}
 	// Simulate crash: do NOT close; drop the handle after stopping
 	// background work the hard way. We at least stop new writes.
-	db.mu.Lock()
+	db.commitMu.Lock()
 	db.wal.Sync()
-	db.mu.Unlock()
+	db.commitMu.Unlock()
 	// Abandon db (its goroutine will be left; acceptable in tests) and
 	// reopen from disk state.
 	db2 := openDB(t, opts)

@@ -188,3 +188,58 @@ func TestFaultOpenSurvivesListError(t *testing.T) {
 	}
 	db.Close()
 }
+
+// TestFaultWALRotationFailsNoCommittedWrite: the write that fills the
+// memtable is logged, synced, inserted and visible before the log is
+// rotated, so a failed rotation (here: the successor's Create) must not
+// be reported as that write's failure — a caller told "error" retries,
+// and an INCR then counts twice. The failure becomes the sticky
+// background error instead: the next write is refused before it touches
+// anything. Every acknowledged write, and no refused one, is in the store
+// before and after reopen.
+func TestFaultWALRotationFailsNoCommittedWrite(t *testing.T) {
+	mem := vfs.NewMem()
+	fs := vfs.NewFaulty(mem)
+	db, err := Open(crashDBOpts(fs, true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Open created the first log; the next .wal Create is the first rotation.
+	fs.Inject(vfs.Rule{Op: vfs.OpCreate, Path: ".wal", N: 1})
+	refused := -1
+	for i := 0; i < 1000; i++ {
+		if err := db.Put(key(i), val(i)); err != nil {
+			if !errors.Is(err, vfs.ErrInjected) {
+				t.Fatalf("Put %d: err=%v, want the injected rotation failure", i, err)
+			}
+			refused = i
+			break
+		}
+	}
+	if refused < 1 {
+		t.Fatalf("the 4 KiB memtable never filled and rotated (refused=%d)", refused)
+	}
+	if err := db.Put(key(refused), val(refused)); !errors.Is(err, vfs.ErrInjected) {
+		t.Fatalf("Put after the failed rotation: err=%v, want it sticky", err)
+	}
+	check := func(when string, db *DB) {
+		t.Helper()
+		for i := 0; i < refused; i++ {
+			if err := readBack(db.Get, i); err != nil {
+				t.Fatalf("%s: acknowledged write %d of %d: %v", when, i, refused, err)
+			}
+		}
+		if v, err := db.Get(key(refused)); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("%s: the refused write is in the store: %q, %v", when, v, err)
+		}
+	}
+	check("after the failed rotation", db)
+	db.Close()
+
+	db, err = Open(crashDBOpts(mem, true))
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer db.Close()
+	check("after reopen", db)
+}

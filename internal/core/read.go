@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"lsmkv/internal/filter"
@@ -13,7 +14,8 @@ import (
 // The read path. Every read — Get, GetTraced, Snapshot.Get, a Scanner —
 // takes the same steps, each owned by one function:
 //
-//	pin         the view: active memtable, frozen ones, a ref'd version
+//	pin         the view: the published readState (active memtable, frozen
+//	            ones, version), referenced without taking db.mu
 //	getInternal point reads: memtables newest first, then per run the fence
 //	            (run.find), sequence-bound and filter (Reader.MayContain)
 //	            screens, then the block load (Reader.GetAppend)
@@ -24,28 +26,73 @@ import (
 // Tracing is an argument (tr, rt), not a second path: a nil trace makes
 // every recording step a skipped branch.
 
-// readView is the engine state one read runs against.
-type readView struct {
+// readState is the engine state one read runs against: immutable once
+// published, shared by every read that pins it. The engine's own
+// reference (the 1 it is published with) is dropped when a successor
+// replaces it; the last unref releases the version, and with it the
+// tables a compaction has since made obsolete.
+type readState struct {
 	mem  buffer
 	imms []buffer // oldest first
-	v    *version // ref'd: release with v.unref()
+	v    *version // ref'd for as long as refs > 0
+	refs atomic.Int32
 }
 
-// pin takes a read's view under db.mu. It is the only place a read refs
-// db.current (Checkpoint and compaction take theirs inside larger
-// critical sections); the caller unrefs view.v when done.
-func (db *DB) pin() (readView, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return readView{}, ErrClosed
+// tryRef takes a reference unless the state is already retired and
+// drained — its version may be gone; the caller reloads db.rs.
+func (rs *readState) tryRef() bool {
+	for {
+		n := rs.refs.Load()
+		if n == 0 {
+			return false
+		}
+		if rs.refs.CompareAndSwap(n, n+1) {
+			return true
+		}
 	}
-	view := readView{mem: db.mem, imms: make([]buffer, len(db.imms)), v: db.current}
-	for i, im := range db.imms {
-		view.imms[i] = im.buf
+}
+
+// unref drops one reference; nil-safe (the first publish retires nothing).
+func (rs *readState) unref() {
+	if rs != nil && rs.refs.Add(-1) == 0 {
+		rs.v.unref()
 	}
-	view.v.ref()
-	return view, nil
+}
+
+// pin takes a read's view without taking a lock, so no read waits for
+// whatever holds db.mu — a version install saving the manifest, say. It is
+// the only way a read reaches a version; the caller unrefs the state when
+// done.
+func (db *DB) pin() (*readState, error) {
+	for {
+		rs := db.rs.Load()
+		if rs == nil {
+			return nil, ErrClosed
+		}
+		if rs.tryRef() {
+			return rs, nil
+		}
+	}
+}
+
+// publishLocked makes (mem, imms, current) — or, once closed, nothing —
+// the state reads pin, and returns the state it retires; the caller
+// unrefs that after unlocking, since the last unref may delete files. It
+// is called wherever one of the three changes: a freeze, a flush
+// completing, a version install, Close. The state holds a reference on
+// the version (Checkpoint and compaction take theirs inside larger
+// critical sections). Caller holds db.mu or is in Open.
+func (db *DB) publishLocked() (retired *readState) {
+	var rs *readState
+	if !db.closed {
+		rs = &readState{mem: db.mem, imms: make([]buffer, len(db.imms)), v: db.current}
+		for i, im := range db.imms {
+			rs.imms[i] = im.buf
+		}
+		rs.v.ref()
+		rs.refs.Store(1)
+	}
+	return db.rs.Swap(rs)
 }
 
 // visible resolves a found entry into the value a user sees — the one
@@ -159,7 +206,7 @@ func (db *DB) getInternal(key []byte, snap kv.SeqNum, dst []byte, tr *iostat.Tra
 	if err != nil {
 		return nil, 0, false, err
 	}
-	defer view.v.unref()
+	defer view.unref()
 
 	if value, kind, found = view.mem.Get(key, snap); found {
 		if tr != nil {

@@ -16,7 +16,8 @@ import (
 
 // TestCorruptTTLSurfacesOnEveryRead: a KindSetTTL entry too short to hold
 // its expiry prefix (a local write cannot make one — check rejects it —
-// so it is planted in the memtable) is an error on every read form. Get
+// so it is planted in the memtable, the way commit would) is an error on
+// every read form. Get
 // always said so; scans used to skip the key as if it had expired.
 func TestCorruptTTLSurfacesOnEveryRead(t *testing.T) {
 	db := openDB(t, smallOpts(t.TempDir()))
@@ -24,9 +25,12 @@ func TestCorruptTTLSurfacesOnEveryRead(t *testing.T) {
 	if err := db.Put([]byte("a"), []byte("fine")); err != nil {
 		t.Fatal(err)
 	}
+	db.commitMu.Lock()
+	db.insert(db.lastSeq()+1, []BatchOp{{Kind: kv.KindSetTTL, Key: []byte("b"), Value: []byte("short")}})
 	db.mu.Lock()
-	db.insertLocked(db.seq+1, []BatchOp{{Kind: kv.KindSetTTL, Key: []byte("b"), Value: []byte("short")}})
+	db.seq.Add(1)
 	db.mu.Unlock()
+	db.commitMu.Unlock()
 	snap := db.NewSnapshot()
 	defer snap.Release()
 
@@ -76,16 +80,28 @@ func TestOneReadPath(t *testing.T) {
 	core := parseFuncs(t, ".")
 	wantSites(t, "core: kv.SplitExpiryValue", core.sites["kv.SplitExpiryValue"], "visible", "runCompaction")
 	wantSites(t, "core: vlog.DecodePointer", core.sites["vlog.DecodePointer"], "visible", "RunValueLogGC")
-	// A version is ref'd for a read only in pin; Checkpoint and compaction
-	// take theirs inside larger critical sections, and buildVersion refs
-	// table handles, not a version.
+	// A version is ref'd for reads in one place: publishLocked, on behalf of
+	// the read state it publishes. (The site moved there from pin, which
+	// now takes a reference on the published state — tryRef — instead of
+	// taking db.mu to ref db.current, so that no read waits on the mutex.)
+	// Checkpoint and compaction take theirs inside larger critical
+	// sections, and buildVersion refs table handles, not a version.
 	var refs []string
 	for callee, fns := range core.sites {
 		if strings.HasSuffix(callee, ".ref") {
 			refs = append(refs, fns...)
 		}
 	}
-	wantSites(t, "core: x.ref()", refs, "pin", "Checkpoint", "runCompaction", "buildVersion")
+	wantSites(t, "core: x.ref()", refs, "publishLocked", "Checkpoint", "runCompaction", "buildVersion")
+	// pin is the only taker of read-state references and touches no mutex.
+	wantSites(t, "core: rs.tryRef()", core.sites["rs.tryRef"], "pin")
+	for callee, fns := range core.sites {
+		for _, fn := range fns {
+			if fn == "pin" && strings.Contains(callee, "mu.") {
+				t.Errorf("core: pin calls %s; a read must not wait on a mutex", callee)
+			}
+		}
+	}
 
 	// shard: the shard count is compared with 1 only where the answer is a
 	// matter of on-disk layout or output format.

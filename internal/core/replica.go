@@ -29,31 +29,33 @@ var (
 	ErrWaitTimeout = errors.New("lsmkv: timed out waiting for sequence number")
 )
 
-// CommitHook observes every committed write batch in sequence order.
-// It is invoked with the engine lock held — it must be fast and must
-// not call back into the DB. The payload is the logical WAL record
-// (encodeBatch framing, pre-value-separation), valid only for the
-// duration of the call; implementations that retain it must copy.
+// CommitHook observes every committed write batch in sequence order,
+// gap-free. It is invoked inside the commit pipeline (commitMu held,
+// db.mu not), after the batch's WAL record is appended and synced and
+// before the batch is readable: the next commit waits for it, so it must
+// be fast, and it must not write to the DB. The payload is the logical
+// WAL record (encodeBatch framing, pre-value-separation), valid only for
+// the duration of the call; implementations that retain it must copy.
 type CommitHook func(firstSeq uint64, count int, payload []byte)
 
 // SetCommitHook installs fn as the engine's commit observer; pass nil
-// to detach. Safe to call at any time — the hook is read under the
-// engine lock.
+// to detach. Safe to call at any time: it waits out the commit in flight
+// (the hook is guarded by commitMu), so once it returns the previous hook
+// is never called again.
 func (db *DB) SetCommitHook(fn CommitHook) {
-	db.mu.Lock()
+	db.commitMu.Lock()
 	db.commitHook = fn
-	db.mu.Unlock()
+	db.commitMu.Unlock()
 }
 
 // LastSeq returns the engine's last applied sequence number: writes
-// with seq <= LastSeq() are visible to reads.
-func (db *DB) LastSeq() uint64 {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return uint64(db.seq)
-}
+// with seq <= LastSeq() are visible to reads. It takes no lock.
+func (db *DB) LastSeq() uint64 { return db.seq.Load() }
 
-// seqWaiter parks one WaitForSeq caller until db.seq reaches target.
+// lastSeq is LastSeq as a kv.SeqNum.
+func (db *DB) lastSeq() kv.SeqNum { return kv.SeqNum(db.seq.Load()) }
+
+// seqWaiter parks one WaitForSeq caller until the watermark reaches target.
 type seqWaiter struct {
 	target kv.SeqNum
 	ch     chan struct{}
@@ -67,7 +69,7 @@ func (db *DB) notifySeqLocked() {
 	}
 	kept := db.seqWaiters[:0]
 	for _, w := range db.seqWaiters {
-		if db.seq >= w.target {
+		if db.lastSeq() >= w.target {
 			close(w.ch)
 		} else {
 			kept = append(kept, w)
@@ -97,7 +99,7 @@ func (db *DB) WaitForSeq(seq uint64, timeout time.Duration) error {
 		db.mu.Unlock()
 		return ErrClosed
 	}
-	if db.seq >= target {
+	if db.lastSeq() >= target {
 		db.mu.Unlock()
 		return nil
 	}
@@ -130,7 +132,7 @@ func (db *DB) WaitForSeq(seq uint64, timeout time.Duration) error {
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if db.seq >= target {
+	if db.lastSeq() >= target {
 		return nil
 	}
 	return ErrClosed
@@ -178,8 +180,8 @@ func (db *DB) NewSnapshotAt(seq uint64) (*Snapshot, error) {
 		return nil, ErrClosed
 	}
 	s := kv.SeqNum(seq)
-	if s > db.seq {
-		return nil, fmt.Errorf("lsmkv: snapshot seq %d ahead of engine watermark %d", seq, db.seq)
+	if s > db.lastSeq() {
+		return nil, fmt.Errorf("lsmkv: snapshot seq %d ahead of engine watermark %d", seq, db.lastSeq())
 	}
 	db.snapshots[s]++
 	return &Snapshot{db: db, seq: s}, nil

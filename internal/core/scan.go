@@ -24,7 +24,7 @@ type Snapshot struct {
 func (db *DB) NewSnapshot() *Snapshot {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	s := &Snapshot{db: db, seq: db.seq}
+	s := &Snapshot{db: db, seq: db.lastSeq()}
 	db.snapshots[s.seq]++
 	return s
 }
@@ -134,7 +134,7 @@ func (db *DB) Levels() []LevelInfo {
 	if err != nil {
 		return nil
 	}
-	defer view.v.unref()
+	defer view.unref()
 	out := make([]LevelInfo, 0, len(view.v.levels))
 	for i, level := range view.v.levels {
 		info := LevelInfo{Level: i, Runs: len(level)}
@@ -168,7 +168,7 @@ func (db *DB) IndexMemory() int {
 	if err != nil {
 		return 0
 	}
-	defer view.v.unref()
+	defer view.unref()
 	total := 0
 	for _, level := range view.v.levels {
 		for _, r := range level {

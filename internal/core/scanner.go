@@ -14,13 +14,13 @@ import (
 // heap-merges one Scanner per shard into a single ordered stream, which
 // is why the pull form exists.
 //
-// The Scanner pins the version it was created against (the tables it
+// The Scanner pins the read state it was created against (the tables it
 // reads cannot be deleted underneath it) until Close. Key and Value
 // return slices that are only valid until the next call to Next; callers
 // that retain them must copy. A Scanner is not safe for concurrent use.
 type Scanner struct {
 	db   *DB
-	v    *version
+	view *readState
 	m    *mergingIter
 	lo   []byte
 	hi   []byte
@@ -53,7 +53,7 @@ func (s *Snapshot) NewScanner(lo, hi []byte) (*Scanner, error) {
 
 // newScanner assembles the merged iterator stack over the current
 // in-memory buffers and every overlapping, range-filter-surviving table,
-// pinning the version until Close.
+// pinning the read state until Close.
 func (db *DB) newScanner(lo, hi []byte, snap kv.SeqNum) (*Scanner, error) {
 	db.opts.Stats.RangeLookups.Add(1)
 
@@ -99,7 +99,7 @@ func (db *DB) newScanner(lo, hi []byte, snap kv.SeqNum) (*Scanner, error) {
 	}
 	return &Scanner{
 		db:   db,
-		v:    view.v,
+		view: view,
 		m:    newMergingIter(iters),
 		lo:   append([]byte(nil), lo...),
 		hi:   hiCopy,
@@ -170,7 +170,7 @@ func (sc *Scanner) Value() []byte { return sc.value }
 // Err returns the first error the scan hit, if any.
 func (sc *Scanner) Err() error { return sc.err }
 
-// Close releases the pinned version and the underlying iterators;
+// Close releases the pinned read state and the underlying iterators;
 // idempotent. It returns Err (or the close error) so `defer Close` plus
 // an error check covers the whole scan.
 func (sc *Scanner) Close() error {
@@ -181,6 +181,6 @@ func (sc *Scanner) Close() error {
 	if err := sc.m.Close(); err != nil && sc.err == nil {
 		sc.err = err
 	}
-	sc.v.unref()
+	sc.view.unref()
 	return sc.err
 }

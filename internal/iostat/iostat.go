@@ -78,6 +78,13 @@ type Stats struct {
 	// is WALSyncs over BatchedOps.
 	WALRecords atomic.Int64
 	WALSyncs   atomic.Int64
+	// WALSyncNs is the time spent inside those fsyncs (mean fsync =
+	// WALSyncNs / WALSyncs); CommitWaitNs is the time commits spent queued
+	// behind another commit, flush rotation or checkpoint sync for the
+	// engine's commit lock. Together they say what a write waited for: the
+	// disk, or the writers ahead of it.
+	WALSyncNs    atomic.Int64
+	CommitWaitNs atomic.Int64
 	// BatchCommits counts ApplyBatch calls; BatchedOps the operations
 	// they carried. BatchedOps/BatchCommits is the mean commit group size.
 	BatchCommits atomic.Int64
@@ -136,6 +143,8 @@ type Snapshot struct {
 	VlogReads              int64
 	WALRecords             int64
 	WALSyncs               int64
+	WALSyncNs              int64
+	CommitWaitNs           int64
 	BatchCommits           int64
 	BatchedOps             int64
 	WriteStalls            int64
@@ -175,6 +184,8 @@ func (s *Stats) Snapshot() Snapshot {
 		VlogReads:              s.VlogReads.Load(),
 		WALRecords:             s.WALRecords.Load(),
 		WALSyncs:               s.WALSyncs.Load(),
+		WALSyncNs:              s.WALSyncNs.Load(),
+		CommitWaitNs:           s.CommitWaitNs.Load(),
 		BatchCommits:           s.BatchCommits.Load(),
 		BatchedOps:             s.BatchedOps.Load(),
 		WriteStalls:            s.WriteStalls.Load(),
@@ -216,6 +227,8 @@ func (s Snapshot) Add(t Snapshot) Snapshot {
 		VlogReads:              s.VlogReads + t.VlogReads,
 		WALRecords:             s.WALRecords + t.WALRecords,
 		WALSyncs:               s.WALSyncs + t.WALSyncs,
+		WALSyncNs:              s.WALSyncNs + t.WALSyncNs,
+		CommitWaitNs:           s.CommitWaitNs + t.CommitWaitNs,
 		BatchCommits:           s.BatchCommits + t.BatchCommits,
 		BatchedOps:             s.BatchedOps + t.BatchedOps,
 		WriteStalls:            s.WriteStalls + t.WriteStalls,
@@ -256,6 +269,8 @@ func (s Snapshot) Sub(t Snapshot) Snapshot {
 		VlogReads:              s.VlogReads - t.VlogReads,
 		WALRecords:             s.WALRecords - t.WALRecords,
 		WALSyncs:               s.WALSyncs - t.WALSyncs,
+		WALSyncNs:              s.WALSyncNs - t.WALSyncNs,
+		CommitWaitNs:           s.CommitWaitNs - t.CommitWaitNs,
 		BatchCommits:           s.BatchCommits - t.BatchCommits,
 		BatchedOps:             s.BatchedOps - t.BatchedOps,
 		WriteStalls:            s.WriteStalls - t.WriteStalls,

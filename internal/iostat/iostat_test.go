@@ -1,7 +1,9 @@
 package iostat
 
 import (
+	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -74,5 +76,38 @@ func TestConcurrentCounting(t *testing.T) {
 	wg.Wait()
 	if got := s.BlockReads.Load(); got != 8000 {
 		t.Errorf("lost updates: %d", got)
+	}
+}
+
+// TestEveryCounterIsCarried: each Stats counter has a Snapshot field of
+// its name, and Snapshot, Add and Sub each carry it — four hand-written
+// lists that a new counter must join.
+func TestEveryCounterIsCarried(t *testing.T) {
+	var s Stats
+	sv := reflect.ValueOf(&s).Elem()
+	for i := 0; i < sv.NumField(); i++ {
+		sv.Field(i).Addr().Interface().(*atomic.Int64).Store(int64(i + 1))
+	}
+	snap := s.Snapshot()
+	sum, diff := reflect.ValueOf(snap.Add(snap)), reflect.ValueOf(snap.Sub(snap))
+	if got, want := sum.NumField(), sv.NumField(); got != want {
+		t.Fatalf("Snapshot has %d fields, Stats %d", got, want)
+	}
+	for i := 0; i < sv.NumField(); i++ {
+		name, want := sv.Type().Field(i).Name, int64(i+1)
+		f := reflect.ValueOf(snap).FieldByName(name)
+		if !f.IsValid() {
+			t.Errorf("Snapshot has no field %s", name)
+			continue
+		}
+		if got := f.Int(); got != want {
+			t.Errorf("Snapshot().%s = %d, want %d", name, got, want)
+		}
+		if got := sum.FieldByName(name).Int(); got != 2*want {
+			t.Errorf("Add carries %s as %d, want %d", name, got, 2*want)
+		}
+		if got := diff.FieldByName(name).Int(); got != 0 {
+			t.Errorf("Sub carries %s as %d, want 0", name, got)
+		}
 	}
 }

@@ -139,7 +139,10 @@ func TestFollowerStreamApplyAndReconnect(t *testing.T) {
 	if len(seqs) != 1 || seqs[0] != 0 {
 		t.Fatalf("handshake watermarks %v", seqs)
 	}
-	if err := sendFrame(conn, AppendHeartbeatFrame(nil, []uint64{0})); err != nil {
+	// The opening heartbeat already names the primary's watermark, 3 (as
+	// the second connection's does): with 0 the follower counted as caught
+	// up before a record arrived, and WaitCaughtUp below raced the apply.
+	if err := sendFrame(conn, AppendHeartbeatFrame(nil, []uint64{3})); err != nil {
 		t.Fatal(err)
 	}
 	records := [][]byte{seqPayload(1), seqPayload(2), seqPayload(3)}
@@ -164,6 +167,7 @@ func TestFollowerStreamApplyAndReconnect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer conn2.Close() // reachable to the end: a collected conn closes under the follower
 	if len(seqs2) != 1 || seqs2[0] != 3 {
 		t.Fatalf("reconnect watermarks %v, want [3]", seqs2)
 	}

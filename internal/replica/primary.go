@@ -89,8 +89,8 @@ func NewPrimary(cfg PrimaryConfig) *Primary {
 }
 
 // OnCommit retains one committed batch for shipping. It is called from
-// the engine's commit hook — under the engine lock, in sequence order
-// per shard — so it copies and returns quickly.
+// the engine's commit hook — inside the shard's commit pipeline, in
+// sequence order per shard — so it copies and returns quickly.
 func (p *Primary) OnCommit(shard int, firstSeq uint64, count int, payload []byte) {
 	if shard < 0 || shard >= len(p.backlogs) || count <= 0 {
 		return

@@ -45,8 +45,9 @@ func (db *DB) ApplyReplicated(shard int, payload []byte) (uint64, error) {
 }
 
 // CommitHook observes every committed write batch (shard, first
-// sequence number, op count, logical WAL payload). It runs under the
-// engine lock: copy the payload if retaining it, return quickly.
+// sequence number, op count, logical WAL payload). It runs inside the
+// shard's commit pipeline — the shard's next commit waits for it, reads
+// do not: copy the payload if retaining it, return quickly.
 type CommitHook func(shard int, firstSeq uint64, count int, payload []byte)
 
 // SetCommitHook installs fn as the commit-stream observer on every shard

@@ -487,6 +487,7 @@ type CheckpointInfo = checkpoint.Marker
 type MerkleTree = replica.Tree
 
 // CommitHook observes every committed write batch (shard, first
-// sequence number, op count, logical WAL payload). It runs under the
-// engine lock: copy the payload if retaining it, return quickly.
+// sequence number, op count, logical WAL payload). It runs inside the
+// shard's commit pipeline — the shard's next commit waits for it, reads
+// do not: copy the payload if retaining it, return quickly.
 type CommitHook = shard.CommitHook
