@@ -53,9 +53,9 @@ doc-links:
 		&& echo "doc-links: OK"
 
 # The repo's benchmark (benchmark/, see BENCHMARK.json) is a nested
-# module, so `go build ./... && go test ./...` neither builds nor runs it;
-# it imports lsm.go and internal/ symbols, so a change there can break it
-# while tier-1 stays green. Its smoke test runs every workload small.
+# module, so `go build ./... && go test ./...` does not run it (the root
+# TestBenchmarkModuleBuilds vets and builds it); it imports lsm.go and
+# internal/ symbols. Its smoke test runs every workload small.
 bench-check:
 	cd benchmark && $(GO) vet . && $(GO) test .
 

@@ -17,9 +17,13 @@ import (
 //     allocs/op. The cached block decodes into a pooled readScratch;
 //     restart arrays, iterator key buffers, and the search key all come
 //     from the pool.
-//   - GetAppend on a cache miss: the one unavoidable allocation is the
-//     raw block handed to the cache (which takes ownership), plus cache
-//     bookkeeping — ceiling 6.
+//   - GetAppend with no cache: the block is read into the pooled
+//     scratch; the ceiling of 6 allows the read syscall path.
+//   - GetAppend and MultiGet on a miss against a full cache
+//     (TestColdReadAllocs): the block is read into the same pooled
+//     scratch and only offered to the cache, which declines one-touch
+//     traffic — 0 allocs/op, and for MultiGet nothing on top of the
+//     result slices.
 //   - MultiGet: the batch path may allocate the result slices and one
 //     value copy per present key, but no more than 4 allocs/key at
 //     batch 64.
@@ -168,6 +172,85 @@ func TestMultiGetAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(50, mget); allocs > ceiling {
 		t.Errorf("MultiGet batch %d: %.1f allocs/batch (%.2f/key), ceiling %d",
 			batch, allocs, allocs/batch, ceiling)
+	}
+}
+
+// TestColdReadAllocs gates the miss path against a full block cache: the
+// store is many times the cache and every measured lookup lands in a
+// block no lookup touched before, so each one misses, reads its block and
+// has it declined by admission. That costs no allocation: a GetAppend
+// into the caller's dst makes none, and a MultiGet makes its result slice
+// and one value copy per key, as it does on hits.
+func TestColdReadAllocs(t *testing.T) {
+	opts := Default()
+	opts.MemtableBytes = 1 << 20
+	opts.BlockSize = 1024
+	opts.CacheBytes = 128 << 10 // 7 blocks in each of the cache's 16 shards
+	db, err := Open(t.TempDir(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+
+	// Keys ascend with i and a 1 KiB block holds fewer than stride/2 of
+	// them, so keys stride apart — and the fill keys halfway between —
+	// are all in different blocks.
+	const stride, nBlocks = 64, 1200
+	for i := int64(0); i < stride*nBlocks; i++ {
+		if err := db.Put(workload.Key(i), workload.Value(i, 32)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	for b := int64(0); b < nBlocks; b++ { // fill the cache
+		if _, err := db.Get(workload.Key(b*stride + stride/2)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	cold := make([][]byte, nBlocks) // one key in each untouched block
+	for b := range cold {
+		cold[b] = workload.Key(int64(b) * stride)
+	}
+	var dst []byte
+	get := func() {
+		v, err := db.GetAppend(cold[0], dst[:0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst, cold = v, cold[1:]
+	}
+	const batch = 32
+	mget := func() {
+		if _, err := db.MultiGet(cold[:batch]); err != nil {
+			t.Fatal(err)
+		}
+		cold = cold[batch:]
+	}
+	for i := 0; i < 16; i++ {
+		get() // warm the scratch pools
+	}
+	mget()
+
+	before := db.Stats()
+	getAllocs := testing.AllocsPerRun(200, get)
+	mgetAllocs := testing.AllocsPerRun(20, mget)
+	d := db.Stats().Sub(before)
+	if d.BlockCacheHits != 0 || d.BlockCacheAdmits != 0 || d.BlockCacheRejects != d.BlockCacheMisses || d.BlockCacheMisses < 201+21*batch {
+		t.Fatalf("lookups were not all cold misses declined by a full cache: %d hits, %d misses, %d admitted, %d declined",
+			d.BlockCacheHits, d.BlockCacheMisses, d.BlockCacheAdmits, d.BlockCacheRejects)
+	}
+	if raceEnabled {
+		return // the pools the ceilings rest on leak by design under -race
+	}
+	if getAllocs > 0 {
+		t.Errorf("cold GetAppend, full cache: %.2f allocs/op, ceiling 0", getAllocs)
+	}
+	if mgetAllocs > batch+1 {
+		t.Errorf("cold MultiGet of %d, full cache: %.1f allocs/op, ceiling %d (result slice + one value per key)",
+			batch, mgetAllocs, batch+1)
 	}
 }
 

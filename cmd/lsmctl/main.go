@@ -67,7 +67,23 @@ import (
 	"lsmkv/internal/workload"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// errReported marks a failure whose message is already printed; run
+// turns it into exit status 1 without saying more.
+var errReported = errors.New("reported")
+
+// run is main with an exit status for a result, so that every path that
+// has opened the database or dialled the server leaves through its
+// deferred Close (an in-process DB that is not closed leaves its WAL
+// behind for the next open to replay).
+func run() int {
+	fail := func(err error) int {
+		if err != errReported {
+			fmt.Fprintln(os.Stderr, "lsmctl:", err)
+		}
+		return 1
+	}
 	var (
 		dir    = flag.String("db", "", "database directory (opens the DB in-process)")
 		addr   = flag.String("addr", "", "lsmserver address (speaks the network protocol instead of opening -db)")
@@ -77,21 +93,19 @@ func main() {
 	if (*dir == "") == (*addr == "") || flag.NArg() == 0 {
 		fmt.Fprintln(os.Stderr, "lsmctl: exactly one of -db or -addr is required")
 		flag.Usage()
-		os.Exit(2)
+		return 2
 	}
 
 	if *addr != "" {
 		cl, err := client.Dial(*addr, &client.Options{MaxRetries: 2})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "lsmctl: dial:", err)
-			os.Exit(1)
+			return fail(fmt.Errorf("dial: %w", err))
 		}
 		defer cl.Close()
 		if err := runRemote(cl, flag.Args()); err != nil {
-			fmt.Fprintln(os.Stderr, "lsmctl:", err)
-			os.Exit(1)
+			return fail(err)
 		}
-		return
+		return 0
 	}
 
 	var opts *lsmkv.Options
@@ -108,23 +122,22 @@ func main() {
 		opts = lsmkv.WiscKey()
 	default:
 		fmt.Fprintf(os.Stderr, "lsmctl: unknown preset %q\n", *preset)
-		os.Exit(2)
+		return 2
 	}
 
 	db, err := lsmkv.Open(*dir, opts)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "lsmctl: open:", err)
-		os.Exit(1)
+		return fail(fmt.Errorf("open: %w", err))
 	}
 	defer db.Close()
 
-	if err := run(db, flag.Args()); err != nil {
-		fmt.Fprintln(os.Stderr, "lsmctl:", err)
-		os.Exit(1)
+	if err := runLocal(db, flag.Args()); err != nil {
+		return fail(err)
 	}
+	return 0
 }
 
-func run(db *lsmkv.DB, args []string) error {
+func runLocal(db *lsmkv.DB, args []string) error {
 	cmd, rest := args[0], args[1:]
 	need := func(n int) error {
 		if len(rest) != n {
@@ -165,7 +178,7 @@ func run(db *lsmkv.DB, args []string) error {
 		err := db.CompareAndSwap([]byte(rest[0]), casExpected(rest[1]), []byte(rest[2]))
 		if errors.Is(err, lsmkv.ErrCASMismatch) {
 			fmt.Println("(conflict: current value does not match)")
-			os.Exit(1)
+			return errReported
 		}
 		return err
 	case "sketch":
@@ -425,7 +438,7 @@ func runRemote(cl *client.Client, args []string) error {
 		err := cl.Cas([]byte(rest[0]), casExpected(rest[1]), []byte(rest[2]))
 		if errors.Is(err, client.ErrCASMismatch) {
 			fmt.Println("(conflict: current value does not match)")
-			os.Exit(1)
+			return errReported
 		}
 		return err
 	case "sketch":

@@ -1,16 +1,16 @@
 // Package cache implements the block cache of the read path (tutorial
-// Module II-iii): a sharded, capacity-bounded cache of decoded sstable
-// blocks keyed by (file number, block offset), with a choice of LRU or
-// CLOCK replacement. It also provides the compaction-aware warming hook
-// (Leaper-style) that core uses to re-fetch hot data after compaction
-// invalidates it — the buffer-cache invalidation problem the tutorial
-// highlights for LSM-trees.
+// Module II-iii): a sharded, capacity-bounded cache of raw sstable blocks
+// keyed by (file number, block offset), with a choice of LRU or CLOCK
+// replacement behind one admission rule — a full cache takes a missed
+// block on its second miss, not its first, so one-touch traffic (scans,
+// compaction inputs, uniform reads over a store far larger than the
+// cache) neither allocates nor evicts. It also provides the
+// compaction-aware warming hook (Leaper-style) that core uses to
+// re-fetch hot data after compaction invalidates it — the buffer-cache
+// invalidation problem the tutorial highlights for LSM-trees.
 package cache
 
-import (
-	"container/list"
-	"sync"
-)
+import "sync"
 
 // Policy selects the replacement algorithm.
 type Policy int
@@ -54,11 +54,12 @@ func New(capacity int64, policy Policy) *Cache {
 	return c
 }
 
-func (c *Cache) shard(k blockKey) *shard {
+func (k blockKey) hash() uint64 {
 	h := k.file*0x9e3779b97f4a7c15 ^ k.offset*0xc2b2ae3d27d4eb4f
-	h ^= h >> 29
-	return &c.shards[h%numShards]
+	return h ^ h>>29
 }
+
+func (c *Cache) shard(k blockKey) *shard { return &c.shards[k.hash()%numShards] }
 
 // Get returns the cached block, if resident.
 func (c *Cache) Get(file, offset uint64) ([]byte, bool) {
@@ -66,10 +67,29 @@ func (c *Cache) Get(file, offset uint64) ([]byte, bool) {
 	return c.shard(k).get(k)
 }
 
-// Insert adds a block. Blocks larger than a shard's capacity are ignored.
+// Insert adds a block unconditionally and takes ownership of its bytes:
+// the caller's statement that the block is hot (compaction-aware
+// prefetch). Blocks larger than a shard's capacity are ignored.
 func (c *Cache) Insert(file, offset uint64, block []byte) {
 	k := blockKey{file, offset}
 	c.shard(k).insert(k, block)
+}
+
+// Offer is what a read does with a block that just missed: the cache
+// copies it in and reports true if there is free room or if this is the
+// block's second miss within the doorkeeper's window, and otherwise only
+// remembers the miss. One-touch traffic — uniform point misses, scans,
+// compaction inputs — therefore costs neither an allocation nor a
+// resident block; block is the caller's to reuse either way. The copy is
+// made between the decision and the insert, with the shard unlocked: an
+// allocation can stall on the collector, and other readers need the lock.
+func (c *Cache) Offer(file, offset uint64, block []byte) bool {
+	k := blockKey{file, offset}
+	s := c.shard(k)
+	if !s.admits(k, int64(len(block))+entryOverhead) {
+		return false
+	}
+	return s.insert(k, append([]byte(nil), block...))
 }
 
 // EvictFile drops every cached block belonging to file — what happens
@@ -120,145 +140,170 @@ func (c *Cache) Len() int {
 	return n
 }
 
+// entry is one slot of a shard's slab. Slot 0 is the sentinel of the
+// circular recency list (next = newest, prev = next victim); free slots
+// are chained through next.
 type entry struct {
-	key   blockKey
-	data  []byte
-	ref   bool          // Clock reference bit
-	elem  *list.Element // LRU position (LRU policy only)
-	index int           // position in ring (Clock policy only)
+	key        blockKey
+	data       []byte
+	prev, next int32
+	ref        bool // Clock reference bit
 }
+
+// entryOverhead is the bookkeeping charged per block on top of its bytes.
+const entryOverhead = 64
 
 type shard struct {
 	mu       sync.Mutex
 	capacity int64
-	policy   Policy
+	clock    bool
 	size     int64
-	table    map[blockKey]*entry
+	table    map[blockKey]int32 // key -> slab slot
+	slab     []entry
+	free     int32 // first free slot, 0 when none
 
-	// LRU state.
-	lru *list.List // front = most recent
-
-	// Clock state.
-	ring []*entry
-	hand int
+	// door is the admission doorkeeper: a direct-mapped table of the
+	// fingerprints of recent rejected misses, one slot per 4 KiB of
+	// capacity — at the default 4 KiB BlockSize, about as many misses as
+	// the shard holds blocks; only that size is measured, others scale it.
+	door []uint32
 }
 
 func (s *shard) init(capacity int64, policy Policy) {
 	s.capacity = capacity
-	s.policy = policy
-	s.table = make(map[blockKey]*entry)
-	if policy == LRU {
-		s.lru = list.New()
+	s.clock = policy == Clock
+	s.table = make(map[blockKey]int32)
+	s.slab = make([]entry, 1)
+	slots := 1
+	for int64(slots)<<12 < capacity {
+		slots <<= 1
 	}
+	s.door = make([]uint32, slots)
 }
 
 func (s *shard) get(k blockKey) ([]byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, ok := s.table[k]
+	i, ok := s.table[k]
 	if !ok {
 		return nil, false
 	}
-	switch s.policy {
-	case LRU:
-		s.lru.MoveToFront(e.elem)
-	case Clock:
-		e.ref = true
-	}
-	return e.data, true
+	s.touch(i)
+	return s.slab[i].data, true
 }
 
-func (s *shard) insert(k blockKey, data []byte) {
-	sz := int64(len(data)) + 64
+// touch records a reference: LRU moves the entry to the front, Clock sets
+// its bit.
+func (s *shard) touch(i int32) {
+	if s.clock {
+		s.slab[i].ref = true
+		return
+	}
+	s.unlink(i)
+	s.pushFront(i)
+}
+
+func (s *shard) unlink(i int32) {
+	e := &s.slab[i]
+	s.slab[e.prev].next = e.next
+	s.slab[e.next].prev = e.prev
+}
+
+func (s *shard) pushFront(i int32) {
+	e, head := &s.slab[i], &s.slab[0]
+	e.prev, e.next = 0, head.next
+	s.slab[head.next].prev = i
+	head.next = i
+}
+
+// insert adds or replaces k, taking ownership of data, and reports
+// whether k is now resident (a block larger than the shard is not).
+func (s *shard) insert(k blockKey, data []byte) bool {
+	sz := int64(len(data)) + entryOverhead
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if sz > s.capacity {
-		return
+		return false
 	}
-	if old, ok := s.table[k]; ok {
-		s.size += int64(len(data)) - int64(len(old.data))
-		old.data = data
-		if s.policy == LRU {
-			s.lru.MoveToFront(old.elem)
-		} else {
-			old.ref = true
-		}
+	if i, ok := s.table[k]; ok {
+		s.size += int64(len(data)) - int64(len(s.slab[i].data))
+		s.slab[i].data = data
+		s.touch(i)
 		s.evictUntilFits()
-		return
+		return true
 	}
-	e := &entry{key: k, data: data, ref: true}
-	s.table[k] = e
+	i := s.free
+	if i != 0 {
+		s.free = s.slab[i].next
+	} else {
+		s.slab = append(s.slab, entry{})
+		i = int32(len(s.slab) - 1)
+	}
+	s.slab[i] = entry{key: k, data: data, ref: true}
+	s.pushFront(i)
+	s.table[k] = i
 	s.size += sz
-	switch s.policy {
-	case LRU:
-		e.elem = s.lru.PushFront(e)
-	case Clock:
-		e.index = len(s.ring)
-		s.ring = append(s.ring, e)
-	}
 	s.evictUntilFits()
+	return true
 }
 
+// admits is the admission rule for an offered block of cost sz: free
+// room, or a second miss.
+func (s *shard) admits(k blockKey, sz int64) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return sz <= s.capacity && (s.size+sz <= s.capacity || s.secondMiss(k))
+}
+
+// secondMiss reports whether the doorkeeper still remembers a miss of k,
+// forgetting it if so and remembering this one if not.
+func (s *shard) secondMiss(k blockKey) bool {
+	h := k.hash() / numShards // the low bits chose the shard
+	fp := uint32(h>>32) | 1
+	slot := &s.door[h&uint64(len(s.door)-1)]
+	if *slot == fp {
+		*slot = 0
+		return true
+	}
+	*slot = fp
+	return false
+}
+
+// evictUntilFits removes victims from the cold end of the list; under
+// Clock a referenced victim loses its bit and goes round again instead.
 func (s *shard) evictUntilFits() {
 	for s.size > s.capacity {
-		switch s.policy {
-		case LRU:
-			back := s.lru.Back()
-			if back == nil {
-				return
-			}
-			s.remove(back.Value.(*entry))
-		case Clock:
-			if len(s.ring) == 0 {
-				return
-			}
-			// Second-chance sweep.
-			for {
-				if s.hand >= len(s.ring) {
-					s.hand = 0
-				}
-				e := s.ring[s.hand]
-				if e.ref {
-					e.ref = false
-					s.hand++
-					continue
-				}
-				s.remove(e)
-				break
-			}
+		i := s.slab[0].prev
+		if i == 0 {
+			return
 		}
+		if e := &s.slab[i]; s.clock && e.ref {
+			e.ref = false
+			s.unlink(i)
+			s.pushFront(i)
+			continue
+		}
+		s.remove(i)
 	}
 }
 
-// remove unlinks e from all structures. Caller holds the lock.
-func (s *shard) remove(e *entry) {
+// remove unlinks slot i from all structures. Caller holds the lock.
+func (s *shard) remove(i int32) {
+	e := &s.slab[i]
 	delete(s.table, e.key)
-	s.size -= int64(len(e.data)) + 64
-	switch s.policy {
-	case LRU:
-		s.lru.Remove(e.elem)
-	case Clock:
-		last := len(s.ring) - 1
-		s.ring[e.index] = s.ring[last]
-		s.ring[e.index].index = e.index
-		s.ring = s.ring[:last]
-		if s.hand > last {
-			s.hand = 0
-		}
-	}
+	s.size -= int64(len(e.data)) + entryOverhead
+	s.unlink(i)
+	*e = entry{next: s.free}
+	s.free = i
 }
 
 func (s *shard) evictFile(file uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var victims []*entry
-	for k, e := range s.table {
+	for k, i := range s.table {
 		if k.file == file {
-			victims = append(victims, e)
+			s.remove(i)
 		}
-	}
-	for _, e := range victims {
-		s.remove(e)
 	}
 }
 

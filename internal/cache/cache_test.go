@@ -118,6 +118,95 @@ func TestEvictFile(t *testing.T) {
 	}
 }
 
+// TestEvictFileFreesSlots: blocks admitted through Offer leave with their
+// file like inserted ones, and what they occupied is reusable.
+func TestEvictFileFreesSlots(t *testing.T) {
+	for _, p := range []Policy{LRU, Clock} {
+		c := New(16*4*(1024+64), p)
+		for round := 0; round < 3; round++ {
+			for i := 0; i < 32; i++ {
+				c.Offer(7, uint64(i), block(1024))
+			}
+			if c.ResidentBlocks(7) == 0 {
+				t.Fatalf("%v round %d: nothing admitted into an empty cache", p, round)
+			}
+			c.EvictFile(7)
+			if c.Len() != 0 || c.SizeBytes() != 0 || c.ResidentBlocks(7) != 0 {
+				t.Fatalf("%v round %d: after EvictFile len=%d size=%d", p, round, c.Len(), c.SizeBytes())
+			}
+		}
+	}
+}
+
+// TestOfferAdmitsIntoFreeRoom: while a shard has room a first miss is
+// admitted at once, and the cache keeps a copy, not the caller's buffer.
+func TestOfferAdmitsIntoFreeRoom(t *testing.T) {
+	c := New(1<<20, LRU)
+	buf := []byte("first-miss")
+	if !c.Offer(3, 0, buf) {
+		t.Fatal("a non-full cache declined a block")
+	}
+	buf[0] = 'X' // the caller reuses its read buffer
+	if got, ok := c.Get(3, 0); !ok || string(got) != "first-miss" {
+		t.Errorf("got %q ok=%v, want the bytes as offered", got, ok)
+	}
+}
+
+// TestSecondMissAdmits: a full shard declines a block's first miss and
+// admits its second.
+func TestSecondMissAdmits(t *testing.T) {
+	for _, p := range []Policy{LRU, Clock} {
+		c := New(16*4*(1024+64), p) // 4 blocks per shard
+		for i := 0; c.SizeBytes() < 16*4*(1024+64); i++ {
+			c.Offer(1, uint64(i), block(1024))
+		}
+		if c.Offer(2, 0, block(1024)) {
+			t.Errorf("%v: full cache admitted a first miss", p)
+		}
+		if _, ok := c.Get(2, 0); ok {
+			t.Errorf("%v: declined block is resident", p)
+		}
+		if !c.Offer(2, 0, block(1024)) {
+			t.Errorf("%v: second miss not admitted", p)
+		}
+		if _, ok := c.Get(2, 0); !ok {
+			t.Errorf("%v: admitted block is not resident", p)
+		}
+		if got, max := c.SizeBytes(), int64(16*4*(1024+64)); got > max {
+			t.Errorf("%v: size %d over capacity %d", p, got, max)
+		}
+	}
+}
+
+// TestHotSetSurvivesSweep: a resident hot set outlives one pass over ten
+// times the cache's capacity of blocks seen once each — a scan, or a
+// compaction reading its inputs — and none of those blocks is kept.
+func TestHotSetSurvivesSweep(t *testing.T) {
+	for _, p := range []Policy{LRU, Clock} {
+		const perShard, hot = 8, 64
+		c := New(16*perShard*(1024+64), p)
+		for i := 0; i < 100*hot; i++ { // the first 64 find room; the rest fill every shard
+			if admitted := c.Offer(1, uint64(i), block(1024)); i < hot && !admitted {
+				t.Fatalf("%v: hot block %d not admitted into free room", p, i)
+			}
+		}
+		for i := 0; i < 10*16*perShard; i++ {
+			if _, ok := c.Get(9, uint64(i)); ok {
+				t.Fatalf("%v: sweep block %d resident before it was read", p, i)
+			}
+			c.Offer(9, uint64(i), block(1024))
+		}
+		for i := 0; i < hot; i++ {
+			if _, ok := c.Get(1, uint64(i)); !ok {
+				t.Errorf("%v: hot block %d evicted by one-touch traffic", p, i)
+			}
+		}
+		if n := c.ResidentBlocks(9); n > 0 {
+			t.Errorf("%v: %d one-touch blocks resident", p, n)
+		}
+	}
+}
+
 func TestInsertUpdatesExisting(t *testing.T) {
 	for _, p := range []Policy{LRU, Clock} {
 		c := New(1<<20, p)
@@ -153,7 +242,7 @@ func TestZeroCapacityCache(t *testing.T) {
 }
 
 func TestCacheConcurrency(t *testing.T) {
-	c := New(1<<20, Clock)
+	c := New(64<<10, Clock) // small enough to be full, so Offer runs admission
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

@@ -290,7 +290,7 @@ func (db *DB) createWAL() (*wal.Writer, uint64, error) {
 	db.mu.Lock()
 	num := db.newFileNumLocked()
 	db.mu.Unlock()
-	// Never SyncOnWrite: commit syncs explicitly, so the fsync can be timed.
+	// The log never syncs by itself: commit does, so the fsync can be timed.
 	w, err := wal.Create(db.opts.FS, db.walPath(num), wal.Options{})
 	if err != nil {
 		return nil, 0, err

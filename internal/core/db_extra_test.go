@@ -120,6 +120,68 @@ func TestPrefetchRestoresCacheAfterCompaction(t *testing.T) {
 	}
 }
 
+// TestCompactionElsewhereKeepsHotSetCached: compactions over key ranges
+// the hot set does not live in read every input block once, and that
+// one-touch traffic must not push the hot set's blocks out of a full
+// cache. The hot set sits in the last level before the other ranges are
+// written, so no compaction rewrites (and so legitimately invalidates)
+// its files; the traces check that premise.
+func TestCompactionElsewhereKeepsHotSetCached(t *testing.T) {
+	opts := smallOpts(t.TempDir())
+	opts.Shape.MaxLevels = 3
+	opts.Shape.BaseBytes = 16 << 10
+	db := openDB(t, opts)
+	defer db.Close()
+
+	// The hot range, then a spacer range above it that flushes the hot
+	// range's leftovers out of the upper levels.
+	const hotKeys, spacerFrom, coldFrom = 1500, 10_000, 100_000
+	for i := 0; i < hotKeys; i++ {
+		db.Put(key(i), val(i))
+	}
+	for i := spacerFrom; i < spacerFrom+3000; i++ {
+		db.Put(key(i), val(i))
+	}
+	db.Flush()
+	db.WaitIdle()
+
+	readHot := func() (hitRate float64, files []string) {
+		before := db.Stats()
+		for i := 0; i < hotKeys/2; i += 5 {
+			_, tr, err := db.GetTraced(key(i))
+			if err != nil {
+				t.Fatalf("hot key %d: %v", i, err)
+			}
+			files = append(files, tr.Source)
+		}
+		return db.Stats().Sub(before).CacheHitRate(), files
+	}
+	readHot()
+	readHot() // a declined first miss is admitted on its second
+	before, filesBefore := readHot()
+
+	// Ten times the cache of other keys, in scattered order so that every
+	// merge into the last level reads most of what is already there.
+	const coldKeys = 16_000
+	for i := 0; i < coldKeys; i++ {
+		k := coldFrom + i*7919%coldKeys
+		db.Put(key(k), val(k))
+	}
+	db.Flush()
+	db.WaitIdle()
+	if db.Stats().CompactionBytesRead < 10*opts.CacheBytes {
+		t.Fatalf("compactions read %d bytes, want over ten times the %d-byte cache", db.Stats().CompactionBytesRead, opts.CacheBytes)
+	}
+
+	after, filesAfter := readHot()
+	if fmt.Sprint(filesBefore) != fmt.Sprint(filesAfter) {
+		t.Fatalf("set-up: a compaction rewrote the hot set's files\nbefore %v\nafter  %v", filesBefore, filesAfter)
+	}
+	if before < 0.99 || after < before {
+		t.Errorf("hot set hit rate %.3f before the compactions, %.3f after: their input blocks evicted it", before, after)
+	}
+}
+
 func TestVlogSurvivesReopen(t *testing.T) {
 	dir := t.TempDir()
 	opts := smallOpts(dir)

@@ -88,6 +88,31 @@ func TestGetTracedDeepLevelHit(t *testing.T) {
 	if tr.ElapsedUs <= 0 {
 		t.Fatalf("elapsed not recorded: %v", tr.ElapsedUs)
 	}
+
+	// The trace says what a miss did to the cache: admitted at once into
+	// free room, or on its second occurrence into a full cache — so the
+	// third lookup of the key is a hit, and an earlier trace owns up to
+	// the admission.
+	admitted := 0
+	for lookup := 1; lookup <= 3; lookup++ {
+		if lookup > 1 {
+			if _, tr, err = db.GetTraced(key(0)); err != nil {
+				t.Fatalf("GetTraced: %v", err)
+			}
+		}
+		for _, rt := range tr.Runs {
+			if rt.CacheHits+rt.CacheMisses != rt.Blocks || rt.CacheAdmitted > rt.CacheMisses {
+				t.Fatalf("lookup %d: cache accounting does not add up: %+v", lookup, rt)
+			}
+			admitted += rt.CacheAdmitted
+			if lookup == 3 && rt.CacheMisses > 0 {
+				t.Fatalf("third lookup still misses: %s", tr)
+			}
+		}
+	}
+	if admitted == 0 {
+		t.Fatal("the block became resident but no trace recorded its admission")
+	}
 }
 
 func TestGetTracedAbsentKey(t *testing.T) {

@@ -34,6 +34,12 @@ type Stats struct {
 	// BlockCacheHits and BlockCacheMisses count block cache outcomes.
 	BlockCacheHits   atomic.Int64
 	BlockCacheMisses atomic.Int64
+	// BlockCacheAdmits and BlockCacheRejects split the misses whose block
+	// was read and verified by what cache admission did with it: copied
+	// in (free room, or its second miss in the doorkeeper's window), or
+	// left out as one-touch traffic.
+	BlockCacheAdmits  atomic.Int64
+	BlockCacheRejects atomic.Int64
 	// FilterProbes counts point-filter membership tests; FilterNegatives
 	// the probes that skipped a run; FilterFalsePositives the probes that
 	// said maybe but the run turned out not to hold the key.
@@ -124,6 +130,8 @@ type Snapshot struct {
 	BytesRead              int64
 	BlockCacheHits         int64
 	BlockCacheMisses       int64
+	BlockCacheAdmits       int64
+	BlockCacheRejects      int64
 	FilterProbes           int64
 	FilterNegatives        int64
 	FilterFalsePositives   int64
@@ -165,6 +173,8 @@ func (s *Stats) Snapshot() Snapshot {
 		BytesRead:              s.BytesRead.Load(),
 		BlockCacheHits:         s.BlockCacheHits.Load(),
 		BlockCacheMisses:       s.BlockCacheMisses.Load(),
+		BlockCacheAdmits:       s.BlockCacheAdmits.Load(),
+		BlockCacheRejects:      s.BlockCacheRejects.Load(),
 		FilterProbes:           s.FilterProbes.Load(),
 		FilterNegatives:        s.FilterNegatives.Load(),
 		FilterFalsePositives:   s.FilterFalsePositives.Load(),
@@ -208,6 +218,8 @@ func (s Snapshot) Add(t Snapshot) Snapshot {
 		BytesRead:              s.BytesRead + t.BytesRead,
 		BlockCacheHits:         s.BlockCacheHits + t.BlockCacheHits,
 		BlockCacheMisses:       s.BlockCacheMisses + t.BlockCacheMisses,
+		BlockCacheAdmits:       s.BlockCacheAdmits + t.BlockCacheAdmits,
+		BlockCacheRejects:      s.BlockCacheRejects + t.BlockCacheRejects,
 		FilterProbes:           s.FilterProbes + t.FilterProbes,
 		FilterNegatives:        s.FilterNegatives + t.FilterNegatives,
 		FilterFalsePositives:   s.FilterFalsePositives + t.FilterFalsePositives,
@@ -250,6 +262,8 @@ func (s Snapshot) Sub(t Snapshot) Snapshot {
 		BytesRead:              s.BytesRead - t.BytesRead,
 		BlockCacheHits:         s.BlockCacheHits - t.BlockCacheHits,
 		BlockCacheMisses:       s.BlockCacheMisses - t.BlockCacheMisses,
+		BlockCacheAdmits:       s.BlockCacheAdmits - t.BlockCacheAdmits,
+		BlockCacheRejects:      s.BlockCacheRejects - t.BlockCacheRejects,
 		FilterProbes:           s.FilterProbes - t.FilterProbes,
 		FilterNegatives:        s.FilterNegatives - t.FilterNegatives,
 		FilterFalsePositives:   s.FilterFalsePositives - t.FilterFalsePositives,

@@ -60,10 +60,13 @@ type RunTrace struct {
 	// PartitionNegatives counts per-block filter partitions that screened
 	// a block without reading it.
 	PartitionNegatives int `json:"partition_negatives,omitempty"`
-	// CacheHits/CacheMisses/BlockReads account the probe's block I/O.
-	CacheHits   int `json:"cache_hits,omitempty"`
-	CacheMisses int `json:"cache_misses,omitempty"`
-	BlockReads  int `json:"block_reads,omitempty"`
+	// CacheHits/CacheMisses/BlockReads account the probe's block I/O;
+	// CacheAdmitted counts the misses the cache then admitted (the rest
+	// it took for one-touch traffic and left out).
+	CacheHits     int `json:"cache_hits,omitempty"`
+	CacheMisses   int `json:"cache_misses,omitempty"`
+	CacheAdmitted int `json:"cache_admitted,omitempty"`
+	BlockReads    int `json:"block_reads,omitempty"`
 	// Found reports the run held the visible version (ends the lookup).
 	Found bool `json:"found,omitempty"`
 	// FalsePositive reports a probe that read blocks yet found nothing:
@@ -176,7 +179,7 @@ func (t *Trace) String() string {
 			if r.PartitionNegatives > 0 {
 				fmt.Fprintf(&b, ", %d partition negative(s)", r.PartitionNegatives)
 			}
-			fmt.Fprintf(&b, " (%d cache hit, %d miss, %d read)", r.CacheHits, r.CacheMisses, r.BlockReads)
+			fmt.Fprintf(&b, " (%d cache hit, %d miss of which %d admitted, %d read)", r.CacheHits, r.CacheMisses, r.CacheAdmitted, r.BlockReads)
 			if r.Found {
 				b.WriteString(", FOUND")
 			} else if r.FalsePositive {

@@ -32,7 +32,7 @@ func TestTraceRender(t *testing.T) {
 	rt.Blocks, rt.CacheHits, rt.FalsePositive = 1, 1, true
 	rt = tr.AddRun(2, 0)
 	rt.File, rt.Decision, rt.Filter = 12, DecisionProbed, FilterMaybe
-	rt.Blocks, rt.CacheMisses, rt.BlockReads, rt.Found = 1, 1, 1, true
+	rt.Blocks, rt.CacheMisses, rt.CacheAdmitted, rt.BlockReads, rt.Found = 1, 1, 1, 1, true
 	tr.Found = true
 	tr.Source = "L2/run0/file12"
 	tr.SetValue([]byte("hello"))
@@ -42,6 +42,7 @@ func TestTraceRender(t *testing.T) {
 	for _, want := range []string{
 		"FOUND at L2/run0/file12", "fence skip", "filter negative",
 		"false positive", "FOUND", `"hello"`, "memtable: miss",
+		"1 cache hit, 0 miss of which 0 admitted", "1 miss of which 1 admitted, 1 read",
 	} {
 		if !strings.Contains(s, want) {
 			t.Errorf("String() missing %q in:\n%s", want, s)

@@ -457,6 +457,11 @@ func TestMetricsEndpoint(t *testing.T) {
 	if payload.Engine.WALSyncs < 1 || payload.Engine.BatchedOps < 1 {
 		t.Fatalf("engine counters missing: %+v", payload.Engine)
 	}
+	for _, name := range []string{`"BlockCacheAdmits"`, `"BlockCacheRejects"`} {
+		if !strings.Contains(rec.Body.String(), name) {
+			t.Errorf("/metrics engine section lacks %s", name)
+		}
+	}
 
 	rec = httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))

@@ -20,7 +20,10 @@ import (
 type BlockCache interface {
 	// Get returns the cached block bytes, if resident.
 	Get(fileNum, offset uint64) ([]byte, bool)
-	// Insert adds block bytes (already decoded from storage) to the cache.
+	// Offer shows the cache a block that just missed; the cache copies it
+	// if it admits it and reports whether it did. The caller keeps block.
+	Offer(fileNum, offset uint64, block []byte) bool
+	// Insert adds block bytes unconditionally; the cache owns them after.
 	Insert(fileNum, offset uint64, block []byte)
 	// EvictFile drops every cached block of the file (after compaction
 	// deletes it).
@@ -221,64 +224,81 @@ func (r *Reader) ApproxIndexMemory() int {
 }
 
 // loadBlock is the one data-block loader, behind point lookups, table
-// iterators and prefetch alike: block-cache probe, ReadAt on a miss,
-// Stats and (when rt is non-nil) per-lookup trace accounting, then
-// decodeBlockInto the caller's blk. A cache hit allocates nothing; a miss
-// allocates the bytes the cache takes ownership of; with no cache the
-// read lands in *buf, the caller's reusable buffer, which blk aliases
-// until the caller's next load.
+// iterators and prefetch alike: block-cache probe, on a miss ReadAt into
+// *buf — the caller's reusable buffer, which blk aliases until the
+// caller's next load — Stats and (when rt is non-nil) per-lookup trace
+// accounting, decodeBlockInto the caller's blk, and an Offer of the
+// verified bytes to the cache, which copies them only if it admits them.
+// A hit allocates nothing, and neither does a miss the cache declines.
 func (r *Reader) loadBlock(blk *block, buf *[]byte, h fence.BlockHandle, rt *iostat.RunTrace) error {
-	c := r.opts.Cache
+	c, st := r.opts.Cache, r.opts.Stats
 	var raw []byte
-	cached := false
+	hit := false
 	if c != nil {
-		if raw, cached = c.Get(r.opts.FileNum, h.Offset); cached {
-			r.opts.Stats.BlockCacheHits.Add(1)
+		if raw, hit = c.Get(r.opts.FileNum, h.Offset); hit {
+			st.BlockCacheHits.Add(1)
 			if rt != nil {
 				rt.CacheHits++
 			}
 		} else {
-			r.opts.Stats.BlockCacheMisses.Add(1)
+			st.BlockCacheMisses.Add(1)
 			if rt != nil {
 				rt.CacheMisses++
 			}
 		}
 	}
-	if !cached {
-		if c != nil {
-			raw = make([]byte, h.Length)
-		} else {
-			if uint64(cap(*buf)) < h.Length {
-				*buf = make([]byte, h.Length)
-			}
-			raw = (*buf)[:h.Length]
+	if !hit {
+		if uint64(cap(*buf)) < h.Length {
+			*buf = make([]byte, h.Length)
 		}
+		raw = (*buf)[:h.Length]
 		if _, err := r.f.ReadAt(raw, int64(h.Offset)); err != nil {
 			return err
 		}
-		r.opts.Stats.BlockReads.Add(1)
-		r.opts.Stats.BytesRead.Add(int64(h.Length))
+		st.BlockReads.Add(1)
+		st.BytesRead.Add(int64(h.Length))
 		if rt != nil {
 			rt.BlockReads++
 		}
-		if c != nil {
-			c.Insert(r.opts.FileNum, h.Offset, raw)
+	}
+	err := decodeBlockInto(blk, raw)
+	if c != nil && !hit && err == nil {
+		if c.Offer(r.opts.FileNum, h.Offset, raw) {
+			st.BlockCacheAdmits.Add(1)
+			if rt != nil {
+				rt.CacheAdmitted++
+			}
+		} else {
+			st.BlockCacheRejects.Add(1)
 		}
 	}
-	return decodeBlockInto(blk, raw)
+	return err
 }
 
-// PrefetchBlock loads the block at ordinal i into the cache without
-// surfacing it (Leaper-style compaction-aware warming).
+// PrefetchBlock makes the block at ordinal i cache-resident without
+// surfacing it (Leaper-style compaction-aware warming). The caller says
+// the block is hot, so a miss that admission declined is inserted anyway
+// and re-booked from reject to admit: Admits counts what became resident.
+// (The doorkeeper keeps that miss's fingerprint; at worst the block is
+// readmitted on its first miss after a later eviction.)
 func (r *Reader) PrefetchBlock(i int) error {
-	if i < 0 || i >= r.index.Len() {
+	c := r.opts.Cache
+	if c == nil || i < 0 || i >= r.index.Len() {
 		return nil
 	}
 	var (
 		blk block
 		buf []byte
+		rt  iostat.RunTrace
 	)
-	return r.loadBlock(&blk, &buf, r.index.Entry(i).Handle, nil)
+	h := r.index.Entry(i).Handle
+	err := r.loadBlock(&blk, &buf, h, &rt)
+	if err == nil && rt.CacheMisses > rt.CacheAdmitted {
+		c.Insert(r.opts.FileNum, h.Offset, buf[:h.Length])
+		r.opts.Stats.BlockCacheRejects.Add(-1)
+		r.opts.Stats.BlockCacheAdmits.Add(1)
+	}
+	return err
 }
 
 // NumBlocks returns the number of data blocks.
@@ -297,10 +317,10 @@ func (r *Reader) BlockFirstKey(i int) []byte {
 // BlockOrdinalForOffset maps a block's file offset back to its ordinal,
 // or -1 when no block starts at that offset.
 func (r *Reader) BlockOrdinalForOffset(offset uint64) int {
-	for i := 0; i < r.index.Len(); i++ {
-		if r.index.Entry(i).Handle.Offset == offset {
-			return i
-		}
+	n := r.index.Len()
+	i := sort.Search(n, func(j int) bool { return r.index.Entry(j).Handle.Offset >= offset })
+	if i < n && r.index.Entry(i).Handle.Offset == offset {
+		return i
 	}
 	return -1
 }
@@ -401,9 +421,9 @@ func (r *Reader) NewIterator() kv.Iterator {
 }
 
 // tableIter is the two-level iterator: fence index on top, block iterator
-// below. It owns one decoded block, one block iterator and (cache-less)
-// one read buffer, rebound to each block it walks into, so iterating a
-// table allocates per cache miss and not per block.
+// below. It owns one decoded block, one block iterator and one read
+// buffer, rebound to each block it walks into, so iterating a table
+// allocates neither per block nor per cache miss.
 type tableIter struct {
 	r        *Reader
 	blockOrd int

@@ -1,7 +1,8 @@
 // Read-path scratch pooling: the per-lookup working set of a point read
 // (decoded block view, restart array, block iterator, encoded search
-// key, and — when no block cache owns the bytes — the raw block buffer)
-// is recycled through a sync.Pool so a cache-hit Get allocates nothing.
+// key, and the raw buffer a missed block is read into) is recycled
+// through a sync.Pool so a Get allocates nothing, hit or miss, unless the
+// cache admits the block it missed.
 
 package sstable
 
@@ -22,7 +23,7 @@ type readScratch struct {
 	blk    block
 	it     blockIter
 	search []byte // encoded internal search key
-	raw    []byte // block read buffer (cache-less path only)
+	raw    []byte // block read buffer (cache misses and the cache-less path)
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(readScratch) }}
@@ -42,8 +43,8 @@ func putReadScratch(sc *readScratch) {
 // userKey visible at seq, its value appended to dst (which may be nil),
 // with the block-level work — the fence/learned landing block, per-block
 // partitioned filter verdicts, cache and read accounting — recorded into
-// rt when tracing (rt non-nil). With the target block resident in the
-// cache it performs zero heap allocations.
+// rt when tracing (rt non-nil). It performs zero heap allocations unless
+// the cache admits a block it missed.
 func (r *Reader) GetAppend(userKey []byte, kh filter.KeyHash, seq kv.SeqNum, dst []byte, rt *iostat.RunTrace) (value []byte, kind kv.Kind, found bool, err error) {
 	sc := scratchPool.Get().(*readScratch)
 	defer putReadScratch(sc)

@@ -426,6 +426,11 @@ func TestPrefetchBlockWarmsCache(t *testing.T) {
 		}
 	}
 	before := stats.Snapshot()
+	// Every offer was declined and every block inserted anyway: prefetch
+	// books what became resident as admitted.
+	if before.BlockCacheAdmits != int64(r.NumBlocks()) || before.BlockCacheRejects != 0 {
+		t.Errorf("prefetch of %d blocks: %d admits, %d rejects", r.NumBlocks(), before.BlockCacheAdmits, before.BlockCacheRejects)
+	}
 	key := []byte(fmt.Sprintf("key%08d", 100*2))
 	_, _, found, err := r.Get(key, filter.HashKey(key), kv.MaxSeqNum)
 	if err != nil || !found {
@@ -440,7 +445,8 @@ func TestPrefetchBlockWarmsCache(t *testing.T) {
 	}
 }
 
-// countingCache is a trivial map-backed BlockCache for tests.
+// countingCache is a trivial map-backed BlockCache for tests. It declines
+// every Offer, so only an unconditional Insert populates it.
 type countingCache struct {
 	data map[string][]byte
 }
@@ -453,6 +459,8 @@ func (c *countingCache) Get(f, o uint64) ([]byte, bool) {
 }
 
 func (c *countingCache) Insert(f, o uint64, b []byte) { c.data[c.key(f, o)] = b }
+
+func (c *countingCache) Offer(f, o uint64, b []byte) bool { return false }
 
 func (c *countingCache) EvictFile(f uint64) {}
 
@@ -479,5 +487,26 @@ func BenchmarkTableScan(b *testing.B) {
 		if n != 100000 {
 			b.Fatalf("scanned %d", n)
 		}
+	}
+}
+
+// TestBlockOrdinalForOffset: the start offset of every block maps back to
+// its ordinal, and an offset where no block starts maps to -1.
+func TestBlockOrdinalForOffset(t *testing.T) {
+	r := buildTable(t, WriterOptions{BlockSize: 512}, ReaderOptions{}, 2000, 2)
+	if r.NumBlocks() < 10 {
+		t.Fatalf("only %d blocks", r.NumBlocks())
+	}
+	for i := 0; i < r.NumBlocks(); i++ {
+		h := r.index.Entry(i).Handle
+		if got := r.BlockOrdinalForOffset(h.Offset); got != i {
+			t.Fatalf("offset %d of block %d maps to %d", h.Offset, i, got)
+		}
+		if got := r.BlockOrdinalForOffset(h.Offset + 1); got != -1 {
+			t.Fatalf("offset %d inside block %d maps to %d, want -1", h.Offset+1, i, got)
+		}
+	}
+	if got := r.BlockOrdinalForOffset(uint64(r.size)); got != -1 {
+		t.Fatalf("offset past the data blocks maps to %d, want -1", got)
 	}
 }

@@ -29,23 +29,20 @@ type Writer struct {
 	bw     *bufio.Writer
 	offset int64
 	synced int64 // offset as of the last successful Sync
-	sync   bool
 }
 
-// Options configures a log writer.
-type Options struct {
-	// SyncOnWrite fsyncs after every record — full durability at the cost
-	// of write latency. Off, the OS page cache absorbs writes.
-	SyncOnWrite bool
-}
+// Options configures a log writer. It has no fields: a record is durable
+// once the caller's Sync returns, and when to call it is the caller's
+// policy.
+type Options struct{}
 
 // Create creates (truncating) a log file at path on fs.
-func Create(fs vfs.FS, path string, opts Options) (*Writer, error) {
+func Create(fs vfs.FS, path string, _ Options) (*Writer, error) {
 	f, err := fs.Create(path)
 	if err != nil {
 		return nil, err
 	}
-	return &Writer{f: f, bw: bufio.NewWriterSize(f, 64<<10), sync: opts.SyncOnWrite}, nil
+	return &Writer{f: f, bw: bufio.NewWriterSize(f, 64<<10)}, nil
 }
 
 // AddRecord appends one record.
@@ -60,9 +57,6 @@ func (w *Writer) AddRecord(payload []byte) error {
 		return err
 	}
 	w.offset += int64(headerLen + len(payload))
-	if w.sync {
-		return w.Sync()
-	}
 	return nil
 }
 

@@ -94,13 +94,16 @@ func TestWALMissingFile(t *testing.T) {
 	}
 }
 
-func TestWALSyncOnWrite(t *testing.T) {
+func TestWALSync(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal")
-	w, err := Create(vfs.Default, path, Options{SyncOnWrite: true})
+	w, err := Create(vfs.Default, path, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := w.AddRecord([]byte("durable")); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	// Record must be on disk even before Close.

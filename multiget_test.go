@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
+	"strings"
 	"testing"
 
+	"lsmkv/internal/iostat"
 	"lsmkv/internal/workload"
 )
 
@@ -113,5 +116,97 @@ func TestMultiGetZipfianBatches(t *testing.T) {
 	}
 	if !probedARun {
 		t.Fatal("no trace recorded a filter verdict: reads never reached a sorted run")
+	}
+}
+
+// TestCacheSizeNeverChangesAnswers: a design choice moves cost, never the
+// answer. One seeded history of puts, overwrites, deletes, flushes and
+// compactions is replayed into three stores that differ only in the block
+// cache — none, one far smaller than the data (so reads run the admission
+// and eviction paths and scans walk blocks in their own buffer), one that
+// holds everything — and every Get, MultiGet and Scan must return the
+// same bytes from all three, twice over (the second pass meets whatever
+// the first left in the cache).
+func TestCacheSizeNeverChangesAnswers(t *testing.T) {
+	const nKeys, nOps = 3000, 8000
+	transcript := func(name string, set func(*Options)) (string, iostat.Snapshot) {
+		opts := Default()
+		opts.MemtableBytes = 32 << 10
+		opts.BlockSize = 1024
+		set(opts)
+		db, err := Open(t.TempDir(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		must := func(err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
+		rng := rand.New(rand.NewSource(22))
+		for op := 0; op < nOps; op++ {
+			k := rng.Int63n(nKeys)
+			switch r := rng.Intn(100); {
+			case r < 72:
+				must(db.Put(workload.Key(k), workload.Value(k+int64(op), 40+rng.Intn(200))))
+			case r < 99:
+				must(db.Delete(workload.Key(k)))
+			default:
+				if must(db.Flush()); rng.Intn(4) == 0 {
+					must(db.Compact())
+				}
+			}
+		}
+		must(db.Flush())
+
+		var out bytes.Buffer
+		for pass := 0; pass < 2; pass++ {
+			for k := int64(0); k < nKeys+10; k++ {
+				v, err := db.Get(workload.Key(k))
+				if err != nil && !errors.Is(err, ErrNotFound) {
+					must(err)
+				}
+				fmt.Fprintf(&out, "get %d %v %q\n", k, err, v)
+			}
+			for b := 0; b < 40; b++ {
+				keys := make([][]byte, 32)
+				for i := range keys {
+					keys[i] = workload.Key(rng.Int63n(nKeys + 10))
+				}
+				vals, err := db.MultiGet(keys)
+				must(err)
+				fmt.Fprintf(&out, "mget %q %q\n", keys, vals)
+			}
+			for s := 0; s < 20; s++ {
+				lo := rng.Int63n(nKeys)
+				fmt.Fprintf(&out, "scan %d:", lo)
+				must(db.Scan(workload.Key(lo), workload.Key(lo+int64(rng.Intn(300))), func(k, v []byte) bool {
+					fmt.Fprintf(&out, " %q=%q", k, v)
+					return true
+				}))
+				out.WriteByte('\n')
+			}
+		}
+		return out.String(), db.Stats()
+	}
+
+	want, _ := transcript("no cache", func(o *Options) { o.DisableCache() })
+	for name, cacheBytes := range map[string]int64{"tiny cache": 48 << 10, "large cache": 64 << 20} {
+		got, st := transcript(name, func(o *Options) { o.CacheBytes = cacheBytes })
+		if tiny := cacheBytes < 1<<20; st.BlockCacheHits == 0 || st.BlockCacheAdmits == 0 || tiny != (st.BlockCacheRejects > 0) {
+			t.Errorf("%s: %d hits, %d admitted, %d declined: not the cache paths this store was meant to run",
+				name, st.BlockCacheHits, st.BlockCacheAdmits, st.BlockCacheRejects)
+		}
+		if got != want {
+			gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
+			for i := range wl {
+				if i >= len(gl) || gl[i] != wl[i] {
+					t.Fatalf("%s: answer %d differs from the cache-less store's\n got %.200s\nwant %.200s", name, i, gl[min(i, len(gl)-1)], wl[i])
+				}
+			}
+			t.Fatalf("%s: %d answers, the cache-less store gave %d", name, len(gl), len(wl))
+		}
 	}
 }
