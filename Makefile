@@ -16,6 +16,7 @@ test: fmt-check doc-check doc-links bench-check
 	$(GO) test ./...
 	$(GO) test -race ./internal/core/ ./internal/server/ ./internal/client/ ./internal/shard/ ./internal/tuner/
 	$(MAKE) crash
+	$(MAKE) examples
 
 # gofmt is the only accepted formatting; -l lists offenders and the grep
 # turns any output into a failure.
@@ -108,11 +109,14 @@ bench-server:
 experiments:
 	$(GO) run ./cmd/lsmbench
 
+# Each example is an end-to-end run on the real filesystem (≈ 1 s each);
+# the timeout turns one that stops terminating into a failure of `make
+# test` instead of a hang.
 examples:
-	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/readopt
-	$(GO) run ./examples/tuning
-	$(GO) run ./examples/kvsep
+	timeout 60 $(GO) run ./examples/quickstart
+	timeout 60 $(GO) run ./examples/readopt
+	timeout 60 $(GO) run ./examples/tuning
+	timeout 60 $(GO) run ./examples/kvsep
 
 fuzz:
 	$(GO) test ./internal/sstable/ -fuzz FuzzDecodeBlock -fuzztime 30s

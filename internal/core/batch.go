@@ -28,6 +28,9 @@ type BatchOp struct {
 	// RMW, when non-nil, makes the op a read-modify-write (IncrOp, CASOp)
 	// that the commit resolves against the key's current value.
 	RMW *RMW
+	// ifPointer, set by value-log GC on every op of a batch of its own, makes
+	// the op conditional on Key still holding this encoded value-log pointer.
+	ifPointer []byte
 }
 
 // RMW is the read-modify-write half of an IncrOp or CASOp: the request,

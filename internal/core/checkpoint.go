@@ -29,12 +29,13 @@ type CheckpointInfo struct {
 // flight finishes first; none starts until the pins are taken): the
 // manifest state is cloned (the file list), the current version is
 // referenced (compactions cannot delete the listed sstables), and WAL
-// deletion is deferred (flushes finishing mid-copy cannot remove a log
-// the clone still needs). Sstables are hard-linked when the
-// filesystem supports it — they are immutable, so sharing the inode is
-// safe — while WAL and value-log files, which receive concurrent
-// appends, are byte-copied. The caller commits the checkpoint by writing
-// the marker (see internal/checkpoint) after this returns.
+// and value-log segment deletion is deferred (a flush or a collection
+// finishing mid-copy cannot remove a file the clone still needs).
+// Sstables are hard-linked when the filesystem supports it — they are
+// immutable, so sharing the inode is safe — while WAL and value-log files,
+// which receive concurrent appends, are byte-copied. The caller commits
+// the checkpoint by writing the marker (see internal/checkpoint) after
+// this returns.
 func (db *DB) Checkpoint(dstDir string) (CheckpointInfo, error) {
 	fs := db.opts.FS
 	if err := fs.MkdirAll(dstDir); err != nil {
@@ -56,8 +57,7 @@ func (db *DB) Checkpoint(dstDir string) (CheckpointInfo, error) {
 	}
 	db.mu.Lock()
 	clone := db.state.Clone()
-	v := db.current
-	v.ref()
+	v, _ := db.viewLocked()
 	var walNums []uint64
 	for _, im := range db.imms {
 		walNums = append(walNums, im.walNum)
@@ -74,13 +74,8 @@ func (db *DB) Checkpoint(dstDir string) (CheckpointInfo, error) {
 
 	db.mu.Lock()
 	db.walPins--
-	if db.walPins == 0 {
-		for _, n := range db.deferredWALs {
-			fs.Remove(db.walPath(n))
-		}
-		db.deferredWALs = nil
-	}
 	db.mu.Unlock()
+	db.retire() // what flushes and collections finishing mid-copy left behind
 	v.unref()
 
 	if err != nil {

@@ -67,7 +67,9 @@ func (db *DB) commit(ops []BatchOp, sync bool, firstSeq kv.SeqNum, rec []byte) (
 		// Before the pipeline: append separated values to the log and store
 		// pointers instead. A write acknowledged as durable needs the
 		// values its WAL record points into durable too; one vlog sync
-		// covers the batch.
+		// covers the batch. vlogMu spans append to insert (see its field).
+		db.vlogMu.RLock()
+		defer db.vlogMu.RUnlock()
 		for i, op := range ops {
 			if op.Kind != kv.KindSet || len(op.Value) < db.opts.ValueThreshold {
 				continue
@@ -102,6 +104,22 @@ func (db *DB) commit(ops []BatchOp, sync bool, firstSeq kv.SeqNum, rec []byte) (
 	db.mu.Unlock()
 	if err != nil {
 		return 0, err
+	}
+	if ops[0].ifPointer != nil {
+		// Value-log relocations: each op commits only while the tree still
+		// points at the entry it copied. Under commitMu no write to the key
+		// can land between this check and the insert (under rmwMu one could:
+		// a plain Put does not take it). Survivors move to the front of ops.
+		n := 0
+		for i := range ops {
+			if db.pointsAt(ops[i].Key, ops[i].ifPointer) {
+				ops[n], stored[n] = ops[i], stored[i]
+				n++
+			}
+		}
+		if ops, stored = ops[:n], stored[:n]; n == 0 {
+			return 0, nil
+		}
 	}
 	// Under commitMu the watermark stands still: only a commit moves it.
 	prev := db.lastSeq()
@@ -179,6 +197,13 @@ func (db *DB) insert(firstSeq kv.SeqNum, ops []BatchOp) (nbytes int64) {
 		nbytes += int64(len(op.Key) + len(op.Value))
 	}
 	return nbytes
+}
+
+// pointsAt reports whether the newest version of key is the value-log
+// pointer whose encoding is want.
+func (db *DB) pointsAt(key, want []byte) bool {
+	raw, kind, found, err := db.getInternal(key, kv.MaxSeqNum, nil, nil)
+	return err == nil && found && kind == kv.KindValuePointer && bytes.Equal(raw, want)
 }
 
 // check validates a locally submitted op.

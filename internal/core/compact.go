@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"time"
 
 	"lsmkv/internal/compaction"
@@ -41,31 +42,37 @@ func (db *DB) writerOptionsForLevel(level int, expectedEntries int, exclude map[
 	}
 }
 
-// newFileNumLocked reserves a file number. Caller holds db.mu.
-func (db *DB) newFileNumLocked() uint64 {
+// newFileNum reserves a file number.
+func (db *DB) newFileNum() uint64 {
+	db.mu.Lock()
+	defer db.mu.Unlock()
 	db.state.NextFileNum++
 	return db.state.NextFileNum
 }
 
 // buildTable writes entries from it (until exhaustion or maxBytes of
 // output) into a new table file with the given layout and returns its
-// meta. It returns nil meta when the iterator was already exhausted.
-func (db *DB) buildTable(it kv.Iterator, wopts sstable.WriterOptions, maxBytes uint64, discard func(kv.InternalKey, []byte) bool) (*manifest.FileMeta, bool, error) {
+// meta: nil when the iterator was already exhausted or discard took every
+// entry.
+func (db *DB) buildTable(it kv.Iterator, wopts sstable.WriterOptions, maxBytes uint64, discard func(kv.InternalKey, []byte) bool) (*manifest.FileMeta, error) {
 	if !it.Valid() {
-		return nil, false, nil
+		return nil, nil
 	}
-	db.mu.Lock()
-	num := db.newFileNumLocked()
-	db.mu.Unlock()
-
+	num := db.newFileNum()
 	path := db.tablePath(num)
 	f, err := db.opts.FS.Create(path)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
+	built := false
+	defer func() {
+		if !built { // an error, or nothing survived discard
+			f.Close()
+			db.opts.FS.Remove(path)
+		}
+	}()
 	w := sstable.NewWriter(f, wopts)
 	wrote := false
-	more := false
 	breaking := false
 	var lastUser []byte
 	for it.Valid() {
@@ -74,14 +81,11 @@ func (db *DB) buildTable(it kv.Iterator, wopts sstable.WriterOptions, maxBytes u
 		// not start a new one: a run's files must never split the
 		// versions of one user key.
 		if breaking && (lastUser == nil || string(ikey.UserKey) != string(lastUser)) {
-			more = true
 			break
 		}
 		if discard == nil || !discard(ikey, it.Value()) {
 			if err := w.Add(ikey, it.Value()); err != nil {
-				f.Close()
-				db.opts.FS.Remove(path)
-				return nil, false, err
+				return nil, err
 			}
 			wrote = true
 			lastUser = append(lastUser[:0], ikey.UserKey...)
@@ -93,29 +97,20 @@ func (db *DB) buildTable(it kv.Iterator, wopts sstable.WriterOptions, maxBytes u
 			break
 		}
 	}
-	if err := it.Error(); err != nil {
-		f.Close()
-		db.opts.FS.Remove(path)
-		return nil, false, err
-	}
-	if !wrote {
-		f.Close()
-		db.opts.FS.Remove(path)
-		return nil, more, nil
+	if err := it.Error(); err != nil || !wrote {
+		return nil, err
 	}
 	props, size, err := w.Finish()
 	if err != nil {
-		f.Close()
-		db.opts.FS.Remove(path)
-		return nil, false, err
+		return nil, err
 	}
 	if err := f.Sync(); err != nil {
-		f.Close()
-		return nil, false, err
+		return nil, err
 	}
 	if err := f.Close(); err != nil {
-		return nil, false, err
+		return nil, err
 	}
+	built = true
 	db.opts.Stats.BytesWritten.Add(int64(size))
 	return &manifest.FileMeta{
 		Num:         num,
@@ -127,75 +122,89 @@ func (db *DB) buildTable(it kv.Iterator, wopts sstable.WriterOptions, maxBytes u
 		Entries:     props.NumEntries,
 		Tombstones:  props.NumTombstones,
 		CreatedAt:   num, // file numbers are allocated in creation order
-	}, more, nil
+	}, nil
 }
 
-// flushOldestImm writes the oldest immutable buffer as a level-0 run.
-func (db *DB) flushOldestImm() error {
-	db.mu.Lock()
-	if len(db.imms) == 0 {
-		db.mu.Unlock()
-		return nil
-	}
-	im := db.imms[0]
-	db.mu.Unlock()
+// Background work. A flush, a compaction — merging or moving — and a
+// value-log collection are one shape of job, as commit is the one shape of
+// write and pin → loadBlock → visible the one shape of read:
+//
+//	viewLocked  the view, taken once: the current version, referenced, and
+//	            the horizon below which no snapshot reads
+//	buildTable  the files the job writes, if it writes any
+//	finish      the one end: installVersionEdit, then counters, the event,
+//	            the log line, and retire for the files the job made dead
+//
+// The jobs differ in the edit they hand finish, and in nothing after it.
 
-	if err := db.flushBufferToL0(im.buf); err != nil {
-		return err
-	}
-
-	db.mu.Lock()
-	db.imms = db.imms[1:]
-	retired := db.publishLocked()
-	removeWAL := !db.opts.DisableWAL
-	if removeWAL && db.walPins > 0 {
-		// An online checkpoint is copying the WAL file set it pinned;
-		// deleting this log now could tear a file out from under the
-		// copy. Defer the removal until the checkpoint unpins.
-		db.deferredWALs = append(db.deferredWALs, im.walNum)
-		removeWAL = false
-	}
-	db.mu.Unlock()
-	retired.unref()
-	if removeWAL {
-		db.opts.FS.Remove(db.walPath(im.walNum))
-	}
-	db.opts.Stats.Flushes.Add(1)
-	return nil
+// job is one unit of background work on its way to finish.
+type job struct {
+	// ev is the event finish records: the job sets its type, levels, inputs
+	// and the lead of its Detail, finish the outputs and the duration.
+	ev      iostat.Event
+	start   time.Time
+	edit    versionEdit
+	dropped *collapse // a merge's filter, for what it discarded
+	wals    []uint64  // logs whose every record the job put in a table
 }
 
-// flushBufferToL0 writes one buffer as a single-file run appended to
-// level 0.
-func (db *DB) flushBufferToL0(buf buffer) error {
-	it := buf.NewIterator()
-	defer it.Close()
-	if !it.First() {
-		return nil
-	}
-	start := time.Now()
-	meta, _, err := db.buildTable(it, db.writerOptionsForLevel(0, buf.Len(), nil), 0, nil)
-	if err != nil {
-		return err
-	}
-	if meta == nil {
-		return nil
-	}
-	db.opts.Stats.BytesFlushed.Add(int64(meta.Size))
-	db.events.Add(iostat.Event{
-		Type: iostat.EventFlush, FromLevel: -1, ToLevel: 0,
-		OutputFiles: 1, OutputBytes: meta.Size,
-		DurMs: float64(time.Since(start).Microseconds()) / 1e3,
-	})
-	return db.installVersionEdit(func(s *manifest.State) {
-		for len(s.Levels) < 1 {
-			s.Levels = append(s.Levels, manifest.Level{})
+// versionEdit is the one form a change to the tree takes.
+type versionEdit struct {
+	remove   map[uint64]bool      // files leaving their levels
+	add      []*manifest.FileMeta // files arriving at level
+	level    int
+	freshRun bool            // add is a new run of level, not spliced into its first
+	obsolete map[uint64]bool // removed files nothing lists afterwards (a move re-adds its own)
+	flushed  bool            // add holds the oldest frozen memtable, which leaves the queue
+	segment  uint64          // value-log segment the job emptied; 0 for none
+}
+
+// apply edits a manifest state: e.remove leaves every level, then e.add
+// lands at e.level — as its youngest run when asked or when the level is
+// empty, else spliced into its first run in key order (the ranges are
+// disjoint by construction: overlapping files were merged).
+func (e *versionEdit) apply(s *manifest.State) {
+	for li := range s.Levels {
+		var runs []manifest.Run
+		for _, r := range s.Levels[li].Runs {
+			var files []*manifest.FileMeta
+			for _, f := range r.Files {
+				if !e.remove[f.Num] {
+					files = append(files, f)
+				}
+			}
+			if len(files) > 0 {
+				runs = append(runs, manifest.Run{Files: files})
+			}
 		}
-		s.Levels[0].Runs = append(s.Levels[0].Runs, manifest.Run{Files: []*manifest.FileMeta{meta}})
-	}, nil)
+		s.Levels[li].Runs = runs
+	}
+	for len(s.Levels) <= e.level {
+		s.Levels = append(s.Levels, manifest.Level{})
+	}
+	if len(e.add) == 0 {
+		return
+	}
+	tl := &s.Levels[e.level]
+	if e.freshRun || len(tl.Runs) == 0 {
+		tl.Runs = append(tl.Runs, manifest.Run{Files: e.add})
+		return
+	}
+	files := append(tl.Runs[0].Files, e.add...)
+	slices.SortFunc(files, func(a, b *manifest.FileMeta) int { return bytes.Compare(a.Smallest, b.Smallest) })
+	tl.Runs[0].Files = files
 }
 
-// gcHorizon returns the sequence number below which superseded versions
-// are invisible to every snapshot. Caller holds db.mu.
+// viewLocked takes the view a compaction, or a checkpoint, works from: the
+// current version, referenced so its tables outlive the job (the caller
+// unrefs it), and the horizon. Caller holds db.mu.
+func (db *DB) viewLocked() (*version, kv.SeqNum) {
+	db.current.ref()
+	return db.current, db.gcHorizonLocked()
+}
+
+// gcHorizonLocked returns the sequence number below which superseded
+// versions are invisible to every snapshot. Caller holds db.mu.
 func (db *DB) gcHorizonLocked() kv.SeqNum {
 	h := db.lastSeq()
 	for s := range db.snapshots {
@@ -206,199 +215,120 @@ func (db *DB) gcHorizonLocked() kv.SeqNum {
 	return h
 }
 
-// runCompaction executes a planned task: merge the inputs, write output
-// files, and install the new version.
-func (db *DB) runCompaction(task *compaction.Task) error {
+// bottommost reports whether output written to level lands at the true
+// bottom of the tree once the tables in leaving are gone: no level below
+// holds data, and no other table of level could hold an older version that
+// a dropped tombstone was shadowing.
+func (v *version) bottommost(level int, leaving map[uint64]bool) bool {
+	for li := level; li < len(v.levels); li++ {
+		for _, r := range v.levels[li] {
+			if li > level {
+				return false
+			}
+			for _, th := range r.tables {
+				if !leaving[th.meta.Num] {
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
+
+// flush writes one buffer as a single-file run appended to level 0. im is
+// the flush-queue entry the buffer came from, nil for a recovered buffer.
+func (db *DB) flush(buf buffer, im *immutableBuffer) error {
+	j := &job{start: time.Now(), ev: iostat.Event{Type: iostat.EventFlush, FromLevel: -1},
+		edit: versionEdit{freshRun: true, flushed: im != nil}}
+	if im != nil && !db.opts.DisableWAL {
+		j.wals = []uint64{im.walNum}
+	}
+	it := buf.NewIterator()
+	defer it.Close()
+	it.First()
+	meta, err := db.buildTable(it, db.writerOptionsForLevel(0, buf.Len(), nil), 0, nil)
+	if err != nil {
+		return err
+	}
+	if meta != nil {
+		j.edit.add = []*manifest.FileMeta{meta}
+	}
+	return db.finish(j)
+}
+
+// compact executes a planned task and releases its claims. A push whose
+// inputs overlap nothing in the target level can re-parent the files
+// without rewriting a byte — the classic LevelDB/RocksDB trivial move, safe
+// only when the source is a single run, so the moved files are mutually
+// disjoint. It is the same job as a merge: its outputs are its inputs'
+// metas and nothing is obsolete.
+func (db *DB) compact(task *compaction.Task) error {
+	defer db.sched.Done(task)
 	db.mu.Lock()
-	horizon := db.gcHorizonLocked()
-	v := db.current
-	v.ref()
-	// Resolve file views to live table handles.
-	handleOf := func(fv compaction.FileView) *tableHandle { return db.registry.get(fv.Num) }
-	var inputs []*tableHandle
-	for _, fv := range task.InputFiles {
-		if th := handleOf(fv); th != nil {
-			inputs = append(inputs, th)
-		}
-	}
-	var targets []*tableHandle
-	for _, fv := range task.TargetFiles {
-		if th := handleOf(fv); th != nil {
-			targets = append(targets, th)
-		}
-	}
+	v, horizon := db.viewLocked()
 	db.mu.Unlock()
 	defer v.unref()
 
-	if len(inputs) == 0 {
+	// Resolve file views to live table handles: inputs, then targets.
+	var tables []*tableHandle
+	for _, fv := range task.InputFiles {
+		if th := db.registry.get(fv.Num); th != nil {
+			tables = append(tables, th)
+		}
+	}
+	inputs := len(tables)
+	if inputs == 0 {
 		return nil
 	}
-
-	// Trivial move: a push whose inputs overlap nothing in the target
-	// level can re-parent the files without rewriting a byte — the
-	// classic LevelDB/RocksDB optimization. Only safe when the source is
-	// a single run, so the moved files are mutually disjoint.
-	if len(targets) == 0 && len(task.InputFiles) == len(inputs) &&
-		task.FromLevel != task.TargetLevel && singleRunInputs(v, task) {
-		metas := make([]*manifest.FileMeta, len(inputs))
-		dropped := map[uint64]bool{}
-		for i, th := range inputs {
-			metas[i] = th.meta
-			dropped[th.meta.Num] = true
-		}
-		err := db.installVersionEdit(func(s *manifest.State) {
-			applyTrivialMove(s, task, dropped, metas)
-		}, nil) // files move, nothing becomes obsolete
-		if err != nil {
-			return err
-		}
-		db.opts.Stats.Compactions.Add(1)
-		db.opts.Stats.TrivialMoves.Add(1)
-		var movedBytes uint64
-		for _, m := range metas {
-			movedBytes += m.Size
-		}
-		db.events.Add(iostat.Event{
-			Type: iostat.EventTrivialMove, FromLevel: task.FromLevel, ToLevel: task.TargetLevel,
-			InputFiles: len(metas), OutputFiles: len(metas),
-			InputBytes: movedBytes, OutputBytes: movedBytes,
-			Detail: task.Reason,
-		})
-		db.opts.Logf("trivial move %s: %d files L%d -> L%d",
-			task.Reason, len(metas), task.FromLevel, task.TargetLevel)
-		return nil
-	}
-
-	// Leaper-style telemetry, captured before the inputs are evicted:
-	// the first user keys of every input block that is currently cache
-	// resident. After the compaction replaces those files, the blocks of
-	// the outputs covering these keys are re-fetched, so the hot working
-	// set does not pay a miss storm.
-	var hotKeys [][]byte
-	if db.cache != nil && db.opts.PrefetchAfterCompaction {
-		for _, th := range append(append([]*tableHandle(nil), inputs...), targets...) {
-			for _, off := range db.cache.ResidentOffsets(th.meta.Num) {
-				if ord := th.reader.BlockOrdinalForOffset(off); ord >= 0 {
-					if k := th.reader.BlockFirstKey(ord); k != nil {
-						hotKeys = append(hotKeys, append([]byte(nil), k...))
-					}
-				}
-			}
+	for _, fv := range task.TargetFiles {
+		if th := db.registry.get(fv.Num); th != nil {
+			tables = append(tables, th)
 		}
 	}
-
-	// Iterators: inputs are younger than targets; within inputs, planning
-	// order preserved (planner emits newer runs first is not guaranteed —
-	// merge correctness rests on unique internal keys, and version
-	// collapse keeps the newest by seq below).
-	var iters []kv.Iterator
-	var totalEntries uint64
-	var inputBytes uint64
-	for _, th := range inputs {
-		iters = append(iters, th.reader.NewIterator())
-		totalEntries += th.meta.Entries
-		inputBytes += th.meta.Size
+	j := &job{start: time.Now(), ev: iostat.Event{
+		Type: iostat.EventCompaction, FromLevel: task.FromLevel, ToLevel: task.TargetLevel,
+		InputFiles: len(tables), Detail: task.Reason,
+	}}
+	j.edit = versionEdit{remove: map[uint64]bool{}, level: task.TargetLevel, freshRun: task.FreshRun}
+	var entries uint64
+	for _, th := range tables {
+		j.edit.remove[th.meta.Num] = true
+		j.ev.InputBytes += th.meta.Size
+		entries += th.meta.Entries
 	}
-	for _, th := range targets {
-		iters = append(iters, th.reader.NewIterator())
-		totalEntries += th.meta.Entries
-		inputBytes += th.meta.Size
+	if len(tables) == inputs && inputs == len(task.InputFiles) && task.FromLevel != task.TargetLevel &&
+		task.FromLevel < len(v.levels) && len(v.levels[task.FromLevel]) == 1 {
+		j.ev.Type = iostat.EventTrivialMove
+		for _, th := range tables {
+			j.edit.add = append(j.edit.add, th.meta)
+		}
+		return db.finish(j)
+	}
+	j.edit.obsolete = j.edit.remove
+	j.dropped = &collapse{db: db, horizon: horizon, bottom: v.bottommost(task.TargetLevel, j.edit.remove)}
+	hotKeys := db.hotBlockKeys(tables) // before the install evicts the inputs' blocks
+
+	// Inputs are younger than targets, but merge correctness does not rest
+	// on source order: internal keys are unique, and the collapse filter
+	// keeps the newest version by sequence number.
+	iters := make([]kv.Iterator, len(tables))
+	for i, th := range tables {
+		iters[i] = th.reader.NewIterator()
 	}
 	merged := newMergingIter(iters)
 	defer merged.Close()
-
-	dropped := map[uint64]bool{}
-	for _, th := range inputs {
-		dropped[th.meta.Num] = true
-	}
-	for _, th := range targets {
-		dropped[th.meta.Num] = true
-	}
-
-	// Tombstones may only be dropped when the output lands at the true
-	// bottom of the tree: no level below holds data, and no run of the
-	// target level outside this merge could hold an older version that a
-	// dropped tombstone was shadowing.
-	bottommost := task.TargetLevel >= db.deepestNonEmptyLevelBelow(v, task.TargetLevel)
-	if bottommost && task.TargetLevel < len(v.levels) {
-		for _, r := range v.levels[task.TargetLevel] {
-			for _, th := range r.tables {
-				if !dropped[th.meta.Num] {
-					bottommost = false
-				}
-			}
-		}
-	}
-
-	// Version-collapse filter: drop superseded versions and, at the
-	// bottom, obsolete tombstones and expired TTL entries.
-	now := db.opts.Clock()
-	expired := func(ik kv.InternalKey, v []byte) bool {
-		if ik.Kind != kv.KindSetTTL {
-			return false
-		}
-		exp, _, ok := kv.SplitExpiryValue(v)
-		return ok && now >= exp
-	}
-	var expiredDrops int64
-	var prevUser []byte
-	var havePrev bool
-	var prevKeptBelowHorizon bool
-	discard := func(ik kv.InternalKey, v []byte) bool {
-		sameUser := havePrev && string(ik.UserKey) == string(prevUser)
-		if !sameUser {
-			prevUser = append(prevUser[:0], ik.UserKey...)
-			havePrev = true
-			prevKeptBelowHorizon = ik.Seq <= horizon
-			// A bottommost tombstone below the horizon vanishes; its
-			// below-horizon status still shadows the older versions that
-			// follow, so they are dropped too. An expired TTL entry is an
-			// implicit tombstone and gets the same treatment — the entry
-			// and everything it shadows leave in one version install, so a
-			// crash can never resurrect the shadowed versions without also
-			// restoring the expired entry that hides them.
-			if bottommost && ik.Seq <= horizon {
-				if ik.Kind == kv.KindDelete {
-					return true
-				}
-				if expired(ik, v) {
-					expiredDrops++
-					return true
-				}
-			}
-			return false
-		}
-		// An older version of a key whose newer version is visible to
-		// every snapshot is dead.
-		if prevKeptBelowHorizon {
-			return true
-		}
-		// The newer version is above some snapshot's view: keep this one;
-		// it may be the visible version for an old snapshot.
-		prevKeptBelowHorizon = ik.Seq <= horizon
-		return false
-	}
-
-	if !merged.First() {
-		if err := merged.Error(); err != nil {
-			return err
-		}
-	}
-
+	merged.First() // a failure shows as !Valid, and in Error after the loop
 	// Split outputs at the target level's per-file size. The table layout
 	// (including the Monkey budget for the post-compaction shape) is
 	// computed once for the whole job.
-	maxFileBytes := uint64(db.opts.MemtableBytes)
-	wopts := db.writerOptionsForLevel(task.TargetLevel, int(totalEntries), dropped)
-	var outputs []*manifest.FileMeta
-	start := time.Now()
+	wopts := db.writerOptionsForLevel(task.TargetLevel, int(entries), j.edit.remove)
 	for merged.Valid() {
-		meta, _, err := db.buildTable(merged, wopts, maxFileBytes, discard)
+		meta, err := db.buildTable(merged, wopts, uint64(db.opts.MemtableBytes), j.dropped.drop)
 		if err != nil {
 			return err
 		}
 		if meta != nil {
-			outputs = append(outputs, meta)
+			j.edit.add = append(j.edit.add, meta)
 			// Compaction throttling: each output file is paid for out of
 			// the token bucket shared by every background job, so the
 			// configured ceiling bounds the workers' combined write rate.
@@ -413,152 +343,113 @@ func (db *DB) runCompaction(task *compaction.Task) error {
 	if err := merged.Error(); err != nil {
 		return err
 	}
-
-	var outputBytes uint64
-	for _, m := range outputs {
-		outputBytes += m.Size
-	}
-	db.opts.Stats.CompactionBytesRead.Add(int64(inputBytes))
-	db.opts.Stats.CompactionBytesWritten.Add(int64(outputBytes))
-	db.opts.Stats.Compactions.Add(1)
-	if expiredDrops > 0 {
-		db.opts.Stats.ExpiredDrops.Add(expiredDrops)
-	}
-
-	err := db.installVersionEdit(func(s *manifest.State) {
-		applyCompaction(s, task, dropped, outputs)
-	}, dropped)
-	if err != nil {
+	if err := db.finish(j); err != nil {
 		return err
 	}
-	detail := task.Reason
-	if expiredDrops > 0 {
-		detail = fmt.Sprintf("%s expired_drops=%d", task.Reason, expiredDrops)
-	}
-	db.events.Add(iostat.Event{
-		Type: iostat.EventCompaction, FromLevel: task.FromLevel, ToLevel: task.TargetLevel,
-		InputFiles: len(inputs) + len(targets), OutputFiles: len(outputs),
-		InputBytes: inputBytes, OutputBytes: outputBytes,
-		DurMs:  float64(time.Since(start).Microseconds()) / 1e3,
-		Detail: detail,
-	})
-	db.opts.Logf("compaction %s: %d -> %d files, %.1f MiB",
-		task.Reason, len(inputs)+len(targets), len(outputs), float64(outputBytes)/(1<<20))
-
-	if len(hotKeys) > 0 {
-		db.prefetchOutputs(outputs, hotKeys)
-	}
+	db.prefetchOutputs(j.edit.add, hotKeys)
 	return nil
 }
 
-// singleRunInputs reports whether the task's inputs all come from a
-// single run of the source level, so they are mutually disjoint and can
-// be spliced into the target's run without merging.
-func singleRunInputs(v *version, task *compaction.Task) bool {
-	if task.FromLevel >= len(v.levels) || len(v.levels[task.FromLevel]) != 1 {
+// collapse is a merge's version-collapse filter, the discard buildTable
+// consults entry by entry in merge order (user keys ascending, each key's
+// versions newest first): it drops the versions no snapshot can see and,
+// when the output is the bottom of the tree, obsolete tombstones and
+// expired TTL entries — and counts what it dropped, by cause.
+type collapse struct {
+	db      *DB
+	horizon kv.SeqNum
+	bottom  bool
+
+	prevUser  []byte // nil before the first entry; a user key is never empty
+	prevBelow bool   // the version of prevUser last seen is at or below the horizon
+
+	shadowed, tombstones, expired int64
+}
+
+func (c *collapse) drop(ik kv.InternalKey, v []byte) bool {
+	if c.prevUser != nil && string(ik.UserKey) == string(c.prevUser) {
+		// An older version of a key whose newer version is visible to
+		// every snapshot is dead.
+		if c.prevBelow {
+			c.shadowed++
+			return true
+		}
+		// The newer version is above some snapshot's view: keep this one;
+		// it may be the visible version for an old snapshot.
+		c.prevBelow = ik.Seq <= c.horizon
 		return false
 	}
-	return true
-}
-
-// applyTrivialMove edits the manifest: the files leave their source level
-// and splice into the target level's first run.
-func applyTrivialMove(s *manifest.State, task *compaction.Task, moved map[uint64]bool, metas []*manifest.FileMeta) {
-	for li := range s.Levels {
-		var runs []manifest.Run
-		for _, r := range s.Levels[li].Runs {
-			var files []*manifest.FileMeta
-			for _, f := range r.Files {
-				if !moved[f.Num] {
-					files = append(files, f)
-				}
-			}
-			if len(files) > 0 {
-				runs = append(runs, manifest.Run{Files: files})
-			}
-		}
-		s.Levels[li].Runs = runs
-	}
-	for len(s.Levels) <= task.TargetLevel {
-		s.Levels = append(s.Levels, manifest.Level{})
-	}
-	tl := &s.Levels[task.TargetLevel]
-	if len(tl.Runs) == 0 || task.FreshRun {
-		// Append as the youngest run (tiered move, or empty target).
-		tl.Runs = append(tl.Runs, manifest.Run{Files: metas})
-		return
-	}
-	files := append(tl.Runs[0].Files, metas...)
-	sortFilesBySmallest(files)
-	tl.Runs[0].Files = files
-}
-
-// deepestNonEmptyLevelBelow returns the index of the deepest level with
-// data strictly below `level`, or `level` itself when nothing is deeper.
-func (db *DB) deepestNonEmptyLevelBelow(v *version, level int) int {
-	deepest := level
-	for i := level + 1; i < len(v.levels); i++ {
-		if len(v.levels[i]) > 0 {
-			deepest = i
-		}
-	}
-	return deepest
-}
-
-// applyCompaction edits the manifest state: remove dropped files, then
-// install the outputs per the task semantics.
-func applyCompaction(s *manifest.State, task *compaction.Task, dropped map[uint64]bool, outputs []*manifest.FileMeta) {
-	for li := range s.Levels {
-		var runs []manifest.Run
-		for _, r := range s.Levels[li].Runs {
-			var files []*manifest.FileMeta
-			for _, f := range r.Files {
-				if !dropped[f.Num] {
-					files = append(files, f)
-				}
-			}
-			if len(files) > 0 {
-				runs = append(runs, manifest.Run{Files: files})
+	c.prevUser = append(c.prevUser[:0], ik.UserKey...)
+	c.prevBelow = ik.Seq <= c.horizon
+	// A bottommost tombstone below the horizon vanishes; its
+	// below-horizon status still shadows the older versions that follow,
+	// so they are dropped too. A TTL entry reads no longer see (visible
+	// judges it, by the engine's clock) is an implicit tombstone and gets
+	// the same treatment — the entry and everything it shadows leave in
+	// one version install, so a crash can never resurrect the shadowed
+	// versions without also restoring the expired entry that hides them.
+	if c.bottom && c.prevBelow {
+		switch ik.Kind {
+		case kv.KindDelete:
+			c.tombstones++
+			return true
+		case kv.KindSetTTL:
+			if _, live, err := c.db.visible(ik.UserKey, ik.Kind, v); err == nil && !live {
+				c.expired++
+				return true
 			}
 		}
-		s.Levels[li].Runs = runs
 	}
-	for len(s.Levels) <= task.TargetLevel {
-		s.Levels = append(s.Levels, manifest.Level{})
-	}
-	if len(outputs) == 0 {
-		return
-	}
-	tl := &s.Levels[task.TargetLevel]
-	if task.FreshRun || len(tl.Runs) == 0 {
-		tl.Runs = append(tl.Runs, manifest.Run{Files: outputs})
-		return
-	}
-	// Leveled install: splice outputs into the level's first run, keeping
-	// files ordered by smallest key. Ranges are disjoint by construction
-	// (overlapping target files were merged).
-	files := append(tl.Runs[0].Files, outputs...)
-	sortFilesBySmallest(files)
-	tl.Runs[0].Files = files
+	return false
 }
 
-func sortFilesBySmallest(files []*manifest.FileMeta) {
-	for i := 1; i < len(files); i++ {
-		for j := i; j > 0 && string(files[j].Smallest) < string(files[j-1].Smallest); j-- {
-			files[j], files[j-1] = files[j-1], files[j]
+// finish is where every background job ends: the edit is installed, and
+// only then — an install can fail — is the job counted, recorded as its
+// one event, logged, and the files it made dead retired.
+func (db *DB) finish(j *job) error {
+	if err := db.installVersionEdit(&j.edit); err != nil {
+		return err
+	}
+	ev, st := &j.ev, db.opts.Stats
+	ev.OutputFiles = len(j.edit.add)
+	for _, m := range j.edit.add { // on top of what a collection relocated
+		ev.OutputBytes += m.Size
+	}
+	ev.DurMs = float64(time.Since(j.start).Microseconds()) / 1e3
+	switch ev.Type {
+	case iostat.EventFlush:
+		st.Flushes.Add(1)
+		st.BytesFlushed.Add(int64(ev.OutputBytes))
+	case iostat.EventTrivialMove:
+		st.Compactions.Add(1)
+		st.TrivialMoves.Add(1)
+	case iostat.EventCompaction:
+		st.Compactions.Add(1)
+		st.CompactionBytesRead.Add(int64(ev.InputBytes))
+		st.CompactionBytesWritten.Add(int64(ev.OutputBytes))
+		st.ExpiredDrops.Add(j.dropped.expired)
+		ev.Detail += fmt.Sprintf(" dropped=shadowed:%d,tombstone:%d,expired:%d",
+			j.dropped.shadowed, j.dropped.tombstones, j.dropped.expired)
+		if j.dropped.expired > 0 {
+			ev.Detail += fmt.Sprintf(" expired_drops=%d", j.dropped.expired)
 		}
 	}
+	db.events.Add(*ev)
+	db.opts.Logf("%s %s: L%d -> L%d, %d -> %d files, %.1f MiB", ev.Type, ev.Detail,
+		ev.FromLevel, ev.ToLevel, ev.InputFiles, ev.OutputFiles, float64(ev.OutputBytes)/(1<<20))
+	db.retire(j.wals...)
+	return nil
 }
 
-// installVersionEdit mutates the manifest state under the lock, persists
-// it, builds and publishes the new version, and marks dropped tables
-// obsolete. It is the one place db.mu is held across file I/O; reads pin
-// the published state without db.mu, so only writers' two short
-// sections queue behind it.
-func (db *DB) installVersionEdit(edit func(*manifest.State), dropped map[uint64]bool) error {
+// installVersionEdit applies the edit to the manifest state under the
+// lock, persists it, builds and publishes the new version, and marks the
+// edit's obsolete tables. finish is its only caller. It is the one place
+// db.mu is held across file I/O; reads pin the published state without
+// db.mu, so only writers' two short sections queue behind it.
+func (db *DB) installVersionEdit(e *versionEdit) error {
 	db.mu.Lock()
 	newState := db.state.Clone()
-	edit(newState)
+	e.apply(newState)
 	newState.LastSeq = db.seq.Load()
 	if db.vlog != nil {
 		newState.VlogHead = db.vlog.ActiveSegment()
@@ -575,22 +466,76 @@ func (db *DB) installVersionEdit(edit func(*manifest.State), dropped map[uint64]
 	old := db.current
 	db.state = newState
 	db.current = newVersion
+	if e.flushed {
+		db.imms = db.imms[1:]
+	}
+	if e.segment != 0 {
+		// Every relocation out of the segment is at or below lastSeq, and
+		// so is every overwrite that left an entry of it dead: a snapshot
+		// below it may still resolve a pointer into the segment.
+		db.deadSegments[e.segment], db.gcCursor = db.lastSeq(), e.segment
+	}
 	retired := db.publishLocked()
 	db.refreshMonkeyLocked()
 	db.refreshDebtLocked()
 	db.mu.Unlock()
 	retired.unref()
 
-	for num := range dropped {
+	for num := range e.obsolete {
 		if th := db.registry.get(num); th != nil {
 			db.registry.remove(num)
 			th.markObsolete()
 		}
 	}
-	if old != nil {
-		old.unref()
-	}
+	old.unref()
 	return nil
+}
+
+// retire is the only place a log or a value-log segment is removed (a
+// table goes by refcount: markObsolete, then the last version listing it).
+// walNums names more logs whose every record reached a table. All wait
+// while a checkpoint copies the file set; a segment also for the snapshots
+// taken, and the reads begun, before its relocations were published.
+func (db *DB) retire(walNums ...uint64) {
+	db.mu.Lock()
+	db.deadWALs = append(db.deadWALs, walNums...)
+	var wals, segments []uint64
+	if db.walPins == 0 {
+		wals, db.deadWALs = db.deadWALs, nil
+		for num, seq := range db.deadSegments {
+			if db.liveStates.Load() <= 1 && seq <= db.gcHorizonLocked() {
+				segments = append(segments, num)
+				delete(db.deadSegments, num)
+			}
+		}
+	}
+	db.mu.Unlock()
+	for _, n := range wals {
+		db.opts.FS.Remove(db.walPath(n))
+	}
+	for _, n := range segments {
+		db.vlog.Remove(n)
+	}
+}
+
+// hotBlockKeys is Leaper-style telemetry: the first user key of every
+// block of tables that is cache resident right now. After a merge replaces
+// those files, prefetchOutputs re-fetches the output blocks covering these
+// keys, so the hot working set does not pay a miss storm.
+func (db *DB) hotBlockKeys(tables []*tableHandle) (keys [][]byte) {
+	if db.cache == nil || !db.opts.PrefetchAfterCompaction {
+		return nil
+	}
+	for _, th := range tables {
+		for _, off := range db.cache.ResidentOffsets(th.meta.Num) {
+			if ord := th.reader.BlockOrdinalForOffset(off); ord >= 0 {
+				if k := th.reader.BlockFirstKey(ord); k != nil {
+					keys = append(keys, append([]byte(nil), k...))
+				}
+			}
+		}
+	}
+	return keys
 }
 
 // prefetchOutputs re-warms the block cache with the output blocks
@@ -598,9 +543,6 @@ func (db *DB) installVersionEdit(edit func(*manifest.State), dropped map[uint64]
 // compaction just invalidated is re-fetched immediately, so reads do not
 // pay a post-compaction miss storm).
 func (db *DB) prefetchOutputs(outputs []*manifest.FileMeta, hotKeys [][]byte) {
-	if db.cache == nil || len(hotKeys) == 0 {
-		return
-	}
 	for _, key := range hotKeys {
 		for _, m := range outputs {
 			if bytes.Compare(key, m.Smallest) < 0 || bytes.Compare(key, m.Largest) > 0 {

@@ -61,7 +61,7 @@ type DB struct {
 	// the (mem, wal, walNum) triple: commits, memtable freezes (commit,
 	// Flush, Close) and Checkpoint's log sync. File I/O on the log happens
 	// under it and never under mu. It also guards commitHook. Lock order:
-	// rmwMu, then commitMu, then mu. See DESIGN.md, "Locks".
+	// rmwMu, vlogMu, commitMu, then mu. See DESIGN.md, "Locks".
 	commitMu sync.Mutex
 	// mem, wal and walNum change only with commitMu and mu both held, so
 	// holding either is enough to read them.
@@ -87,6 +87,9 @@ type DB struct {
 	// rs is the published read state: what pin hands a read, republished
 	// under mu wherever mem, imms or current change; nil once closed.
 	rs atomic.Pointer[readState]
+	// liveStates counts the read states some read may still hold: 1 when
+	// every read in flight runs against the published one.
+	liveStates atomic.Int32
 	// debtBytes is the pending compaction debt (bytes the tree must
 	// rewrite to satisfy its shape), recomputed on every version install;
 	// the slowdown band reads it per write.
@@ -110,10 +113,18 @@ type DB struct {
 	// reaches their target.
 	commitHook CommitHook
 	seqWaiters []seqWaiter
-	// walPins > 0 defers WAL file deletion (an online checkpoint is
-	// copying them); deferredWALs holds the postponed removals.
+	// walPins > 0 defers file deletion (an online checkpoint is copying the
+	// file set); deadWALs, and deadSegments (a value-log segment GC emptied
+	// to the sequence number its relocations ended at), await retire.
 	walPins      int
-	deferredWALs []uint64
+	deadWALs     []uint64
+	deadSegments map[uint64]kv.SeqNum
+	gcCursor     uint64 // the segment emptied last: the next collection starts past it
+	// vlogMu is held shared by a commit from its value-log append to its
+	// memtable insert, and exclusively for an instant by value-log GC: past
+	// that, an entry of a sealed segment the tree does not point at never
+	// will be — it is dead. Taken after rmwMu, before commitMu.
+	vlogMu sync.RWMutex
 
 	// monkeyBits caches the per-level bits/key allocation; recomputed on
 	// every version install.
@@ -150,11 +161,12 @@ func Open(opts Options) (*DB, error) {
 		return nil, err
 	}
 	db := &DB{
-		opts:      o,
-		sched:     compaction.NewScheduler(picker),
-		rate:      compaction.NewRateLimiter(o.CompactionMaxBytesPerSec),
-		snapshots: make(map[kv.SeqNum]int),
-		registry:  newTableRegistry(),
+		opts:         o,
+		sched:        compaction.NewScheduler(picker),
+		rate:         compaction.NewRateLimiter(o.CompactionMaxBytesPerSec),
+		snapshots:    make(map[kv.SeqNum]int),
+		deadSegments: make(map[uint64]kv.SeqNum),
+		registry:     newTableRegistry(),
 	}
 	db.cond = sync.NewCond(&db.mu)
 	db.bgCond = sync.NewCond(&db.mu)
@@ -203,10 +215,27 @@ func Open(opts Options) (*DB, error) {
 	}
 	db.publishLocked()
 
+	// The flush worker drains the flush queue and nothing else, so a long
+	// compaction never blocks a flush — which turned maintenance debt into
+	// hard write stalls when one goroutine did both. The scheduler hands a
+	// compaction worker a task whose level/file claims are disjoint from
+	// every in-flight one's: merges run in parallel, installs under db.mu.
 	db.workers.Add(1 + o.CompactionConcurrency)
-	go db.flushLoop()
+	go db.worker(func() func() error {
+		if len(db.imms) == 0 {
+			return nil
+		}
+		im := db.imms[0]
+		return func() error { return db.flush(im.buf, &im) }
+	})
 	for i := 0; i < o.CompactionConcurrency; i++ {
-		go db.compactionLoop()
+		go db.worker(func() func() error {
+			task := db.sched.Next(db.current.view())
+			if task == nil {
+				return nil
+			}
+			return func() error { return db.compact(task) }
+		})
 	}
 	return db, nil
 }
@@ -273,23 +302,19 @@ func (db *DB) replayWALs() error {
 			Type: iostat.EventWALRecovery, FromLevel: -1, ToLevel: -1,
 			Detail: fmt.Sprintf("%d entries from %d logs", recovered, len(nums)),
 		})
-		if err := db.flushBufferToL0(db.mem); err != nil {
+		if err := db.flush(db.mem, nil); err != nil {
 			return err
 		}
 		db.mem = db.newBuffer()
 	}
-	for _, n := range nums {
-		db.opts.FS.Remove(db.walPath(n))
-	}
+	db.retire(nums...)
 	return nil
 }
 
 // createWAL creates the log file for a new active memtable under a fresh
 // file number. Caller holds commitMu (or is in Open) and not db.mu.
 func (db *DB) createWAL() (*wal.Writer, uint64, error) {
-	db.mu.Lock()
-	num := db.newFileNumLocked()
-	db.mu.Unlock()
+	num := db.newFileNum()
 	// The log never syncs by itself: commit does, so the fsync can be timed.
 	w, err := wal.Create(db.opts.FS, db.walPath(num), wal.Options{})
 	if err != nil {
@@ -623,66 +648,34 @@ func (db *DB) setBgErrLocked(err error) {
 	db.bgCond.Broadcast()
 }
 
-// flushLoop is the dedicated flush worker: it drains the flush queue and
-// nothing else, so a long compaction can never block memtable flushes —
-// the failure mode that turned maintenance debt into hard write stalls
-// when one goroutine did both jobs.
-func (db *DB) flushLoop() {
+// worker is the one background loop, run once for flushes and
+// CompactionConcurrency times for compactions: wait until next (called
+// with db.mu held) has a job, run it unlocked, wake whoever waits on
+// progress, and stop for good when the engine closes or a job fails.
+func (db *DB) worker(next func() func() error) {
 	defer db.workers.Done()
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	for {
-		for !db.closed && db.bgErr == nil && len(db.imms) == 0 {
-			db.bgCond.Wait()
-		}
-		if db.closed || db.bgErr != nil {
-			return
-		}
-		db.mu.Unlock()
-		err := db.flushOldestImm()
-		db.mu.Lock()
-		if err != nil {
-			db.setBgErrLocked(err)
-			return
-		}
-		// A flush frees a queue slot for writers and may create
-		// compaction work (a new L0 run).
-		db.cond.Broadcast()
-		db.bgCond.Broadcast()
-	}
-}
-
-// compactionLoop is one worker of the compaction pool. The scheduler
-// hands each worker a task whose level/file claims are disjoint from
-// every in-flight task, so merges proceed in parallel while version-edit
-// installs stay serialized through installVersionEdit's manifest lock.
-func (db *DB) compactionLoop() {
-	defer db.workers.Done()
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	for {
-		var task *compaction.Task
+		var run func() error
 		for !db.closed && db.bgErr == nil {
-			if task = db.sched.Next(db.current.view()); task != nil {
+			if run = next(); run != nil {
 				break
 			}
 			db.bgCond.Wait()
 		}
-		if db.closed || db.bgErr != nil {
-			if task != nil {
-				db.sched.Done(task)
-			}
+		if run == nil {
 			return
 		}
 		db.mu.Unlock()
-		err := db.runCompaction(task)
-		db.sched.Done(task)
+		err := run()
 		db.mu.Lock()
 		if err != nil {
 			db.setBgErrLocked(err)
 			return
 		}
-		// Progress may relieve a stall, satisfy WaitIdle, or unblock a
+		// Progress frees a flush-queue slot, creates compaction work (a new
+		// L0 run), relieves a stall, satisfies WaitIdle, or unblocks a
 		// candidate task that conflicted with this one's claims.
 		db.cond.Broadcast()
 		db.bgCond.Broadcast()
@@ -722,28 +715,19 @@ func (db *DB) Close() error {
 	// background failure the WAL can still hold acknowledged records
 	// that never reached a table, and the next open replays it.
 	clean := flushErr == nil && db.bgErr == nil && len(db.imms) == 0
-	var dead []uint64
-	if db.walPins == 0 {
-		// Deferred removals for flushed-while-checkpointing WALs; their
-		// contents reached L0 tables, so they are dead weight. A
-		// checkpoint still in flight drains them itself when it unpins.
-		dead, db.deferredWALs = db.deferredWALs, nil
-	}
 	cur := db.current
 	db.mu.Unlock()
+	var dead []uint64
 	if db.wal != nil {
 		// closed is set: no commit or checkpoint touches the log again.
 		db.wal.Close()
 		if clean {
-			db.opts.FS.Remove(db.walPath(db.walNum))
+			dead = append(dead, db.walNum)
 		}
 	}
-	for _, n := range dead {
-		db.opts.FS.Remove(db.walPath(n))
-	}
-	if cur != nil {
-		cur.unref()
-	}
+	// A checkpoint still in flight retires what this leaves when it unpins.
+	db.retire(dead...)
+	cur.unref()
 	db.registry.closeAll()
 	if db.vlog != nil {
 		db.vlog.Close()

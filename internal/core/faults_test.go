@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"lsmkv/internal/iostat"
 	"lsmkv/internal/vfs"
 )
 
@@ -91,8 +92,9 @@ func TestFaultWALAppendSurfacesFromPut(t *testing.T) {
 }
 
 // TestFaultManifestRenameFailsFlush: a failed manifest rename must fail
-// the flush that tried to install the new version, and Close must still
-// terminate.
+// the flush that tried to install the new version — which then was not a
+// flush: no event, no count (the parent recorded the event before the
+// install) — and Close must still terminate.
 func TestFaultManifestRenameFailsFlush(t *testing.T) {
 	db, fs := faultyDB(t, false)
 
@@ -102,6 +104,14 @@ func TestFaultManifestRenameFailsFlush(t *testing.T) {
 	fs.Inject(vfs.Rule{Op: vfs.OpRename, Path: "MANIFEST", Repeat: true})
 	if err := db.Flush(); !errors.Is(err, vfs.ErrInjected) {
 		t.Fatalf("Flush with failing manifest rename: err=%v, want ErrInjected", err)
+	}
+	if n := db.Stats().Flushes; n != 0 {
+		t.Errorf("Flushes = %d after the only flush failed to install", n)
+	}
+	for _, e := range db.Events() {
+		if e.Type == iostat.EventFlush {
+			t.Errorf("flush event recorded for a flush that failed to install: %v", e)
+		}
 	}
 	// The background error is sticky: later maintenance waits surface it.
 	if err := db.WaitIdle(); !errors.Is(err, vfs.ErrInjected) {

@@ -55,6 +55,7 @@ func (rs *readState) tryRef() bool {
 // unref drops one reference; nil-safe (the first publish retires nothing).
 func (rs *readState) unref() {
 	if rs != nil && rs.refs.Add(-1) == 0 {
+		rs.v.db.liveStates.Add(-1)
 		rs.v.unref()
 	}
 }
@@ -91,6 +92,7 @@ func (db *DB) publishLocked() (retired *readState) {
 		}
 		rs.v.ref()
 		rs.refs.Store(1)
+		db.liveStates.Add(1)
 	}
 	return db.rs.Swap(rs)
 }

@@ -73,26 +73,26 @@ func TestOneReadPath(t *testing.T) {
 	wantSites(t, "sstable: decodeBlockInto", sstable.sites["decodeBlockInto"], "loadBlock")
 
 	// core: an entry's kind is interpreted — expiry prefix split, value
-	// pointer decoded — by the resolver alone. Two listed exceptions do
-	// not resolve a read: compaction's GC (runCompaction's expired closure)
-	// judges expiry to drop entries, and value-log GC compares a pointer
-	// for identity.
+	// pointer decoded — by the resolver alone. A merge's collapse filter
+	// asks the resolver whether a TTL entry is still live, and value-log GC
+	// compares a pointer's encoding without decoding it.
 	core := parseFuncs(t, ".")
-	wantSites(t, "core: kv.SplitExpiryValue", core.sites["kv.SplitExpiryValue"], "visible", "runCompaction")
-	wantSites(t, "core: vlog.DecodePointer", core.sites["vlog.DecodePointer"], "visible", "RunValueLogGC")
+	wantSites(t, "core: kv.SplitExpiryValue", core.sites["kv.SplitExpiryValue"], "visible")
+	wantSites(t, "core: vlog.DecodePointer", core.sites["vlog.DecodePointer"], "visible")
 	// A version is ref'd for reads in one place: publishLocked, on behalf of
 	// the read state it publishes. (The site moved there from pin, which
 	// now takes a reference on the published state — tryRef — instead of
 	// taking db.mu to ref db.current, so that no read waits on the mutex.)
-	// Checkpoint and compaction take theirs inside larger critical
-	// sections, and buildVersion refs table handles, not a version.
+	// Checkpoint and compaction take theirs through viewLocked, inside
+	// larger critical sections, and buildVersion refs table handles, not a
+	// version.
 	var refs []string
 	for callee, fns := range core.sites {
 		if strings.HasSuffix(callee, ".ref") {
 			refs = append(refs, fns...)
 		}
 	}
-	wantSites(t, "core: x.ref()", refs, "publishLocked", "Checkpoint", "runCompaction", "buildVersion")
+	wantSites(t, "core: x.ref()", refs, "publishLocked", "viewLocked", "buildVersion")
 	// pin is the only taker of read-state references and touches no mutex.
 	wantSites(t, "core: rs.tryRef()", core.sites["rs.tryRef"], "pin")
 	for callee, fns := range core.sites {
@@ -120,12 +120,15 @@ func TestOneReadPath(t *testing.T) {
 	}
 }
 
-// funcIndex is what TestOneReadPath looks at in one package's non-test
-// files: per rendered callee ("r.f.ReadAt", "kv.SplitExpiryValue") the
-// enclosing function of every call, and the functions that compare a
-// shard count (n, db.n, s.db.n) with the literal 1.
+// funcIndex is what TestOneReadPath and TestOneMaintenancePath look at in
+// one package's non-test files: per rendered callee ("r.f.ReadAt",
+// "kv.SplitExpiryValue") the enclosing function of every call, per
+// rendered selector ("iostat.EventFlush") the enclosing function of every
+// mention, and the functions that compare a shard count (n, db.n, s.db.n)
+// with the literal 1.
 type funcIndex struct {
 	sites     map[string][]string
+	mentions  map[string][]string
 	nCompares []string
 }
 
@@ -137,7 +140,7 @@ func parseFuncs(t *testing.T, dir string) funcIndex {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := funcIndex{sites: map[string][]string{}}
+	x := funcIndex{sites: map[string][]string{}, mentions: map[string][]string{}}
 	for _, pkg := range pkgs {
 		for _, file := range pkg.Files {
 			for _, decl := range file.Decls {
@@ -150,6 +153,10 @@ func parseFuncs(t *testing.T, dir string) funcIndex {
 					case *ast.CallExpr:
 						if callee := render(n.Fun); callee != "" {
 							x.sites[callee] = append(x.sites[callee], fn.Name.Name)
+						}
+					case *ast.SelectorExpr:
+						if sel := render(n); sel != "" {
+							x.mentions[sel] = append(x.mentions[sel], fn.Name.Name)
 						}
 					case *ast.BinaryExpr:
 						a, b := render(n.X), render(n.Y)

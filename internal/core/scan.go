@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -87,34 +88,88 @@ func (db *DB) scan(lo, hi []byte, snap kv.SeqNum, fn func(key, value []byte) boo
 	return ScanAll(sc, fn)
 }
 
-// RunValueLogGC collects one value-log segment, relocating live values by
-// re-writing them through the engine. It reports whether a segment was
-// collected. No-op when key-value separation is off.
+// RunValueLogGC collects one sealed value-log segment that holds a dead
+// value and reports whether there was one (never, with key-value separation
+// off); a segment with no garbage is not rewritten. The fourth background
+// job: live values are appended again and their keys re-pointed through
+// commit, each only while the tree still points at the copy being moved, so
+// a racing write is never overwritten; retire deletes the emptied segment
+// when no snapshot, running read or checkpoint can still reach into it.
 func (db *DB) RunValueLogGC() (bool, error) {
 	if db.vlog == nil {
 		return false, nil
 	}
-	start := time.Now()
-	collected, err := db.vlog.GC(
-		func(key []byte, p vlog.Pointer) bool {
-			value, kind, found, err := db.getInternal(key, kv.MaxSeqNum, nil, nil)
-			if err != nil || !found || kind != kv.KindValuePointer {
-				return false
+	db.retire() // segments earlier calls emptied, if their last readers have gone
+	db.vlogMu.Lock()
+	sealed := db.vlog.ActiveSegment()
+	db.vlogMu.Unlock()
+	// Candidates: the sealed segments not emptied yet, starting after the last
+	// one collected (those up to it were read and left alone on the way there).
+	db.mu.Lock()
+	candidates := slices.DeleteFunc(db.vlog.Segments(), func(n uint64) bool {
+		_, dead := db.deadSegments[n]
+		return dead || n >= sealed
+	})
+	first, _ := slices.BinarySearch(candidates, db.gcCursor+1)
+	db.mu.Unlock()
+	const gcBatch = 64 // relocations to a commit
+	j := &job{start: time.Now(), ev: iostat.Event{Type: iostat.EventVlogGC, FromLevel: -1, ToLevel: -1, InputFiles: 1}}
+	seg, err := db.vlog.GC(append(candidates[first:], candidates[:first]...), func(seg uint64, entries []vlog.Entry) (bool, error) {
+		// A first pass, under no lock, over what the tree points at now.
+		var live []vlog.Entry
+		j.ev.InputBytes = 0
+		for _, e := range entries {
+			j.ev.InputBytes += uint64(e.Ptr.Length)
+			if db.pointsAt(e.Key, e.Ptr.Encode()) {
+				live = append(live, e)
 			}
-			q, err := vlog.DecodePointer(value)
-			return err == nil && q == p
-		},
-		func(key, value []byte) error {
-			return db.Put(key, value)
-		},
-	)
-	if collected {
-		db.events.Add(iostat.Event{
-			Type: iostat.EventVlogGC, FromLevel: -1, ToLevel: -1,
-			DurMs: float64(time.Since(start).Microseconds()) / 1e3,
-		})
+		}
+		if len(live) == len(entries) {
+			return false, nil
+		}
+		// Each batch is synced, so a value is durable before a log record
+		// points at it. gcBatch point lookups, of keys the first pass just
+		// read, and one fsync are what writers wait for under commitMu.
+		relocated := 0
+		for ; len(live) > 0; live = live[min(len(live), gcBatch):] {
+			var ops []BatchOp
+			for _, e := range live[:min(len(live), gcBatch)] {
+				value, err := db.vlog.Get(e.Ptr)
+				if err != nil {
+					return false, err
+				}
+				ops = append(ops, BatchOp{Kind: kv.KindSet, Key: e.Key, Value: value, ifPointer: e.Ptr.Encode()})
+			}
+			n, err := db.commit(ops, true, 0, nil)
+			if err != nil {
+				return false, err
+			}
+			relocated += n
+			for _, op := range ops[:n] {
+				j.ev.OutputBytes += uint64(len(op.Value))
+			}
+		}
+		j.ev.Detail = fmt.Sprintf("segment=%d relocated=%d/%d dead=%d/%d",
+			seg, relocated, j.ev.OutputBytes, len(entries)-relocated, j.ev.InputBytes-j.ev.OutputBytes)
+		// Before the segment may go, what left its entries dead must be durable,
+		// whatever WALSync says: the relocations, and overwrites acknowledged
+		// unsynced, which a crash would undo back to a pointer into a deleted
+		// file. Frozen logs are synced (freezeMem); with no log, a flush does it.
+		if err := db.vlog.Sync(); err != nil {
+			return false, err
+		}
+		if db.opts.DisableWAL {
+			return true, db.Flush()
+		}
+		db.commitMu.Lock()
+		defer db.commitMu.Unlock()
+		return true, db.wal.Sync()
+	})
+	if err != nil || seg == 0 {
+		return false, err
 	}
-	return collected, err
+	j.edit.segment = seg
+	return true, db.finish(j)
 }
 
 // LevelInfo summarizes one level for metrics and tooling.

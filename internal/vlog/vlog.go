@@ -4,8 +4,8 @@
 // LSM-tree stores only small pointers. Compactions then move pointers
 // instead of payloads — slashing write amplification for large values —
 // while every point read of a separated value pays one extra storage hop.
-// Stale values are reclaimed by rewriting live entries from the oldest log
-// segment (garbage collection).
+// Stale values are reclaimed by rewriting the live entries of a sealed log
+// segment that holds dead ones (garbage collection).
 package vlog
 
 import (
@@ -132,8 +132,15 @@ func (l *Log) segmentPath(n uint64) string {
 	return filepath.Join(l.dir, fmt.Sprintf("%06d.vlog", n))
 }
 
-// rollLocked starts a new active segment. Caller holds the lock.
+// rollLocked starts a new active segment. The outgoing one is synced
+// first, so Sync, which reaches only the active segment, leaves nothing
+// behind it volatile. Caller holds the lock.
 func (l *Log) rollLocked() error {
+	if l.active != nil {
+		if err := l.active.Sync(); err != nil {
+			return err
+		}
+	}
 	n := l.activeNum + 1
 	f, err := l.fs.Create(l.segmentPath(n))
 	if err != nil {
@@ -172,11 +179,10 @@ func (l *Log) Append(key, value []byte) (Pointer, error) {
 
 // Get reads the value behind a pointer, verifying the checksum.
 func (l *Log) Get(p Pointer) ([]byte, error) {
-	key, val, err := l.readEntry(p.Segment, p.Offset)
+	_, val, _, err := l.readEntry(p.Segment, p.Offset)
 	if err != nil {
 		return nil, err
 	}
-	_ = key
 	if uint32(len(val)) != p.Length {
 		return nil, ErrCorrupt
 	}
@@ -193,36 +199,37 @@ func (l *Log) segment(n uint64) (vfs.File, error) {
 	return f, nil
 }
 
-func (l *Log) readEntry(seg, off uint64) (key, value []byte, err error) {
+// readEntry reads and verifies the entry at off; n is its encoded length.
+func (l *Log) readEntry(seg, off uint64) (key, value []byte, n uint64, err error) {
 	f, err := l.segment(seg)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, 0, err
 	}
 	// Read a generous header window, then the exact payload.
 	var hdr [24]byte
-	n, err := f.ReadAt(hdr[:], int64(off))
-	if n < 6 && err != nil {
-		return nil, nil, err
+	got, err := f.ReadAt(hdr[:], int64(off))
+	if got < 6 && err != nil {
+		return nil, nil, 0, err
 	}
 	want := binary.LittleEndian.Uint32(hdr[0:])
-	klen, w1 := binary.Uvarint(hdr[4:n])
+	klen, w1 := binary.Uvarint(hdr[4:got])
 	if w1 <= 0 {
-		return nil, nil, ErrCorrupt
+		return nil, nil, 0, ErrCorrupt
 	}
-	vlen, w2 := binary.Uvarint(hdr[4+w1 : n])
+	vlen, w2 := binary.Uvarint(hdr[4+w1 : got])
 	if w2 <= 0 {
-		return nil, nil, ErrCorrupt
+		return nil, nil, 0, ErrCorrupt
 	}
 	payload := make([]byte, uint64(w1+w2)+klen+vlen)
 	if _, err := f.ReadAt(payload, int64(off)+4); err != nil {
-		return nil, nil, err
+		return nil, nil, 0, err
 	}
 	if crc32.Checksum(payload, crcTable) != want {
-		return nil, nil, ErrCorrupt
+		return nil, nil, 0, ErrCorrupt
 	}
 	key = payload[w1+w2 : uint64(w1+w2)+klen]
 	value = payload[uint64(w1+w2)+klen:]
-	return key, value, nil
+	return key, value, 4 + uint64(len(payload)), nil
 }
 
 // ActiveSegment returns the number of the segment currently appended to.
@@ -257,76 +264,62 @@ func (l *Log) SizeBytes() int64 {
 	return total
 }
 
-// GC scans the oldest non-active segment and invokes relocate for every
-// entry still live according to isLive (which receives the entry's key and
-// its original pointer). relocate is expected to re-append the value and
-// update the tree. After a full scan the segment file is deleted. GC
-// reports whether a segment was collected.
-func (l *Log) GC(
-	isLive func(key []byte, p Pointer) bool,
-	relocate func(key, value []byte) error,
-) (bool, error) {
-	l.mu.Lock()
-	var victim uint64
-	found := false
-	for n := range l.segments {
-		if n == l.activeNum {
-			continue
-		}
-		if !found || n < victim {
-			victim = n
-			found = true
-		}
-	}
-	var f vfs.File
-	if found {
-		f = l.segments[victim]
-	}
-	l.mu.Unlock()
-	if !found {
-		return false, nil
-	}
+// Entry is one record of a sealed segment, as GC hands it to its callback.
+type Entry struct {
+	Key []byte
+	Ptr Pointer
+}
 
-	fi, err := f.Stat()
-	if err != nil {
-		return false, err
-	}
-	size := uint64(fi.Size())
-	for off := uint64(0); off < size; {
-		key, value, err := l.readEntry(victim, off)
+// GC offers the candidate segments (never the active one) to collect, in
+// order, until it accepts one, and returns that segment (0 for none).
+// collect is handed every entry of a segment. It either relocates those the
+// tree still points at — appending the value again and re-pointing the key,
+// atomically with the check that the key still points here — and returns
+// true, or returns false: a segment with nothing dead in it is not rewritten.
+// An accepted segment stays readable; the caller offers it no more and
+// Removes it once no reader can hold a pointer into it.
+func (l *Log) GC(candidates []uint64, collect func(seg uint64, entries []Entry) (bool, error)) (uint64, error) {
+	for _, seg := range candidates {
+		f, err := l.segment(seg)
 		if err != nil {
-			return false, fmt.Errorf("vlog gc at %d/%d: %w", victim, off, err)
+			return 0, err
 		}
-		entryLen := l.entryLen(uint64(len(key)), uint64(len(value)))
-		p := Pointer{Segment: victim, Offset: off, Length: uint32(len(value))}
-		if isLive(key, p) {
-			if err := relocate(key, value); err != nil {
-				return false, err
+		if seg == l.ActiveSegment() {
+			continue // still appended to: never collected
+		}
+		fi, err := f.Stat()
+		if err != nil {
+			return 0, err
+		}
+		var entries []Entry
+		for off := uint64(0); off < uint64(fi.Size()); {
+			key, value, n, err := l.readEntry(seg, off)
+			if err != nil {
+				return 0, fmt.Errorf("vlog gc at %d/%d: %w", seg, off, err)
 			}
+			// The key is copied out of the payload so the values can go.
+			entries = append(entries, Entry{append([]byte(nil), key...), Pointer{seg, off, uint32(len(value))}})
+			off += n
 		}
-		off += entryLen
+		if ok, err := collect(seg, entries); err != nil || ok {
+			return seg, err
+		}
 	}
+	return 0, nil
+}
+
+// Remove closes and deletes a segment. A pointer into it fails with
+// ErrNotFound from now on.
+func (l *Log) Remove(seg uint64) error {
 	l.mu.Lock()
-	delete(l.segments, victim)
+	f, ok := l.segments[seg]
+	delete(l.segments, seg)
 	l.mu.Unlock()
+	if !ok {
+		return ErrNotFound
+	}
 	f.Close()
-	if err := l.fs.Remove(l.segmentPath(victim)); err != nil {
-		return true, err
-	}
-	return true, nil
-}
-
-func (l *Log) entryLen(klen, vlen uint64) uint64 {
-	return 4 + uint64(uvarintLen(klen)) + uint64(uvarintLen(vlen)) + klen + vlen
-}
-
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
+	return l.fs.Remove(l.segmentPath(seg))
 }
 
 // Sync fsyncs the active segment.

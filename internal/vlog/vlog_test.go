@@ -121,26 +121,36 @@ func TestGCRewritesLiveOnly(t *testing.T) {
 		t.Fatalf("need multiple segments, got %d", nSegsBefore)
 	}
 	var relocated []string
-	collected, err := l.GC(
-		func(key []byte, p Pointer) bool {
-			q, ok := live[string(key)]
-			return ok && q == p
-		},
-		func(key, value []byte) error {
-			p, err := l.Append(key, value)
-			if err != nil {
-				return err
+	seg, err := l.GC(l.Segments(), func(seg uint64, entries []Entry) (bool, error) {
+		for _, e := range entries {
+			if q, ok := live[string(e.Key)]; !ok || q != e.Ptr {
+				continue
 			}
-			live[string(key)] = p
-			relocated = append(relocated, string(key))
-			return nil
-		},
-	)
-	if err != nil || !collected {
-		t.Fatalf("GC: collected=%v err=%v", collected, err)
+			value, err := l.Get(e.Ptr)
+			if err != nil {
+				return false, err
+			}
+			p, err := l.Append(e.Key, value)
+			if err != nil {
+				return false, err
+			}
+			live[string(e.Key)] = p
+			relocated = append(relocated, string(e.Key))
+		}
+		return true, nil
+	})
+	if err != nil || seg == 0 {
+		t.Fatalf("GC: collected=%d err=%v", seg, err)
 	}
 	if len(relocated) == 0 {
 		t.Error("GC relocated nothing; expected live entries in oldest segment")
+	}
+	// The candidates are offered oldest first, and the first taker ends it.
+	if seg != l.Segments()[0] {
+		t.Errorf("GC collected segment %d, want the first candidate %d", seg, l.Segments()[0])
+	}
+	if err := l.Remove(seg); err != nil {
+		t.Fatal(err)
 	}
 	// All live pointers must still resolve after GC.
 	for k, p := range live {
@@ -157,14 +167,11 @@ func TestGCOnSingleSegmentIsNoop(t *testing.T) {
 	l, _ := Open(vfs.Default, t.TempDir(), 1<<20)
 	defer l.Close()
 	l.Append([]byte("k"), []byte("v"))
-	collected, err := l.GC(
-		func([]byte, Pointer) bool { return true },
-		func([]byte, []byte) error { return nil },
-	)
+	collected, err := l.GC(l.Segments(), func(uint64, []Entry) (bool, error) { return true, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if collected {
+	if collected != 0 {
 		t.Error("GC must never collect the active segment")
 	}
 }
@@ -176,12 +183,16 @@ func TestGetStalePointerAfterGC(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		l.Append([]byte("pad"), make([]byte, 512))
 	}
-	collected, err := l.GC(
-		func([]byte, Pointer) bool { return false }, // everything dead
-		func([]byte, []byte) error { return nil },
-	)
-	if err != nil || !collected {
-		t.Fatalf("GC: %v %v", collected, err)
+	// Everything is dead: nothing to relocate, the segment may go.
+	seg, err := l.GC(l.Segments(), func(uint64, []Entry) (bool, error) { return true, nil })
+	if err != nil || seg == 0 {
+		t.Fatalf("GC: %v %v", seg, err)
+	}
+	if _, err := l.Get(p0); err != nil {
+		t.Errorf("collected segment must stay readable until Remove: %v", err)
+	}
+	if err := l.Remove(seg); err != nil {
+		t.Fatal(err)
 	}
 	if _, err := l.Get(p0); err == nil {
 		t.Error("pointer into a collected segment must fail, not return stale data")
