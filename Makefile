@@ -39,9 +39,11 @@ doc-check:
 # Documentation cross-checks: every .md cross-reference must resolve to a
 # real file, every flag OPERATIONS.md names must exist in the shipped
 # binaries' -help output (the binaries are built and their help captured,
-# so a renamed flag fails the build), and PROTOCOL.md's opcode table must
+# so a renamed flag fails the build), PROTOCOL.md's opcode table must
 # agree with the Op* constants in internal/server/protocol.go on every
-# name and value, in both directions.
+# name and value, in both directions, and DESIGN.md's experiment index
+# and EXPERIMENTS.md's sections and summary must list exactly the
+# experiments internal/bench registers.
 doc-links:
 	@tmp=$$(mktemp -d); trap "rm -rf $$tmp" EXIT; \
 	for c in lsmserver lsmctl lsmtune; do \
@@ -92,7 +94,9 @@ crash:
 # claim-vs-measured table (E14 compaction-pool stalls, E15 shard sweep,
 # E16 checkpoint and follower lag, E17 online tuning, E18 read-path
 # allocations and MULTIGET, E19 YCSB mixes and TTL reclaim; DESIGN.md
-# indexes them all). Without E it runs every testing.B in the module.
+# indexes all nineteen, and internal/bench is the only place one is
+# defined). Without E it runs every testing.B in the module — layer
+# microbenchmarks and BenchmarkDBGet, no experiment.
 bench:
 ifdef E
 	$(GO) run ./cmd/lsmbench -e $(E)
@@ -101,7 +105,8 @@ else
 endif
 
 # Group-commit microbench: coalesced vs per-op-sync committer over the
-# full network stack (see bench_results.txt for a recorded run).
+# full network stack (DESIGN.md "Group commit" quotes a run; put-sync in
+# the committed BENCH_*.json is the same path end to end).
 bench-server:
 	$(GO) test ./internal/server/ -run xxx -bench BenchmarkGroupCommit -benchtime 1s
 

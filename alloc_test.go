@@ -8,7 +8,7 @@ import (
 
 // Allocation-regression gates for the read hot path. These are tests,
 // not benchmarks, so a regression fails CI instead of drifting quietly
-// in bench_results.txt. The ceilings are explicit and deliberately
+// in a recorded run. The ceilings are explicit and deliberately
 // tight:
 //
 //   - GetAppend on a memtable-resident key: 0 allocs/op. The search key

@@ -9,7 +9,7 @@
 //
 //	doccheck -root . [-ops OPERATIONS.md] [-protocol PROTOCOL.md -protosrc file.go] [helpfile ...]
 //
-// Three checks run:
+// Four checks run:
 //
 //   - Link check: every inline markdown link pointing at a local path,
 //     and every FILE.md mention in prose, must name a file that exists
@@ -24,6 +24,11 @@
 //     build. A retired opcode keeps its constant, marked `// reserved`,
 //     and its row, whose text says "reserved"; either mark without the
 //     other fails too.
+//   - Experiment check: the index rows of DESIGN.md, the `## En` headings
+//     of EXPERIMENTS.md and its summary rows must each name exactly the
+//     experiments internal/bench registers, once each — an experiment
+//     added without its documentation, or documented after it is gone,
+//     fails the build.
 package main
 
 import (
@@ -35,6 +40,8 @@ import (
 	"path/filepath"
 	"regexp"
 	"strings"
+
+	"lsmkv/internal/bench"
 )
 
 var (
@@ -58,6 +65,10 @@ var (
 	// span (`| 3 | ` + "`OpPut`" + ` | ...`); the rest of the row is
 	// captured.
 	docOpcode = regexp.MustCompile("(?m)^\\|\\s*(\\d+)\\s*\\|\\s*`(Op[A-Za-z]+)`(.*)$")
+	// experimentRow matches a table row that leads with an experiment ID
+	// (`| E7 | ...`); experimentHeading a `## E7 — ...` section heading.
+	experimentRow     = regexp.MustCompile(`(?m)^\|\s*(E\d+)\s*\|`)
+	experimentHeading = regexp.MustCompile(`(?m)^## (E\d+)\b`)
 )
 
 func main() {
@@ -73,6 +84,7 @@ func main() {
 	}
 
 	checkLinks(*root, complain)
+	checkExperiments(*root, complain)
 	if *ops != "" {
 		checkFlags(*ops, flag.Args(), complain)
 	}
@@ -228,6 +240,39 @@ func checkProtocol(docPath, srcPath string, complain func(string, ...any)) {
 	for name, val := range documented {
 		if _, ok := declared[name]; !ok {
 			complain("%s: documents opcode %s = %s which %s does not declare", docPath, name, val, srcPath)
+		}
+	}
+}
+
+// checkExperiments verifies that each place the documentation lists the
+// experiments lists the registry's IDs, all of them and nothing else.
+func checkExperiments(root string, complain func(string, ...any)) {
+	for _, list := range []struct {
+		file, what string
+		id         *regexp.Regexp
+	}{
+		{"DESIGN.md", "experiment index row", experimentRow},
+		{"EXPERIMENTS.md", "section heading", experimentHeading},
+		{"EXPERIMENTS.md", "summary row", experimentRow},
+	} {
+		path := filepath.Join(root, list.file)
+		body, err := os.ReadFile(path)
+		if err != nil {
+			complain("read %s: %v", path, err)
+			continue
+		}
+		listed := map[string]int{}
+		for _, m := range list.id.FindAllStringSubmatch(string(body), -1) {
+			listed[m[1]]++
+		}
+		for _, e := range bench.Registry() {
+			if n := listed[e.ID]; n != 1 {
+				complain("%s: %d %ss for %s, which internal/bench registers; want 1", path, n, list.what, e.ID)
+			}
+			delete(listed, e.ID)
+		}
+		for id := range listed {
+			complain("%s: %s for %s, which internal/bench does not register", path, list.what, id)
 		}
 	}
 }

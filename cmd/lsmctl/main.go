@@ -64,6 +64,7 @@ import (
 	"lsmkv"
 	"lsmkv/internal/client"
 	"lsmkv/internal/replica"
+	"lsmkv/internal/server"
 	"lsmkv/internal/workload"
 )
 
@@ -531,14 +532,9 @@ func runRemote(cl *client.Client, args []string) error {
 		if len(rest) == 1 && rest[0] == "-events" {
 			// The STATS payload already carries both event rings; render
 			// them instead of echoing the whole JSON document.
-			var payload struct {
-				Events struct {
-					Server []lsmkv.Event `json:"server"`
-					Engine []lsmkv.Event `json:"engine"`
-				} `json:"events"`
-			}
-			if err := json.Unmarshal(body, &payload); err != nil {
-				return fmt.Errorf("decode stats: %w", err)
+			payload, err := server.DecodeMetrics(body)
+			if err != nil {
+				return err
 			}
 			if len(payload.Events.Server) == 0 && len(payload.Events.Engine) == 0 {
 				fmt.Println("(no events)")
@@ -586,20 +582,19 @@ func runRemote(cl *client.Client, args []string) error {
 		if err != nil {
 			return err
 		}
-		var payload struct {
-			EngineSeqs  []uint64        `json:"engine_seq"`
-			Replication json.RawMessage `json:"replication"`
-			ReplPrimary json.RawMessage `json:"repl_primary"`
+		payload, err := server.DecodeMetrics(body)
+		if err != nil {
+			return err
 		}
-		if err := json.Unmarshal(body, &payload); err != nil {
-			return fmt.Errorf("decode stats: %w", err)
-		}
+		// Marshal cannot fail on these plain structs; a status prints as
+		// the JSON object the server sent.
+		compact := func(v any) []byte { b, _ := json.Marshal(v); return b }
 		fmt.Printf("engine_seq: %v\n", payload.EngineSeqs)
 		if payload.ReplPrimary != nil {
-			fmt.Printf("primary: %s\n", payload.ReplPrimary)
+			fmt.Printf("primary: %s\n", compact(payload.ReplPrimary))
 		}
 		if payload.Replication != nil {
-			fmt.Printf("follower: %s\n", payload.Replication)
+			fmt.Printf("follower: %s\n", compact(payload.Replication))
 		} else {
 			fmt.Println("follower: (not a follower)")
 		}
@@ -665,14 +660,12 @@ func runRemote(cl *client.Client, args []string) error {
 		if err != nil {
 			return err
 		}
+		payload, err := server.DecodeMetrics(body)
+		if err != nil {
+			return err
+		}
 		switch rest[0] {
 		case "status":
-			var payload struct {
-				Tuner []lsmkv.TunerStatus `json:"tuner"`
-			}
-			if err := json.Unmarshal(body, &payload); err != nil {
-				return fmt.Errorf("decode stats: %w", err)
-			}
 			if len(payload.Tuner) == 0 {
 				fmt.Println("(tuner not running — start the server with -tune)")
 				return nil
@@ -680,14 +673,6 @@ func runRemote(cl *client.Client, args []string) error {
 			printTunerStatus(payload.Tuner)
 			return nil
 		case "events":
-			var payload struct {
-				Events struct {
-					Engine []lsmkv.Event `json:"engine"`
-				} `json:"events"`
-			}
-			if err := json.Unmarshal(body, &payload); err != nil {
-				return fmt.Errorf("decode stats: %w", err)
-			}
 			printTuneEvents("engine", payload.Events.Engine)
 			return nil
 		default:

@@ -24,7 +24,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -34,6 +33,7 @@ import (
 	"lsmkv/internal/client"
 	"lsmkv/internal/cost"
 	"lsmkv/internal/iostat"
+	"lsmkv/internal/server"
 	"lsmkv/internal/tuner"
 )
 
@@ -160,11 +160,6 @@ func liveSnapshot(cl *client.Client) (iostat.Snapshot, error) {
 	if err != nil {
 		return iostat.Snapshot{}, err
 	}
-	var payload struct {
-		Engine iostat.Snapshot `json:"engine"`
-	}
-	if err := json.Unmarshal(body, &payload); err != nil {
-		return iostat.Snapshot{}, fmt.Errorf("decode stats: %w", err)
-	}
-	return payload.Engine, nil
+	payload, err := server.DecodeMetrics(body)
+	return payload.Engine, err
 }

@@ -1,29 +1,35 @@
-// Package bench implements the experiment harness that regenerates, as
-// printed tables, every performance claim catalogued in DESIGN.md
-// (experiments E1–E19). Each experiment is a self-contained function that
-// builds engines in temporary directories, drives them with the workload
-// generators, and prints the same rows the tutorial's claims are stated
-// in — expected I/Os per operation, write amplification, hit rates,
-// bits/key, nanoseconds per probe.
+// Package bench is the one place the experiments catalogued in DESIGN.md
+// (E1–E19, one per tutorial claim) are defined. Each experiment builds
+// engines in temporary directories, drives them with the workload
+// generators, and returns its result as tables of typed cells, in the
+// units the tutorial's claims are stated in — expected I/Os per
+// operation, write amplification, hit rates, bits/key, nanoseconds per
+// probe. cmd/lsmbench renders the tables; the package's tests run every
+// experiment and assert on the numbers.
 package bench
 
 import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strings"
-	"time"
+
+	"lsmkv"
 )
 
 // Scale selects experiment sizing.
 type Scale int
 
 const (
-	// Small finishes the full suite in a couple of minutes on a laptop.
+	// Small finishes the full suite in a few minutes on a laptop.
 	Small Scale = iota
 	// Full uses 10x the data for smoother numbers.
 	Full
+	// tiny shrinks the engine-backed experiments (key counts, probe
+	// counts, timed windows) until all nineteen fit in a test run. Its
+	// tables have the right shape and say nothing about the claims, so
+	// ParseScale does not accept it.
+	tiny
 )
 
 // ParseScale maps a flag value.
@@ -45,12 +51,14 @@ func (s Scale) factor() int {
 	return 1
 }
 
-// Experiment is one runnable experiment.
+// Experiment is one runnable experiment. Run returns the experiment's
+// tables, or the first error the engine (or the experiment's own
+// correctness guard) reported; a failed measurement is never a row.
 type Experiment struct {
 	ID    string
 	Title string
 	Claim string
-	Run   func(w io.Writer, scale Scale) error
+	Run   func(scale Scale) ([]*Table, error)
 }
 
 // Registry lists every experiment in order.
@@ -107,105 +115,64 @@ func Find(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// RunAll executes every experiment.
-func RunAll(w io.Writer, scale Scale) error {
-	for _, e := range Registry() {
-		if err := RunOne(e, w, scale); err != nil {
-			return fmt.Errorf("%s: %w", e.ID, err)
-		}
-	}
-	return nil
-}
-
-// RunOne executes one experiment with its header.
-func RunOne(e Experiment, w io.Writer, scale Scale) error {
-	fmt.Fprintf(w, "\n=== %s: %s ===\n", e.ID, e.Title)
-	fmt.Fprintf(w, "claim: %s\n\n", e.Claim)
-	start := time.Now()
-	if err := e.Run(w, scale); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "[%s completed in %.1fs]\n", e.ID, time.Since(start).Seconds())
-	return nil
-}
-
-// Table accumulates rows and prints them with aligned columns.
+// Table is one result table. Cells keep their types — float64, integer,
+// bool, or a string for a label or a ratio the row derives from its own
+// number cells — so a test can read the numbers a renderer prints.
+// Caption and Note are the free text printed above and below the rows.
 type Table struct {
-	header []string
-	rows   [][]string
+	Caption string
+	Header  []string
+	Rows    [][]any
+	Note    string
 }
 
 // NewTable creates a table with the given column headers.
-func NewTable(header ...string) *Table { return &Table{header: header} }
+func NewTable(header ...string) *Table { return &Table{Header: header} }
 
-// Row appends a row; values are formatted with %v, floats with %.3f.
-func (t *Table) Row(vals ...any) {
-	row := make([]string, len(vals))
-	for i, v := range vals {
-		switch x := v.(type) {
-		case float64:
-			row[i] = fmt.Sprintf("%.3f", x)
-		case float32:
-			row[i] = fmt.Sprintf("%.3f", x)
-		default:
-			row[i] = fmt.Sprint(v)
-		}
-	}
-	t.rows = append(t.rows, row)
-}
+// Row appends a row.
+func (t *Table) Row(vals ...any) { t.Rows = append(t.Rows, vals) }
 
-// Print renders the table.
-func (t *Table) Print(w io.Writer) {
-	widths := make([]int, len(t.header))
-	for i, h := range t.header {
-		widths[i] = len(h)
-	}
-	for _, r := range t.rows {
-		for i, c := range r {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
-			}
-		}
-	}
-	line := func(cells []string) string {
-		var b strings.Builder
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			b.WriteString(c)
-			for p := len(c); p < widths[i]; p++ {
-				b.WriteByte(' ')
-			}
-		}
-		return strings.TrimRight(b.String(), " ")
-	}
-	fmt.Fprintln(w, line(t.header))
-	sep := make([]string, len(t.header))
-	for i := range sep {
-		sep[i] = strings.Repeat("-", widths[i])
-	}
-	fmt.Fprintln(w, line(sep))
-	for _, r := range t.rows {
-		fmt.Fprintln(w, line(r))
+// closeInto closes c into *err: a Close that fails is the result unless
+// an earlier error already is.
+func closeInto(c io.Closer, err *error) {
+	if cerr := c.Close(); *err == nil {
+		*err = cerr
 	}
 }
 
-// tempDir creates a scratch directory removed by the returned cleanup.
-func tempDir() (string, func(), error) {
+// withDir runs body in a scratch directory, removed on every path.
+func withDir(body func(dir string) error) (err error) {
 	dir, err := os.MkdirTemp("", "lsmbench-*")
 	if err != nil {
-		return "", nil, err
+		return err
 	}
-	return dir, func() { os.RemoveAll(dir) }, nil
+	defer func() {
+		if rerr := os.RemoveAll(dir); err == nil {
+			err = rerr
+		}
+	}()
+	return body(dir)
 }
 
-// sortedKeys returns map keys in sorted order for stable output.
-func sortedKeys[K ~string, V any](m map[K]V) []K {
-	out := make([]K, 0, len(m))
-	for k := range m {
-		out = append(out, k)
+// openAt runs body against the store at dir, closed on every path.
+func openAt(dir string, opts *lsmkv.Options, body func(db *lsmkv.DB) error) (err error) {
+	db, err := lsmkv.Open(dir, opts)
+	if err != nil {
+		return err
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	defer closeInto(db, &err)
+	return body(db)
+}
+
+// cell runs one sweep cell — scratch directory, Open, body, Close,
+// remove — and returns the first error any of them reported. Every
+// engine an experiment measures is opened here (or, for a store that
+// must live at a given path, by withDir and openAt, its two halves).
+// The small memtable is what lets modest key counts build real
+// multi-level trees; a cell that sweeps the buffer sets its own.
+func (cfg engineConfig) cell(opts *lsmkv.Options, body func(db *lsmkv.DB) error) error {
+	if opts.MemtableBytes == 0 {
+		opts.MemtableBytes = cfg.memtable
+	}
+	return withDir(func(dir string) error { return openAt(dir, opts, body) })
 }

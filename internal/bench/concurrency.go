@@ -1,14 +1,80 @@
 package bench
 
 import (
-	"io"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
 	"lsmkv"
 	"lsmkv/internal/workload"
 )
+
+// group runs an experiment's goroutines: Wait returns once all of them
+// have, with the first error any reported.
+type group struct {
+	wg   sync.WaitGroup
+	once sync.Once
+	err  error
+}
+
+func (g *group) Go(f func() error) {
+	g.wg.Add(1)
+	go func() {
+		defer g.wg.Done()
+		if err := f(); err != nil {
+			g.once.Do(func() { g.err = err })
+		}
+	}()
+}
+
+func (g *group) Wait() error {
+	g.wg.Wait()
+	return g.err
+}
+
+// percentileUs returns the p-quantile of sorted latencies, in
+// microseconds.
+func percentileUs(sorted []time.Duration, p float64) float64 {
+	if len(sorted) == 0 {
+		return 0
+	}
+	return float64(sorted[int(float64(len(sorted)-1)*p)].Microseconds())
+}
+
+// ingest writes cfg.keys entries from parallel writers over disjoint
+// slices of a scrambled key space — every flushed run spans the whole
+// space, so each flush adds real compaction work at every level — each
+// writer sleeping pace between puts. It returns the sorted put
+// latencies and the wall time.
+func (cfg engineConfig) ingest(db *lsmkv.DB, writers int, pace time.Duration) ([]time.Duration, time.Duration, error) {
+	per := cfg.keys / int64(writers)
+	lats := make([][]time.Duration, writers)
+	var g group
+	start := time.Now()
+	for w := 0; w < writers; w++ {
+		g.Go(func() error {
+			l := make([]time.Duration, 0, per)
+			for i := int64(w) * per; i < int64(w+1)*per; i++ {
+				k := workload.ScrambleKey(i, cfg.keys)
+				t0 := time.Now()
+				if err := db.Put(workload.Key(k), workload.Value(k, cfg.valueSize)); err != nil {
+					return err
+				}
+				l = append(l, time.Since(t0))
+				if pace > 0 {
+					time.Sleep(pace)
+				}
+			}
+			lats[w] = l
+			return nil
+		})
+	}
+	err := g.Wait()
+	elapsed := time.Since(start)
+	all := slices.Concat(lats...)
+	slices.Sort(all)
+	return all, elapsed, err
+}
 
 // E14: concurrent compaction workers and write stalls. With one
 // background worker, a long deep-level merge serializes behind the
@@ -18,7 +84,7 @@ import (
 // less total stall time and a shorter Put tail. Both configurations run
 // the same multi-writer ingest with the same backpressure settings; the
 // only variable is CompactionConcurrency.
-func E14(w io.Writer, scale Scale) error {
+func E14(scale Scale) ([]*Table, error) {
 	cfg := config(scale)
 	// Enough data that bottom-level merges dwarf the limiter's one-second
 	// burst credit: a lone worker is then pinned for seconds at a time,
@@ -27,10 +93,6 @@ func E14(w io.Writer, scale Scale) error {
 	t := NewTable("workers", "ingest Kops/s", "put p99 us", "put p999 us",
 		"stall ms", "stalls", "slowdown ms")
 	for _, workers := range []int{1, 4} {
-		dir, cleanup, err := tempDir()
-		if err != nil {
-			return err
-		}
 		opts := &lsmkv.Options{
 			Layout:                lsmkv.LazyLeveled,
 			SizeRatio:             6,
@@ -60,72 +122,29 @@ func E14(w io.Writer, scale Scale) error {
 			SlowdownMaxDelay:               5 * time.Millisecond,
 			PendingCompactionSlowdownBytes: 1 << 30,
 		}
-		opts.MemtableBytes = cfg.memtable
-		db, err := lsmkv.Open(dir, opts)
-		if err != nil {
-			cleanup()
-			return err
-		}
-
-		// Parallel writers over disjoint slices of a scrambled key space:
-		// every flushed run spans the whole space, so each flush adds real
-		// compaction work at every level.
-		const writersN = 4
-		per := cfg.keys / writersN
-		lats := make([][]time.Duration, writersN)
-		var wg sync.WaitGroup
-		start := time.Now()
-		for g := 0; g < writersN; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				l := make([]time.Duration, 0, per)
-				base := int64(g) * per
-				for i := int64(0); i < per; i++ {
-					k := workload.ScrambleKey(base+i, cfg.keys)
-					t0 := time.Now()
-					if db.Put(workload.Key(k), workload.Value(k, cfg.valueSize)) != nil {
-						break
-					}
-					l = append(l, time.Since(t0))
-					// Pace ingest to the middle regime: demand that fits
-					// the total compaction budget but overruns a lone
-					// worker while it is stuck in a deep merge. Stalls
-					// then measure scheduling, not raw throughput. (Timer
-					// granularity inflates the sleep to ~1ms; the pace is
-					// set empirically, not by the nominal duration.)
-					time.Sleep(200 * time.Microsecond)
-				}
-				lats[g] = l
-			}(g)
-		}
-		wg.Wait()
-		elapsed := time.Since(start)
-		s := db.Stats()
-		if err := db.Close(); err != nil {
-			cleanup()
-			return err
-		}
-		cleanup()
-
-		var all []time.Duration
-		for _, l := range lats {
-			all = append(all, l...)
-		}
-		sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-		pct := func(p float64) float64 {
-			if len(all) == 0 {
-				return 0
+		err := cfg.cell(opts, func(db *lsmkv.DB) error {
+			// Pace ingest to the middle regime: demand that fits the
+			// total compaction budget but overruns a lone worker while it
+			// is stuck in a deep merge. Stalls then measure scheduling,
+			// not raw throughput. (Timer granularity inflates the sleep
+			// to ~1ms; the pace is set empirically, not by the nominal
+			// duration.)
+			lat, elapsed, err := cfg.ingest(db, 4, 200*time.Microsecond)
+			if err != nil {
+				return err
 			}
-			return float64(all[int(float64(len(all)-1)*p)].Microseconds())
+			s := db.Stats()
+			t.Row(workers,
+				float64(len(lat))/elapsed.Seconds()/1000,
+				percentileUs(lat, 0.99), percentileUs(lat, 0.999),
+				float64(s.WriteStallNs)/1e6, s.WriteStalls,
+				float64(s.WriteSlowdownNs)/1e6,
+			)
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
-		t.Row(workers,
-			float64(len(all))/elapsed.Seconds()/1000,
-			pct(0.99), pct(0.999),
-			float64(s.WriteStallNs)/1e6, s.WriteStalls,
-			float64(s.WriteSlowdownNs)/1e6,
-		)
 	}
-	t.Print(w)
-	return nil
+	return []*Table{t}, nil
 }

@@ -2,8 +2,8 @@ package bench
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -14,7 +14,7 @@ import (
 
 // E6: fence-pointer search vs learned models over the same sorted fence
 // keys — CPU per probe and model memory.
-func E6(w io.Writer, scale Scale) error {
+func E6(scale Scale) ([]*Table, error) {
 	n := 200_000 * scale.factor()
 	xs := make([]uint64, n)
 	rng := rand.New(rand.NewSource(13))
@@ -28,14 +28,16 @@ func E6(w io.Writer, scale Scale) error {
 		probes[i] = xs[rng.Intn(n)]
 	}
 
-	timeIt := func(f func(x uint64) int) float64 {
+	// search times f over the probes; it returns ns/probe and the slot f
+	// found for each, which is also what keeps the calls from being
+	// optimized away.
+	search := func(f func(x uint64) int) (float64, []int) {
+		slots := make([]int, len(probes))
 		start := time.Now()
-		sink := 0
-		for i := 0; i < len(probes); i++ {
-			sink += f(probes[i])
+		for i, x := range probes {
+			slots[i] = f(x)
 		}
-		_ = sink
-		return float64(time.Since(start).Nanoseconds()) / float64(len(probes))
+		return float64(time.Since(start).Nanoseconds()) / float64(len(probes)), slots
 	}
 
 	binary := func(x uint64) int {
@@ -54,32 +56,32 @@ func E6(w io.Writer, scale Scale) error {
 		return lo + sort.Search(hi-lo+1, func(j int) bool { return xs[lo+j] >= x })
 	}
 
-	// Correctness guard: every index structure must return the same slot.
-	for _, x := range probes[:1000] {
-		want := binary(x)
-		if got := plrSearch(x); got != want {
-			return fmt.Errorf("E6: PLR search wrong: %d vs %d", got, want)
-		}
-		if got := rsSearch(x); got != want {
-			return fmt.Errorf("E6: RadixSpline search wrong: %d vs %d", got, want)
-		}
+	binaryNs, want := search(binary)
+	plrNs, plrSlots := search(plrSearch)
+	rsNs, rsSlots := search(rsSearch)
+	// Correctness guard: on every probe, every index structure must
+	// return the slot binary search does.
+	if !slices.Equal(plrSlots, want) {
+		return nil, fmt.Errorf("E6: PLR search disagrees with binary search")
+	}
+	if !slices.Equal(rsSlots, want) {
+		return nil, fmt.Errorf("E6: RadixSpline search disagrees with binary search")
 	}
 
 	flatBytes := n * 12 // 8-byte fence key + 4-byte handle per block
 	t := NewTable("index", "ns/probe", "aux memory KiB", "vs flat fences")
-	t.Row("binary search (fences)", timeIt(binary), flatBytes>>10, "1.00x")
-	t.Row("PLR (PGM/Bourbon-style)", timeIt(plrSearch), plr.ApproxMemory()>>10,
+	t.Row("binary search (fences)", binaryNs, flatBytes>>10, "1.00x")
+	t.Row("PLR (PGM/Bourbon-style)", plrNs, plr.ApproxMemory()>>10,
 		fmt.Sprintf("%.4fx", float64(plr.ApproxMemory())/float64(flatBytes)))
-	t.Row("RadixSpline", timeIt(rsSearch), rs.ApproxMemory()>>10,
+	t.Row("RadixSpline", rsNs, rs.ApproxMemory()>>10,
 		fmt.Sprintf("%.4fx", float64(rs.ApproxMemory())/float64(flatBytes)))
-	t.Print(w)
-	fmt.Fprintf(w, "(PLR: %d segments, eps=%d; RadixSpline: %d points, eps=%d)\n",
+	t.Note = fmt.Sprintf("(PLR: %d segments, eps=%d; RadixSpline: %d points, eps=%d)",
 		plr.Segments(), plr.Epsilon(), rs.SplinePoints(), rs.Epsilon())
-	return nil
+	return []*Table{t}, nil
 }
 
 // E11: the point-filter zoo at a fixed space budget.
-func E11(w io.Writer, scale Scale) error {
+func E11(scale Scale) ([]*Table, error) {
 	n := 200_000 * scale.factor()
 	keys := make([]filter.KeyHash, n)
 	for i := range keys {
@@ -102,17 +104,17 @@ func E11(w io.Writer, scale Scale) error {
 		}
 		data, err := b.Finish()
 		if err != nil {
-			return err
+			return nil, err
 		}
 		buildMs := float64(time.Since(start).Microseconds()) / 1000
 		r, err := filter.NewReader(data)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		// No false negatives, ever.
 		for i := 0; i < n; i += 97 {
 			if !r.MayContainHash(keys[i]) {
-				return fmt.Errorf("E11: %v produced a false negative", kind)
+				return nil, fmt.Errorf("E11: %v produced a false negative", kind)
 			}
 		}
 		start = time.Now()
@@ -126,13 +128,12 @@ func E11(w io.Writer, scale Scale) error {
 		t.Row(kind.String(), float64(len(data))*8/float64(n), buildMs, probeNs,
 			float64(fp)/float64(len(ghosts)), len(data)>>10)
 	}
-	t.Print(w)
-	return nil
+	return []*Table{t}, nil
 }
 
 // E12: probing L filters per lookup with one shared key digest vs
 // rehashing the key for every filter.
-func E12(w io.Writer, scale Scale) error {
+func E12(scale Scale) ([]*Table, error) {
 	const levels = 7
 	n := 50_000 * scale.factor()
 	p := filter.Policy{Kind: filter.KindBloom, BitsPerKey: 10}
@@ -144,10 +145,10 @@ func E12(w io.Writer, scale Scale) error {
 		}
 		data, err := b.Finish()
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if readers[l], err = filter.NewReader(data); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	lookups := 1 << 16
@@ -183,6 +184,5 @@ func E12(w io.Writer, scale Scale) error {
 	t := NewTable("hashing", "filters/lookup", "ns/lookup", "speedup")
 	t.Row("independent (hash per filter)", levels, independent, "1.00x")
 	t.Row("shared (hash once)", levels, shared, fmt.Sprintf("%.2fx", independent/shared))
-	t.Print(w)
-	return nil
+	return []*Table{t}, nil
 }

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"io"
 
 	"lsmkv/internal/cost"
 )
@@ -10,7 +9,7 @@ import (
 // E10: robust vs nominal tuning under workload drift, evaluated on the
 // analytical cost model (Endure's experimental shape: rows are observed
 // workloads, columns the two tunings).
-func E10(w io.Writer, scale Scale) error {
+func E10(scale Scale) ([]*Table, error) {
 	sys := cost.System{
 		N:                50_000_000,
 		EntryBytes:       128,
@@ -23,13 +22,13 @@ func E10(w io.Writer, scale Scale) error {
 	space := cost.CandidateSpace{MinT: 2, MaxT: 16, FullHybrid: true}
 	r := cost.TuneRobust(sys, expected, 0.7, space)
 
-	fmt.Fprintf(w, "expected workload: %.0f%% writes, %.0f%% point reads, %.0f%% zero reads\n",
-		expected.Writes*100, expected.PointLookups*100, expected.ZeroLookups*100)
-	fmt.Fprintf(w, "nominal tuning: %v    robust tuning: %v\n\n", r.Nominal.Design, r.Robust.Design)
-
 	m := cost.Model{Sys: sys}
 	t := NewTable("observed workload", "nominal cost (I/O/op)", "robust cost (I/O/op)", "robust wins")
-	observations := []struct {
+	t.Caption = fmt.Sprintf("expected workload: %.0f%% writes, %.0f%% point reads, %.0f%% zero reads\n"+
+		"nominal tuning: %v    robust tuning: %v\n",
+		expected.Writes*100, expected.PointLookups*100, expected.ZeroLookups*100,
+		r.Nominal.Design, r.Robust.Design)
+	for _, obs := range []struct {
 		name string
 		w    cost.Workload
 	}{
@@ -38,16 +37,16 @@ func E10(w io.Writer, scale Scale) error {
 		{"read shift (50/35/15)", cost.Workload{Writes: 0.50, PointLookups: 0.35, ZeroLookups: 0.15}},
 		{"inverted (15/60/25)", cost.Workload{Writes: 0.15, PointLookups: 0.60, ZeroLookups: 0.25}},
 		{"scan surge (40/20/10/30)", cost.Workload{Writes: 0.40, PointLookups: 0.20, ZeroLookups: 0.10, RangeLookups: 0.30, RangeSelectivity: 1e-6}},
-	}
-	for _, obs := range observations {
+	} {
 		nc := m.Cost(r.Nominal.Design, obs.w)
 		rc := m.Cost(r.Robust.Design, obs.w)
 		t.Row(obs.name, nc, rc, rc <= nc)
 	}
-	t.Print(w)
-	fmt.Fprintf(w, "\nworst case over the rho=0.7 neighborhood: nominal %.3f, robust %.3f\n",
-		r.NominalWorst, r.RobustWorst)
-	fmt.Fprintf(w, "price of robustness at the expected workload: %.3f -> %.3f I/O/op\n",
-		r.NominalAtExpected, r.RobustAtExpected)
-	return nil
+
+	// The claim's two halves, as cells: what robustness buys in the worst
+	// case over the neighborhood, and what it costs at the expectation.
+	price := NewTable("tuning", "worst case over rho=0.7 (I/O/op)", "at the expected workload (I/O/op)")
+	price.Row("nominal", r.NominalWorst, r.NominalAtExpected)
+	price.Row("robust", r.RobustWorst, r.RobustAtExpected)
+	return []*Table{t, price}, nil
 }

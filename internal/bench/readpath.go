@@ -10,11 +10,7 @@
 package bench
 
 import (
-	"context"
-	"fmt"
-	"io"
-	"net"
-	"path/filepath"
+	"errors"
 	"testing"
 	"time"
 
@@ -25,101 +21,94 @@ import (
 )
 
 // E18: zero-allocation read hot path and batched wire reads.
-func E18(w io.Writer, scale Scale) error {
-	if err := e18Allocs(w, scale); err != nil {
-		return err
-	}
-	if err := e18Learned(w, scale); err != nil {
-		return err
-	}
-	return e18Wire(w, scale)
-}
-
-func e18OpenLoaded(dir string, cfg engineConfig, kind lsmkv.LearnedIndexKind) (*lsmkv.DB, int64, error) {
-	opts := &lsmkv.Options{CacheBytes: 4 << 20}
-	opts.MemtableBytes = cfg.memtable
-	opts.LearnedIndex = kind
-	db, err := lsmkv.Open(dir, opts)
-	if err != nil {
-		return nil, 0, err
-	}
-	n := cfg.keys / 5
-	for i := int64(0); i < n; i++ {
-		k := workload.ScrambleKey(i, n)
-		if err := db.Put(workload.Key(k), workload.Value(k, cfg.valueSize)); err != nil {
-			db.Close()
-			return nil, 0, err
-		}
-	}
-	if err := db.Compact(); err != nil {
-		db.Close()
-		return nil, 0, err
-	}
-	return db, n, nil
-}
-
-// e18Allocs: allocating API vs append API, warm (one hot key, block
-// cached) and uniform (cache-mixed) access.
-func e18Allocs(w io.Writer, scale Scale) error {
+func E18(scale Scale) ([]*Table, error) {
 	cfg := config(scale)
-	dir, cleanup, err := tempDir()
-	if err != nil {
-		return err
+	n := cfg.keys / 5
+	// loaded runs body against a cached, compacted store of n keys whose
+	// tables look fences up the given way.
+	loaded := func(kind lsmkv.LearnedIndexKind, body func(db *lsmkv.DB) error) error {
+		opts := &lsmkv.Options{CacheBytes: 4 << 20, LearnedIndex: kind}
+		return cfg.cell(opts, func(db *lsmkv.DB) error {
+			if err := cfg.fill(db, n, scrambled(n)); err != nil {
+				return err
+			}
+			if err := db.Compact(); err != nil {
+				return err
+			}
+			return body(db)
+		})
 	}
-	defer cleanup()
-	db, n, err := e18OpenLoaded(filepath.Join(dir, "db"), cfg, lsmkv.LearnedNone)
-	if err != nil {
-		return err
-	}
-	defer db.Close()
-
-	hot := workload.Key(workload.ScrambleKey(1, n))
-	var dst []byte
-	var i int64
-	runs := cfg.probes / 10
-
-	measure := func(f func()) (allocsPerOp, nsPerOp float64) {
+	// measure reports read's allocations and time per call, or the last
+	// error a call returned.
+	measure := func(read func() error) (allocsPerOp, nsPerOp float64, err error) {
+		f := func() {
+			if e := read(); e != nil {
+				err = e
+			}
+		}
 		for j := 0; j < 16; j++ {
 			f() // warm pools and cache
 		}
+		runs := cfg.probes / 10
 		start := time.Now()
-		allocs := testing.AllocsPerRun(runs, f)
-		ns := float64(time.Since(start).Nanoseconds()) / float64(runs+1)
-		return allocs, ns
+		allocsPerOp = testing.AllocsPerRun(runs, f)
+		return allocsPerOp, float64(time.Since(start).Nanoseconds()) / float64(runs+1), err
+	}
+	// The two read calls under measurement, each over keys from next.
+	var dst []byte
+	allocating := func(db *lsmkv.DB, next func() []byte) func() error {
+		return func() error {
+			_, err := db.Get(next())
+			return err
+		}
+	}
+	appending := func(db *lsmkv.DB, next func() []byte) func() error {
+		return func() (err error) {
+			dst, err = db.GetAppend(next(), dst[:0])
+			return err
+		}
+	}
+	var i int64
+	uniform := func() []byte {
+		i++
+		return workload.Key(workload.ScrambleKey(i%n, n))
 	}
 
-	t := NewTable("api", "access", "allocs/op", "ns/op")
-	for _, m := range []struct {
-		api, access string
-		f           func()
-	}{
-		{"Get", "hot", func() { db.Get(hot) }},
-		{"GetAppend", "hot", func() {
-			dst, _ = db.GetAppend(hot, dst[:0])
-		}},
-		{"Get", "uniform", func() {
-			i++
-			db.Get(workload.Key(workload.ScrambleKey(i%n, n)))
-		}},
-		{"GetAppend", "uniform", func() {
-			i++
-			dst, _ = db.GetAppend(workload.Key(workload.ScrambleKey(i%n, n)), dst[:0])
-		}},
-	} {
-		allocs, ns := measure(m.f)
-		t.Row(m.api, m.access, allocs, ns)
+	// Allocating API vs append API, warm (one hot key, block cached) and
+	// uniform (cache-mixed) access.
+	allocs := NewTable("api", "access", "allocs/op", "ns/op")
+	allocs.Caption = "point-read allocations: allocating API vs append API (pooled scratch):"
+	err := loaded(lsmkv.LearnedNone, func(db *lsmkv.DB) error {
+		hotKey := workload.Key(workload.ScrambleKey(1, n))
+		for _, access := range []struct {
+			name string
+			next func() []byte
+		}{
+			{"hot", func() []byte { return hotKey }},
+			{"uniform", uniform},
+		} {
+			for _, api := range []struct {
+				name string
+				read func() error
+			}{{"Get", allocating(db, access.next)}, {"GetAppend", appending(db, access.next)}} {
+				a, ns, err := measure(api.read)
+				if err != nil {
+					return err
+				}
+				allocs.Row(api.name, access.name, a, ns)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	fmt.Fprintln(w, "point-read allocations: allocating API vs append API (pooled scratch):")
-	t.Print(w)
-	return nil
-}
 
-// e18Learned: the append read re-measured across fence-lookup
-// implementations — the learned-index paths share the pooled scratch,
-// so they keep the same allocation profile.
-func e18Learned(w io.Writer, scale Scale) error {
-	cfg := config(scale)
-	t := NewTable("fence lookup", "allocs/op", "ns/op")
+	// The append read re-measured across fence-lookup implementations —
+	// the learned-index paths share the pooled scratch, so they keep the
+	// same allocation profile.
+	fences := NewTable("fence lookup", "allocs/op", "ns/op")
+	fences.Caption = "append read across fence-lookup implementations (uniform keys):"
 	for _, m := range []struct {
 		name string
 		kind lsmkv.LearnedIndexKind
@@ -128,116 +117,73 @@ func e18Learned(w io.Writer, scale Scale) error {
 		{"PLR", lsmkv.LearnedPLR},
 		{"RadixSpline", lsmkv.LearnedRadixSpline},
 	} {
-		dir, cleanup, err := tempDir()
+		err := loaded(m.kind, func(db *lsmkv.DB) error {
+			a, ns, err := measure(appending(db, uniform))
+			if err != nil {
+				return err
+			}
+			fences.Row(m.name, a, ns)
+			return nil
+		})
 		if err != nil {
-			return err
+			return nil, err
 		}
-		db, n, err := e18OpenLoaded(filepath.Join(dir, "db"), cfg, m.kind)
-		if err != nil {
-			cleanup()
-			return err
-		}
-		var dst []byte
-		var i int64
-		read := func() {
-			i++
-			dst, _ = db.GetAppend(workload.Key(workload.ScrambleKey(i%n, n)), dst[:0])
-		}
-		for j := 0; j < 16; j++ {
-			read()
-		}
-		runs := cfg.probes / 10
-		start := time.Now()
-		allocs := testing.AllocsPerRun(runs, read)
-		ns := float64(time.Since(start).Nanoseconds()) / float64(runs+1)
-		db.Close()
-		cleanup()
-		t.Row(m.name, allocs, ns)
 	}
-	fmt.Fprintln(w, "\nappend read across fence-lookup implementations (uniform keys):")
-	t.Print(w)
-	return nil
+
+	var wire []*Table
+	if err := loaded(lsmkv.LearnedNone, func(db *lsmkv.DB) (err error) {
+		wire, err = e18Wire(cfg, db, n)
+		return err
+	}); err != nil {
+		return nil, err
+	}
+	return append([]*Table{allocs, fences}, wire...), nil
 }
 
 // e18Wire: MULTIGET vs sequential GETs at batch 1/8/64 on Zipfian keys,
 // then the streamed full-range scan, over a real loopback server.
-func e18Wire(w io.Writer, scale Scale) error {
-	cfg := config(scale)
-	dir, cleanup, err := tempDir()
+func e18Wire(cfg engineConfig, db *lsmkv.DB, n int64) (_ []*Table, err error) {
+	srv, err := serve(server.Config{DB: db})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	defer cleanup()
-	db, n, err := e18OpenLoaded(filepath.Join(dir, "db"), cfg, lsmkv.LearnedNone)
-	if err != nil {
-		return err
-	}
-	defer db.Close()
-
-	srv, err := server.New(server.Config{DB: db})
-	if err != nil {
-		return err
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(ln) }()
-	for srv.Addr() == "" {
-		time.Sleep(time.Millisecond)
-	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		srv.Shutdown(ctx)
-		<-done
-	}()
+	defer closeInto(srv, &err)
 	cl, err := client.Dial(srv.Addr(), nil)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer cl.Close()
 
 	gen := workload.NewKeyGen(workload.Zipfian, n, 0.99, 3)
-	probes := int64(cfg.probes)
-
 	t := NewTable("batch", "seq GET Kops/s", "MULTIGET Kops/s", "speedup")
+	t.Caption = "MULTIGET vs sequential GET round trips (Zipfian keys, loopback):"
 	for _, batch := range []int{1, 8, 64} {
 		keys := make([][]byte, batch)
-		fill := func() {
-			for j := range keys {
-				keys[j] = workload.Key(gen.Next() % n)
-			}
+		for j := range keys {
+			keys[j] = workload.Key(gen.Next() % n)
 		}
-		rounds := probes / int64(batch)
-		if rounds < 1 {
-			rounds = 1
-		}
+		rounds := max(cfg.probes/batch, 1)
 		// Sequential: one GET round trip per key.
-		fill()
 		start := time.Now()
-		for r := int64(0); r < rounds; r++ {
+		for r := 0; r < rounds; r++ {
 			for _, k := range keys {
-				if _, err := cl.Get(k); err != nil && err != client.ErrNotFound {
-					return err
+				if _, err := cl.Get(k); err != nil && !errors.Is(err, client.ErrNotFound) {
+					return nil, err
 				}
 			}
 		}
-		seqKops := float64(rounds*int64(batch)) / time.Since(start).Seconds() / 1e3
+		seqKops := float64(rounds*batch) / time.Since(start).Seconds() / 1e3
 
 		// Batched: one MULTIGET frame for the whole batch.
 		start = time.Now()
-		for r := int64(0); r < rounds; r++ {
+		for r := 0; r < rounds; r++ {
 			if _, err := cl.MultiGet(keys); err != nil {
-				return err
+				return nil, err
 			}
 		}
-		mgKops := float64(rounds*int64(batch)) / time.Since(start).Seconds() / 1e3
+		mgKops := float64(rounds*batch) / time.Since(start).Seconds() / 1e3
 		t.Row(batch, seqKops, mgKops, mgKops/seqKops)
 	}
-	fmt.Fprintln(w, "\nMULTIGET vs sequential GET round trips (Zipfian keys, loopback):")
-	t.Print(w)
 
 	// Streamed scan over the full keyspace.
 	count := 0
@@ -249,13 +195,12 @@ func e18Wire(w io.Writer, scale Scale) error {
 			return true
 		})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	el := time.Since(start)
 	st := NewTable("scan path", "keys", "ms", "Kkeys/s")
+	st.Caption = "full-range scan, streamed frames:"
 	st.Row("streamed SCAN", count, float64(el.Microseconds())/1000,
 		float64(count)/el.Seconds()/1e3)
-	fmt.Fprintln(w, "\nfull-range scan, streamed frames:")
-	st.Print(w)
-	return nil
+	return []*Table{t, st}, nil
 }

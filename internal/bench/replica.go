@@ -6,11 +6,9 @@ package bench
 
 import (
 	"context"
-	"fmt"
-	"io"
+	"errors"
 	"net"
 	"path/filepath"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -28,102 +26,62 @@ import (
 // shipper, follower bootstrapped from a checkpoint streaming over TCP —
 // under a saturating ingest, and reports the follower's sequence lag and
 // read throughput while it applies the stream.
-func E16(w io.Writer, scale Scale) error {
-	if err := e16Checkpoint(w, scale); err != nil {
-		return err
-	}
-	return e16Stream(w, scale)
-}
-
-func e16Checkpoint(w io.Writer, scale Scale) error {
+func E16(scale Scale) ([]*Table, error) {
 	cfg := config(scale)
-	t := NewTable("keys", "ckpt MB", "files", "ckpt ms")
+	opts := func() *lsmkv.Options {
+		return &lsmkv.Options{CacheBytes: 1 << 20, MemtableBytes: cfg.memtable}
+	}
+
+	ckpt := NewTable("keys", "ckpt MB", "files", "ckpt ms")
+	ckpt.Caption = "checkpoint wall time vs database size (sstables hard-linked):"
 	for _, frac := range []int64{4, 2, 1} {
 		n := cfg.keys / frac
-		dir, cleanup, err := tempDir()
+		err := withDir(func(dir string) error {
+			return openAt(filepath.Join(dir, "db"), opts(), func(db *lsmkv.DB) error {
+				if err := cfg.fill(db, n, scrambled(n)); err != nil {
+					return err
+				}
+				if err := db.Flush(); err != nil {
+					return err
+				}
+				start := time.Now()
+				info, err := db.Checkpoint(filepath.Join(dir, "ckpt"))
+				elapsed := time.Since(start)
+				if err != nil {
+					return err
+				}
+				ckpt.Row(n, float64(info.Bytes)/1e6, info.Files, float64(elapsed.Microseconds())/1000)
+				return nil
+			})
+		})
 		if err != nil {
-			return err
+			return nil, err
 		}
-		opts := &lsmkv.Options{CacheBytes: 1 << 20}
-		opts.MemtableBytes = cfg.memtable
-		db, err := lsmkv.Open(filepath.Join(dir, "db"), opts)
-		if err != nil {
-			cleanup()
-			return err
-		}
-		for i := int64(0); i < n; i++ {
-			k := workload.ScrambleKey(i, n)
-			if err := db.Put(workload.Key(k), workload.Value(k, cfg.valueSize)); err != nil {
-				cleanup()
-				return err
-			}
-		}
-		if err := db.Flush(); err != nil {
-			cleanup()
-			return err
-		}
-		start := time.Now()
-		info, err := db.Checkpoint(filepath.Join(dir, "ckpt"))
-		elapsed := time.Since(start)
-		if err != nil {
-			cleanup()
-			return err
-		}
-		db.Close()
-		cleanup()
-		t.Row(n, float64(info.Bytes)/1e6, info.Files,
-			float64(elapsed.Microseconds())/1000)
 	}
-	fmt.Fprintln(w, "checkpoint wall time vs database size (sstables hard-linked):")
-	t.Print(w)
-	return nil
+
+	stream := NewTable("fol readers", "ingest Kops/s", "fol reads Kops/s",
+		"mean lag", "max lag", "catchup ms")
+	stream.Caption = "follower lag and read fan-out under sustained ingest (TCP stream):"
+	for _, readers := range []int{0, 4} {
+		err := withDir(func(dir string) error {
+			return openAt(filepath.Join(dir, "prim"), opts(), func(prim *lsmkv.DB) error {
+				return e16Stream(cfg, stream, prim, filepath.Join(dir, "ckpt"), opts(), readers)
+			})
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	return []*Table{ckpt, stream}, nil
 }
 
-func e16Stream(w io.Writer, scale Scale) error {
-	cfg := config(scale)
+// e16Stream serves prim, seeds it, bootstraps a follower at ckptDir from
+// an online checkpoint, and measures the follower while four writers
+// saturate the primary; the row goes to t.
+func e16Stream(cfg engineConfig, t *Table, prim *lsmkv.DB, ckptDir string, folOpts *lsmkv.Options, readers int) (err error) {
 	seedKeys := cfg.keys / 4
 	streamOps := cfg.keys / 2
 
-	t := NewTable("fol readers", "ingest Kops/s", "fol reads Kops/s",
-		"mean lag", "max lag", "catchup ms")
-	for _, readers := range []int{0, 4} {
-		row, err := e16StreamRun(cfg, seedKeys, streamOps, readers)
-		if err != nil {
-			return err
-		}
-		t.Row(readers, row.ingestKops, row.readKops, row.meanLag, row.maxLag, row.catchupMs)
-	}
-	fmt.Fprintln(w, "\nfollower lag and read fan-out under sustained ingest (TCP stream):")
-	t.Print(w)
-	return nil
-}
-
-type e16Row struct {
-	ingestKops float64
-	readKops   float64
-	meanLag    float64
-	maxLag     float64
-	catchupMs  float64
-}
-
-func e16StreamRun(cfg engineConfig, seedKeys, streamOps int64, readers int) (e16Row, error) {
-	var row e16Row
-	dir, cleanup, err := tempDir()
-	if err != nil {
-		return row, err
-	}
-	defer cleanup()
-
-	opts := func() *lsmkv.Options {
-		o := &lsmkv.Options{CacheBytes: 1 << 20}
-		o.MemtableBytes = cfg.memtable
-		return o
-	}
-	prim, err := lsmkv.Open(filepath.Join(dir, "prim"), opts())
-	if err != nil {
-		return row, err
-	}
-	defer prim.Close()
 	primary := replica.NewPrimary(replica.PrimaryConfig{
 		Shards:            prim.NumShards(),
 		LastSeqs:          prim.LastSeqs,
@@ -135,167 +93,169 @@ func e16StreamRun(cfg engineConfig, seedKeys, streamOps int64, readers int) (e16
 	defer prim.SetCommitHook(nil)
 	defer primary.Close()
 
-	primSrv, stopPrim, err := e16Serve(server.Config{DB: prim, Repl: primary})
+	primSrv, err := serve(server.Config{DB: prim, Repl: primary})
 	if err != nil {
-		return row, err
+		return err
 	}
-	defer stopPrim()
+	defer closeInto(primSrv, &err)
 
 	// Seed, checkpoint, bootstrap the follower from the backup.
 	pcl, err := client.Dial(primSrv.Addr(), nil)
 	if err != nil {
-		return row, err
+		return err
 	}
 	defer pcl.Close()
 	for i := int64(0); i < seedKeys; i++ {
 		k := workload.ScrambleKey(i, seedKeys)
 		if err := pcl.Put(workload.Key(k), workload.Value(k, cfg.valueSize)); err != nil {
-			return row, err
+			return err
 		}
 	}
-	ckptDir := filepath.Join(dir, "ckpt")
 	if _, err := prim.Checkpoint(ckptDir); err != nil {
-		return row, err
+		return err
 	}
-	fol, err := lsmkv.Open(ckptDir, opts())
-	if err != nil {
-		return row, err
-	}
-	defer fol.Close()
-	follower := replica.NewFollower(replica.FollowerConfig{
-		Addr:         primSrv.Addr(),
-		DB:           fol,
-		RetryBackoff: 10 * time.Millisecond,
-	})
-	follower.Start()
-	defer follower.Stop()
-	folSrv, stopFol, err := e16Serve(server.Config{DB: fol, Follower: follower, ReadOnly: true})
-	if err != nil {
-		return row, err
-	}
-	defer stopFol()
-	if err := follower.WaitCaughtUp(30 * time.Second); err != nil {
-		return row, err
-	}
-
-	// Sustained ingest on the primary; lag sampler; follower readers.
-	var (
-		sampleStop = make(chan struct{})
-		samplerWG  sync.WaitGroup
-		lagSum     float64
-		lagN       int
-		lagMax     uint64
-	)
-	samplerWG.Add(1)
-	go func() {
-		defer samplerWG.Done()
-		tick := time.NewTicker(10 * time.Millisecond)
-		defer tick.Stop()
-		for {
-			select {
-			case <-sampleStop:
-				return
-			case <-tick.C:
-				st := follower.Status()
-				lagSum += float64(st.Lag)
-				lagN++
-				if st.Lag > lagMax {
-					lagMax = st.Lag
-				}
-			}
+	return openAt(ckptDir, folOpts, func(fol *lsmkv.DB) (err error) {
+		follower := replica.NewFollower(replica.FollowerConfig{
+			Addr:         primSrv.Addr(),
+			DB:           fol,
+			RetryBackoff: 10 * time.Millisecond,
+		})
+		follower.Start()
+		defer follower.Stop()
+		folSrv, err := serve(server.Config{DB: fol, Follower: follower, ReadOnly: true})
+		if err != nil {
+			return err
 		}
-	}()
+		defer closeInto(folSrv, &err)
+		if err := follower.WaitCaughtUp(30 * time.Second); err != nil {
+			return err
+		}
 
-	var readCount atomic.Int64
-	readStop := make(chan struct{})
-	var readWG sync.WaitGroup
-	for r := 0; r < readers; r++ {
-		readWG.Add(1)
-		go func(r int) {
-			defer readWG.Done()
-			rcl, err := client.Dial(folSrv.Addr(), nil)
-			if err != nil {
-				return
-			}
-			defer rcl.Close()
-			for i := int64(r); ; i += int64(readers) {
+		// Sustained ingest on the primary; lag sampler; follower readers.
+		var (
+			stop      = make(chan struct{})
+			observers group
+			lagSum    float64
+			lagN      int
+			lagMax    uint64
+			readCount atomic.Int64
+		)
+		observers.Go(func() error {
+			tick := time.NewTicker(10 * time.Millisecond)
+			defer tick.Stop()
+			for {
 				select {
-				case <-readStop:
-					return
-				default:
+				case <-stop:
+					return nil
+				case <-tick.C:
+					st := follower.Status()
+					lagSum += float64(st.Lag)
+					lagN++
+					lagMax = max(lagMax, st.Lag)
 				}
-				k := workload.ScrambleKey(i%seedKeys, seedKeys)
-				if _, err := rcl.Get(workload.Key(k)); err == nil {
+			}
+		})
+		for r := 0; r < readers; r++ {
+			observers.Go(func() error {
+				rcl, err := client.Dial(folSrv.Addr(), nil)
+				if err != nil {
+					return err
+				}
+				defer rcl.Close()
+				for i := int64(r); ; i += int64(readers) {
+					select {
+					case <-stop:
+						return nil
+					default:
+					}
+					k := workload.ScrambleKey(i%seedKeys, seedKeys)
+					if _, err := rcl.Get(workload.Key(k)); err != nil && !errors.Is(err, client.ErrNotFound) {
+						return err
+					}
 					readCount.Add(1)
 				}
-			}
-		}(r)
-	}
+			})
+		}
 
-	const writersN = 4
-	var writeWG sync.WaitGroup
-	start := time.Now()
-	for g := 0; g < writersN; g++ {
-		writeWG.Add(1)
-		go func(g int) {
-			defer writeWG.Done()
-			wcl, err := client.Dial(primSrv.Addr(), nil)
-			if err != nil {
-				return
-			}
-			defer wcl.Close()
-			per := streamOps / writersN
-			base := int64(g) * per
-			for i := int64(0); i < per; i++ {
-				k := workload.ScrambleKey(base+i, streamOps)
-				if wcl.Put(workload.Key(k), workload.Value(k, cfg.valueSize)) != nil {
-					return
+		const writersN = 4
+		var writers group
+		start := time.Now()
+		for g := int64(0); g < writersN; g++ {
+			writers.Go(func() error {
+				wcl, err := client.Dial(primSrv.Addr(), nil)
+				if err != nil {
+					return err
 				}
-			}
-		}(g)
-	}
-	writeWG.Wait()
-	ingestElapsed := time.Since(start)
+				defer wcl.Close()
+				per := streamOps / writersN
+				for i := g * per; i < (g+1)*per; i++ {
+					k := workload.ScrambleKey(i, streamOps)
+					if err := wcl.Put(workload.Key(k), workload.Value(k, cfg.valueSize)); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+		}
+		err = writers.Wait()
+		ingestElapsed := time.Since(start)
 
-	catchStart := time.Now()
-	if err := follower.WaitCaughtUp(60 * time.Second); err != nil {
-		return row, err
-	}
-	catchup := time.Since(catchStart)
-	close(readStop)
-	readWG.Wait()
-	close(sampleStop)
-	samplerWG.Wait()
+		catchStart := time.Now()
+		if err == nil {
+			err = follower.WaitCaughtUp(60 * time.Second)
+		}
+		catchup := time.Since(catchStart)
+		close(stop)
+		if oerr := observers.Wait(); err == nil {
+			err = oerr
+		}
+		if err != nil {
+			return err
+		}
 
-	row.ingestKops = float64(streamOps) / ingestElapsed.Seconds() / 1000
-	row.readKops = float64(readCount.Load()) / ingestElapsed.Seconds() / 1000
-	if lagN > 0 {
-		row.meanLag = lagSum / float64(lagN)
-	}
-	row.maxLag = float64(lagMax)
-	row.catchupMs = float64(catchup.Microseconds()) / 1000
-	return row, nil
+		meanLag := 0.0
+		if lagN > 0 {
+			meanLag = lagSum / float64(lagN)
+		}
+		t.Row(readers,
+			float64(streamOps)/ingestElapsed.Seconds()/1000,
+			float64(readCount.Load())/ingestElapsed.Seconds()/1000,
+			meanLag, float64(lagMax),
+			float64(catchup.Microseconds())/1000)
+		return nil
+	})
 }
 
-// e16Serve starts srv on a loopback listener and returns a shutdown func.
-func e16Serve(cfg server.Config) (*server.Server, func(), error) {
+// served is a server on a loopback listener; Close drains it.
+type served struct {
+	*server.Server
+	done chan error
+}
+
+// serve starts a server for cfg on a loopback port.
+func serve(cfg server.Config) (*served, error) {
 	srv, err := server.New(cfg)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(ln) }()
+	s := &served{Server: srv, done: make(chan error, 1)}
+	go func() { s.done <- srv.Serve(ln) }()
 	for srv.Addr() == "" {
 		time.Sleep(time.Millisecond)
 	}
-	return srv, func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		srv.Shutdown(ctx)
-		<-done
-	}, nil
+	return s, nil
+}
+
+func (s *served) Close() error {
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	err := s.Shutdown(ctx)
+	if serr := <-s.done; err == nil {
+		err = serr
+	}
+	return err
 }

@@ -1,13 +1,9 @@
 package bench
 
 import (
-	"io"
-	"sort"
-	"sync"
 	"time"
 
 	"lsmkv"
-	"lsmkv/internal/workload"
 )
 
 // E15: keyspace sharding and aggregate write throughput. A single engine
@@ -19,15 +15,11 @@ import (
 // budget — so the backpressure band disengages and the aggregate
 // throughput climbs. The same saturating workload runs at every shard
 // count; the only variable is Options.Shards.
-func E15(w io.Writer, scale Scale) error {
+func E15(scale Scale) ([]*Table, error) {
 	cfg := config(scale)
 	t := NewTable("shards", "ingest Kops/s", "put p99 us", "put p999 us",
 		"stall ms", "slowdown ms")
 	for _, shards := range []int{1, 2, 4, 8} {
-		dir, cleanup, err := tempDir()
-		if err != nil {
-			return err
-		}
 		opts := &lsmkv.Options{
 			Layout:     lsmkv.LazyLeveled,
 			SizeRatio:  6,
@@ -45,65 +37,25 @@ func E15(w io.Writer, scale Scale) error {
 			SlowdownMaxDelay:               5 * time.Millisecond,
 			PendingCompactionSlowdownBytes: 1 << 30,
 		}
-		opts.MemtableBytes = cfg.memtable
-		db, err := lsmkv.Open(dir, opts)
-		if err != nil {
-			cleanup()
-			return err
-		}
-
-		// Saturating multi-writer ingest: disjoint slices of a scrambled
-		// key space, no pacing — throughput is whatever the engine's
-		// backpressure admits.
-		const writersN = 8
-		per := cfg.keys / writersN
-		lats := make([][]time.Duration, writersN)
-		var wg sync.WaitGroup
-		start := time.Now()
-		for g := 0; g < writersN; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				l := make([]time.Duration, 0, per)
-				base := int64(g) * per
-				for i := int64(0); i < per; i++ {
-					k := workload.ScrambleKey(base+i, cfg.keys)
-					t0 := time.Now()
-					if db.Put(workload.Key(k), workload.Value(k, cfg.valueSize)) != nil {
-						break
-					}
-					l = append(l, time.Since(t0))
-				}
-				lats[g] = l
-			}(g)
-		}
-		wg.Wait()
-		elapsed := time.Since(start)
-		s := db.Stats()
-		if err := db.Close(); err != nil {
-			cleanup()
-			return err
-		}
-		cleanup()
-
-		var all []time.Duration
-		for _, l := range lats {
-			all = append(all, l...)
-		}
-		sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-		pct := func(p float64) float64 {
-			if len(all) == 0 {
-				return 0
+		err := cfg.cell(opts, func(db *lsmkv.DB) error {
+			// Saturating: eight writers, no pacing — throughput is
+			// whatever the engine's backpressure admits.
+			lat, elapsed, err := cfg.ingest(db, 8, 0)
+			if err != nil {
+				return err
 			}
-			return float64(all[int(float64(len(all)-1)*p)].Microseconds())
+			s := db.Stats()
+			t.Row(shards,
+				float64(len(lat))/elapsed.Seconds()/1000,
+				percentileUs(lat, 0.99), percentileUs(lat, 0.999),
+				float64(s.WriteStallNs)/1e6,
+				float64(s.WriteSlowdownNs)/1e6,
+			)
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
-		t.Row(shards,
-			float64(len(all))/elapsed.Seconds()/1000,
-			pct(0.99), pct(0.999),
-			float64(s.WriteStallNs)/1e6,
-			float64(s.WriteSlowdownNs)/1e6,
-		)
 	}
-	t.Print(w)
-	return nil
+	return []*Table{t}, nil
 }

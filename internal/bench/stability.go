@@ -1,8 +1,7 @@
 package bench
 
 import (
-	"io"
-	"sort"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -16,95 +15,73 @@ import (
 // during ingest has a heavy tail; pacing compaction output flattens it at
 // some ingest cost. Writer-side stalls, by contrast, get *worse* with
 // throttling (maintenance falls behind) — both sides are reported.
-func E13(w io.Writer, scale Scale) error {
+func E13(scale Scale) ([]*Table, error) {
 	cfg := config(scale)
+	duration := scale.window(3*time.Second, 10*time.Second)
 	t := NewTable("compaction rate", "ingest Kops/s", "read p50 us", "read p99 us", "read p99.9 us", "write p99.9 us")
-	for _, rate := range []int64{0, 16 << 20, 4 << 20} {
-		name := "unthrottled"
-		switch rate {
-		case 16 << 20:
-			name = "16 MiB/s"
-		case 4 << 20:
-			name = "4 MiB/s"
-		}
-		dir, cleanup, err := tempDir()
-		if err != nil {
-			return err
-		}
-		opts := &lsmkv.Options{SizeRatio: 4, CompactionMaxBytesPerSec: rate, CacheBytes: 256 << 10}
-		opts.MemtableBytes = cfg.memtable
-		db, err := lsmkv.Open(dir, opts)
-		if err != nil {
-			cleanup()
-			return err
-		}
-		// Preload so reads have something to find.
-		for i := int64(0); i < cfg.keys/4; i++ {
-			k := workload.ScrambleKey(i, cfg.keys)
-			if err := db.Put(workload.Key(k), workload.Value(k, cfg.valueSize)); err != nil {
-				db.Close()
-				cleanup()
+	for _, c := range []struct {
+		name string
+		rate int64
+	}{
+		{"unthrottled", 0},
+		{"16 MiB/s", 16 << 20},
+		{"4 MiB/s", 4 << 20},
+	} {
+		opts := &lsmkv.Options{SizeRatio: 4, CompactionMaxBytesPerSec: c.rate, CacheBytes: 256 << 10}
+		err := cfg.cell(opts, func(db *lsmkv.DB) error {
+			// Preload so reads have something to find.
+			if err := cfg.fill(db, cfg.keys/4, scrambled(cfg.keys)); err != nil {
 				return err
 			}
-		}
-		db.Compact()
+			if err := db.Compact(); err != nil {
+				return err
+			}
 
-		// Background ingest churns compactions; the foreground reader
-		// measures client-visible latency.
-		var stop atomic.Bool
-		var writes atomic.Int64
-		writeLat := make(chan time.Duration, 1<<16)
-		go func() {
-			for i := int64(0); !stop.Load(); i++ {
-				k := workload.ScrambleKey(i%cfg.keys, cfg.keys)
+			// Background ingest churns compactions; the foreground reader
+			// measures client-visible latency.
+			var stop atomic.Bool
+			var writeLat []time.Duration
+			var writer group
+			writer.Go(func() error {
+				for i := int64(0); !stop.Load(); i++ {
+					k := workload.ScrambleKey(i%cfg.keys, cfg.keys)
+					t0 := time.Now()
+					if err := db.Put(workload.Key(k), workload.Value(k, cfg.valueSize)); err != nil {
+						return err
+					}
+					writeLat = append(writeLat, time.Since(t0))
+				}
+				return nil
+			})
+			var readLat []time.Duration
+			var readErr error
+			deadline := time.Now().Add(duration)
+			rng := workload.NewKeyGen(workload.Zipfian, cfg.keys, 0.9, 5)
+			for readErr == nil && time.Now().Before(deadline) {
+				k := workload.ScrambleKey(rng.Next(), cfg.keys)
 				t0 := time.Now()
-				if db.Put(workload.Key(k), workload.Value(k, cfg.valueSize)) != nil {
-					return
-				}
-				select {
-				case writeLat <- time.Since(t0):
-				default:
-				}
-				writes.Add(1)
+				readErr = get(db, workload.Key(k))
+				readLat = append(readLat, time.Since(t0))
 			}
-		}()
-
-		duration := 3 * time.Second
-		if scale == Full {
-			duration = 10 * time.Second
-		}
-		var readLat []time.Duration
-		deadline := time.Now().Add(duration)
-		rng := workload.NewKeyGen(workload.Zipfian, cfg.keys, 0.9, 5)
-		for time.Now().Before(deadline) {
-			k := workload.ScrambleKey(rng.Next(), cfg.keys)
-			t0 := time.Now()
-			db.Get(workload.Key(k))
-			readLat = append(readLat, time.Since(t0))
-		}
-		stop.Store(true)
-		nWrites := writes.Load()
-		db.Close()
-		cleanup()
-
-		var wl []time.Duration
-		for len(writeLat) > 0 {
-			wl = append(wl, <-writeLat)
-		}
-		sort.Slice(readLat, func(i, j int) bool { return readLat[i] < readLat[j] })
-		sort.Slice(wl, func(i, j int) bool { return wl[i] < wl[j] })
-		pct := func(l []time.Duration, p float64) float64 {
-			if len(l) == 0 {
-				return 0
+			stop.Store(true)
+			if err := writer.Wait(); err != nil {
+				return err
 			}
-			return float64(l[int(float64(len(l)-1)*p)].Microseconds())
+			if readErr != nil {
+				return readErr
+			}
+			slices.Sort(readLat)
+			slices.Sort(writeLat)
+			t.Row(c.name,
+				float64(len(writeLat))/duration.Seconds()/1000,
+				percentileUs(readLat, 0.50), percentileUs(readLat, 0.99), percentileUs(readLat, 0.999),
+				percentileUs(writeLat, 0.999),
+			)
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
-		t.Row(name,
-			float64(nWrites)/duration.Seconds()/1000,
-			pct(readLat, 0.50), pct(readLat, 0.99), pct(readLat, 0.999),
-			pct(wl, 0.999),
-		)
 	}
-	t.Print(w)
-	return nil
+	return []*Table{t}, nil
 }

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
 	"strings"
 	"time"
@@ -23,14 +22,10 @@ import (
 // flips. The claim: after an adaptation window the tuned engine recovers
 // at least 80% of the best static engine's post-shift read throughput,
 // and its event log tells the story move by move.
-func E17(w io.Writer, scale Scale) error {
+func E17(scale Scale) ([]*Table, error) {
 	cfg := config(scale)
-	adapt := 6 * time.Second
-	measure := 4 * time.Second
-	if scale == Full {
-		adapt = 12 * time.Second
-		measure = 6 * time.Second
-	}
+	adapt := scale.window(6*time.Second, 12*time.Second)
+	measure := scale.window(4*time.Second, 6*time.Second)
 	const scanLimit = 50
 
 	writeTuned := func() *lsmkv.Options {
@@ -60,27 +55,11 @@ func E17(w io.Writer, scale Scale) error {
 		tunerEvents []string
 	}
 
-	run := func(name string, opts *lsmkv.Options) (result, error) {
-		res := result{name: name}
-		dir, cleanup, err := tempDir()
-		if err != nil {
-			return res, err
-		}
-		defer cleanup()
-		opts.MemtableBytes = cfg.memtable
-		db, err := lsmkv.Open(dir, opts)
-		if err != nil {
-			return res, err
-		}
-		defer db.Close()
-
+	run := func(db *lsmkv.DB, res *result) error {
 		// Phase A: write-heavy ingest of the whole key space.
 		start := time.Now()
-		for i := int64(0); i < cfg.keys; i++ {
-			k := workload.ScrambleKey(i, cfg.keys)
-			if err := db.Put(workload.Key(k), workload.Value(k, cfg.valueSize)); err != nil {
-				return res, err
-			}
+		if err := cfg.fill(db, cfg.keys, scrambled(cfg.keys)); err != nil {
+			return err
 		}
 		res.ingestKops = float64(cfg.keys) / time.Since(start).Seconds() / 1000
 
@@ -101,8 +80,7 @@ func E17(w io.Writer, scale Scale) error {
 					return n < scanLimit
 				})
 			default:
-				_, err := db.Get(workload.Key(k))
-				return true, err
+				return true, get(db, workload.Key(k))
 			}
 		}
 
@@ -111,7 +89,7 @@ func E17(w io.Writer, scale Scale) error {
 		deadline := time.Now().Add(adapt)
 		for i := 0; time.Now().Before(deadline); i++ {
 			if _, err := op(i, true); err != nil {
-				return res, err
+				return err
 			}
 		}
 
@@ -123,7 +101,7 @@ func E17(w io.Writer, scale Scale) error {
 		// finish expressing the shape the controller chose.
 		db.FreezeTuning(true)
 		if err := db.Compact(); err != nil {
-			return res, err
+			return err
 		}
 		res.runs = db.TotalRuns()
 
@@ -134,7 +112,7 @@ func E17(w io.Writer, scale Scale) error {
 		for i := 0; time.Now().Before(deadline); i++ {
 			isRead, err := op(i, false)
 			if err != nil {
-				return res, err
+				return err
 			}
 			if isRead {
 				reads++
@@ -151,7 +129,7 @@ func E17(w io.Writer, scale Scale) error {
 				res.tunerEvents = append(res.tunerEvents, "applied: "+e.Detail)
 			}
 		}
-		return res, db.Close()
+		return nil
 	}
 
 	tunedOpts := writeTuned()
@@ -166,13 +144,12 @@ func E17(w io.Writer, scale Scale) error {
 		{"static read-tuned (leveled T=6)", readTuned()},
 		{"tuned (starts tiered, -tune)", tunedOpts},
 	}
-	results := make([]result, 0, len(configs))
-	for _, c := range configs {
-		r, err := run(c.name, c.opts)
-		if err != nil {
-			return fmt.Errorf("%s: %w", c.name, err)
+	results := make([]result, len(configs))
+	for i, c := range configs {
+		results[i].name = c.name
+		if err := cfg.cell(c.opts, func(db *lsmkv.DB) error { return run(db, &results[i]) }); err != nil {
+			return nil, fmt.Errorf("%s: %w", c.name, err)
 		}
-		results = append(results, r)
 	}
 
 	best := results[1].readsPerSec // the read-tuned static engine
@@ -184,22 +161,23 @@ func E17(w io.Writer, scale Scale) error {
 		}
 		t.Row(r.name, r.ingestKops, r.readsPerSec, fmt.Sprintf("%.0f%%", frac*100), r.runs, r.tunerMoves)
 	}
-	t.Print(w)
 
 	tuned := results[2]
-	fmt.Fprintf(w, "\nclaim check: tuned recovered %.0f%% of the best static post-shift read throughput (floor 80%%)\n",
+	var note strings.Builder
+	fmt.Fprintf(&note, "\nclaim check: tuned recovered %.0f%% of the best static post-shift read throughput (floor 80%%)\n",
 		100*tuned.readsPerSec/best)
 	if tuned.tunerMoves == 0 {
-		fmt.Fprintln(w, "warning: tuner applied no moves during the run")
+		note.WriteString("warning: tuner applied no moves during the run\n")
 	}
-	fmt.Fprintln(w, "\ntuner decision log (signals | knob delta | rationale):")
+	note.WriteString("\ntuner decision log (signals | knob delta | rationale):")
 	story := tuned.tunerEvents
 	if len(story) > 12 {
-		fmt.Fprintf(w, "  ... %d earlier events elided ...\n", len(story)-12)
+		fmt.Fprintf(&note, "\n  ... %d earlier events elided ...", len(story)-12)
 		story = story[len(story)-12:]
 	}
 	for _, line := range story {
-		fmt.Fprintf(w, "  %s\n", strings.TrimSpace(line))
+		fmt.Fprintf(&note, "\n  %s", strings.TrimSpace(line))
 	}
-	return nil
+	t.Note = note.String()
+	return []*Table{t}, nil
 }

@@ -3,8 +3,7 @@ package bench
 import (
 	"errors"
 	"fmt"
-	"io"
-	"sort"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -24,11 +23,20 @@ import (
 // the (injected) clock passes it, and the bytes come back only when the
 // next bottommost compaction runs — visible as a footprint shrink and a
 // non-zero ExpiredDrops counter.
-func E19(w io.Writer, scale Scale) error {
-	if err := ycsbMixes(w, scale); err != nil {
-		return err
+func E19(scale Scale) ([]*Table, error) {
+	mixes, err := ycsbMixes(scale)
+	if err != nil {
+		return nil, err
 	}
-	return ttlDemo(w, scale)
+	var ttl *Table
+	err = withDir(func(dir string) (err error) {
+		ttl, err = ttlDemo(dir, scale)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return []*Table{mixes, ttl}, nil
 }
 
 // ycsbMix names one benchmark row: a canonical mix and the key
@@ -42,7 +50,7 @@ type ycsbMix struct {
 	rmw bool
 }
 
-func ycsbMixes(w io.Writer, scale Scale) error {
+func ycsbMixes(scale Scale) (*Table, error) {
 	cfg := config(scale)
 	opsPerMix := int64(cfg.probes) * 4
 	mixes := []ycsbMix{
@@ -53,36 +61,25 @@ func ycsbMixes(w io.Writer, scale Scale) error {
 		{"F (read-modify-write)", workload.MixF, workload.Zipfian, true},
 	}
 	t := NewTable("mix", "dist", "Kops/s", "read p99 us", "write p99 us")
-	for i, m := range mixes {
-		row, err := runMix(m, cfg, opsPerMix, int64(101+i))
-		if err != nil {
-			return fmt.Errorf("mix %s: %w", m.name, err)
-		}
-		t.Row(m.name, m.dist.String(), row.kops, row.readP99, row.writeP99)
-	}
-	fmt.Fprintf(w, "YCSB core mixes, %d preloaded keys, %d ops each, zipfian theta 0.99:\n\n",
+	t.Caption = fmt.Sprintf("YCSB core mixes, %d preloaded keys, %d ops each, zipfian theta 0.99:\n",
 		cfg.keys, opsPerMix)
-	t.Print(w)
-	return nil
+	for i, m := range mixes {
+		err := cfg.cell(&lsmkv.Options{CacheBytes: 256 << 10}, func(db *lsmkv.DB) error {
+			if _, err := cfg.load(db); err != nil {
+				return err
+			}
+			return runMix(t, db, m, cfg, opsPerMix, int64(101+i))
+		})
+		if err != nil {
+			return nil, fmt.Errorf("mix %s: %w", m.name, err)
+		}
+	}
+	return t, nil
 }
 
-type mixResult struct {
-	kops              float64
-	readP99, writeP99 float64
-}
-
-func runMix(m ycsbMix, cfg engineConfig, ops int64, seed int64) (mixResult, error) {
-	dir, cleanup, err := tempDir()
-	if err != nil {
-		return mixResult{}, err
-	}
-	defer cleanup()
-	opts := &lsmkv.Options{CacheBytes: 256 << 10}
-	db, _, err := loadedDB(dir, opts, cfg)
-	if err != nil {
-		return mixResult{}, err
-	}
-	defer db.Close()
+// runMix drives ops operations of mix m against the loaded db and adds
+// the mix's row to t.
+func runMix(t *Table, db *lsmkv.DB, m ycsbMix, cfg engineConfig, ops int64, seed int64) error {
 	gen := workload.NewGenerator(m.mix, m.dist, cfg.keys, 0.99, seed)
 	reads := make([]time.Duration, 0, ops)
 	writes := make([]time.Duration, 0, ops)
@@ -93,55 +90,41 @@ func runMix(m ycsbMix, cfg engineConfig, ops int64, seed int64) (mixResult, erro
 		switch op.Kind {
 		case workload.OpRead:
 			t0 := time.Now()
-			if _, err := db.Get(k); err != nil && !errors.Is(err, lsmkv.ErrNotFound) {
-				return mixResult{}, err
+			if err := get(db, k); err != nil {
+				return err
 			}
 			reads = append(reads, time.Since(t0))
 		case workload.OpUpdate:
 			t0 := time.Now()
 			if m.rmw {
-				if _, err := db.Get(k); err != nil && !errors.Is(err, lsmkv.ErrNotFound) {
-					return mixResult{}, err
+				if err := get(db, k); err != nil {
+					return err
 				}
 			}
 			if err := db.Put(k, workload.Value(op.Key, cfg.valueSize)); err != nil {
-				return mixResult{}, err
+				return err
 			}
 			writes = append(writes, time.Since(t0))
 		case workload.OpInsert:
 			t0 := time.Now()
 			if err := db.Put(k, workload.Value(op.Key, cfg.valueSize)); err != nil {
-				return mixResult{}, err
+				return err
 			}
 			writes = append(writes, time.Since(t0))
 		}
 	}
-	elapsed := time.Since(start)
-	return mixResult{
-		kops:     float64(ops) / elapsed.Seconds() / 1e3,
-		readP99:  p99us(reads),
-		writeP99: p99us(writes),
-	}, nil
-}
-
-func p99us(lat []time.Duration) float64 {
-	if len(lat) == 0 {
-		return 0
-	}
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	return float64(lat[int(float64(len(lat)-1)*0.99)].Microseconds())
+	kops := float64(ops) / time.Since(start).Seconds() / 1e3
+	slices.Sort(reads)
+	slices.Sort(writes)
+	t.Row(m.name, m.dist.String(), kops, percentileUs(reads, 0.99), percentileUs(writes, 0.99))
+	return nil
 }
 
 // ttlDemo drives the expiring-key lifecycle against internal/core with
 // an injected clock (the public facade deliberately does not expose the
 // clock; determinism here matters more than surface purity).
-func ttlDemo(w io.Writer, scale Scale) error {
+func ttlDemo(dir string, scale Scale) (_ *Table, err error) {
 	n := 400 * scale.factor()
-	dir, cleanup, err := tempDir()
-	if err != nil {
-		return err
-	}
-	defer cleanup()
 	var now atomic.Int64
 	now.Store(time.Now().UnixNano())
 	// BaseBytes is sized so the whole demo fits in L1: expired entries are
@@ -159,35 +142,39 @@ func ttlDemo(w io.Writer, scale Scale) error {
 		Clock:        now.Load,
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	defer db.Close()
+	defer closeInto(db, &err)
 
 	key := func(i int) []byte { return []byte(fmt.Sprintf("lease%06d", i)) }
 	// Generation 1: plain values, so the expired generation has older
 	// versions to shadow (the hard case for reclamation atomicity).
 	for i := 0; i < n; i++ {
 		if err := db.Put(key(i), []byte("base-value-to-reclaim")); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	if err := db.Flush(); err != nil {
-		return err
+		return nil, err
 	}
 	// Generation 2: the doomed cohort, one-second leases. Drain all
 	// pre-expiry maintenance before taking the baseline so no merge
 	// scheduled under the old clock is still in flight when it advances.
 	for i := 0; i < n; i++ {
 		if err := db.PutTTL(key(i), []byte("leased-value"), time.Second); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	if err := db.WaitIdle(); err != nil {
-		return err
+		return nil, err
 	}
 	servedBefore := 0
 	for i := 0; i < n; i++ {
-		if v, err := db.Get(key(i)); err == nil && string(v) == "leased-value" {
+		v, err := db.Get(key(i))
+		if err != nil && !errors.Is(err, core.ErrNotFound) {
+			return nil, err
+		}
+		if err == nil && string(v) == "leased-value" {
 			servedBefore++
 		}
 	}
@@ -200,6 +187,8 @@ func ttlDemo(w io.Writer, scale Scale) error {
 	for i := 0; i < n; i++ {
 		if _, err := db.Get(key(i)); errors.Is(err, core.ErrNotFound) {
 			absentAfter++
+		} else if err != nil {
+			return nil, err
 		}
 	}
 	// Three sentinel flushes guarantee the L0 trigger (fires at
@@ -212,33 +201,32 @@ func ttlDemo(w io.Writer, scale Scale) error {
 	// they shadow.
 	for s := 0; s < 3; s++ {
 		if err := db.Put([]byte(fmt.Sprintf("a-sentinel%d", s)), []byte("x")); err != nil {
-			return err
+			return nil, err
 		}
 		if err := db.Put([]byte(fmt.Sprintf("zz-sentinel%d", s)), []byte("x")); err != nil {
-			return err
+			return nil, err
 		}
 		if err := db.Flush(); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	if err := db.WaitIdle(); err != nil {
-		return err
+		return nil, err
 	}
 	bytesAfter := tableBytes(db)
 	drops := db.StatsHandle().ExpiredDrops.Load()
 
-	fmt.Fprintf(w, "\nTTL reclamation, %d leases of 1s over %d shadowed base versions:\n\n", n, n)
 	t := NewTable("phase", "served", "absent", "table bytes", "expired drops")
+	t.Caption = fmt.Sprintf("TTL reclamation, %d leases of 1s over %d shadowed base versions:\n", n, n)
 	t.Row("before expiry", servedBefore, n-servedBefore, bytesBefore, 0)
 	t.Row("after expiry + compaction", n-absentAfter, absentAfter, bytesAfter, drops)
-	t.Print(w)
 	if drops == 0 {
-		fmt.Fprintf(w, "\nWARNING: compaction dropped no expired entries (claim not demonstrated)\n")
+		t.Note = "\nWARNING: compaction dropped no expired entries (claim not demonstrated)"
 	}
 	if bytesAfter >= bytesBefore {
-		fmt.Fprintf(w, "\nWARNING: footprint did not shrink (%d -> %d bytes)\n", bytesBefore, bytesAfter)
+		t.Note += fmt.Sprintf("\nWARNING: footprint did not shrink (%d -> %d bytes)", bytesBefore, bytesAfter)
 	}
-	return nil
+	return t, nil
 }
 
 func tableBytes(db *core.DB) uint64 {

@@ -20,7 +20,10 @@
 //     background work that explains foreground latency shifts.
 package iostat
 
-import "sync/atomic"
+import (
+	"reflect"
+	"sync/atomic"
+)
 
 // Stats is a set of monotonically increasing counters shared by the read
 // and write paths. All methods are safe for concurrent use. The zero value
@@ -166,137 +169,38 @@ type Snapshot struct {
 	ExpiredDrops           int64
 }
 
-// Snapshot copies the current counter values.
+// Snapshot copies the current counter values. Stats and Snapshot declare
+// the same counters in the same order; this walk, and combine's below,
+// are the only code that has to visit every one
+// (TestEveryCounterIsCarried checks the two declarations against each
+// other, name by name). Neither is on a per-operation path.
 func (s *Stats) Snapshot() Snapshot {
-	return Snapshot{
-		BlockReads:             s.BlockReads.Load(),
-		BytesRead:              s.BytesRead.Load(),
-		BlockCacheHits:         s.BlockCacheHits.Load(),
-		BlockCacheMisses:       s.BlockCacheMisses.Load(),
-		BlockCacheAdmits:       s.BlockCacheAdmits.Load(),
-		BlockCacheRejects:      s.BlockCacheRejects.Load(),
-		FilterProbes:           s.FilterProbes.Load(),
-		FilterNegatives:        s.FilterNegatives.Load(),
-		FilterFalsePositives:   s.FilterFalsePositives.Load(),
-		RangeFilterProbes:      s.RangeFilterProbes.Load(),
-		RangeFilterNegatives:   s.RangeFilterNegatives.Load(),
-		BytesWritten:           s.BytesWritten.Load(),
-		BytesFlushed:           s.BytesFlushed.Load(),
-		CompactionBytesRead:    s.CompactionBytesRead.Load(),
-		CompactionBytesWritten: s.CompactionBytesWritten.Load(),
-		Compactions:            s.Compactions.Load(),
-		Flushes:                s.Flushes.Load(),
-		TrivialMoves:           s.TrivialMoves.Load(),
-		RunsProbed:             s.RunsProbed.Load(),
-		PointLookups:           s.PointLookups.Load(),
-		RangeLookups:           s.RangeLookups.Load(),
-		WriteOps:               s.WriteOps.Load(),
-		VlogReads:              s.VlogReads.Load(),
-		WALRecords:             s.WALRecords.Load(),
-		WALSyncs:               s.WALSyncs.Load(),
-		WALSyncNs:              s.WALSyncNs.Load(),
-		CommitWaitNs:           s.CommitWaitNs.Load(),
-		BatchCommits:           s.BatchCommits.Load(),
-		BatchedOps:             s.BatchedOps.Load(),
-		WriteStalls:            s.WriteStalls.Load(),
-		WriteStallNs:           s.WriteStallNs.Load(),
-		WriteSlowdowns:         s.WriteSlowdowns.Load(),
-		WriteSlowdownNs:        s.WriteSlowdownNs.Load(),
-		ReplRecordsApplied:     s.ReplRecordsApplied.Load(),
-		ReplBytesApplied:       s.ReplBytesApplied.Load(),
-		Checkpoints:            s.Checkpoints.Load(),
-		CheckpointBytes:        s.CheckpointBytes.Load(),
-		ExpiredDrops:           s.ExpiredDrops.Load(),
+	var out Snapshot
+	src, dst := reflect.ValueOf(s).Elem(), reflect.ValueOf(&out).Elem()
+	for i := 0; i < src.NumField(); i++ {
+		dst.Field(i).SetInt(src.Field(i).Addr().Interface().(*atomic.Int64).Load())
 	}
+	return out
+}
+
+// combine returns the snapshot whose every counter is op of s's and t's.
+func combine(s, t Snapshot, op func(a, b int64) int64) Snapshot {
+	sv, tv := reflect.ValueOf(&s).Elem(), reflect.ValueOf(t)
+	for i := 0; i < sv.NumField(); i++ {
+		sv.Field(i).SetInt(op(sv.Field(i).Int(), tv.Field(i).Int()))
+	}
+	return s
 }
 
 // Add returns the counter-wise sum s + t. The shard router uses it to
 // aggregate per-shard snapshots into one engine-wide view.
 func (s Snapshot) Add(t Snapshot) Snapshot {
-	return Snapshot{
-		BlockReads:             s.BlockReads + t.BlockReads,
-		BytesRead:              s.BytesRead + t.BytesRead,
-		BlockCacheHits:         s.BlockCacheHits + t.BlockCacheHits,
-		BlockCacheMisses:       s.BlockCacheMisses + t.BlockCacheMisses,
-		BlockCacheAdmits:       s.BlockCacheAdmits + t.BlockCacheAdmits,
-		BlockCacheRejects:      s.BlockCacheRejects + t.BlockCacheRejects,
-		FilterProbes:           s.FilterProbes + t.FilterProbes,
-		FilterNegatives:        s.FilterNegatives + t.FilterNegatives,
-		FilterFalsePositives:   s.FilterFalsePositives + t.FilterFalsePositives,
-		RangeFilterProbes:      s.RangeFilterProbes + t.RangeFilterProbes,
-		RangeFilterNegatives:   s.RangeFilterNegatives + t.RangeFilterNegatives,
-		BytesWritten:           s.BytesWritten + t.BytesWritten,
-		BytesFlushed:           s.BytesFlushed + t.BytesFlushed,
-		CompactionBytesRead:    s.CompactionBytesRead + t.CompactionBytesRead,
-		CompactionBytesWritten: s.CompactionBytesWritten + t.CompactionBytesWritten,
-		Compactions:            s.Compactions + t.Compactions,
-		Flushes:                s.Flushes + t.Flushes,
-		TrivialMoves:           s.TrivialMoves + t.TrivialMoves,
-		RunsProbed:             s.RunsProbed + t.RunsProbed,
-		PointLookups:           s.PointLookups + t.PointLookups,
-		RangeLookups:           s.RangeLookups + t.RangeLookups,
-		WriteOps:               s.WriteOps + t.WriteOps,
-		VlogReads:              s.VlogReads + t.VlogReads,
-		WALRecords:             s.WALRecords + t.WALRecords,
-		WALSyncs:               s.WALSyncs + t.WALSyncs,
-		WALSyncNs:              s.WALSyncNs + t.WALSyncNs,
-		CommitWaitNs:           s.CommitWaitNs + t.CommitWaitNs,
-		BatchCommits:           s.BatchCommits + t.BatchCommits,
-		BatchedOps:             s.BatchedOps + t.BatchedOps,
-		WriteStalls:            s.WriteStalls + t.WriteStalls,
-		WriteStallNs:           s.WriteStallNs + t.WriteStallNs,
-		WriteSlowdowns:         s.WriteSlowdowns + t.WriteSlowdowns,
-		WriteSlowdownNs:        s.WriteSlowdownNs + t.WriteSlowdownNs,
-		ReplRecordsApplied:     s.ReplRecordsApplied + t.ReplRecordsApplied,
-		ReplBytesApplied:       s.ReplBytesApplied + t.ReplBytesApplied,
-		Checkpoints:            s.Checkpoints + t.Checkpoints,
-		CheckpointBytes:        s.CheckpointBytes + t.CheckpointBytes,
-		ExpiredDrops:           s.ExpiredDrops + t.ExpiredDrops,
-	}
+	return combine(s, t, func(a, b int64) int64 { return a + b })
 }
 
 // Sub returns the per-interval delta s - t (counter-wise).
 func (s Snapshot) Sub(t Snapshot) Snapshot {
-	return Snapshot{
-		BlockReads:             s.BlockReads - t.BlockReads,
-		BytesRead:              s.BytesRead - t.BytesRead,
-		BlockCacheHits:         s.BlockCacheHits - t.BlockCacheHits,
-		BlockCacheMisses:       s.BlockCacheMisses - t.BlockCacheMisses,
-		BlockCacheAdmits:       s.BlockCacheAdmits - t.BlockCacheAdmits,
-		BlockCacheRejects:      s.BlockCacheRejects - t.BlockCacheRejects,
-		FilterProbes:           s.FilterProbes - t.FilterProbes,
-		FilterNegatives:        s.FilterNegatives - t.FilterNegatives,
-		FilterFalsePositives:   s.FilterFalsePositives - t.FilterFalsePositives,
-		RangeFilterProbes:      s.RangeFilterProbes - t.RangeFilterProbes,
-		RangeFilterNegatives:   s.RangeFilterNegatives - t.RangeFilterNegatives,
-		BytesWritten:           s.BytesWritten - t.BytesWritten,
-		BytesFlushed:           s.BytesFlushed - t.BytesFlushed,
-		CompactionBytesRead:    s.CompactionBytesRead - t.CompactionBytesRead,
-		CompactionBytesWritten: s.CompactionBytesWritten - t.CompactionBytesWritten,
-		Compactions:            s.Compactions - t.Compactions,
-		Flushes:                s.Flushes - t.Flushes,
-		TrivialMoves:           s.TrivialMoves - t.TrivialMoves,
-		RunsProbed:             s.RunsProbed - t.RunsProbed,
-		PointLookups:           s.PointLookups - t.PointLookups,
-		RangeLookups:           s.RangeLookups - t.RangeLookups,
-		WriteOps:               s.WriteOps - t.WriteOps,
-		VlogReads:              s.VlogReads - t.VlogReads,
-		WALRecords:             s.WALRecords - t.WALRecords,
-		WALSyncs:               s.WALSyncs - t.WALSyncs,
-		WALSyncNs:              s.WALSyncNs - t.WALSyncNs,
-		CommitWaitNs:           s.CommitWaitNs - t.CommitWaitNs,
-		BatchCommits:           s.BatchCommits - t.BatchCommits,
-		BatchedOps:             s.BatchedOps - t.BatchedOps,
-		WriteStalls:            s.WriteStalls - t.WriteStalls,
-		WriteStallNs:           s.WriteStallNs - t.WriteStallNs,
-		WriteSlowdowns:         s.WriteSlowdowns - t.WriteSlowdowns,
-		WriteSlowdownNs:        s.WriteSlowdownNs - t.WriteSlowdownNs,
-		ReplRecordsApplied:     s.ReplRecordsApplied - t.ReplRecordsApplied,
-		ReplBytesApplied:       s.ReplBytesApplied - t.ReplBytesApplied,
-		Checkpoints:            s.Checkpoints - t.Checkpoints,
-		CheckpointBytes:        s.CheckpointBytes - t.CheckpointBytes,
-		ExpiredDrops:           s.ExpiredDrops - t.ExpiredDrops,
-	}
+	return combine(s, t, func(a, b int64) int64 { return a - b })
 }
 
 // WriteAmplification returns total bytes written over bytes flushed: how

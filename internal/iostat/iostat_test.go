@@ -80,8 +80,8 @@ func TestConcurrentCounting(t *testing.T) {
 }
 
 // TestEveryCounterIsCarried: each Stats counter has a Snapshot field of
-// its name, and Snapshot, Add and Sub each carry it — four hand-written
-// lists that a new counter must join.
+// its name, and Snapshot, Add and Sub each carry it — a new counter is
+// declared in both structs, which the field walks assume agree.
 func TestEveryCounterIsCarried(t *testing.T) {
 	var s Stats
 	sv := reflect.ValueOf(&s).Elem()

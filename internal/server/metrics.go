@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"sync/atomic"
 	"time"
@@ -173,15 +174,15 @@ func itoa(n int) string {
 	return string(buf[i:])
 }
 
-// eventsPayload groups the two event rings on the wire: the serving
+// EventsPayload groups the two event rings on the wire: the serving
 // layer's incidents and the engine's lifecycle events.
-type eventsPayload struct {
+type EventsPayload struct {
 	Server []iostat.Event `json:"server"`
 	Engine []iostat.Event `json:"engine"`
 }
 
-// metricsPayload is the /metrics response body (also the STATS opcode's).
-type metricsPayload struct {
+// MetricsPayload is the /metrics response body (also the STATS opcode's).
+type MetricsPayload struct {
 	Server Snapshot        `json:"server"`
 	Engine iostat.Snapshot `json:"engine"`
 	// EngineLatencies carries the engine's own per-operation histograms
@@ -218,18 +219,28 @@ type metricsPayload struct {
 	// Events holds both bounded event rings, oldest first. Against a
 	// sharded engine every engine event carries the shard that recorded
 	// it.
-	Events eventsPayload `json:"events"`
+	Events EventsPayload `json:"events"`
 }
 
-func (s *Server) payload() metricsPayload {
-	p := metricsPayload{
+// DecodeMetrics parses a STATS response body — the one decoder the
+// command-line tools share, so a field they read is declared once, above.
+func DecodeMetrics(body []byte) (MetricsPayload, error) {
+	var p MetricsPayload
+	if err := json.Unmarshal(body, &p); err != nil {
+		return p, fmt.Errorf("decode stats: %w", err)
+	}
+	return p, nil
+}
+
+func (s *Server) payload() MetricsPayload {
+	p := MetricsPayload{
 		Server:          s.metrics.Snapshot(),
 		Engine:          s.cfg.DB.Stats(),
 		EngineLatencies: s.cfg.DB.Latencies(),
 		EngineShards:    s.cfg.DB.ShardStats(),
 		EngineSeqs:      s.cfg.DB.LastSeqs(),
 		Tuner:           s.cfg.DB.TunerStatus(),
-		Events: eventsPayload{
+		Events: EventsPayload{
 			Server: s.Events(),
 			Engine: s.cfg.DB.Events(),
 		},
@@ -270,7 +281,7 @@ func (s *Server) MetricsHandler() http.Handler {
 		writeJSON(w, s.payload())
 	})
 	mux.HandleFunc("/events", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, eventsPayload{Server: s.Events(), Engine: s.cfg.DB.Events()})
+		writeJSON(w, EventsPayload{Server: s.Events(), Engine: s.cfg.DB.Events()})
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		if s.draining.Load() {
