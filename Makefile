@@ -40,18 +40,17 @@ doc-check:
 # real file, every flag OPERATIONS.md names must exist in the shipped
 # binaries' -help output (the binaries are built and their help captured,
 # so a renamed flag fails the build), PROTOCOL.md's opcode table must
-# agree with the Op* constants in internal/server/protocol.go on every
-# name and value, in both directions, and DESIGN.md's experiment index
-# and EXPERIMENTS.md's sections and summary must list exactly the
-# experiments internal/bench registers.
+# agree with the server's own (doccheck imports it) on every number,
+# name, class and reserved mark, in both directions, and DESIGN.md's
+# experiment index and EXPERIMENTS.md's sections and summary must list
+# exactly the experiments internal/bench registers.
 doc-links:
 	@tmp=$$(mktemp -d); trap "rm -rf $$tmp" EXIT; \
 	for c in lsmserver lsmctl lsmtune; do \
 		$(GO) build -o $$tmp/$$c ./cmd/$$c || exit 1; \
 		$$tmp/$$c -h 2>$$tmp/$$c.help || true; \
 	done; \
-	$(GO) run ./cmd/doccheck -root . -ops OPERATIONS.md \
-		-protocol PROTOCOL.md -protosrc internal/server/protocol.go \
+	$(GO) run ./cmd/doccheck -root . -ops OPERATIONS.md -protocol PROTOCOL.md \
 		$$tmp/lsmserver.help $$tmp/lsmctl.help $$tmp/lsmtune.help \
 		&& echo "doc-links: OK"
 

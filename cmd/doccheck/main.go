@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	doccheck -root . [-ops OPERATIONS.md] [-protocol PROTOCOL.md -protosrc file.go] [helpfile ...]
+//	doccheck -root . [-ops OPERATIONS.md] [-protocol PROTOCOL.md] [helpfile ...]
 //
 // Four checks run:
 //
@@ -18,12 +18,12 @@
 //     helpfile arguments — each a captured `-help` output of a shipped
 //     binary (the Makefile builds them and snapshots their help).
 //   - Protocol check: the opcode table in -protocol must agree with the
-//     Op* constants declared in -protosrc, by name and by value, in both
-//     directions — a new opcode without documentation, a documented
-//     opcode that was removed, or a renumbering on either side fails the
-//     build. A retired opcode keeps its constant, marked `// reserved`,
-//     and its row, whose text says "reserved"; either mark without the
-//     other fails too.
+//     server's own opcode table (server.Opcodes, imported — not parsed out
+//     of Go source) on every number, name, class and reserved mark, in
+//     both directions — a new opcode without documentation, a documented
+//     opcode that was removed, a renumbering or a reclassification on
+//     either side fails the build. A retired opcode keeps its row in both
+//     tables; the document's says "reserved".
 //   - Experiment check: the index rows of DESIGN.md, the `## En` headings
 //     of EXPERIMENTS.md and its summary rows must each name exactly the
 //     experiments internal/bench registers, once each — an experiment
@@ -42,6 +42,7 @@ import (
 	"strings"
 
 	"lsmkv/internal/bench"
+	"lsmkv/internal/server"
 )
 
 var (
@@ -56,15 +57,11 @@ var (
 	// helpFlag matches a flag definition line in `flag` package -help
 	// output: two leading spaces, then -name.
 	helpFlag = regexp.MustCompile(`(?m)^\s+-([A-Za-z0-9][A-Za-z0-9.-]*)`)
-	// goOpcode matches an opcode constant declaration in the protocol
-	// source: a tab-indented `OpName Opcode = N` line; the rest of the
-	// line (a trailing comment, if any) is captured.
-	goOpcode = regexp.MustCompile(`(?m)^\t(Op[A-Za-z]+)\s+Opcode\s*=\s*(\d+)(.*)$`)
 	// docOpcode matches one row of the PROTOCOL.md opcode table: the row
 	// leads with the numeric value, then the Go constant name in a code
-	// span (`| 3 | ` + "`OpPut`" + ` | ...`); the rest of the row is
-	// captured.
-	docOpcode = regexp.MustCompile("(?m)^\\|\\s*(\\d+)\\s*\\|\\s*`(Op[A-Za-z]+)`(.*)$")
+	// span, then the class (`| 3 | ` + "`OpPut`" + ` | write | ...`); the
+	// rest of the row is captured.
+	docOpcode = regexp.MustCompile("(?m)^\\|\\s*(\\d+)\\s*\\|\\s*`(Op[A-Za-z]+)`\\s*\\|\\s*([a-z—]+)\\s*\\|(.*)$")
 	// experimentRow matches a table row that leads with an experiment ID
 	// (`| E7 | ...`); experimentHeading a `## E7 — ...` section heading.
 	experimentRow     = regexp.MustCompile(`(?m)^\|\s*(E\d+)\s*\|`)
@@ -74,8 +71,7 @@ var (
 func main() {
 	root := flag.String("root", ".", "repository root to scan for *.md files")
 	ops := flag.String("ops", "", "runbook whose `-flag` mentions must exist in the helpfile args")
-	protocol := flag.String("protocol", "", "wire reference whose opcode table must match -protosrc")
-	protosrc := flag.String("protosrc", "", "Go source declaring the Op* Opcode constants")
+	protocol := flag.String("protocol", "", "wire reference whose opcode table must match the server's")
 	flag.Parse()
 
 	var problems []string
@@ -89,7 +85,7 @@ func main() {
 		checkFlags(*ops, flag.Args(), complain)
 	}
 	if *protocol != "" {
-		checkProtocol(*protocol, *protosrc, complain)
+		checkProtocol(*protocol, complain)
 	}
 
 	if len(problems) > 0 {
@@ -185,62 +181,50 @@ func stripFences(body string) string {
 }
 
 // checkProtocol verifies that the wire reference's opcode table and the
-// protocol source's Op* constants are the same set, value for value.
-func checkProtocol(docPath, srcPath string, complain func(string, ...any)) {
-	if srcPath == "" {
-		complain("-protocol requires -protosrc")
-		return
-	}
-	src, err := os.ReadFile(srcPath)
-	if err != nil {
-		complain("read %s: %v", srcPath, err)
-		return
-	}
+// server's are the same rows: number, name, class, reserved mark.
+func checkProtocol(docPath string, complain func(string, ...any)) {
 	doc, err := os.ReadFile(docPath)
 	if err != nil {
 		complain("read %s: %v", docPath, err)
 		return
 	}
-
-	declared := map[string]string{} // OpName -> value
-	reserved := map[string]bool{}   // OpName -> marked reserved in source
-	for _, m := range goOpcode.FindAllStringSubmatch(string(src), -1) {
-		declared[m[1]] = m[2]
-		reserved[m[1]] = strings.Contains(m[3], "reserved")
+	// A row's documented form: the Go constant's name is "Op" plus the
+	// row's name up to case, and a reserved row has no class.
+	type docRow struct {
+		name, class string
+		reserved    bool
 	}
-	if len(declared) == 0 {
-		complain("%s: no Op* Opcode constants found", srcPath)
-		return
-	}
-	documented := map[string]string{}
+	documented := map[string]docRow{} // number -> row
 	for _, m := range docOpcode.FindAllStringSubmatch(string(doc), -1) {
-		if prev, dup := documented[m[2]]; dup {
-			complain("%s: opcode %s documented twice (as %s and %s)", docPath, m[2], prev, m[1])
+		if prev, dup := documented[m[1]]; dup {
+			complain("%s: opcode %s documented twice (as %s and %s)", docPath, m[1], prev.name, m[2])
 		}
-		documented[m[2]] = m[1]
-		if docReserved := strings.Contains(m[3], "reserved"); docReserved != reserved[m[2]] {
-			complain("%s: opcode %s reserved=%v in the table but reserved=%v in %s",
-				docPath, m[2], docReserved, reserved[m[2]], srcPath)
-		}
+		documented[m[1]] = docRow{name: m[2], class: m[3], reserved: strings.Contains(m[4], "reserved")}
 	}
 	if len(documented) == 0 {
-		complain("%s: no opcode table rows found (want `| N | OpName | ...`)", docPath)
+		complain("%s: no opcode table rows found (want `| N | OpName | class | ...`)", docPath)
 		return
 	}
-
-	for name, val := range declared {
-		docVal, ok := documented[name]
+	for _, op := range server.Opcodes() {
+		num, class, reserved := fmt.Sprint(uint8(op)), op.Class().String(), op.Class() == 0
+		if reserved {
+			class = "—"
+		}
+		row, ok := documented[num]
+		delete(documented, num)
 		switch {
 		case !ok:
-			complain("%s: opcode %s = %s is not documented in %s", srcPath, name, val, docPath)
-		case docVal != val:
-			complain("%s: opcode %s documented as %s but declared as %s in %s", docPath, name, docVal, val, srcPath)
+			complain("%s: opcode %d (%v) is not documented", docPath, op, op)
+		case !strings.EqualFold(row.name, "Op"+op.String()):
+			complain("%s: opcode %d documented as %s but the server calls it %q", docPath, op, row.name, op)
+		case row.class != class:
+			complain("%s: opcode %s documented as class %q but the server has %q", docPath, row.name, row.class, class)
+		case row.reserved != reserved:
+			complain("%s: opcode %s reserved=%v in the document but reserved=%v in the server", docPath, row.name, row.reserved, reserved)
 		}
 	}
-	for name, val := range documented {
-		if _, ok := declared[name]; !ok {
-			complain("%s: documents opcode %s = %s which %s does not declare", docPath, name, val, srcPath)
-		}
+	for num, row := range documented {
+		complain("%s: documents opcode %s = %s which the server does not have", docPath, row.name, num)
 	}
 }
 

@@ -117,20 +117,9 @@ func main() {
 		logf = log.Printf
 	}
 
-	var opts *lsmkv.Options
-	switch *preset {
-	case "default":
-		opts = lsmkv.Default()
-	case "read":
-		opts = lsmkv.ReadOptimized()
-	case "write":
-		opts = lsmkv.WriteOptimized()
-	case "balanced":
-		opts = lsmkv.Balanced()
-	case "wisckey":
-		opts = lsmkv.WiscKey()
-	default:
-		fmt.Fprintf(os.Stderr, "lsmserver: unknown preset %q\n", *preset)
+	opts, err := lsmkv.Preset(*preset)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "lsmserver:", err)
 		os.Exit(2)
 	}
 	opts.Logf = logf

@@ -4,9 +4,15 @@
 // responses by request ID, so throughput is not bounded by round-trip
 // latency. Transient failures — connection resets, server drain,
 // throttling — are retried with backoff over a fresh connection when
-// Options.MaxRetries is set; every protocol operation is idempotent
-// (last-writer-wins puts, tombstone deletes), so retrying a write whose
-// response was lost is safe.
+// Options.MaxRetries is set. What may be re-sent follows the opcode's
+// class in the server's table: reads and the plain writes (PUT, PUTTTL,
+// DELETE, BATCH — last writer wins, tombstones) are idempotent, so
+// re-sending one whose response was lost is safe. A read-modify-write
+// (INCR, CAS) is not — a second INCR adds twice, a second CAS mismatches
+// its own first success — so once its frame may be out it is never
+// re-sent: the caller gets the transport error and re-reads. A throttled
+// or draining server answered without running the request, so that is
+// retried for every class.
 package client
 
 import (
@@ -40,7 +46,7 @@ var (
 	ErrClosed = errors.New("client: closed")
 	// ErrTimeout is returned when a response misses RequestTimeout.
 	ErrTimeout = errors.New("client: request timed out")
-	// ErrCASMismatch is returned when a Cas request's expected value did
+	// ErrCASMismatch is returned when a CompareAndSwap's expected value did
 	// not match the current one; nothing was written. Not transient —
 	// re-read before retrying.
 	ErrCASMismatch = errors.New("client: cas mismatch")
@@ -73,8 +79,6 @@ type Options struct {
 	DialTimeout time.Duration
 	// RequestTimeout bounds each call. Default 30s.
 	RequestTimeout time.Duration
-	// MaxFrameBytes bounds response frames. Default 16 MiB.
-	MaxFrameBytes int
 	// MaxRetries redials and retries transient failures this many times.
 	// Default 0 (no retries).
 	MaxRetries int
@@ -89,9 +93,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.RequestTimeout <= 0 {
 		o.RequestTimeout = 30 * time.Second
-	}
-	if o.MaxFrameBytes <= 0 {
-		o.MaxFrameBytes = server.DefaultMaxFrameBytes
 	}
 	if o.RetryBackoff <= 0 {
 		o.RetryBackoff = 20 * time.Millisecond
@@ -138,11 +139,7 @@ func (c *Client) Close() error {
 
 // Get returns the value of key, or ErrNotFound.
 func (c *Client) Get(key []byte) ([]byte, error) {
-	resp, err := c.call(&server.Request{Op: server.OpGet, Key: key})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Value, nil
+	return c.call(&server.Request{Op: server.OpGet, Key: key})
 }
 
 // Put stores key -> value.
@@ -154,9 +151,10 @@ func (c *Client) Put(key, value []byte) error {
 // PutTTL stores key -> value with a time-to-live. The client sends the
 // duration (millisecond resolution, minimum 1ms); the server stamps the
 // absolute expiry with its own clock, so client/server clock skew never
-// shifts the deadline.
+// shifts the deadline. A zero or negative ttl is sent as 0 — an entry
+// already expired when it lands, as the embedded PutTTL stores it.
 func (c *Client) PutTTL(key, value []byte, ttl time.Duration) error {
-	millis := uint64(ttl / time.Millisecond)
+	millis := uint64(max(ttl, 0) / time.Millisecond)
 	if millis == 0 && ttl > 0 {
 		millis = 1
 	}
@@ -169,21 +167,22 @@ func (c *Client) PutTTL(key, value []byte, ttl time.Duration) error {
 // resolves it inside the key's group-commit loop, so concurrent Incrs
 // never lose updates.
 func (c *Client) Incr(key []byte, delta int64) (int64, error) {
-	resp, err := c.call(&server.Request{Op: server.OpIncr, Key: key, Delta: delta})
+	body, err := c.call(&server.Request{Op: server.OpIncr, Key: key, Delta: delta})
 	if err != nil {
 		return 0, err
 	}
-	n, w := binary.Varint(resp.Value)
+	n, w := binary.Varint(body)
 	if w <= 0 {
 		return 0, fmt.Errorf("client: malformed incr response")
 	}
 	return n, nil
 }
 
-// Cas atomically replaces key's value with newValue if the current value
-// equals expected; a nil expected asserts the key is absent. On mismatch
-// it returns ErrCASMismatch and the server writes nothing.
-func (c *Client) Cas(key, expected, newValue []byte) error {
+// CompareAndSwap atomically replaces key's value with newValue if the
+// current value equals expected; a nil expected asserts the key is
+// absent. On mismatch it returns ErrCASMismatch and the server writes
+// nothing.
+func (c *Client) CompareAndSwap(key, expected, newValue []byte) error {
 	req := &server.Request{Op: server.OpCas, Key: key, Value: newValue}
 	if expected != nil {
 		req.HasExpected = true
@@ -206,11 +205,11 @@ func (c *Client) SketchCard() (uint64, error) {
 }
 
 func (c *Client) sketch(req *server.Request) (uint64, error) {
-	resp, err := c.call(req)
+	body, err := c.call(req)
 	if err != nil {
 		return 0, err
 	}
-	est, w := binary.Uvarint(resp.Value)
+	est, w := binary.Uvarint(body)
 	if w <= 0 {
 		return 0, fmt.Errorf("client: malformed sketch response")
 	}
@@ -229,12 +228,13 @@ func (c *Client) Batch(ops []Op) error {
 	return err
 }
 
-// ScanAll streams every pair in [lo, hi] to fn, until fn returns false
-// or the range is exhausted. It rides a single streamed SCANSTREAM
-// request — one request frame for the whole range, the server pushing
-// response frames as it walks. With retries enabled, a transient mid-stream failure resumes just
-// past the last delivered key, so fn sees every pair exactly once.
-func (c *Client) ScanAll(lo, hi []byte, fn func(key, value []byte) bool) error {
+// Scan streams every pair in [lo, hi] to fn, until fn returns false or
+// the range is exhausted. It rides a single streamed SCANSTREAM request —
+// one request frame for the whole range, the server pushing response
+// frames as it walks. With retries enabled, a transient mid-stream
+// failure resumes just past the last delivered key, so fn sees every
+// pair exactly once.
+func (c *Client) Scan(lo, hi []byte, fn func(key, value []byte) bool) error {
 	backoff := c.opts.RetryBackoff
 	attempt := 0
 	for {
@@ -269,7 +269,7 @@ func (c *Client) ScanAll(lo, hi []byte, fn func(key, value []byte) bool) error {
 // ScanStream issues one streamed SCANSTREAM request for [lo, hi] and
 // delivers every pair to fn as frames arrive, until completion, fn
 // returning false (which cancels the stream), or the first error. Unlike
-// ScanAll it never retries: a transport failure mid-stream surfaces
+// Scan it never retries: a transport failure mid-stream surfaces
 // immediately.
 func (c *Client) ScanStream(lo, hi []byte, fn func(key, value []byte) bool) error {
 	w, err := c.wire()
@@ -277,8 +277,10 @@ func (c *Client) ScanStream(lo, hi []byte, fn func(key, value []byte) bool) erro
 		return err
 	}
 	req := &server.Request{Op: server.OpScanStream, Lo: lo, Hi: hi}
-	p, err := w.sendStream(req)
-	if err != nil {
+	// Scan-shaped frames keep arriving on the buffered channel until the
+	// final (more=0) frame.
+	p := &pendingCall{ch: make(chan server.Response, 32), stream: true, quit: make(chan struct{})}
+	if _, err := w.send(req, p); err != nil {
 		c.dropWire(w, err)
 		return err
 	}
@@ -307,15 +309,11 @@ func (c *Client) ScanStream(lo, hi []byte, fn func(key, value []byte) bool) erro
 				return ErrTimeout
 			}
 		}
-		switch resp.Status {
-		case server.StatusOK:
-		case server.StatusThrottled:
-			return ErrThrottled
-		case server.StatusShutdown:
-			c.detachWire(w)
-			return ErrShutdown
-		default:
-			return &ServerError{Msg: string(resp.Value)}
+		if err := statusError(resp); err != nil {
+			if errors.Is(err, ErrShutdown) {
+				c.detachWire(w)
+			}
+			return err
 		}
 		for _, pr := range resp.Pairs {
 			if !fn(pr.Key, pr.Value) {
@@ -345,11 +343,11 @@ func (c *Client) MultiGet(keys [][]byte) ([][]byte, error) {
 	if len(keys) == 0 {
 		return nil, nil
 	}
-	resp, err := c.call(&server.Request{Op: server.OpMultiGet, Keys: keys})
+	body, err := c.call(&server.Request{Op: server.OpMultiGet, Keys: keys})
 	if err != nil {
 		return nil, err
 	}
-	vals, err := server.DecodeMultiGetValues(resp.Value)
+	vals, err := server.DecodeMultiGetValues(body)
 	if err != nil {
 		return nil, fmt.Errorf("client: decode multiget response: %w", err)
 	}
@@ -363,23 +361,19 @@ func (c *Client) MultiGet(keys [][]byte) ([][]byte, error) {
 // per-opcode latency quantiles, engine iostat snapshot, and both event
 // rings).
 func (c *Client) Stats() ([]byte, error) {
-	resp, err := c.call(&server.Request{Op: server.OpStats})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Value, nil
+	return c.call(&server.Request{Op: server.OpStats})
 }
 
 // Trace runs a traced point lookup of key on the server and returns the
 // read-path trace. The key being absent is not an error: the trace
 // reports the outcome (that miss path is what TRACE exists to explain).
 func (c *Client) Trace(key []byte) (*iostat.Trace, error) {
-	resp, err := c.call(&server.Request{Op: server.OpTrace, Key: key})
+	body, err := c.call(&server.Request{Op: server.OpTrace, Key: key})
 	if err != nil {
 		return nil, err
 	}
 	var tr iostat.Trace
-	if err := json.Unmarshal(resp.Value, &tr); err != nil {
+	if err := json.Unmarshal(body, &tr); err != nil {
 		return nil, fmt.Errorf("client: decode trace: %w", err)
 	}
 	return &tr, nil
@@ -399,21 +393,21 @@ type ShardSeq = server.ShardSeq
 // PutSeq stores key -> value and returns the write's (shard, seq)
 // coordinate (nil against servers without sequence watermarks).
 func (c *Client) PutSeq(key, value []byte) ([]ShardSeq, error) {
-	resp, err := c.call(&server.Request{Op: server.OpPut, Key: key, Value: value})
+	body, err := c.call(&server.Request{Op: server.OpPut, Key: key, Value: value})
 	if err != nil {
 		return nil, err
 	}
-	return server.DecodeSeqAcks(resp.Value)
+	return server.DecodeSeqAcks(body)
 }
 
 // BatchSeq applies ops like Batch and returns one coordinate per shard
 // the batch touched.
 func (c *Client) BatchSeq(ops []Op) ([]ShardSeq, error) {
-	resp, err := c.call(&server.Request{Op: server.OpBatch, Ops: ops})
+	body, err := c.call(&server.Request{Op: server.OpBatch, Ops: ops})
 	if err != nil {
 		return nil, err
 	}
-	return server.DecodeSeqAcks(resp.Value)
+	return server.DecodeSeqAcks(body)
 }
 
 // GetAtSeq is the read-your-writes read: the server holds the request
@@ -421,22 +415,14 @@ func (c *Client) BatchSeq(ops []Op) ([]ShardSeq, error) {
 // replication catches up to the write that produced the coordinate —
 // then reads. minSeq 0 degrades to a plain Get.
 func (c *Client) GetAtSeq(key []byte, minSeq uint64) ([]byte, error) {
-	resp, err := c.call(&server.Request{Op: server.OpGetSeq, Key: key, MinSeq: minSeq})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Value, nil
+	return c.call(&server.Request{Op: server.OpGetSeq, Key: key, MinSeq: minSeq})
 }
 
 // Checkpoint takes an online backup into the named subdirectory of the
 // server's checkpoint root and returns the durable marker's JSON
 // (files, bytes, per-shard seqs).
 func (c *Client) Checkpoint(name string) ([]byte, error) {
-	resp, err := c.call(&server.Request{Op: server.OpCheckpoint, Key: []byte(name)})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Value, nil
+	return c.call(&server.Request{Op: server.OpCheckpoint, Key: []byte(name)})
 }
 
 // Merkle asks the server for a Merkle summary of its logical content,
@@ -447,83 +433,94 @@ func (c *Client) Merkle(buckets int, seqs []uint64) (*replica.Tree, error) {
 	if buckets < 0 {
 		buckets = 0
 	}
-	resp, err := c.call(&server.Request{Op: server.OpMerkle, Buckets: uint64(buckets), Seqs: seqs})
+	body, err := c.call(&server.Request{Op: server.OpMerkle, Buckets: uint64(buckets), Seqs: seqs})
 	if err != nil {
 		return nil, err
 	}
 	var t replica.Tree
-	if err := json.Unmarshal(resp.Value, &t); err != nil {
+	if err := json.Unmarshal(body, &t); err != nil {
 		return nil, fmt.Errorf("client: decode merkle tree: %w", err)
 	}
 	return &t, nil
 }
 
-// call runs one request with the retry policy.
-func (c *Client) call(req *server.Request) (server.Response, error) {
+// call runs one request with the retry policy and returns the StatusOK
+// response's body.
+func (c *Client) call(req *server.Request) ([]byte, error) {
 	backoff := c.opts.RetryBackoff
-	var lastErr error
 	for attempt := 0; ; attempt++ {
 		w, err := c.wire()
 		if err == nil {
-			var resp server.Response
-			resp, err = c.roundTrip(w, req)
-			if err == nil {
-				return resp, nil
+			var body []byte
+			var sent bool
+			if body, sent, err = c.roundTrip(w, req); err == nil {
+				return body, nil
 			}
-			if responseError(err) {
-				// A decoded response proves the connection is healthy:
-				// leave it — and every other call pipelined on it — alone.
-				// A draining server will close the wire itself, so detach
-				// it now so the retry redials instead of re-entering the
-				// drain.
-				if errors.Is(err, ErrShutdown) {
-					c.detachWire(w)
-				}
-			} else {
+			switch {
+			case !responseError(err):
 				// Transport-level failure: the connection may be poisoned;
 				// retries redial.
 				c.dropWire(w, err)
+				if sent && req.Op.Class() == server.ClassRMW {
+					// The server may have applied it, and a second copy
+					// would apply it again. Only the caller can find out.
+					return nil, err
+				}
+			case errors.Is(err, ErrShutdown):
+				// A decoded response proves the connection is healthy:
+				// leave it — and every other call pipelined on it — alone.
+				// But a draining server will close the wire itself, so
+				// detach it now and let the retry redial instead of
+				// re-entering the drain.
+				c.detachWire(w)
 			}
 		}
-		lastErr = err
 		if attempt >= c.opts.MaxRetries || !transient(err) {
-			return server.Response{}, lastErr
+			return nil, err
 		}
 		time.Sleep(backoff)
 		backoff *= 2
 	}
 }
 
-// roundTrip issues req on w and waits for its response.
-func (c *Client) roundTrip(w *wire, req *server.Request) (server.Response, error) {
-	p, err := w.send(req)
-	if err != nil {
-		return server.Response{}, err
+// roundTrip issues req on w and waits for its response's body. sent
+// reports whether any byte of the request frame may have left this
+// process.
+func (c *Client) roundTrip(w *wire, req *server.Request) (body []byte, sent bool, err error) {
+	p := &pendingCall{ch: make(chan server.Response, 1)}
+	if sent, err = w.send(req, p); err != nil {
+		return nil, sent, err
 	}
 	timer := time.NewTimer(c.opts.RequestTimeout)
 	defer timer.Stop()
 	select {
 	case resp, ok := <-p.ch:
 		if !ok {
-			return server.Response{}, w.errOr(io.ErrUnexpectedEOF)
+			return nil, true, w.errOr(io.ErrUnexpectedEOF)
 		}
-		switch resp.Status {
-		case server.StatusOK:
-			return resp, nil
-		case server.StatusNotFound:
-			return resp, ErrNotFound
-		case server.StatusThrottled:
-			return resp, ErrThrottled
-		case server.StatusShutdown:
-			return resp, ErrShutdown
-		case server.StatusConflict:
-			return resp, ErrCASMismatch
-		default:
-			return resp, &ServerError{Msg: string(resp.Value)}
-		}
+		return resp.Value, true, statusError(resp)
 	case <-timer.C:
 		w.abandon(req.ID)
-		return server.Response{}, ErrTimeout
+		return nil, true, ErrTimeout
+	}
+}
+
+// statusError is the one mapping from a response's status to the error
+// a call returns (PROTOCOL.md "Client error mapping").
+func statusError(resp server.Response) error {
+	switch resp.Status {
+	case server.StatusOK:
+		return nil
+	case server.StatusNotFound:
+		return ErrNotFound
+	case server.StatusThrottled:
+		return ErrThrottled
+	case server.StatusShutdown:
+		return ErrShutdown
+	case server.StatusConflict:
+		return ErrCASMismatch
+	default:
+		return &ServerError{Msg: string(resp.Value)}
 	}
 }
 
@@ -638,26 +635,14 @@ func dialWire(addr string, opts Options) (*wire, error) {
 		pending: make(map[uint32]*pendingCall),
 		dead:    make(chan struct{}),
 	}
-	go w.readLoop(opts.MaxFrameBytes)
+	go w.readLoop()
 	return w, nil
 }
 
-// send registers a pending call and writes the request frame.
-func (w *wire) send(req *server.Request) (*pendingCall, error) {
-	return w.sendCall(req, &pendingCall{ch: make(chan server.Response, 1)})
-}
-
-// sendStream registers a streaming call: scan-shaped frames keep
-// arriving on a buffered channel until the final (more=0) frame.
-func (w *wire) sendStream(req *server.Request) (*pendingCall, error) {
-	return w.sendCall(req, &pendingCall{
-		ch:     make(chan server.Response, 32),
-		stream: true,
-		quit:   make(chan struct{}),
-	})
-}
-
-func (w *wire) sendCall(req *server.Request, p *pendingCall) (*pendingCall, error) {
+// send registers p as req's pending call and writes the request frame.
+// sent is false only when the wire was already dead and nothing was
+// written; after a write error part of the frame may be out.
+func (w *wire) send(req *server.Request, p *pendingCall) (sent bool, err error) {
 	req.ID = w.nextID.Add(1)
 	if req.ID == server.ConnErrID {
 		// Skip the reserved connection-level-error ID on wraparound.
@@ -667,23 +652,22 @@ func (w *wire) sendCall(req *server.Request, p *pendingCall) (*pendingCall, erro
 	if w.err != nil {
 		err := w.err
 		w.pmu.Unlock()
-		return nil, err
+		return false, err
 	}
 	w.pending[req.ID] = p
 	w.pmu.Unlock()
 
 	payload := server.AppendRequest(nil, req)
 	w.wmu.Lock()
-	err := server.WriteFrame(w.bw, payload)
+	err = server.WriteFrame(w.bw, payload)
 	if err == nil {
 		err = w.bw.Flush()
 	}
 	w.wmu.Unlock()
 	if err != nil {
 		w.fail(err)
-		return nil, err
 	}
-	return p, nil
+	return true, err
 }
 
 // abandon forgets a timed-out call so its late response is discarded.
@@ -724,9 +708,9 @@ func (w *wire) errOr(fallback error) error {
 	return fallback
 }
 
-func (w *wire) readLoop(maxFrame int) {
+func (w *wire) readLoop() {
 	for {
-		payload, err := server.ReadFrame(w.br, maxFrame)
+		payload, err := server.ReadFrame(w.br, server.MaxFrameBytes)
 		if err != nil {
 			w.fail(err)
 			return

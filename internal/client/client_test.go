@@ -2,6 +2,7 @@ package client_test
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -107,6 +108,55 @@ func TestRetryRedials(t *testing.T) {
 	v, err := cl.Get([]byte("k"))
 	if err != nil || string(v) != "v" {
 		t.Fatalf("get after retries = %q, %v", v, err)
+	}
+}
+
+// TestLostIncrResponseIsNotRetried: the proxy delivers the first
+// connection's request and drops its response. An INCR must come back as
+// the transport error — re-sending it would add twice — and the counter
+// must read 1: the retry rule follows the opcode's class, and a
+// read-modify-write is never re-sent once its frame is out. (A PUT in the
+// same spot is re-sent; TestRetryRedials.)
+func TestLostIncrResponseIsNotRetried(t *testing.T) {
+	backend := startBackend(t)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for first := true; ; first = false {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			up, err := net.Dial("tcp", backend)
+			if err != nil {
+				c.Close()
+				continue
+			}
+			go func() { io.Copy(up, c); up.Close() }()
+			if first {
+				// The first response byte means the server has run the
+				// request; the client never sees it.
+				go func() { up.Read(make([]byte, 1)); c.Close(); up.Close() }()
+			} else {
+				go func() { io.Copy(c, up); c.Close() }()
+			}
+		}
+	}()
+
+	cl, err := client.Dial(ln.Addr().String(), &client.Options{MaxRetries: 2, RetryBackoff: 5 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if n, err := cl.Incr([]byte("ctr"), 1); err == nil {
+		t.Fatalf("Incr = %d with its response dropped; want the transport error, not a second INCR", n)
+	}
+	v, err := cl.Get([]byte("ctr")) // redials; the proxy now forwards both ways
+	if err != nil || len(v) != 8 || binary.LittleEndian.Uint64(v) != 1 {
+		t.Fatalf("counter after one Incr whose response was lost = %v, %v; want 1", v, err)
 	}
 }
 

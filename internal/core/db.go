@@ -335,7 +335,7 @@ func (db *DB) Put(key, value []byte) error { return db.writeOne(PutOp(key, value
 // and is physically reclaimed when bottommost compaction next rewrites
 // its key range. TTL values are never vlog-separated.
 func (db *DB) PutTTL(key, value []byte, ttl time.Duration) error {
-	return db.PutAtExpiry(key, value, db.opts.Clock()+ttl.Nanoseconds())
+	return db.PutAtExpiry(key, value, kv.ExpiryAfter(db.opts.Clock(), ttl.Nanoseconds()))
 }
 
 // PutAtExpiry is PutTTL with an absolute unix-nanosecond expiry.

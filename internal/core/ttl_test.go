@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -32,6 +33,15 @@ func TestTTLLazyExpiry(t *testing.T) {
 	got, err := db.Get([]byte("session"))
 	if err != nil || string(got) != "alive" {
 		t.Fatalf("pre-expiry Get = %q, %v", got, err)
+	}
+
+	// The longest TTL there is means "keep it": the expiry saturates
+	// instead of wrapping into the past.
+	if err := db.PutTTL([]byte("forever"), []byte("kept"), time.Duration(math.MaxInt64)); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := db.Get([]byte("forever")); err != nil || string(got) != "kept" {
+		t.Fatalf("Get after a maximal-TTL put = %q, %v", got, err)
 	}
 
 	now.Add(int64(time.Minute) + 1)

@@ -1,6 +1,9 @@
 package kv
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"math"
+)
 
 // AppendUvarint appends x in unsigned varint form.
 func AppendUvarint(dst []byte, x uint64) []byte {
@@ -34,6 +37,17 @@ const ExpiryLen = 8
 func AppendExpiryValue(dst []byte, expiryUnixNano int64, payload []byte) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(expiryUnixNano))
 	return append(dst, payload...)
+}
+
+// ExpiryAfter returns the absolute expiry ttlNanos past nowUnixNano,
+// saturating at the largest timestamp — an entry that never expires —
+// where the sum would wrap into the past and the write would be
+// acknowledged and then read as already expired.
+func ExpiryAfter(nowUnixNano, ttlNanos int64) int64 {
+	if ttlNanos > 0 && nowUnixNano > math.MaxInt64-ttlNanos {
+		return math.MaxInt64
+	}
+	return nowUnixNano + ttlNanos
 }
 
 // SplitExpiryValue decodes a KindSetTTL value into its expiry timestamp

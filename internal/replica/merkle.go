@@ -22,6 +22,11 @@ import (
 // specify one.
 const DefaultMerkleBuckets = 256
 
+// MaxMerkleBuckets bounds a requested bucket count: a tree costs 32
+// bytes of digest and 64 of hex per bucket, and the count arrives
+// unchecked from the wire (MERKLE) or an embedded caller.
+const MaxMerkleBuckets = 1 << 16
+
 // Tree is a Merkle summary of a snapshot's logical content.
 type Tree struct {
 	// Seqs is the per-shard snapshot vector the scan was pinned at;
@@ -42,6 +47,9 @@ type Tree struct {
 func BuildTree(buckets int, seqs []uint64, scan func(fn func(key, value []byte) bool) error) (*Tree, error) {
 	if buckets <= 0 {
 		buckets = DefaultMerkleBuckets
+	}
+	if buckets > MaxMerkleBuckets {
+		return nil, fmt.Errorf("replica: %d merkle buckets exceed the limit of %d", buckets, MaxMerkleBuckets)
 	}
 	chains := make([][sha256.Size]byte, buckets)
 	entries := int64(0)

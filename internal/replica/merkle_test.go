@@ -103,6 +103,9 @@ func TestMerkleDefaultsAndErrors(t *testing.T) {
 	if _, err := DiffBuckets(tr, other); err == nil {
 		t.Fatal("bucket-count mismatch not rejected")
 	}
+	if _, err := BuildTree(MaxMerkleBuckets+1, nil, mapScan(nil)); err == nil {
+		t.Fatal("a bucket count over MaxMerkleBuckets was not rejected")
+	}
 	wantErr := fmt.Errorf("scan failed")
 	if _, err := BuildTree(8, nil, func(func(key, value []byte) bool) error { return wantErr }); err != wantErr {
 		t.Fatalf("scan error not propagated: %v", err)

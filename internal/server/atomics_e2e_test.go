@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"testing"
@@ -117,7 +118,7 @@ func TestCasConcurrent(t *testing.T) {
 							return
 						}
 						defer cl.Close()
-						get, cas = cl.Get, cl.Cas
+						get, cas = cl.Get, cl.CompareAndSwap
 						notFound, mismatch = client.ErrNotFound, client.ErrCASMismatch
 					}
 					for done := 0; done < perWriter; {
@@ -185,22 +186,22 @@ func TestCasErrors(t *testing.T) {
 	cl := dialTest(t, srv, nil)
 
 	// Absence assertion on an absent key creates.
-	if err := cl.Cas([]byte("k"), nil, []byte("v1")); err != nil {
+	if err := cl.CompareAndSwap([]byte("k"), nil, []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
 	// Absence assertion on a present key conflicts.
-	if err := cl.Cas([]byte("k"), nil, []byte("v2")); !errors.Is(err, client.ErrCASMismatch) {
+	if err := cl.CompareAndSwap([]byte("k"), nil, []byte("v2")); !errors.Is(err, client.ErrCASMismatch) {
 		t.Fatalf("want ErrCASMismatch, got %v", err)
 	}
 	// Stale expected conflicts.
-	if err := cl.Cas([]byte("k"), []byte("stale"), []byte("v2")); !errors.Is(err, client.ErrCASMismatch) {
+	if err := cl.CompareAndSwap([]byte("k"), []byte("stale"), []byte("v2")); !errors.Is(err, client.ErrCASMismatch) {
 		t.Fatalf("want ErrCASMismatch, got %v", err)
 	}
 	if v, err := cl.Get([]byte("k")); err != nil || string(v) != "v1" {
 		t.Fatalf("failed CAS mutated the cell: %q, %v", v, err)
 	}
 	// Matching expected swaps.
-	if err := cl.Cas([]byte("k"), []byte("v1"), []byte("v2")); err != nil {
+	if err := cl.CompareAndSwap([]byte("k"), []byte("v1"), []byte("v2")); err != nil {
 		t.Fatal(err)
 	}
 	// INCR of a non-counter value is rejected without committing.
@@ -238,6 +239,16 @@ func TestPutTTLOverWire(t *testing.T) {
 			t.Fatal("key still served long past its TTL")
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+
+	// The longest TTL a duration can hold means "keep it": the expiry
+	// saturates instead of wrapping into the past, where the write would
+	// be acknowledged and then read as not found.
+	if err := cl.PutTTL([]byte("forever"), []byte("kept"), time.Duration(math.MaxInt64)); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := cl.Get([]byte("forever")); err != nil || string(v) != "kept" {
+		t.Fatalf("get after a maximal-TTL put = %q, %v", v, err)
 	}
 }
 

@@ -1,12 +1,17 @@
 package server
 
 import (
+	"errors"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"os"
 	"strings"
 	"testing"
+
+	"lsmkv/internal/core"
+	"lsmkv/internal/shard"
+	"lsmkv/internal/vfs"
 )
 
 // TestServerResolvesNoRMW pins where INCR and CAS are decided: in the
@@ -37,5 +42,32 @@ func TestServerResolvesNoRMW(t *testing.T) {
 				return true
 			})
 		}
+	}
+}
+
+// TestScanStreamStopsOnTheNextKey: a SCANSTREAM on a connection being
+// torn down ends at the key it is on, not at the next frame boundary —
+// with the default limit a frame is up to MaxScanResults pairs away.
+func TestScanStreamStopsOnTheNextKey(t *testing.T) {
+	db, err := shard.Open(core.Options{Dir: "db", FS: vfs.NewMem()}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	for _, k := range []string{"a", "b", "c"} {
+		if err := db.Put([]byte(k), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv, err := New(Config{DB: db})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &conn{srv: srv, stop: make(chan struct{})}
+	c.signalStop()
+	frames := 0
+	err = streamScan(c, &Request{Op: OpScanStream}, func(*Response) error { frames++; return nil })
+	if !errors.Is(err, errStreamStopped) || frames != 0 {
+		t.Fatalf("stopped stream: err %v after %d frames; want errStreamStopped and none", err, frames)
 	}
 }

@@ -13,6 +13,8 @@ import (
 
 	"lsmkv/internal/core"
 	"lsmkv/internal/iostat"
+	"lsmkv/internal/kv"
+	"lsmkv/internal/shard"
 )
 
 // conn is one client connection. Three goroutines cooperate to give
@@ -37,6 +39,8 @@ type conn struct {
 	br  *bufio.Reader
 	bw  *bufio.Writer
 
+	// out carries encoded responses in pooled buffers; the write loop is
+	// the single point that returns them to the pool.
 	out  chan *respBuf
 	acks chan *pendingWrite
 
@@ -110,7 +114,7 @@ func (c *conn) armReadDeadline() bool {
 	if c.draining {
 		return false
 	}
-	c.nc.SetReadDeadline(time.Now().Add(c.srv.cfg.IdleTimeout))
+	c.nc.SetReadDeadline(time.Now().Add(idleTimeout))
 	return true
 }
 
@@ -119,7 +123,7 @@ func (c *conn) readLoop() {
 		if !c.armReadDeadline() {
 			return
 		}
-		payload, err := ReadFrame(c.br, c.srv.cfg.MaxFrameBytes)
+		payload, err := ReadFrame(c.br, MaxFrameBytes)
 		if err != nil {
 			if errors.Is(err, ErrFrameTooLarge) || errors.Is(err, ErrMalformed) {
 				// Framing is lost; tell the client why on the reserved
@@ -141,12 +145,26 @@ func (c *conn) readLoop() {
 	}
 }
 
+// The handler shapes; an opTable row names exactly one.
+type (
+	// opsFunc turns a write or rmw request into the ops submitWrite
+	// routes to the group committers.
+	opsFunc func(req *Request) []core.BatchOp
+	// serveFunc answers a read or admin request: it appends the StatusOK
+	// body to dst, or returns the error reply turns into a status.
+	serveFunc func(c *conn, req *Request, dst []byte) ([]byte, error)
+	// streamFunc answers a stream request, one emit per frame, until it
+	// is done or emit fails; an error it returns ends the stream.
+	streamFunc func(c *conn, req *Request, emit func(*Response) error) error
+)
+
 func (c *conn) dispatch(req *Request) {
 	m := c.srv.metrics
 	m.Inflight.Add(1)
 	start := time.Now()
 
-	if c.srv.bucket != nil && req.Op != OpPing {
+	row := req.Op.row()
+	if c.srv.bucket != nil && !row.unthrottled {
 		wait, ok := c.srv.bucket.Reserve(c.srv.cfg.MaxThrottleDelay)
 		if !ok {
 			m.Throttled.Add(1)
@@ -166,171 +184,72 @@ func (c *conn) dispatch(req *Request) {
 		}
 	}
 
-	switch req.Op {
-	case OpPing:
-		c.finishRead(req, start, &Response{ID: req.ID, Status: StatusOK})
-	case OpGet:
-		c.handleGet(req, start)
-	case OpMultiGet:
-		c.handleMultiGet(req, start)
-	case OpScanStream:
-		c.handleScanStream(req, start)
-	case OpStats:
-		c.handleStats(req, start)
-	case OpTrace:
-		c.handleTrace(req, start)
-	case OpGetSeq:
-		c.handleGetSeq(req, start)
-	case OpCheckpoint:
-		c.handleCheckpoint(req, start)
-	case OpMerkle:
-		c.handleMerkle(req, start)
-	case OpReplSync:
-		c.handleReplSync(req, start)
-	case OpSketch:
-		c.handleSketch(req, start)
-	case OpPut:
-		c.submitWrite(req, start, []core.BatchOp{core.PutOp(req.Key, req.Value)})
-	case OpPutTTL:
-		// The absolute expiry is stamped server-side at dispatch, so
-		// clients never need a synchronized clock — only a duration.
-		exp := time.Now().UnixNano() + int64(req.TTLMillis)*int64(time.Millisecond)
-		c.submitWrite(req, start, []core.BatchOp{core.PutTTLOp(req.Key, req.Value, exp)})
-	case OpDelete:
-		c.submitWrite(req, start, []core.BatchOp{core.DeleteOp(req.Key)})
-	case OpBatch:
-		c.submitWrite(req, start, req.Ops)
-	case OpIncr:
-		c.submitWrite(req, start, []core.BatchOp{core.IncrOp(req.Key, req.Delta)})
-	case OpCas:
-		// Expected is non-nil exactly when the request has one (see
-		// DecodeRequest); nil asserts the key absent.
-		c.submitWrite(req, start, []core.BatchOp{core.CASOp(req.Key, req.Expected, req.Value)})
+	switch row.class {
+	case ClassWrite, ClassRMW:
+		c.submitWrite(req, start, row.ops)
+	case ClassStream:
+		c.stream(req, start, row.stream)
+	default: // ClassRead, ClassAdmin: DecodeRequest admits no other
+		c.reply(req, start, row.serve)
 	}
 }
 
-// finishRead records metrics for an inline-served request and sends its
-// response.
-func (c *conn) finishRead(req *Request, start time.Time, resp *Response) {
-	c.srv.metrics.observeOp(req.Op, time.Since(start))
-	c.send(resp)
-}
-
-// handleGet serves GET: the value lands directly after the response
-// header in the pooled buffer — no intermediate value slice at all.
-func (c *conn) handleGet(req *Request, start time.Time) {
+// reply is the one site that answers an inline-served request. The
+// handler appends its body straight after the response header in the
+// pooled buffer — a GET's value lands there from the engine with no
+// intermediate slice — and an error replaces the frame with its status.
+func (c *conn) reply(req *Request, start time.Time, serve serveFunc) {
 	rb := getRespBuf()
 	rb.b = binary.LittleEndian.AppendUint32(rb.b, req.ID)
 	rb.b = append(rb.b, byte(StatusOK))
-	b, err := c.srv.cfg.DB.GetAppend(req.Key, rb.b)
-	switch {
-	case err == nil:
-		rb.b = b
-	case errors.Is(err, core.ErrNotFound):
-		rb.b = AppendResponse(rb.b[:0], &Response{ID: req.ID, Status: StatusNotFound})
-	default:
+	b, err := serve(c, req, rb.b)
+	if err != nil {
 		resp := errResponse(req.ID, err)
-		rb.b = AppendResponse(rb.b[:0], &resp)
+		b = AppendResponse(rb.b[:0], &resp)
 	}
+	rb.b = b
 	c.srv.metrics.observeOp(req.Op, time.Since(start))
-	c.sendBuf(rb)
+	c.out <- rb
 }
 
-// handleMultiGet serves the MULTIGET opcode: one batched lookup, fanned
+// serveEmpty answers with an empty StatusOK body (PING, an empty BATCH).
+func serveEmpty(c *conn, req *Request, dst []byte) ([]byte, error) { return dst, nil }
+
+func serveGet(c *conn, req *Request, dst []byte) ([]byte, error) {
+	return c.srv.cfg.DB.GetAppend(req.Key, dst)
+}
+
+// serveMultiGet serves the MULTIGET opcode: one batched lookup, fanned
 // out per shard in parallel by the engine, whose response carries
 // found/value slots aligned with the request's keys.
-func (c *conn) handleMultiGet(req *Request, start time.Time) {
+func serveMultiGet(c *conn, req *Request, dst []byte) ([]byte, error) {
 	vals, err := c.srv.cfg.DB.MultiGet(req.Keys)
 	if err != nil {
-		resp := errResponse(req.ID, err)
-		c.finishRead(req, start, &resp)
-		return
+		return nil, err
 	}
-	rb := getRespBuf()
-	rb.b = binary.LittleEndian.AppendUint32(rb.b, req.ID)
-	rb.b = append(rb.b, byte(StatusOK))
-	rb.b = AppendMultiGetValues(rb.b, vals)
-	c.srv.metrics.observeOp(req.Op, time.Since(start))
-	c.sendBuf(rb)
+	return AppendMultiGetValues(dst, vals), nil
 }
 
-// handleScanStream serves SCANSTREAM: the whole scan flows to the
-// client as a sequence of SCAN-shaped frames on this request's ID —
-// more=1 frames while data remains, a final more=0 frame to end the
-// stream. Like REPLSYNC it occupies the read loop, and the bounded out
-// channel is the backpressure: a slow client stalls the scan instead of
-// buffering it. Limit bounds pairs per frame, not the stream.
-func (c *conn) handleScanStream(req *Request, start time.Time) {
-	limit := int(req.Limit)
-	if limit <= 0 || limit > c.srv.cfg.MaxScanResults {
-		limit = c.srv.cfg.MaxScanResults
-	}
-	byteBudget := c.srv.cfg.MaxFrameBytes / 2
-	pairs := make([]KV, 0, 16)
-	used := 0
-	stopped := false
-	emit := func(more bool) {
-		// send encodes synchronously, so the pair buffers may be reused
-		// as soon as it returns.
-		c.send(&Response{ID: req.ID, Status: StatusOK, Pairs: pairs, More: more})
-		pairs = pairs[:0]
-		used = 0
-	}
-	err := c.srv.cfg.DB.Scan(req.Lo, req.Hi, func(k, v []byte) bool {
-		select {
-		case <-c.stop:
-			stopped = true
-			return false
-		default:
-		}
-		pairs = append(pairs, KV{Key: k, Value: v})
-		used += len(k) + len(v) + 16
-		if len(pairs) >= limit || used >= byteBudget {
-			emit(true)
-		}
-		return true
-	})
-	if stopped {
-		// Teardown mid-stream: the client learns from the closing
-		// connection, not a frame.
-		c.srv.metrics.observeOp(req.Op, time.Since(start))
-		return
-	}
-	if err != nil {
-		// A StatusError frame on this ID ends the stream.
-		resp := errResponse(req.ID, err)
-		c.finishRead(req, start, &resp)
-		return
-	}
-	emit(false)
-	c.srv.metrics.observeOp(req.Op, time.Since(start))
+// appendJSON is the body of the opcodes that answer with a document
+// (STATS, TRACE, CHECKPOINT, MERKLE).
+func appendJSON(dst []byte, v any) ([]byte, error) {
+	body, err := json.Marshal(v)
+	return append(dst, body...), err
 }
 
-func (c *conn) handleStats(req *Request, start time.Time) {
-	body, err := json.Marshal(c.srv.payload())
-	resp := Response{ID: req.ID, Status: StatusOK, Value: body}
-	if err != nil {
-		resp = errResponse(req.ID, err)
-	}
-	c.finishRead(req, start, &resp)
+func serveStats(c *conn, req *Request, dst []byte) ([]byte, error) {
+	return appendJSON(dst, c.srv.payload())
 }
 
-// handleTrace serves the TRACE opcode: a traced point lookup whose JSON
+// serveTrace serves the TRACE opcode: a traced point lookup whose JSON
 // trace is the response body. Not-found is still StatusOK — the trace
 // reports the outcome, and the miss path is the diagnostic payoff.
-func (c *conn) handleTrace(req *Request, start time.Time) {
+func serveTrace(c *conn, req *Request, dst []byte) ([]byte, error) {
 	_, tr, err := c.srv.cfg.DB.GetTraced(req.Key)
 	if err != nil && !errors.Is(err, core.ErrNotFound) {
-		resp := errResponse(req.ID, err)
-		c.finishRead(req, start, &resp)
-		return
+		return nil, err
 	}
-	body, jerr := json.Marshal(tr)
-	resp := Response{ID: req.ID, Status: StatusOK, Value: body}
-	if jerr != nil {
-		resp = errResponse(req.ID, jerr)
-	}
-	c.finishRead(req, start, &resp)
+	return appendJSON(dst, tr)
 }
 
 // getSeqWaitTimeout bounds how long a GETSEQ read waits for its shard's
@@ -338,57 +257,45 @@ func (c *conn) handleTrace(req *Request, start time.Time) {
 // retry rather than holding the connection indefinitely.
 const getSeqWaitTimeout = 30 * time.Second
 
-// handleGetSeq serves the read-your-writes GET: wait until the key's
+// serveGetSeq serves the read-your-writes GET: wait until the key's
 // shard has applied at least MinSeq (on a follower, until replication
 // catches up), then read.
-func (c *conn) handleGetSeq(req *Request, start time.Time) {
-	if req.MinSeq > 0 {
-		db := c.srv.cfg.DB
+func serveGetSeq(c *conn, req *Request, dst []byte) ([]byte, error) {
+	if db := c.srv.cfg.DB; req.MinSeq > 0 {
 		if err := db.WaitForSeq(db.ShardOf(req.Key), req.MinSeq, getSeqWaitTimeout); err != nil {
-			resp := errResponse(req.ID, err)
-			c.finishRead(req, start, &resp)
-			return
+			return nil, err
 		}
 	}
-	c.handleGet(req, start)
+	return serveGet(c, req, dst)
 }
 
-// handleCheckpoint serves the CHECKPOINT opcode: an online backup into a
+// serveCheckpoint serves the CHECKPOINT opcode: an online backup into a
 // named subdirectory of the server's checkpoint root. It runs inline —
 // blocking only this connection — while writes proceed through the
-// committers; the response body is the durable marker's JSON.
-func (c *conn) handleCheckpoint(req *Request, start time.Time) {
+// committers; the response body is the durable marker's JSON. A
+// read-only follower serves it too: backing up from a replica is the
+// point, and the backup writes nothing to the store.
+func serveCheckpoint(c *conn, req *Request, dst []byte) ([]byte, error) {
 	name := string(req.Key)
 	if c.srv.cfg.CheckpointDir == "" {
-		resp := Response{ID: req.ID, Status: StatusError, Value: []byte("server: checkpoints not enabled (no -checkpoint-dir)")}
-		c.finishRead(req, start, &resp)
-		return
+		return nil, errors.New("server: checkpoints not enabled (no -checkpoint-dir)")
 	}
 	if name == "" || name == "." || name == ".." || strings.ContainsAny(name, "/\\") {
-		resp := Response{ID: req.ID, Status: StatusError, Value: []byte("server: checkpoint name must be a plain directory name")}
-		c.finishRead(req, start, &resp)
-		return
+		return nil, errors.New("server: checkpoint name must be a plain directory name")
 	}
 	info, err := c.srv.cfg.DB.Checkpoint(filepath.Join(c.srv.cfg.CheckpointDir, name))
 	if err != nil {
-		resp := errResponse(req.ID, err)
-		c.finishRead(req, start, &resp)
-		return
-	}
-	body, jerr := json.Marshal(info)
-	resp := Response{ID: req.ID, Status: StatusOK, Value: body}
-	if jerr != nil {
-		resp = errResponse(req.ID, jerr)
+		return nil, err
 	}
 	c.srv.cfg.Logf("server: checkpoint %q: %d files, %d bytes", name, info.Files, info.Bytes)
-	c.finishRead(req, start, &resp)
+	return appendJSON(dst, info)
 }
 
-// handleMerkle serves the MERKLE opcode: a Merkle summary of the
-// engine's logical content pinned at the request's sequence vector
-// (current watermarks when empty). The full scan runs inline, blocking
-// only this connection.
-func (c *conn) handleMerkle(req *Request, start time.Time) {
+// serveMerkle serves the MERKLE opcode: a Merkle summary of the engine's
+// logical content pinned at the request's sequence vector (current
+// watermarks when empty). The full scan runs inline, blocking only this
+// connection.
+func serveMerkle(c *conn, req *Request, dst []byte) ([]byte, error) {
 	seqs := req.Seqs
 	if len(seqs) == 0 {
 		seqs = nil
@@ -398,121 +305,183 @@ func (c *conn) handleMerkle(req *Request, start time.Time) {
 	// pinning, so cross-server comparison doesn't race replication.
 	for shard, seq := range seqs {
 		if err := c.srv.cfg.DB.WaitForSeq(shard, seq, getSeqWaitTimeout); err != nil {
-			resp := errResponse(req.ID, err)
-			c.finishRead(req, start, &resp)
-			return
+			return nil, err
 		}
 	}
 	tree, err := c.srv.cfg.DB.MerkleAt(int(req.Buckets), seqs)
 	if err != nil {
-		resp := errResponse(req.ID, err)
-		c.finishRead(req, start, &resp)
-		return
+		return nil, err
 	}
-	body, jerr := json.Marshal(tree)
-	resp := Response{ID: req.ID, Status: StatusOK, Value: body}
-	if jerr != nil {
-		resp = errResponse(req.ID, jerr)
-	}
-	c.finishRead(req, start, &resp)
+	return appendJSON(dst, tree)
 }
 
-// handleReplSync turns the connection into a replication stream: frames
-// flow as StatusOK responses bearing this request's ID until the
-// follower hangs up, the server drains, or the follower's watermarks
-// fall off the backlog (an error frame explains, then the stream ends).
-// The call occupies the read loop, so the connection is dedicated —
-// exactly how the follower uses it.
-func (c *conn) handleReplSync(req *Request, start time.Time) {
-	if c.srv.cfg.Repl == nil {
-		resp := Response{ID: req.ID, Status: StatusError, Value: []byte("server: replication not enabled")}
-		c.finishRead(req, start, &resp)
-		return
-	}
-	c.srv.cfg.Logf("server: replication stream from %s at watermarks %v", c.nc.RemoteAddr(), req.Seqs)
-	send := func(frame []byte) error {
-		select {
-		case <-c.stop:
-			return errStreamStopped
-		default:
-		}
-		c.send(&Response{ID: req.ID, Status: StatusOK, Value: frame})
-		return nil
-	}
-	err := c.srv.cfg.Repl.Stream(req.Seqs, send, c.stop)
-	c.srv.metrics.observeOp(req.Op, time.Since(start))
-	if err != nil && !errors.Is(err, errStreamStopped) {
-		c.srv.cfg.Logf("server: replication stream from %s ended: %v", c.nc.RemoteAddr(), err)
-	}
-}
-
-// errStreamStopped marks a replication stream ended by connection
-// teardown rather than a protocol condition.
-var errStreamStopped = errors.New("server: stream stopped")
-
-// submitWrite routes ops to their shards' group committers and queues
-// the ack. Ops that all land on one shard — every point write, and any
-// BATCH at one shard — go to that shard's committer as they are, so they
-// commit as one WAL record; a BATCH spanning shards is split into
-// per-shard sub-batches and the ack waits for all of them. All channels
-// apply backpressure by blocking the read loop when full.
-func (c *conn) submitWrite(req *Request, start time.Time, ops []core.BatchOp) {
-	if c.srv.cfg.ReadOnly {
-		resp := Response{ID: req.ID, Status: StatusError, Value: []byte("server: read-only replica (writes go to the primary)")}
-		c.finishRead(req, start, &resp)
-		return
-	}
-	if len(ops) == 0 {
-		c.finishRead(req, start, &Response{ID: req.ID, Status: StatusOK})
-		return
-	}
-	pw := &pendingWrite{id: req.ID, op: req.Op, start: start}
-	submit := func(shard int, ops []core.BatchOp) {
-		cr := &commitReq{ops: ops, shard: shard, done: make(chan error, 1)}
-		c.srv.committers[shard].submit(cr)
-		pw.reqs = append(pw.reqs, cr)
-	}
-	db := c.srv.cfg.DB
-	first := db.ShardOf(ops[0].Key)
-	var subs [][]core.BatchOp // nil while every op lands on first
-	for i, op := range ops[1:] {
-		shard := db.ShardOf(op.Key)
-		if subs == nil {
-			if shard == first {
-				continue
-			}
-			subs = make([][]core.BatchOp, len(c.srv.committers))
-			subs[first] = append(subs[first], ops[:i+1]...)
-		}
-		subs[shard] = append(subs[shard], op)
-	}
-	if subs == nil {
-		submit(first, ops)
-	}
-	for i, sub := range subs {
-		if len(sub) > 0 {
-			submit(i, sub)
-		}
-	}
-	c.acks <- pw
-}
-
-// handleSketch serves the SKETCH opcode from the server's per-shard
+// serveSketch serves the SKETCH opcode from the server's per-shard
 // write-stream sketches: freq routes to the key's owning shard's
 // count-min; card sums the per-shard HyperLogLog estimates, which is
 // sound because hash routing makes shard keyspaces disjoint.
-func (c *conn) handleSketch(req *Request, start time.Time) {
+func serveSketch(c *conn, req *Request, dst []byte) ([]byte, error) {
 	var est uint64
-	switch req.Sub {
-	case SketchFreq:
+	if req.Sub == SketchFreq {
 		est = c.srv.committers[c.srv.cfg.DB.ShardOf(req.Key)].sketches.Freq(req.Key)
-	case SketchCard:
+	} else {
 		for _, cm := range c.srv.committers {
 			est += cm.sketches.Card()
 		}
 	}
-	resp := Response{ID: req.ID, Status: StatusOK, Value: binary.AppendUvarint(nil, est)}
-	c.finishRead(req, start, &resp)
+	return binary.AppendUvarint(dst, est), nil
+}
+
+// errStreamStopped marks a stream ended by connection teardown rather
+// than a protocol condition.
+var errStreamStopped = errors.New("server: stream stopped")
+
+// stopped reports whether the connection is being torn down.
+func (c *conn) stopped() bool {
+	select {
+	case <-c.stop:
+		return true
+	default:
+		return false
+	}
+}
+
+// stream runs a streaming opcode. The handler occupies the read loop,
+// so the connection is in effect dedicated, and pushes frames on the
+// request's ID through emit until it is done or c.stop closes. The
+// bounded out channel behind emit is the backpressure: a slow client
+// stalls the stream instead of buffering it.
+func (c *conn) stream(req *Request, start time.Time, run streamFunc) {
+	err := run(c, req, func(resp *Response) error {
+		if c.stopped() {
+			return errStreamStopped
+		}
+		resp.ID, resp.Status = req.ID, StatusOK
+		c.send(resp)
+		return nil
+	})
+	c.srv.metrics.observeOp(req.Op, time.Since(start))
+	// After a teardown mid-stream the client learns from the closing
+	// connection, not a frame; any other error frame ends the stream.
+	if err != nil && !errors.Is(err, errStreamStopped) {
+		resp := errResponse(req.ID, err)
+		c.send(&resp)
+	}
+}
+
+// streamScan serves SCANSTREAM: the whole scan flows to the client as a
+// sequence of scan frames — more=1 while data remains, a final more=0
+// frame to end the stream. Limit bounds pairs per frame, not the stream.
+func streamScan(c *conn, req *Request, emit func(*Response) error) error {
+	limit := int(req.Limit)
+	if limit <= 0 || limit > c.srv.cfg.MaxScanResults {
+		limit = c.srv.cfg.MaxScanResults
+	}
+	pairs := make([]KV, 0, 16)
+	used := 0
+	var emitErr error
+	flush := func(more bool) {
+		// emit encodes synchronously, so the pair buffers may be reused
+		// as soon as it returns.
+		emitErr = emit(&Response{Pairs: pairs, More: more})
+		pairs, used = pairs[:0], 0
+	}
+	err := c.srv.cfg.DB.Scan(req.Lo, req.Hi, func(k, v []byte) bool {
+		// Checked per pair, not only per frame: a frame can be
+		// MaxScanResults pairs of scanning away.
+		if c.stopped() {
+			emitErr = errStreamStopped
+			return false
+		}
+		pairs = append(pairs, KV{Key: k, Value: v})
+		used += len(k) + len(v) + 16
+		if len(pairs) >= limit || used >= MaxFrameBytes/2 {
+			flush(true)
+		}
+		return emitErr == nil
+	})
+	if err == nil && emitErr == nil {
+		flush(false)
+	}
+	return errors.Join(err, emitErr)
+}
+
+// streamRepl turns the connection into a replication stream: frames
+// flow as StatusOK responses bearing this request's ID until the
+// follower hangs up, the server drains, or the follower's watermarks
+// fall off the backlog.
+func streamRepl(c *conn, req *Request, emit func(*Response) error) error {
+	if c.srv.cfg.Repl == nil {
+		return errors.New("server: replication not enabled")
+	}
+	c.srv.cfg.Logf("server: replication stream from %s at watermarks %v", c.nc.RemoteAddr(), req.Seqs)
+	err := c.srv.cfg.Repl.Stream(req.Seqs, func(frame []byte) error {
+		return emit(&Response{Value: frame})
+	}, c.stop)
+	// Stream has already shipped a replication error frame saying why, so
+	// the error is logged and not answered a second time.
+	if err != nil && !errors.Is(err, errStreamStopped) {
+		c.srv.cfg.Logf("server: replication stream from %s ended: %v", c.nc.RemoteAddr(), err)
+	}
+	return nil
+}
+
+// The write and rmw rows: a request as the engine ops it commits.
+func putOps(req *Request) []core.BatchOp    { return []core.BatchOp{core.PutOp(req.Key, req.Value)} }
+func deleteOps(req *Request) []core.BatchOp { return []core.BatchOp{core.DeleteOp(req.Key)} }
+func batchOps(req *Request) []core.BatchOp  { return req.Ops }
+func incrOps(req *Request) []core.BatchOp   { return []core.BatchOp{core.IncrOp(req.Key, req.Delta)} }
+
+// putTTLOps stamps the absolute expiry server-side, so clients never
+// need a synchronized clock — only a duration. decodeField has capped
+// TTLMillis, so the product cannot overflow, and the sum saturates.
+func putTTLOps(req *Request) []core.BatchOp {
+	ttl := time.Duration(req.TTLMillis) * time.Millisecond
+	exp := kv.ExpiryAfter(time.Now().UnixNano(), ttl.Nanoseconds())
+	return []core.BatchOp{core.PutTTLOp(req.Key, req.Value, exp)}
+}
+
+// casOps relies on Expected being non-nil exactly when the request has
+// one (see decodeField); nil asserts the key absent.
+func casOps(req *Request) []core.BatchOp {
+	return []core.BatchOp{core.CASOp(req.Key, req.Expected, req.Value)}
+}
+
+var errReadOnly = errors.New("server: read-only replica (writes go to the primary)")
+
+// submitWrite routes a write's ops to their shards' group committers and
+// queues the ack; a read-only server refuses here, so by class. Ops that
+// all land on one shard — every point write, and any BATCH at one shard
+// — go to that shard's committer as they are, so they commit as one WAL
+// record; a BATCH spanning shards is split into per-shard sub-batches
+// and the ack waits for all of them. All channels apply backpressure by
+// blocking the read loop when full.
+func (c *conn) submitWrite(req *Request, start time.Time, opsOf opsFunc) {
+	if c.srv.cfg.ReadOnly {
+		c.reply(req, start, func(*conn, *Request, []byte) ([]byte, error) { return nil, errReadOnly })
+		return
+	}
+	ops := opsOf(req)
+	if len(ops) == 0 {
+		c.reply(req, start, serveEmpty)
+		return
+	}
+	pw := &pendingWrite{id: req.ID, op: req.Op, start: start}
+	submit := func(s int, ops []core.BatchOp) {
+		cr := &commitReq{ops: ops, shard: s, done: make(chan error, 1)}
+		c.srv.committers[s].submit(cr)
+		pw.reqs = append(pw.reqs, cr)
+	}
+	n := len(c.srv.committers)
+	if s, ok := shard.SoleShard(n, len(ops), func(i int) []byte { return ops[i].Key }); ok {
+		submit(s, ops)
+	} else {
+		for s, sub := range shard.SplitBatch(ops, n) {
+			if len(sub) > 0 {
+				submit(s, sub)
+			}
+		}
+	}
+	c.acks <- pw
 }
 
 func (c *conn) ackLoop() {
@@ -529,12 +498,9 @@ func (c *conn) ackLoop() {
 		} else if rmw := pw.reqs[0].ops[0].RMW; rmw != nil {
 			// RMW acks own their body (the INCR result), so they carry no
 			// seq-ack coordinates; see PROTOCOL.md.
-			switch {
-			case errors.Is(rmw.Err, core.ErrCASMismatch):
-				resp = Response{ID: pw.id, Status: StatusConflict, Value: []byte(rmw.Err.Error())}
-			case rmw.Err != nil:
+			if rmw.Err != nil {
 				resp = errResponse(pw.id, rmw.Err)
-			case pw.op == OpIncr:
+			} else if rmw.Incr {
 				resp.Value = binary.AppendVarint(nil, rmw.Result)
 			}
 		} else {
@@ -557,9 +523,15 @@ func (c *conn) ackLoop() {
 	close(c.out)
 }
 
+// errResponse is the one mapping from an error to a response status.
 func errResponse(id uint32, err error) Response {
 	status := StatusError
-	if errors.Is(err, core.ErrClosed) {
+	switch {
+	case errors.Is(err, core.ErrNotFound):
+		return Response{ID: id, Status: StatusNotFound}
+	case errors.Is(err, core.ErrCASMismatch):
+		status = StatusConflict
+	case errors.Is(err, core.ErrClosed):
 		status = StatusShutdown
 	}
 	return Response{ID: id, Status: status, Value: []byte(err.Error())}
@@ -567,16 +539,9 @@ func errResponse(id uint32, err error) Response {
 
 // send encodes resp into a pooled buffer and queues it; it blocks when
 // the client stops reading (bounded buffering, natural backpressure).
-// The write loop returns the buffer to the pool after the frame is out.
 func (c *conn) send(resp *Response) {
 	rb := getRespBuf()
 	rb.b = AppendResponse(rb.b, resp)
-	c.sendBuf(rb)
-}
-
-// sendBuf queues an already-encoded pooled payload. Everything on c.out
-// is pool-owned: the write loop is the single point of release.
-func (c *conn) sendBuf(rb *respBuf) {
 	c.out <- rb
 }
 
@@ -588,7 +553,7 @@ func (c *conn) writeLoop(done chan struct{}) {
 		if broken {
 			return
 		}
-		c.nc.SetWriteDeadline(time.Now().Add(c.srv.cfg.WriteTimeout))
+		c.nc.SetWriteDeadline(time.Now().Add(writeTimeout))
 		if err := WriteFrame(c.bw, rb.b); err != nil {
 			// The connection is dead: keep draining out so the other
 			// goroutines never block, and close to unblock the reader. The
@@ -604,7 +569,7 @@ func (c *conn) writeLoop(done chan struct{}) {
 		if broken {
 			return
 		}
-		c.nc.SetWriteDeadline(time.Now().Add(c.srv.cfg.WriteTimeout))
+		c.nc.SetWriteDeadline(time.Now().Add(writeTimeout))
 		if err := c.bw.Flush(); err != nil {
 			broken = true
 			c.nc.Close()

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -140,38 +141,17 @@ func (m *Metrics) Snapshot() Snapshot {
 		}
 		s.Ops[op.String()] = m.Latency[op].Snapshot().Summary()
 	}
-	lo := 1
-	for i := 0; i < commitHistBuckets; i++ {
+	// Bucket labels: "1", "2", "4", ... and "1024+" for the open tail.
+	for i := range m.BatchSizeHist {
 		if v := m.BatchSizeHist[i].Load(); v != 0 {
-			key := fmt1(lo)
-			s.BatchSizeHist[key] = v
+			label := strconv.Itoa(1 << i)
+			if i == commitHistBuckets-1 {
+				label += "+"
+			}
+			s.BatchSizeHist[label] = v
 		}
-		lo <<= 1
 	}
 	return s
-}
-
-func fmt1(lo int) string {
-	// Bucket labels: "1", "2", "4", ... "1024+" for the open tail.
-	const tail = 1 << (commitHistBuckets - 1)
-	if lo >= tail {
-		return itoa(tail) + "+"
-	}
-	return itoa(lo)
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
 }
 
 // EventsPayload groups the two event rings on the wire: the serving

@@ -5,47 +5,13 @@
 // connection limits, read/write deadlines, graceful drain on shutdown,
 // and live metrics over HTTP.
 //
-// Wire format (both directions):
-//
-//	uint32 LE frameLen      // length of everything after these 4 bytes
-//	uint32 LE requestID     // echoed verbatim in the response
-//	uint8     opcode/status
-//	body...                 // opcode-specific, see below
-//
-// Because every response carries the request ID, a client may keep many
-// requests in flight on one connection (pipelining) and match responses
-// out of order. Request ID 0 (ConnErrID) is reserved for connection-level
-// errors: the server uses it to report that framing was lost before
-// hanging up, so clients must never assign it to a request. Request
-// bodies use the engine's uvarint length-prefixed byte strings:
-//
-//	GET        key
-//	PUT        key value
-//	DELETE     key
-//	BATCH      uvarint(n) then n× (uint8 kind, key[, value])  // kind 0=put 1=delete
-//	STATS      (empty)
-//	PING       (empty)
-//	TRACE      key
-//	MULTIGET   uvarint(n) then n× key    // batched point reads
-//	SCANSTREAM lo hi uvarint(limit)      // server-streamed scan; limit 0 = server default
-//	PUTTTL     key value uvarint(ttlMillis)
-//	INCR       key varint(delta)         // atomic counter add
-//	CAS        key uint8(hasExpected)[, expected] newValue
-//	SKETCH     uint8(sub)[, key]         // sub 1=freq(key) 2=card
-//
-// Response bodies: GET returns the raw value; STATS returns JSON; TRACE
-// returns the JSON-encoded read-path trace (StatusOK even when the key is
-// absent — the trace itself reports found/not-found); MULTIGET returns
-// uvarint(n), then n× (uint8 found[, value]) aligned with the request's
-// keys; INCR returns varint(result); SKETCH returns uvarint(estimate);
-// CAS answers StatusConflict on mismatch; error statuses carry the
-// message as raw bytes. SCANSTREAM answers with an open-ended sequence of
-// scan frames on the request's ID, each uint8(more), uvarint(count), then
-// count× (key value) — more=1 means another frame follows, the frame with
-// more=0 ends the stream — so a full scan costs one request whatever the
-// range size. PROTOCOL.md is the
-// complete wire reference; cmd/doccheck cross-checks its opcode table
-// against the constants below.
+// Every frame, in both directions, is a length word, a request ID that
+// the response echoes, an opcode or status byte and a body; because of
+// the ID a client may keep many requests in flight on one connection and
+// match responses out of order. PROTOCOL.md is the wire reference — the
+// framing, every request and response body, the statuses, the streaming
+// opcodes; cmd/doccheck holds its opcode table to opTable below, the one
+// place an opcode's name, request body and class are written down.
 package server
 
 import (
@@ -54,9 +20,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"time"
 
 	"lsmkv/internal/core"
 	"lsmkv/internal/kv"
+	"lsmkv/internal/replica"
 )
 
 // Opcode identifies a request operation.
@@ -71,7 +40,7 @@ const (
 	// OpScan was the paged SCAN, retired in favour of OpScanStream. The
 	// number stays reserved so it is never reused: a frame carrying it
 	// decodes to errScanRetired and is answered with StatusError.
-	OpScan  Opcode = 5 // reserved
+	OpScan  Opcode = 5
 	OpBatch Opcode = 6
 	OpStats Opcode = 7
 	// OpTrace is a GET that also returns the read path taken: every run
@@ -121,49 +90,149 @@ const (
 	// under), sub 2 estimates the distinct keys written (HyperLogLog).
 	// The response body is a uvarint estimate.
 	OpSketch Opcode = 18
-	// opMax bounds the per-opcode metric arrays.
+	// opMax bounds opTable and the per-opcode metric arrays.
 	opMax = 19
 )
 
-func (o Opcode) String() string {
-	switch o {
-	case OpPing:
-		return "ping"
-	case OpGet:
-		return "get"
-	case OpPut:
-		return "put"
-	case OpDelete:
-		return "delete"
-	case OpBatch:
-		return "batch"
-	case OpStats:
-		return "stats"
-	case OpTrace:
-		return "trace"
-	case OpCheckpoint:
-		return "checkpoint"
-	case OpReplSync:
-		return "replsync"
-	case OpGetSeq:
-		return "getseq"
-	case OpMerkle:
-		return "merkle"
-	case OpMultiGet:
-		return "multiget"
-	case OpScanStream:
-		return "scanstream"
-	case OpPutTTL:
-		return "putttl"
-	case OpIncr:
-		return "incr"
-	case OpCas:
-		return "cas"
-	case OpSketch:
-		return "sketch"
-	default:
-		return fmt.Sprintf("op(%d)", uint8(o))
+// Class is how an opcode is served, and so what a client may do when a
+// response is lost.
+type Class uint8
+
+// Opcode classes.
+const (
+	// ClassRead opcodes read the store inline on the connection's read
+	// loop; re-sending one is harmless.
+	ClassRead Class = iota + 1
+	// ClassWrite opcodes go to their shards' group committers and are
+	// refused by a read-only server. Each is idempotent (last writer
+	// wins, tombstones), so re-sending one after a lost ack is safe.
+	ClassWrite
+	// ClassRMW opcodes are writes whose outcome depends on the value they
+	// find: a client never re-sends one once its frame may be out.
+	ClassRMW
+	// ClassStream opcodes answer with an open-ended sequence of frames
+	// and occupy the connection's read loop until the stream ends.
+	ClassStream
+	// ClassAdmin opcodes act on the server, not on a key's value (ping,
+	// stats, backup); they are served inline like reads.
+	ClassAdmin
+)
+
+func (c Class) String() string {
+	return [...]string{"", "read", "write", "rmw", "stream", "admin"}[c]
+}
+
+// field is one element of a request body, named for the Request member
+// it fills. Fields of one wire shape share one case of appendField and
+// one of decodeField, and the latter owns the shape's bound.
+type field uint8
+
+const (
+	fKey field = iota // string, non-empty
+	// string
+	fValue
+	fLo
+	fHi
+	// uvarint, capped by uvarintMax
+	fLimit
+	fMinSeq
+	fBuckets
+	fTTLMillis
+	fDelta    // varint
+	fSeqs     // uvarint count, then count× uvarint
+	fKeys     // uvarint count, then count× non-empty string
+	fOps      // uvarint count, then count× (uint8 kind, key[, value])
+	fExpected // uint8 present (0 or 1)[, string]
+	fSub      // uint8 sub[, key]: SketchFreq carries the key
+	numFields
+)
+
+// MaxTTLMillis is the largest PUTTTL time-to-live the server accepts: the
+// longest a nanosecond duration can hold (about 292 years). The expiry
+// saturates (kv.ExpiryAfter), so it means "never" and not a wrapped,
+// already-expired timestamp.
+const MaxTTLMillis = math.MaxInt64 / uint64(time.Millisecond)
+
+// uvarintMax holds the largest value a uvarint field accepts (zero: no
+// cap). A MERKLE bucket count sizes an allocation; a TTL the server
+// cannot represent is refused, not wrapped.
+var uvarintMax = [numFields]uint64{fBuckets: replica.MaxMerkleBuckets, fTTLMillis: MaxTTLMillis}
+
+// opRow is everything known about one opcode. The codec, conn.dispatch,
+// the client's retry rule and cmd/doccheck all read it; nothing switches
+// on an opcode (TestOneOpcodeTable).
+type opRow struct {
+	name  string
+	class Class   // zero: the number is unassigned, or retired
+	body  []field // request body grammar, in wire order
+	// retired is what a frame carrying a reserved number decodes to.
+	retired error
+	// unthrottled exempts the opcode from the token bucket: a health
+	// probe has to get through a server that is shedding load.
+	unthrottled bool
+	// Exactly one handler, chosen by class (see conn.dispatch).
+	ops    opsFunc    // write, rmw
+	serve  serveFunc  // read, admin
+	stream streamFunc // stream
+}
+
+// opTable is indexed by Opcode. init fills it, and not its declaration,
+// only because a handler reaches back to it (STATS renders
+// Opcode.String), which Go calls an initialization cycle.
+var opTable [opMax]opRow
+
+func init() {
+	opTable = [opMax]opRow{
+		OpPing:       {name: "ping", class: ClassAdmin, serve: serveEmpty, unthrottled: true},
+		OpGet:        {name: "get", class: ClassRead, body: []field{fKey}, serve: serveGet},
+		OpPut:        {name: "put", class: ClassWrite, body: []field{fKey, fValue}, ops: putOps},
+		OpDelete:     {name: "delete", class: ClassWrite, body: []field{fKey}, ops: deleteOps},
+		OpScan:       {name: "scan", retired: errScanRetired},
+		OpBatch:      {name: "batch", class: ClassWrite, body: []field{fOps}, ops: batchOps},
+		OpStats:      {name: "stats", class: ClassAdmin, serve: serveStats},
+		OpTrace:      {name: "trace", class: ClassRead, body: []field{fKey}, serve: serveTrace},
+		OpCheckpoint: {name: "checkpoint", class: ClassAdmin, body: []field{fKey}, serve: serveCheckpoint},
+		OpReplSync:   {name: "replsync", class: ClassStream, body: []field{fSeqs}, stream: streamRepl},
+		OpGetSeq:     {name: "getseq", class: ClassRead, body: []field{fKey, fMinSeq}, serve: serveGetSeq},
+		OpMerkle:     {name: "merkle", class: ClassRead, body: []field{fBuckets, fSeqs}, serve: serveMerkle},
+		OpMultiGet:   {name: "multiget", class: ClassRead, body: []field{fKeys}, serve: serveMultiGet},
+		OpScanStream: {name: "scanstream", class: ClassStream, body: []field{fLo, fHi, fLimit}, stream: streamScan},
+		OpPutTTL:     {name: "putttl", class: ClassWrite, body: []field{fKey, fValue, fTTLMillis}, ops: putTTLOps},
+		OpIncr:       {name: "incr", class: ClassRMW, body: []field{fKey, fDelta}, ops: incrOps},
+		OpCas:        {name: "cas", class: ClassRMW, body: []field{fKey, fExpected, fValue}, ops: casOps},
+		OpSketch:     {name: "sketch", class: ClassRead, body: []field{fSub}, serve: serveSketch},
 	}
+}
+
+// row returns o's table row: the zero row for an unassigned number, in
+// the table or past it.
+func (o Opcode) row() *opRow {
+	if o >= opMax {
+		o = 0
+	}
+	return &opTable[o]
+}
+
+func (o Opcode) String() string {
+	if r := o.row(); r.name != "" {
+		return r.name
+	}
+	return fmt.Sprintf("op(%d)", uint8(o))
+}
+
+// Class returns o's class; it is zero for a number that is unassigned,
+// or assigned and reserved.
+func (o Opcode) Class() Class { return o.row().class }
+
+// Opcodes lists every assigned opcode number in order, reserved ones
+// included; cmd/doccheck holds PROTOCOL.md's table to it.
+func Opcodes() (ops []Opcode) {
+	for op := Opcode(1); op < opMax; op++ {
+		if op.row().name != "" {
+			ops = append(ops, op)
+		}
+	}
+	return ops
 }
 
 // Status is the response disposition.
@@ -186,8 +255,10 @@ const (
 	StatusConflict Status = 5
 )
 
-// DefaultMaxFrameBytes bounds a single request or response frame.
-const DefaultMaxFrameBytes = 16 << 20
+// MaxFrameBytes bounds a single request or response frame. Server and
+// client must agree on it, so it is a constant and not a setting of
+// either.
+const MaxFrameBytes = 16 << 20
 
 // ConnErrID is the reserved request ID for connection-level error
 // responses (framing lost, connection about to close). No request may
@@ -317,94 +388,10 @@ func WriteFrame(w *bufio.Writer, payload []byte) error {
 func AppendRequest(dst []byte, req *Request) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, req.ID)
 	dst = append(dst, byte(req.Op))
-	switch req.Op {
-	case OpGet, OpDelete, OpTrace:
-		dst = kv.AppendLengthPrefixed(dst, req.Key)
-	case OpPut:
-		dst = kv.AppendLengthPrefixed(dst, req.Key)
-		dst = kv.AppendLengthPrefixed(dst, req.Value)
-	case OpBatch:
-		dst = binary.AppendUvarint(dst, uint64(len(req.Ops)))
-		for _, op := range req.Ops {
-			if op.Kind == kv.KindDelete {
-				dst = append(dst, wireBatchDelete)
-				dst = kv.AppendLengthPrefixed(dst, op.Key)
-			} else {
-				dst = append(dst, wireBatchPut)
-				dst = kv.AppendLengthPrefixed(dst, op.Key)
-				dst = kv.AppendLengthPrefixed(dst, op.Value)
-			}
-		}
-	case OpCheckpoint:
-		dst = kv.AppendLengthPrefixed(dst, req.Key)
-	case OpReplSync:
-		dst = appendSeqVector(dst, req.Seqs)
-	case OpGetSeq:
-		dst = kv.AppendLengthPrefixed(dst, req.Key)
-		dst = binary.AppendUvarint(dst, req.MinSeq)
-	case OpMerkle:
-		dst = binary.AppendUvarint(dst, req.Buckets)
-		dst = appendSeqVector(dst, req.Seqs)
-	case OpMultiGet:
-		dst = binary.AppendUvarint(dst, uint64(len(req.Keys)))
-		for _, k := range req.Keys {
-			dst = kv.AppendLengthPrefixed(dst, k)
-		}
-	case OpScanStream:
-		dst = kv.AppendLengthPrefixed(dst, req.Lo)
-		dst = kv.AppendLengthPrefixed(dst, req.Hi)
-		dst = binary.AppendUvarint(dst, req.Limit)
-	case OpPutTTL:
-		dst = kv.AppendLengthPrefixed(dst, req.Key)
-		dst = kv.AppendLengthPrefixed(dst, req.Value)
-		dst = binary.AppendUvarint(dst, req.TTLMillis)
-	case OpIncr:
-		dst = kv.AppendLengthPrefixed(dst, req.Key)
-		dst = binary.AppendVarint(dst, req.Delta)
-	case OpCas:
-		dst = kv.AppendLengthPrefixed(dst, req.Key)
-		if req.HasExpected {
-			dst = append(dst, 1)
-			dst = kv.AppendLengthPrefixed(dst, req.Expected)
-		} else {
-			dst = append(dst, 0)
-		}
-		dst = kv.AppendLengthPrefixed(dst, req.Value)
-	case OpSketch:
-		dst = append(dst, req.Sub)
-		if req.Sub == SketchFreq {
-			dst = kv.AppendLengthPrefixed(dst, req.Key)
-		}
+	for _, f := range req.Op.row().body {
+		dst = appendField(dst, f, req)
 	}
 	return dst
-}
-
-func appendSeqVector(dst []byte, seqs []uint64) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(seqs)))
-	for _, s := range seqs {
-		dst = binary.AppendUvarint(dst, s)
-	}
-	return dst
-}
-
-// decodeSeqVector parses a uvarint-counted sequence vector with
-// allocation bounded by the remaining body.
-func decodeSeqVector(body []byte) ([]uint64, []byte, bool) {
-	count, w := binary.Uvarint(body)
-	if w <= 0 || count > uint64(len(body)+1) {
-		return nil, body, false
-	}
-	body = body[w:]
-	seqs := make([]uint64, 0, count)
-	for i := uint64(0); i < count; i++ {
-		s, w := binary.Uvarint(body)
-		if w <= 0 {
-			return nil, body, false
-		}
-		body = body[w:]
-		seqs = append(seqs, s)
-	}
-	return seqs, body, true
 }
 
 // DecodeRequest parses a frame payload into a Request. Returned byte
@@ -417,187 +404,189 @@ func DecodeRequest(payload []byte) (Request, error) {
 	}
 	req.ID = binary.LittleEndian.Uint32(payload)
 	req.Op = Opcode(payload[4])
-	body := payload[payloadHeaderLen:]
-	var ok bool
-	switch req.Op {
-	case OpPing, OpStats:
-	case OpGet, OpDelete, OpTrace:
-		if req.Key, body, ok = kv.DecodeLengthPrefixed(body); !ok || len(req.Key) == 0 {
-			return req, ErrMalformed
+	row := req.Op.row()
+	if row.class == 0 {
+		if row.retired != nil {
+			return req, row.retired
 		}
-	case OpPut:
-		if req.Key, body, ok = kv.DecodeLengthPrefixed(body); !ok || len(req.Key) == 0 {
-			return req, ErrMalformed
-		}
-		if req.Value, body, ok = kv.DecodeLengthPrefixed(body); !ok {
-			return req, ErrMalformed
-		}
-	case OpScan:
-		return req, errScanRetired
-	case OpBatch:
-		count, w := binary.Uvarint(body)
-		if w <= 0 {
-			return req, ErrMalformed
-		}
-		body = body[w:]
-		// Every op consumes at least 2 bytes, so a count beyond that is a
-		// lie; checking before allocating bounds the slice by the frame.
-		if count > uint64(len(body)/2+1) {
-			return req, ErrMalformed
-		}
-		req.Ops = make([]core.BatchOp, 0, count)
-		for i := uint64(0); i < count; i++ {
-			if len(body) < 1 {
-				return req, ErrMalformed
-			}
-			kind := body[0]
-			body = body[1:]
-			var op core.BatchOp
-			switch kind {
-			case wireBatchPut:
-				op.Kind = kv.KindSet
-				if op.Key, body, ok = kv.DecodeLengthPrefixed(body); !ok || len(op.Key) == 0 {
-					return req, ErrMalformed
-				}
-				if op.Value, body, ok = kv.DecodeLengthPrefixed(body); !ok {
-					return req, ErrMalformed
-				}
-			case wireBatchDelete:
-				op.Kind = kv.KindDelete
-				if op.Key, body, ok = kv.DecodeLengthPrefixed(body); !ok || len(op.Key) == 0 {
-					return req, ErrMalformed
-				}
-			default:
-				return req, ErrMalformed
-			}
-			req.Ops = append(req.Ops, op)
-		}
-	case OpCheckpoint:
-		if req.Key, body, ok = kv.DecodeLengthPrefixed(body); !ok || len(req.Key) == 0 {
-			return req, ErrMalformed
-		}
-	case OpReplSync:
-		if req.Seqs, body, ok = decodeSeqVector(body); !ok {
-			return req, ErrMalformed
-		}
-	case OpGetSeq:
-		if req.Key, body, ok = kv.DecodeLengthPrefixed(body); !ok || len(req.Key) == 0 {
-			return req, ErrMalformed
-		}
-		var w int
-		if req.MinSeq, w = binary.Uvarint(body); w <= 0 {
-			return req, ErrMalformed
-		}
-		body = body[w:]
-	case OpMerkle:
-		var w int
-		if req.Buckets, w = binary.Uvarint(body); w <= 0 {
-			return req, ErrMalformed
-		}
-		body = body[w:]
-		if req.Seqs, body, ok = decodeSeqVector(body); !ok {
-			return req, ErrMalformed
-		}
-	case OpMultiGet:
-		count, w := binary.Uvarint(body)
-		if w <= 0 {
-			return req, ErrMalformed
-		}
-		body = body[w:]
-		// Every key consumes at least 2 bytes (length prefix + one byte —
-		// empty keys are rejected below), so a larger count is a lie;
-		// checking before allocating bounds the slice by the frame.
-		if count > uint64(len(body)/2+1) {
-			return req, ErrMalformed
-		}
-		req.Keys = make([][]byte, 0, count)
-		for i := uint64(0); i < count; i++ {
-			var k []byte
-			if k, body, ok = kv.DecodeLengthPrefixed(body); !ok || len(k) == 0 {
-				return req, ErrMalformed
-			}
-			req.Keys = append(req.Keys, k)
-		}
-	case OpScanStream:
-		if req.Lo, body, ok = kv.DecodeLengthPrefixed(body); !ok {
-			return req, ErrMalformed
-		}
-		if req.Hi, body, ok = kv.DecodeLengthPrefixed(body); !ok {
-			return req, ErrMalformed
-		}
-		var w int
-		if req.Limit, w = binary.Uvarint(body); w <= 0 {
-			return req, ErrMalformed
-		}
-		body = body[w:]
-	case OpPutTTL:
-		if req.Key, body, ok = kv.DecodeLengthPrefixed(body); !ok || len(req.Key) == 0 {
-			return req, ErrMalformed
-		}
-		if req.Value, body, ok = kv.DecodeLengthPrefixed(body); !ok {
-			return req, ErrMalformed
-		}
-		var w int
-		if req.TTLMillis, w = binary.Uvarint(body); w <= 0 {
-			return req, ErrMalformed
-		}
-		body = body[w:]
-	case OpIncr:
-		if req.Key, body, ok = kv.DecodeLengthPrefixed(body); !ok || len(req.Key) == 0 {
-			return req, ErrMalformed
-		}
-		var w int
-		if req.Delta, w = binary.Varint(body); w <= 0 {
-			return req, ErrMalformed
-		}
-		body = body[w:]
-	case OpCas:
-		if req.Key, body, ok = kv.DecodeLengthPrefixed(body); !ok || len(req.Key) == 0 {
-			return req, ErrMalformed
-		}
-		if len(body) < 1 {
-			return req, ErrMalformed
-		}
-		marker := body[0]
-		body = body[1:]
-		switch marker {
-		case 0:
-		case 1:
-			req.HasExpected = true
-			if req.Expected, body, ok = kv.DecodeLengthPrefixed(body); !ok {
-				return req, ErrMalformed
-			}
-			if req.Expected == nil {
-				req.Expected = []byte{}
-			}
-		default:
-			return req, ErrMalformed
-		}
-		if req.Value, body, ok = kv.DecodeLengthPrefixed(body); !ok {
-			return req, ErrMalformed
-		}
-	case OpSketch:
-		if len(body) < 1 {
-			return req, ErrMalformed
-		}
-		req.Sub = body[0]
-		body = body[1:]
-		switch req.Sub {
-		case SketchFreq:
-			if req.Key, body, ok = kv.DecodeLengthPrefixed(body); !ok || len(req.Key) == 0 {
-				return req, ErrMalformed
-			}
-		case SketchCard:
-		default:
-			return req, ErrMalformed
-		}
-	default:
 		return req, ErrMalformed
+	}
+	body, ok := payload[payloadHeaderLen:], true
+	for _, f := range row.body {
+		if body, ok = decodeField(f, body, &req); !ok {
+			return req, ErrMalformed
+		}
 	}
 	if len(body) != 0 {
 		return req, ErrMalformed
 	}
 	return req, nil
+}
+
+// bytesField and uintField select the member a string or uvarint fills.
+func (r *Request) bytesField(f field) *[]byte {
+	return [...]*[]byte{fValue: &r.Value, fLo: &r.Lo, fHi: &r.Hi}[f]
+}
+
+func (r *Request) uintField(f field) *uint64 {
+	return [...]*uint64{fLimit: &r.Limit, fMinSeq: &r.MinSeq, fBuckets: &r.Buckets, fTTLMillis: &r.TTLMillis}[f]
+}
+
+// appendField encodes one body field of r.
+func appendField(dst []byte, f field, r *Request) []byte {
+	switch f {
+	case fKey:
+		return kv.AppendLengthPrefixed(dst, r.Key)
+	case fValue, fLo, fHi:
+		return kv.AppendLengthPrefixed(dst, *r.bytesField(f))
+	case fLimit, fMinSeq, fBuckets, fTTLMillis:
+		return binary.AppendUvarint(dst, *r.uintField(f))
+	case fDelta:
+		return binary.AppendVarint(dst, r.Delta)
+	case fSeqs:
+		dst = binary.AppendUvarint(dst, uint64(len(r.Seqs)))
+		for _, s := range r.Seqs {
+			dst = binary.AppendUvarint(dst, s)
+		}
+	case fKeys:
+		dst = binary.AppendUvarint(dst, uint64(len(r.Keys)))
+		for _, k := range r.Keys {
+			dst = kv.AppendLengthPrefixed(dst, k)
+		}
+	case fOps:
+		dst = binary.AppendUvarint(dst, uint64(len(r.Ops)))
+		for _, op := range r.Ops {
+			if op.Kind == kv.KindDelete {
+				dst = kv.AppendLengthPrefixed(append(dst, wireBatchDelete), op.Key)
+			} else {
+				dst = kv.AppendLengthPrefixed(append(dst, wireBatchPut), op.Key)
+				dst = kv.AppendLengthPrefixed(dst, op.Value)
+			}
+		}
+	case fExpected:
+		if !r.HasExpected {
+			return append(dst, 0)
+		}
+		return kv.AppendLengthPrefixed(append(dst, 1), r.Expected)
+	case fSub:
+		dst = append(dst, r.Sub)
+		if r.Sub == SketchFreq {
+			dst = kv.AppendLengthPrefixed(dst, r.Key)
+		}
+	}
+	return dst
+}
+
+// decodeField parses one body field into r and returns the rest of the
+// body; ok is false for anything truncated, over its cap or miscounted.
+func decodeField(f field, body []byte, r *Request) (rest []byte, ok bool) {
+	switch f {
+	case fKey:
+		r.Key, body, ok = decodeKey(body)
+	case fValue, fLo, fHi:
+		*r.bytesField(f), body, ok = kv.DecodeLengthPrefixed(body)
+	case fLimit, fMinSeq, fBuckets, fTTLMillis:
+		v, w := binary.Uvarint(body)
+		if max := uvarintMax[f]; w <= 0 || (max != 0 && v > max) {
+			return nil, false
+		}
+		*r.uintField(f), body, ok = v, body[w:], true
+	case fDelta:
+		v, w := binary.Varint(body)
+		if w <= 0 {
+			return nil, false
+		}
+		r.Delta, body, ok = v, body[w:], true
+	case fSeqs:
+		var n uint64
+		if n, body, ok = decodeCount(body, 1); !ok {
+			return nil, false
+		}
+		r.Seqs = make([]uint64, n)
+		for i := range r.Seqs {
+			var w int
+			if r.Seqs[i], w = binary.Uvarint(body); w <= 0 {
+				return nil, false
+			}
+			body = body[w:]
+		}
+	case fKeys:
+		var n uint64
+		if n, body, ok = decodeCount(body, 2); !ok {
+			return nil, false
+		}
+		r.Keys = make([][]byte, n)
+		for i := range r.Keys {
+			if r.Keys[i], body, ok = decodeKey(body); !ok {
+				return nil, false
+			}
+		}
+	case fOps:
+		var n uint64
+		if n, body, ok = decodeCount(body, 3); !ok {
+			return nil, false
+		}
+		r.Ops = make([]core.BatchOp, n)
+		for i := range r.Ops {
+			if len(body) == 0 {
+				return nil, false
+			}
+			op, kind := &r.Ops[i], body[0]
+			if op.Key, body, ok = decodeKey(body[1:]); !ok {
+				return nil, false
+			}
+			switch kind {
+			case wireBatchPut:
+				op.Kind = kv.KindSet
+				if op.Value, body, ok = kv.DecodeLengthPrefixed(body); !ok {
+					return nil, false
+				}
+			case wireBatchDelete:
+				op.Kind = kv.KindDelete
+			default:
+				return nil, false
+			}
+		}
+	case fExpected:
+		if len(body) == 0 || body[0] > 1 {
+			return nil, false
+		}
+		r.HasExpected, body, ok = body[0] == 1, body[1:], true
+		if r.HasExpected {
+			if r.Expected, body, ok = kv.DecodeLengthPrefixed(body); ok && r.Expected == nil {
+				r.Expected = []byte{} // expected-empty, as distinct from expected-absent
+			}
+		}
+	case fSub:
+		if len(body) == 0 {
+			return nil, false
+		}
+		r.Sub, body = body[0], body[1:]
+		switch r.Sub {
+		case SketchFreq:
+			r.Key, body, ok = decodeKey(body)
+		case SketchCard:
+			ok = true
+		}
+	}
+	return body, ok
+}
+
+// decodeKey parses a string that must not be empty.
+func decodeKey(body []byte) (key, rest []byte, ok bool) {
+	key, rest, ok = kv.DecodeLengthPrefixed(body)
+	return key, rest, ok && len(key) > 0
+}
+
+// decodeCount parses the count of a repeated element of at least elemMin
+// bytes. Refusing a count the rest of the body cannot hold bounds the
+// slice the caller allocates by the frame.
+func decodeCount(body []byte, elemMin int) (n uint64, rest []byte, ok bool) {
+	n, w := binary.Uvarint(body)
+	if w <= 0 || n > uint64((len(body)-w)/elemMin) {
+		return 0, nil, false
+	}
+	return n, body[w:], true
 }
 
 // AppendResponse encodes resp as a frame payload (without the length

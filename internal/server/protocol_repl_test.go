@@ -18,32 +18,6 @@ func TestWireConstantParity(t *testing.T) {
 	}
 }
 
-func TestReplRequestRoundTrip(t *testing.T) {
-	cases := []Request{
-		{Op: OpCheckpoint, Key: []byte("nightly-01")},
-		{Op: OpReplSync, Seqs: []uint64{0, 7, 1 << 33}},
-		{Op: OpReplSync, Seqs: []uint64{}},
-		{Op: OpGetSeq, Key: []byte("k"), MinSeq: 42},
-		{Op: OpGetSeq, Key: []byte("k"), MinSeq: 0},
-		{Op: OpMerkle, Buckets: 256, Seqs: []uint64{9, 9}},
-		{Op: OpMerkle},
-	}
-	for _, c := range cases {
-		got := roundTripRequest(t, c)
-		if got.Op != c.Op || string(got.Key) != string(c.Key) || got.MinSeq != c.MinSeq || got.Buckets != c.Buckets {
-			t.Fatalf("round trip %v: got %+v, want %+v", c.Op, got, c)
-		}
-		if len(got.Seqs) != len(c.Seqs) {
-			t.Fatalf("round trip %v: seqs %v, want %v", c.Op, got.Seqs, c.Seqs)
-		}
-		for i := range c.Seqs {
-			if got.Seqs[i] != c.Seqs[i] {
-				t.Fatalf("round trip %v: seqs %v, want %v", c.Op, got.Seqs, c.Seqs)
-			}
-		}
-	}
-}
-
 func TestSeqAcksRoundTrip(t *testing.T) {
 	acks := []ShardSeq{{Shard: 0, Seq: 12}, {Shard: 7, Seq: 1 << 40}}
 	got, err := DecodeSeqAcks(AppendSeqAcks(nil, acks))

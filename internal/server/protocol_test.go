@@ -4,77 +4,255 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io"
+	"math"
+	"os"
+	"reflect"
+	"strings"
 	"testing"
+	"unicode"
 
 	"lsmkv/internal/core"
+	"lsmkv/internal/replica"
 )
 
-func roundTripRequest(t *testing.T, req Request) Request {
-	t.Helper()
-	payload := AppendRequest(nil, &req)
-	var buf bytes.Buffer
-	bw := bufio.NewWriter(&buf)
-	if err := WriteFrame(bw, payload); err != nil {
-		t.Fatal(err)
+// fieldValues returns the boundary values a request-body field is
+// exercised with: the smallest it admits first, then what its shape makes
+// interesting (empty against non-empty strings, the largest uvarint its
+// cap allows, nil against empty expected, both SKETCH forms).
+func fieldValues(f field) []func(*Request) {
+	key := func(k string) func(*Request) { return func(r *Request) { r.Key = []byte(k) } }
+	switch f {
+	case fKey:
+		return []func(*Request){key("k"), key("a-longer-key")}
+	case fValue, fLo, fHi:
+		return []func(*Request){
+			func(r *Request) { *r.bytesField(f) = []byte{} },
+			func(r *Request) { *r.bytesField(f) = []byte("some bytes") },
+		}
+	case fLimit, fMinSeq, fBuckets, fTTLMillis:
+		max := uvarintMax[f]
+		if max == 0 {
+			max = math.MaxUint64
+		}
+		return []func(*Request){
+			func(r *Request) { *r.uintField(f) = 0 },
+			func(r *Request) { *r.uintField(f) = max },
+		}
+	case fDelta:
+		return []func(*Request){
+			func(r *Request) { r.Delta = math.MinInt64 },
+			func(r *Request) { r.Delta = math.MaxInt64 },
+		}
+	case fSeqs:
+		return []func(*Request){
+			func(r *Request) { r.Seqs = []uint64{} },
+			func(r *Request) { r.Seqs = []uint64{0, 7, math.MaxUint64} },
+		}
+	case fKeys:
+		return []func(*Request){
+			func(r *Request) { r.Keys = [][]byte{} },
+			func(r *Request) { r.Keys = [][]byte{[]byte("a"), []byte("bb"), []byte("ccc")} },
+		}
+	case fOps:
+		return []func(*Request){
+			func(r *Request) { r.Ops = []core.BatchOp{} },
+			func(r *Request) {
+				r.Ops = []core.BatchOp{
+					core.PutOp([]byte("a"), []byte("1")),
+					core.DeleteOp([]byte("b")),
+					core.PutOp([]byte("c"), []byte{}),
+				}
+			},
+		}
+	case fExpected:
+		return []func(*Request){
+			func(r *Request) {}, // expected-absent
+			func(r *Request) { r.HasExpected, r.Expected = true, []byte{} },
+			func(r *Request) { r.HasExpected, r.Expected = true, []byte("old") },
+		}
+	case fSub:
+		return []func(*Request){
+			func(r *Request) { r.Sub = SketchCard },
+			func(r *Request) { r.Sub, r.Key = SketchFreq, []byte("k") },
+		}
 	}
-	bw.Flush()
-	got, err := ReadFrame(&buf, DefaultMaxFrameBytes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec, err := DecodeRequest(got)
-	if err != nil {
-		t.Fatalf("decode %v: %v", req.Op, err)
-	}
-	return dec
+	panic("fieldValues: unknown field")
 }
 
+// TestRequestRoundTrip builds requests for every row of the opcode table
+// from the row's own field list — so a new opcode is covered by being
+// declared — and checks that each survives encode, framing and decode
+// exactly, nil-versus-empty included.
 func TestRequestRoundTrip(t *testing.T) {
-	cases := []Request{
-		{ID: 1, Op: OpPing},
-		{ID: 2, Op: OpStats},
-		{ID: 3, Op: OpGet, Key: []byte("k")},
-		{ID: 4, Op: OpDelete, Key: []byte("gone")},
-		{ID: 5, Op: OpPut, Key: []byte("k"), Value: []byte("v")},
-		{ID: 6, Op: OpPut, Key: []byte("k"), Value: nil},
-		{ID: 9, Op: OpBatch, Ops: []core.BatchOp{
-			core.PutOp([]byte("a"), []byte("1")),
-			core.DeleteOp([]byte("b")),
-			core.PutOp([]byte("c"), nil),
-		}},
-		{ID: 10, Op: OpMultiGet, Keys: [][]byte{[]byte("a"), []byte("bb"), []byte("ccc")}},
-		{ID: 11, Op: OpScanStream, Lo: []byte("a"), Hi: []byte("z"), Limit: 7},
-		{ID: 12, Op: OpScanStream, Lo: nil, Hi: nil, Limit: 0},
+	for _, op := range Opcodes() {
+		row := op.row()
+		if row.retired != nil {
+			continue
+		}
+		// Variant v takes each field's v-th value (its last, once past them).
+		variants := 1
+		for _, f := range row.body {
+			variants = max(variants, len(fieldValues(f)))
+		}
+		for v := 0; v < variants; v++ {
+			want := Request{ID: uint32(op)<<8 | uint32(v), Op: op}
+			for _, f := range row.body {
+				vals := fieldValues(f)
+				vals[min(v, len(vals)-1)](&want)
+			}
+			var buf bytes.Buffer
+			bw := bufio.NewWriter(&buf)
+			if err := WriteFrame(bw, AppendRequest(nil, &want)); err != nil {
+				t.Fatal(err)
+			}
+			bw.Flush()
+			payload, err := ReadFrame(&buf, MaxFrameBytes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := DecodeRequest(payload)
+			if err != nil {
+				t.Fatalf("%v variant %d: decode: %v", op, v, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%v variant %d round trip:\n got  %+v\n want %+v", op, v, got, want)
+			}
+		}
 	}
-	for _, want := range cases {
-		got := roundTripRequest(t, want)
-		if got.ID != want.ID || got.Op != want.Op {
-			t.Fatalf("header mismatch: got %+v want %+v", got, want)
+}
+
+// TestRequestGoldenBytes pins one encoded request per opcode to the
+// bytes the parent of the one-table codec (PR 27) produced for it: the
+// table changed how the codec is written, not what it writes.
+func TestRequestGoldenBytes(t *testing.T) {
+	for _, tc := range []struct {
+		req Request
+		hex string
+	}{
+		{Request{ID: 1, Op: OpPing}, "0100000001"},
+		{Request{ID: 2, Op: OpGet, Key: []byte("k")}, "0200000002016b"},
+		{Request{ID: 3, Op: OpPut, Key: []byte("k"), Value: []byte("val")}, "0300000003016b0376616c"},
+		{Request{ID: 4, Op: OpDelete, Key: []byte("gone")}, "040000000404676f6e65"},
+		{Request{ID: 6, Op: OpBatch, Ops: []core.BatchOp{
+			core.PutOp([]byte("a"), []byte("1")), core.DeleteOp([]byte("b")), core.PutOp([]byte("c"), nil),
+		}}, "060000000603000161013101016200016300"},
+		{Request{ID: 7, Op: OpStats}, "0700000007"},
+		{Request{ID: 8, Op: OpTrace, Key: []byte("k")}, "0800000008016b"},
+		{Request{ID: 9, Op: OpCheckpoint, Key: []byte("nightly")}, "0900000009076e696768746c79"},
+		{Request{ID: 10, Op: OpReplSync, Seqs: []uint64{0, 7, 1 << 33}}, "0a0000000a0300078080808020"},
+		{Request{ID: 11, Op: OpGetSeq, Key: []byte("k"), MinSeq: 300}, "0b0000000b016bac02"},
+		{Request{ID: 12, Op: OpMerkle, Buckets: 256, Seqs: []uint64{9, 9}}, "0c0000000c8002020909"},
+		{Request{ID: 13, Op: OpMultiGet, Keys: [][]byte{[]byte("a"), []byte("bb")}}, "0d0000000d020161026262"},
+		{Request{ID: 14, Op: OpScanStream, Lo: []byte("a"), Hi: []byte("z"), Limit: 7}, "0e0000000e0161017a07"},
+		{Request{ID: 15, Op: OpPutTTL, Key: []byte("k"), Value: []byte("v"), TTLMillis: 1500}, "0f0000000f016b0176dc0b"},
+		{Request{ID: 16, Op: OpIncr, Key: []byte("k"), Delta: -7}, "1000000010016b0d"},
+		{Request{ID: 17, Op: OpCas, Key: []byte("k"), HasExpected: true, Expected: []byte("old"), Value: []byte("new")}, "1100000011016b01036f6c64036e6577"},
+		{Request{ID: 0x11000011, Op: OpCas, Key: []byte("k"), Value: []byte("new")}, "1100001111016b00036e6577"},
+		{Request{ID: 18, Op: OpSketch, Sub: SketchFreq, Key: []byte("k")}, "120000001201016b"},
+		{Request{ID: 0x12000012, Op: OpSketch, Sub: SketchCard}, "120000121202"},
+	} {
+		if got := hex.EncodeToString(AppendRequest(nil, &tc.req)); got != tc.hex {
+			t.Errorf("%v encodes as %s, want %s", tc.req.Op, got, tc.hex)
 		}
-		if !bytes.Equal(got.Key, want.Key) || !bytes.Equal(got.Value, want.Value) ||
-			!bytes.Equal(got.Lo, want.Lo) || !bytes.Equal(got.Hi, want.Hi) || got.Limit != want.Limit {
-			t.Fatalf("body mismatch: got %+v want %+v", got, want)
+	}
+}
+
+// TestGetCodecAllocs: the table loop keeps a GET's encode and decode off
+// the heap (benchmark/ times this pair as server.codec_req_ns).
+func TestGetCodecAllocs(t *testing.T) {
+	req := &Request{ID: 7, Op: OpGet, Key: []byte("key-000042")}
+	buf := make([]byte, 0, 64)
+	if n := testing.AllocsPerRun(1000, func() {
+		buf = AppendRequest(buf[:0], req)
+		if r, err := DecodeRequest(buf); err != nil || len(r.Key) == 0 {
+			t.Fatal("GET did not round trip")
 		}
-		if len(got.Ops) != len(want.Ops) {
-			t.Fatalf("ops mismatch: got %d want %d", len(got.Ops), len(want.Ops))
+	}); n != 0 {
+		t.Fatalf("GET encode+decode allocates %v times per op, want 0", n)
+	}
+}
+
+// TestOneOpcodeTable keeps opTable the only per-opcode structure, beside
+// core's TestOneWritePath / TestOneReadPath / TestOneMaintenancePath:
+// every number has a row or is unassigned on purpose, a row has the one
+// handler its class calls, and no non-test source of the packages that
+// speak the protocol switches on, compares against, or keys a second
+// table by an Op* constant.
+func TestOneOpcodeTable(t *testing.T) {
+	names := map[string]Opcode{}
+	for op := Opcode(1); op < opMax; op++ {
+		row := op.row()
+		if row.name == "" {
+			t.Errorf("opcode %d has no row: give it one, or mark the number retired", op)
+			continue
 		}
-		for i := range got.Ops {
-			if got.Ops[i].Kind != want.Ops[i].Kind ||
-				!bytes.Equal(got.Ops[i].Key, want.Ops[i].Key) ||
-				!bytes.Equal(got.Ops[i].Value, want.Ops[i].Value) {
-				t.Fatalf("op %d mismatch: got %+v want %+v", i, got.Ops[i], want.Ops[i])
+		if prev, dup := names[row.name]; dup {
+			t.Errorf("opcodes %d and %d are both named %q", prev, op, row.name)
+		}
+		names[row.name] = op
+		handlers := map[string]bool{"ops": row.ops != nil, "serve": row.serve != nil, "stream": row.stream != nil}
+		want := map[Class]string{ClassRead: "serve", ClassAdmin: "serve", ClassWrite: "ops", ClassRMW: "ops", ClassStream: "stream"}[row.class]
+		for h, set := range handlers {
+			if set != (h == want) {
+				t.Errorf("%v (class %v): handler %s set=%v, want only %q", op, row.class, h, set, want)
 			}
 		}
-		if len(got.Keys) != len(want.Keys) {
-			t.Fatalf("keys mismatch: got %d want %d", len(got.Keys), len(want.Keys))
+		if (row.class == 0) != (row.retired != nil) {
+			t.Errorf("%v: class %v but retired=%v; a row is live or retired", op, row.class, row.retired)
 		}
-		for i := range got.Keys {
-			if !bytes.Equal(got.Keys[i], want.Keys[i]) {
-				t.Fatalf("key %d mismatch: got %q want %q", i, got.Keys[i], want.Keys[i])
+	}
+
+	isOp := func(e ast.Expr) bool {
+		if sel, ok := e.(*ast.SelectorExpr); ok {
+			e = sel.Sel
+		}
+		id, ok := e.(*ast.Ident)
+		return ok && len(id.Name) > 2 && strings.HasPrefix(id.Name, "Op") && unicode.IsUpper(rune(id.Name[2]))
+	}
+	tables := 0
+	for _, dir := range []string{".", "../client", "../../cmd/lsmctl", "../../cmd/doccheck", "../../cmd/lsmserver"} {
+		fset := token.NewFileSet()
+		pkgs, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool {
+			return !strings.HasSuffix(fi.Name(), "_test.go")
+		}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pkg := range pkgs {
+			for _, file := range pkg.Files {
+				ast.Inspect(file, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.CaseClause:
+						for _, e := range n.List {
+							if isOp(e) {
+								t.Errorf("%s: case on an opcode; put what it decides in the opTable row", fset.Position(e.Pos()))
+							}
+						}
+					case *ast.BinaryExpr:
+						if (n.Op == token.EQL || n.Op == token.NEQ) && (isOp(n.X) || isOp(n.Y)) {
+							t.Errorf("%s: comparison against an opcode; put what it decides in the opTable row", fset.Position(n.Pos()))
+						}
+					case *ast.CompositeLit:
+						for _, e := range n.Elts {
+							if kv, ok := e.(*ast.KeyValueExpr); ok && isOp(kv.Key) {
+								tables++
+								return true
+							}
+						}
+					}
+					return true
+				})
 			}
 		}
+	}
+	if tables != 1 {
+		t.Errorf("%d composite literals are keyed by Op* constants, want exactly one (opTable)", tables)
 	}
 }
 
@@ -144,6 +322,11 @@ func TestDecodeRequestMalformed(t *testing.T) {
 		"multiget empty key":     append([]byte{0, 0, 0, 0, byte(OpMultiGet)}, 1, 0),
 		"multiget truncated key": append([]byte{0, 0, 0, 0, byte(OpMultiGet)}, 2, 1, 'a', 5, 'b'),
 		"multiget trailing junk": append([]byte{0, 0, 0, 0, byte(OpMultiGet)}, 1, 1, 'k', 0xAA),
+
+		// The two capped uvarints: one past the cap is malformed, so it
+		// never sizes an allocation or wraps an expiry.
+		"merkle buckets over cap": AppendRequest(nil, &Request{Op: OpMerkle, Buckets: replica.MaxMerkleBuckets + 1}),
+		"putttl millis over cap":  AppendRequest(nil, &Request{Op: OpPutTTL, Key: []byte("k"), TTLMillis: MaxTTLMillis + 1}),
 
 		"scanstream missing limit": append([]byte{0, 0, 0, 0, byte(OpScanStream)}, 1, 'a', 1, 'z'),
 		"scanstream truncated hi":  append([]byte{0, 0, 0, 0, byte(OpScanStream)}, 1, 'a', 9, 'z'),

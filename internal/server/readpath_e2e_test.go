@@ -172,7 +172,7 @@ func TestScanStreamProperty(t *testing.T) {
 			for _, r := range ranges {
 				exp := inRange(r[0], r[1])
 				streamed := collect(cl.ScanStream, r[0], r[1])
-				scanAll := collect(cl.ScanAll, r[0], r[1])
+				scanAll := collect(cl.Scan, r[0], r[1])
 				for name, got := range map[string][]string{
 					"streamed": streamed, "scanall": scanAll,
 				} {

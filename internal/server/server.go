@@ -50,13 +50,6 @@ type Config struct {
 	// MaxConns bounds concurrent connections; excess accepts are closed
 	// immediately. Default 1024.
 	MaxConns int
-	// MaxFrameBytes bounds request and response frames. Default 16 MiB.
-	MaxFrameBytes int
-	// IdleTimeout closes connections with no complete request for this
-	// long. Default 5 minutes.
-	IdleTimeout time.Duration
-	// WriteTimeout bounds each response flush. Default 30 seconds.
-	WriteTimeout time.Duration
 	// RatePerSec, when positive, enables token-bucket backpressure at
 	// that many requests per second across all connections.
 	RatePerSec float64
@@ -82,8 +75,9 @@ type Config struct {
 	// primary; its status appears in STATS//metrics. The caller owns its
 	// lifecycle.
 	Follower *replica.Follower
-	// ReadOnly rejects PUT/DELETE/BATCH — the posture of a follower, whose
-	// only writer is the replication stream applying below the protocol.
+	// ReadOnly rejects every write and rmw opcode (ClassWrite, ClassRMW) —
+	// the posture of a follower, whose only writer is the replication
+	// stream applying below the protocol.
 	ReadOnly bool
 	// CheckpointDir, when non-empty, enables the CHECKPOINT opcode:
 	// checkpoint names resolve to subdirectories of it.
@@ -92,21 +86,16 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
+// A connection that completes no request for idleTimeout is closed;
+// writeTimeout bounds each response flush.
+const idleTimeout, writeTimeout = 5 * time.Minute, 30 * time.Second
+
 func (c Config) withDefaults() (Config, error) {
 	if c.DB == nil {
 		return c, errors.New("server: Config.DB is required")
 	}
 	if c.MaxConns <= 0 {
 		c.MaxConns = 1024
-	}
-	if c.MaxFrameBytes <= 0 {
-		c.MaxFrameBytes = DefaultMaxFrameBytes
-	}
-	if c.IdleTimeout <= 0 {
-		c.IdleTimeout = 5 * time.Minute
-	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 30 * time.Second
 	}
 	if c.Burst <= 0 {
 		c.Burst = 16

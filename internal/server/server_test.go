@@ -158,7 +158,7 @@ func TestServerBasicOps(t *testing.T) {
 		t.Fatal(err)
 	}
 	var scanned []string
-	if err := cl.ScanAll([]byte("a"), []byte("z"), func(k, v []byte) bool {
+	if err := cl.Scan([]byte("a"), []byte("z"), func(k, v []byte) bool {
 		scanned = append(scanned, string(k)+"="+string(v))
 		return true
 	}); err != nil {
@@ -494,16 +494,20 @@ func TestMalformedFrames(t *testing.T) {
 
 	// Valid frame, unknown opcode -> server.StatusError, connection
 	// survives. So does a well-formed frame of the retired paged SCAN
-	// (opcode 5, reserved): its error names the replacement.
+	// (opcode 5, reserved): its error names the replacement. And so does
+	// a MERKLE asking for 2^56 buckets, which used to reach make() and
+	// take the whole process down.
+	hugeMerkle := server.AppendRequest(nil, &server.Request{ID: 6, Op: server.OpMerkle, Buckets: 1 << 56})
 	var payload []byte
 	for _, bad := range [][]byte{
 		{9, 0, 0, 0, 7, 0, 0, 0, 99, 1, 2, 3, 4},
 		{10, 0, 0, 0, 8, 0, 0, 0, byte(server.OpScan), 1, 'a', 1, 'z', 10},
+		append([]byte{byte(len(hugeMerkle)), 0, 0, 0}, hugeMerkle...),
 	} {
 		if _, err := nc.Write(bad); err != nil {
 			t.Fatal(err)
 		}
-		payload, err = server.ReadFrame(nc, server.DefaultMaxFrameBytes)
+		payload, err = server.ReadFrame(nc, server.MaxFrameBytes)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -521,7 +525,7 @@ func TestMalformedFrames(t *testing.T) {
 	if _, err := nc.Write(frame); err != nil {
 		t.Fatal(err)
 	}
-	payload, err = server.ReadFrame(nc, server.DefaultMaxFrameBytes)
+	payload, err = server.ReadFrame(nc, server.MaxFrameBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -533,18 +537,18 @@ func TestMalformedFrames(t *testing.T) {
 	if _, err := nc.Write([]byte{0xFF, 0xFF, 0xFF, 0x7F}); err != nil {
 		t.Fatal(err)
 	}
-	payload, err = server.ReadFrame(nc, server.DefaultMaxFrameBytes)
+	payload, err = server.ReadFrame(nc, server.MaxFrameBytes)
 	if err == nil {
 		if resp, _ := server.DecodeResponse(payload, false); resp.Status != server.StatusError {
 			t.Fatalf("want server.StatusError for oversized frame, got %+v", resp)
 		}
 		// Connection must now be closed by the server.
 		nc.SetReadDeadline(time.Now().Add(2 * time.Second))
-		if _, err := server.ReadFrame(nc, server.DefaultMaxFrameBytes); err == nil {
+		if _, err := server.ReadFrame(nc, server.MaxFrameBytes); err == nil {
 			t.Fatal("connection still open after framing loss")
 		}
 	}
-	if got := srv.Metrics().DecodeErrors.Load(); got < 3 {
-		t.Fatalf("DecodeErrors = %d, want >= 3", got)
+	if got := srv.Metrics().DecodeErrors.Load(); got < 4 {
+		t.Fatalf("DecodeErrors = %d, want >= 4", got)
 	}
 }

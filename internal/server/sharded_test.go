@@ -78,7 +78,7 @@ func TestShardedServerEndToEnd(t *testing.T) {
 	// A paginated scan sees the merged, ordered keyspace.
 	var got []string
 	var prev string
-	err := cl.ScanAll([]byte("e2e-"), []byte("e2e-~"), func(k, v []byte) bool {
+	err := cl.Scan([]byte("e2e-"), []byte("e2e-~"), func(k, v []byte) bool {
 		if prev != "" && string(k) <= prev {
 			t.Fatalf("scan out of order: %q then %q", prev, k)
 		}
@@ -229,7 +229,7 @@ func TestShardedShutdownNoGoroutineLeak(t *testing.T) {
 			defer scl.Close()
 			for i := 0; i < 50; i++ {
 				// Errors are expected once the drain begins.
-				if err := scl.ScanAll([]byte("leak-"), []byte("leak-~"), func(k, v []byte) bool {
+				if err := scl.Scan([]byte("leak-"), []byte("leak-~"), func(k, v []byte) bool {
 					return true
 				}); err != nil {
 					return

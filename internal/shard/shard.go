@@ -237,7 +237,7 @@ func (db *DB) GetAppend(key, dst []byte) ([]byte, error) {
 // onto this.
 func (db *DB) MultiGet(keys [][]byte) ([][]byte, error) {
 	vals := make([][]byte, len(keys))
-	if s, ok := soleShard(db.n, len(keys), func(i int) []byte { return keys[i] }); ok {
+	if s, ok := SoleShard(db.n, len(keys), func(i int) []byte { return keys[i] }); ok {
 		for i, k := range keys {
 			v, err := db.engines[s].Get(k)
 			if err := slot(vals, i, v, err); err != nil {
@@ -280,11 +280,11 @@ func slot(vals [][]byte, i int, v []byte, err error) error {
 	return nil
 }
 
-// soleShard reports the one shard every key of a call routes to, when
+// SoleShard reports the one shard every key of a call routes to, when
 // there is one: always on a 1-shard database, and on a sharded one
 // whenever the input happens to. Such a call runs on the caller's
 // goroutine against that engine, with no per-shard slices built.
-func soleShard(n, count int, keyAt func(i int) []byte) (int, bool) {
+func SoleShard(n, count int, keyAt func(i int) []byte) (int, bool) {
 	if count == 0 {
 		return 0, true
 	}
@@ -385,7 +385,7 @@ func (db *DB) Delete(key []byte) error {
 // shards is NOT atomic across them — a crash can persist some shards'
 // sub-batches and not others'.
 func (db *DB) ApplyBatch(ops []core.BatchOp, syncWAL bool) error {
-	if s, ok := soleShard(db.n, len(ops), func(i int) []byte { return ops[i].Key }); ok {
+	if s, ok := SoleShard(db.n, len(ops), func(i int) []byte { return ops[i].Key }); ok {
 		return db.engines[s].ApplyBatch(ops, syncWAL)
 	}
 	return fanOut(SplitBatch(ops, db.n), func(s int, sub []core.BatchOp) error {

@@ -304,6 +304,24 @@ func WiscKey() *Options {
 	}
 }
 
+// Preset returns the named design point as the command-line tools spell
+// it (-preset): default, read, write, balanced or wisckey.
+func Preset(name string) (*Options, error) {
+	switch name {
+	case "default":
+		return Default(), nil
+	case "read":
+		return ReadOptimized(), nil
+	case "write":
+		return WriteOptimized(), nil
+	case "balanced":
+		return Balanced(), nil
+	case "wisckey":
+		return WiscKey(), nil
+	}
+	return nil, errors.New("lsmkv: unknown preset \"" + name + "\" (default | read | write | balanced | wisckey)")
+}
+
 // toCore maps public options to the engine configuration.
 func (o *Options) toCore(dir string) (core.Options, error) {
 	t := o.SizeRatio
