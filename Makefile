@@ -132,6 +132,7 @@ fuzz:
 	$(GO) test ./internal/server/ -fuzz FuzzMultiGetRequest -fuzztime 30s
 	$(GO) test ./internal/server/ -fuzz FuzzIncrCasRequest -fuzztime 30s
 	$(GO) test ./internal/replica/ -fuzz FuzzReplFrame -fuzztime 30s
+	$(GO) test . -run FuzzDesignChoices -fuzz FuzzDesignChoices -fuzztime 30s
 
 # Run a server on ./serve-db with metrics, for poking at with lsmctl:
 #   make serve &

@@ -9,14 +9,17 @@
 //
 //	doccheck -root . [-ops OPERATIONS.md] [-protocol PROTOCOL.md] [helpfile ...]
 //
-// Four checks run:
+// Five checks run:
 //
 //   - Link check: every inline markdown link pointing at a local path,
 //     and every FILE.md mention in prose, must name a file that exists
 //     (relative to the referencing document, or to the root).
 //   - Flag check: every `-flag` span in -ops must appear in one of the
 //     helpfile arguments — each a captured `-help` output of a shipped
-//     binary (the Makefile builds them and snapshots their help).
+//     binary (the Makefile builds them and snapshots their help) — and
+//     each engine flag (a core.Knobs row served by lsmserver) must have a
+//     row of its own in -ops whose Default cell is the knob's default, or
+//     the default -help prints where lsmserver overrides the library's.
 //   - Protocol check: the opcode table in -protocol must agree with the
 //     server's own opcode table (server.Opcodes, imported — not parsed out
 //     of Go source) on every number, name, class and reserved mark, in
@@ -24,6 +27,9 @@
 //     opcode that was removed, a renumbering or a reclassification on
 //     either side fails the build. A retired opcode keeps its row in both
 //     tables; the document's says "reserved".
+//   - Knob check: TUNING.md's knob reference must hold exactly one row
+//     per row of core.Knobs (imported), rendered from it: name, field,
+//     axis, default, legal range, live and tuner bounds, flag.
 //   - Experiment check: the index rows of DESIGN.md, the `## En` headings
 //     of EXPERIMENTS.md and its summary rows must each name exactly the
 //     experiments internal/bench registers, once each — an experiment
@@ -38,10 +44,12 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 
 	"lsmkv/internal/bench"
+	"lsmkv/internal/core"
 	"lsmkv/internal/server"
 )
 
@@ -57,6 +65,8 @@ var (
 	// helpFlag matches a flag definition line in `flag` package -help
 	// output: two leading spaces, then -name.
 	helpFlag = regexp.MustCompile(`(?m)^\s+-([A-Za-z0-9][A-Za-z0-9.-]*)`)
+	// helpDefault matches a flag whose usage line ends in its default.
+	helpDefault = regexp.MustCompile(`(?m)^  -([A-Za-z0-9.-]+)[^\n]*\n    \t[^\n]*\(default ([^)\n]*)\)$`)
 	// docOpcode matches one row of the PROTOCOL.md opcode table: the row
 	// leads with the numeric value, then the Go constant name in a code
 	// span, then the class (`| 3 | ` + "`OpPut`" + ` | write | ...`); the
@@ -81,6 +91,7 @@ func main() {
 
 	checkLinks(*root, complain)
 	checkExperiments(*root, complain)
+	checkKnobs(*root, complain)
 	if *ops != "" {
 		checkFlags(*ops, flag.Args(), complain)
 	}
@@ -266,6 +277,7 @@ func checkExperiments(root string, complain func(string, ...any)) {
 func checkFlags(opsPath string, helpFiles []string, complain func(string, ...any)) {
 	// The flag package answers -h/-help without listing them.
 	known := map[string]bool{"h": true, "help": true}
+	defaults := map[string]string{}
 	for _, hf := range helpFiles {
 		body, err := os.ReadFile(hf)
 		if err != nil {
@@ -274,6 +286,9 @@ func checkFlags(opsPath string, helpFiles []string, complain func(string, ...any
 		}
 		for _, m := range helpFlag.FindAllStringSubmatch(string(body), -1) {
 			known[m[1]] = true
+		}
+		for _, m := range helpDefault.FindAllStringSubmatch(string(body), -1) {
+			defaults[m[1]] = strings.Replace(m[2], "true", "on", 1)
 		}
 	}
 	if len(known) == 0 {
@@ -302,4 +317,78 @@ func checkFlags(opsPath string, helpFiles []string, complain func(string, ...any
 			complain("%s: flag `-%s` not in any binary's -help output", opsPath, name)
 		}
 	}
+	for i := range core.Knobs {
+		k := &core.Knobs[i]
+		if !k.Flag {
+			continue
+		}
+		want, ok := defaults[k.Name]
+		if !ok {
+			want = knobDefault(k)
+		}
+		row := regexp.MustCompile("(?m)^\\| `-" + regexp.QuoteMeta(k.Name) + "` \\| *([^|]*?) *\\|").FindStringSubmatch(string(body))
+		if row == nil || row[1] != want && !strings.HasPrefix(row[1], want+" ") {
+			complain("%s: engine flag `-%s` needs a row of its own with Default %q", opsPath, k.Name, want)
+		}
+	}
+}
+
+// checkKnobs holds TUNING.md's knob reference to core.Knobs, both ways:
+// each knob's row as rendered from the table, and no other row.
+func checkKnobs(root string, complain func(string, ...any)) {
+	path := filepath.Join(root, "TUNING.md")
+	body, err := os.ReadFile(path)
+	if err != nil {
+		complain("read %s: %v", path, err)
+		return
+	}
+	_, section, _ := strings.Cut(string(body), "\n## Knob reference")
+	section, _, _ = strings.Cut(section, "\n## ")
+	documented := map[string]bool{}
+	for _, line := range strings.Split(section, "\n") {
+		documented[line] = strings.HasPrefix(line, "| `")
+	}
+	for i := range core.Knobs {
+		k := &core.Knobs[i]
+		live, flag := "", ""
+		if k.Live != nil {
+			live = "yes"
+		}
+		if k.Tune != [2]float64{} {
+			live += ", tuner " + k.Format(k.Tune[0]) + ".." + k.Format(k.Tune[1])
+		}
+		if k.Flag {
+			flag = "`-" + k.Name + "`"
+		}
+		row := fmt.Sprintf("| `%s` | `%s` | %s | %s | %s | %s | %s |", k.Name, fieldName(k), k.Axis, knobDefault(k), k.Range(), live, flag)
+		if !documented[row] {
+			complain("%s: knob %s has no knob-reference row %s", path, k.Name, row)
+		}
+		delete(documented, row)
+	}
+	for row, isRow := range documented {
+		if isRow {
+			complain("%s: knob-reference row %s is not a row of core.Knobs", path, row)
+		}
+	}
+}
+
+// fieldName is the Go name of k's field in core.Options.
+func fieldName(k *core.Knob) string {
+	var o core.Options
+	v := reflect.ValueOf(&o).Elem()
+	for _, f := range reflect.VisibleFields(v.Type()) {
+		if !f.Anonymous && v.FieldByIndex(f.Index).Addr().Interface() == k.Field(&o) {
+			return f.Name
+		}
+	}
+	return ""
+}
+
+// knobDefault renders a knob's default as the documents spell it.
+func knobDefault(k *core.Knob) string {
+	if k.Derived != "" {
+		return k.Derived
+	}
+	return k.Format(k.Default)
 }

@@ -87,7 +87,7 @@ type env struct {
 
 // batch applies ops in one call: one WAL record in-process, one BATCH
 // frame over the wire. In-process the record is synced under the same
-// policy a single Put is (Options.WALSync), and Close flushes whatever
+// policy a single Put is (Options.SyncWAL), and Close flushes whatever
 // was not.
 func (e *env) batch(ops []lsmkv.BatchOp) error {
 	if e.db != nil {
@@ -539,10 +539,7 @@ func printTunerStatus(sts []lsmkv.TunerStatus) {
 		}
 		fmt.Printf("shard %d: %s  interval=%s cooldown=%s  samples=%d moves=%d\n",
 			st.Shard, state, st.Interval, st.Cooldown, st.Samples, st.Moves)
-		c := st.Current
-		fmt.Printf("  knobs: T=%d K=%d Z=%d bits/key=%.1f l0-slowdown=%d l0-stop=%d max-delay=%s\n",
-			c.SizeRatio, c.K, c.Z, c.FilterBitsPerKey,
-			c.L0SlowdownTrigger, c.L0StopTrigger, c.SlowdownMaxDelay)
+		fmt.Printf("  knobs: %s\n", st.Current.Describe(nil))
 		if st.TargetDesign != "" {
 			fmt.Printf("  steering toward: %s\n", st.TargetDesign)
 		}

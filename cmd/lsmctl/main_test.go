@@ -12,12 +12,20 @@ import (
 
 	"lsmkv"
 	"lsmkv/internal/client"
+	"lsmkv/internal/core"
 	"lsmkv/internal/server"
 )
 
 // runCaptured runs one lsmctl command line against e and returns what it
 // printed, with the error (if any) as a last line.
 func runCaptured(t *testing.T, e *env, args ...string) string {
+	t.Helper()
+	return captured(t, func() error { return runCommand(e, args) })
+}
+
+// captured returns what fn printed, with its error (if any) as a last
+// line.
+func captured(t *testing.T, fn func() error) string {
 	t.Helper()
 	r, w, err := os.Pipe()
 	if err != nil {
@@ -27,7 +35,7 @@ func runCaptured(t *testing.T, e *env, args ...string) string {
 	go func() { b, _ := io.ReadAll(r); out <- string(b) }()
 	stdout := os.Stdout
 	os.Stdout = w
-	err = runCommand(e, args)
+	err = fn()
 	os.Stdout = stdout
 	w.Close()
 	s := <-out
@@ -173,5 +181,29 @@ func TestHeaderListsCommands(t *testing.T) {
 	}
 	for name := range listed {
 		t.Errorf("header lists %q, which is not a command", name)
+	}
+}
+
+// TestTunerStatusListsEveryLiveKnob: `tune status` prints every live row
+// of core.Knobs through the one renderer the retune and tune events use;
+// its own list once left out l0-trigger and debt-limit, so the tuner's
+// L0-trigger moves never showed there.
+func TestTunerStatusListsEveryLiveKnob(t *testing.T) {
+	db, err := lsmkv.Open(t.TempDir(), lsmkv.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	db.StartTuning(time.Hour)
+	out := captured(t, func() error {
+		printTunerStatus(db.TunerStatus())
+		return nil
+	})
+	_, knobs, _ := strings.Cut(out, "knobs: ")
+	knobs, _, _ = strings.Cut(knobs, "\n")
+	for i := range core.Knobs {
+		if k := &core.Knobs[i]; k.Live != nil && !strings.Contains(" "+knobs, " "+k.Name+"=") {
+			t.Errorf("tune status knob line %q lacks %s", knobs, k.Name)
+		}
 	}
 }

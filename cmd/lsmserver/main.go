@@ -21,6 +21,11 @@
 //	          [-checkpoint-dir /backups] [-follow primary:4440]
 //	          [-repl-backlog 16777216] [-tune] [-tune-interval 10s]
 //
+// The engine flags (-shards, -compaction-*, -l0-*, -track-latency, -tune
+// and -tune-interval) are the rows of core.Knobs that carry a flag: each
+// sets its knob on top of -preset, defaulting to the row's default, and
+// TUNING.md's knob reference lists them.
+//
 // -tune starts the online self-tuner: one controller per shard samples
 // the engine's iostat counters every -tune-interval and adapts the live
 // knobs (leveling/tiering position, filter bits/key, the write-slowdown
@@ -62,6 +67,7 @@ import (
 
 	"lsmkv"
 	"lsmkv/internal/checkpoint"
+	"lsmkv/internal/core"
 	"lsmkv/internal/replica"
 	"lsmkv/internal/server"
 	"lsmkv/internal/vfs"
@@ -87,25 +93,23 @@ func main() {
 		metricsAddr  = flag.String("metrics", "", "serve /metrics and /healthz on this HTTP address (empty disables)")
 		dir          = flag.String("db", "", "database directory (required)")
 		preset       = flag.String("preset", "default", "default | read | write | balanced | wisckey")
-		shards       = flag.Int("shards", 0, "keyspace shards (0 = adopt the database's existing count)")
 		syncWrites   = flag.Bool("sync", true, "fsync each commit group before acknowledging writes")
 		maxConns     = flag.Int("max-conns", 1024, "maximum concurrent connections")
 		rate         = flag.Float64("rate", 0, "request rate limit per second (0 = unlimited)")
 		burst        = flag.Int("burst", 0, "token bucket burst (default derived from -rate)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long graceful shutdown may take")
-		compactConc  = flag.Int("compaction-concurrency", 0, "background compaction workers (0 = engine default of 2)")
-		compactRate  = flag.Int64("compaction-rate", 0, "combined compaction write ceiling in bytes/sec, shared by all workers (0 = unthrottled)")
-		l0Slowdown   = flag.Int("l0-slowdown", 0, "L0 run count where writes start slowing (0 = engine default)")
-		l0Stop       = flag.Int("l0-stop", 0, "L0 run count where writes block (0 = engine default)")
 		debugAddr    = flag.String("debug-addr", "", "serve /debug/pprof and /debug/vars on this private HTTP address (empty disables)")
-		trackLatency = flag.Bool("track-latency", true, "record engine-level latency histograms (no clock reads when off)")
 		ckptDir      = flag.String("checkpoint-dir", "", "enable the CHECKPOINT opcode, writing online backups under this directory")
 		follow       = flag.String("follow", "", "run as a read-only follower replicating from the primary at this address")
 		replBacklog  = flag.Int64("repl-backlog", 0, "per-shard replication backlog bytes for serving followers (0 = 16 MiB default)")
-		tune         = flag.Bool("tune", false, "run the online self-tuner (adapts layout, filter, and slowdown knobs to the live workload)")
-		tuneInterval = flag.Duration("tune-interval", 10*time.Second, "self-tuner sampling period")
 		verbose      = flag.Bool("v", false, "log engine and server events")
+		engine       = core.EngineFlags(flag.CommandLine)
 	)
+	// The one engine flag whose serving default differs from the
+	// library's: a server keeps latency histograms unless told not to.
+	trackLatency := flag.Lookup("track-latency")
+	trackLatency.DefValue = "true"
+	trackLatency.Value.Set(trackLatency.DefValue)
 	flag.Parse()
 	if *dir == "" {
 		flag.Usage()
@@ -122,15 +126,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "lsmserver:", err)
 		os.Exit(2)
 	}
+	engine(opts)
 	opts.Logf = logf
-	opts.Shards = *shards
-	opts.TrackLatency = *trackLatency
-	opts.CompactionConcurrency = *compactConc
-	opts.CompactionMaxBytesPerSec = *compactRate
-	opts.L0SlowdownTrigger = *l0Slowdown
-	opts.L0StopTrigger = *l0Stop
-	opts.AutoTune = *tune
-	opts.AutoTuneInterval = *tuneInterval
 
 	// A crash mid-CHECKPOINT leaves a markerless (partial) directory
 	// under the checkpoint root; sweep them before serving so operators

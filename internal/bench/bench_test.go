@@ -16,9 +16,7 @@ import (
 	"testing"
 
 	"lsmkv"
-	"lsmkv/internal/compaction"
 	"lsmkv/internal/core"
-	"lsmkv/internal/filter"
 	"lsmkv/internal/shard"
 	"lsmkv/internal/vfs"
 )
@@ -278,14 +276,12 @@ func column(t *testing.T, tab *Table, name string) []float64 {
 func TestFailedReadIsAnErrorNotARow(t *testing.T) {
 	cfg := config(tiny)
 	faulty := vfs.NewFaulty(vfs.NewMem())
-	inner, err := shard.Open(core.Options{
-		Dir:           "db",
-		FS:            faulty,
-		MemtableBytes: cfg.memtable,
-		Shape:         compaction.Shape{SizeRatio: 4, K: 1, Z: 1, L0Trigger: 2, MaxLevels: 4},
-		BlockSize:     4096,
-		FilterPolicy:  filter.Policy{Kind: filter.KindBloom, BitsPerKey: 10},
-	}, 1)
+	opts := core.Options{
+		Dir: "db", FS: faulty, L0CompactionTrigger: 2,
+		Design: core.Design{MemtableBytes: cfg.memtable, SizeRatio: 4, MaxLevels: 4},
+	}
+	opts.DisableCache()
+	inner, err := shard.Open(opts, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

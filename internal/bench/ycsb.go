@@ -8,9 +8,7 @@ import (
 	"time"
 
 	"lsmkv"
-	"lsmkv/internal/compaction"
 	"lsmkv/internal/core"
-	"lsmkv/internal/filter"
 	"lsmkv/internal/workload"
 )
 
@@ -130,17 +128,13 @@ func ttlDemo(dir string, scale Scale) (_ *Table, err error) {
 	// BaseBytes is sized so the whole demo fits in L1: expired entries are
 	// only reclaimed by *bottommost* compaction, and a one-level tree makes
 	// every L0 merge bottommost, so the drop is deterministic at any scale.
-	db, err := core.Open(core.Options{
-		Dir:           dir,
-		MemtableBytes: 4 << 10,
-		Shape: compaction.Shape{
-			SizeRatio: 4, K: 1, Z: 1, L0Trigger: 2,
-			BaseBytes: uint64(64<<10) * uint64(scale.factor()), MaxLevels: 4,
-		},
-		BlockSize:    1024,
-		FilterPolicy: filter.Policy{Kind: filter.KindBloom, BitsPerKey: 10},
-		Clock:        now.Load,
-	})
+	opts := core.Options{
+		Dir: dir, Clock: now.Load,
+		L0CompactionTrigger: 2, BaseBytes: uint64(64<<10) * uint64(scale.factor()),
+		Design: core.Design{MemtableBytes: 4 << 10, SizeRatio: 4, MaxLevels: 4, BlockSize: 1024},
+	}
+	opts.DisableCache()
+	db, err := core.Open(opts)
 	if err != nil {
 		return nil, err
 	}

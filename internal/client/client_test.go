@@ -24,7 +24,7 @@ import (
 // address.
 func startBackend(t *testing.T) string {
 	t.Helper()
-	db, err := shard.Open(core.Options{Dir: "db", FS: vfs.NewMem(), MemtableBytes: 4 << 20}, 1)
+	db, err := shard.Open(core.Options{Dir: "db", FS: vfs.NewMem()}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

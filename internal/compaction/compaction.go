@@ -140,33 +140,17 @@ type Shape struct {
 	MaxLevels int
 }
 
-// Validate normalizes and checks the shape.
-func (s *Shape) Validate() error {
-	if s.SizeRatio < 2 {
-		s.SizeRatio = 10
-	}
-	if s.K < 1 {
-		s.K = 1
-	}
-	if s.Z < 1 {
-		s.Z = 1
-	}
-	if s.K > s.SizeRatio-1 {
-		s.K = s.SizeRatio - 1
-	}
-	if s.Z > s.SizeRatio-1 {
-		s.Z = s.SizeRatio - 1
-	}
-	if s.L0Trigger < 1 {
-		s.L0Trigger = 4
-	}
-	if s.BaseBytes == 0 {
-		s.BaseBytes = 8 << 20
-	}
-	if s.MaxLevels < 2 {
-		s.MaxLevels = 7
-	}
-	if s.Granularity == SingleFile && s.K != 1 {
+// Validate checks that the picker can plan for the shape. It fills in
+// nothing: the engine resolves every field from core.Knobs first.
+func (s Shape) Validate() error {
+	switch {
+	case s.SizeRatio < 2:
+		return fmt.Errorf("compaction: size ratio %d < 2", s.SizeRatio)
+	case s.K < 1 || s.K >= s.SizeRatio || s.Z < 1 || s.Z >= s.SizeRatio:
+		return fmt.Errorf("compaction: run budgets K=%d Z=%d outside 1..T-1 (T=%d)", s.K, s.Z, s.SizeRatio)
+	case s.L0Trigger < 1 || s.BaseBytes == 0 || s.MaxLevels < 2:
+		return fmt.Errorf("compaction: L0 trigger %d, base %d bytes, %d levels: want >= 1, > 0, >= 2", s.L0Trigger, s.BaseBytes, s.MaxLevels)
+	case s.Granularity == SingleFile && s.K != 1:
 		return fmt.Errorf("compaction: single-file granularity requires K=1, have K=%d", s.K)
 	}
 	return nil

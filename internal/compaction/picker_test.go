@@ -361,29 +361,31 @@ func TestRoundRobinCursorCycles(t *testing.T) {
 }
 
 func TestValidateRejectsBadShapes(t *testing.T) {
-	s := Shape{SizeRatio: 4, K: 3, Z: 1, Granularity: SingleFile}
-	if err := s.Validate(); err == nil {
-		t.Error("single-file granularity with K>1 must be rejected")
-	}
-	// Defaults fill in.
-	var d Shape
-	if err := d.Validate(); err != nil {
+	good := Shape{SizeRatio: 4, K: 1, Z: 1, L0Trigger: 2, BaseBytes: 1 << 10, MaxLevels: 4}
+	if err := good.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if d.SizeRatio != 10 || d.K != 1 || d.Z != 1 || d.MaxLevels < 2 {
-		t.Errorf("defaults wrong: %+v", d)
-	}
-	// K and Z clamp to T-1.
-	c := Shape{SizeRatio: 4, K: 99, Z: 99}
-	c.Validate()
-	if c.K != 3 || c.Z != 3 {
-		t.Errorf("K/Z not clamped: %+v", c)
+	// Nothing is filled in or clamped: a zero shape, a ratio below 2, run
+	// budgets past T-1 and single-file planning with K>1 are all errors.
+	for name, bad := range map[string]func(s *Shape){
+		"zero":            func(s *Shape) { *s = Shape{} },
+		"ratio":           func(s *Shape) { s.SizeRatio = 1 },
+		"K past T-1":      func(s *Shape) { s.K = 4 },
+		"Z past T-1":      func(s *Shape) { s.Z = 99 },
+		"no L0 trigger":   func(s *Shape) { s.L0Trigger = 0 },
+		"one level":       func(s *Shape) { s.MaxLevels = 1 },
+		"single-file K>1": func(s *Shape) { s.K, s.Granularity = 3, SingleFile },
+	} {
+		s := good
+		bad(&s)
+		if err := s.Validate(); err == nil {
+			t.Errorf("%s: %+v accepted", name, s)
+		}
 	}
 }
 
 func TestLevelCapacityGeometric(t *testing.T) {
 	s := Shape{SizeRatio: 10, BaseBytes: 1 << 20}
-	s.Validate()
 	if got := s.LevelCapacity(1); got != 1<<20 {
 		t.Errorf("L1 capacity %d", got)
 	}
@@ -396,7 +398,7 @@ func TestLevelCapacityGeometric(t *testing.T) {
 }
 
 func TestEmptyTreeNoTask(t *testing.T) {
-	p, _ := NewPicker(Shape{SizeRatio: 4, K: 1, Z: 1, BaseBytes: 4 << 10, MaxLevels: 4})
+	p, _ := NewPicker(Shape{SizeRatio: 4, K: 1, Z: 1, L0Trigger: 2, BaseBytes: 4 << 10, MaxLevels: 4})
 	if task := p.Pick(make([]LevelView, 4)); task != nil {
 		t.Errorf("empty tree produced task: %+v", task)
 	}

@@ -83,7 +83,7 @@ func (db *DB) commit(ops []BatchOp, sync bool, firstSeq kv.SeqNum, rec []byte) (
 			}
 			stored[i] = BatchOp{Kind: kv.KindValuePointer, Key: op.Key, Value: ptr.Encode()}
 		}
-		if separated && (sync || db.opts.WALSync) {
+		if separated && (sync || db.opts.SyncWAL) {
 			if err := db.vlog.Sync(); err != nil {
 				return 0, err
 			}
@@ -141,7 +141,7 @@ func (db *DB) commit(ops []BatchOp, sync bool, firstSeq kv.SeqNum, rec []byte) (
 			return 0, err
 		}
 		db.opts.Stats.WALRecords.Add(1)
-		if sync || db.opts.WALSync {
+		if sync || db.opts.SyncWAL {
 			start := time.Now()
 			err := db.wal.Sync()
 			db.opts.Stats.WALSyncNs.Add(int64(time.Since(start)))

@@ -11,6 +11,7 @@ import (
 	"lsmkv/internal/iostat"
 	"lsmkv/internal/kv"
 	"lsmkv/internal/manifest"
+	"lsmkv/internal/rangefilter"
 	"lsmkv/internal/sstable"
 )
 
@@ -20,7 +21,7 @@ import (
 // inputs), so their keys are not double-counted.
 func (db *DB) writerOptionsForLevel(level int, expectedEntries int, exclude map[uint64]bool) sstable.WriterOptions {
 	db.mu.Lock() // Retune rewrites the filter budget under it
-	fp := db.opts.FilterPolicy
+	fp := filter.Policy{Kind: db.opts.Filter, BitsPerKey: db.opts.BitsPerKey}
 	db.mu.Unlock()
 	if fp.Kind != filter.KindNone {
 		bits := db.filterBitsForLevel(level, expectedEntries, exclude)
@@ -32,13 +33,15 @@ func (db *DB) writerOptionsForLevel(level int, expectedEntries int, exclude map[
 	}
 	return sstable.WriterOptions{
 		BlockSize:         db.opts.BlockSize,
-		RestartInterval:   db.opts.RestartInterval,
 		Filter:            fp,
-		FilterPartitioned: db.opts.FilterPartitioned,
-		RangeFilter:       db.opts.RangeFilter,
-		BlockHashIndex:    db.opts.BlockHashIndex,
-		Learned:           db.opts.LearnedIndex,
-		ExpectedEntries:   expectedEntries,
+		FilterPartitioned: db.opts.PartitionedFilters,
+		RangeFilter: rangefilter.Policy{
+			Kind: db.opts.RangeFilter, BitsPerKey: db.opts.RangeFilterBitsPerKey, PrefixLen: db.opts.PrefixLength,
+			SuRFMode: rangefilter.SuRFReal, SuRFSuffixBytes: 2,
+		},
+		BlockHashIndex:  db.opts.BlockHashIndex,
+		Learned:         db.opts.LearnedIndex,
+		ExpectedEntries: expectedEntries,
 	}
 }
 

@@ -9,8 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"lsmkv/internal/compaction"
-	"lsmkv/internal/filter"
 	"lsmkv/internal/vfs"
 )
 
@@ -261,21 +259,17 @@ func TestCrashMidConcurrentCompaction(t *testing.T) {
 // the counters, the event log, and the stall histogram.
 func TestGraduatedBackpressureCounters(t *testing.T) {
 	opts := Options{
-		Dir:           "db",
-		FS:            vfs.NewMem(),
-		MemtableBytes: 2 << 10,
-		Shape: compaction.Shape{
-			SizeRatio: 4, K: 1, Z: 1, L0Trigger: 2,
-			BaseBytes: 4 << 10, MaxLevels: 4,
+		Dir: "db", FS: vfs.NewMem(), L0CompactionTrigger: 2, BaseBytes: 4 << 10,
+		Design: Design{
+			MemtableBytes: 2 << 10, SizeRatio: 4, MaxLevels: 4, BlockSize: 512,
+			L0SlowdownTrigger:        2,
+			L0StopTrigger:            4,
+			SlowdownMaxDelay:         200 * time.Microsecond,
+			CompactionMaxBytesPerSec: 8 << 10, // starve compaction so L0 piles up
+			TrackLatency:             true,
 		},
-		BlockSize:                512,
-		FilterPolicy:             filter.Policy{Kind: filter.KindNone},
-		L0SlowdownTrigger:        2,
-		L0StopTrigger:            4,
-		SlowdownMaxDelay:         200 * time.Microsecond,
-		CompactionMaxBytesPerSec: 8 << 10, // starve compaction so L0 piles up
-		TrackLatency:             true,
 	}
+	opts.DisableFilters().DisableCache()
 	db, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -321,19 +315,15 @@ func TestGraduatedBackpressureCounters(t *testing.T) {
 // driving the public API with a hand-picked (mis)configuration.
 func TestStopTriggerAtCompactionTriggerNoDeadlock(t *testing.T) {
 	opts := Options{
-		Dir:           "db",
-		FS:            vfs.NewMem(),
-		MemtableBytes: 2 << 10,
-		Shape: compaction.Shape{
-			SizeRatio: 4, K: 1, Z: 1, L0Trigger: 4,
-			BaseBytes: 8 << 10, MaxLevels: 4,
+		Dir: "db", FS: vfs.NewMem(), L0CompactionTrigger: 4, BaseBytes: 8 << 10,
+		Design: Design{
+			MemtableBytes: 2 << 10, SizeRatio: 4, MaxLevels: 4, BlockSize: 512,
+			// At or below L0CompactionTrigger: without the clamp this wedges.
+			L0StopTrigger:            4,
+			CompactionMaxBytesPerSec: 64 << 10,
 		},
-		BlockSize:    512,
-		FilterPolicy: filter.Policy{Kind: filter.KindNone},
-		// At or below L0Trigger: without the clamp this wedges.
-		L0StopTrigger:            4,
-		CompactionMaxBytesPerSec: 64 << 10,
 	}
+	opts.DisableFilters().DisableCache()
 	db, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)

@@ -8,8 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"lsmkv/internal/compaction"
-	"lsmkv/internal/filter"
 	"lsmkv/internal/vfs"
 )
 
@@ -50,18 +48,15 @@ type crashResult struct {
 }
 
 func crashDBOpts(fs vfs.FS, walSync bool) Options {
-	return Options{
-		Dir:           "db",
-		FS:            fs,
-		MemtableBytes: 4 << 10, // tiny: a few hundred ops exercise flush + compaction
-		Shape: compaction.Shape{
-			SizeRatio: 4, K: 1, Z: 1, L0Trigger: 2,
-			BaseBytes: 8 << 10, MaxLevels: 4,
+	o := Options{
+		Dir: "db", FS: fs, L0CompactionTrigger: 2, BaseBytes: 8 << 10,
+		Design: Design{
+			MemtableBytes: 4 << 10, // tiny: a few hundred ops exercise flush + compaction
+			SizeRatio:     4, MaxLevels: 4, BlockSize: 512, SyncWAL: walSync,
 		},
-		BlockSize:    512,
-		FilterPolicy: filter.Policy{Kind: filter.KindBloom, BitsPerKey: 10},
-		WALSync:      walSync,
 	}
+	o.DisableCache()
+	return o
 }
 
 func crashKey(i int) string { return fmt.Sprintf("k%02d", i) }

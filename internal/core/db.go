@@ -148,15 +148,17 @@ type DB struct {
 }
 
 // Open creates or reopens a database.
-func Open(opts Options) (*DB, error) {
-	o, err := opts.withDefaults()
-	if err != nil {
+func Open(o Options) (*DB, error) {
+	if o.Dir == "" {
+		return nil, fmt.Errorf("core: Options.Dir is required")
+	}
+	if err := o.resolve(false); err != nil {
 		return nil, err
 	}
 	if err := o.FS.MkdirAll(o.Dir); err != nil {
 		return nil, err
 	}
-	picker, err := compaction.NewPicker(o.Shape)
+	picker, err := compaction.NewPicker(o.shape())
 	if err != nil {
 		return nil, err
 	}
@@ -179,7 +181,11 @@ func Open(opts Options) (*DB, error) {
 		db.events = iostat.NewEventLog(o.EventLogSize)
 	}
 	if o.CacheBytes > 0 {
-		db.cache = cache.New(o.CacheBytes, o.CachePolicy)
+		policy := cache.LRU
+		if o.CacheClock {
+			policy = cache.Clock
+		}
+		db.cache = cache.New(o.CacheBytes, policy)
 	}
 	if o.ValueSeparation {
 		db.vlog, err = vlog.Open(o.FS, vlogDir(o.Dir), o.VlogSegmentBytes)
@@ -562,6 +568,7 @@ func (db *DB) refreshDebtLocked() {
 	if db.current == nil {
 		return
 	}
+	shape := db.opts.shape()
 	for i, level := range db.current.levels {
 		var sz int64
 		for _, r := range level {
@@ -571,7 +578,7 @@ func (db *DB) refreshDebtLocked() {
 		}
 		if i == 0 {
 			db.debtBytes += sz
-		} else if c := int64(db.opts.Shape.LevelCapacity(i)); c > 0 && sz > c {
+		} else if c := int64(shape.LevelCapacity(i)); c > 0 && sz > c {
 			db.debtBytes += sz - c
 		}
 	}
@@ -770,11 +777,11 @@ func (db *DB) Cache() *cache.Cache { return db.cache }
 // refreshMonkeyLocked recomputes the per-level filter allocation from the
 // current tree. Caller holds db.mu (or is in Open).
 func (db *DB) refreshMonkeyLocked() {
-	if !db.opts.MonkeyFilters || db.opts.FilterPolicy.Kind == filter.KindNone {
+	if !db.opts.MonkeyFilters || db.opts.Filter == filter.KindNone {
 		db.monkeyBits = nil
 		return
 	}
-	db.monkeyBits = monkeyBitsFor(db.levelSpecsLocked(nil), db.opts.FilterPolicy.BitsPerKey)
+	db.monkeyBits = monkeyBitsFor(db.levelSpecsLocked(nil), db.opts.BitsPerKey)
 }
 
 // levelSpecsLocked summarizes the current tree for allocation, skipping
@@ -815,8 +822,8 @@ func monkeyBitsFor(specs []filter.LevelSpec, avgBitsPerKey float64) []float64 {
 func (db *DB) filterBitsForLevel(level int, prospectiveKeys int, exclude map[uint64]bool) float64 {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if !db.opts.MonkeyFilters || db.opts.FilterPolicy.Kind == filter.KindNone {
-		return db.opts.FilterPolicy.BitsPerKey
+	if !db.opts.MonkeyFilters || db.opts.Filter == filter.KindNone {
+		return db.opts.BitsPerKey
 	}
 	specs := db.levelSpecsLocked(exclude)
 	for len(specs) <= level {
@@ -826,9 +833,9 @@ func (db *DB) filterBitsForLevel(level int, prospectiveKeys int, exclude map[uin
 	if specs[level].Runs == 0 {
 		specs[level].Runs = 1
 	}
-	bits := monkeyBitsFor(specs, db.opts.FilterPolicy.BitsPerKey)
+	bits := monkeyBitsFor(specs, db.opts.BitsPerKey)
 	if bits == nil || level >= len(bits) {
-		return db.opts.FilterPolicy.BitsPerKey
+		return db.opts.BitsPerKey
 	}
 	return bits[level]
 }

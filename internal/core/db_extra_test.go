@@ -18,8 +18,7 @@ func TestHybridKZLayout(t *testing.T) {
 	// K=3, Z=1 (lazy leveling): during load inner levels hold multiple
 	// runs while the deepest populated level converges to one.
 	opts := smallOpts(t.TempDir())
-	opts.Shape.K = 3
-	opts.Shape.Z = 1
+	opts.HybridK, opts.HybridZ = 3, 1
 	db := openDB(t, opts)
 	defer db.Close()
 	sawMultiRunInner := false
@@ -128,8 +127,8 @@ func TestPrefetchRestoresCacheAfterCompaction(t *testing.T) {
 // its files; the traces check that premise.
 func TestCompactionElsewhereKeepsHotSetCached(t *testing.T) {
 	opts := smallOpts(t.TempDir())
-	opts.Shape.MaxLevels = 3
-	opts.Shape.BaseBytes = 16 << 10
+	opts.MaxLevels = 3
+	opts.BaseBytes = 16 << 10
 	db := openDB(t, opts)
 	defer db.Close()
 
@@ -244,8 +243,8 @@ func TestScanDuringHeavyWrites(t *testing.T) {
 
 func TestRangeFilterScreensScans(t *testing.T) {
 	opts := smallOpts(t.TempDir())
-	opts.RangeFilter = rangefilter.Policy{Kind: rangefilter.KindSuRF, SuRFMode: rangefilter.SuRFReal, SuRFSuffixBytes: 2}
-	opts.CacheBytes = 0
+	opts.RangeFilter = rangefilter.KindSuRF
+	opts.DisableCache()
 	db := openDB(t, opts)
 	defer db.Close()
 	// Sparse keys: every 16th index.
@@ -404,8 +403,8 @@ func TestFilterKindsEndToEnd(t *testing.T) {
 	} {
 		t.Run(kind.String(), func(t *testing.T) {
 			opts := smallOpts(t.TempDir())
-			opts.FilterPolicy = filter.Policy{Kind: kind, BitsPerKey: 10}
-			opts.CacheBytes = 0
+			opts.Filter = kind
+			opts.DisableCache()
 			db := openDB(t, opts)
 			defer db.Close()
 			for i := 0; i < 3000; i++ {

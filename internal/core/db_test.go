@@ -17,15 +17,11 @@ import (
 // flushes and multi-level compactions.
 func smallOpts(dir string) Options {
 	return Options{
-		Dir:           dir,
-		MemtableBytes: 16 << 10,
-		Shape: compaction.Shape{
-			SizeRatio: 4, K: 1, Z: 1, L0Trigger: 2,
-			BaseBytes: 32 << 10, MaxLevels: 5,
+		Dir: dir, L0CompactionTrigger: 2, BaseBytes: 32 << 10,
+		Design: Design{
+			MemtableBytes: 16 << 10, SizeRatio: 4, MaxLevels: 5,
+			BlockSize: 1024, Filter: filter.KindBloom, BitsPerKey: 10, CacheBytes: 256 << 10,
 		},
-		BlockSize:    1024,
-		FilterPolicy: filter.Policy{Kind: filter.KindBloom, BitsPerKey: 10},
-		CacheBytes:   256 << 10,
 	}
 }
 
@@ -86,25 +82,21 @@ func TestDifferentialAgainstMap(t *testing.T) {
 	designs := map[string]func(o *Options){
 		"leveled": func(o *Options) {},
 		"tiered": func(o *Options) {
-			o.Shape.K = 3
-			o.Shape.Z = 3
+			o.HybridK, o.HybridZ = 3, 3
 		},
 		"lazy": func(o *Options) {
-			o.Shape.K = 3
-			o.Shape.Z = 1
+			o.HybridK, o.HybridZ = 3, 1
 		},
 		"partial-minoverlap": func(o *Options) {
-			o.Shape.Granularity = compaction.SingleFile
-			o.Shape.Picker = compaction.PickMinOverlap
+			o.PartialCompaction = true
+			o.FilePicking = compaction.PickMinOverlap
 		},
 		"everything-on": func(o *Options) {
-			o.FilterPartitioned = true
+			o.PartitionedFilters = true
 			o.BlockHashIndex = true
 			o.LearnedIndex = sstable.LearnedPLR
 			o.MonkeyFilters = true
-			o.RangeFilter = rangefilter.Policy{
-				Kind: rangefilter.KindSuRF, SuRFMode: rangefilter.SuRFReal, SuRFSuffixBytes: 2,
-			}
+			o.RangeFilter = rangefilter.KindSuRF
 		},
 		"two-level-buffer": func(o *Options) { o.TwoLevelMemtable = true },
 		"no-wal":           func(o *Options) { o.DisableWAL = true },
@@ -330,7 +322,7 @@ func TestCompactionsReduceRuns(t *testing.T) {
 	for _, li := range db.Levels() {
 		budget := 1
 		if li.Level == 0 {
-			budget = opts.Shape.L0Trigger
+			budget = opts.L0CompactionTrigger
 		}
 		if li.Runs > budget {
 			t.Errorf("level %d has %d runs (budget %d)", li.Level, li.Runs, budget)
@@ -348,8 +340,7 @@ func TestTieredKeepsMoreRuns(t *testing.T) {
 	// policy converges to, not the background goroutine's scheduling.
 	avgRuns := func(k, z int) float64 {
 		opts := smallOpts(t.TempDir())
-		opts.Shape.K = k
-		opts.Shape.Z = z
+		opts.HybridK, opts.HybridZ = k, z
 		db := openDB(t, opts)
 		defer db.Close()
 		total, samples := 0, 0
@@ -376,8 +367,7 @@ func TestTieredKeepsMoreRuns(t *testing.T) {
 func TestWriteAmpLeveledVsTiered(t *testing.T) {
 	amp := func(k, z int) float64 {
 		opts := smallOpts(t.TempDir())
-		opts.Shape.K = k
-		opts.Shape.Z = z
+		opts.HybridK, opts.HybridZ = k, z
 		db := openDB(t, opts)
 		defer db.Close()
 		for i := 0; i < 12000; i++ {
@@ -396,8 +386,8 @@ func TestWriteAmpLeveledVsTiered(t *testing.T) {
 func TestBloomFiltersCutZeroResultIO(t *testing.T) {
 	run := func(kind filter.FilterKind) (blockReads int64) {
 		opts := smallOpts(t.TempDir())
-		opts.FilterPolicy = filter.Policy{Kind: kind, BitsPerKey: 10}
-		opts.CacheBytes = 0 // isolate filter effect from caching
+		opts.Filter, opts.filterDisabled = kind, kind == filter.KindNone
+		opts.DisableCache() // isolate filter effect from caching
 		db := openDB(t, opts)
 		defer db.Close()
 		for i := 0; i < 4000; i++ {
@@ -496,7 +486,7 @@ func TestMonkeyAllocationSkewsBitsToSmallLevels(t *testing.T) {
 	// resulting drop in expected false-positive probes is verified
 	// analytically in the filter package and end-to-end in bench E3.)
 	opts := smallOpts(t.TempDir())
-	opts.FilterPolicy = filter.Policy{Kind: filter.KindBloom, BitsPerKey: 6}
+	opts.BitsPerKey = 6
 	opts.MonkeyFilters = true
 	db := openDB(t, opts)
 	defer db.Close()

@@ -23,7 +23,7 @@ func faultyDB(t *testing.T, walSync bool) (*DB, *vfs.Faulty) {
 	return db, fs
 }
 
-// TestFaultWALSyncSurfacesFromPut: with WALSync on, a failed WAL fsync
+// TestFaultWALSyncSurfacesFromPut: with SyncWAL on, a failed WAL fsync
 // must fail the Put that required it, and the DB must remain usable for
 // later writes once the fault clears.
 func TestFaultWALSyncSurfacesFromPut(t *testing.T) {

@@ -51,7 +51,7 @@ func gcUntilDone(t *testing.T, db *DB, limit int) (collected int, check func()) 
 func TestGCNeverOverwritesARacingWrite(t *testing.T) {
 	const writers, keysPerWriter, rounds = 4, 8, 80
 	opts := gcOpts(t.TempDir())
-	opts.WALSync = true // an fsync per commit: the parent's blind Put queued behind several
+	opts.SyncWAL = true // an fsync per commit: the parent's blind Put queued behind several
 	db := openDB(t, opts)
 	defer db.Close()
 
@@ -263,7 +263,7 @@ func TestGCResumesPastCleanSegments(t *testing.T) {
 
 const gcCrashKeys = 24
 
-// gcCrashOpts is crashDBOpts with WALSync off and a value log of 2 KiB
+// gcCrashOpts is crashDBOpts with SyncWAL off and a value log of 2 KiB
 // segments.
 func gcCrashOpts(fs vfs.FS) Options {
 	opts := crashDBOpts(fs, false)
@@ -274,7 +274,7 @@ func gcCrashOpts(fs vfs.FS) Options {
 }
 
 // runGCCrashWorkload writes three synced generations of separated values —
-// acknowledged as durable whatever WALSync (off) says — and a fourth, of the
+// acknowledged as durable whatever SyncWAL (off) says — and a fourth, of the
 // first keys only, that is not synced: the segments those keys' third
 // versions fill are left dead by nothing but unsynced overwrites. Then it
 // collects the log until nothing is left, a crash landing anywhere. It
@@ -386,7 +386,7 @@ func TestGCSyncsTheOverwritesItReliesOn(t *testing.T) {
 	}
 }
 
-// TestCrashGCKeepsDurableValues: with WALSync off, a crash at any point of
+// TestCrashGCKeepsDurableValues: with SyncWAL off, a crash at any point of
 // a collection — between relocating a value and logging its pointer,
 // before the log is synced, after the segment is unlinked — leaves every
 // value acknowledged as durable readable. The parent unlinked the segment

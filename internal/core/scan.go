@@ -152,7 +152,7 @@ func (db *DB) RunValueLogGC() (bool, error) {
 		j.ev.Detail = fmt.Sprintf("segment=%d relocated=%d/%d dead=%d/%d",
 			seg, relocated, j.ev.OutputBytes, len(entries)-relocated, j.ev.InputBytes-j.ev.OutputBytes)
 		// Before the segment may go, what left its entries dead must be durable,
-		// whatever WALSync says: the relocations, and overwrites acknowledged
+		// whatever SyncWAL says: the relocations, and overwrites acknowledged
 		// unsynced, which a crash would undo back to a pointer into a deleted
 		// file. Frozen logs are synced (freezeMem); with no log, a flush does it.
 		if err := db.vlog.Sync(); err != nil {

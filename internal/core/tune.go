@@ -2,11 +2,9 @@ package core
 
 import (
 	"fmt"
-	"strings"
+	"reflect"
 	"time"
 
-	"lsmkv/internal/compaction"
-	"lsmkv/internal/filter"
 	"lsmkv/internal/iostat"
 )
 
@@ -17,9 +15,11 @@ import (
 // structures already built against it (block size, learned indexes,
 // MaxLevels — the version builder sizes level slices from it).
 //
-// In Retune, zero (or negative) fields mean "keep the current value", so
-// a caller may set just the knob it cares about. The intended pattern is
-// still read-modify-write: take DB.Tunables(), adjust, pass it back.
+// Its fields are exactly the live rows of Knobs. In Retune, zero fields
+// mean "keep the current value", so a caller may set just the knob it
+// cares about; any other value must be legal for its row. The intended
+// pattern is still read-modify-write: take DB.Tunables(), adjust, pass it
+// back.
 type Tunables struct {
 	// SizeRatio, K, Z position the tree on the leveling/tiering/
 	// lazy-leveling continuum (Dostoevsky's T/K/Z). Changes apply at the
@@ -33,10 +33,9 @@ type Tunables struct {
 	// sstables only pick the new budget up as compaction rewrites them.
 	FilterBitsPerKey float64
 	// L0CompactionTrigger is the L0 run count that makes the picker drain
-	// level 0 (Shape.L0Trigger). Every L0 run joins every lookup and scan,
-	// so this is a read knob as much as a write one: lowering it trades
-	// compaction work for a shallower L0. The stop trigger is re-clamped
-	// above it.
+	// level 0. Every L0 run joins every lookup and scan, so this is a read
+	// knob as much as a write one: lowering it trades compaction work for
+	// a shallower L0. The stop trigger is re-clamped above it.
 	L0CompactionTrigger int
 	// L0SlowdownTrigger / L0StopTrigger / SlowdownMaxDelay /
 	// PendingCompactionSlowdownBytes set the graduated write-backpressure
@@ -51,17 +50,7 @@ type Tunables struct {
 func (db *DB) Tunables() Tunables {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return Tunables{
-		SizeRatio:                      db.opts.Shape.SizeRatio,
-		K:                              db.opts.Shape.K,
-		Z:                              db.opts.Shape.Z,
-		FilterBitsPerKey:               db.opts.FilterPolicy.BitsPerKey,
-		L0CompactionTrigger:            db.opts.Shape.L0Trigger,
-		L0SlowdownTrigger:              db.opts.L0SlowdownTrigger,
-		L0StopTrigger:                  db.opts.L0StopTrigger,
-		SlowdownMaxDelay:               db.opts.SlowdownMaxDelay,
-		PendingCompactionSlowdownBytes: db.opts.PendingCompactionSlowdownBytes,
-	}
+	return db.opts.tunables()
 }
 
 // Retune applies t's non-zero knobs to the running engine and records an
@@ -80,100 +69,39 @@ func (db *DB) Tunables() Tunables {
 //     lock is released, so the next write and the next filter build both
 //     price against the new design point.
 //
-// Clamping mirrors Options.withDefaults: the stop trigger stays above the
-// L0 compaction trigger (including a just-raised one) and the slowdown
-// trigger stays below the stop. Moving K above 1 while the shape uses
-// single-file granularity flips it to whole-level (single-file planning
-// requires K=1). Retune never changes BaseBytes or MaxLevels.
+// The moved knobs pass through the same resolve as Open's options: a
+// value outside its row's range is an error naming the knob, the stop
+// trigger stays above the L0 compaction trigger (including a just-raised
+// one) and the slowdown trigger below the stop. Moving K above 1 suspends
+// single-file granularity until K returns to 1. Retune never changes
+// BaseBytes or MaxLevels.
 func (db *DB) Retune(t Tunables) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.closed {
 		return ErrClosed
 	}
-
-	cur := db.opts
-	shape := cur.Shape
-	if t.SizeRatio > 0 {
-		shape.SizeRatio = t.SizeRatio
-	}
-	if t.K > 0 {
-		shape.K = t.K
-	}
-	if t.Z > 0 {
-		shape.Z = t.Z
-	}
-	if t.L0CompactionTrigger > 0 {
-		shape.L0Trigger = t.L0CompactionTrigger
-	}
-	if shape.K > 1 && shape.Granularity == compaction.SingleFile {
-		shape.Granularity = compaction.WholeLevel
-	}
-	if err := shape.Validate(); err != nil {
-		return fmt.Errorf("core: retune: %w", err)
-	}
-
-	bits := cur.FilterPolicy.BitsPerKey
-	if t.FilterBitsPerKey > 0 && cur.FilterPolicy.Kind != filter.KindNone {
-		bits = t.FilterBitsPerKey
-	}
-	stop := cur.L0StopTrigger
-	if t.L0StopTrigger > 0 {
-		stop = t.L0StopTrigger
-	}
-	if stop <= shape.L0Trigger {
-		stop = shape.L0Trigger + 1
-	}
-	slow := cur.L0SlowdownTrigger
-	if t.L0SlowdownTrigger > 0 {
-		slow = t.L0SlowdownTrigger
-	}
-	if slow >= stop {
-		slow = stop - 1
-	}
-	if slow < 1 {
-		slow = 1
-	}
-	maxDelay := cur.SlowdownMaxDelay
-	if t.SlowdownMaxDelay > 0 {
-		maxDelay = t.SlowdownMaxDelay
-	}
-	debtLimit := cur.PendingCompactionSlowdownBytes
-	if t.PendingCompactionSlowdownBytes > 0 {
-		debtLimit = t.PendingCompactionSlowdownBytes
-	}
-
-	var changes []string
-	diff := func(name string, from, to any) {
-		if from != to {
-			changes = append(changes, fmt.Sprintf("%s %v->%v", name, from, to))
+	next := db.opts
+	eachLive(&t, &next, func(tv, ov reflect.Value) {
+		if !tv.IsZero() {
+			ov.Set(tv)
 		}
+	})
+	if err := next.resolve(true); err != nil {
+		return err
 	}
-	diff("T", cur.Shape.SizeRatio, shape.SizeRatio)
-	diff("K", cur.Shape.K, shape.K)
-	diff("Z", cur.Shape.Z, shape.Z)
-	diff("granularity", cur.Shape.Granularity.String(), shape.Granularity.String())
-	diff("l0-trigger", cur.Shape.L0Trigger, shape.L0Trigger)
-	diff("bits/key", cur.FilterPolicy.BitsPerKey, bits)
-	diff("l0-slowdown", cur.L0SlowdownTrigger, slow)
-	diff("l0-stop", cur.L0StopTrigger, stop)
-	diff("slowdown-max-delay", cur.SlowdownMaxDelay, maxDelay)
-	diff("debt-limit", cur.PendingCompactionSlowdownBytes, debtLimit)
-	if len(changes) == 0 {
+	before, after := db.opts.tunables(), next.tunables()
+	changes := after.Describe(&before)
+	if changes == "" {
 		return nil
 	}
-
-	if shape != cur.Shape {
+	if shape := next.shape(); shape != db.opts.shape() {
 		if err := db.sched.Reshape(shape); err != nil {
 			return fmt.Errorf("core: retune: %w", err)
 		}
 	}
-	db.opts.Shape = shape
-	db.opts.FilterPolicy.BitsPerKey = bits
-	db.opts.L0SlowdownTrigger = slow
-	db.opts.L0StopTrigger = stop
-	db.opts.SlowdownMaxDelay = maxDelay
-	db.opts.PendingCompactionSlowdownBytes = debtLimit
+	// Only the live fields move: the rest of db.opts is read without db.mu.
+	eachLive(&after, &db.opts, func(tv, ov reflect.Value) { ov.Set(tv) })
 
 	// Reprice the tree against the new design point before anyone can
 	// read it: level capacities feed the debt gauge, the filter budget
@@ -183,9 +111,9 @@ func (db *DB) Retune(t Tunables) error {
 
 	db.events.Add(iostat.Event{
 		Type: iostat.EventRetune, FromLevel: -1, ToLevel: -1,
-		Detail: strings.Join(changes, " "),
+		Detail: changes,
 	})
-	db.opts.Logf("core: retune: %s", strings.Join(changes, " "))
+	db.opts.Logf("core: retune: %s", changes)
 
 	// The new shape may create compaction work (smaller capacities) or
 	// unblock stalled writers (higher stop trigger) — wake both sides.

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"lsmkv/internal/compaction"
-	"lsmkv/internal/filter"
 	"lsmkv/internal/iostat"
 	"lsmkv/internal/vfs"
 )
@@ -133,7 +132,7 @@ func TestRetuneClampsBackpressureBand(t *testing.T) {
 	}
 	got := db.Tunables()
 	db.mu.Lock()
-	l0 := db.opts.Shape.L0Trigger
+	l0 := db.opts.L0CompactionTrigger
 	db.mu.Unlock()
 	if got.L0StopTrigger <= l0 {
 		t.Fatalf("stop %d not clamped above L0Trigger %d", got.L0StopTrigger, l0)
@@ -145,7 +144,7 @@ func TestRetuneClampsBackpressureBand(t *testing.T) {
 
 func TestRetuneFlipsGranularityForTiering(t *testing.T) {
 	opts := crashDBOpts(vfs.NewMem(), false)
-	opts.Shape.Granularity = compaction.SingleFile
+	opts.PartialCompaction = true
 	db, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -158,7 +157,7 @@ func TestRetuneFlipsGranularityForTiering(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.mu.Lock()
-	g := db.opts.Shape.Granularity
+	g := db.opts.shape().Granularity
 	db.mu.Unlock()
 	if g != compaction.WholeLevel {
 		t.Fatalf("granularity = %v, want WholeLevel", g)
@@ -167,7 +166,7 @@ func TestRetuneFlipsGranularityForTiering(t *testing.T) {
 
 func TestRetuneIgnoresBitsWithoutFilters(t *testing.T) {
 	opts := crashDBOpts(vfs.NewMem(), false)
-	opts.FilterPolicy = filter.Policy{Kind: filter.KindNone}
+	opts.DisableFilters()
 	db, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)

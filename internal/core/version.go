@@ -211,7 +211,7 @@ func (db *DB) openTable(meta *manifest.FileMeta) (*tableHandle, error) {
 // reference held by the caller.
 func (db *DB) buildVersion(state *manifest.State) (*version, error) {
 	v := &version{db: db}
-	v.levels = make([][]*run, max(len(state.Levels), db.opts.Shape.MaxLevels))
+	v.levels = make([][]*run, max(len(state.Levels), db.opts.MaxLevels))
 	for li, level := range state.Levels {
 		for _, r := range level.Runs {
 			rr := &run{}

@@ -26,9 +26,8 @@ func TestNetworkCrashRecovery(t *testing.T) {
 	fs := vfs.NewFaulty(mem)
 
 	opts := core.Options{
-		Dir:           "db",
-		FS:            fs,
-		MemtableBytes: 64 << 10, // small enough that the run crosses flushes
+		Dir: "db", FS: fs,
+		Design: core.Design{MemtableBytes: 64 << 10}, // small enough that the run crosses flushes
 	}
 	db, err := shard.Open(opts, 1)
 	if err != nil {
@@ -105,7 +104,7 @@ func TestNetworkCrashRecovery(t *testing.T) {
 
 	// Reopen on the image a power loss would leave (synced data only).
 	img := mem.CrashImage(nil)
-	rdb, err := core.Open(core.Options{Dir: "db", FS: img, MemtableBytes: 64 << 10})
+	rdb, err := core.Open(core.Options{Dir: "db", FS: img, Design: core.Design{MemtableBytes: 64 << 10}})
 	if err != nil {
 		t.Fatalf("reopen after crash: %v", err)
 	}

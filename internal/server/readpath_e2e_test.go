@@ -269,11 +269,7 @@ func TestScanStreamEarlyStop(t *testing.T) {
 func TestScanStreamMidStreamKill(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
-	db, err := shard.Open(core.Options{
-		Dir:           "db",
-		FS:            vfs.NewMem(),
-		MemtableBytes: 4 << 20,
-	}, 3)
+	db, err := shard.Open(core.Options{Dir: "db", FS: vfs.NewMem()}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

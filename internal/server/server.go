@@ -60,7 +60,7 @@ type Config struct {
 	MaxThrottleDelay time.Duration
 	// SyncWrites fsyncs each commit group before acknowledging — full
 	// durability at one fsync per group, not per write. Default off (the
-	// engine's own WALSync option still applies if set).
+	// engine's own SyncWAL option still applies if set).
 	SyncWrites bool
 	// MaxCommitOps bounds the ops folded into one engine batch. Default
 	// 4096.

@@ -181,11 +181,7 @@ func TestBatchOnOneShardIsOneWALRecord(t *testing.T) {
 func TestShardedShutdownNoGoroutineLeak(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
-	db, err := shard.Open(core.Options{
-		Dir:           "db",
-		FS:            vfs.NewMem(),
-		MemtableBytes: 4 << 20,
-	}, 4)
+	db, err := shard.Open(core.Options{Dir: "db", FS: vfs.NewMem()}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

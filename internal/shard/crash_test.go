@@ -36,7 +36,7 @@ type scOp struct {
 
 func crashShardOpts(fs vfs.FS, walSync bool) core.Options {
 	o := testOpts(fs, "db")
-	o.WALSync = walSync
+	o.SyncWAL = walSync
 	return o
 }
 

@@ -7,9 +7,7 @@ import (
 	"strings"
 	"testing"
 
-	"lsmkv/internal/compaction"
 	"lsmkv/internal/core"
-	"lsmkv/internal/filter"
 	"lsmkv/internal/iostat"
 	"lsmkv/internal/vfs"
 )
@@ -17,17 +15,12 @@ import (
 // testOpts returns a tiny engine design (small buffers so a few hundred
 // ops exercise flush and compaction) on the given filesystem.
 func testOpts(fs vfs.FS, dir string) core.Options {
-	return core.Options{
-		Dir:           dir,
-		FS:            fs,
-		MemtableBytes: 4 << 10,
-		Shape: compaction.Shape{
-			SizeRatio: 4, K: 1, Z: 1, L0Trigger: 2,
-			BaseBytes: 8 << 10, MaxLevels: 4,
-		},
-		BlockSize:    512,
-		FilterPolicy: filter.Policy{Kind: filter.KindBloom, BitsPerKey: 10},
+	o := core.Options{
+		Dir: dir, FS: fs, L0CompactionTrigger: 2, BaseBytes: 8 << 10,
+		Design: core.Design{MemtableBytes: 4 << 10, SizeRatio: 4, MaxLevels: 4, BlockSize: 512},
 	}
+	o.DisableCache()
+	return o
 }
 
 func openShards(t *testing.T, fs vfs.FS, dir string, n int) *DB {

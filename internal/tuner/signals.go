@@ -74,13 +74,13 @@ const DefaultZeroLookupShare = 0.2
 // operation mix — the single code path shared by the online tuner and
 // offline `lsmtune -addr`. zeroShare splits point lookups into existing
 // vs absent probes (<= 0 selects DefaultZeroLookupShare); selectivity is
-// the assumed range-scan result fraction (<= 0 selects 0.01).
+// the assumed range-scan result fraction (<= 0 selects rangeSelectivity).
 func WorkloadFromDelta(d iostat.Snapshot, zeroShare, selectivity float64) cost.Workload {
 	if zeroShare <= 0 || zeroShare >= 1 {
 		zeroShare = DefaultZeroLookupShare
 	}
 	if selectivity <= 0 || selectivity > 1 {
-		selectivity = 0.01
+		selectivity = rangeSelectivity
 	}
 	total := float64(d.PointLookups + d.RangeLookups + d.WriteOps)
 	if total <= 0 {
@@ -101,7 +101,7 @@ func WorkloadFromDelta(d iostat.Snapshot, zeroShare, selectivity float64) cost.W
 // proportions WorkloadFromDelta uses. The scan share comes from the
 // interval's measured range fraction, capped by the smoothed read
 // fraction; the remainder splits into existing vs absent point probes.
-func workloadFromSignals(sig Signals, cfg Config) cost.Workload {
+func workloadFromSignals(sig Signals) cost.Workload {
 	r := sig.ReadFrac
 	scans := sig.RangeFrac
 	if scans > r {
@@ -110,10 +110,10 @@ func workloadFromSignals(sig Signals, cfg Config) cost.Workload {
 	points := r - scans
 	return cost.Workload{
 		Writes:           1 - r,
-		PointLookups:     points * (1 - cfg.ZeroLookupShare),
-		ZeroLookups:      points * cfg.ZeroLookupShare,
+		PointLookups:     points * (1 - DefaultZeroLookupShare),
+		ZeroLookups:      points * DefaultZeroLookupShare,
 		RangeLookups:     scans,
-		RangeSelectivity: cfg.RangeSelectivity,
+		RangeSelectivity: rangeSelectivity,
 	}.Normalize()
 }
 
@@ -128,19 +128,11 @@ func systemFrom(p core.TuningProfile, bitsPerKey float64) cost.System {
 	if n < 1 {
 		n = 1
 	}
-	page := float64(p.BlockSize)
-	if page <= 0 {
-		page = 4096
-	}
-	buf := float64(p.MemtableBytes)
-	if buf <= 0 {
-		buf = 4 << 20
-	}
 	return cost.System{
 		N:                n,
 		EntryBytes:       entry,
-		PageBytes:        page,
-		BufferBytes:      buf,
+		PageBytes:        float64(p.BlockSize),
+		BufferBytes:      float64(p.MemtableBytes),
 		FilterBitsPerKey: bitsPerKey,
 		MonkeyAllocation: p.MonkeyFilters,
 	}

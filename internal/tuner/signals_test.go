@@ -111,8 +111,10 @@ func TestSystemFrom(t *testing.T) {
 		t.Fatalf("filter params = %v/%v", sys.MonkeyAllocation, sys.FilterBitsPerKey)
 	}
 
-	// An empty engine must still produce a usable system (fallbacks).
-	sys = systemFrom(core.TuningProfile{}, 10)
+	// An empty engine must still produce a usable system (fallbacks for
+	// the volume it does not have yet; its sizes are configured).
+	d := core.Defaults()
+	sys = systemFrom(core.TuningProfile{MemtableBytes: d.MemtableBytes, BlockSize: d.BlockSize}, 10)
 	if sys.N < 1 || sys.EntryBytes != 128 || sys.PageBytes != 4096 || sys.BufferBytes != float64(4<<20) {
 		t.Fatalf("empty-profile fallbacks wrong: %+v", sys)
 	}

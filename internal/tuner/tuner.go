@@ -11,13 +11,15 @@
 // real I/O to undo:
 //
 //   - Signals are EWMA-smoothed, so one anomalous interval cannot steer.
-//   - A candidate design must beat the current one by Config.MinGain in
+//   - A candidate design must beat the current one by minGain in
 //     modeled cost (hysteresis) and must win on Config.ConfirmSamples
 //     consecutive samples before anything is applied.
 //   - After a move the tuner holds still for Config.Cooldown, giving
 //     compaction time to express the new shape before it is re-judged.
 //   - Shape moves step: T by one, K and Z by half the remaining distance
 //     to the target design, so convergence is monotone and interruptible.
+//   - Every knob moves only inside its core.Knobs row's tuner bounds
+//     (core.TuneBounds).
 //
 // Every applied move is recorded as an iostat.EventTune event carrying
 // the signal snapshot, the knob delta, and the rationale — the event log
@@ -27,6 +29,7 @@
 package tuner
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 	"sync"
@@ -52,39 +55,33 @@ type Target interface {
 	EventLog() *iostat.EventLog
 }
 
+// The controller's fixed constants.
+const (
+	// minGain is the fractional modeled-cost improvement a candidate
+	// design must offer before the tuner moves (the hysteresis band).
+	minGain = 0.10
+	// ewmaAlpha weights the newest sample in the smoothed read fraction.
+	ewmaAlpha = 0.5
+	// rangeSelectivity is the assumed fraction of the keyspace a range
+	// scan returns.
+	rangeSelectivity = 0.01
+)
+
 // Config parameterizes the control loop. The zero value selects the
 // defaults noted on each field.
 type Config struct {
-	// Interval is the sampling period. Default 10s.
+	// Interval is the sampling period. Default: the tune-interval row of
+	// core.Knobs (10s).
 	Interval time.Duration
 	// Cooldown is the minimum time between applied moves. Default
 	// 3×Interval.
 	Cooldown time.Duration
-	// MinGain is the fractional modeled-cost improvement a candidate
-	// design must offer before the tuner moves (the hysteresis band).
-	// Default 0.10.
-	MinGain float64
 	// ConfirmSamples is how many consecutive samples must agree on the
 	// same target design before a shape move applies. Default 2.
 	ConfirmSamples int
 	// MinOps is the minimum operations in an interval for it to count as
 	// signal; quieter intervals are skipped. Default 64.
 	MinOps int64
-	// EWMAAlpha weights the newest sample in the smoothed read fraction.
-	// Default 0.5.
-	EWMAAlpha float64
-	// MinT and MaxT bound the size-ratio search. Defaults 2 and 16.
-	MinT, MaxT int
-	// MinBitsPerKey and MaxBitsPerKey bound filter-budget moves.
-	// Defaults 4 and 16.
-	MinBitsPerKey, MaxBitsPerKey float64
-	// ZeroLookupShare is the assumed fraction of point lookups that probe
-	// absent keys (the counters cannot distinguish them; see
-	// WorkloadFromDelta). Default 0.2.
-	ZeroLookupShare float64
-	// RangeSelectivity is the assumed fraction of the keyspace a range
-	// scan returns. Default 0.01.
-	RangeSelectivity float64
 	// Shard tags this tuner's status for aggregate reporting.
 	Shard int
 	// Logf, when set, receives one line per applied move.
@@ -93,40 +90,16 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if c.Interval <= 0 {
-		c.Interval = 10 * time.Second
+		c.Interval = core.Defaults().AutoTuneInterval
 	}
 	if c.Cooldown <= 0 {
 		c.Cooldown = 3 * c.Interval
-	}
-	if c.MinGain <= 0 {
-		c.MinGain = 0.10
 	}
 	if c.ConfirmSamples <= 0 {
 		c.ConfirmSamples = 2
 	}
 	if c.MinOps <= 0 {
 		c.MinOps = 64
-	}
-	if c.EWMAAlpha <= 0 || c.EWMAAlpha > 1 {
-		c.EWMAAlpha = 0.5
-	}
-	if c.MinT < 2 {
-		c.MinT = 2
-	}
-	if c.MaxT < c.MinT {
-		c.MaxT = 16
-	}
-	if c.MinBitsPerKey <= 0 {
-		c.MinBitsPerKey = 4
-	}
-	if c.MaxBitsPerKey < c.MinBitsPerKey {
-		c.MaxBitsPerKey = 16
-	}
-	if c.ZeroLookupShare <= 0 || c.ZeroLookupShare >= 1 {
-		c.ZeroLookupShare = 0.2
-	}
-	if c.RangeSelectivity <= 0 || c.RangeSelectivity > 1 {
-		c.RangeSelectivity = 0.01
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -139,6 +112,8 @@ func (c Config) withDefaults() Config {
 type Tuner struct {
 	target Target
 	cfg    Config
+	// lo and hi bound every knob move (core.TuneBounds).
+	lo, hi core.Tunables
 
 	mu         sync.Mutex
 	running    bool
@@ -166,7 +141,8 @@ const maxDecisions = 32
 // New returns a tuner driving target. Call Start for the background
 // loop, or Sample directly to step it (tests, harnesses).
 func New(target Target, cfg Config) *Tuner {
-	return &Tuner{target: target, cfg: cfg.withDefaults()}
+	lo, hi := core.TuneBounds()
+	return &Tuner{target: target, cfg: cfg.withDefaults(), lo: lo, hi: hi}
 }
 
 // Start launches the sampling loop. Idempotent while running.
@@ -255,7 +231,7 @@ func (t *Tuner) Sample() {
 
 	sig := signalsFromDelta(delta, elapsed)
 	if t.haveEWMA {
-		sig.ReadFrac = t.cfg.EWMAAlpha*sig.RawReadFrac + (1-t.cfg.EWMAAlpha)*t.ewmaRead
+		sig.ReadFrac = ewmaAlpha*sig.RawReadFrac + (1-ewmaAlpha)*t.ewmaRead
 	} else {
 		sig.ReadFrac = sig.RawReadFrac
 		t.haveEWMA = true
@@ -266,13 +242,11 @@ func (t *Tuner) Sample() {
 	cur := t.target.Tunables()
 	profile := t.target.TuningProfile()
 	sys := systemFrom(profile, cur.FilterBitsPerKey)
-	w := workloadFromSignals(sig, t.cfg)
+	w := workloadFromSignals(sig)
 	model := cost.Model{Sys: sys}
 	curDesign := cost.Design{T: cur.SizeRatio, K: cur.K, Z: cur.Z}
 	curCost := model.Cost(curDesign, w)
-	best := cost.Navigate(sys, w, cost.CandidateSpace{
-		MinT: t.cfg.MinT, MaxT: t.cfg.MaxT, FullHybrid: true,
-	})
+	best := cost.Navigate(sys, w, t.candidates())
 
 	next := cur
 	var reasons []string
@@ -283,7 +257,7 @@ func (t *Tuner) Sample() {
 	if curCost > 0 {
 		gain = (curCost - best.Cost) / curCost
 	}
-	if best.Design != curDesign && gain >= t.cfg.MinGain {
+	if best.Design != curDesign && gain >= minGain {
 		if best.Design == t.pendingD {
 			t.streak++
 		} else {
@@ -292,11 +266,8 @@ func (t *Tuner) Sample() {
 		}
 		t.targetDesc = best.Design.String()
 		if t.streak >= t.cfg.ConfirmSamples {
-			stepped := stepToward(cur, best.Design)
-			if stepped != cur {
-				next.SizeRatio = stepped.SizeRatio
-				next.K = stepped.K
-				next.Z = stepped.Z
+			if stepped := stepToward(cur, best.Design); stepped != cur {
+				next = stepped
 				reasons = append(reasons, fmt.Sprintf(
 					"shape toward %s: modeled %.2f -> %.2f io/op (gain %.0f%%)",
 					best.Design, curCost, best.Cost, gain*100))
@@ -312,11 +283,11 @@ func (t *Tuner) Sample() {
 	// build cost and memory buy nothing a write path uses).
 	if cur.FilterBitsPerKey > 0 {
 		switch {
-		case sig.ReadFrac > 0.6 && sig.FilterFPR > 0.02 && cur.FilterBitsPerKey < t.cfg.MaxBitsPerKey:
+		case sig.ReadFrac > 0.6 && sig.FilterFPR > 0.02 && cur.FilterBitsPerKey < t.hi.FilterBitsPerKey:
 			next.FilterBitsPerKey = cur.FilterBitsPerKey + 1
 			reasons = append(reasons, fmt.Sprintf(
 				"filters +1 bit/key: fpr %.3f under read-heavy mix", sig.FilterFPR))
-		case sig.ReadFrac < 0.3 && cur.FilterBitsPerKey > t.cfg.MinBitsPerKey:
+		case sig.ReadFrac < 0.3 && cur.FilterBitsPerKey > t.lo.FilterBitsPerKey:
 			next.FilterBitsPerKey = cur.FilterBitsPerKey - 1
 			reasons = append(reasons, fmt.Sprintf(
 				"filters -1 bit/key: write-heavy mix (read-frac %.2f)", sig.ReadFrac))
@@ -326,15 +297,16 @@ func (t *Tuner) Sample() {
 	// L0 compaction trigger: every L0 run joins every lookup and every
 	// scan (no filter screens a scan), so a read-heavy mix wants L0
 	// drained eagerly; a write-heavy mix wants a deep L0 batching work
-	// into fewer, larger merges. Stepped one run at a time between 2 and 8.
+	// into fewer, larger merges. Stepped one run at a time within its
+	// bounds.
 	if cur.L0CompactionTrigger > 0 {
 		switch {
-		case sig.ReadFrac > 0.6 && cur.L0CompactionTrigger > 2:
+		case sig.ReadFrac > 0.6 && cur.L0CompactionTrigger > t.lo.L0CompactionTrigger:
 			next.L0CompactionTrigger = cur.L0CompactionTrigger - 1
 			reasons = append(reasons, fmt.Sprintf(
 				"L0 trigger -1: read-heavy mix pays every L0 run on every read (read-frac %.2f)",
 				sig.ReadFrac))
-		case sig.ReadFrac < 0.3 && cur.L0CompactionTrigger < 8:
+		case sig.ReadFrac < 0.3 && cur.L0CompactionTrigger < t.hi.L0CompactionTrigger:
 			next.L0CompactionTrigger = cur.L0CompactionTrigger + 1
 			reasons = append(reasons, fmt.Sprintf(
 				"L0 trigger +1: write-heavy mix batches L0 merges (read-frac %.2f)",
@@ -347,10 +319,10 @@ func (t *Tuner) Sample() {
 	// slowdown time with zero stalls under a write-heavy mix means the
 	// band is overdamped — relax the delay cap.
 	if sig.StallNs > 0 {
-		if cur.L0SlowdownTrigger > 1 {
+		if cur.L0SlowdownTrigger > t.lo.L0SlowdownTrigger {
 			next.L0SlowdownTrigger = cur.L0SlowdownTrigger - 1
 		}
-		if d := cur.SlowdownMaxDelay * 2; d <= 20*time.Millisecond {
+		if d := cur.SlowdownMaxDelay * 2; d > 0 && d <= t.hi.SlowdownMaxDelay {
 			next.SlowdownMaxDelay = d
 		}
 		reasons = append(reasons, fmt.Sprintf(
@@ -358,39 +330,50 @@ func (t *Tuner) Sample() {
 			float64(sig.StallNs)/1e6))
 	} else if sig.ReadFrac < 0.3 && elapsed > 0 &&
 		float64(sig.SlowdownNs) > 0.1*float64(elapsed) &&
-		cur.SlowdownMaxDelay > 500*time.Microsecond {
+		cur.SlowdownMaxDelay > t.lo.SlowdownMaxDelay {
 		next.SlowdownMaxDelay = cur.SlowdownMaxDelay / 2
 		reasons = append(reasons, fmt.Sprintf(
 			"relax slowdown cap: %.0f%% of interval spent in soft delay, no stalls",
 			100*float64(sig.SlowdownNs)/float64(elapsed)))
 	}
 
-	if len(reasons) == 0 || t.frozen {
+	if len(reasons) == 0 || t.frozen || now.Sub(t.lastMove) < t.cfg.Cooldown {
 		return
 	}
-	if now.Sub(t.lastMove) < t.cfg.Cooldown {
-		return
-	}
+	t.apply(now, sig, cur, next, strings.Join(reasons, "; "))
+}
+
+// apply retunes the target from cur to next and records the move: a
+// Decision, and an EventTune whose knob delta is what Retune applied,
+// rendered as the engine's own EventRetune renders it. Caller holds t.mu.
+func (t *Tuner) apply(now time.Time, sig Signals, cur, next core.Tunables, rationale string) {
 	if err := t.target.Retune(next); err != nil {
 		t.cfg.Logf("tuner: retune rejected: %v", err)
 		return
 	}
-	rationale := strings.Join(reasons, "; ")
+	after := t.target.Tunables()
 	t.lastMove = now
 	t.streak = 0
 	t.moves++
 	t.decisions = append(t.decisions, Decision{
 		Time: now, Shard: t.cfg.Shard, Signals: sig,
-		Before: cur, After: next, Rationale: rationale,
+		Before: cur, After: after, Rationale: rationale,
 	})
 	if len(t.decisions) > maxDecisions {
 		t.decisions = t.decisions[len(t.decisions)-maxDecisions:]
 	}
+	delta := cmp.Or(after.Describe(&cur), "no-op")
 	t.target.EventLog().Add(iostat.Event{
 		Type: iostat.EventTune, FromLevel: -1, ToLevel: -1,
-		Detail: fmt.Sprintf("%s | %s | %s", sig, diffTunables(cur, next), rationale),
+		Detail: fmt.Sprintf("%s | %s | %s", sig, delta, rationale),
 	})
-	t.cfg.Logf("tuner: %s | %s | %s", sig, diffTunables(cur, next), rationale)
+	t.cfg.Logf("tuner: %s | %s | %s", sig, delta, rationale)
+}
+
+// candidates is the design space the cost navigator searches: every
+// hybrid (T, K, Z) with T inside the size ratio's tuner bounds.
+func (t *Tuner) candidates() cost.CandidateSpace {
+	return cost.CandidateSpace{MinT: t.lo.SizeRatio, MaxT: t.hi.SizeRatio, FullHybrid: true}
 }
 
 // stepToward returns cur advanced one bounded step toward target: T moves
@@ -404,22 +387,10 @@ func stepToward(cur core.Tunables, target cost.Design) core.Tunables {
 	} else if target.T < cur.SizeRatio {
 		next.SizeRatio = cur.SizeRatio - 1
 	}
-	next.K = halfStep(cur.K, target.K)
-	next.Z = halfStep(cur.Z, target.Z)
-	// Run budgets live in [1, T-1]; core's Shape.Validate clamps the same
-	// way, but clamping here keeps the returned design honest for diffs.
-	if limit := next.SizeRatio - 1; next.K > limit {
-		next.K = limit
-	}
-	if limit := next.SizeRatio - 1; next.Z > limit {
-		next.Z = limit
-	}
-	if next.K < 1 {
-		next.K = 1
-	}
-	if next.Z < 1 {
-		next.Z = 1
-	}
+	// Run budgets live in [1, T-1] (core rejects anything else); a half
+	// step between two budgets of at least 1 needs only the upper bound.
+	next.K = min(halfStep(cur.K, target.K), next.SizeRatio-1)
+	next.Z = min(halfStep(cur.Z, target.Z), next.SizeRatio-1)
 	return next
 }
 
@@ -438,27 +409,4 @@ func halfStep(cur, target int) int {
 		}
 	}
 	return cur + step
-}
-
-// diffTunables renders the knobs that differ between a and b.
-func diffTunables(a, b core.Tunables) string {
-	var parts []string
-	add := func(name string, from, to any) {
-		if from != to {
-			parts = append(parts, fmt.Sprintf("%s %v->%v", name, from, to))
-		}
-	}
-	add("T", a.SizeRatio, b.SizeRatio)
-	add("K", a.K, b.K)
-	add("Z", a.Z, b.Z)
-	add("bits/key", a.FilterBitsPerKey, b.FilterBitsPerKey)
-	add("l0-trigger", a.L0CompactionTrigger, b.L0CompactionTrigger)
-	add("l0-slowdown", a.L0SlowdownTrigger, b.L0SlowdownTrigger)
-	add("l0-stop", a.L0StopTrigger, b.L0StopTrigger)
-	add("slowdown-max-delay", a.SlowdownMaxDelay, b.SlowdownMaxDelay)
-	add("debt-limit", a.PendingCompactionSlowdownBytes, b.PendingCompactionSlowdownBytes)
-	if len(parts) == 0 {
-		return "no-op"
-	}
-	return strings.Join(parts, " ")
 }

@@ -1,6 +1,9 @@
 package tuner
 
 import (
+	"encoding/json"
+	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -9,6 +12,7 @@ import (
 	"lsmkv/internal/core"
 	"lsmkv/internal/cost"
 	"lsmkv/internal/iostat"
+	"lsmkv/internal/vfs"
 )
 
 // fakeTarget is a scriptable engine: tests load counters between Sample
@@ -58,32 +62,11 @@ func (f *fakeTarget) Retune(t core.Tunables) error {
 	if f.err != nil {
 		return f.err
 	}
-	if t.SizeRatio > 0 {
-		f.tun.SizeRatio = t.SizeRatio
-	}
-	if t.K > 0 {
-		f.tun.K = t.K
-	}
-	if t.Z > 0 {
-		f.tun.Z = t.Z
-	}
-	if t.FilterBitsPerKey > 0 {
-		f.tun.FilterBitsPerKey = t.FilterBitsPerKey
-	}
-	if t.L0CompactionTrigger > 0 {
-		f.tun.L0CompactionTrigger = t.L0CompactionTrigger
-	}
-	if t.L0SlowdownTrigger > 0 {
-		f.tun.L0SlowdownTrigger = t.L0SlowdownTrigger
-	}
-	if t.L0StopTrigger > 0 {
-		f.tun.L0StopTrigger = t.L0StopTrigger
-	}
-	if t.SlowdownMaxDelay > 0 {
-		f.tun.SlowdownMaxDelay = t.SlowdownMaxDelay
-	}
-	if t.PendingCompactionSlowdownBytes > 0 {
-		f.tun.PendingCompactionSlowdownBytes = t.PendingCompactionSlowdownBytes
+	dst, src := reflect.ValueOf(&f.tun).Elem(), reflect.ValueOf(t)
+	for i := 0; i < src.NumField(); i++ {
+		if !src.Field(i).IsZero() {
+			dst.Field(i).Set(src.Field(i))
+		}
 	}
 	f.history = append(f.history, f.tun)
 	return nil
@@ -164,22 +147,21 @@ func TestQuietIntervalIsSkipped(t *testing.T) {
 
 // TestHysteresisHoldsOnNoisySteadyWorkload parks the engine at the
 // modeled optimum for a balanced mix and feeds intervals whose read
-// fraction jitters around it. The MinGain band plus EWMA smoothing must
+// fraction jitters around it. The minGain band plus EWMA smoothing must
 // keep the tuner still: zero applied moves, no oscillation.
 func TestHysteresisHoldsOnNoisySteadyWorkload(t *testing.T) {
 	f := newFakeTarget()
-	cfg := fastConfig().withDefaults()
+	tn := New(f, fastConfig())
 
 	// Find the design the tuner itself would consider optimal for a
 	// steady 50/50 mix, and start there.
 	sys := systemFrom(f.profile, f.tun.FilterBitsPerKey)
-	w := workloadFromSignals(Signals{ReadFrac: 0.5}, cfg)
-	best := cost.Navigate(sys, w, cost.CandidateSpace{MinT: cfg.MinT, MaxT: cfg.MaxT, FullHybrid: true})
+	w := workloadFromSignals(Signals{ReadFrac: 0.5})
+	best := cost.Navigate(sys, w, tn.candidates())
 	f.tun.SizeRatio = best.Design.T
 	f.tun.K = best.Design.K
 	f.tun.Z = best.Design.Z
 
-	tn := New(f, cfg)
 	tn.Sample() // baseline
 	for i := 0; i < 20; i++ {
 		if i%2 == 0 {
@@ -383,15 +365,14 @@ func TestSlowdownCapRelaxesWhenOverdamped(t *testing.T) {
 	f := newFakeTarget()
 	// Park the shape at the write-heavy optimum so only the band rule
 	// fires (isolates the assertion from shape moves).
-	cfg := fastConfig().withDefaults()
+	tn := New(f, fastConfig())
 	sys := systemFrom(f.profile, f.tun.FilterBitsPerKey)
-	w := workloadFromSignals(Signals{ReadFrac: 0.05}, cfg)
-	best := cost.Navigate(sys, w, cost.CandidateSpace{MinT: cfg.MinT, MaxT: cfg.MaxT, FullHybrid: true})
+	w := workloadFromSignals(Signals{ReadFrac: 0.05})
+	best := cost.Navigate(sys, w, tn.candidates())
 	f.tun.SizeRatio = best.Design.T
 	f.tun.K = best.Design.K
 	f.tun.Z = best.Design.Z
 
-	tn := New(f, cfg)
 	tn.Sample() // baseline
 	f.serve(50, 950)
 	f.mu.Lock()
@@ -523,14 +504,74 @@ func TestHalfStep(t *testing.T) {
 
 func TestDiffTunables(t *testing.T) {
 	a := core.Tunables{SizeRatio: 10, K: 1, Z: 1, FilterBitsPerKey: 10}
-	if got := diffTunables(a, a); got != "no-op" {
+	if got := a.Describe(&a); got != "" {
 		t.Fatalf("diff of equal tunables = %q", got)
 	}
 	b := a
 	b.SizeRatio = 8
 	b.FilterBitsPerKey = 12
-	got := diffTunables(a, b)
-	if !strings.Contains(got, "T 10->8") || !strings.Contains(got, "bits/key 10->12") {
+	if got := b.Describe(&a); got != "T 10->8 bits/key 10->12" {
 		t.Fatalf("diff = %q", got)
+	}
+}
+
+// TestEveryLiveKnobRendersInBothEvents: for every live row of core.Knobs,
+// a move of that knob alone is named in the engine's retune event and in
+// the tuner's tune event. Both render through Tunables.Describe over the
+// rows; when each kept its own list, the tune event could not show every
+// knob the retune event did.
+func TestEveryLiveKnobRendersInBothEvents(t *testing.T) {
+	eng, err := core.Open(core.Options{Dir: "d", FS: vfs.NewMem()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	tn := New(eng, fastConfig())
+	for i := range core.Knobs {
+		k := &core.Knobs[i]
+		if k.Live == nil {
+			continue
+		}
+		cur := eng.Tunables()
+		next := cur
+		if v := reflect.ValueOf(k.Live(&next)).Elem(); v.CanFloat() {
+			v.SetFloat(v.Float() + 1)
+		} else {
+			v.SetInt(v.Int() + 1)
+		}
+		tn.mu.Lock()
+		tn.apply(time.Now(), Signals{}, cur, next, "test")
+		tn.mu.Unlock()
+		named := map[iostat.EventType]bool{}
+		for _, e := range eng.Events() {
+			delta := e.Detail
+			if e.Type == iostat.EventTune {
+				delta = strings.Split(delta, " | ")[1]
+			}
+			named[e.Type] = slices.Contains(strings.Fields(delta), k.Name)
+		}
+		if !named[iostat.EventRetune] || !named[iostat.EventTune] {
+			t.Errorf("moving %s alone: named in the retune event %v, in the tune event %v", k.Name, named[iostat.EventRetune], named[iostat.EventTune])
+		}
+	}
+}
+
+// TestStatusJSONGolden: tuner status serializes to the bytes it did while
+// Tunables was declared apart from the rows (the STATS opcode's JSON).
+func TestStatusJSONGolden(t *testing.T) {
+	b, err := json.Marshal(Status{Shard: 1, Running: true, Interval: "10s", Cooldown: "30s", Current: core.Tunables{
+		SizeRatio: 10, K: 1, Z: 1, FilterBitsPerKey: 10, L0CompactionTrigger: 4, L0SlowdownTrigger: 12, L0StopTrigger: 24,
+		SlowdownMaxDelay: time.Millisecond, PendingCompactionSlowdownBytes: 64 << 20,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"shard":1,"running":true,"frozen":false,"interval":"10s","cooldown":"30s","samples":0,"moves":0,` +
+		`"current":{"SizeRatio":10,"K":1,"Z":1,"FilterBitsPerKey":10,"L0CompactionTrigger":4,"L0SlowdownTrigger":12,` +
+		`"L0StopTrigger":24,"SlowdownMaxDelay":1000000,"PendingCompactionSlowdownBytes":67108864},` +
+		`"last_signals":{"ops":0,"raw_read_frac":0,"read_frac":0,"range_frac":0,"write_amp":0,"filter_fpr":0,` +
+		`"cache_hit_rate":0,"stall_ns":0,"slowdown_ns":0}}`
+	if string(b) != want {
+		t.Fatalf("status JSON\n got %s\nwant %s", b, want)
 	}
 }

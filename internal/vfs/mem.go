@@ -301,9 +301,9 @@ func (f *memFile) WriteAt(p []byte, off int64) (int, error) {
 		n.syncedCopy = append([]byte(nil), n.data[:n.syncedLen]...)
 	}
 	if end := off + int64(len(p)); end > int64(len(n.data)) {
-		grown := make([]byte, end)
-		copy(grown, n.data)
-		n.data = grown
+		// Grown by append, so a file written at its end (the value log)
+		// costs amortized time per byte, not a whole-file copy per write.
+		n.data = append(n.data, make([]byte, end-int64(len(n.data)))...)
 	}
 	copy(n.data[off:], p)
 	return len(p), nil

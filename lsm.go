@@ -22,7 +22,6 @@ import (
 	"errors"
 	"time"
 
-	"lsmkv/internal/cache"
 	"lsmkv/internal/checkpoint"
 	"lsmkv/internal/compaction"
 	"lsmkv/internal/core"
@@ -50,19 +49,19 @@ var ErrCASMismatch = core.ErrCASMismatch
 var ErrNotCounter = core.ErrNotCounter
 
 // Layout names the data layout of the tree (tutorial Module I).
-type Layout string
+type Layout = core.Layout
 
 const (
 	// Leveled keeps one sorted run per level (RocksDB default): best
 	// reads, most write amplification.
-	Leveled Layout = "leveled"
+	Leveled = core.Leveled
 	// Tiered allows T-1 runs per level (Cassandra STCS): best writes,
 	// most runs to probe.
-	Tiered Layout = "tiered"
+	Tiered = core.Tiered
 	// LazyLeveled tiers the inner levels and levels the last one
 	// (Dostoevsky): point-read cost close to leveled at near-tiered
 	// write cost.
-	LazyLeveled Layout = "lazy"
+	LazyLeveled = core.LazyLeveled
 )
 
 // FilterKind names the point-filter structure (Module II-i).
@@ -112,153 +111,10 @@ const (
 
 // Options selects a point in the LSM design space. The zero value (plus a
 // directory) is a sensible leveled engine; the preset constructors below
-// give named starting points.
-type Options struct {
-	// Layout selects the data layout. Default Leveled.
-	Layout Layout
-	// SizeRatio is the growth factor T between levels. Default 10.
-	SizeRatio int
-	// HybridK and HybridZ, when both positive, override Layout with an
-	// explicit point on the Dostoevsky continuum: up to K runs in inner
-	// levels and Z runs in the last level (1 <= K,Z <= SizeRatio-1).
-	// Leveling is (1,1), tiering (T-1,T-1), lazy leveling (T-1,1).
-	HybridK int
-	HybridZ int
-	// MemtableBytes is the write-buffer capacity. Default 4 MiB.
-	MemtableBytes int64
-	// TwoLevelMemtable enables the FloDB-style hash front buffer.
-	TwoLevelMemtable bool
-	// DisableWAL trades durability for ingest throughput.
-	DisableWAL bool
-	// SyncWAL fsyncs on every write.
-	SyncWAL bool
-
-	// Shards splits the keyspace across this many independent engines,
-	// each with its own WAL, memtable, level 0, manifest, and compaction
-	// claim space; point operations route by a stable hash of the key,
-	// scans merge all shards, and batches commit atomically per shard
-	// (not across shards). 0 adopts whatever the directory already is
-	// (1 for a fresh database); 1 is the classic single-engine layout,
-	// byte-for-byte. Opening a single-engine database with Shards=N>1
-	// migrates it in place once; changing the count of an already-sharded
-	// database is an error. See DESIGN.md's Sharding section.
-	Shards int
-
-	// PartialCompaction moves one file at a time (leveled layout only).
-	PartialCompaction bool
-	// FilePicking selects which file partial compaction moves.
-	FilePicking FilePicking
-	// MaxLevels bounds tree depth. Default 7.
-	MaxLevels int
-
-	// Filter selects the point-filter structure. Default FilterBloom.
-	Filter FilterKind
-	// BitsPerKey is the average filter budget. Default 10.
-	BitsPerKey float64
-	// MonkeyFilters redistributes filter memory optimally across levels.
-	MonkeyFilters bool
-	// PartitionedFilters builds one filter partition per data block.
-	PartitionedFilters bool
-
-	// RangeFilter selects the range-filter structure. Default none.
-	RangeFilter RangeFilterKind
-	// RangeFilterBitsPerKey budgets Bloom-backed range filters. Default 16.
-	RangeFilterBitsPerKey float64
-	// PrefixLength is the prefix length for RangeFilterPrefix. Default 8.
-	PrefixLength int
-
-	// BlockSize is the data-block size. Default 4096.
-	BlockSize int
-	// BlockHashIndex accelerates in-block point lookups.
-	BlockHashIndex bool
-	// LearnedIndex stores and uses a learned model over fences.
-	LearnedIndex LearnedIndexKind
-
-	// CacheBytes is the block-cache capacity. Default 8 MiB; 0 disables.
-	CacheBytes int64
-	// CacheClock selects CLOCK replacement instead of LRU.
-	CacheClock bool
-	// PrefetchAfterCompaction re-warms the cache after compactions.
-	PrefetchAfterCompaction bool
-
-	// ValueSeparation stores large values in a value log (WiscKey).
-	ValueSeparation bool
-	// ValueThreshold is the minimum separated value size. Default 1024.
-	ValueThreshold int
-	// VlogSegmentBytes bounds value-log segment size (the GC unit).
-	// Default 64 MiB.
-	VlogSegmentBytes uint64
-
-	// CompactionMaxBytesPerSec throttles compaction output, smoothing
-	// foreground latency at the cost of slower maintenance. The budget is
-	// shared by all compaction workers (it bounds their combined rate);
-	// flushes are exempt. 0 disables.
-	CompactionMaxBytesPerSec int64
-	// CompactionConcurrency is the number of background compaction
-	// workers; the scheduler keeps their tasks disjoint. Default 2.
-	CompactionConcurrency int
-	// MaxImmutableMemtables bounds the flush queue; writers hard-stop
-	// beyond it. Default 2.
-	MaxImmutableMemtables int
-	// L0SlowdownTrigger is the level-0 run count where writes begin to be
-	// delayed (soft backpressure); L0StopTrigger is where they block
-	// outright. Defaults: 3× and 6× the layout's L0 trigger.
-	L0SlowdownTrigger int
-	L0StopTrigger     int
-	// SlowdownMaxDelay caps the per-write delay of the slowdown band.
-	// Default 1ms; negative disables the band.
-	SlowdownMaxDelay time.Duration
-	// PendingCompactionSlowdownBytes is the compaction-debt level at
-	// which writes are delayed by the full SlowdownMaxDelay (ramping from
-	// half that debt). Default 64 MiB; negative disables the component.
-	PendingCompactionSlowdownBytes int64
-
-	// AutoTune starts the online self-tuning controller at Open: one
-	// tuner per shard samples the engine's iostat counters and adapts the
-	// live knobs (leveling/tiering position, filter bits/key, slowdown
-	// band) to the observed workload. See TUNING.md's "Let the engine
-	// tune itself". Off by default.
-	AutoTune bool
-	// AutoTuneInterval is the tuner's sampling period. Default 10s.
-	AutoTuneInterval time.Duration
-
-	// Stats, when non-nil, receives I/O accounting shared with the
-	// caller — every shard records into it, so ShardStats then holds that
-	// one aggregate; otherwise each shard keeps a private instance.
-	Stats *iostat.Stats
-	// TrackLatency enables per-operation latency histograms, read via
-	// DB.Latencies. Off by default; when off no operation reads the clock.
-	TrackLatency bool
-	// EventLogSize bounds the in-memory ring of engine lifecycle events
-	// (flushes, compactions, WAL activity), read via DB.Events. 0 selects
-	// the default (512); negative disables event recording.
-	EventLogSize int
-	// Logf receives engine event logs when set.
-	Logf func(format string, args ...any)
-
-	// cacheBytesSet distinguishes "explicitly 0" from "unset" when the
-	// struct is built by presets.
-	cacheBytesSet bool
-	// filterDisabled distinguishes "explicitly no filter" from the zero
-	// value (which selects the default Bloom filter).
-	filterDisabled bool
-}
-
-// DisableCache explicitly turns the block cache off (distinct from
-// leaving CacheBytes zero, which selects the default size).
-func (o *Options) DisableCache() *Options {
-	o.CacheBytes = 0
-	o.cacheBytesSet = true
-	return o
-}
-
-// DisableFilters explicitly turns point filters off (distinct from
-// leaving Filter zero, which selects Bloom filters).
-func (o *Options) DisableFilters() *Options {
-	o.Filter = FilterNone
-	o.filterDisabled = true
-	return o
-}
+// give named starting points. Each field is one row of core.Knobs, which
+// holds its default and legal range (TUNING.md's knob reference); a
+// nonzero value outside that range fails Open with an error naming it.
+type Options = core.Design
 
 // Default returns the baseline design: leveled, T=10, Bloom filters at
 // 10 bits/key, 8 MiB LRU cache — the RocksDB-flavored point in the space.
@@ -322,107 +178,6 @@ func Preset(name string) (*Options, error) {
 	return nil, errors.New("lsmkv: unknown preset \"" + name + "\" (default | read | write | balanced | wisckey)")
 }
 
-// toCore maps public options to the engine configuration.
-func (o *Options) toCore(dir string) (core.Options, error) {
-	t := o.SizeRatio
-	if t < 2 {
-		t = 10
-	}
-	k, z := 1, 1
-	switch o.Layout {
-	case "", Leveled:
-	case Tiered:
-		k, z = t-1, t-1
-	case LazyLeveled:
-		k, z = t-1, 1
-	default:
-		return core.Options{}, errors.New("lsmkv: unknown layout " + string(o.Layout))
-	}
-	if o.HybridK > 0 && o.HybridZ > 0 {
-		k, z = o.HybridK, o.HybridZ
-	}
-	gran := compaction.WholeLevel
-	if o.PartialCompaction {
-		if k != 1 {
-			return core.Options{}, errors.New("lsmkv: partial compaction requires the leveled layout")
-		}
-		gran = compaction.SingleFile
-	}
-	bits := o.BitsPerKey
-	if bits <= 0 {
-		bits = 10
-	}
-	fk := o.Filter
-	if fk == FilterNone {
-		if o.filterDisabled {
-			fk = FilterNone
-		} else {
-			fk = FilterBloom
-		}
-	}
-	rfBits := o.RangeFilterBitsPerKey
-	if rfBits <= 0 {
-		rfBits = 16
-	}
-	prefixLen := o.PrefixLength
-	if prefixLen <= 0 {
-		prefixLen = 8
-	}
-	cacheBytes := o.CacheBytes
-	if cacheBytes == 0 && !o.cacheBytesSet {
-		cacheBytes = 8 << 20
-	}
-	cachePolicy := cache.LRU
-	if o.CacheClock {
-		cachePolicy = cache.Clock
-	}
-	return core.Options{
-		Dir:                   dir,
-		MemtableBytes:         o.MemtableBytes,
-		TwoLevelMemtable:      o.TwoLevelMemtable,
-		MaxImmutableMemtables: o.MaxImmutableMemtables,
-		L0SlowdownTrigger:     o.L0SlowdownTrigger,
-		L0StopTrigger:         o.L0StopTrigger,
-		SlowdownMaxDelay:      o.SlowdownMaxDelay,
-		DisableWAL:            o.DisableWAL,
-		WALSync:               o.SyncWAL,
-		Shape: compaction.Shape{
-			SizeRatio:   t,
-			K:           k,
-			Z:           z,
-			Granularity: gran,
-			Picker:      o.FilePicking,
-			MaxLevels:   o.MaxLevels,
-		},
-		BlockSize:         o.BlockSize,
-		FilterPolicy:      filter.Policy{Kind: fk, BitsPerKey: bits},
-		FilterPartitioned: o.PartitionedFilters,
-		MonkeyFilters:     o.MonkeyFilters,
-		RangeFilter: rangefilter.Policy{
-			Kind:            o.RangeFilter,
-			BitsPerKey:      rfBits,
-			PrefixLen:       prefixLen,
-			SuRFMode:        rangefilter.SuRFReal,
-			SuRFSuffixBytes: 2,
-		},
-		BlockHashIndex:                 o.BlockHashIndex,
-		LearnedIndex:                   o.LearnedIndex,
-		CacheBytes:                     cacheBytes,
-		CachePolicy:                    cachePolicy,
-		PrefetchAfterCompaction:        o.PrefetchAfterCompaction,
-		ValueSeparation:                o.ValueSeparation,
-		ValueThreshold:                 o.ValueThreshold,
-		VlogSegmentBytes:               o.VlogSegmentBytes,
-		CompactionMaxBytesPerSec:       o.CompactionMaxBytesPerSec,
-		CompactionConcurrency:          o.CompactionConcurrency,
-		PendingCompactionSlowdownBytes: o.PendingCompactionSlowdownBytes,
-		Stats:                          o.Stats,
-		TrackLatency:                   o.TrackLatency,
-		EventLogSize:                   o.EventLogSize,
-		Logf:                           o.Logf,
-	}, nil
-}
-
 // DB is a handle to an open database. It is safe for concurrent use.
 // Everything but Open and StartTuning is the embedded engine's method set
 // — reads, writes, scans, snapshots, stats, tuning control, replication
@@ -437,17 +192,18 @@ func Open(dir string, opts *Options) (*DB, error) {
 	if opts == nil {
 		opts = Default()
 	}
-	copts, err := opts.toCore(dir)
-	if err != nil {
-		return nil, err
-	}
-	inner, err := shard.Open(copts, opts.Shards)
+	return open(core.Options{Dir: dir, Design: *opts})
+}
+
+// open opens the database o describes; tests hand it their own FS.
+func open(o core.Options) (*DB, error) {
+	inner, err := shard.Open(o, o.Shards)
 	if err != nil {
 		return nil, err
 	}
 	db := &DB{DB: inner}
-	if opts.AutoTune {
-		db.StartTuning(opts.AutoTuneInterval)
+	if o.AutoTune {
+		db.StartTuning(o.AutoTuneInterval)
 	}
 	return db, nil
 }

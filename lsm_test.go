@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -117,6 +118,60 @@ func TestInvalidOptions(t *testing.T) {
 	}
 	if _, err := Open(t.TempDir(), &Options{Layout: Tiered, PartialCompaction: true}); err == nil {
 		t.Error("partial compaction with tiered layout accepted")
+	}
+}
+
+// TestOutOfRangeKnobIsRejected: a nonzero knob outside its row's legal
+// range fails Open with an error naming the knob. A SizeRatio of 1 once
+// opened a T=10 tree.
+func TestOutOfRangeKnobIsRejected(t *testing.T) {
+	for name, opts := range map[string]*Options{
+		"T = 1": {SizeRatio: 1}, "block-size = -1": {BlockSize: -1}, "memtable-bytes = -5": {MemtableBytes: -5},
+		"layout = bogus": {Layout: "bogus"}, "K=4 and Z=1": {SizeRatio: 4, HybridK: 4, HybridZ: 1},
+		"HybridK and HybridZ": {HybridK: 2},
+	} {
+		db, err := Open(t.TempDir(), opts)
+		if err == nil {
+			db.Close()
+		}
+		if err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("Open(%+v) = %v, want an error naming %q", opts, err, name)
+		}
+	}
+}
+
+// TestOptionsFieldsGolden pins the exported fields of Options — name,
+// type and order — to the struct as it stood before it moved into
+// internal/core as core.Design.
+func TestOptionsFieldsGolden(t *testing.T) {
+	want := [][2]string{
+		{"Layout", "Layout"}, {"SizeRatio", "int"}, {"HybridK", "int"}, {"HybridZ", "int"},
+		{"MemtableBytes", "int64"}, {"TwoLevelMemtable", "bool"}, {"DisableWAL", "bool"}, {"SyncWAL", "bool"},
+		{"Shards", "int"}, {"PartialCompaction", "bool"}, {"FilePicking", "FilePicker"}, {"MaxLevels", "int"},
+		{"Filter", "FilterKind"}, {"BitsPerKey", "float64"}, {"MonkeyFilters", "bool"}, {"PartitionedFilters", "bool"},
+		{"RangeFilter", "Kind"}, {"RangeFilterBitsPerKey", "float64"}, {"PrefixLength", "int"},
+		{"BlockSize", "int"}, {"BlockHashIndex", "bool"}, {"LearnedIndex", "LearnedKind"},
+		{"CacheBytes", "int64"}, {"CacheClock", "bool"}, {"PrefetchAfterCompaction", "bool"},
+		{"ValueSeparation", "bool"}, {"ValueThreshold", "int"}, {"VlogSegmentBytes", "uint64"},
+		{"CompactionMaxBytesPerSec", "int64"}, {"CompactionConcurrency", "int"}, {"MaxImmutableMemtables", "int"},
+		{"L0SlowdownTrigger", "int"}, {"L0StopTrigger", "int"}, {"SlowdownMaxDelay", "Duration"},
+		{"PendingCompactionSlowdownBytes", "int64"}, {"AutoTune", "bool"}, {"AutoTuneInterval", "Duration"},
+		{"Stats", "*iostat.Stats"}, {"TrackLatency", "bool"}, {"EventLogSize", "int"},
+		{"Logf", "func(string, ...interface {})"},
+	}
+	var got [][2]string
+	typ := reflect.TypeOf(Options{})
+	for i := 0; i < typ.NumField(); i++ {
+		if f := typ.Field(i); f.IsExported() {
+			name := f.Type.Name()
+			if name == "" {
+				name = f.Type.String()
+			}
+			got = append(got, [2]string{f.Name, name})
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Options fields\n got %v\nwant %v", got, want)
 	}
 }
 
