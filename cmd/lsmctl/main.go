@@ -119,7 +119,7 @@ var commands = []command{
 	}},
 	{"get", "<key>", "", 1, func(e *env, a []string) error {
 		v, err := e.Get([]byte(a[0]))
-		if errors.Is(err, lsmkv.ErrNotFound) || errors.Is(err, client.ErrNotFound) {
+		if errors.Is(err, lsmkv.ErrNotFound) {
 			fmt.Println("(not found)")
 			return nil
 		}
@@ -175,7 +175,7 @@ var commands = []command{
 			expected = []byte(a[1])
 		}
 		err := e.CompareAndSwap([]byte(a[0]), expected, []byte(a[2]))
-		if errors.Is(err, lsmkv.ErrCASMismatch) || errors.Is(err, client.ErrCASMismatch) {
+		if errors.Is(err, lsmkv.ErrCASMismatch) {
 			fmt.Println("(conflict: current value does not match)")
 			return errReported
 		}

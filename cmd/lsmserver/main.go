@@ -67,6 +67,7 @@ import (
 
 	"lsmkv"
 	"lsmkv/internal/checkpoint"
+	"lsmkv/internal/client"
 	"lsmkv/internal/core"
 	"lsmkv/internal/replica"
 	"lsmkv/internal/server"
@@ -157,29 +158,29 @@ func main() {
 		prim.OnCommit(shard, firstSeq, count, payload)
 	})
 
-	var fol *replica.Follower
-	if *follow != "" {
-		fol = replica.NewFollower(replica.FollowerConfig{
-			Addr: *follow,
-			DB:   db,
-			Logf: log.Printf,
-		})
-		fol.Start()
-		log.Printf("lsmserver: following %s (read-only)", *follow)
-	}
-
-	srv, err := server.New(server.Config{
+	cfg := server.Config{
 		DB:            db,
 		MaxConns:      *maxConns,
 		RatePerSec:    *rate,
 		Burst:         *burst,
 		SyncWrites:    *syncWrites,
 		Repl:          prim,
-		Follower:      fol,
-		ReadOnly:      *follow != "",
 		CheckpointDir: *ckptDir,
 		Logf:          log.Printf,
-	})
+	}
+	var fol *client.Follower
+	if *follow != "" {
+		fol = client.NewFollower(client.FollowerConfig{
+			Addr: *follow,
+			DB:   db,
+			Logf: log.Printf,
+		})
+		fol.Start()
+		cfg.Follower = fol.Status // which makes the server read-only
+		log.Printf("lsmserver: following %s (read-only)", *follow)
+	}
+
+	srv, err := server.New(cfg)
 	if err != nil {
 		log.Fatalf("lsmserver: %v", err)
 	}

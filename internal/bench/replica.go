@@ -115,14 +115,14 @@ func e16Stream(cfg engineConfig, t *Table, prim *lsmkv.DB, ckptDir string, folOp
 		return err
 	}
 	return openAt(ckptDir, folOpts, func(fol *lsmkv.DB) (err error) {
-		follower := replica.NewFollower(replica.FollowerConfig{
+		follower := client.NewFollower(client.FollowerConfig{
 			Addr:         primSrv.Addr(),
 			DB:           fol,
 			RetryBackoff: 10 * time.Millisecond,
 		})
 		follower.Start()
 		defer follower.Stop()
-		folSrv, err := serve(server.Config{DB: fol, Follower: follower, ReadOnly: true})
+		folSrv, err := serve(server.Config{DB: fol, Follower: follower.Status})
 		if err != nil {
 			return err
 		}

@@ -53,23 +53,7 @@ func WriteMarker(fs vfs.FS, dir string, m Marker) error {
 	if err != nil {
 		return err
 	}
-	tmp := filepath.Join(dir, MarkerName+".tmp")
-	f, err := fs.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return fs.Rename(tmp, filepath.Join(dir, MarkerName))
+	return vfs.WriteFileAtomic(fs, filepath.Join(dir, MarkerName), data)
 }
 
 // ReadMarker loads and validates the marker of a completed checkpoint.
@@ -160,48 +144,10 @@ func Sweep(fs vfs.FS, root string) ([]string, error) {
 		if IsComplete(fs, p) {
 			continue
 		}
-		if err := RemoveTree(fs, p); err != nil {
+		if err := vfs.RemoveTree(fs, p); err != nil {
 			return cleared, fmt.Errorf("checkpoint: sweep %s: %w", name, err)
 		}
 		cleared = append(cleared, name)
 	}
 	return cleared, nil
-}
-
-// RemoveTree deletes every file under dir recursively. Directory entries
-// themselves may remain on filesystems without rmdir (vfs has none),
-// which is harmless: an empty directory holds no marker and no data.
-func RemoveTree(fs vfs.FS, dir string) error {
-	names, err := fs.List(dir)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return err
-	}
-	for _, name := range names {
-		p := filepath.Join(dir, name)
-		fi, err := fs.Stat(p)
-		if err != nil {
-			if os.IsNotExist(err) {
-				continue
-			}
-			return err
-		}
-		if fi.IsDir() {
-			if err := RemoveTree(fs, p); err != nil {
-				return err
-			}
-			continue
-		}
-		if err := fs.Remove(p); err != nil && !os.IsNotExist(err) {
-			return err
-		}
-	}
-	if err := fs.Remove(dir); err != nil && !os.IsNotExist(err) {
-		// Filesystems whose Remove rejects directories keep the empty
-		// shell; see above.
-		return nil //nolint:nilerr
-	}
-	return nil
 }

@@ -13,6 +13,13 @@
 // re-sent: the caller gets the transport error and re-reads. A throttled
 // or draining server answered without running the request, so that is
 // retried for every class.
+//
+// This package is the one client of the protocol: nothing else in the
+// module dials a server or frames a request (TestOneProtocolClient). A
+// stream opcode — SCANSTREAM for Scan, REPLSYNC for a replication
+// Follower — is one call on the same path: the read loop hands each
+// response frame to the call's consumer, which decodes the body shape it
+// asked for, and RequestTimeout bounds the gap between frames.
 package client
 
 import (
@@ -33,10 +40,11 @@ import (
 	"lsmkv/internal/server"
 )
 
-// Errors returned by the client.
+// Errors returned by the client. ErrNotFound and ErrCASMismatch are the
+// engine's own sentinels, so one errors.Is test serves both transports.
 var (
-	// ErrNotFound mirrors the engine's not-found result.
-	ErrNotFound = errors.New("client: key not found")
+	// ErrNotFound is the engine's not-found result.
+	ErrNotFound = core.ErrNotFound
 	// ErrThrottled is returned when the server sheds the request under
 	// backpressure and retries are exhausted (or disabled).
 	ErrThrottled = errors.New("client: throttled by server")
@@ -49,7 +57,7 @@ var (
 	// ErrCASMismatch is returned when a CompareAndSwap's expected value did
 	// not match the current one; nothing was written. Not transient —
 	// re-read before retrying.
-	ErrCASMismatch = errors.New("client: cas mismatch")
+	ErrCASMismatch = core.ErrCASMismatch
 )
 
 // ServerError is a request-level failure reported by the server in a
@@ -77,7 +85,8 @@ type KV = server.KV
 type Options struct {
 	// DialTimeout bounds connection establishment. Default 5s.
 	DialTimeout time.Duration
-	// RequestTimeout bounds each call. Default 30s.
+	// RequestTimeout bounds each call, and the gap between a stream's
+	// frames. Default 30s.
 	RequestTimeout time.Duration
 	// MaxRetries redials and retries transient failures this many times.
 	// Default 0 (no retries).
@@ -117,11 +126,16 @@ func Dial(addr string, opts *Options) (*Client, error) {
 	if opts != nil {
 		o = *opts
 	}
-	c := &Client{addr: addr, opts: o.withDefaults()}
+	c := newClient(addr, o)
 	if _, err := c.wire(); err != nil {
 		return nil, err
 	}
 	return c, nil
+}
+
+// newClient builds a client that dials on its first call.
+func newClient(addr string, opts Options) *Client {
+	return &Client{addr: addr, opts: opts.withDefaults()}
 }
 
 // Close tears down the connection; in-flight calls fail.
@@ -272,14 +286,35 @@ func (c *Client) Scan(lo, hi []byte, fn func(key, value []byte) bool) error {
 // Scan it never retries: a transport failure mid-stream surfaces
 // immediately.
 func (c *Client) ScanStream(lo, hi []byte, fn func(key, value []byte) bool) error {
+	return c.stream(&server.Request{Op: server.OpScanStream, Lo: lo, Hi: hi}, func(payload []byte) (bool, error) {
+		resp, err := decode(payload, true)
+		if err != nil {
+			return false, err
+		}
+		for _, pr := range resp.Pairs {
+			if !fn(pr.Key, pr.Value) {
+				return false, nil
+			}
+		}
+		return resp.More, nil
+	})
+}
+
+// stream issues req, a stream opcode, and hands each response frame's
+// payload to frame, which decodes it and reports whether the stream goes
+// on. It ends when frame says done or fails, the wire dies, or no frame
+// arrives for RequestTimeout; it never retries. The wire rule is call's:
+// a decoded response leaves the connection to the calls pipelined on it,
+// anything else — a timeout included, whose stream still occupies the
+// server's read loop — drops it, so the next call redials.
+func (c *Client) stream(req *server.Request, frame func(payload []byte) (more bool, err error)) error {
 	w, err := c.wire()
 	if err != nil {
 		return err
 	}
-	req := &server.Request{Op: server.OpScanStream, Lo: lo, Hi: hi}
-	// Scan-shaped frames keep arriving on the buffered channel until the
-	// final (more=0) frame.
-	p := &pendingCall{ch: make(chan server.Response, 32), stream: true, quit: make(chan struct{})}
+	// Up to 32 frames of read-ahead: the read loop keeps draining the
+	// socket while the consumer works on a frame.
+	p := &pendingCall{ch: make(chan []byte, 32), quit: make(chan struct{})}
 	if _, err := w.send(req, p); err != nil {
 		c.dropWire(w, err)
 		return err
@@ -293,35 +328,32 @@ func (c *Client) ScanStream(lo, hi []byte, fn func(key, value []byte) bool) erro
 	timer := time.NewTimer(c.opts.RequestTimeout)
 	defer timer.Stop()
 	for {
-		var resp server.Response
+		var payload []byte
 		// Prefer frames already delivered over a concurrent wire failure
 		// so a stream that completed just before teardown still finishes.
 		select {
-		case resp = <-p.ch:
+		case payload = <-p.ch:
 		default:
 			select {
-			case resp = <-p.ch:
+			case payload = <-p.ch:
 			case <-w.dead:
 				err := w.errOr(io.ErrUnexpectedEOF)
 				c.detachWire(w)
 				return err
 			case <-timer.C:
+				c.dropWire(w, ErrTimeout)
 				return ErrTimeout
 			}
 		}
-		if err := statusError(resp); err != nil {
-			if errors.Is(err, ErrShutdown) {
-				c.detachWire(w)
-			}
+		more, err := frame(payload)
+		switch {
+		case errors.Is(err, ErrShutdown):
+			c.detachWire(w)
+		case err != nil && !responseError(err):
+			c.dropWire(w, err)
+		}
+		if err != nil || !more {
 			return err
-		}
-		for _, pr := range resp.Pairs {
-			if !fn(pr.Key, pr.Value) {
-				return nil
-			}
-		}
-		if !resp.More {
-			return nil
 		}
 		// Each frame restarts the clock: RequestTimeout bounds the gap
 		// between frames, not the stream's total duration.
@@ -487,22 +519,33 @@ func (c *Client) call(req *server.Request) ([]byte, error) {
 // reports whether any byte of the request frame may have left this
 // process.
 func (c *Client) roundTrip(w *wire, req *server.Request) (body []byte, sent bool, err error) {
-	p := &pendingCall{ch: make(chan server.Response, 1)}
+	p := &pendingCall{ch: make(chan []byte, 1)}
 	if sent, err = w.send(req, p); err != nil {
 		return nil, sent, err
 	}
 	timer := time.NewTimer(c.opts.RequestTimeout)
 	defer timer.Stop()
 	select {
-	case resp, ok := <-p.ch:
+	case payload, ok := <-p.ch:
 		if !ok {
 			return nil, true, w.errOr(io.ErrUnexpectedEOF)
 		}
-		return resp.Value, true, statusError(resp)
+		resp, err := decode(payload, false)
+		return resp.Value, true, err
 	case <-timer.C:
 		w.abandon(req.ID)
 		return nil, true, ErrTimeout
 	}
+}
+
+// decode parses a response payload, its body as a scan frame when scan is
+// set, and maps a status other than OK to its error.
+func decode(payload []byte, scan bool) (server.Response, error) {
+	resp, err := server.DecodeResponse(payload, scan)
+	if err != nil {
+		return resp, err
+	}
+	return resp, statusError(resp)
 }
 
 // statusError is the one mapping from a response's status to the error
@@ -595,15 +638,12 @@ func (c *Client) dropWire(w *wire, err error) {
 // wire: one live connection with a demultiplexing read loop.
 // ---------------------------------------------------------------------------
 
+// pendingCall receives the response payloads of one request; the caller
+// decodes them. A plain call resolves on its one response. A stream call
+// is the one with quit: it stays pending, its frames delivered in order,
+// until its consumer closes quit and abandons it.
 type pendingCall struct {
-	ch chan server.Response
-	// stream marks a multi-response call (SCANSTREAM): responses decode
-	// as scan frames, and the read loop keeps delivering them on ch until
-	// a final frame (more=0 or a non-OK status) instead of resolving
-	// after one.
-	stream bool
-	// quit, when non-nil, is closed by the consumer on early exit so a
-	// blocked read-loop delivery can bail instead of wedging the wire.
+	ch   chan []byte
 	quit chan struct{}
 }
 
@@ -689,7 +729,7 @@ func (w *wire) fail(err error) {
 		close(w.dead)
 		w.nc.Close()
 		for _, p := range calls {
-			if p.stream {
+			if p.quit != nil {
 				// Stream consumers watch w.dead; the read loop may still
 				// be blocked sending on ch, so it must not be closed.
 				continue
@@ -729,32 +769,24 @@ func (w *wire) readLoop() {
 		}
 		w.pmu.Lock()
 		p := w.pending[id]
-		w.pmu.Unlock()
-		if p == nil {
-			continue // abandoned (timed out) request
-		}
-		resp, err := server.DecodeResponse(payload, p.stream)
-		if err != nil {
-			w.fail(err)
-			return
-		}
-		// A plain call resolves on its one response; a stream stays
-		// pending until a final frame (more=0) or an error status.
-		if !p.stream || resp.Status != server.StatusOK || !resp.More {
-			w.pmu.Lock()
+		if p != nil && p.quit == nil {
+			// Taken out under the lock that fail swaps the map under, so
+			// fail never closes the channel this loop is about to send on.
 			delete(w.pending, id)
-			w.pmu.Unlock()
 		}
-		if p.quit == nil {
-			p.ch <- resp // buffered: never blocks for single-shot calls
-			continue
-		}
-		select {
-		case p.ch <- resp:
-		case <-p.quit:
-			// Consumer bailed (timeout, early stop): drop the frame and
-			// forget the call so the rest of the stream is discarded.
-			w.abandon(id)
+		w.pmu.Unlock()
+		switch {
+		case p == nil:
+			// abandoned (timed out, or a stream its consumer left)
+		case p.quit == nil:
+			p.ch <- payload // buffered: never blocks for a single-shot call
+		default:
+			select {
+			case p.ch <- payload:
+			case <-p.quit:
+				// Consumer left (timeout, early stop); its abandon makes
+				// the rest of the stream land in the case above.
+			}
 		}
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"lsmkv"
 	"lsmkv/internal/client"
 	"lsmkv/internal/core"
 	"lsmkv/internal/server"
@@ -309,6 +310,23 @@ func TestPipelinedCorrectness(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// TestWireErrorsAreEngineErrors: a miss and a CAS conflict read over the
+// wire satisfy the same sentinels the embedded engine returns, so a
+// caller holding either transport tests one error.
+func TestWireErrorsAreEngineErrors(t *testing.T) {
+	cl, err := client.Dial(startBackend(t), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if _, err := cl.Get([]byte("absent")); !errors.Is(err, lsmkv.ErrNotFound) {
+		t.Fatalf("miss over the wire = %v, want lsmkv.ErrNotFound", err)
+	}
+	if err := cl.CompareAndSwap([]byte("absent"), []byte("old"), []byte("new")); !errors.Is(err, lsmkv.ErrCASMismatch) {
+		t.Fatalf("cas conflict over the wire = %v, want lsmkv.ErrCASMismatch", err)
 	}
 }
 

@@ -39,11 +39,6 @@ const (
 	// EventCheckpoint is a completed online checkpoint (consistent file
 	// set copied without pausing writes).
 	EventCheckpoint EventType = "checkpoint"
-	// EventReplConnect is a follower establishing its replication
-	// stream; EventReplDisconnect is the stream dropping (the follower
-	// retries with backoff).
-	EventReplConnect    EventType = "repl-connect"
-	EventReplDisconnect EventType = "repl-disconnect"
 	// EventTune is one online-tuner decision: Detail carries the sampled
 	// signal snapshot, the knob delta, and the rationale, so the event
 	// log alone reconstructs why the engine moved (see TUNING.md).

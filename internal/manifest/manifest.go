@@ -105,32 +105,14 @@ const manifestName = "MANIFEST"
 // Path returns the manifest location under dir.
 func Path(dir string) string { return filepath.Join(dir, manifestName) }
 
-// Save writes the state atomically under dir: temp file, fsync, rename.
-// The sync before the rename is load-bearing for crash consistency — a
-// rename made durable before its target's content would surface as a
-// truncated or empty manifest after power loss.
+// Save writes the state atomically under dir (vfs.WriteFileAtomic: temp
+// file, fsync, rename).
 func Save(fs vfs.FS, dir string, s *State) error {
 	data, err := json.Marshal(s)
 	if err != nil {
 		return fmt.Errorf("manifest: encode: %w", err)
 	}
-	tmp := Path(dir) + ".tmp"
-	f, err := fs.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return fs.Rename(tmp, Path(dir))
+	return vfs.WriteFileAtomic(fs, Path(dir), data)
 }
 
 // Load reads the state from dir. A missing manifest yields an empty state

@@ -1,7 +1,6 @@
 package replica
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -109,65 +108,4 @@ func FuzzReplFrame(f *testing.F) {
 			}
 		}
 	})
-}
-
-func TestWireReplSyncEncoding(t *testing.T) {
-	var buf bytes.Buffer
-	if err := writeReplSync(&buf, 42, []uint64{5, 0, 300}); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	n := binary.LittleEndian.Uint32(raw[0:4])
-	if int(n) != len(raw)-4 {
-		t.Fatalf("outer frame length %d, payload is %d", n, len(raw)-4)
-	}
-	payload := raw[4:]
-	if id := binary.LittleEndian.Uint32(payload[0:4]); id != 42 {
-		t.Fatalf("request ID %d, want 42", id)
-	}
-	if payload[4] != WireOpReplSync {
-		t.Fatalf("opcode %d, want %d", payload[4], WireOpReplSync)
-	}
-	rest := payload[5:]
-	count, c := binary.Uvarint(rest)
-	if count != 3 || c <= 0 {
-		t.Fatalf("seq count %d", count)
-	}
-	rest = rest[c:]
-	want := []uint64{5, 0, 300}
-	for i := 0; i < 3; i++ {
-		s, c := binary.Uvarint(rest)
-		if c <= 0 || s != want[i] {
-			t.Fatalf("seq[%d] = %d, want %d", i, s, want[i])
-		}
-		rest = rest[c:]
-	}
-}
-
-func TestReadResponseFrame(t *testing.T) {
-	body := AppendHeartbeatFrame(nil, []uint64{9})
-	payload := make([]byte, 5+len(body))
-	binary.LittleEndian.PutUint32(payload[0:4], 7)
-	payload[4] = wireStatusOK
-	copy(payload[5:], body)
-	raw := make([]byte, 4+len(payload))
-	binary.LittleEndian.PutUint32(raw[0:4], uint32(len(payload)))
-	copy(raw[4:], payload)
-
-	id, status, got, err := readResponseFrame(bufio.NewReader(bytes.NewReader(raw)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if id != 7 || status != wireStatusOK || !bytes.Equal(got, body) {
-		t.Fatalf("id=%d status=%d body=%x", id, status, got)
-	}
-
-	// Undersized and oversized outer frames are rejected outright.
-	for _, n := range []uint32{0, 4, wireMaxFrameBytes + 1} {
-		var hdr [4]byte
-		binary.LittleEndian.PutUint32(hdr[:], n)
-		if _, _, _, err := readResponseFrame(bufio.NewReader(bytes.NewReader(hdr[:]))); err == nil {
-			t.Fatalf("frame length %d accepted", n)
-		}
-	}
 }

@@ -9,77 +9,10 @@
 // (core.WaitForSeq). Merkle trees over the logical keyspace
 // (merkle.go) make divergence detection cheap.
 //
-// The wire protocol is the server's binary framing: a REPLSYNC request
-// carries the follower's per-shard watermark vector, and the server
-// answers with an open-ended stream of REPLFRAME responses on the same
-// request ID (see frame.go for frame bodies). The follower side
-// hand-rolls this 9-byte framing rather than importing the server
-// package, which depends on this one.
+// The stream rides the server's protocol: a REPLSYNC request carries the
+// follower's per-shard watermark vector, and the server answers with an
+// open-ended stream of REPLFRAME responses on the same request ID, each
+// body one frame (frame.go). This package holds the primary side and the
+// frame codec and speaks no wire itself: the server serves Primary.Stream,
+// and the follower is a streaming call of internal/client.
 package replica
-
-import (
-	"bufio"
-	"encoding/binary"
-	"fmt"
-	"io"
-)
-
-// Target is the engine surface a follower applies records to; *lsmkv.DB
-// satisfies it.
-type Target interface {
-	// NumShards returns the engine's shard count.
-	NumShards() int
-	// LastSeqs returns the per-shard applied watermarks.
-	LastSeqs() []uint64
-	// ApplyReplicated applies one logical WAL record to a shard,
-	// preserving its sequence numbers; idempotent at or below the
-	// watermark.
-	ApplyReplicated(shard int, payload []byte) (uint64, error)
-}
-
-// Wire constants, mirroring the server protocol (asserted equal in the
-// server's tests).
-const (
-	// WireOpReplSync is the REPLSYNC opcode byte.
-	WireOpReplSync = 10
-	// wireStatusOK is the server's StatusOK byte.
-	wireStatusOK = 0
-	// wireMaxFrameBytes bounds one response frame (the server default).
-	wireMaxFrameBytes = 16 << 20
-)
-
-// writeReplSync sends one REPLSYNC request: outer frame
-// (u32 LE payload length), then u32 LE request ID, opcode byte, and the
-// watermark vector (uvarint count, uvarint seqs).
-func writeReplSync(w io.Writer, id uint32, seqs []uint64) error {
-	payload := make([]byte, 5, 5+10*(len(seqs)+1))
-	binary.LittleEndian.PutUint32(payload[0:4], id)
-	payload[4] = WireOpReplSync
-	payload = binary.AppendUvarint(payload, uint64(len(seqs)))
-	for _, s := range seqs {
-		payload = binary.AppendUvarint(payload, s)
-	}
-	frame := make([]byte, 4, 4+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	frame = append(frame, payload...)
-	_, err := w.Write(frame)
-	return err
-}
-
-// readResponseFrame reads one response: request ID, status byte, body.
-// The body is freshly allocated per frame (applied records alias it).
-func readResponseFrame(br *bufio.Reader) (id uint32, status byte, body []byte, err error) {
-	var hdr [4]byte
-	if _, err = io.ReadFull(br, hdr[:]); err != nil {
-		return 0, 0, nil, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n < 5 || n > wireMaxFrameBytes {
-		return 0, 0, nil, fmt.Errorf("replica: bad response frame length %d", n)
-	}
-	payload := make([]byte, n)
-	if _, err = io.ReadFull(br, payload); err != nil {
-		return 0, 0, nil, err
-	}
-	return binary.LittleEndian.Uint32(payload[0:4]), payload[4], payload[5:], nil
-}

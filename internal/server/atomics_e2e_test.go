@@ -110,7 +110,6 @@ func TestCasConcurrent(t *testing.T) {
 				go func(w int) {
 					defer wg.Done()
 					get, cas := db.Get, db.CompareAndSwap
-					notFound, mismatch := core.ErrNotFound, core.ErrCASMismatch
 					if w%2 == 0 {
 						cl, err := client.Dial(srv.Addr(), nil)
 						if err != nil {
@@ -119,7 +118,6 @@ func TestCasConcurrent(t *testing.T) {
 						}
 						defer cl.Close()
 						get, cas = cl.Get, cl.CompareAndSwap
-						notFound, mismatch = client.ErrNotFound, client.ErrCASMismatch
 					}
 					for done := 0; done < perWriter; {
 						cur, err := get([]byte("cell"))
@@ -132,7 +130,7 @@ func TestCasConcurrent(t *testing.T) {
 								return
 							}
 							expected = cur
-						case errors.Is(err, notFound):
+						case errors.Is(err, core.ErrNotFound):
 							expected = nil // assert absence
 						default:
 							t.Errorf("writer %d get: %v", w, err)
@@ -142,7 +140,7 @@ func TestCasConcurrent(t *testing.T) {
 						switch {
 						case err == nil:
 							done++
-						case errors.Is(err, mismatch):
+						case errors.Is(err, core.ErrCASMismatch):
 							// lost the race; re-read and retry
 						default:
 							t.Errorf("writer %d cas: %v", w, err)

@@ -449,14 +449,14 @@ func casOps(req *Request) []core.BatchOp {
 var errReadOnly = errors.New("server: read-only replica (writes go to the primary)")
 
 // submitWrite routes a write's ops to their shards' group committers and
-// queues the ack; a read-only server refuses here, so by class. Ops that
+// queues the ack; a follower refuses here, so by class. Ops that
 // all land on one shard — every point write, and any BATCH at one shard
 // — go to that shard's committer as they are, so they commit as one WAL
 // record; a BATCH spanning shards is split into per-shard sub-batches
 // and the ack waits for all of them. All channels apply backpressure by
 // blocking the read loop when full.
 func (c *conn) submitWrite(req *Request, start time.Time, opsOf opsFunc) {
-	if c.srv.cfg.ReadOnly {
+	if c.srv.cfg.Follower != nil {
 		c.reply(req, start, func(*conn, *Request, []byte) ([]byte, error) { return nil, errReadOnly })
 		return
 	}

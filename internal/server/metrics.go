@@ -183,7 +183,7 @@ type MetricsPayload struct {
 	EngineSeqs []uint64 `json:"engine_seq"`
 	// Replication is this server's follower-loop status (set only on
 	// followers): connection state, applied vs primary watermarks, lag.
-	Replication *replica.FollowerStatus `json:"replication,omitempty"`
+	Replication *FollowerStatus `json:"replication,omitempty"`
 	// ReplPrimary is the primary-side shipper's status (set only when
 	// replication serving is enabled): live streams, backlog, floors.
 	ReplPrimary *replica.PrimaryStatus `json:"repl_primary,omitempty"`
@@ -200,6 +200,27 @@ type MetricsPayload struct {
 	// sharded engine every engine event carries the shard that recorded
 	// it.
 	Events EventsPayload `json:"events"`
+}
+
+// FollowerStatus is a follower's replication loop as STATS reports it
+// (client.Follower fills it).
+type FollowerStatus struct {
+	Addr      string `json:"addr"`
+	Connected bool   `json:"connected"`
+	// Fatal is set when the loop has permanently stopped (watermark off
+	// the primary's backlog: re-bootstrap required).
+	Fatal bool `json:"fatal,omitempty"`
+	// AppliedSeqs is the local engine's watermark vector; PrimarySeqs is
+	// the primary's, from its latest heartbeat.
+	AppliedSeqs []uint64 `json:"applied_seqs"`
+	PrimarySeqs []uint64 `json:"primary_seqs"`
+	// Lag is the summed per-shard sequence gap (0 when caught up).
+	Lag            uint64 `json:"lag"`
+	LastError      string `json:"last_error,omitempty"`
+	Reconnects     int64  `json:"reconnects"`
+	FramesReceived int64  `json:"frames_received"`
+	RecordsApplied int64  `json:"records_applied"`
+	BytesApplied   int64  `json:"bytes_applied"`
 }
 
 // DecodeMetrics parses a STATS response body — the one decoder the
@@ -226,7 +247,7 @@ func (s *Server) payload() MetricsPayload {
 		},
 	}
 	if s.cfg.Follower != nil {
-		st := s.cfg.Follower.Status()
+		st := s.cfg.Follower()
 		p.Replication = &st
 	}
 	if s.cfg.Repl != nil {

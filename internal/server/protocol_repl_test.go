@@ -3,20 +3,7 @@ package server
 import (
 	"errors"
 	"testing"
-
-	"lsmkv/internal/replica"
 )
-
-// TestWireConstantParity pins the follower's hand-rolled framing (the
-// replica package cannot import this one) to the server protocol.
-func TestWireConstantParity(t *testing.T) {
-	if byte(OpReplSync) != replica.WireOpReplSync {
-		t.Fatalf("replica.WireOpReplSync = %d, server OpReplSync = %d", replica.WireOpReplSync, OpReplSync)
-	}
-	if StatusOK != 0 {
-		t.Fatalf("StatusOK = %d; replica's wireStatusOK assumes 0", StatusOK)
-	}
-}
 
 func TestSeqAcksRoundTrip(t *testing.T) {
 	acks := []ShardSeq{{Shard: 0, Seq: 12}, {Shard: 7, Seq: 1 << 40}}

@@ -141,7 +141,7 @@ func TestReplicationE2E(t *testing.T) {
 	if got := fol.LastSeqs(); len(got) != 2 {
 		t.Fatalf("follower adopted %d shards, want 2", len(got))
 	}
-	follower := replica.NewFollower(replica.FollowerConfig{
+	follower := client.NewFollower(client.FollowerConfig{
 		Addr:         primSrv.Addr(),
 		DB:           fol,
 		RetryBackoff: 10 * time.Millisecond,
@@ -150,8 +150,7 @@ func TestReplicationE2E(t *testing.T) {
 	follower.Start()
 	folSrv, stopFolSrv := serveEngine(t, server.Config{
 		DB: fol, SyncWrites: true,
-		Follower: follower,
-		ReadOnly: true,
+		Follower: follower.Status,
 		Logf:     t.Logf,
 	})
 	folCl, err := client.Dial(folSrv.Addr(), nil)
@@ -244,7 +243,7 @@ func TestReplicationE2E(t *testing.T) {
 	}
 
 	// Resuming the stream converges the follower; nothing is lost.
-	follower2 := replica.NewFollower(replica.FollowerConfig{
+	follower2 := client.NewFollower(client.FollowerConfig{
 		Addr:         primSrv.Addr(),
 		DB:           fol,
 		RetryBackoff: 10 * time.Millisecond,

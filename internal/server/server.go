@@ -71,14 +71,13 @@ type Config struct {
 	// shipper. The caller owns its lifecycle and must have wired it to the
 	// engine's commit hook.
 	Repl *replica.Primary
-	// Follower, when set, is this server's replication loop pulling from a
-	// primary; its status appears in STATS//metrics. The caller owns its
-	// lifecycle.
-	Follower *replica.Follower
-	// ReadOnly rejects every write and rmw opcode (ClassWrite, ClassRMW) —
-	// the posture of a follower, whose only writer is the replication
-	// stream applying below the protocol.
-	ReadOnly bool
+	// Follower, when set, reports the status of this server's replication
+	// loop pulling from a primary (client.Follower.Status), which STATS and
+	// /metrics carry. Setting it makes the server read-only: every write
+	// and rmw opcode (ClassWrite, ClassRMW) is refused, since a follower's
+	// only writer is the replication stream applying below the protocol.
+	// The caller owns the loop's lifecycle.
+	Follower func() FollowerStatus
 	// CheckpointDir, when non-empty, enables the CHECKPOINT opcode:
 	// checkpoint names resolve to subdirectories of it.
 	CheckpointDir string

@@ -7,6 +7,7 @@ import (
 	"lsmkv/internal/checkpoint"
 	"lsmkv/internal/core"
 	"lsmkv/internal/replica"
+	"lsmkv/internal/vfs"
 )
 
 // Replication surface: sequence numbers are per shard (each engine runs
@@ -119,7 +120,7 @@ func (db *DB) Checkpoint(dstDir string) (checkpoint.Marker, error) {
 	}
 	// Clear leftovers from a previously interrupted attempt at this
 	// path, then rebuild from scratch.
-	if err := checkpoint.RemoveTree(db.fs, dstDir); err != nil {
+	if err := vfs.RemoveTree(db.fs, dstDir); err != nil {
 		return m, err
 	}
 	if err := db.fs.MkdirAll(dstDir); err != nil {

@@ -601,23 +601,7 @@ func readMarker(fs vfs.FS, dir string) (int, error) {
 // the marker's appearance is the migration commit point, so it must not
 // be torn.
 func writeMarker(fs vfs.FS, dir string, n int) error {
-	tmp := filepath.Join(dir, markerName+".tmp")
-	f, err := fs.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(f, "%s %d\n", markerMagic, n); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return fs.Rename(tmp, filepath.Join(dir, markerName))
+	return vfs.WriteFileAtomic(fs, filepath.Join(dir, markerName), fmt.Appendf(nil, "%s %d\n", markerMagic, n))
 }
 
 // isEngineFile reports whether name is a file the single-engine layout
@@ -669,38 +653,6 @@ func sweepRootEngineFiles(fs vfs.FS, dir string) error {
 	return nil
 }
 
-// removeTree deletes every file under dir recursively (directory entries
-// themselves may remain — vfs has no rmdir — which is harmless).
-func removeTree(fs vfs.FS, dir string) error {
-	names, err := fs.List(dir)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return err
-	}
-	for _, name := range names {
-		p := filepath.Join(dir, name)
-		fi, err := fs.Stat(p)
-		if err != nil {
-			if os.IsNotExist(err) {
-				continue
-			}
-			return err
-		}
-		if fi.IsDir() {
-			if err := removeTree(fs, p); err != nil {
-				return err
-			}
-			continue
-		}
-		if err := fs.Remove(p); err != nil && !os.IsNotExist(err) {
-			return err
-		}
-	}
-	return nil
-}
-
 // migrationBatchOps bounds the per-shard batch size the migration
 // accumulates before applying.
 const migrationBatchOps = 512
@@ -715,7 +667,7 @@ const migrationBatchOps = 512
 func migrate(opts core.Options, fs vfs.FS, n int) error {
 	// Clear leftovers from a previously interrupted migration.
 	for i := 0; i < n; i++ {
-		if err := removeTree(fs, ShardDir(opts.Dir, i)); err != nil {
+		if err := vfs.RemoveTree(fs, ShardDir(opts.Dir, i)); err != nil {
 			return err
 		}
 	}

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"io"
 	"os"
+	"path/filepath"
 )
 
 // File is one open file handle. Reads and writes follow os.File
@@ -85,9 +86,26 @@ func ReadFile(fs FS, name string) ([]byte, error) {
 	return buf, nil
 }
 
-// WriteFile creates name with data. It does NOT sync: callers that need
-// durability (manifest temp files) sync explicitly before renaming.
+// WriteFile creates name with data. It does NOT sync; WriteFileAtomic is
+// the durable form.
 func WriteFile(fs FS, name string, data []byte) error {
+	return writeFile(fs, name, data, false)
+}
+
+// WriteFileAtomic durably replaces name with data: write name.tmp, sync,
+// close, rename. The sync before the rename is load-bearing — a rename
+// made durable before its target's content would surface as a truncated
+// or empty file after power loss — so a reader sees the old file or the
+// new one, never a torn one. The manifest and the CHECKPOINT and SHARDS
+// markers commit through it.
+func WriteFileAtomic(fs FS, name string, data []byte) error {
+	if err := writeFile(fs, name+".tmp", data, true); err != nil {
+		return err
+	}
+	return fs.Rename(name+".tmp", name)
+}
+
+func writeFile(fs FS, name string, data []byte, sync bool) error {
 	f, err := fs.Create(name)
 	if err != nil {
 		return err
@@ -96,5 +114,45 @@ func WriteFile(fs FS, name string, data []byte) error {
 		f.Close()
 		return err
 	}
+	if sync {
+		if err := f.Sync(); err != nil {
+			f.Close()
+			return err
+		}
+	}
 	return f.Close()
+}
+
+// RemoveTree deletes every file under dir recursively; a missing dir is
+// not an error. Directory entries themselves may remain on filesystems
+// whose Remove rejects directories (Mem has no rmdir), which is harmless:
+// an empty directory holds no marker and no data.
+func RemoveTree(fs FS, dir string) error {
+	names, err := fs.List(dir)
+	if err != nil {
+		if os.IsNotExist(err) {
+			return nil
+		}
+		return err
+	}
+	for _, name := range names {
+		p := filepath.Join(dir, name)
+		fi, err := fs.Stat(p)
+		if err != nil {
+			if os.IsNotExist(err) {
+				continue
+			}
+			return err
+		}
+		if fi.IsDir() {
+			err = RemoveTree(fs, p)
+		} else if err = fs.Remove(p); os.IsNotExist(err) {
+			err = nil
+		}
+		if err != nil {
+			return err
+		}
+	}
+	fs.Remove(dir) // best effort; see above
+	return nil
 }

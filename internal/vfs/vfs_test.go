@@ -189,6 +189,38 @@ func TestMemRenameAtomicDurable(t *testing.T) {
 	}
 }
 
+// TestWriteFileAtomicAndRemoveTree: the durable write survives a crash
+// with no temp file left beside it, and RemoveTree clears nested files
+// and tolerates a missing directory.
+func TestWriteFileAtomicAndRemoveTree(t *testing.T) {
+	m := NewMem()
+	m.MkdirAll("db/sub")
+	if err := WriteFileAtomic(m, "db/MARKER", []byte("v2")); err != nil {
+		t.Fatal(err)
+	}
+	img := m.CrashImage(nil)
+	if got, err := ReadFile(img, "db/MARKER"); err != nil || string(got) != "v2" {
+		t.Fatalf("atomic write after crash: %q, %v", got, err)
+	}
+	if _, err := img.Stat("db/MARKER.tmp"); !os.IsNotExist(err) {
+		t.Fatalf("temp file left behind: %v", err)
+	}
+	if err := WriteFile(m, "db/sub/f", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if err := RemoveTree(m, "db"); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"db/MARKER", "db/sub/f"} {
+		if _, err := m.Stat(name); !os.IsNotExist(err) {
+			t.Fatalf("%s survived RemoveTree: %v", name, err)
+		}
+	}
+	if err := RemoveTree(m, "absent"); err != nil {
+		t.Fatalf("RemoveTree of a missing dir: %v", err)
+	}
+}
+
 func TestFaultyNthMatchingOp(t *testing.T) {
 	m := NewMem()
 	m.MkdirAll("db")
