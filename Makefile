@@ -15,6 +15,7 @@ test: fmt-check doc-check doc-links bench-check
 	$(GO) vet ./...
 	$(GO) test ./...
 	$(GO) test -race ./internal/core/ ./internal/server/ ./internal/client/ ./internal/shard/ ./internal/tuner/
+	$(GO) test -race -run '^TestAtomicity' .
 	$(MAKE) crash
 	$(MAKE) examples
 

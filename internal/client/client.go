@@ -81,10 +81,11 @@ func DeleteOp(key []byte) Op { return core.DeleteOp(key) }
 // KV is one scan result pair.
 type KV = server.KV
 
+// dialTimeout bounds connection establishment.
+const dialTimeout = 5 * time.Second
+
 // Options configures a Client. Zero values select defaults.
 type Options struct {
-	// DialTimeout bounds connection establishment. Default 5s.
-	DialTimeout time.Duration
 	// RequestTimeout bounds each call, and the gap between a stream's
 	// frames. Default 30s.
 	RequestTimeout time.Duration
@@ -97,9 +98,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = 5 * time.Second
-	}
 	if o.RequestTimeout <= 0 {
 		o.RequestTimeout = 30 * time.Second
 	}
@@ -610,7 +608,7 @@ func (c *Client) wire() (*wire, error) {
 			return c.w, nil
 		}
 	}
-	w, err := dialWire(c.addr, c.opts)
+	w, err := dialWire(c.addr)
 	if err != nil {
 		return nil, err
 	}
@@ -663,8 +661,8 @@ type wire struct {
 	once   sync.Once
 }
 
-func dialWire(addr string, opts Options) (*wire, error) {
-	nc, err := net.DialTimeout("tcp", addr, opts.DialTimeout)
+func dialWire(addr string) (*wire, error) {
+	nc, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
 		return nil, err
 	}

@@ -29,7 +29,8 @@ type BatchOp struct {
 	// that the commit resolves against the key's current value.
 	RMW *RMW
 	// ifPointer, set by value-log GC on every op of a batch of its own, makes
-	// the op conditional on Key still holding this encoded value-log pointer.
+	// the op conditional on Key still holding this encoded value-log
+	// pointer; the commit clears Value when the condition fails.
 	ifPointer []byte
 }
 

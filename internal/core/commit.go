@@ -4,89 +4,58 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"lsmkv/internal/kv"
 )
 
 // commit is the engine's one write path: Put, PutTTL, Delete, Incr,
-// CompareAndSwap, ApplyBatch and ApplyReplicated all end here, and it is
-// the only place a WAL record is appended and the commit hook fires. ops
-// must be non-empty.
+// CompareAndSwap, ApplyBatch, ApplyReplicated and value-log GC's
+// relocations all end here, and it is the only place a WAL record is
+// appended and the commit hook fires. ops must be non-empty.
 //
-// A local write (rec == nil) is first validated, has its RMW ops
-// resolved, and has its large values moved to the value log. A replicated
-// record (rec is the record as shipped, firstSeq its ops[0]'s sequence
-// number) was through that on its primary and is logged verbatim. Both
-// then go down the pipeline one at a time, under commitMu: room check
-// (db.mu), sequence numbers, WAL append and fsync, commit hook, memtable
-// insert, watermark and seq waiters (db.mu), and a memtable freeze when
-// the buffer is full. db.mu is held for the two short memory-only steps
-// and for no I/O, so a read never waits for a write's fsync.
+// A local write (rec == nil) is validated, and the soft backpressure
+// delay slept, with no lock held. A replicated record (rec is the record
+// as shipped, firstSeq its ops[0]'s sequence number) was resolved and
+// separated on its primary and is logged verbatim. Then, one commit at a
+// time under commitMu: room check (db.mu); conditional ops resolved
+// (resolveConditional); large values appended to the value log, and
+// synced when the write is durable; sequence numbers, WAL append and
+// fsync, commit hook, memtable insert, watermark and seq waiters (db.mu),
+// and a memtable freeze when the buffer is full. db.mu is held for the two
+// short memory-only steps and for no I/O, so a read never waits for a
+// write's fsync.
 //
 // What the order guarantees:
+//   - A conditional op's read and its insert share the critical section:
+//     no write lands in between, so an INCR or CAS never erases a write
+//     that returned before it, and a relocation never one that raced it.
+//   - A value-log entry's append and its pointer's insert share it too,
+//     so once GC has held commitMu, an entry of a sealed segment that the
+//     tree does not point at is dead.
 //   - Nothing is readable before its WAL record is appended, and synced
 //     when the caller asked: the memtable insert comes after both.
-//   - The watermark advances only after the insert, so a snapshot never
-//     names a half-inserted batch. (A plain read has no upper bound and
-//     may see an entry between its insert and the watermark; it is logged
-//     by then, and the write has not returned.)
+//   - The watermark advances only after the insert, and every read is
+//     bounded by the watermark it loads (pin), so no read sees part of a
+//     batch.
 //   - Hook calls are gap-free and in sequence order: one commit at a time.
 //   - A memtable is frozen only between commits (freezeMem needs
 //     commitMu), so no record lands in a memtable whose log went to the
 //     flusher.
 //
 // It returns how many ops entered the memtable: fewer than len(ops) when
-// RMW ops failed resolution (see RMW.Err) or a replicated record
-// overlapped the watermark.
+// conditional ops were left out (see resolveConditional) or a replicated
+// record overlapped the watermark.
 func (db *DB) commit(ops []BatchOp, sync bool, firstSeq kv.SeqNum, rec []byte) (int, error) {
 	replicated := rec != nil
+	conditional := false
 	if !replicated {
-		hasRMW := false
 		for i := range ops {
 			if err := ops[i].check(); err != nil {
 				return 0, err
 			}
-			hasRMW = hasRMW || ops[i].RMW != nil
-		}
-		if hasRMW {
-			// Held until the commit returns, so the next RMW reads this
-			// one's outcome.
-			db.rmwMu.Lock()
-			defer db.rmwMu.Unlock()
-			if ops = db.resolve(ops); len(ops) == 0 {
-				return 0, nil
-			}
-		}
-	}
-	// ops is the logical record the hook ships, stored what the WAL and
-	// the memtable hold; they part only when value separation rewrites an
-	// op into a pointer.
-	stored, separated := ops, false
-	if !replicated && db.vlog != nil {
-		// Before the pipeline: append separated values to the log and store
-		// pointers instead. A write acknowledged as durable needs the
-		// values its WAL record points into durable too; one vlog sync
-		// covers the batch. vlogMu spans append to insert (see its field).
-		db.vlogMu.RLock()
-		defer db.vlogMu.RUnlock()
-		for i, op := range ops {
-			if op.Kind != kv.KindSet || len(op.Value) < db.opts.ValueThreshold {
-				continue
-			}
-			ptr, err := db.vlog.Append(op.Key, op.Value)
-			if err != nil {
-				return 0, err
-			}
-			if !separated {
-				stored, separated = append([]BatchOp(nil), ops...), true
-			}
-			stored[i] = BatchOp{Kind: kv.KindValuePointer, Key: op.Key, Value: ptr.Encode()}
-		}
-		if separated && (sync || db.opts.SyncWAL) {
-			if err := db.vlog.Sync(); err != nil {
-				return 0, err
-			}
+			conditional = conditional || ops[i].RMW != nil || ops[i].ifPointer != nil
 		}
 	}
 
@@ -105,20 +74,35 @@ func (db *DB) commit(ops []BatchOp, sync bool, firstSeq kv.SeqNum, rec []byte) (
 	if err != nil {
 		return 0, err
 	}
-	if ops[0].ifPointer != nil {
-		// Value-log relocations: each op commits only while the tree still
-		// points at the entry it copied. Under commitMu no write to the key
-		// can land between this check and the insert (under rmwMu one could:
-		// a plain Put does not take it). Survivors move to the front of ops.
-		n := 0
-		for i := range ops {
-			if db.pointsAt(ops[i].Key, ops[i].ifPointer) {
-				ops[n], stored[n] = ops[i], stored[i]
-				n++
-			}
-		}
-		if ops, stored = ops[:n], stored[:n]; n == 0 {
+	if conditional {
+		if ops = db.resolveConditional(ops); len(ops) == 0 {
 			return 0, nil
+		}
+	}
+	// ops is the logical record the hook ships, stored what the WAL and
+	// the memtable hold; they part only when value separation rewrites an
+	// op into a pointer.
+	stored, separated := ops, false
+	if !replicated && db.vlog != nil {
+		for i, op := range ops {
+			if op.Kind != kv.KindSet || len(op.Value) < db.opts.ValueThreshold {
+				continue
+			}
+			ptr, err := db.vlog.Append(op.Key, op.Value)
+			if err != nil {
+				return 0, err
+			}
+			if !separated {
+				stored, separated = slices.Clone(ops), true
+			}
+			stored[i] = BatchOp{Kind: kv.KindValuePointer, Key: op.Key, Value: ptr.Encode()}
+		}
+		// A write acknowledged as durable needs the values its WAL record
+		// points into durable too; one value-log sync covers the batch.
+		if separated && (sync || db.opts.SyncWAL) {
+			if err := db.vlog.Sync(); err != nil {
+				return 0, err
+			}
 		}
 	}
 	// Under commitMu the watermark stands still: only a commit moves it.
@@ -199,13 +183,6 @@ func (db *DB) insert(firstSeq kv.SeqNum, ops []BatchOp) (nbytes int64) {
 	return nbytes
 }
 
-// pointsAt reports whether the newest version of key is the value-log
-// pointer whose encoding is want.
-func (db *DB) pointsAt(key, want []byte) bool {
-	raw, kind, found, err := db.getInternal(key, kv.MaxSeqNum, nil, nil)
-	return err == nil && found && kind == kv.KindValuePointer && bytes.Equal(raw, want)
-}
-
 // check validates a locally submitted op.
 func (op *BatchOp) check() error {
 	if len(op.Key) == 0 {
@@ -225,21 +202,32 @@ func (op *BatchOp) check() error {
 	return nil
 }
 
-// resolve returns ops as they commit: plain ops unchanged, each RMW
-// op replaced by the set it resolved to, or left out (its RMW.Err says
-// why) when resolution failed. Resolution is in slice order and each RMW
-// sees every op before it — two INCRs of one key in one batch serialize
-// exactly as if they had committed apart. Caller holds db.rmwMu.
-func (db *DB) resolve(ops []BatchOp) []BatchOp {
+// resolveConditional returns ops as they commit: plain ops unchanged, and
+// each conditional op replaced by the plain set it resolved to, or left
+// out. An RMW op (IncrOp, CASOp) left out says why in its RMW.Err; a
+// value-log relocation (ifPointer) is left out, its Value cleared, once
+// its key no longer holds the pointer it was copied from — a write since
+// then won. Resolution is in slice order and each op sees every op kept
+// before it: two INCRs of one key in one batch serialize exactly as if
+// they had committed apart. Caller holds commitMu, so nothing commits
+// between these reads and the insert.
+func (db *DB) resolveConditional(ops []BatchOp) []BatchOp {
 	out := make([]BatchOp, 0, len(ops))
-	for _, op := range ops {
-		if op.RMW == nil {
+	for i, op := range ops {
+		switch {
+		case op.RMW != nil:
+			value, err := db.rmwValue(op, out)
+			if op.RMW.Err = err; err == nil {
+				out = append(out, PutOp(op.Key, value))
+			}
+		case op.ifPointer != nil:
+			if db.pointsAt(op.Key, op.ifPointer, out) {
+				out = append(out, PutOp(op.Key, op.Value))
+			} else {
+				ops[i].Value = nil
+			}
+		default:
 			out = append(out, op)
-			continue
-		}
-		value, err := db.rmwValue(op, out)
-		if op.RMW.Err = err; err == nil {
-			out = append(out, PutOp(op.Key, value))
 		}
 	}
 	return out
@@ -247,7 +235,12 @@ func (db *DB) resolve(ops []BatchOp) []BatchOp {
 
 // rmwValue computes the value an RMW op stores.
 func (db *DB) rmwValue(op BatchOp, pending []BatchOp) ([]byte, error) {
-	cur, found, err := db.overlayGet(op.Key, pending)
+	raw, kind, found, err := db.latest(op.Key, pending)
+	var cur []byte
+	if err == nil && found {
+		// A TTL entry is judged by the engine's clock like any other read.
+		cur, found, err = db.visible(op.Key, kind, raw)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -269,21 +262,22 @@ func (db *DB) rmwValue(op BatchOp, pending []BatchOp) ([]byte, error) {
 	return AppendCounter(nil, r.Result), nil
 }
 
-// overlayGet reads key as the pending ops of the batch, applied in
-// order, overlay it on the engine: the newest pending op for key wins,
-// a TTL entry judged by the engine's clock like any other read. found is
-// false when the key is absent (deleted, expired, or never written).
-func (db *DB) overlayGet(key []byte, pending []BatchOp) (value []byte, found bool, err error) {
+// latest is the engine's own read of key's newest entry, raw, for
+// conditional ops and value-log GC: pending, the ops of a batch kept so
+// far, overlaid on the engine (the newest pending op for key wins). It is
+// neither counted nor timed as a Get: these are not user reads.
+func (db *DB) latest(key []byte, pending []BatchOp) (raw []byte, kind kv.Kind, found bool, err error) {
 	for i := len(pending) - 1; i >= 0; i-- {
-		op := pending[i]
-		if !bytes.Equal(op.Key, key) {
-			continue
+		if op := pending[i]; bytes.Equal(op.Key, key) {
+			return op.Value, op.Kind, true, nil
 		}
-		return db.visible(op.Key, op.Kind, op.Value)
 	}
-	value, err = db.Get(key)
-	if errors.Is(err, ErrNotFound) {
-		return nil, false, nil
-	}
-	return value, err == nil, err
+	return db.getInternal(key, kv.MaxSeqNum, nil, nil)
+}
+
+// pointsAt reports whether key's newest entry, pending overlaid as in
+// latest, is the value-log pointer whose encoding is want.
+func (db *DB) pointsAt(key, want []byte, pending []BatchOp) bool {
+	raw, kind, found, err := db.latest(key, pending)
+	return err == nil && found && kind == kv.KindValuePointer && bytes.Equal(raw, want)
 }

@@ -60,8 +60,9 @@ type DB struct {
 	// commitMu serializes everything that appends to, syncs or replaces
 	// the (mem, wal, walNum) triple: commits, memtable freezes (commit,
 	// Flush, Close) and Checkpoint's log sync. File I/O on the log happens
-	// under it and never under mu. It also guards commitHook. Lock order:
-	// rmwMu, vlogMu, commitMu, then mu. See DESIGN.md, "Locks".
+	// under it and never under mu. A commit also resolves its conditional
+	// ops and appends to the value log under it, and it guards commitHook.
+	// Lock order: commitMu, then mu. See DESIGN.md, "Locks".
 	commitMu sync.Mutex
 	// mem, wal and walNum change only with commitMu and mu both held, so
 	// holding either is enough to read them.
@@ -102,12 +103,6 @@ type DB struct {
 	// snapshots maps active snapshot seqs to their refcounts.
 	snapshots map[kv.SeqNum]int
 
-	// rmwMu serializes commits that carry a read-modify-write op (Incr,
-	// CompareAndSwap, the server's INCR/CAS) from resolution to memtable
-	// insert, so each reads its predecessor's outcome. Plain writes do not
-	// take it. Lock order: rmwMu first.
-	rmwMu sync.Mutex
-
 	// commitHook observes every committed batch for replication (guarded
 	// by commitMu); seqWaiters park WaitForSeq callers until the watermark
 	// reaches their target.
@@ -120,11 +115,6 @@ type DB struct {
 	deadWALs     []uint64
 	deadSegments map[uint64]kv.SeqNum
 	gcCursor     uint64 // the segment emptied last: the next collection starts past it
-	// vlogMu is held shared by a commit from its value-log append to its
-	// memtable insert, and exclusively for an instant by value-log GC: past
-	// that, an entry of a sealed segment the tree does not point at never
-	// will be — it is dead. Taken after rmwMu, before commitMu.
-	vlogMu sync.RWMutex
 
 	// monkeyBits caches the per-level bits/key allocation; recomputed on
 	// every version install.
@@ -770,9 +760,6 @@ func (db *DB) cacheIface() sstable.BlockCache {
 	}
 	return db.cache
 }
-
-// Cache exposes the block cache (nil when disabled).
-func (db *DB) Cache() *cache.Cache { return db.cache }
 
 // refreshMonkeyLocked recomputes the per-level filter allocation from the
 // current tree. Caller holds db.mu (or is in Open).

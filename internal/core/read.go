@@ -15,7 +15,8 @@ import (
 // takes the same steps, each owned by one function:
 //
 //	pin         the view: the published readState (active memtable, frozen
-//	            ones, version), referenced without taking db.mu
+//	            ones, version), referenced without taking db.mu, and the
+//	            watermark every read is bounded by
 //	getInternal point reads: memtables newest first, then per run the fence
 //	            (run.find), sequence-bound and filter (Reader.MayContain)
 //	            screens, then the block load (Reader.GetAppend)
@@ -61,17 +62,22 @@ func (rs *readState) unref() {
 }
 
 // pin takes a read's view without taking a lock, so no read waits for
-// whatever holds db.mu — a version install saving the manifest, say. It is
-// the only way a read reaches a version; the caller unrefs the state when
-// done.
-func (db *DB) pin() (*readState, error) {
+// whatever holds db.mu — a version install saving the manifest, say — and
+// the watermark that bounds the read: entries above it belong to a commit
+// still inserting. It loads the watermark after the state, so the bound is
+// at or above the horizon every merge in the state collapsed versions
+// under, and a value-log segment holding a value visible at the bound
+// outlives the read: GC retires a segment only once no read holds a state
+// published before the writes that emptied it. It is the only way a read
+// reaches a version; the caller unrefs the state when done.
+func (db *DB) pin() (*readState, kv.SeqNum, error) {
 	for {
 		rs := db.rs.Load()
 		if rs == nil {
-			return nil, ErrClosed
+			return nil, 0, ErrClosed
 		}
 		if rs.tryRef() {
-			return rs, nil
+			return rs, db.lastSeq(), nil
 		}
 	}
 }
@@ -201,14 +207,16 @@ func (db *DB) getAppend(key []byte, snap kv.SeqNum, dst []byte, tr *iostat.Trace
 }
 
 // getInternal walks buffer -> immutables -> tree, newest first, returning
-// the first (newest visible) version of key appended to dst. tr, when
-// non-nil, records every screening decision along the way.
+// the first version of key at or below snap and the watermark pin loaded,
+// appended to dst. tr, when non-nil, records every screening decision
+// along the way.
 func (db *DB) getInternal(key []byte, snap kv.SeqNum, dst []byte, tr *iostat.Trace) (value []byte, kind kv.Kind, found bool, err error) {
-	view, err := db.pin()
+	view, bound, err := db.pin()
 	if err != nil {
 		return nil, 0, false, err
 	}
 	defer view.unref()
+	snap = min(snap, bound)
 
 	if value, kind, found = view.mem.Get(key, snap); found {
 		if tr != nil {

@@ -100,9 +100,12 @@ func (db *DB) RunValueLogGC() (bool, error) {
 		return false, nil
 	}
 	db.retire() // segments earlier calls emptied, if their last readers have gone
-	db.vlogMu.Lock()
+	// A commit appends to the value log and inserts the pointers in one
+	// commitMu section, so past this one an entry of a segment sealed by
+	// now that the tree does not point at is dead.
+	db.commitMu.Lock()
 	sealed := db.vlog.ActiveSegment()
-	db.vlogMu.Unlock()
+	db.commitMu.Unlock()
 	// Candidates: the sealed segments not emptied yet, starting after the last
 	// one collected (those up to it were read and left alone on the way there).
 	db.mu.Lock()
@@ -120,7 +123,7 @@ func (db *DB) RunValueLogGC() (bool, error) {
 		j.ev.InputBytes = 0
 		for _, e := range entries {
 			j.ev.InputBytes += uint64(e.Ptr.Length)
-			if db.pointsAt(e.Key, e.Ptr.Encode()) {
+			if db.pointsAt(e.Key, e.Ptr.Encode(), nil) {
 				live = append(live, e)
 			}
 		}
@@ -128,8 +131,9 @@ func (db *DB) RunValueLogGC() (bool, error) {
 			return false, nil
 		}
 		// Each batch is synced, so a value is durable before a log record
-		// points at it. gcBatch point lookups, of keys the first pass just
-		// read, and one fsync are what writers wait for under commitMu.
+		// points at it. Writers wait under commitMu for a batch's gcBatch
+		// point lookups, of keys the first pass just read, then for the
+		// survivors' value-log append and sync and one WAL fsync.
 		relocated := 0
 		for ; len(live) > 0; live = live[min(len(live), gcBatch):] {
 			var ops []BatchOp
@@ -145,7 +149,7 @@ func (db *DB) RunValueLogGC() (bool, error) {
 				return false, err
 			}
 			relocated += n
-			for _, op := range ops[:n] {
+			for _, op := range ops { // a relocation left out has no Value
 				j.ev.OutputBytes += uint64(len(op.Value))
 			}
 		}
@@ -185,7 +189,7 @@ type LevelInfo struct {
 // Levels returns per-level structure info (nil once the database is
 // closed).
 func (db *DB) Levels() []LevelInfo {
-	view, err := db.pin()
+	view, _, err := db.pin()
 	if err != nil {
 		return nil
 	}
@@ -219,7 +223,7 @@ func (db *DB) TotalRuns() int {
 // IndexMemory returns resident bytes of pinned per-table structures
 // (fences, filters, learned models) across the current version.
 func (db *DB) IndexMemory() int {
-	view, err := db.pin()
+	view, _, err := db.pin()
 	if err != nil {
 		return 0
 	}

@@ -53,11 +53,12 @@ func (s *Snapshot) NewScanner(lo, hi []byte) (*Scanner, error) {
 
 // newScanner assembles the merged iterator stack over the current
 // in-memory buffers and every overlapping, range-filter-surviving table,
-// pinning the read state until Close.
+// pinning the read state until Close; it reads at snap or the watermark
+// pin loaded, whichever is lower.
 func (db *DB) newScanner(lo, hi []byte, snap kv.SeqNum) (*Scanner, error) {
 	db.opts.Stats.RangeLookups.Add(1)
 
-	view, err := db.pin()
+	view, bound, err := db.pin()
 	if err != nil {
 		return nil, err
 	}
@@ -103,7 +104,7 @@ func (db *DB) newScanner(lo, hi []byte, snap kv.SeqNum) (*Scanner, error) {
 		m:    newMergingIter(iters),
 		lo:   append([]byte(nil), lo...),
 		hi:   hiCopy,
-		snap: snap,
+		snap: min(snap, bound),
 	}, nil
 }
 
