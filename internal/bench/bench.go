@@ -90,8 +90,8 @@ func Registry() []Experiment {
 			"Computing the key digest once and deriving every filter probe from it removes per-run hashing CPU.", E12},
 		{"E13", "Compaction throttling and foreground-latency stability",
 			"Pacing compaction output flattens the client-visible read-latency tail during ingest (the SILK/throttling stability result); writer stalls move the other way.", E13},
-		{"E14", "Concurrent compaction workers and write stalls",
-			"Splitting background work across a pool of compaction workers keeps L0 drained while deep merges run: total write-stall time and the Put p999 tail drop versus a single worker.", E14},
+		{"E14", "Concurrent compaction workers, write stalls and group commit",
+			"Splitting background work across a pool of compaction workers keeps L0 drained while deep merges run: total write-stall time and the Put p999 tail drop versus a single worker. Concurrent synced Puts share WAL fsyncs: 64 writers ingest at least 3x as fast as one.", E14},
 		{"E15", "Keyspace sharding and aggregate write throughput",
 			"Sharding the keyspace across independent engines divides a saturating ingest across per-shard WALs, memtables, and compaction claim spaces: backpressure disengages and aggregate write throughput at 4 shards is at least 2x the single engine's.", E15},
 		{"E16", "Replication and online backup",

@@ -76,14 +76,18 @@ func (cfg engineConfig) ingest(db *lsmkv.DB, writers int, pace time.Duration) ([
 	return all, elapsed, err
 }
 
-// E14: concurrent compaction workers and write stalls. With one
+// E14: concurrent compaction workers and write stalls, and group commit.
+// With one
 // background worker, a long deep-level merge serializes behind the
 // L0->L1 work that actually relieves write pressure, so level 0 climbs
 // to the stop trigger and writers block (the PR's tentpole claim). A
 // worker pool lets L0 drain while deep merges run, which shows up as
 // less total stall time and a shorter Put tail. Both configurations run
 // the same multi-writer ingest with the same backpressure settings; the
-// only variable is CompactionConcurrency.
+// only variable is CompactionConcurrency. The second table is the write
+// path's own concurrency: N goroutines Put with SyncWAL, unpaced, and
+// the engine's commit queue folds the writes that arrive during one
+// fsync into the next group, so fsyncs/op falls as N grows.
 func E14(scale Scale) ([]*Table, error) {
 	cfg := config(scale)
 	// Enough data that bottom-level merges dwarf the limiter's one-second
@@ -146,5 +150,40 @@ func E14(scale Scale) ([]*Table, error) {
 			return nil, err
 		}
 	}
-	return []*Table{t}, nil
+	g, err := groupCommit(config(scale))
+	if err != nil {
+		return nil, err
+	}
+	return []*Table{t, g}, nil
+}
+
+// groupCommit measures embedded synced Puts at 1, 8 and 64 goroutines:
+// throughput, and the fsyncs and commit groups behind it. The memtable
+// is big enough that no flush runs, so the WAL fsync is the whole cost
+// being shared.
+func groupCommit(cfg engineConfig) (*Table, error) {
+	cfg.keys = min(cfg.keys, 8_000)
+	t := NewTable("writers", "Kops/s", "fsyncs/op", "mean group", "put p50 us", "put p99 us")
+	for _, writers := range []int{1, 8, 64} {
+		opts := &lsmkv.Options{SyncWAL: true, MemtableBytes: 8 << 20}
+		err := cfg.cell(opts, func(db *lsmkv.DB) error {
+			before := db.Stats()
+			lat, elapsed, err := cfg.ingest(db, writers, 0)
+			if err != nil {
+				return err
+			}
+			d := db.Stats().Sub(before)
+			t.Row(writers,
+				float64(len(lat))/elapsed.Seconds()/1000,
+				float64(d.WALSyncs)/float64(len(lat)),
+				float64(d.BatchedOps)/float64(max(d.BatchCommits, 1)),
+				percentileUs(lat, 0.5), percentileUs(lat, 0.99),
+			)
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	return t, nil
 }

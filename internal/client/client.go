@@ -175,9 +175,9 @@ func (c *Client) PutTTL(key, value []byte, ttl time.Duration) error {
 }
 
 // Incr atomically adds delta to the 8-byte little-endian counter at key
-// (absent keys start at zero) and returns the new value. The server
-// resolves it inside the key's group-commit loop, so concurrent Incrs
-// never lose updates.
+// (absent keys start at zero) and returns the new value. The engine
+// resolves it inside the key's commit group, so concurrent Incrs never
+// lose updates.
 func (c *Client) Incr(key []byte, delta int64) (int64, error) {
 	body, err := c.call(&server.Request{Op: server.OpIncr, Key: key, Delta: delta})
 	if err != nil {

@@ -83,9 +83,8 @@ func CASOp(key, expected, newValue []byte) BatchOp {
 
 // ApplyBatch applies ops atomically: one WAL record covers the whole
 // batch, and when sync is true a single fsync makes every op durable
-// before the call returns. This is the group-commit hook the network
-// server builds on — coalescing N concurrent writers into one ApplyBatch
-// call pays one log append and one fsync instead of N.
+// before the call returns. It is Submit and Wait, so concurrent batches
+// and Puts share a commit group, and its log append and fsync.
 //
 // Ops are applied in slice order (later ops win on duplicate keys). An
 // empty batch is a no-op.
@@ -93,13 +92,7 @@ func (db *DB) ApplyBatch(ops []BatchOp, sync bool) error {
 	if len(ops) == 0 {
 		return nil
 	}
-	start := db.now()
-	n, err := db.commit(ops, sync, 0, nil)
-	db.observe(latBatch, start)
-	if n > 0 {
-		db.opts.Stats.BatchCommits.Add(1)
-		db.opts.Stats.BatchedOps.Add(int64(n))
-	}
+	_, err := db.Submit(ops, sync).Wait()
 	return err
 }
 

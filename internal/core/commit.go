@@ -5,27 +5,175 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 	"time"
 
+	"lsmkv/internal/iostat"
 	"lsmkv/internal/kv"
 )
 
-// commit is the engine's one write path: Put, PutTTL, Delete, Incr,
-// CompareAndSwap, ApplyBatch, ApplyReplicated and value-log GC's
-// relocations all end here, and it is the only place a WAL record is
-// appended and the commit hook fires. ops must be non-empty.
+// Group commit. Every local write (Put, PutTTL, Delete, Incr,
+// CompareAndSwap, ApplyBatch) enters the engine through Submit and
+// leaves through Write.Wait; the shard layer, and the server through it,
+// call the two apart. The queue between them is LevelDB's writer queue
+// (DBImpl::Write + BuildBatchGroup) and has no goroutine of its own: a
+// Wait whose write is still queued, and that finds no leader, leads. The
+// leader takes the writes at the head of the queue, in arrival order and
+// up to maxGroupOps ops, and runs commit once for all of them: one
+// slowdown sleep, one resolution pass, one value-log append and sync, one
+// WAL record, one fsync if any member asked for sync, one insert and one
+// watermark. It leads again while its own write is still queued, and
+// returns once it is done; the next waiter takes over. Any waiter may
+// lead, whatever its place in the queue, so a caller waiting on several
+// engines never waits for another caller to lead, and a Submit that finds
+// the queue full leads to make room.
+const (
+	// maxGroupOps bounds the ops a leader folds into one group, and so
+	// the record one fsync waits for; a larger write commits alone.
+	maxGroupOps = 4096
+	// maxQueued is the queue's capacity: room for every write a pipelined
+	// server or a pool of embedded writers has in flight at once, so a
+	// Submit blocks only when writers outrun the disk.
+	maxQueued = 4096
+)
+
+// Write is a write submitted to the commit queue. Wait for it exactly
+// once; the handle is recycled then.
+type Write struct {
+	db   *DB
+	ops  []BatchOp
+	one  [1]BatchOp // a single-op write's ops, so writeOne allocates nothing
+	sync bool
+	// lat is the latency histogram Wait records the write in, timed from
+	// start.
+	lat   func(*iostat.OpLatencies) *iostat.Histogram
+	start time.Time
+	// next links the members of the group a leader is committing.
+	next *Write
+	// done receives once, when the write's group has committed; seq and
+	// err are its outcome, written before.
+	done chan struct{}
+	seq  uint64
+	err  error
+}
+
+var writes = sync.Pool{New: func() any { return &Write{done: make(chan struct{}, 1)} }}
+
+func (db *DB) newWrite(sync bool, lat func(*iostat.OpLatencies) *iostat.Histogram) *Write {
+	w := writes.Get().(*Write)
+	w.db, w.sync, w.lat, w.start = db, sync, lat, db.now()
+	return w
+}
+
+// Submit queues ops to commit atomically, as one WAL record, and fsynced
+// before Wait returns when sync is true (or Options.SyncWAL is set). Ops
+// are validated here with no lock held; an invalid op fails the whole
+// write, which Wait then reports. Writes commit in Submit order, so one
+// goroutine's two Submits commit in the order it made them even if it
+// waits for neither in between. The queue holds maxQueued writes; a
+// Submit that finds it full leads groups until there is room. ops must
+// not change until Wait returns; an RMW op's outcome is in its RMW then.
+func (db *DB) Submit(ops []BatchOp, sync bool) *Write {
+	w := db.newWrite(sync, latBatch)
+	w.ops = ops
+	return db.enqueue(w)
+}
+
+func (db *DB) enqueue(w *Write) *Write {
+	var err error
+	for i := 0; i < len(w.ops) && err == nil; i++ {
+		err = w.ops[i].check()
+	}
+	if err != nil || len(w.ops) == 0 {
+		w.seq, w.err = db.LastSeq(), err
+		w.done <- struct{}{}
+		return w
+	}
+	for {
+		select {
+		case db.queue <- w:
+			return w
+		default:
+		}
+		db.lead <- struct{}{} // the queue is full: wait out any leader, then lead
+		db.commitGroup()
+		<-db.lead
+	}
+}
+
+// Wait returns once the write has committed, leading groups while it is
+// queued and no one else leads. It returns the group's watermark, which
+// is at least the write's own last sequence number and so its
+// read-your-writes coordinate, and the group's error. An RMW op that did
+// not resolve says why in its RMW.Err and leaves the group's error alone.
+func (w *Write) Wait() (uint64, error) {
+	for db := w.db; len(w.done) == 0; { // not committed yet
+		select {
+		case db.lead <- struct{}{}:
+			db.commitGroup()
+			<-db.lead
+		case <-w.done:
+			w.done <- struct{}{} // put the token back for the receive below
+		}
+	}
+	<-w.done
+	seq, err := w.seq, w.err
+	w.db.observe(w.lat, w.start)
+	*w = Write{done: w.done}
+	writes.Put(w)
+	return seq, err
+}
+
+// commitGroup commits the writes at the head of the queue, up to
+// maxGroupOps ops, as one, and hands each its outcome. Caller holds lead.
+func (db *DB) commitGroup() {
+	if len(db.queue) == 0 {
+		return
+	}
+	// The soft backpressure delay comes first, so that writes arriving
+	// while the leader sleeps join its group instead of the next one.
+	db.slowdown()
+	// Only the leader receives, so a write counted is a write there.
+	first := <-db.queue
+	last, ops, sync := first, first.ops, first.sync
+	for len(ops) < maxGroupOps && len(db.queue) > 0 {
+		w := <-db.queue
+		if last == first {
+			ops = slices.Clip(ops) // first.ops is the caller's: append copies it
+		}
+		last.next, last = w, w
+		ops, sync = append(ops, w.ops...), sync || w.sync
+	}
+	n, err := db.commit(ops, sync, 0, nil)
+	if n > 0 {
+		db.opts.Stats.ObserveGroup(n)
+	}
+	seq := db.LastSeq()
+	for w := first; w != nil; {
+		next := w.next
+		w.seq, w.err = seq, err
+		w.done <- struct{}{} // w may be recycled from here on
+		w = next
+	}
+}
+
+// commit is the engine's one write path: a group of local writes
+// (commitGroup), ApplyReplicated and value-log GC's relocations all end
+// here, and it is the only place a WAL record is appended and the commit
+// hook fires. ops must be non-empty, and a local write's ops valid
+// (Submit checked them).
 //
-// A local write (rec == nil) is validated, and the soft backpressure
-// delay slept, with no lock held. A replicated record (rec is the record
-// as shipped, firstSeq its ops[0]'s sequence number) was resolved and
-// separated on its primary and is logged verbatim. Then, one commit at a
-// time under commitMu: room check (db.mu); conditional ops resolved
-// (resolveConditional); large values appended to the value log, and
-// synced when the write is durable; sequence numbers, WAL append and
-// fsync, commit hook, memtable insert, watermark and seq waiters (db.mu),
-// and a memtable freeze when the buffer is full. db.mu is held for the two
-// short memory-only steps and for no I/O, so a read never waits for a
-// write's fsync.
+// The caller has slept the soft backpressure delay (slowdown), with no
+// lock held: a group's leader once for the group. A replicated record
+// (rec is the record as shipped, firstSeq its ops[0]'s sequence number)
+// was resolved and separated on its primary and is logged verbatim.
+// Then, one commit at a time under commitMu: room
+// check (db.mu); conditional ops resolved (resolveConditional); large
+// values appended to the value log, and synced when the write is
+// durable; sequence numbers, WAL append and fsync, commit hook, memtable
+// insert, watermark and seq waiters (db.mu), and a memtable freeze when
+// the buffer is full. db.mu is held for the two short memory-only steps
+// and for no I/O, so a read never waits for a write's fsync.
 //
 // What the order guarantees:
 //   - A conditional op's read and its insert share the critical section:
@@ -52,14 +200,10 @@ func (db *DB) commit(ops []BatchOp, sync bool, firstSeq kv.SeqNum, rec []byte) (
 	conditional := false
 	if !replicated {
 		for i := range ops {
-			if err := ops[i].check(); err != nil {
-				return 0, err
-			}
 			conditional = conditional || ops[i].RMW != nil || ops[i].ifPointer != nil
 		}
 	}
 
-	db.slowdown()
 	if !db.commitMu.TryLock() {
 		// The clock is read only when there is a wait to measure.
 		start := time.Now()

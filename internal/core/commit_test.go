@@ -6,6 +6,7 @@ import (
 	"go/parser"
 	"go/token"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -14,9 +15,10 @@ import (
 // non-test files a WAL record is appended in one place, the commit hook
 // fires in one place, entries enter the memtable from one function, and
 // conditional ops are resolved and values appended to the value log only
-// inside commit, which holds one of the engine's two mutexes. A second
-// write path, or a second lock around one, fails here instead of in
-// review.
+// inside commit, which holds one of the engine's two mutexes. Every local
+// write reaches commit in a group: its only callers are the group leader,
+// the replication apply and value-log GC. A second write path, or a
+// second lock around one, fails here instead of in review.
 func TestOneWritePath(t *testing.T) {
 	fset := token.NewFileSet()
 	pkgs, err := parser.ParseDir(fset, ".", func(fi os.FileInfo) bool {
@@ -63,6 +65,12 @@ func TestOneWritePath(t *testing.T) {
 		if got := sites[callee]; len(got) != 1 || got[0] != want {
 			t.Errorf("%s is called from %v, want exactly one call, in %s", callee, got, want)
 		}
+	}
+	// Local writes commit only as a group; a replicated record and a GC
+	// batch commit alone.
+	got := slices.Clone(sites["commit"])
+	if slices.Sort(got); fmt.Sprint(got) != "[ApplyReplicated RunValueLogGC commitGroup]" {
+		t.Errorf("commit is called from %v, want exactly from commitGroup, ApplyReplicated and RunValueLogGC", got)
 	}
 	// No other spelling reaches the log, the value log or the hook either.
 	for _, callee := range []string{"AddRecord", "Append"} {

@@ -64,6 +64,11 @@ type DB struct {
 	// ops and appends to the value log under it, and it guards commitHook.
 	// Lock order: commitMu, then mu. See DESIGN.md, "Locks".
 	commitMu sync.Mutex
+	// queue holds submitted writes in arrival order, and lead is the
+	// leader token: its holder takes the next group off the queue and
+	// commits it (see Submit).
+	queue chan *Write
+	lead  chan struct{}
 	// mem, wal and walNum change only with commitMu and mu both held, so
 	// holding either is enough to read them.
 	mem    buffer
@@ -159,6 +164,8 @@ func Open(o Options) (*DB, error) {
 		snapshots:    make(map[kv.SeqNum]int),
 		deadSegments: make(map[uint64]kv.SeqNum),
 		registry:     newTableRegistry(),
+		queue:        make(chan *Write, maxQueued),
+		lead:         make(chan struct{}, 1),
 	}
 	db.cond = sync.NewCond(&db.mu)
 	db.bgCond = sync.NewCond(&db.mu)
@@ -368,14 +375,14 @@ func (db *DB) CompareAndSwap(key, expected, newValue []byte) error {
 // writeOne commits a single-op write, timed as a "delete" when it is a
 // tombstone and as a "put" otherwise.
 func (db *DB) writeOne(op BatchOp) error {
-	ops := [1]BatchOp{op}
-	start := db.now()
-	_, err := db.commit(ops[:], false, 0, nil)
+	lat := latPut
 	if op.Kind == kv.KindDelete {
-		db.observe(latDelete, start)
-	} else {
-		db.observe(latPut, start)
+		lat = latDelete
 	}
+	w := db.newWrite(false, lat)
+	w.one[0] = op
+	w.ops = w.one[:]
+	_, err := db.enqueue(w).Wait()
 	return err
 }
 
@@ -449,9 +456,11 @@ func (db *DB) freezeMem() error {
 //     queue, the write blocks until a worker makes room — the RocksDB
 //     stop trigger, now the last resort rather than the only mechanism.
 
-// slowdown sleeps the soft band's delay, if any. It runs before the
-// write queues for commitMu and holds no lock while asleep, so delayed
-// writers wait side by side, not in line.
+// slowdown sleeps the soft band's delay, if any: a group's leader once
+// for the group, before it takes the group off the queue, and a
+// replicated record or a GC batch before its commit. It holds no lock
+// while asleep, and the writes queued meanwhile join the group, so they
+// share the delay as they share the fsync.
 func (db *DB) slowdown() {
 	db.mu.Lock()
 	d := db.slowdownDelayLocked()

@@ -156,6 +156,7 @@ func (db *DB) ApplyReplicated(payload []byte) (uint64, error) {
 	if len(ops) == 0 {
 		return db.LastSeq(), nil
 	}
+	db.slowdown()
 	n, err := db.commit(ops, false, firstSeq, payload)
 	if n > 0 {
 		db.opts.Stats.ReplRecordsApplied.Add(1)

@@ -144,6 +144,7 @@ func (db *DB) RunValueLogGC() (bool, error) {
 				}
 				ops = append(ops, BatchOp{Kind: kv.KindSet, Key: e.Key, Value: value, ifPointer: e.Ptr.Encode()})
 			}
+			db.slowdown()
 			n, err := db.commit(ops, true, 0, nil)
 			if err != nil {
 				return false, err

@@ -94,10 +94,12 @@ type Stats struct {
 	// disk, or the writers ahead of it.
 	WALSyncNs    atomic.Int64
 	CommitWaitNs atomic.Int64
-	// BatchCommits counts ApplyBatch calls; BatchedOps the operations
-	// they carried. BatchedOps/BatchCommits is the mean commit group size.
+	// BatchCommits counts commit groups, BatchedOps the operations they
+	// committed, and GroupSizes the groups by size (ObserveGroup).
+	// BatchedOps/BatchCommits is the mean commit group size.
 	BatchCommits atomic.Int64
 	BatchedOps   atomic.Int64
+	GroupSizes   [GroupSizeBuckets]atomic.Int64
 	// WriteStalls counts writes that hit the hard stop (full flush queue
 	// or L0 at its stop trigger) and had to block; WriteStallNs is the
 	// total time they spent blocked. Any nonzero value here means
@@ -158,6 +160,7 @@ type Snapshot struct {
 	CommitWaitNs           int64
 	BatchCommits           int64
 	BatchedOps             int64
+	GroupSizes             [GroupSizeBuckets]int64
 	WriteStalls            int64
 	WriteStallNs           int64
 	WriteSlowdowns         int64
@@ -169,25 +172,60 @@ type Snapshot struct {
 	ExpiredDrops           int64
 }
 
+// GroupSizeBuckets sizes the commit-group histogram: bucket i counts
+// groups of [2^i, 2^(i+1)) ops, and the last bucket is open-ended.
+const GroupSizeBuckets = 11
+
+// ObserveGroup records one commit group of n ops.
+func (s *Stats) ObserveGroup(n int) {
+	s.BatchCommits.Add(1)
+	s.BatchedOps.Add(int64(n))
+	b := 0
+	for v := n; v > 1 && b < GroupSizeBuckets-1; v >>= 1 {
+		b++
+	}
+	s.GroupSizes[b].Add(1)
+}
+
 // Snapshot copies the current counter values. Stats and Snapshot declare
-// the same counters in the same order; this walk, and combine's below,
-// are the only code that has to visit every one
-// (TestEveryCounterIsCarried checks the two declarations against each
-// other, name by name). Neither is on a per-operation path.
+// the same counters in the same order, a histogram as an array of them;
+// this walk, and combine's below, are the only code that has to visit
+// every one (TestEveryCounterIsCarried checks the two declarations
+// against each other, name by name). Neither is on a per-operation path.
 func (s *Stats) Snapshot() Snapshot {
 	var out Snapshot
+	var load func(src, dst reflect.Value)
+	load = func(src, dst reflect.Value) {
+		if src.Kind() == reflect.Array {
+			for j := 0; j < src.Len(); j++ {
+				load(src.Index(j), dst.Index(j))
+			}
+			return
+		}
+		dst.SetInt(src.Addr().Interface().(*atomic.Int64).Load())
+	}
 	src, dst := reflect.ValueOf(s).Elem(), reflect.ValueOf(&out).Elem()
 	for i := 0; i < src.NumField(); i++ {
-		dst.Field(i).SetInt(src.Field(i).Addr().Interface().(*atomic.Int64).Load())
+		load(src.Field(i), dst.Field(i))
 	}
 	return out
 }
 
 // combine returns the snapshot whose every counter is op of s's and t's.
 func combine(s, t Snapshot, op func(a, b int64) int64) Snapshot {
+	var apply func(sv, tv reflect.Value)
+	apply = func(sv, tv reflect.Value) {
+		if sv.Kind() == reflect.Array {
+			for j := 0; j < sv.Len(); j++ {
+				apply(sv.Index(j), tv.Index(j))
+			}
+			return
+		}
+		sv.SetInt(op(sv.Int(), tv.Int()))
+	}
 	sv, tv := reflect.ValueOf(&s).Elem(), reflect.ValueOf(t)
 	for i := 0; i < sv.NumField(); i++ {
-		sv.Field(i).SetInt(op(sv.Field(i).Int(), tv.Field(i).Int()))
+		apply(sv.Field(i), tv.Field(i))
 	}
 	return s
 }

@@ -1,6 +1,7 @@
 package iostat
 
 import (
+	"fmt"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -79,35 +80,54 @@ func TestConcurrentCounting(t *testing.T) {
 	}
 }
 
-// TestEveryCounterIsCarried: each Stats counter has a Snapshot field of
-// its name, and Snapshot, Add and Sub each carry it — a new counter is
-// declared in both structs, which the field walks assume agree.
+// TestEveryCounterIsCarried: each Stats counter, and each bucket of a
+// histogram of them, has a Snapshot field of its name, and Snapshot, Add
+// and Sub each carry it — a new counter is declared in both structs,
+// which the field walks assume agree.
 func TestEveryCounterIsCarried(t *testing.T) {
+	// leaves calls fn with every counter under v, named as a Go selector.
+	var leaves func(v reflect.Value, name string, fn func(name string, v reflect.Value))
+	leaves = func(v reflect.Value, name string, fn func(string, reflect.Value)) {
+		if v.Kind() == reflect.Array {
+			for j := 0; j < v.Len(); j++ {
+				leaves(v.Index(j), fmt.Sprintf("%s[%d]", name, j), fn)
+			}
+			return
+		}
+		fn(name, v)
+	}
 	var s Stats
 	sv := reflect.ValueOf(&s).Elem()
+	want := map[string]int64{}
 	for i := 0; i < sv.NumField(); i++ {
-		sv.Field(i).Addr().Interface().(*atomic.Int64).Store(int64(i + 1))
+		leaves(sv.Field(i), sv.Type().Field(i).Name, func(name string, v reflect.Value) {
+			want[name] = int64(len(want) + 1)
+			v.Addr().Interface().(*atomic.Int64).Store(want[name])
+		})
 	}
 	snap := s.Snapshot()
 	sum, diff := reflect.ValueOf(snap.Add(snap)), reflect.ValueOf(snap.Sub(snap))
 	if got, want := sum.NumField(), sv.NumField(); got != want {
 		t.Fatalf("Snapshot has %d fields, Stats %d", got, want)
 	}
+	got := map[string][3]int64{} // Snapshot, Add, Sub
 	for i := 0; i < sv.NumField(); i++ {
-		name, want := sv.Type().Field(i).Name, int64(i+1)
+		name := sv.Type().Field(i).Name
 		f := reflect.ValueOf(snap).FieldByName(name)
 		if !f.IsValid() {
 			t.Errorf("Snapshot has no field %s", name)
 			continue
 		}
-		if got := f.Int(); got != want {
-			t.Errorf("Snapshot().%s = %d, want %d", name, got, want)
+		for k, v := range []reflect.Value{f, sum.FieldByName(name), diff.FieldByName(name)} {
+			leaves(v, name, func(n string, v reflect.Value) { g := got[n]; g[k] = v.Int(); got[n] = g })
 		}
-		if got := sum.FieldByName(name).Int(); got != 2*want {
-			t.Errorf("Add carries %s as %d, want %d", name, got, 2*want)
-		}
-		if got := diff.FieldByName(name).Int(); got != 0 {
-			t.Errorf("Sub carries %s as %d, want 0", name, got)
+	}
+	if len(got) != len(want) {
+		t.Errorf("Snapshot carries %d counters, Stats declares %d", len(got), len(want))
+	}
+	for n, w := range want {
+		if g := got[n]; g != [3]int64{w, 2 * w, 0} {
+			t.Errorf("%s: Snapshot, Add, Sub carry %v, want %v", n, g, [3]int64{w, 2 * w, 0})
 		}
 	}
 }

@@ -6,40 +6,47 @@ import (
 	"testing"
 	"time"
 
+	"lsmkv/internal/core"
 	"lsmkv/internal/server"
+	"lsmkv/internal/shard"
 	"lsmkv/internal/vfs"
 )
 
-// BenchmarkGroupCommit measures what the group-commit loop buys: N
-// concurrent writers over one pipelined connection, with coalescing
-// enabled (groups grow toward MaxCommitOps) versus disabled
-// (MaxCommitOps=1, every write pays its own fsync). The filesystem
-// charges 200µs per sync, a cheap-SSD fsync, so fsyncs/op translates
-// directly into throughput. Run with `make bench-server`.
+// BenchmarkGroupCommit measures what group commit buys: N concurrent
+// synced writers, embedded (Put straight into the engine) and served
+// (each a PUT over one pipelined connection). Both go through the
+// engine's commit queue, so both should show fsyncs/op falling as N
+// grows. The filesystem charges 200µs per sync, a cheap-SSD fsync, so
+// fsyncs/op translates directly into throughput. Run with
+// `make bench-server`.
 func BenchmarkGroupCommit(b *testing.B) {
-	for _, writers := range []int{1, 8, 64} {
-		for _, tc := range []struct {
-			name   string
-			maxOps int
-		}{
-			{"coalesced", 0}, // config default (4096)
-			{"perOpSync", 1},
-		} {
-			b.Run(fmt.Sprintf("%s/writers=%d", tc.name, writers), func(b *testing.B) {
-				runCommitBench(b, writers, tc.maxOps)
+	for _, served := range []bool{false, true} {
+		for _, writers := range []int{1, 8, 64} {
+			name := map[bool]string{false: "embedded", true: "served"}[served]
+			b.Run(fmt.Sprintf("%s/writers=%d", name, writers), func(b *testing.B) {
+				runCommitBench(b, writers, served)
 			})
 		}
 	}
 }
 
-func runCommitBench(b *testing.B, writers, maxOps int) {
+func runCommitBench(b *testing.B, writers int, served bool) {
 	fs := slowSyncFS{FS: vfs.NewMem(), delay: 200 * time.Microsecond}
-	srv, db := startServer(b, fs, 1, func(c *server.Config) {
-		if maxOps > 0 {
-			c.MaxCommitOps = maxOps
+	var db *shard.DB
+	put := func([]byte, []byte) error { return nil }
+	if served {
+		var srv *server.Server
+		srv, db = startServer(b, fs, 1, nil)
+		put = dialTest(b, srv, nil).Put
+	} else {
+		var err error
+		db, err = shard.Open(core.Options{Dir: "db", FS: fs, Design: core.Design{SyncWAL: true}}, 1)
+		if err != nil {
+			b.Fatal(err)
 		}
-	})
-	cl := dialTest(b, srv, nil)
+		defer db.Close()
+		put = db.Put
+	}
 
 	before := db.Stats()
 	start := time.Now()
@@ -57,7 +64,7 @@ func runCommitBench(b *testing.B, writers, maxOps int) {
 			defer wg.Done()
 			for i := 0; i < n; i++ {
 				key := []byte(fmt.Sprintf("b%02d-%08d", w, i))
-				if err := cl.Put(key, value); err != nil {
+				if err := put(key, value); err != nil {
 					b.Error(err)
 					return
 				}

@@ -21,10 +21,11 @@ import (
 // pipelining without unbounded buffering:
 //
 //   - readLoop decodes frames; reads (GET/SCANSTREAM/STATS/PING) execute
-//     inline, writes are handed to their shards' group committers and a
-//     pending-ack token is queued on acks.
-//   - ackLoop awaits each write's commit outcome in submission order and
-//     emits its response.
+//     inline, writes are submitted to the engine's commit queues — in
+//     the order they arrived — and a pending-ack token is queued on acks.
+//   - ackLoop waits for each write in submission order, leading its
+//     shard's commit group when no one else does, and emits its
+//     response.
 //   - writeLoop serializes responses from out, flushing once the queue
 //     goes momentarily idle so pipelined responses share syscalls.
 //
@@ -54,14 +55,15 @@ type conn struct {
 	draining bool
 }
 
-// pendingWrite tracks one write awaiting its shard's commit group — for a
-// BATCH spanning shards, every involved shard's. The ack goes out only
-// after all of them complete; the first error wins.
+// pendingWrite tracks one submitted write awaiting its commit — for a
+// BATCH spanning shards, every involved shard's part. The ack goes out
+// only after all of them complete; the first error wins.
 type pendingWrite struct {
 	id    uint32
 	op    Opcode
 	start time.Time
-	reqs  []*commitReq
+	ops   []core.BatchOp
+	w     shard.Write
 }
 
 func newConn(s *Server, nc net.Conn) *conn {
@@ -148,7 +150,7 @@ func (c *conn) readLoop() {
 // The handler shapes; an opTable row names exactly one.
 type (
 	// opsFunc turns a write or rmw request into the ops submitWrite
-	// routes to the group committers.
+	// hands the engine.
 	opsFunc func(req *Request) []core.BatchOp
 	// serveFunc answers a read or admin request: it appends the StatusOK
 	// body to dst, or returns the error reply turns into a status.
@@ -271,8 +273,8 @@ func serveGetSeq(c *conn, req *Request, dst []byte) ([]byte, error) {
 
 // serveCheckpoint serves the CHECKPOINT opcode: an online backup into a
 // named subdirectory of the server's checkpoint root. It runs inline —
-// blocking only this connection — while writes proceed through the
-// committers; the response body is the durable marker's JSON. A
+// blocking only this connection — while other connections' writes go on
+// committing; the response body is the durable marker's JSON. A
 // read-only follower serves it too: backing up from a replica is the
 // point, and the backup writes nothing to the store.
 func serveCheckpoint(c *conn, req *Request, dst []byte) ([]byte, error) {
@@ -322,10 +324,10 @@ func serveMerkle(c *conn, req *Request, dst []byte) ([]byte, error) {
 func serveSketch(c *conn, req *Request, dst []byte) ([]byte, error) {
 	var est uint64
 	if req.Sub == SketchFreq {
-		est = c.srv.committers[c.srv.cfg.DB.ShardOf(req.Key)].sketches.Freq(req.Key)
+		est = c.srv.sketches[c.srv.cfg.DB.ShardOf(req.Key)].Freq(req.Key)
 	} else {
-		for _, cm := range c.srv.committers {
-			est += cm.sketches.Card()
+		for _, sk := range c.srv.sketches {
+			est += sk.Card()
 		}
 	}
 	return binary.AppendUvarint(dst, est), nil
@@ -448,13 +450,11 @@ func casOps(req *Request) []core.BatchOp {
 
 var errReadOnly = errors.New("server: read-only replica (writes go to the primary)")
 
-// submitWrite routes a write's ops to their shards' group committers and
-// queues the ack; a follower refuses here, so by class. Ops that
-// all land on one shard — every point write, and any BATCH at one shard
-// — go to that shard's committer as they are, so they commit as one WAL
-// record; a BATCH spanning shards is split into per-shard sub-batches
-// and the ack waits for all of them. All channels apply backpressure by
-// blocking the read loop when full.
+// submitWrite submits a write's ops to the engine and queues the ack; a
+// follower refuses here, so by class. Submitting from the read loop keeps
+// the connection's writes in the order they arrived: the engine commits
+// each shard's share in Submit order (shard.DB.Submit). A full commit
+// queue or a full acks channel blocks the read loop: backpressure.
 func (c *conn) submitWrite(req *Request, start time.Time, opsOf opsFunc) {
 	if c.srv.cfg.Follower != nil {
 		c.reply(req, start, func(*conn, *Request, []byte) ([]byte, error) { return nil, errReadOnly })
@@ -465,37 +465,20 @@ func (c *conn) submitWrite(req *Request, start time.Time, opsOf opsFunc) {
 		c.reply(req, start, serveEmpty)
 		return
 	}
-	pw := &pendingWrite{id: req.ID, op: req.Op, start: start}
-	submit := func(s int, ops []core.BatchOp) {
-		cr := &commitReq{ops: ops, shard: s, done: make(chan error, 1)}
-		c.srv.committers[s].submit(cr)
-		pw.reqs = append(pw.reqs, cr)
-	}
-	n := len(c.srv.committers)
-	if s, ok := shard.SoleShard(n, len(ops), func(i int) []byte { return ops[i].Key }); ok {
-		submit(s, ops)
-	} else {
-		for s, sub := range shard.SplitBatch(ops, n) {
-			if len(sub) > 0 {
-				submit(s, sub)
-			}
-		}
-	}
-	c.acks <- pw
+	c.acks <- &pendingWrite{id: req.ID, op: req.Op, start: start, ops: ops,
+		w: c.srv.cfg.DB.Submit(ops, c.srv.cfg.SyncWrites)}
 }
 
 func (c *conn) ackLoop() {
 	for pw := range c.acks {
-		var err error
-		for _, cr := range pw.reqs {
-			if e := <-cr.done; e != nil && err == nil {
-				err = e
-			}
+		err := pw.w.Wait()
+		if err == nil {
+			c.srv.observeWrite(pw.ops)
 		}
 		resp := Response{ID: pw.id, Status: StatusOK}
 		if err != nil {
 			resp = errResponse(pw.id, err)
-		} else if rmw := pw.reqs[0].ops[0].RMW; rmw != nil {
+		} else if rmw := pw.ops[0].RMW; rmw != nil {
 			// RMW acks own their body (the INCR result), so they carry no
 			// seq-ack coordinates; see PROTOCOL.md.
 			if rmw.Err != nil {
@@ -507,10 +490,11 @@ func (c *conn) ackLoop() {
 			// Successful write acks carry (shard, seq) coordinates for
 			// read-your-writes against replicas; clients that predate them
 			// ignore ack bodies.
-			acks := make([]ShardSeq, 0, len(pw.reqs))
-			for _, cr := range pw.reqs {
-				if cr.seq > 0 {
-					acks = append(acks, ShardSeq{Shard: cr.shard, Seq: cr.seq})
+			parts := pw.w.Parts()
+			acks := make([]ShardSeq, 0, len(parts))
+			for _, p := range parts {
+				if p.Seq > 0 {
+					acks = append(acks, ShardSeq{Shard: p.Shard, Seq: p.Seq})
 				}
 			}
 			if len(acks) > 0 {

@@ -8,21 +8,21 @@ import (
 	"sync/atomic"
 	"time"
 
+	"lsmkv/internal/core"
 	"lsmkv/internal/iostat"
 	"lsmkv/internal/replica"
 	"lsmkv/internal/tuner"
 )
 
-// commitHistBuckets sizes the commit-batch histogram: bucket i counts
-// commits of [2^i, 2^(i+1)) ops, the last bucket is open-ended.
-const commitHistBuckets = 11
-
 // Metrics is the server's live instrument: connection lifecycle, request
-// counts and latencies per opcode, backpressure outcomes, and the
-// group-commit loop's coalescing behavior. All fields are safe for
+// counts and latencies per opcode, and backpressure outcomes; its
+// Snapshot adds how the engine grouped commits. All fields are safe for
 // concurrent use; read them through Snapshot.
 type Metrics struct {
 	start time.Time
+	// engine reads the engine's counters, where commit groups form and are
+	// counted.
+	engine func() iostat.Snapshot
 
 	ConnsAccepted atomic.Int64
 	ConnsRejected atomic.Int64 // over the connection limit
@@ -44,19 +44,11 @@ type Metrics struct {
 	// histograms are lock-free; quantiles come out via Snapshot.
 	Requests [opMax]atomic.Int64
 	Latency  [opMax]iostat.Histogram
-
-	// CommitQueue is the number of write requests waiting for the
-	// group-commit loop (gauge).
-	CommitQueue atomic.Int64
-	// CommitBatches / CommitOps describe coalescing: CommitOps over
-	// CommitBatches is the mean commit group size.
-	CommitBatches atomic.Int64
-	CommitOps     atomic.Int64
-	// BatchSizeHist buckets commit group sizes by power of two.
-	BatchSizeHist [commitHistBuckets]atomic.Int64
 }
 
-func newMetrics() *Metrics { return &Metrics{start: time.Now()} }
+func newMetrics(engine func() iostat.Snapshot) *Metrics {
+	return &Metrics{start: time.Now(), engine: engine}
+}
 
 // observeOp records one served request of the given opcode.
 func (m *Metrics) observeOp(op Opcode, dur time.Duration) {
@@ -65,17 +57,6 @@ func (m *Metrics) observeOp(op Opcode, dur time.Duration) {
 		m.Latency[op].Observe(dur)
 	}
 	m.Inflight.Add(-1)
-}
-
-// observeCommit records one group commit of n ops.
-func (m *Metrics) observeCommit(n int) {
-	m.CommitBatches.Add(1)
-	m.CommitOps.Add(int64(n))
-	b := 0
-	for v := n; v > 1 && b < commitHistBuckets-1; v >>= 1 {
-		b++
-	}
-	m.BatchSizeHist[b].Add(1)
 }
 
 // OpSnapshot is one opcode's served-request summary: the count plus the
@@ -104,15 +85,18 @@ type Snapshot struct {
 	RespBufAllocs int64                 `json:"resp_buf_allocs"`
 	RespBufDrops  int64                 `json:"resp_buf_drops"`
 	Ops           map[string]OpSnapshot `json:"ops"`
-	CommitQueue   int64                 `json:"commit_queue"`
-	CommitBatches int64                 `json:"commit_batches"`
-	CommitOps     int64                 `json:"commit_ops"`
-	MeanBatchSize float64               `json:"mean_batch_size"`
-	BatchSizeHist map[string]int64      `json:"batch_size_hist"`
+	// CommitBatches, CommitOps and BatchSizeHist are the engine's commit
+	// groups (iostat.Stats.BatchCommits, BatchedOps and GroupSizes), all
+	// shards summed; MeanBatchSize is CommitOps over CommitBatches.
+	CommitBatches int64            `json:"commit_batches"`
+	CommitOps     int64            `json:"commit_ops"`
+	MeanBatchSize float64          `json:"mean_batch_size"`
+	BatchSizeHist map[string]int64 `json:"batch_size_hist"`
 }
 
 // Snapshot copies the current metric values.
 func (m *Metrics) Snapshot() Snapshot {
+	e := m.engine()
 	s := Snapshot{
 		UptimeSec:      time.Since(m.start).Seconds(),
 		ConnsAccepted:  m.ConnsAccepted.Load(),
@@ -127,9 +111,8 @@ func (m *Metrics) Snapshot() Snapshot {
 		RespBufAllocs:  respBufAllocs.Load(),
 		RespBufDrops:   respBufDrops.Load(),
 		Ops:            map[string]OpSnapshot{},
-		CommitQueue:    m.CommitQueue.Load(),
-		CommitBatches:  m.CommitBatches.Load(),
-		CommitOps:      m.CommitOps.Load(),
+		CommitBatches:  e.BatchCommits,
+		CommitOps:      e.BatchedOps,
 		BatchSizeHist:  map[string]int64{},
 	}
 	if s.CommitBatches > 0 {
@@ -142,10 +125,10 @@ func (m *Metrics) Snapshot() Snapshot {
 		s.Ops[op.String()] = m.Latency[op].Snapshot().Summary()
 	}
 	// Bucket labels: "1", "2", "4", ... and "1024+" for the open tail.
-	for i := range m.BatchSizeHist {
-		if v := m.BatchSizeHist[i].Load(); v != 0 {
+	for i, v := range e.GroupSizes {
+		if v != 0 {
 			label := strconv.Itoa(1 << i)
-			if i == commitHistBuckets-1 {
+			if i == iostat.GroupSizeBuckets-1 {
 				label += "+"
 			}
 			s.BatchSizeHist[label] = v
@@ -254,10 +237,21 @@ func (s *Server) payload() MetricsPayload {
 		st := s.cfg.Repl.Status()
 		p.ReplPrimary = &st
 	}
-	for _, c := range s.committers {
-		p.Sketches = append(p.Sketches, SketchSnapshot{DistinctKeys: c.sketches.Card()})
+	for _, sk := range s.sketches {
+		p.Sketches = append(p.Sketches, SketchSnapshot{DistinctKeys: sk.Card()})
 	}
 	return p
+}
+
+// observeWrite feeds the keys of a committed write to their shards'
+// sketches — the write-stream feed behind SKETCH. An RMW op that did not
+// resolve wrote nothing and is left out.
+func (s *Server) observeWrite(ops []core.BatchOp) {
+	for _, op := range ops {
+		if op.RMW == nil || op.RMW.Err == nil {
+			s.sketches[s.cfg.DB.ShardOf(op.Key)].Observe(op.Key)
+		}
+	}
 }
 
 // SketchSnapshot is one shard's write-stream sketch summary in STATS

@@ -1,9 +1,9 @@
 // Package server implements the network serving layer over the storage
 // engine: a length-prefixed binary KV protocol with per-connection
-// pipelining, a group-commit loop that coalesces concurrent writes into
-// one engine batch and a single WAL fsync, token-bucket backpressure,
-// connection limits, read/write deadlines, graceful drain on shutdown,
-// and live metrics over HTTP.
+// pipelining, writes handed to the engine's commit queues (which fold
+// concurrent writes into one WAL record and fsync), token-bucket
+// backpressure, connection limits, read/write deadlines, graceful drain
+// on shutdown, and live metrics over HTTP.
 //
 // Every frame, in both directions, is a length word, a request ID that
 // the response echoes, an opcode or status byte and a body; because of
@@ -77,7 +77,7 @@ const (
 	// After expiry the key reads as absent and compaction reclaims it.
 	OpPutTTL Opcode = 15
 	// OpIncr atomically adds a signed delta to the 8-byte LE counter at
-	// key (absent keys start at zero) inside the key's group-commit loop;
+	// key (absent keys start at zero) inside its shard's commit group;
 	// the response body is the resulting value as a signed varint.
 	OpIncr Opcode = 16
 	// OpCas atomically replaces key's value with a new value if the
@@ -103,7 +103,7 @@ const (
 	// ClassRead opcodes read the store inline on the connection's read
 	// loop; re-sending one is harmless.
 	ClassRead Class = iota + 1
-	// ClassWrite opcodes go to their shards' group committers and are
+	// ClassWrite opcodes go to their shards' commit queues and are
 	// refused by a read-only server. Each is idempotent (last writer
 	// wins, tombstones), so re-sending one after a lost ack is safe.
 	ClassWrite

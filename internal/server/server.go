@@ -12,13 +12,16 @@ import (
 	"lsmkv/internal/core"
 	"lsmkv/internal/iostat"
 	"lsmkv/internal/replica"
+	"lsmkv/internal/shard"
+	"lsmkv/internal/sketch"
 	"lsmkv/internal/tuner"
 )
 
 // Engine is the storage surface the server fronts: exactly the methods
 // it calls, satisfied by *shard.DB and so by the public *lsmkv.DB that
-// embeds it. Every method is documented there. A one-shard engine runs
-// the same routing and per-shard committer code as an N-shard one.
+// embeds it. Every method is documented there. Writes reach it only
+// through Submit, whose commit queues group them (core.DB.Submit); a
+// one-shard engine runs the same code as an N-shard one.
 type Engine interface {
 	NumShards() int
 	ShardOf(key []byte) int
@@ -27,7 +30,7 @@ type Engine interface {
 	MultiGet(keys [][]byte) ([][]byte, error)
 	GetTraced(key []byte) ([]byte, *iostat.Trace, error)
 	Scan(lo, hi []byte, fn func(key, value []byte) bool) error
-	ApplyShardBatch(i int, ops []core.BatchOp, sync bool) error
+	Submit(ops []core.BatchOp, sync bool) shard.Write
 	Flush() error
 
 	LastSeqs() []uint64
@@ -62,9 +65,6 @@ type Config struct {
 	// durability at one fsync per group, not per write. Default off (the
 	// engine's own SyncWAL option still applies if set).
 	SyncWrites bool
-	// MaxCommitOps bounds the ops folded into one engine batch. Default
-	// 4096.
-	MaxCommitOps int
 	// MaxScanResults bounds pairs per SCANSTREAM frame. Default 4096.
 	MaxScanResults int
 	// Repl, when set, serves REPLSYNC streams from this primary-side
@@ -105,9 +105,6 @@ func (c Config) withDefaults() (Config, error) {
 	if c.MaxThrottleDelay <= 0 {
 		c.MaxThrottleDelay = time.Second
 	}
-	if c.MaxCommitOps <= 0 {
-		c.MaxCommitOps = 4096
-	}
 	if c.MaxScanResults <= 0 {
 		c.MaxScanResults = 4096
 	}
@@ -122,9 +119,10 @@ func (c Config) withDefaults() (Config, error) {
 type Server struct {
 	cfg     Config
 	metrics *Metrics
-	// committers hold one group-commit loop per shard, indexed by shard.
-	committers []*committer
-	bucket     *TokenBucket // nil when unlimited
+	// sketches summarize each shard's write stream, indexed by shard: ack
+	// loops feed them the keys of every write that committed.
+	sketches []*sketch.Set
+	bucket   *TokenBucket // nil when unlimited
 	// events records serving-layer incidents (sheds, rejected
 	// connections, drain); engine events live in the engine's own ring.
 	events *iostat.EventLog
@@ -133,7 +131,6 @@ type Server struct {
 	ln       net.Listener
 	conns    map[*conn]struct{}
 	draining atomic.Bool
-	started  atomic.Bool
 	connWG   sync.WaitGroup
 }
 
@@ -145,13 +142,12 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:     cfg,
-		metrics: newMetrics(),
+		metrics: newMetrics(cfg.DB.Stats),
 		events:  iostat.NewEventLog(0),
 		conns:   make(map[*conn]struct{}),
 	}
 	for i := 0; i < cfg.DB.NumShards(); i++ {
-		s.committers = append(s.committers,
-			newCommitter(cfg.DB, i, cfg.MaxCommitOps, cfg.SyncWrites, s.metrics))
+		s.sketches = append(s.sketches, sketch.NewSet())
 	}
 	if cfg.RatePerSec > 0 {
 		s.bucket = NewTokenBucket(cfg.RatePerSec, cfg.Burst)
@@ -196,16 +192,11 @@ func (s *Server) Serve(ln net.Listener) error {
 	s.ln = ln
 	// Shutdown sets draining and then takes mu to close the listener it
 	// finds: if it got there first it found none, and closing ln falls to
-	// us. Starting the committers in the same critical section means
-	// Shutdown, which looks at started after its own, sees them.
+	// us.
 	if s.draining.Load() {
 		s.mu.Unlock()
 		ln.Close()
 		return nil
-	}
-	s.started.Store(true)
-	for _, c := range s.committers {
-		c.start()
 	}
 	s.mu.Unlock()
 	s.cfg.Logf("server: listening on %s", ln.Addr())
@@ -217,8 +208,8 @@ func (s *Server) Serve(ln net.Listener) error {
 				return nil
 			}
 			// Transient failures (ECONNABORTED, EMFILE, ...) must not
-			// kill the accept loop while connections and the committer
-			// are live: back off and retry, as net/http does.
+			// kill the accept loop while connections are live: back off
+			// and retry, as net/http does.
 			if ne, ok := err.(net.Error); ok && ne.Temporary() {
 				if acceptDelay == 0 {
 					acceptDelay = 5 * time.Millisecond
@@ -275,7 +266,8 @@ func (s *Server) removeConn(c *conn) {
 
 // Shutdown drains the server: it stops accepting, wakes every reader so
 // no new requests are decoded, waits for all in-flight requests to be
-// answered and their responses written, then stops the commit loop and
+// answered and their responses written — every submitted write is
+// waited for, and so committed, by its connection's ack loop — then
 // flushes the engine. Acknowledged writes are never dropped. ctx bounds
 // the wait; on expiry remaining connections are severed and the error
 // reported.
@@ -309,11 +301,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		}
 		s.mu.Unlock()
 		<-done
-	}
-	if s.started.Load() {
-		for _, c := range s.committers {
-			c.stop()
-		}
 	}
 	if err := s.cfg.DB.Flush(); err != nil && drainErr == nil {
 		drainErr = err

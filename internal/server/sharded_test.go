@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"net"
 	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -19,7 +21,7 @@ import (
 )
 
 // TestShardedServerEndToEnd drives the full network path against a
-// 3-shard engine: point writes route to per-shard committers, BATCH
+// 3-shard engine: point writes route to their shards' commit queues, BATCH
 // frames split across shards and acknowledge only when every sub-batch
 // commits, scans merge the shards back into one ordered stream, and the
 // STATS payload carries the per-shard counter breakdown.
@@ -144,7 +146,7 @@ func TestShardedBatchAtomicPerShard(t *testing.T) {
 }
 
 // TestBatchOnOneShardIsOneWALRecord: a multi-op BATCH whose ops all land
-// on one shard goes whole to that shard's committer and commits as one
+// on one shard is submitted whole to that shard and commits as one
 // WAL record — every BATCH at one shard, and at three shards one whose
 // keys were picked to share a shard.
 func TestBatchOnOneShardIsOneWALRecord(t *testing.T) {
@@ -261,5 +263,115 @@ func TestShardedShutdownNoGoroutineLeak(t *testing.T) {
 				baseline, runtime.NumGoroutine(), buf[:n])
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// keysOnShards returns, for each shard of db in order, a distinct key
+// that routes to it, tagged with tag.
+func keysOnShards(db *shard.DB, tag string) [][]byte {
+	keys := make([][]byte, db.NumShards())
+	for i, found := 0, 0; found < len(keys); i++ {
+		k := []byte(fmt.Sprintf("%s-%d", tag, i))
+		if s := db.ShardOf(k); keys[s] == nil {
+			keys[s], found = k, found+1
+		}
+	}
+	return keys
+}
+
+// TestCrossShardBatchesNeverDeadlock: two pipelined connections keep
+// many cross-shard BATCHes in flight, one connection's with its ops in
+// shard order and the other's in the opposite order, on a synced 3-shard
+// server. Writes commit only when some waiter leads its shard's queue,
+// and every waiter may lead the whole queue, so acks that wait on the
+// shards in opposite orders cannot block each other: every ack arrives.
+func TestCrossShardBatchesNeverDeadlock(t *testing.T) {
+	srv, db := startServer(t, slowSyncFS{FS: vfs.NewMem(), delay: 200 * time.Microsecond}, 3, nil)
+	const callers, rounds = 8, 40
+	done := make(chan error, 2*callers)
+	for c, reverse := range []bool{false, true} {
+		cl := dialTest(t, srv, nil)
+		for g := 0; g < callers; g++ {
+			go func() {
+				for r := 0; r < rounds; r++ {
+					keys := keysOnShards(db, fmt.Sprintf("c%d-g%d-r%d", c, g, r))
+					if reverse {
+						slices.Reverse(keys)
+					}
+					var ops []client.Op
+					for _, k := range keys {
+						ops = append(ops, client.PutOp(k, k))
+					}
+					if err := cl.Batch(ops); err != nil {
+						done <- err
+						return
+					}
+				}
+				done <- nil
+			}()
+		}
+	}
+	deadline := time.After(60 * time.Second)
+	for i := 0; i < 2*callers; i++ {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-deadline:
+			t.Fatalf("%d of %d callers still wait for a BATCH ack", 2*callers-i, 2*callers)
+		}
+	}
+}
+
+// overlapFS charges every Sync of a file it created a fixed delay and
+// records the most Syncs it ever saw in flight at once.
+type overlapFS struct {
+	vfs.FS
+	delay    time.Duration
+	inflight atomic.Int32
+	peak     atomic.Int32
+}
+
+type overlapFile struct {
+	vfs.File
+	fs *overlapFS
+}
+
+func (o *overlapFS) Create(name string) (vfs.File, error) {
+	f, err := o.FS.Create(name)
+	return overlapFile{f, o}, err
+}
+
+func (f overlapFile) Sync() error {
+	n := f.fs.inflight.Add(1)
+	defer f.fs.inflight.Add(-1)
+	for p := f.fs.peak.Load(); n > p && !f.fs.peak.CompareAndSwap(p, n); p = f.fs.peak.Load() {
+	}
+	time.Sleep(f.fs.delay)
+	return f.File.Sync()
+}
+
+// TestCrossShardBatchSyncsShardsInParallel: one synced BATCH spanning
+// three shards waits for its shards concurrently, so each shard's WAL
+// fsync runs beside the others' instead of after them.
+func TestCrossShardBatchSyncsShardsInParallel(t *testing.T) {
+	fs := &overlapFS{FS: vfs.NewMem(), delay: 20 * time.Millisecond}
+	srv, db := startServer(t, fs, 3, nil)
+	cl := dialTest(t, srv, nil)
+	var ops []client.Op
+	for _, k := range keysOnShards(db, "parallel") {
+		ops = append(ops, client.PutOp(k, k))
+	}
+	fs.peak.Store(0)
+	before := db.Stats().WALSyncs
+	if err := cl.Batch(ops); err != nil {
+		t.Fatal(err)
+	}
+	if got := db.Stats().WALSyncs - before; got != 3 {
+		t.Fatalf("a BATCH over 3 shards paid %d WAL fsyncs, want 3", got)
+	}
+	if peak := fs.peak.Load(); peak < 2 {
+		t.Fatalf("at most %d of the BATCH's shard fsyncs ran at once, want them to overlap", peak)
 	}
 }

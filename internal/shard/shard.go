@@ -251,8 +251,8 @@ func (db *DB) MultiGet(keys [][]byte) ([][]byte, error) {
 		s := Of(k, db.n)
 		idxs[s] = append(idxs[s], i)
 	}
-	return vals, fanOut(idxs, func(s int, ix []int) error {
-		for _, i := range ix {
+	return vals, fanOut(db.n, func(s int) error {
+		for _, i := range idxs[s] {
 			v, err := db.engines[s].Get(keys[i])
 			if err := slot(vals, i, v, err); err != nil {
 				return err
@@ -297,29 +297,26 @@ func SoleShard(n, count int, keyAt func(i int) []byte) (int, bool) {
 	return s, true
 }
 
-// fanOut runs work(s, parts[s]) concurrently for every shard s that has a
-// part and returns the first error any of them reported.
-func fanOut[T any](parts [][]T, work func(s int, part []T) error) error {
+// fanOut runs work(i) concurrently for every i in [0, n) and returns the
+// first error any of them reported.
+func fanOut(n int, work func(i int) error) error {
 	var (
 		wg       sync.WaitGroup
 		mu       sync.Mutex
 		firstErr error
 	)
-	for s, part := range parts {
-		if len(part) == 0 {
-			continue
-		}
+	for i := 0; i < n; i++ {
 		wg.Add(1)
-		go func(s int, part []T) {
+		go func() {
 			defer wg.Done()
-			if err := work(s, part); err != nil {
+			if err := work(i); err != nil {
 				mu.Lock()
 				if firstErr == nil {
 					firstErr = err
 				}
 				mu.Unlock()
 			}
-		}(s, part)
+		}()
 	}
 	wg.Wait()
 	return firstErr
@@ -379,30 +376,72 @@ func (db *DB) Delete(key []byte) error {
 
 // ApplyBatch splits ops by owning shard and applies the sub-batches in
 // parallel, preserving the caller's op order within each shard; a batch
-// whose ops all live on one shard is applied inline, as it stands. Each
+// whose ops all live on one shard is applied as it stands. Each
 // sub-batch is atomic per shard (one WAL record per shard) and, when
 // syncWAL is true, fsynced before ApplyBatch returns; a batch spanning
 // shards is NOT atomic across them — a crash can persist some shards'
-// sub-batches and not others'.
+// sub-batches and not others'. It is Submit and Wait.
 func (db *DB) ApplyBatch(ops []core.BatchOp, syncWAL bool) error {
+	w := db.Submit(ops, syncWAL)
+	return w.Wait()
+}
+
+// Write is a write submitted to the commit queues of the shards it
+// touches, one part per shard. Wait for it exactly once.
+type Write struct {
+	one   Part   // the part of a write on one shard
+	parts []Part // the parts of a write spanning shards
+}
+
+// Part is one shard's share of a Write: after Wait, Seq is that shard's
+// watermark once the part committed, its read-your-writes coordinate.
+type Part struct {
+	Shard int
+	Seq   uint64
+	w     *core.Write
+}
+
+// Submit queues ops on their shards' commit queues and returns without
+// waiting: ops that all land on one shard — every write on a 1-shard
+// database — are queued as they stand, and a write spanning shards is
+// split into per-shard sub-batches. Each shard commits its part in
+// Submit order, within a group with whatever else is queued there (see
+// core.DB.Submit). ops must not change until Wait returns.
+func (db *DB) Submit(ops []core.BatchOp, syncWAL bool) Write {
 	if s, ok := SoleShard(db.n, len(ops), func(i int) []byte { return ops[i].Key }); ok {
-		return db.engines[s].ApplyBatch(ops, syncWAL)
+		return Write{one: Part{Shard: s, w: db.engines[s].Submit(ops, syncWAL)}}
 	}
-	return fanOut(SplitBatch(ops, db.n), func(s int, sub []core.BatchOp) error {
-		return db.engines[s].ApplyBatch(sub, syncWAL)
+	var w Write
+	for s, sub := range SplitBatch(ops, db.n) {
+		if len(sub) > 0 {
+			w.parts = append(w.parts, Part{Shard: s, w: db.engines[s].Submit(sub, syncWAL)})
+		}
+	}
+	return w
+}
+
+// Wait waits for every part, the shards concurrently, and returns the
+// first error any part met.
+func (w *Write) Wait() error {
+	if w.parts == nil {
+		var err error
+		w.one.Seq, err = w.one.w.Wait()
+		return err
+	}
+	parts := w.parts // captured instead of w, so ApplyBatch's Write stays on its stack
+	return fanOut(len(parts), func(i int) error {
+		var err error
+		parts[i].Seq, err = parts[i].w.Wait()
+		return err
 	})
 }
 
-// ApplyShardBatch applies ops directly to shard i as one atomic,
-// optionally synced batch. Every op must belong to shard i by routing;
-// callers (the server's per-shard group-commit workers) are expected to
-// have split with SplitBatch or routed with ShardOf. Most callers want
-// ApplyBatch.
-func (db *DB) ApplyShardBatch(i int, ops []core.BatchOp, syncWAL bool) error {
-	if i < 0 || i >= db.n {
-		return fmt.Errorf("shard: index %d out of range [0,%d)", i, db.n)
+// Parts returns the write's per-shard parts, in shard order.
+func (w *Write) Parts() []Part {
+	if w.parts == nil {
+		return []Part{w.one}
 	}
-	return db.engines[i].ApplyBatch(ops, syncWAL)
+	return w.parts
 }
 
 // SplitBatch partitions ops into n per-shard sub-batches, preserving

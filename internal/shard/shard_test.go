@@ -283,22 +283,6 @@ func TestBatchSplitsAndAppliesPerShard(t *testing.T) {
 			t.Fatalf("batched key %d: %q, %v", i, v, err)
 		}
 	}
-	// Direct per-shard application with pre-split ops.
-	subs := SplitBatch([]core.BatchOp{core.PutOp([]byte("direct"), []byte("d"))}, db.NumShards())
-	for i, sub := range subs {
-		if len(sub) == 0 {
-			continue
-		}
-		if err := db.ApplyShardBatch(i, sub, false); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if v, err := db.Get([]byte("direct")); err != nil || string(v) != "d" {
-		t.Fatalf("ApplyShardBatch write: %q, %v", v, err)
-	}
-	if err := db.ApplyShardBatch(99, nil, false); err == nil {
-		t.Fatal("out-of-range shard index accepted")
-	}
 	if err := db.ApplyBatch(nil, false); err != nil {
 		t.Fatalf("empty batch: %v", err)
 	}

@@ -1,8 +1,8 @@
 // Package sketch implements the probabilistic summaries the server
 // maintains per shard over its write stream: a count-min sketch for
 // per-key write-frequency estimates and a HyperLogLog for distinct-key
-// cardinality. Both are fixed-memory, insert-only structures fed from
-// the group-commit loop (one Observe per committed op) and queried via
+// cardinality. Both are fixed-memory, insert-only structures fed by the
+// connections' ack loops (one Observe per committed op) and queried via
 // the SKETCH opcode, so applications can ask "how hot is this key?" and
 // "how many distinct keys exist?" without client-side tracking.
 //
@@ -142,9 +142,8 @@ func (h *HyperLogLog) Estimate() uint64 {
 	return uint64(e + 0.5)
 }
 
-// Set bundles the per-shard sketches behind one lock: the commit loop
-// (a single writer per shard) calls Observe, concurrent connections
-// call Freq and Card.
+// Set bundles the per-shard sketches behind one lock: every connection's
+// ack loop calls Observe, and any connection Freq and Card.
 type Set struct {
 	mu  sync.RWMutex
 	cm  *CountMin

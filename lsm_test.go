@@ -263,14 +263,14 @@ func TestThrottleFacade(t *testing.T) {
 func TestPublicMethodSetGolden(t *testing.T) {
 	golden := map[reflect.Type][]string{
 		reflect.TypeOf((*DB)(nil)): {
-			"ApplyBatch", "ApplyReplicated", "ApplyShardBatch", "Checkpoint",
+			"ApplyBatch", "ApplyReplicated", "Checkpoint",
 			"Close", "Compact", "CompareAndSwap", "DebugString", "Delete",
 			"Events", "Flush", "FreezeTuning", "Get", "GetAppend", "GetTraced",
 			"Incr", "IndexMemory", "LastSeqs", "Latencies", "Levels",
 			"MerkleAt", "MultiGet", "MultiGetTraced", "NewSnapshot",
 			"NumShards", "Put", "PutTTL", "RunValueLogGC", "Scan",
 			"SetCommitHook", "ShardOf", "ShardStats", "StartTuning", "Stats",
-			"StopTuning", "TotalRuns", "TunerStatus", "WaitForSeq",
+			"StopTuning", "Submit", "TotalRuns", "TunerStatus", "WaitForSeq",
 		},
 		reflect.TypeOf((*Snapshot)(nil)): {"Get", "Release", "Scan"},
 	}
