@@ -9,9 +9,13 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"sort"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"lsmkv/internal/core"
+	"lsmkv/internal/kv"
 	"lsmkv/internal/vfs"
 )
 
@@ -71,7 +75,7 @@ func sample(seed int64) *Options {
 
 // designSeeds are the configurations TestDesignChoicesNeverChangeAnswers
 // runs; a seed FuzzDesignChoices finds wrong answers under joins them.
-var designSeeds = []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}
+var designSeeds = []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 291}
 
 // TestDesignChoicesNeverChangeAnswers: a design choice moves cost, never
 // an answer. Each sampled design replays one seeded history and must
@@ -90,10 +94,12 @@ func FuzzDesignChoices(f *testing.F) {
 }
 
 // checkDesign replays seed's history on seed's design and holds every
-// answer to a map. The memtable is shrunk to 16 KiB so the history builds
-// several levels; the two knobs that only pace maintenance are scaled to
-// that size (a drawn compaction rate read in 16 MiB/s units, not bytes/s,
-// and the slowdown delay cut 256-fold) so a run takes well under a second.
+// answer to a map: each read a concurrent reader makes while the history
+// runs (startReader), then every Get, a MultiGet and six scans at rest.
+// The memtable is shrunk to 16 KiB so the history builds several levels;
+// the two knobs that only pace maintenance are scaled to that size (a
+// drawn compaction rate read in 16 MiB/s units, not bytes/s, and the
+// slowdown delay cut 256-fold) so a run takes well under a second.
 // None of the three moves an answer.
 func checkDesign(t *testing.T, seed int64) {
 	const nKeys, nOps = 300, 1500
@@ -127,35 +133,44 @@ func checkDesign(t *testing.T, seed int64) {
 	}
 	want := map[string][]byte{}
 	db := reopen()
+	reader := startReader(db, seed, nKeys, key)
+	defer reader.stop() // a write that fails ends the history early
 	for op := 0; op < nOps; op++ {
+		var writes []BatchOp // the op's effect; nil for Flush and Compact
+		var do func() error
 		switch r := rng.Intn(100); {
 		case r < 60:
 			k, v := key(rng.Intn(nKeys)), value(op)
-			must(db.Put(k, v))
-			want[string(k)] = v
+			writes, do = []BatchOp{PutOp(k, v)}, func() error { return db.Put(k, v) }
 		case r < 80:
 			k := key(rng.Intn(nKeys))
-			must(db.Delete(k))
-			delete(want, string(k))
+			writes, do = []BatchOp{DeleteOp(k)}, func() error { return db.Delete(k) }
 		case r < 95:
-			var ops []BatchOp
 			for _, i := range rng.Perm(nKeys)[:1+rng.Intn(8)] {
 				if k := key(i); rng.Intn(4) == 0 {
-					ops = append(ops, DeleteOp(k))
-					delete(want, string(k))
+					writes = append(writes, DeleteOp(k))
 				} else {
-					v := value(op)
-					ops = append(ops, PutOp(k, v))
-					want[string(k)] = v
+					writes = append(writes, PutOp(k, value(op)))
 				}
 			}
-			must(db.ApplyBatch(ops, false))
+			do = func() error { return db.ApplyBatch(writes, false) }
 		case r < 98:
-			must(db.Flush())
+			do = db.Flush
 		default:
-			must(db.Compact())
+			do = db.Compact
 		}
+		for _, w := range writes {
+			if w.Kind == kv.KindDelete {
+				delete(want, string(w.Key))
+			} else {
+				want[string(w.Key)] = w.Value
+			}
+		}
+		reader.issue(writes)
+		must(do())
+		reader.ack()
 	}
+	must(reader.stop())
 
 	keys := make([][]byte, nKeys+1)
 	for i := range keys {
@@ -202,4 +217,122 @@ func checkDesign(t *testing.T, seed int64) {
 	db = reopen()
 	check("after reopen")
 	must(db.Close())
+}
+
+// liveReader is checkDesign's oracle for reads that overlap the work: one
+// goroutine issues Gets and MultiGets on random keys while the history
+// runs. The writer records each op's writes before issuing it and counts
+// the op once acknowledged, so a read that starts after from acknowledged
+// ops and returns when to ops have been issued must see its key as it
+// stood after some op in [from, to]. (The upper bound counts issued, not
+// acknowledged, ops: a write is visible before its caller hears back.)
+type liveReader struct {
+	mu            sync.Mutex
+	history       map[string][]keyState // per key, in op order
+	issued, acked atomic.Int64
+	quit, done    chan struct{}
+	stopOnce      sync.Once
+	err           error // the first read no state in its window explains
+}
+
+// keyState is a key's state after op.
+type keyState struct {
+	op      int64
+	value   []byte
+	present bool
+}
+
+// startReader starts the reader on db's keys key(0) .. key(nKeys-1).
+func startReader(db *DB, seed int64, nKeys int, key func(int) []byte) *liveReader {
+	r := &liveReader{history: map[string][]keyState{}, quit: make(chan struct{}), done: make(chan struct{})}
+	go func() {
+		defer close(r.done)
+		rng := rand.New(rand.NewSource(^seed))
+		for {
+			select {
+			case <-r.quit:
+				return
+			default:
+			}
+			keys := make([][]byte, 1+rng.Intn(16))
+			for i := range keys {
+				keys[i] = key(rng.Intn(nKeys))
+			}
+			from := r.acked.Load()
+			vals, present, err := readKeys(db, keys)
+			to := r.issued.Load()
+			if err != nil {
+				r.err = fmt.Errorf("read while ops %d..%d ran: %v", from, to, err)
+				return
+			}
+			for i, k := range keys {
+				if !r.explains(k, from, to, vals[i], present[i]) {
+					r.err = fmt.Errorf("read of %d keys while ops %d..%d ran: %s = %d bytes (present %v), which no op in that window left",
+						len(keys), from, to, k, len(vals[i]), present[i])
+					return
+				}
+			}
+		}
+	}()
+	return r
+}
+
+// readKeys reads one key with Get, several with one MultiGet.
+func readKeys(db *DB, keys [][]byte) (vals [][]byte, present []bool, err error) {
+	if len(keys) == 1 {
+		v, err := db.Get(keys[0])
+		if errors.Is(err, ErrNotFound) {
+			return [][]byte{nil}, []bool{false}, nil
+		}
+		return [][]byte{v}, []bool{err == nil}, err
+	}
+	vals, err = db.MultiGet(keys)
+	for _, v := range vals {
+		present = append(present, v != nil)
+	}
+	return vals, present, err
+}
+
+// issue records the writes of the next op, before the op is issued.
+func (r *liveReader) issue(writes []BatchOp) {
+	op := r.issued.Load() + 1
+	r.mu.Lock()
+	for _, w := range writes {
+		k := string(w.Key)
+		r.history[k] = append(r.history[k], keyState{op, w.Value, w.Kind != kv.KindDelete})
+	}
+	r.mu.Unlock()
+	r.issued.Store(op)
+}
+
+// ack counts the last issued op as acknowledged.
+func (r *liveReader) ack() { r.acked.Store(r.issued.Load()) }
+
+// stop ends the reader and returns the first read it could not explain.
+func (r *liveReader) stop() error {
+	r.stopOnce.Do(func() { close(r.quit) })
+	<-r.done
+	return r.err
+}
+
+// explains reports whether key held (value, present) after some op in
+// [from, to]: the state from left, or one a later op in the window wrote.
+func (r *liveReader) explains(key []byte, from, to int64, value []byte, present bool) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	states := r.history[string(key)]
+	i := sort.Search(len(states), func(i int) bool { return states[i].op > from })
+	if i == 0 {
+		states = append([]keyState{{}}, states...) // absent before its first write
+		i = 1
+	}
+	for _, s := range states[i-1:] {
+		if s.op > to {
+			break
+		}
+		if s.present == present && (!present || bytes.Equal(s.value, value)) {
+			return true
+		}
+	}
+	return false
 }

@@ -11,6 +11,7 @@ import (
 	"lsmkv/internal/iostat"
 	"lsmkv/internal/kv"
 	"lsmkv/internal/manifest"
+	"lsmkv/internal/memtable"
 	"lsmkv/internal/rangefilter"
 	"lsmkv/internal/sstable"
 )
@@ -240,7 +241,7 @@ func (v *version) bottommost(level int, leaving map[uint64]bool) bool {
 
 // flush writes one buffer as a single-file run appended to level 0. im is
 // the flush-queue entry the buffer came from, nil for a recovered buffer.
-func (db *DB) flush(buf buffer, im *immutableBuffer) error {
+func (db *DB) flush(buf *memtable.Memtable, im *immutableBuffer) error {
 	j := &job{start: time.Now(), ev: iostat.Event{Type: iostat.EventFlush, FromLevel: -1},
 		edit: versionEdit{freshRun: true, flushed: im != nil}}
 	if im != nil && !db.opts.DisableWAL {

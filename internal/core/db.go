@@ -33,19 +33,10 @@ var (
 	ErrNotCounter = errors.New("lsmkv: value is not an 8-byte counter")
 )
 
-// buffer abstracts the two memtable implementations.
-type buffer interface {
-	Add(e kv.Entry)
-	Get(key []byte, seq kv.SeqNum) (value []byte, kind kv.Kind, found bool)
-	ApproxSize() int64
-	Len() int
-	NewIterator() kv.Iterator
-}
-
 // immutableBuffer is a frozen memtable awaiting flush, paired with its
 // WAL file.
 type immutableBuffer struct {
-	buf    buffer
+	buf    *memtable.Memtable
 	walNum uint64
 }
 
@@ -71,7 +62,7 @@ type DB struct {
 	lead  chan struct{}
 	// mem, wal and walNum change only with commitMu and mu both held, so
 	// holding either is enough to read them.
-	mem    buffer
+	mem    *memtable.Memtable
 	wal    *wal.Writer
 	walNum uint64
 
@@ -252,7 +243,7 @@ func (db *DB) shutdownPartial() {
 	}
 }
 
-func (db *DB) newBuffer() buffer {
+func (db *DB) newBuffer() *memtable.Memtable {
 	if db.opts.TwoLevelMemtable {
 		return memtable.NewTwoLevel(db.opts.MemtableBytes / 8)
 	}

@@ -8,6 +8,7 @@ import (
 	"lsmkv/internal/filter"
 	"lsmkv/internal/iostat"
 	"lsmkv/internal/kv"
+	"lsmkv/internal/memtable"
 	"lsmkv/internal/vlog"
 )
 
@@ -33,9 +34,9 @@ import (
 // replaces it; the last unref releases the version, and with it the
 // tables a compaction has since made obsolete.
 type readState struct {
-	mem  buffer
-	imms []buffer // oldest first
-	v    *version // ref'd for as long as refs > 0
+	mem  *memtable.Memtable
+	imms []*memtable.Memtable // oldest first
+	v    *version             // ref'd for as long as refs > 0
 	refs atomic.Int32
 }
 
@@ -92,7 +93,7 @@ func (db *DB) pin() (*readState, kv.SeqNum, error) {
 func (db *DB) publishLocked() (retired *readState) {
 	var rs *readState
 	if !db.closed {
-		rs = &readState{mem: db.mem, imms: make([]buffer, len(db.imms)), v: db.current}
+		rs = &readState{mem: db.mem, imms: make([]*memtable.Memtable, len(db.imms)), v: db.current}
 		for i, im := range db.imms {
 			rs.imms[i] = im.buf
 		}

@@ -7,6 +7,14 @@
 // higher sequence numbers, per the out-of-place LSM write model — so
 // readers only need a read-lock around pointer traversal and never observe
 // partially linked towers.
+//
+// A buffer made by NewTwoLevel adds FloDB's hash front (Balmau et al.,
+// EuroSys'17) as a second level of the same Memtable: point writes and
+// lookups land in a map, and the map drains into the skiplist when it
+// fills or an iterator is made. One lock guards both levels, so a reader
+// finds every entry in one level or the other, never in neither; the
+// price is that a reader waits while a drain, bounded by the front's
+// capacity, holds the lock.
 package memtable
 
 import (
@@ -29,7 +37,7 @@ type node struct {
 }
 
 // Memtable is a concurrent ordered buffer of versioned entries. The zero
-// value is not usable; call New.
+// value is not usable; call New or NewTwoLevel.
 //
 // All entry payloads, nodes, and towers live in memtable-owned arenas
 // (see arena.go): the buffer is insert-only and released wholesale after
@@ -39,8 +47,16 @@ type Memtable struct {
 	head   *node
 	height int
 	rng    *rand.Rand
-	size   atomic.Int64
-	count  atomic.Int64
+	// size and count cover both levels.
+	size  atomic.Int64
+	count atomic.Int64
+
+	// front is the hash level of a two-level buffer, nil for a plain one:
+	// the newest version of each key added since the last drain, holding
+	// frontBytes of payload. Add drains it at frontCap.
+	front      map[string]kv.Entry
+	frontBytes int64
+	frontCap   int64
 
 	arena     arena
 	nodeSlab  []node
@@ -55,6 +71,21 @@ func New() *Memtable {
 		height: 1,
 		rng:    rand.New(rand.NewSource(0xda7aba5e)),
 	}
+}
+
+// NewTwoLevel returns an empty two-level buffer whose hash front holds up
+// to frontCap bytes before draining into the skiplist.
+//
+// Unlike FloDB, an overwritten front entry's older version is demoted to
+// the skiplist instead of dropped, preserving snapshot reads.
+func NewTwoLevel(frontCap int64) *Memtable {
+	if frontCap < 1 {
+		frontCap = 1 << 20
+	}
+	m := New()
+	m.front = make(map[string]kv.Entry)
+	m.frontCap = frontCap
+	return m
 }
 
 func (m *Memtable) randomHeight() int {
@@ -88,26 +119,50 @@ func (m *Memtable) findGE(target kv.InternalKey, prev []*node) *node {
 // Add inserts a new versioned entry. The entry is deep-copied into the
 // memtable's arena so callers may reuse their buffers. Duplicate internal
 // keys (same user key, seq and kind) overwrite in place; the engine never
-// produces them in normal operation.
+// produces them in normal operation. A two-level buffer stores the entry
+// in its front, demoting the key's previous front version to the
+// skiplist, and drains the front once it holds frontCap bytes.
 func (m *Memtable) Add(e kv.Entry) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	e.Key.UserKey = m.arena.copyBytes(e.Key.UserKey)
 	e.Value = m.arena.copyBytes(e.Value)
-	m.addLocked(e)
+	if m.front == nil {
+		m.link(e)
+		return
+	}
+	if old, ok := m.front[string(e.Key.UserKey)]; ok {
+		m.demote(old)
+	}
+	m.front[string(e.Key.UserKey)] = e
+	m.frontBytes += int64(e.Size())
+	m.size.Add(int64(e.Size()))
+	m.count.Add(1)
+	if m.frontBytes >= m.frontCap {
+		m.drainLocked()
+	}
 }
 
-// AddOwned inserts an entry whose backing bytes the caller hands over
-// (they must stay immutable for the memtable's lifetime). Used when the
-// entry was already copied once — e.g. the two-level front draining into
-// the skiplist — to avoid a second copy.
-func (m *Memtable) AddOwned(e kv.Entry) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.addLocked(e)
+// drainLocked moves every front entry into the skiplist. Caller holds mu
+// for writing, so no reader sees an entry in neither level.
+func (m *Memtable) drainLocked() {
+	for _, e := range m.front {
+		m.demote(e)
+	}
+	clear(m.front)
 }
 
-func (m *Memtable) addLocked(e kv.Entry) {
+// demote moves front entry e into the skiplist. Its payload was counted
+// as it arrived; link counts it again with the skiplist's overhead.
+func (m *Memtable) demote(e kv.Entry) {
+	m.frontBytes -= int64(e.Size())
+	m.size.Add(-int64(e.Size()))
+	m.count.Add(-1)
+	m.link(e)
+}
+
+// link inserts e, whose bytes the memtable owns, into the skiplist.
+func (m *Memtable) link(e kv.Entry) {
 	for i := range m.prev {
 		m.prev[i] = m.head
 	}
@@ -137,6 +192,13 @@ func (m *Memtable) addLocked(e kv.Entry) {
 func (m *Memtable) Get(key []byte, seq kv.SeqNum) (value []byte, kind kv.Kind, found bool) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
+	if m.front != nil {
+		// A front version too new for seq leaves the next older one to
+		// the skiplist, where demotion put it.
+		if e, ok := m.front[string(key)]; ok && e.Key.Visible(seq) {
+			return e.Value, e.Key.Kind, true
+		}
+	}
 	n := m.findGE(kv.MakeSearchKey(key, seq), nil)
 	if n == nil {
 		return nil, 0, false
@@ -148,21 +210,28 @@ func (m *Memtable) Get(key []byte, seq kv.SeqNum) (value []byte, kind kv.Kind, f
 	return n.entry.Value, ik.Kind, true
 }
 
-// ApproxSize returns the estimated resident bytes of the buffer. The
+// ApproxSize returns the estimated resident bytes of both levels. The
 // engine compares it against the configured buffer capacity to decide when
 // to flush.
 func (m *Memtable) ApproxSize() int64 { return m.size.Load() }
 
-// Len returns the number of entries.
+// Len returns the number of entries in both levels.
 func (m *Memtable) Len() int { return int(m.count.Load()) }
 
 // Empty reports whether the memtable holds no entries.
 func (m *Memtable) Empty() bool { return m.count.Load() == 0 }
 
-// NewIterator returns an iterator over the memtable. The iterator observes
-// entries inserted before each positioning call; the engine freezes
-// memtables before flushing them, so flush iterators see a stable set.
+// NewIterator drains a two-level buffer's front and returns an iterator
+// over the skiplist. The iterator observes entries linked before each
+// positioning call (a later front entry only once drained); the engine
+// freezes memtables before flushing them, so flush iterators see a stable
+// set.
 func (m *Memtable) NewIterator() kv.Iterator {
+	if m.front != nil {
+		m.mu.Lock()
+		m.drainLocked()
+		m.mu.Unlock()
+	}
 	return &iterator{m: m}
 }
 

@@ -255,6 +255,58 @@ func TestTwoLevelIteratorDrainsFront(t *testing.T) {
 	}
 }
 
+// TestTwoLevelDrainNeverHidesAnEntry: a Get racing a drain of the front
+// must see every key's newest version. A front holds 2000 keys, each
+// written twice (so the older version sits in the skiplist), and is
+// drained once by NewIterator and once by the Add that fills it, while
+// Get sweeps every key until the drain is over.
+func TestTwoLevelDrainNeverHidesAnEntry(t *testing.T) {
+	const nKeys, trials = 2000, 20
+	key := func(i int) []byte { return []byte(fmt.Sprintf("k%05d", i)) }
+	entry := func(i int, seq kv.SeqNum, v string) kv.Entry {
+		return kv.Entry{Key: kv.MakeInternalKey(key(i), seq, kv.KindSet), Value: []byte(v)}
+	}
+	// The front holds the 2000 newest versions; one more entry fills it.
+	frontCap := int64(nKeys+1) * int64(entry(0, 1, "new").Size())
+	drains := []struct {
+		name  string
+		drain func(m *Memtable)
+	}{
+		{"iterator", func(m *Memtable) { m.NewIterator().Close() }},
+		{"add", func(m *Memtable) { m.Add(entry(nKeys, 3*nKeys, "new")) }},
+	}
+	for _, d := range drains {
+		stale := 0
+		for trial := 0; trial < trials; trial++ {
+			m := NewTwoLevel(frontCap)
+			for i := 0; i < nKeys; i++ {
+				m.Add(entry(i, kv.SeqNum(i+1), "old"))
+				m.Add(entry(i, kv.SeqNum(nKeys+i+1), "new"))
+			}
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				d.drain(m)
+			}()
+			for swept := false; !swept; {
+				select {
+				case <-done:
+					swept = true
+				default:
+				}
+				for i := 0; i < nKeys; i++ {
+					if v, _, ok := m.Get(key(i), kv.MaxSeqNum); !ok || string(v) != "new" {
+						stale++
+					}
+				}
+			}
+		}
+		if stale > 0 {
+			t.Errorf("%s drain: %d Gets missed the newest version over %d trials", d.name, stale, trials)
+		}
+	}
+}
+
 func BenchmarkMemtableAdd(b *testing.B) {
 	m := New()
 	b.ReportAllocs()

@@ -19,8 +19,8 @@ import (
 // filesystem: pipelined clients write through the server while the disk
 // dies underneath it mid-write. Every write a client saw acknowledged
 // must survive on the crash image — the end-to-end version of the
-// engine-level durability property, now covering the committer's
-// group-sync-before-ack ordering.
+// engine-level durability property, now covering the commit groups'
+// sync-before-ack ordering.
 func TestNetworkCrashRecovery(t *testing.T) {
 	mem := vfs.NewMem()
 	fs := vfs.NewFaulty(mem)

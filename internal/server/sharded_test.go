@@ -178,8 +178,8 @@ func TestBatchOnOneShardIsOneWALRecord(t *testing.T) {
 
 // TestShardedShutdownNoGoroutineLeak: shutting the server down while
 // fan-out SCANs are in flight, then closing the sharded DB, returns the
-// process to its baseline goroutine count — per-shard committers, the
-// merged scan path, and per-shard background workers all drain.
+// process to its baseline goroutine count — commit groups, the merged
+// scan path, and per-shard background workers all drain.
 func TestShardedShutdownNoGoroutineLeak(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
