@@ -14,7 +14,7 @@ build:
 test: fmt-check doc-check doc-links bench-check
 	$(GO) vet ./...
 	$(GO) test ./...
-	$(GO) test -race ./internal/core/ ./internal/memtable/ ./internal/server/ ./internal/client/ ./internal/shard/ ./internal/tuner/
+	$(GO) test -race ./internal/core/ ./internal/compaction/ ./internal/memtable/ ./internal/server/ ./internal/client/ ./internal/shard/ ./internal/tuner/
 	$(GO) test -race -run '^(TestAtomicity|TestDesignChoices)' .
 	$(MAKE) crash
 	$(MAKE) examples

@@ -85,8 +85,9 @@ func (c *Cache) Insert(file, offset uint64, block []byte) {
 // allocation can stall on the collector, and other readers need the lock.
 func (c *Cache) Offer(file, offset uint64, block []byte) bool {
 	k := blockKey{file, offset}
-	s := c.shard(k)
-	if !s.admits(k, int64(len(block))+entryOverhead) {
+	h := k.hash() // hashed once: the shard, then the doorkeeper
+	s := &c.shards[h%numShards]
+	if !s.admits(h, int64(len(block))+entryOverhead) {
 		return false
 	}
 	return s.insert(k, append([]byte(nil), block...))
@@ -247,18 +248,18 @@ func (s *shard) insert(k blockKey, data []byte) bool {
 	return true
 }
 
-// admits is the admission rule for an offered block of cost sz: free
-// room, or a second miss.
-func (s *shard) admits(k blockKey, sz int64) bool {
+// admits is the admission rule for an offered block of key hash h and
+// cost sz: free room, or a second miss.
+func (s *shard) admits(h uint64, sz int64) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return sz <= s.capacity && (s.size+sz <= s.capacity || s.secondMiss(k))
+	return sz <= s.capacity && (s.size+sz <= s.capacity || s.secondMiss(h))
 }
 
-// secondMiss reports whether the doorkeeper still remembers a miss of k,
-// forgetting it if so and remembering this one if not.
-func (s *shard) secondMiss(k blockKey) bool {
-	h := k.hash() / numShards // the low bits chose the shard
+// secondMiss reports whether the doorkeeper still remembers a miss of the
+// key hashing to h, forgetting it if so and remembering this one if not.
+func (s *shard) secondMiss(h uint64) bool {
+	h /= numShards // the low bits chose the shard
 	fp := uint32(h>>32) | 1
 	slot := &s.door[h&uint64(len(s.door)-1)]
 	if *slot == fp {

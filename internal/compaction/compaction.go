@@ -14,9 +14,10 @@
 //	hybrid         any K, Z in between (the LSM-bush/Wacky continuum
 //	               direction of arbitrary per-level run counts)
 //
-// The package plans over immutable views of the tree and returns Tasks;
+// The package plans over the tree as the manifest records it (the
+// manifest.State levels, read under the engine's lock) and returns Tasks;
 // the engine executes them. Two layers share the work: the Picker plans
-// single tasks against a tree view (stateless but for the round-robin
+// single tasks against those levels (stateless but for the round-robin
 // cursor), and the Scheduler hands tasks to a pool of concurrent
 // compaction workers, claiming disjoint level/file sets so no two
 // in-flight jobs overlap, ordering candidates L0-first then by pressure
@@ -27,46 +28,9 @@ package compaction
 import (
 	"bytes"
 	"fmt"
+
+	"lsmkv/internal/manifest"
 )
-
-// FileView is the planner's read-only view of one table file.
-type FileView struct {
-	Num        uint64
-	Size       uint64
-	Smallest   []byte // smallest user key
-	Largest    []byte // largest user key
-	Entries    uint64
-	Tombstones uint64
-	Seq        uint64 // creation order; lower = older
-}
-
-// RunView is a sorted run: files sorted by Smallest, non-overlapping.
-type RunView struct {
-	Files []FileView
-}
-
-// Size returns the run's total bytes.
-func (r RunView) Size() uint64 {
-	var s uint64
-	for _, f := range r.Files {
-		s += f.Size
-	}
-	return s
-}
-
-// LevelView is one level: one or more runs.
-type LevelView struct {
-	Runs []RunView
-}
-
-// Size returns the level's total bytes.
-func (l LevelView) Size() uint64 {
-	var s uint64
-	for _, r := range l.Runs {
-		s += r.Size()
-	}
-	return s
-}
 
 // Granularity selects how much data one compaction moves.
 type Granularity int
@@ -187,13 +151,13 @@ type Task struct {
 	FromLevel int
 	// InputFiles are the source files to merge (grouped per run in
 	// planning order; the executor merges them all).
-	InputFiles []FileView
+	InputFiles []*manifest.FileMeta
 	// TargetLevel receives the output.
 	TargetLevel int
 	// TargetFiles are the overlapping files in TargetLevel that must join
 	// the merge (empty when the output is installed as a fresh run —
 	// tiered movement).
-	TargetFiles []FileView
+	TargetFiles []*manifest.FileMeta
 	// FreshRun reports whether the output forms a new run in TargetLevel
 	// (true) or replaces TargetFiles within the level's first run (false).
 	FreshRun bool
@@ -233,8 +197,8 @@ func Overlaps(aLo, aHi, bLo, bHi []byte) bool {
 }
 
 // OverlappingFiles returns the files of run intersecting [lo, hi].
-func OverlappingFiles(run RunView, lo, hi []byte) []FileView {
-	var out []FileView
+func OverlappingFiles(run manifest.Run, lo, hi []byte) []*manifest.FileMeta {
+	var out []*manifest.FileMeta
 	for _, f := range run.Files {
 		if Overlaps(lo, hi, f.Smallest, f.Largest) {
 			out = append(out, f)

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"fmt"
 	"sort"
+
+	"lsmkv/internal/manifest"
 )
 
 // Picker plans compactions for a tree shaped by Shape. It is stateful only
-// for the round-robin cursor; all tree state arrives as views.
+// for the round-robin cursor; all tree state arrives as the manifest's levels.
 type Picker struct {
 	shape Shape
 	// rrCursor remembers, per level, the largest key of the last
@@ -27,7 +29,7 @@ func NewPicker(shape Shape) (*Picker, error) {
 func (p *Picker) Shape() Shape { return p.shape }
 
 // lastPopulated returns the deepest level index holding data, or 0.
-func lastPopulated(levels []LevelView) int {
+func lastPopulated(levels []manifest.Level) int {
 	last := 0
 	for i, l := range levels {
 		if len(l.Runs) > 0 {
@@ -40,7 +42,7 @@ func lastPopulated(levels []LevelView) int {
 // Pick returns the most urgent compaction task, or nil when the tree
 // satisfies its shape. levels[0] is the first storage level (flushed
 // runs); deeper levels follow.
-func (p *Picker) Pick(levels []LevelView) *Task {
+func (p *Picker) Pick(levels []manifest.Level) *Task {
 	return p.PickUnder(levels, nil)
 }
 
@@ -54,7 +56,7 @@ func (p *Picker) Pick(levels []LevelView) *Task {
 // Scheduler uses admit to skip tasks conflicting with in-flight jobs, so
 // the planner is only invoked for levels actually considered — the
 // round-robin cursor never advances for a level whose task was not taken.
-func (p *Picker) PickUnder(levels []LevelView, admit func(*Task) bool) *Task {
+func (p *Picker) PickUnder(levels []manifest.Level, admit func(*Task) bool) *Task {
 	if len(levels) == 0 {
 		return nil
 	}
@@ -166,7 +168,7 @@ func (p *Picker) PickUnder(levels []LevelView, admit func(*Task) bool) *Task {
 }
 
 // planLevel builds the task that relieves level i.
-func (p *Picker) planLevel(levels []LevelView, i, last int) *Task {
+func (p *Picker) planLevel(levels []manifest.Level, i, last int) *Task {
 	src := levels[i]
 
 	if i == p.shape.MaxLevels-1 {
@@ -235,12 +237,12 @@ func (p *Picker) planLevel(levels []LevelView, i, last int) *Task {
 
 // planSingleFile picks one source file per the movement policy and merges
 // it with its overlap in the target level.
-func (p *Picker) planSingleFile(levels []LevelView, i, target int) *Task {
+func (p *Picker) planSingleFile(levels []manifest.Level, i, target int) *Task {
 	files := levels[i].Runs[0].Files
 	if len(files) == 0 {
 		return nil
 	}
-	var targetRun RunView
+	var targetRun manifest.Run
 	if target < len(levels) && len(levels[target].Runs) > 0 {
 		targetRun = levels[target].Runs[0]
 	}
@@ -272,10 +274,10 @@ func (p *Picker) planSingleFile(levels []LevelView, i, target int) *Task {
 			}
 		}
 	case PickOldest:
-		bestSeq := ^uint64(0)
+		oldest := ^uint64(0)
 		for j, f := range files {
-			if f.Seq < bestSeq {
-				bestSeq = f.Seq
+			if f.CreatedAt < oldest {
+				oldest = f.CreatedAt
 				pick = j
 			}
 		}
@@ -299,7 +301,7 @@ func (p *Picker) planSingleFile(levels []LevelView, i, target int) *Task {
 	f := files[pick]
 	return &Task{
 		FromLevel:   i,
-		InputFiles:  []FileView{f},
+		InputFiles:  []*manifest.FileMeta{f},
 		TargetLevel: target,
 		TargetFiles: OverlappingFiles(targetRun, f.Smallest, f.Largest),
 		FreshRun:    len(targetRun.Files) == 0,

@@ -3,6 +3,8 @@ package compaction
 import (
 	"fmt"
 	"testing"
+
+	"lsmkv/internal/manifest"
 )
 
 // sim is a structural simulator: it applies picker tasks to synthetic
@@ -11,7 +13,7 @@ import (
 type sim struct {
 	t       *testing.T
 	picker  *Picker
-	levels  []LevelView
+	levels  []manifest.Level
 	nextNum uint64
 	nextSeq uint64
 	moved   uint64 // bytes written by compactions
@@ -26,7 +28,7 @@ func newSim(t *testing.T, shape Shape) *sim {
 	return &sim{
 		t:      t,
 		picker: p,
-		levels: make([]LevelView, p.Shape().MaxLevels),
+		levels: make([]manifest.Level, p.Shape().MaxLevels),
 	}
 }
 
@@ -34,15 +36,15 @@ func newSim(t *testing.T, shape Shape) *sim {
 func (s *sim) flush(size uint64) {
 	s.nextNum++
 	s.nextSeq++
-	f := FileView{
-		Num:      s.nextNum,
-		Size:     size,
-		Smallest: []byte("00000000"),
-		Largest:  []byte("99999999"),
-		Entries:  size / 100,
-		Seq:      s.nextSeq,
+	f := &manifest.FileMeta{
+		Num:       s.nextNum,
+		Size:      size,
+		Smallest:  []byte("00000000"),
+		Largest:   []byte("99999999"),
+		Entries:   size / 100,
+		CreatedAt: s.nextSeq,
 	}
-	s.levels[0].Runs = append(s.levels[0].Runs, RunView{Files: []FileView{f}})
+	s.levels[0].Runs = append(s.levels[0].Runs, manifest.Run{Files: []*manifest.FileMeta{f}})
 	s.flushed += size
 	s.drain()
 }
@@ -79,27 +81,27 @@ func (s *sim) apply(t *Task) {
 	s.moved += outSize
 	s.nextNum++
 	s.nextSeq++
-	out := FileView{
-		Num:      s.nextNum,
-		Size:     outSize,
-		Smallest: []byte("00000000"),
-		Largest:  []byte("99999999"),
-		Entries:  outSize / 100,
-		Seq:      s.nextSeq,
+	out := &manifest.FileMeta{
+		Num:       s.nextNum,
+		Size:      outSize,
+		Smallest:  []byte("00000000"),
+		Largest:   []byte("99999999"),
+		Entries:   outSize / 100,
+		CreatedAt: s.nextSeq,
 	}
 
 	// Remove dropped files from every level, dropping empty runs.
 	for li := range s.levels {
-		var runs []RunView
+		var runs []manifest.Run
 		for _, r := range s.levels[li].Runs {
-			var files []FileView
+			var files []*manifest.FileMeta
 			for _, f := range r.Files {
 				if !drop[f.Num] {
 					files = append(files, f)
 				}
 			}
 			if len(files) > 0 {
-				runs = append(runs, RunView{Files: files})
+				runs = append(runs, manifest.Run{Files: files})
 			}
 		}
 		s.levels[li].Runs = runs
@@ -107,7 +109,7 @@ func (s *sim) apply(t *Task) {
 	// Install output.
 	tl := &s.levels[t.TargetLevel]
 	if t.FreshRun || len(tl.Runs) == 0 {
-		tl.Runs = append(tl.Runs, RunView{Files: []FileView{out}})
+		tl.Runs = append(tl.Runs, manifest.Run{Files: []*manifest.FileMeta{out}})
 	} else {
 		tl.Runs[0].Files = append(tl.Runs[0].Files, out)
 	}
@@ -247,17 +249,17 @@ func TestSingleFileGranularityMovesOneFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mkFile := func(num uint64, lo, hi string, size uint64) FileView {
-		return FileView{Num: num, Size: size, Smallest: []byte(lo), Largest: []byte(hi), Entries: 10, Seq: num}
+	mkFile := func(num uint64, lo, hi string, size uint64) *manifest.FileMeta {
+		return &manifest.FileMeta{Num: num, Size: size, Smallest: []byte(lo), Largest: []byte(hi), Entries: 10, CreatedAt: num}
 	}
-	levels := make([]LevelView, 6)
+	levels := make([]manifest.Level, 6)
 	// Level 1 oversized with three files; level 2 has overlap for two.
-	levels[1].Runs = []RunView{{Files: []FileView{
+	levels[1].Runs = []manifest.Run{{Files: []*manifest.FileMeta{
 		mkFile(1, "a", "c", 8<<10),
 		mkFile(2, "d", "f", 8<<10),
 		mkFile(3, "g", "i", 8<<10),
 	}}}
-	levels[2].Runs = []RunView{{Files: []FileView{
+	levels[2].Runs = []manifest.Run{{Files: []*manifest.FileMeta{
 		mkFile(4, "a", "b", 4<<10),
 		mkFile(5, "e", "h", 4<<10),
 	}}}
@@ -279,14 +281,14 @@ func TestMinOverlapPicksCheapestFile(t *testing.T) {
 		MaxLevels: 6, Granularity: SingleFile, Picker: PickMinOverlap,
 	}
 	p, _ := NewPicker(shape)
-	levels := make([]LevelView, 6)
-	levels[1].Runs = []RunView{{Files: []FileView{
-		{Num: 1, Size: 8 << 10, Smallest: []byte("a"), Largest: []byte("c"), Seq: 1},
-		{Num: 2, Size: 8 << 10, Smallest: []byte("d"), Largest: []byte("f"), Seq: 2},
+	levels := make([]manifest.Level, 6)
+	levels[1].Runs = []manifest.Run{{Files: []*manifest.FileMeta{
+		{Num: 1, Size: 8 << 10, Smallest: []byte("a"), Largest: []byte("c"), CreatedAt: 1},
+		{Num: 2, Size: 8 << 10, Smallest: []byte("d"), Largest: []byte("f"), CreatedAt: 2},
 	}}}
 	// Level 2 stays under its capacity so level 1 is the urgent one.
-	levels[2].Runs = []RunView{{Files: []FileView{
-		{Num: 3, Size: 8 << 10, Smallest: []byte("a"), Largest: []byte("c"), Seq: 3},
+	levels[2].Runs = []manifest.Run{{Files: []*manifest.FileMeta{
+		{Num: 3, Size: 8 << 10, Smallest: []byte("a"), Largest: []byte("c"), CreatedAt: 3},
 	}}}
 	task := p.Pick(levels)
 	if task == nil {
@@ -307,10 +309,10 @@ func TestMostTombstonesPicker(t *testing.T) {
 		MaxLevels: 6, Granularity: SingleFile, Picker: PickMostTombstones,
 	}
 	p, _ := NewPicker(shape)
-	levels := make([]LevelView, 6)
-	levels[1].Runs = []RunView{{Files: []FileView{
-		{Num: 1, Size: 8 << 10, Smallest: []byte("a"), Largest: []byte("c"), Entries: 100, Tombstones: 5, Seq: 1},
-		{Num: 2, Size: 8 << 10, Smallest: []byte("d"), Largest: []byte("f"), Entries: 100, Tombstones: 90, Seq: 2},
+	levels := make([]manifest.Level, 6)
+	levels[1].Runs = []manifest.Run{{Files: []*manifest.FileMeta{
+		{Num: 1, Size: 8 << 10, Smallest: []byte("a"), Largest: []byte("c"), Entries: 100, Tombstones: 5, CreatedAt: 1},
+		{Num: 2, Size: 8 << 10, Smallest: []byte("d"), Largest: []byte("f"), Entries: 100, Tombstones: 90, CreatedAt: 2},
 	}}}
 	task := p.Pick(levels)
 	if task == nil || task.InputFiles[0].Num != 2 {
@@ -324,10 +326,10 @@ func TestOldestPicker(t *testing.T) {
 		MaxLevels: 6, Granularity: SingleFile, Picker: PickOldest,
 	}
 	p, _ := NewPicker(shape)
-	levels := make([]LevelView, 6)
-	levels[1].Runs = []RunView{{Files: []FileView{
-		{Num: 5, Size: 8 << 10, Smallest: []byte("a"), Largest: []byte("c"), Seq: 9},
-		{Num: 6, Size: 8 << 10, Smallest: []byte("d"), Largest: []byte("f"), Seq: 2},
+	levels := make([]manifest.Level, 6)
+	levels[1].Runs = []manifest.Run{{Files: []*manifest.FileMeta{
+		{Num: 5, Size: 8 << 10, Smallest: []byte("a"), Largest: []byte("c"), CreatedAt: 9},
+		{Num: 6, Size: 8 << 10, Smallest: []byte("d"), Largest: []byte("f"), CreatedAt: 2},
 	}}}
 	task := p.Pick(levels)
 	if task == nil || task.InputFiles[0].Num != 6 {
@@ -341,11 +343,11 @@ func TestRoundRobinCursorCycles(t *testing.T) {
 		MaxLevels: 6, Granularity: SingleFile, Picker: PickRoundRobin,
 	}
 	p, _ := NewPicker(shape)
-	levels := make([]LevelView, 6)
-	levels[1].Runs = []RunView{{Files: []FileView{
-		{Num: 1, Size: 8 << 10, Smallest: []byte("a"), Largest: []byte("c"), Seq: 1},
-		{Num: 2, Size: 8 << 10, Smallest: []byte("d"), Largest: []byte("f"), Seq: 2},
-		{Num: 3, Size: 8 << 10, Smallest: []byte("g"), Largest: []byte("i"), Seq: 3},
+	levels := make([]manifest.Level, 6)
+	levels[1].Runs = []manifest.Run{{Files: []*manifest.FileMeta{
+		{Num: 1, Size: 8 << 10, Smallest: []byte("a"), Largest: []byte("c"), CreatedAt: 1},
+		{Num: 2, Size: 8 << 10, Smallest: []byte("d"), Largest: []byte("f"), CreatedAt: 2},
+		{Num: 3, Size: 8 << 10, Smallest: []byte("g"), Largest: []byte("i"), CreatedAt: 3},
 	}}}
 	var picked []uint64
 	for i := 0; i < 3; i++ {
@@ -399,7 +401,7 @@ func TestLevelCapacityGeometric(t *testing.T) {
 
 func TestEmptyTreeNoTask(t *testing.T) {
 	p, _ := NewPicker(Shape{SizeRatio: 4, K: 1, Z: 1, L0Trigger: 2, BaseBytes: 4 << 10, MaxLevels: 4})
-	if task := p.Pick(make([]LevelView, 4)); task != nil {
+	if task := p.Pick(make([]manifest.Level, 4)); task != nil {
 		t.Errorf("empty tree produced task: %+v", task)
 	}
 	if task := p.Pick(nil); task != nil {
@@ -410,11 +412,11 @@ func TestEmptyTreeNoTask(t *testing.T) {
 func TestBottomLevelSelfMerge(t *testing.T) {
 	shape := Shape{SizeRatio: 4, K: 3, Z: 3, L0Trigger: 2, BaseBytes: 1 << 10, MaxLevels: 3}
 	p, _ := NewPicker(shape)
-	levels := make([]LevelView, 3)
+	levels := make([]manifest.Level, 3)
 	// Deepest allowed level exceeds its run budget.
 	for i := 0; i < 4; i++ {
-		levels[2].Runs = append(levels[2].Runs, RunView{Files: []FileView{
-			{Num: uint64(i + 1), Size: 1 << 20, Smallest: []byte("a"), Largest: []byte("z"), Seq: uint64(i + 1)},
+		levels[2].Runs = append(levels[2].Runs, manifest.Run{Files: []*manifest.FileMeta{
+			{Num: uint64(i + 1), Size: 1 << 20, Smallest: []byte("a"), Largest: []byte("z"), CreatedAt: uint64(i + 1)},
 		}})
 	}
 	task := p.Pick(levels)
@@ -440,7 +442,7 @@ func TestOverlapHelpers(t *testing.T) {
 	if !Overlaps([]byte("a"), []byte("b"), []byte("b"), []byte("c")) {
 		t.Error("touching ranges must overlap")
 	}
-	run := RunView{Files: []FileView{
+	run := manifest.Run{Files: []*manifest.FileMeta{
 		{Num: 1, Smallest: []byte("a"), Largest: []byte("c")},
 		{Num: 2, Smallest: []byte("d"), Largest: []byte("f")},
 		{Num: 3, Smallest: []byte("g"), Largest: []byte("i")},
@@ -453,8 +455,8 @@ func TestOverlapHelpers(t *testing.T) {
 
 func TestTaskInputBytes(t *testing.T) {
 	task := Task{
-		InputFiles:  []FileView{{Size: 100}, {Size: 200}},
-		TargetFiles: []FileView{{Size: 300}},
+		InputFiles:  []*manifest.FileMeta{{Size: 100}, {Size: 200}},
+		TargetFiles: []*manifest.FileMeta{{Size: 300}},
 	}
 	if got := task.InputBytes(); got != 600 {
 		t.Errorf("InputBytes=%d want 600", got)
@@ -487,10 +489,10 @@ func TestSimWriteAmpGrowsWithGreedierMerging(t *testing.T) {
 func ExamplePicker() {
 	shape := Shape{SizeRatio: 4, K: 1, Z: 1, L0Trigger: 1, BaseBytes: 1 << 10, MaxLevels: 4}
 	p, _ := NewPicker(shape)
-	levels := make([]LevelView, 4)
-	levels[0].Runs = []RunView{
-		{Files: []FileView{{Num: 1, Size: 512, Smallest: []byte("a"), Largest: []byte("m"), Seq: 1}}},
-		{Files: []FileView{{Num: 2, Size: 512, Smallest: []byte("k"), Largest: []byte("z"), Seq: 2}}},
+	levels := make([]manifest.Level, 4)
+	levels[0].Runs = []manifest.Run{
+		{Files: []*manifest.FileMeta{{Num: 1, Size: 512, Smallest: []byte("a"), Largest: []byte("m"), CreatedAt: 1}}},
+		{Files: []*manifest.FileMeta{{Num: 2, Size: 512, Smallest: []byte("k"), Largest: []byte("z"), CreatedAt: 2}}},
 	}
 	task := p.Pick(levels)
 	fmt.Printf("L%d -> L%d files=%d fresh=%v\n",

@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"lsmkv/internal/manifest"
 )
 
 // Scheduler hands compaction tasks to a pool of concurrent workers while
 // guaranteeing that no two in-flight tasks overlap. It wraps the Picker
-// (which plans against immutable tree views and knows nothing about
+// (which plans against the manifest's levels and knows nothing about
 // concurrency) with a claim table:
 //
 //   - Every task claims its source and target levels. Two tasks with
@@ -28,12 +30,13 @@ import (
 // pressure score — the flush>L0>score ordering, with flushes handled by
 // the engine's dedicated flush worker above this package.
 //
-// All methods are safe for concurrent use. The Picker's internal state
-// (the round-robin cursor) is only ever touched under the Scheduler's
-// lock, so callers must route every planning call through the Scheduler
-// once one exists.
+// A Scheduler is not safe for concurrent use: the caller serializes every
+// method under the lock that also guards the levels it plans over (the
+// engine's db.mu), so a claim and the tree it was planned against never
+// disagree. The Picker's round-robin cursor is touched only through the
+// Scheduler, so callers must route every planning call through it once
+// one exists.
 type Scheduler struct {
-	mu       sync.Mutex
 	picker   *Picker
 	levels   map[int]bool    // claimed levels of in-flight tasks
 	files    map[uint64]bool // claimed file numbers of in-flight tasks
@@ -54,19 +57,17 @@ func NewScheduler(picker *Picker) *Scheduler {
 // any in-flight task, or returns nil when no admissible work exists.
 // The caller must call Done(task) exactly once when the task finishes
 // (successfully or not).
-func (s *Scheduler) Next(levels []LevelView) *Task {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	t := s.picker.PickUnder(levels, s.admissibleLocked)
+func (s *Scheduler) Next(levels []manifest.Level) *Task {
+	t := s.picker.PickUnder(levels, s.admissible)
 	if t == nil {
 		return nil
 	}
-	s.claimLocked(t)
+	s.claim(t)
 	return t
 }
 
-// admissibleLocked reports whether t conflicts with no in-flight task.
-func (s *Scheduler) admissibleLocked(t *Task) bool {
+// admissible reports whether t conflicts with no in-flight task.
+func (s *Scheduler) admissible(t *Task) bool {
 	for _, l := range t.Levels() {
 		if s.levels[l] {
 			return false
@@ -75,11 +76,11 @@ func (s *Scheduler) admissibleLocked(t *Task) bool {
 	return true
 }
 
-// claimLocked marks t's levels and files in-flight. A file already
+// claim marks t's levels and files in-flight. A file already
 // claimed despite disjoint levels means the level-claim invariant is
 // broken somewhere — that is a bug worth dying loudly for, not a
 // recoverable condition.
-func (s *Scheduler) claimLocked(t *Task) {
+func (s *Scheduler) claim(t *Task) {
 	for _, l := range t.Levels() {
 		s.levels[l] = true
 	}
@@ -100,8 +101,6 @@ func (s *Scheduler) claimLocked(t *Task) {
 
 // Done releases t's claims, unblocking conflicting candidates.
 func (s *Scheduler) Done(t *Task) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	for _, l := range t.Levels() {
 		delete(s.levels, l)
 	}
@@ -125,24 +124,18 @@ func (s *Scheduler) Reshape(shape Shape) error {
 	if err != nil {
 		return err
 	}
-	s.mu.Lock()
 	s.picker = p
-	s.mu.Unlock()
 	return nil
 }
 
 // InFlight returns the number of claimed, unfinished tasks.
 func (s *Scheduler) InFlight() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.inflight
 }
 
 // Quiesced reports whether no task is in flight and the tree needs no
 // compaction — the "background work is finished" predicate.
-func (s *Scheduler) Quiesced(levels []LevelView) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+func (s *Scheduler) Quiesced(levels []manifest.Level) bool {
 	if s.inflight > 0 {
 		return false
 	}

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"lsmkv/internal/manifest"
 )
 
 // schedShape is a leveled shape small enough that synthetic views
@@ -17,32 +19,32 @@ func schedShape() Shape {
 	return s
 }
 
-// mkFile builds a FileView spanning [lo, hi] decimal keys.
-func mkFile(num uint64, size uint64, lo, hi int) FileView {
-	return FileView{
-		Num:      num,
-		Size:     size,
-		Smallest: []byte(fmt.Sprintf("%08d", lo)),
-		Largest:  []byte(fmt.Sprintf("%08d", hi)),
-		Entries:  size / 100,
-		Seq:      num,
+// mkFile builds a file spanning [lo, hi] decimal keys.
+func mkFile(num uint64, size uint64, lo, hi int) *manifest.FileMeta {
+	return &manifest.FileMeta{
+		Num:       num,
+		Size:      size,
+		Smallest:  []byte(fmt.Sprintf("%08d", lo)),
+		Largest:   []byte(fmt.Sprintf("%08d", hi)),
+		Entries:   size / 100,
+		CreatedAt: num,
 	}
 }
 
 // fullRun is a one-file run covering the whole key space.
-func fullRun(num, size uint64) RunView {
-	return RunView{Files: []FileView{mkFile(num, size, 0, 99999999)}}
+func fullRun(num, size uint64) manifest.Run {
+	return manifest.Run{Files: []*manifest.FileMeta{mkFile(num, size, 0, 99999999)}}
 }
 
 // overloadedViews builds a tree with L0 over its run trigger and L2 far
 // over its byte capacity, with nothing in between conflicting.
-func overloadedViews() []LevelView {
-	v := make([]LevelView, 6)
-	v[0].Runs = []RunView{fullRun(1, 500), fullRun(2, 500), fullRun(3, 500)}
+func overloadedViews() []manifest.Level {
+	v := make([]manifest.Level, 6)
+	v[0].Runs = []manifest.Run{fullRun(1, 500), fullRun(2, 500), fullRun(3, 500)}
 	// L2 capacity is BaseBytes*T = 4000; 40000 gives score 10, far above
 	// L0's 1.5 — score order alone would pick L2 first.
-	v[2].Runs = []RunView{fullRun(10, 40000)}
-	v[3].Runs = []RunView{fullRun(11, 15000)} // keeps L2 from being the last level
+	v[2].Runs = []manifest.Run{fullRun(10, 40000)}
+	v[3].Runs = []manifest.Run{fullRun(11, 15000)} // keeps L2 from being the last level
 	return v
 }
 
@@ -132,11 +134,11 @@ func TestSchedulerQuiesced(t *testing.T) {
 		t.Fatal("overloaded tree reported quiesced")
 	}
 	task := s.Next(views)
-	if s.Quiesced(make([]LevelView, 6)) {
+	if s.Quiesced(make([]manifest.Level, 6)) {
 		t.Fatal("in-flight task but tree reported quiesced")
 	}
 	s.Done(task)
-	if !s.Quiesced(make([]LevelView, 6)) {
+	if !s.Quiesced(make([]manifest.Level, 6)) {
 		t.Fatal("empty tree with no in-flight work not quiesced")
 	}
 }
@@ -184,11 +186,15 @@ func TestSchedulerStarvationFreedom(t *testing.T) {
 // TestSchedulerClaimRace hammers Next/Done from many goroutines and
 // asserts every pair of concurrently-held tasks is disjoint in levels
 // and files — the invariant concurrent compaction correctness rests on.
+// The Scheduler is not safe for concurrent use: dbMu stands in for the
+// engine lock every Next and Done runs under, and the tasks still run
+// (and overlap) outside it.
 func TestSchedulerClaimRace(t *testing.T) {
 	s := NewScheduler(mustPicker(t, schedShape()))
 	views := overloadedViews()
 
 	var (
+		dbMu sync.Mutex
 		mu   sync.Mutex
 		held = map[*Task]bool{}
 	)
@@ -212,7 +218,9 @@ func TestSchedulerClaimRace(t *testing.T) {
 		mu.Lock()
 		delete(held, task)
 		mu.Unlock()
+		dbMu.Lock()
 		s.Done(task)
+		dbMu.Unlock()
 	}
 
 	var wg sync.WaitGroup
@@ -221,7 +229,9 @@ func TestSchedulerClaimRace(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
+				dbMu.Lock()
 				task := s.Next(views)
+				dbMu.Unlock()
 				if task == nil {
 					continue
 				}

@@ -267,27 +267,23 @@ func (db *DB) flush(buf *memtable.Memtable, im *immutableBuffer) error {
 // disjoint. It is the same job as a merge: its outputs are its inputs'
 // metas and nothing is obsolete.
 func (db *DB) compact(task *compaction.Task) error {
-	defer db.sched.Done(task)
+	defer func() { // after finish installed the version, as the claims were taken: under db.mu
+		db.mu.Lock()
+		db.sched.Done(task)
+		db.mu.Unlock()
+	}()
 	db.mu.Lock()
 	v, horizon := db.viewLocked()
 	db.mu.Unlock()
 	defer v.unref()
 
-	// Resolve file views to live table handles: inputs, then targets.
+	// Resolve the claimed files, inputs then targets, to the pinned
+	// version's handles. Only the job that claimed a file removes it, so
+	// every version installed until Done lists each one.
+	open := v.byNum()
 	var tables []*tableHandle
-	for _, fv := range task.InputFiles {
-		if th := db.registry.get(fv.Num); th != nil {
-			tables = append(tables, th)
-		}
-	}
-	inputs := len(tables)
-	if inputs == 0 {
-		return nil
-	}
-	for _, fv := range task.TargetFiles {
-		if th := db.registry.get(fv.Num); th != nil {
-			tables = append(tables, th)
-		}
+	for _, f := range slices.Concat(task.InputFiles, task.TargetFiles) {
+		tables = append(tables, open[f.Num])
 	}
 	j := &job{start: time.Now(), ev: iostat.Event{
 		Type: iostat.EventCompaction, FromLevel: task.FromLevel, ToLevel: task.TargetLevel,
@@ -300,7 +296,7 @@ func (db *DB) compact(task *compaction.Task) error {
 		j.ev.InputBytes += th.meta.Size
 		entries += th.meta.Entries
 	}
-	if len(tables) == inputs && inputs == len(task.InputFiles) && task.FromLevel != task.TargetLevel &&
+	if len(task.TargetFiles) == 0 && task.FromLevel != task.TargetLevel &&
 		task.FromLevel < len(v.levels) && len(v.levels[task.FromLevel]) == 1 {
 		j.ev.Type = iostat.EventTrivialMove
 		for _, th := range tables {
@@ -462,7 +458,7 @@ func (db *DB) installVersionEdit(e *versionEdit) error {
 		db.mu.Unlock()
 		return err
 	}
-	newVersion, err := db.buildVersion(newState)
+	newVersion, err := db.buildVersion(newState, db.current)
 	if err != nil {
 		db.mu.Unlock()
 		return fmt.Errorf("core: open new version: %w", err)
@@ -485,10 +481,11 @@ func (db *DB) installVersionEdit(e *versionEdit) error {
 	db.mu.Unlock()
 	retired.unref()
 
-	for num := range e.obsolete {
-		if th := db.registry.get(num); th != nil {
-			db.registry.remove(num)
-			th.markObsolete()
+	if len(e.obsolete) > 0 {
+		for num, th := range old.byNum() {
+			if e.obsolete[num] {
+				th.markObsolete()
+			}
 		}
 	}
 	old.unref()
@@ -547,13 +544,22 @@ func (db *DB) hotBlockKeys(tables []*tableHandle) (keys [][]byte) {
 // compaction just invalidated is re-fetched immediately, so reads do not
 // pay a post-compaction miss storm).
 func (db *DB) prefetchOutputs(outputs []*manifest.FileMeta, hotKeys [][]byte) {
+	if len(hotKeys) == 0 {
+		return
+	}
+	rs, _, err := db.pin()
+	if err != nil {
+		return
+	}
+	defer rs.unref()
+	open := rs.v.byNum()
 	for _, key := range hotKeys {
 		for _, m := range outputs {
 			if bytes.Compare(key, m.Smallest) < 0 || bytes.Compare(key, m.Largest) > 0 {
 				continue
 			}
-			th := db.registry.get(m.Num)
-			if th == nil {
+			th := open[m.Num]
+			if th == nil { // a later job already replaced it
 				break
 			}
 			if err := th.reader.PrefetchKey(key); err != nil {

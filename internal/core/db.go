@@ -42,8 +42,7 @@ type immutableBuffer struct {
 
 // DB is the storage engine. It is safe for concurrent use.
 type DB struct {
-	opts  Options
-	sched *compaction.Scheduler
+	opts Options
 	// rate meters compaction output across all workers; nil when
 	// unthrottled.
 	rate *compaction.RateLimiter
@@ -69,12 +68,16 @@ type DB struct {
 	// mu guards the in-memory state below, and nothing slow on the
 	// foreground paths: no commit, freeze, read or checkpoint does file I/O
 	// under it (a version install still saves the manifest under it).
-	mu      sync.Mutex
-	cond    *sync.Cond // wakes writers and waiters when maintenance progresses
-	bgCond  *sync.Cond // wakes background workers when work may exist
-	imms    []immutableBuffer
+	mu     sync.Mutex
+	cond   *sync.Cond // wakes writers and waiters when maintenance progresses
+	bgCond *sync.Cond // wakes background workers when work may exist
+	imms   []immutableBuffer
+	// state is the tree as the manifest records it, the file list the
+	// scheduler plans over; current holds those files' open tables, the
+	// only index of them; sched claims the files of in-flight compactions.
 	state   *manifest.State
 	current *version
+	sched   *compaction.Scheduler
 	closed  bool
 	bgErr   error
 	// seq is the applied watermark: every entry at or below it is in a
@@ -116,9 +119,8 @@ type DB struct {
 	// every version install.
 	monkeyBits []float64
 
-	registry *tableRegistry
-	cache    *cache.Cache
-	vlog     *vlog.Log
+	cache *cache.Cache
+	vlog  *vlog.Log
 
 	// lat holds per-operation latency histograms: Options.Latencies when
 	// the caller handed a set down, a private set under
@@ -154,7 +156,6 @@ func Open(o Options) (*DB, error) {
 		rate:         compaction.NewRateLimiter(o.CompactionMaxBytesPerSec),
 		snapshots:    make(map[kv.SeqNum]int),
 		deadSegments: make(map[uint64]kv.SeqNum),
-		registry:     newTableRegistry(),
 		queue:        make(chan *Write, maxQueued),
 		lead:         make(chan struct{}, 1),
 	}
@@ -188,7 +189,7 @@ func Open(o Options) (*DB, error) {
 	}
 	db.state = state
 	db.seq.Store(state.LastSeq)
-	db.current, err = db.buildVersion(state)
+	db.current, err = db.buildVersion(state, nil)
 	if err != nil {
 		db.shutdownPartial()
 		return nil, err
@@ -224,7 +225,7 @@ func Open(o Options) (*DB, error) {
 	})
 	for i := 0; i < o.CompactionConcurrency; i++ {
 		go db.worker(func() func() error {
-			task := db.sched.Next(db.current.view())
+			task := db.sched.Next(db.state.Levels)
 			if task == nil {
 				return nil
 			}
@@ -237,7 +238,9 @@ func Open(o Options) (*DB, error) {
 func vlogDir(dir string) string { return dir + "/vlog" }
 
 func (db *DB) shutdownPartial() {
-	db.registry.closeAll()
+	if db.current != nil {
+		db.current.closeFiles()
+	}
 	if db.vlog != nil {
 		db.vlog.Close()
 	}
@@ -626,7 +629,7 @@ func (db *DB) WaitIdle() error {
 		if db.bgErr != nil {
 			return db.bgErr
 		}
-		if len(db.imms) == 0 && db.sched.Quiesced(db.current.view()) {
+		if len(db.imms) == 0 && db.sched.Quiesced(db.state.Levels) {
 			return nil
 		}
 		db.bgCond.Broadcast()
@@ -725,7 +728,7 @@ func (db *DB) Close() error {
 	// A checkpoint still in flight retires what this leaves when it unpins.
 	db.retire(dead...)
 	cur.unref()
-	db.registry.closeAll()
+	cur.closeFiles()
 	if db.vlog != nil {
 		db.vlog.Close()
 	}

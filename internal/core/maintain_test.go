@@ -32,6 +32,15 @@ func TestOneMaintenancePath(t *testing.T) {
 	wantSites(t, "core: db.installVersionEdit", core.sites["db.installVersionEdit"], "finish")
 	wantSites(t, "core: db.finish", core.sites["db.finish"], "flush", "compact", "compact", "RunValueLogGC")
 
+	// The version is the one index of open tables: a table is opened only
+	// while a version is built, and a version is built only at Open and at
+	// an install, sharing the handles of the version before it.
+	wantSites(t, "core: db.openTable", core.sites["db.openTable"], "buildVersion")
+	wantSites(t, "core: db.buildVersion", core.sites["db.buildVersion"], "Open", "installVersionEdit")
+	// A task's claims are released in one place, under db.mu like every
+	// other Scheduler call.
+	wantSites(t, "core: db.sched.Done", core.sites["db.sched.Done"], "compact")
+
 	// One loop body, started for flushes and for compactions; nothing else
 	// waits for background work to exist.
 	wantSites(t, "core: db.worker", core.sites["db.worker"], "Open", "Open")

@@ -5,10 +5,8 @@ import (
 	"fmt"
 	"path/filepath"
 	"sort"
-	"sync"
 	"sync/atomic"
 
-	"lsmkv/internal/compaction"
 	"lsmkv/internal/manifest"
 	"lsmkv/internal/sstable"
 	"lsmkv/internal/vfs"
@@ -98,74 +96,37 @@ func (v *version) ref() { v.refs.Add(1) }
 
 func (v *version) unref() {
 	if v.refs.Add(-1) == 0 {
-		for _, level := range v.levels {
-			for _, r := range level {
-				for _, t := range r.tables {
-					t.unref()
-				}
+		v.each((*tableHandle).unref)
+	}
+}
+
+// each calls fn on every table of v.
+func (v *version) each(fn func(*tableHandle)) {
+	for _, level := range v.levels {
+		for _, r := range level {
+			for _, t := range r.tables {
+				fn(t)
 			}
 		}
 	}
 }
 
-// view converts the version to planner views.
-func (v *version) view() []compaction.LevelView {
-	out := make([]compaction.LevelView, len(v.levels))
-	for i, level := range v.levels {
-		for _, r := range level {
-			rv := compaction.RunView{}
-			for _, t := range r.tables {
-				rv.Files = append(rv.Files, compaction.FileView{
-					Num:        t.meta.Num,
-					Size:       t.meta.Size,
-					Smallest:   t.meta.Smallest,
-					Largest:    t.meta.Largest,
-					Entries:    t.meta.Entries,
-					Tombstones: t.meta.Tombstones,
-					Seq:        t.meta.CreatedAt,
-				})
-			}
-			out[i].Runs = append(out[i].Runs, rv)
-		}
+// byNum indexes the version's tables by file number; a nil version has
+// none. The version is the one index of open tables: every handle the
+// engine holds is listed by the current version or, once obsolete, by an
+// older one some read still pins.
+func (v *version) byNum() map[uint64]*tableHandle {
+	out := map[uint64]*tableHandle{}
+	if v != nil {
+		v.each(func(t *tableHandle) { out[t.meta.Num] = t })
 	}
 	return out
 }
 
-// tableRegistry tracks every opened table by file number.
-type tableRegistry struct {
-	mu     sync.Mutex
-	tables map[uint64]*tableHandle
-}
-
-func newTableRegistry() *tableRegistry {
-	return &tableRegistry{tables: make(map[uint64]*tableHandle)}
-}
-
-func (reg *tableRegistry) get(num uint64) *tableHandle {
-	reg.mu.Lock()
-	defer reg.mu.Unlock()
-	return reg.tables[num]
-}
-
-func (reg *tableRegistry) put(th *tableHandle) {
-	reg.mu.Lock()
-	defer reg.mu.Unlock()
-	reg.tables[th.meta.Num] = th
-}
-
-func (reg *tableRegistry) remove(num uint64) {
-	reg.mu.Lock()
-	defer reg.mu.Unlock()
-	delete(reg.tables, num)
-}
-
-func (reg *tableRegistry) closeAll() {
-	reg.mu.Lock()
-	defer reg.mu.Unlock()
-	for _, th := range reg.tables {
-		th.file.Close()
-	}
-	reg.tables = map[uint64]*tableHandle{}
+// closeFiles closes every table file of v: the end of the handles when
+// the engine shuts down.
+func (v *version) closeFiles() {
+	v.each(func(t *tableHandle) { t.file.Close() })
 }
 
 // tablePath returns the table file path for a file number.
@@ -177,11 +138,9 @@ func (db *DB) walPath(num uint64) string {
 	return filepath.Join(db.opts.Dir, fmt.Sprintf("%06d.wal", num))
 }
 
-// openTable opens (or returns the already-open) handle for meta.
+// openTable opens the table file of meta. buildVersion is its only
+// caller.
 func (db *DB) openTable(meta *manifest.FileMeta) (*tableHandle, error) {
-	if th := db.registry.get(meta.Num); th != nil {
-		return th, nil
-	}
 	f, err := db.opts.FS.Open(db.tablePath(meta.Num))
 	if err != nil {
 		return nil, err
@@ -202,30 +161,39 @@ func (db *DB) openTable(meta *manifest.FileMeta) (*tableHandle, error) {
 		f.Close()
 		return nil, err
 	}
-	th := &tableHandle{meta: meta, file: f, reader: reader, db: db}
-	db.registry.put(th)
-	return th, nil
+	return &tableHandle{meta: meta, file: f, reader: reader, db: db}, nil
 }
 
-// buildVersion opens every file in state and assembles a version with one
-// reference held by the caller.
-func (db *DB) buildVersion(state *manifest.State) (*version, error) {
+// buildVersion assembles the version of state with one reference held by
+// the caller. It shares every handle prev (nil at Open) holds and opens
+// only the files prev does not list; if an open fails, it closes the files
+// it opened and leaves prev's handles as they were.
+func (db *DB) buildVersion(state *manifest.State, prev *version) (*version, error) {
+	have := prev.byNum()
+	var opened []*tableHandle
 	v := &version{db: db}
 	v.levels = make([][]*run, max(len(state.Levels), db.opts.MaxLevels))
 	for li, level := range state.Levels {
 		for _, r := range level.Runs {
 			rr := &run{}
 			for _, meta := range r.Files {
-				th, err := db.openTable(meta)
-				if err != nil {
-					return nil, err
+				th := have[meta.Num]
+				if th == nil {
+					var err error
+					if th, err = db.openTable(meta); err != nil {
+						for _, o := range opened {
+							o.file.Close()
+						}
+						return nil, err
+					}
+					opened = append(opened, th)
 				}
-				th.ref()
 				rr.tables = append(rr.tables, th)
 			}
 			v.levels[li] = append(v.levels[li], rr)
 		}
 	}
+	v.each(func(t *tableHandle) { t.ref() })
 	v.refs.Store(1)
 	return v, nil
 }

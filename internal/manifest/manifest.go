@@ -42,10 +42,28 @@ type Run struct {
 	Files []*FileMeta `json:"files"`
 }
 
+// Size returns the run's total bytes.
+func (r Run) Size() uint64 {
+	var s uint64
+	for _, f := range r.Files {
+		s += f.Size
+	}
+	return s
+}
+
 // Level holds the runs of one storage level, newest run last for level 0
 // flush order and append order elsewhere.
 type Level struct {
 	Runs []Run `json:"runs"`
+}
+
+// Size returns the level's total bytes.
+func (l Level) Size() uint64 {
+	var s uint64
+	for _, r := range l.Runs {
+		s += r.Size()
+	}
+	return s
 }
 
 // State is the complete persistent structural state.
