@@ -16,22 +16,45 @@ import (
 	"lsmkv/internal/sstable"
 )
 
-// writerOptionsForLevel assembles the table layout for a file landing at
-// the given level, applying the Monkey allocation when enabled. exclude
-// lists file numbers leaving the tree in the same job (compaction
-// inputs), so their keys are not double-counted.
-func (db *DB) writerOptionsForLevel(level int, expectedEntries int, exclude map[uint64]bool) sstable.WriterOptions {
+// writerOptionsForLevel assembles the table layout for expectedEntries
+// entries landing at the given level. Under Monkey the filter budget is
+// priced for the tree the job is about to leave: the current version's
+// level totals, less the keys of task's files (a flush passes nil), plus
+// the arriving entries at the target level, so a file landing in a
+// brand-new deepest level is budgeted for the post-compaction tree. The
+// task's files are claimed, and only the claiming job removes a file, so
+// each is still listed at its task level.
+func (db *DB) writerOptionsForLevel(level int, expectedEntries int, task *compaction.Task) sstable.WriterOptions {
 	db.mu.Lock() // Retune rewrites the filter budget under it
 	fp := filter.Policy{Kind: db.opts.Filter, BitsPerKey: db.opts.BitsPerKey}
-	db.mu.Unlock()
-	if fp.Kind != filter.KindNone {
-		bits := db.filterBitsForLevel(level, expectedEntries, exclude)
-		if bits <= 0 && db.opts.MonkeyFilters {
-			fp = filter.Policy{Kind: filter.KindNone}
-		} else if bits > 0 {
-			fp.BitsPerKey = bits
+	if fp.Kind != filter.KindNone && db.opts.MonkeyFilters {
+		specs := make([]filter.LevelSpec, max(len(db.current.info), level+1))
+		for i, info := range db.current.info {
+			specs[i] = filter.LevelSpec{Runs: info.Runs, Keys: int64(info.Entries)}
+		}
+		if task != nil {
+			for _, f := range task.InputFiles {
+				specs[task.FromLevel].Keys -= int64(f.Entries)
+			}
+			for _, f := range task.TargetFiles {
+				specs[task.TargetLevel].Keys -= int64(f.Entries)
+			}
+		}
+		specs[level].Keys += int64(expectedEntries)
+		specs[level].Runs = max(specs[level].Runs, 1)
+		var totalKeys int64
+		for _, s := range specs {
+			totalKeys += s.Keys
+		}
+		if totalKeys > 0 {
+			if bits := filter.MonkeyAllocation(specs, fp.BitsPerKey*float64(totalKeys))[level]; bits > 0 {
+				fp.BitsPerKey = bits
+			} else {
+				fp = filter.Policy{Kind: filter.KindNone}
+			}
 		}
 	}
+	db.mu.Unlock()
 	return sstable.WriterOptions{
 		BlockSize:         db.opts.BlockSize,
 		Filter:            fp,
@@ -321,7 +344,7 @@ func (db *DB) compact(task *compaction.Task) error {
 	// Split outputs at the target level's per-file size. The table layout
 	// (including the Monkey budget for the post-compaction shape) is
 	// computed once for the whole job.
-	wopts := db.writerOptionsForLevel(task.TargetLevel, int(entries), j.edit.remove)
+	wopts := db.writerOptionsForLevel(task.TargetLevel, int(entries), task)
 	for merged.Valid() {
 		meta, err := db.buildTable(merged, wopts, uint64(db.opts.MemtableBytes), j.dropped.drop)
 		if err != nil {
@@ -476,8 +499,6 @@ func (db *DB) installVersionEdit(e *versionEdit) error {
 		db.deadSegments[e.segment], db.gcCursor = db.lastSeq(), e.segment
 	}
 	retired := db.publishLocked()
-	db.refreshMonkeyLocked()
-	db.refreshDebtLocked()
 	db.mu.Unlock()
 	retired.unref()
 

@@ -11,7 +11,6 @@ import (
 
 	"lsmkv/internal/cache"
 	"lsmkv/internal/compaction"
-	"lsmkv/internal/filter"
 	"lsmkv/internal/iostat"
 	"lsmkv/internal/kv"
 	"lsmkv/internal/manifest"
@@ -90,10 +89,6 @@ type DB struct {
 	// liveStates counts the read states some read may still hold: 1 when
 	// every read in flight runs against the published one.
 	liveStates atomic.Int32
-	// debtBytes is the pending compaction debt (bytes the tree must
-	// rewrite to satisfy its shape), recomputed on every version install;
-	// the slowdown band reads it per write.
-	debtBytes int64
 	// slowdownActive tracks whether the current writes are inside a
 	// slowdown episode, so the event log gets one event per episode
 	// rather than one per delayed write.
@@ -114,10 +109,6 @@ type DB struct {
 	deadWALs     []uint64
 	deadSegments map[uint64]kv.SeqNum
 	gcCursor     uint64 // the segment emptied last: the next collection starts past it
-
-	// monkeyBits caches the per-level bits/key allocation; recomputed on
-	// every version install.
-	monkeyBits []float64
 
 	cache *cache.Cache
 	vlog  *vlog.Log
@@ -194,8 +185,6 @@ func Open(o Options) (*DB, error) {
 		db.shutdownPartial()
 		return nil, err
 	}
-	db.refreshMonkeyLocked()
-	db.refreshDebtLocked()
 
 	db.mem = db.newBuffer()
 	if err := db.replayWALs(); err != nil {
@@ -464,7 +453,7 @@ func (db *DB) slowdown() {
 			db.events.Add(iostat.Event{
 				Type: iostat.EventWriteSlowdown, FromLevel: -1, ToLevel: -1,
 				Detail: fmt.Sprintf("l0=%d debt=%dMiB delay=%s",
-					db.l0RunsLocked(), db.debtBytes>>20, d),
+					db.l0RunsLocked(), db.debtLocked()>>20, d),
 			})
 		}
 		db.opts.Stats.WriteSlowdowns.Add(1)
@@ -539,7 +528,7 @@ func (db *DB) slowdownDelayLocked() time.Duration {
 		}
 	}
 	if limit := db.opts.PendingCompactionSlowdownBytes; limit > 0 {
-		if f := float64(db.debtBytes-limit/2) / float64(limit-limit/2); f > frac {
+		if f := float64(db.debtLocked()-limit/2) / float64(limit-limit/2); f > frac {
 			frac = f
 		}
 	}
@@ -552,29 +541,23 @@ func (db *DB) slowdownDelayLocked() time.Duration {
 	return time.Duration(frac * frac * float64(maxDelay))
 }
 
-// refreshDebtLocked recomputes the pending compaction debt: every byte in
-// level 0 (all of it must be rewritten at least once) plus each deeper
-// level's bytes over its capacity. Caller holds db.mu; called on every
-// version install so per-write reads are a field load.
-func (db *DB) refreshDebtLocked() {
-	db.debtBytes = 0
-	if db.current == nil {
-		return
-	}
+// debtLocked returns the pending compaction debt (bytes the tree must
+// rewrite to satisfy its shape): every byte in level 0 (all of it must be
+// rewritten at least once) plus each deeper level's bytes over its
+// capacity. It reads the current version's level totals and the shape,
+// the two things it depends on. Caller holds db.mu.
+func (db *DB) debtLocked() int64 {
 	shape := db.opts.shape()
-	for i, level := range db.current.levels {
-		var sz int64
-		for _, r := range level {
-			for _, t := range r.tables {
-				sz += int64(t.meta.Size)
-			}
-		}
+	var debt int64
+	for i, info := range db.current.info {
+		sz := int64(info.Bytes)
 		if i == 0 {
-			db.debtBytes += sz
+			debt += sz
 		} else if c := int64(shape.LevelCapacity(i)); c > 0 && sz > c {
-			db.debtBytes += sz - c
+			debt += sz - c
 		}
 	}
+	return debt
 }
 
 // l0RunsLocked returns the current run count of level 0. Caller holds
@@ -762,70 +745,4 @@ func (db *DB) cacheIface() sstable.BlockCache {
 		return nil
 	}
 	return db.cache
-}
-
-// refreshMonkeyLocked recomputes the per-level filter allocation from the
-// current tree. Caller holds db.mu (or is in Open).
-func (db *DB) refreshMonkeyLocked() {
-	if !db.opts.MonkeyFilters || db.opts.Filter == filter.KindNone {
-		db.monkeyBits = nil
-		return
-	}
-	db.monkeyBits = monkeyBitsFor(db.levelSpecsLocked(nil), db.opts.BitsPerKey)
-}
-
-// levelSpecsLocked summarizes the current tree for allocation, skipping
-// the files in exclude (those being compacted away). Caller holds db.mu.
-func (db *DB) levelSpecsLocked(exclude map[uint64]bool) []filter.LevelSpec {
-	specs := make([]filter.LevelSpec, len(db.current.levels))
-	for i, level := range db.current.levels {
-		specs[i].Runs = len(level)
-		for _, r := range level {
-			for _, t := range r.tables {
-				if exclude[t.meta.Num] {
-					continue
-				}
-				specs[i].Keys += int64(t.meta.Entries)
-			}
-		}
-	}
-	return specs
-}
-
-func monkeyBitsFor(specs []filter.LevelSpec, avgBitsPerKey float64) []float64 {
-	var totalKeys int64
-	for _, s := range specs {
-		totalKeys += s.Keys
-	}
-	if totalKeys == 0 {
-		return nil
-	}
-	return filter.MonkeyAllocation(specs, avgBitsPerKey*float64(totalKeys))
-}
-
-// filterBitsForLevel returns the bits/key budget for a table of
-// prospectiveKeys entries being built at the given level. Under Monkey,
-// the allocation is recomputed for the shape the pending job is about to
-// create: the files in exclude (compaction inputs) leave their levels and
-// prospectiveKeys arrive at the target, so a file landing in a brand-new
-// deepest level is budgeted for the post-compaction tree.
-func (db *DB) filterBitsForLevel(level int, prospectiveKeys int, exclude map[uint64]bool) float64 {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if !db.opts.MonkeyFilters || db.opts.Filter == filter.KindNone {
-		return db.opts.BitsPerKey
-	}
-	specs := db.levelSpecsLocked(exclude)
-	for len(specs) <= level {
-		specs = append(specs, filter.LevelSpec{})
-	}
-	specs[level].Keys += int64(prospectiveKeys)
-	if specs[level].Runs == 0 {
-		specs[level].Runs = 1
-	}
-	bits := monkeyBitsFor(specs, db.opts.BitsPerKey)
-	if bits == nil || level >= len(bits) {
-		return db.opts.BitsPerKey
-	}
-	return bits[level]
 }

@@ -41,6 +41,24 @@ func TestOneMaintenancePath(t *testing.T) {
 	// other Scheduler call.
 	wantSites(t, "core: db.sched.Done", core.sites["db.sched.Done"], "compact")
 
+	// One walk totals the tree: the version sums its levels as it is
+	// built, and the tables' index memory is taken once, at open. The debt
+	// gauge and the Monkey budget read those totals.
+	for callee, fns := range core.sites {
+		if strings.HasSuffix(callee, ".ApproxIndexMemory") {
+			onlyIn("core: "+callee, fns, "openTable")
+		}
+		if strings.HasSuffix(callee, ".LevelCapacity") {
+			onlyIn("core: "+callee, fns, "debtLocked")
+		}
+	}
+	for sel, fns := range core.mentions {
+		if strings.HasSuffix(sel, ".Tombstones") {
+			onlyIn("core: "+sel, fns, "buildVersion")
+		}
+	}
+	wantSites(t, "core: filter.MonkeyAllocation", core.sites["filter.MonkeyAllocation"], "writerOptionsForLevel")
+
 	// One loop body, started for flushes and for compactions; nothing else
 	// waits for background work to exist.
 	wantSites(t, "core: db.worker", core.sites["db.worker"], "Open", "Open")

@@ -11,7 +11,7 @@
 // Maintenance runs on a dedicated flush worker plus a pool of
 // CompactionConcurrency compaction workers; the compaction.Scheduler
 // hands the pool disjoint tasks while every version install stays
-// serialized through the manifest lock. Writers feel maintenance debt as
+// serialized under db.mu. Writers feel maintenance debt as
 // graduated backpressure: a soft per-write delay once level 0 or pending
 // compaction debt crosses its slowdown trigger, then the hard stop at
 // L0StopTrigger / MaxImmutableMemtables. TUNING.md is the operator's

@@ -195,20 +195,7 @@ func (db *DB) Levels() []LevelInfo {
 		return nil
 	}
 	defer view.unref()
-	out := make([]LevelInfo, 0, len(view.v.levels))
-	for i, level := range view.v.levels {
-		info := LevelInfo{Level: i, Runs: len(level)}
-		for _, r := range level {
-			info.Files += len(r.tables)
-			for _, t := range r.tables {
-				info.Bytes += t.meta.Size
-				info.Entries += t.meta.Entries
-				info.Tombstones += t.meta.Tombstones
-			}
-		}
-		out = append(out, info)
-	}
-	return out
+	return slices.Clone(view.v.info)
 }
 
 // TotalRuns returns the number of sorted runs across all levels — the
@@ -229,15 +216,7 @@ func (db *DB) IndexMemory() int {
 		return 0
 	}
 	defer view.unref()
-	total := 0
-	for _, level := range view.v.levels {
-		for _, r := range level {
-			for _, t := range r.tables {
-				total += t.reader.ApproxIndexMemory()
-			}
-		}
-	}
-	return total
+	return view.v.indexBytes
 }
 
 // DebugString renders the tree shape for logs and the CLI.

@@ -29,8 +29,9 @@ type Tunables struct {
 	K         int
 	Z         int
 	// FilterBitsPerKey is the average filter budget. Under MonkeyFilters
-	// the per-level allocation is recomputed immediately, but individual
-	// sstables only pick the new budget up as compaction rewrites them.
+	// every table build prices the per-level allocation against it, so
+	// sstables pick the new budget up as flushes and compactions write
+	// them.
 	FilterBitsPerKey float64
 	// L0CompactionTrigger is the L0 run count that makes the picker drain
 	// level 0. Every L0 run joins every lookup and scan, so this is a read
@@ -58,16 +59,18 @@ func (db *DB) Tunables() Tunables {
 // point for every knob read outside Open, so the consistency argument
 // lives here:
 //
-//   - Shape changes swap the scheduler's picker under the scheduler lock;
-//     in-flight compactions carry immutable Task plans and are untouched,
-//     while the next planning call sees the new policy.
+//   - Shape changes swap the scheduler's picker under db.mu, where every
+//     Scheduler call runs; in-flight compactions carry immutable Task
+//     plans and are untouched, while the next planning call sees the new
+//     policy.
 //   - Every other read of these knobs (backpressure triggers, level
 //     capacities for the debt gauge, Monkey budgets) happens under db.mu,
 //     which Retune holds for the whole update — no reader can observe a
 //     half-applied knob set.
-//   - The Monkey allocation and the debt gauge are recomputed before the
-//     lock is released, so the next write and the next filter build both
-//     price against the new design point.
+//   - The debt gauge and the Monkey allocation are computed when they are
+//     read, under db.mu, from the current version's level totals and the
+//     knobs, so the next write and the next filter build both price
+//     against the new design point.
 //
 // The moved knobs pass through the same resolve as Open's options: a
 // value outside its row's range is an error naming the knob, the stop
@@ -102,12 +105,6 @@ func (db *DB) Retune(t Tunables) error {
 	}
 	// Only the live fields move: the rest of db.opts is read without db.mu.
 	eachLive(&after, &db.opts, func(tv, ov reflect.Value) { ov.Set(tv) })
-
-	// Reprice the tree against the new design point before anyone can
-	// read it: level capacities feed the debt gauge, the filter budget
-	// feeds the Monkey allocation.
-	db.refreshDebtLocked()
-	db.refreshMonkeyLocked()
 
 	db.events.Add(iostat.Event{
 		Type: iostat.EventRetune, FromLevel: -1, ToLevel: -1,
@@ -150,16 +147,9 @@ func (db *DB) TuningProfile() TuningProfile {
 		BlockSize:     db.opts.BlockSize,
 		MonkeyFilters: db.opts.MonkeyFilters,
 	}
-	if db.current == nil {
-		return p
-	}
-	for _, level := range db.current.levels {
-		for _, r := range level {
-			for _, t := range r.tables {
-				p.Entries += int64(t.meta.Entries)
-				p.DiskBytes += int64(t.meta.Size)
-			}
-		}
+	for _, info := range db.current.info {
+		p.Entries += int64(info.Entries)
+		p.DiskBytes += int64(info.Bytes)
 	}
 	return p
 }

@@ -16,12 +16,15 @@ import (
 // reference count. A table is deletable once it is obsolete (dropped from
 // the latest version) and no live version references it.
 type tableHandle struct {
-	meta     *manifest.FileMeta
-	file     vfs.File
-	reader   *sstable.Reader
-	refs     atomic.Int32
-	obsolete atomic.Bool
-	db       *DB
+	meta   *manifest.FileMeta
+	file   vfs.File
+	reader *sstable.Reader
+	// indexBytes is the reader's resident index memory, taken once at
+	// open: the reader never changes it.
+	indexBytes int
+	refs       atomic.Int32
+	obsolete   atomic.Bool
+	db         *DB
 }
 
 func (th *tableHandle) ref() { th.refs.Add(1) }
@@ -88,8 +91,13 @@ func (r *run) overlaps(lo, hi []byte) []*tableHandle {
 // files safely underneath.
 type version struct {
 	levels [][]*run // level -> runs in append (age) order, oldest first
-	refs   atomic.Int32
-	db     *DB
+	// info totals each level (one entry per levels entry) and indexBytes
+	// the tables' resident index memory: the one walk that sums the
+	// tree, done as the version is built.
+	info       []LevelInfo
+	indexBytes int
+	refs       atomic.Int32
+	db         *DB
 }
 
 func (v *version) ref() { v.refs.Add(1) }
@@ -161,22 +169,33 @@ func (db *DB) openTable(meta *manifest.FileMeta) (*tableHandle, error) {
 		f.Close()
 		return nil, err
 	}
-	return &tableHandle{meta: meta, file: f, reader: reader, db: db}, nil
+	return &tableHandle{meta: meta, file: f, reader: reader, indexBytes: reader.ApproxIndexMemory(), db: db}, nil
 }
 
 // buildVersion assembles the version of state with one reference held by
-// the caller. It shares every handle prev (nil at Open) holds and opens
-// only the files prev does not list; if an open fails, it closes the files
-// it opened and leaves prev's handles as they were.
+// the caller, and totals its levels. It shares every handle prev (nil at
+// Open) holds and opens only the files prev does not list; if an open
+// fails, it closes the files it opened and leaves prev's handles as they
+// were.
 func (db *DB) buildVersion(state *manifest.State, prev *version) (*version, error) {
 	have := prev.byNum()
 	var opened []*tableHandle
 	v := &version{db: db}
 	v.levels = make([][]*run, max(len(state.Levels), db.opts.MaxLevels))
+	v.info = make([]LevelInfo, len(v.levels))
+	for li := range v.info {
+		v.info[li].Level = li
+	}
 	for li, level := range state.Levels {
+		info := &v.info[li]
+		info.Runs = len(level.Runs)
 		for _, r := range level.Runs {
 			rr := &run{}
+			info.Files += len(r.Files)
 			for _, meta := range r.Files {
+				info.Bytes += meta.Size
+				info.Entries += meta.Entries
+				info.Tombstones += meta.Tombstones
 				th := have[meta.Num]
 				if th == nil {
 					var err error
@@ -189,6 +208,7 @@ func (db *DB) buildVersion(state *manifest.State, prev *version) (*version, erro
 					opened = append(opened, th)
 				}
 				rr.tables = append(rr.tables, th)
+				v.indexBytes += th.indexBytes
 			}
 			v.levels[li] = append(v.levels[li], rr)
 		}

@@ -107,17 +107,6 @@ func (s *State) FileNums() map[uint64]bool {
 	return out
 }
 
-// TotalFiles counts live table files.
-func (s *State) TotalFiles() int {
-	n := 0
-	for _, l := range s.Levels {
-		for _, r := range l.Runs {
-			n += len(r.Files)
-		}
-	}
-	return n
-}
-
 const manifestName = "MANIFEST"
 
 // Path returns the manifest location under dir.

@@ -40,8 +40,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if got.NextFileNum != 42 || got.LastSeq != 1000 || got.VlogHead != 3 {
 		t.Errorf("scalars mismatch: %+v", got)
 	}
-	if got.TotalFiles() != 4 {
-		t.Errorf("TotalFiles=%d want 4", got.TotalFiles())
+	if n := len(got.FileNums()); n != 4 {
+		t.Errorf("%d live files, want 4", n)
 	}
 	if len(got.Levels) != 2 || len(got.Levels[0].Runs) != 2 {
 		t.Errorf("structure mismatch: %+v", got.Levels)
@@ -57,7 +57,7 @@ func TestLoadMissingIsFresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.NextFileNum != 1 || s.TotalFiles() != 0 {
+	if s.NextFileNum != 1 || len(s.FileNums()) != 0 {
 		t.Errorf("fresh state wrong: %+v", s)
 	}
 }
