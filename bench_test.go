@@ -36,32 +36,20 @@ func benchDB(b *testing.B, opts *Options) *DB {
 	return db
 }
 
-// BenchmarkDBGet guards the observability fast path: with TrackLatency
-// off (the default) a point lookup must cost two nil checks, and no clock
-// read, over the uninstrumented read path, so the off/on sub-benchmarks
-// should be within noise of each other (the histogram update is ~two atomic adds).
+// BenchmarkDBGet times point lookups on a settled tree, with the
+// engine's counters and latency histograms recorded as always.
 func BenchmarkDBGet(b *testing.B) {
-	for _, mode := range []struct {
-		name  string
-		track bool
-	}{
-		{"observability-off", false},
-		{"observability-on", true},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			opts := Default()
-			opts.TrackLatency = mode.track
-			db := benchDB(b, opts)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				k := workload.ScrambleKey(int64(i)%benchKeys, benchKeys)
-				if _, err := db.Get(workload.Key(k)); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("get", func(b *testing.B) {
+		db := benchDB(b, Default())
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			k := workload.ScrambleKey(int64(i)%benchKeys, benchKeys)
+			if _, err := db.Get(workload.Key(k)); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
 	// The append-style read reuses the caller's buffer: with a warm
 	// block cache this is the zero-allocation path TestGetAllocs gates
 	// (run with -benchmem to see allocs/op).

@@ -17,12 +17,12 @@
 //	          [-shards 0] [-sync] [-rate 0] [-max-conns 1024]
 //	          [-compaction-concurrency 2] [-compaction-rate 0]
 //	          [-l0-slowdown 0] [-l0-stop 0]
-//	          [-debug-addr 127.0.0.1:4442] [-track-latency=true]
+//	          [-debug-addr 127.0.0.1:4442]
 //	          [-checkpoint-dir /backups] [-follow primary:4440]
 //	          [-repl-backlog 16777216] [-tune] [-tune-interval 10s]
 //
-// The engine flags (-shards, -compaction-*, -l0-*, -track-latency, -tune
-// and -tune-interval) are the rows of core.Knobs that carry a flag: each
+// The engine flags (-shards, -compaction-*, -l0-*, -tune and
+// -tune-interval) are the rows of core.Knobs that carry a flag: each
 // sets its knob on top of -preset, defaulting to the row's default, and
 // TUNING.md's knob reference lists them.
 //
@@ -106,11 +106,6 @@ func main() {
 		verbose      = flag.Bool("v", false, "log engine and server events")
 		engine       = core.EngineFlags(flag.CommandLine)
 	)
-	// The one engine flag whose serving default differs from the
-	// library's: a server keeps latency histograms unless told not to.
-	trackLatency := flag.Lookup("track-latency")
-	trackLatency.DefValue = "true"
-	trackLatency.Value.Set(trackLatency.DefValue)
 	flag.Parse()
 	if *dir == "" {
 		flag.Usage()

@@ -208,7 +208,7 @@ func ttlDemo(dir string, scale Scale) (_ *Table, err error) {
 		return nil, err
 	}
 	bytesAfter := tableBytes(db)
-	drops := db.StatsHandle().ExpiredDrops.Load()
+	drops := db.Stats().ExpiredDrops
 
 	t := NewTable("phase", "served", "absent", "table bytes", "expired drops")
 	t.Caption = fmt.Sprintf("TTL reclamation, %d leases of 1s over %d shadowed base versions:\n", n, n)

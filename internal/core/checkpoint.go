@@ -82,8 +82,8 @@ func (db *DB) Checkpoint(dstDir string) (CheckpointInfo, error) {
 		return CheckpointInfo{}, err
 	}
 	info.LastSeq = seq
-	db.opts.Stats.Checkpoints.Add(1)
-	db.opts.Stats.CheckpointBytes.Add(info.Bytes)
+	db.stats.Checkpoints.Add(1)
+	db.stats.CheckpointBytes.Add(info.Bytes)
 	db.events.Add(iostat.Event{
 		Type: iostat.EventCheckpoint, FromLevel: -1, ToLevel: -1,
 		Detail: fmt.Sprintf("%d files, %d bytes, seq %d", info.Files, info.Bytes, seq),

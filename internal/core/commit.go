@@ -61,7 +61,7 @@ var writes = sync.Pool{New: func() any { return &Write{done: make(chan struct{},
 
 func (db *DB) newWrite(sync bool, lat func(*iostat.OpLatencies) *iostat.Histogram) *Write {
 	w := writes.Get().(*Write)
-	w.db, w.sync, w.lat, w.start = db, sync, lat, db.now()
+	w.db, w.sync, w.lat, w.start = db, sync, lat, time.Now()
 	return w
 }
 
@@ -146,7 +146,7 @@ func (db *DB) commitGroup() {
 	}
 	n, err := db.commit(ops, sync, 0, nil)
 	if n > 0 {
-		db.opts.Stats.ObserveGroup(n)
+		db.stats.ObserveGroup(n)
 	}
 	seq := db.LastSeq()
 	for w := first; w != nil; {
@@ -208,7 +208,7 @@ func (db *DB) commit(ops []BatchOp, sync bool, firstSeq kv.SeqNum, rec []byte) (
 		// The clock is read only when there is a wait to measure.
 		start := time.Now()
 		db.commitMu.Lock()
-		db.opts.Stats.CommitWaitNs.Add(int64(time.Since(start)))
+		db.stats.CommitWaitNs.Add(int64(time.Since(start)))
 	}
 	defer db.commitMu.Unlock()
 
@@ -268,15 +268,15 @@ func (db *DB) commit(ops []BatchOp, sync bool, firstSeq kv.SeqNum, rec []byte) (
 		if err := db.wal.AddRecord(rec); err != nil {
 			return 0, err
 		}
-		db.opts.Stats.WALRecords.Add(1)
+		db.stats.WALRecords.Add(1)
 		if sync || db.opts.SyncWAL {
 			start := time.Now()
 			err := db.wal.Sync()
-			db.opts.Stats.WALSyncNs.Add(int64(time.Since(start)))
+			db.stats.WALSyncNs.Add(int64(time.Since(start)))
 			if err != nil {
 				return 0, err
 			}
-			db.opts.Stats.WALSyncs.Add(1)
+			db.stats.WALSyncs.Add(1)
 		}
 	}
 	if db.commitHook != nil && !replicated {
@@ -292,9 +292,9 @@ func (db *DB) commit(ops []BatchOp, sync bool, firstSeq kv.SeqNum, rec []byte) (
 	// prefix is in the memtable (or flushed) from its first delivery.
 	skip := int(prev + 1 - firstSeq)
 	n := len(stored) - skip
-	db.opts.Stats.BytesWritten.Add(db.insert(firstSeq+kv.SeqNum(skip), stored[skip:]))
+	db.stats.BytesWritten.Add(db.insert(firstSeq+kv.SeqNum(skip), stored[skip:]))
 	if !replicated {
-		db.opts.Stats.WriteOps.Add(int64(n))
+		db.stats.WriteOps.Add(int64(n))
 	}
 
 	db.mu.Lock()

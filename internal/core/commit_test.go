@@ -113,7 +113,6 @@ func TestOneWritePath(t *testing.T) {
 // INCR-only stream does not look half reads to the tuner.
 func TestConditionalOpsAreNotGets(t *testing.T) {
 	opts := smallOpts(t.TempDir())
-	opts.TrackLatency = true
 	db := openDB(t, opts)
 	defer db.Close()
 	before := db.Stats().PointLookups

@@ -138,7 +138,7 @@ func (db *DB) buildTable(it kv.Iterator, wopts sstable.WriterOptions, maxBytes u
 		return nil, err
 	}
 	built = true
-	db.opts.Stats.BytesWritten.Add(int64(size))
+	db.stats.BytesWritten.Add(int64(size))
 	return &manifest.FileMeta{
 		Num:         num,
 		Size:        size,
@@ -433,7 +433,7 @@ func (db *DB) finish(j *job) error {
 	if err := db.installVersionEdit(&j.edit); err != nil {
 		return err
 	}
-	ev, st := &j.ev, db.opts.Stats
+	ev, st := &j.ev, db.stats
 	ev.OutputFiles = len(j.edit.add)
 	for _, m := range j.edit.add { // on top of what a collection relocated
 		ev.OutputBytes += m.Size

@@ -266,7 +266,6 @@ func TestGraduatedBackpressureCounters(t *testing.T) {
 			L0StopTrigger:            4,
 			SlowdownMaxDelay:         200 * time.Microsecond,
 			CompactionMaxBytesPerSec: 8 << 10, // starve compaction so L0 piles up
-			TrackLatency:             true,
 		},
 	}
 	opts.DisableFilters().DisableCache()

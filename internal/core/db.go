@@ -113,12 +113,12 @@ type DB struct {
 	cache *cache.Cache
 	vlog  *vlog.Log
 
-	// lat holds per-operation latency histograms: Options.Latencies when
-	// the caller handed a set down, a private set under
-	// Options.TrackLatency, else nil — and then now/observe (read.go)
-	// never read the clock.
-	lat *iostat.OpLatencies
-	// events is the bounded lifecycle event ring; nil when disabled.
+	// The engine's instruments, always recorded: its I/O counters, its
+	// per-operation latency histograms (Options.Latencies when the shard
+	// router hands one set to every engine, else the engine's own) and its
+	// bounded lifecycle event ring.
+	stats  *iostat.Stats
+	lat    *iostat.OpLatencies
 	events *iostat.EventLog
 
 	// workers tracks the flush worker and the compaction pool for
@@ -149,16 +149,14 @@ func Open(o Options) (*DB, error) {
 		deadSegments: make(map[uint64]kv.SeqNum),
 		queue:        make(chan *Write, maxQueued),
 		lead:         make(chan struct{}, 1),
+		stats:        &iostat.Stats{},
+		lat:          o.Latencies,
+		events:       iostat.NewEventLog(),
 	}
 	db.cond = sync.NewCond(&db.mu)
 	db.bgCond = sync.NewCond(&db.mu)
-	if o.Latencies != nil {
-		db.lat = o.Latencies
-	} else if o.TrackLatency {
+	if db.lat == nil {
 		db.lat = &iostat.OpLatencies{}
-	}
-	if o.EventLogSize >= 0 {
-		db.events = iostat.NewEventLog(o.EventLogSize)
 	}
 	if o.CacheBytes > 0 {
 		policy := cache.LRU
@@ -456,8 +454,8 @@ func (db *DB) slowdown() {
 					db.l0RunsLocked(), db.debtLocked()>>20, d),
 			})
 		}
-		db.opts.Stats.WriteSlowdowns.Add(1)
-		db.opts.Stats.WriteSlowdownNs.Add(int64(d))
+		db.stats.WriteSlowdowns.Add(1)
+		db.stats.WriteSlowdownNs.Add(int64(d))
 		db.bgCond.Broadcast()
 	} else {
 		db.slowdownActive = false
@@ -480,11 +478,9 @@ func (db *DB) waitRoomLocked() error {
 			db.cond.Wait()
 		}
 		d := time.Since(start)
-		db.opts.Stats.WriteStalls.Add(1)
-		db.opts.Stats.WriteStallNs.Add(int64(d))
-		if db.lat != nil {
-			db.lat.Stall.Observe(d)
-		}
+		db.stats.WriteStalls.Add(1)
+		db.stats.WriteStallNs.Add(int64(d))
+		db.lat.Stall.Observe(d)
 		db.events.Add(iostat.Event{
 			Type: iostat.EventWriteStall, FromLevel: -1, ToLevel: -1,
 			DurMs:  float64(d.Microseconds()) / 1e3,
@@ -719,24 +715,19 @@ func (db *DB) Close() error {
 }
 
 // Stats returns a snapshot of the engine's I/O counters.
-func (db *DB) Stats() iostat.Snapshot { return db.opts.Stats.Snapshot() }
-
-// StatsHandle exposes the live counters (for harnesses that diff
-// snapshots around phases).
-func (db *DB) StatsHandle() *iostat.Stats { return db.opts.Stats }
+func (db *DB) Stats() iostat.Snapshot { return db.stats.Snapshot() }
 
 // Latencies returns per-operation latency summaries keyed "get", "put",
-// "delete", "scan". Nil unless Options.TrackLatency is set; operations
-// with no observations are omitted.
+// "delete", "scan", "batch", plus "stall" for write-stall episodes;
+// operations with no observations are omitted.
 func (db *DB) Latencies() map[string]iostat.LatencySummary { return db.lat.Summaries() }
 
 // Events returns the retained engine lifecycle events, oldest first
 // (flushes, compactions, WAL rotations and recoveries, value-log GC).
-// Nil when Options.EventLogSize is negative.
 func (db *DB) Events() []iostat.Event { return db.events.Events() }
 
-// EventLog exposes the engine's event ring (nil when disabled), so the
-// serving layer can interleave its own events with the engine's.
+// EventLog exposes the engine's event ring, so the serving layer can
+// interleave its own events with the engine's.
 func (db *DB) EventLog() *iostat.EventLog { return db.events }
 
 // cacheIface adapts the possibly-nil cache to the sstable hook.

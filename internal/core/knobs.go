@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"lsmkv/internal/filter"
-	"lsmkv/internal/iostat"
 )
 
 // A Knob is one row of the design space: one field of Options, its
@@ -90,8 +89,6 @@ var Knobs = []Knob{
 	{Name: "shards", Axis: "serving", Field: func(o *Options) any { return &o.Shards }, Min: 1, Flag: true, Usage: "keyspace shards (0 = adopt the database's existing count)"},
 	{Name: "tune", Axis: "serving", Field: func(o *Options) any { return &o.AutoTune }, Flag: true, Usage: "run the online self-tuner (adapts layout, filter, and slowdown knobs to the live workload)"},
 	{Name: "tune-interval", Axis: "serving", Field: func(o *Options) any { return &o.AutoTuneInterval }, Default: float64(10 * time.Second), Min: 1, Flag: true, Usage: "self-tuner sampling period"},
-	{Name: "track-latency", Axis: "serving", Field: func(o *Options) any { return &o.TrackLatency }, Flag: true, Usage: "record engine-level latency histograms (no clock reads when off)"},
-	{Name: "event-log-size", Axis: "serving", Field: func(o *Options) any { return &o.EventLogSize }, Default: iostat.DefaultEventLogSize, Min: 1, Disable: true},
 }
 
 // value is the knob's field in o.

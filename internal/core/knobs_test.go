@@ -55,12 +55,12 @@ func TestOneOptionsTable(t *testing.T) {
 			}
 		}
 	}
-	notKnob := map[string]bool{"Stats": true, "Logf": true}
+	notKnob := map[string]bool{"TrackLatency": true, "Logf": true}
 	d := reflect.ValueOf(&o.Design).Elem()
 	for i := 0; i < d.NumField(); i++ {
 		if f := d.Type().Field(i); f.IsExported() {
 			if n := rows[d.Field(i).Addr().Interface()]; n != 1 && !notKnob[f.Name] || n != 0 && notKnob[f.Name] {
-				t.Errorf("lsmkv.Options.%s has %d rows in Knobs; a knob has one, only Stats and Logf have none", f.Name, n)
+				t.Errorf("lsmkv.Options.%s has %d rows in Knobs; a knob has one, only TrackLatency and Logf have none", f.Name, n)
 			}
 		}
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"io/fs"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -86,4 +88,45 @@ func TestOneMaintenancePath(t *testing.T) {
 	wantSites(t, "core: db.vlog.Remove", core.sites["db.vlog.Remove"], "retire")
 	vlog := parseFuncs(t, "../vlog")
 	wantSites(t, "vlog: l.fs.Remove", vlog.sites["l.fs.Remove"], "Remove")
+
+	// One set of instruments per engine, always on: anywhere in the
+	// module, an event ring is made only where an engine or a server
+	// opens, and a latency histogram set only where an engine opens or
+	// the shard router makes the one its engines share.
+	var rings, latencies []string
+	for _, dir := range moduleDirs(t) {
+		pkg := parseFuncs(t, dir)
+		for _, fn := range pkg.sites["iostat.NewEventLog"] {
+			rings = append(rings, filepath.Base(dir)+"."+fn)
+		}
+		for _, fn := range pkg.literals["iostat.OpLatencies"] {
+			latencies = append(latencies, filepath.Base(dir)+"."+fn)
+		}
+	}
+	wantSites(t, "iostat.NewEventLog", rings, "core.Open", "server.New")
+	wantSites(t, "iostat.OpLatencies{}", latencies, "core.Open", "shard.Open")
+}
+
+// moduleDirs lists the directories of the main module's Go packages
+// (benchmark/ is a module of its own).
+func moduleDirs(t *testing.T) []string {
+	t.Helper()
+	var dirs []string
+	root := filepath.Join("..", "..")
+	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && p != root && (d.Name() == "benchmark" || d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+			return filepath.SkipDir
+		}
+		if !d.IsDir() && strings.HasSuffix(p, ".go") && !slices.Contains(dirs, filepath.Dir(p)) {
+			dirs = append(dirs, filepath.Dir(p))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dirs
 }

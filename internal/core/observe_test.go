@@ -166,9 +166,7 @@ func TestGetTracedTombstone(t *testing.T) {
 }
 
 func TestLatencyTrackingOptIn(t *testing.T) {
-	opts := smallOpts(t.TempDir())
-	opts.TrackLatency = true
-	db := openDB(t, opts)
+	db := openDB(t, smallOpts(t.TempDir()))
 	defer db.Close()
 
 	for i := 0; i < 50; i++ {
@@ -201,16 +199,6 @@ func TestLatencyTrackingOptIn(t *testing.T) {
 	}
 }
 
-func TestLatencyTrackingOffByDefault(t *testing.T) {
-	db := openDB(t, smallOpts(t.TempDir()))
-	defer db.Close()
-	db.Put(key(1), val(1))
-	db.Get(key(1))
-	if lat := db.Latencies(); lat != nil {
-		t.Fatalf("latency tracking should be off by default, got %v", lat)
-	}
-}
-
 func TestEventLogCapturesLifecycle(t *testing.T) {
 	db := openDB(t, smallOpts(t.TempDir()))
 	defer db.Close()
@@ -234,19 +222,5 @@ func TestEventLogCapturesLifecycle(t *testing.T) {
 		if e.Type == iostat.EventFlush && e.ToLevel != 0 {
 			t.Fatalf("flush event should land in L0: %+v", e)
 		}
-	}
-}
-
-func TestEventLogDisabled(t *testing.T) {
-	opts := smallOpts(t.TempDir())
-	opts.EventLogSize = -1
-	db := openDB(t, opts)
-	defer db.Close()
-	db.Put(key(1), val(1))
-	if err := db.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if ev := db.Events(); ev != nil {
-		t.Fatalf("event log should be disabled, got %v", ev)
 	}
 }

@@ -152,17 +152,11 @@ type Design struct {
 	// AutoTuneInterval is the tuner's sampling period. Default 10s.
 	AutoTuneInterval time.Duration
 
-	// Stats, when non-nil, receives I/O accounting shared with the
-	// caller — every shard records into it, so ShardStats then holds that
-	// one aggregate; otherwise each shard keeps a private instance.
-	Stats *iostat.Stats
-	// TrackLatency enables per-operation latency histograms, read via
-	// DB.Latencies. Off by default; when off no operation reads the clock.
+	// TrackLatency is ignored: every engine records its latency
+	// histograms, read via DB.Latencies.
+	//
+	// Deprecated: latency tracking is always on.
 	TrackLatency bool
-	// EventLogSize bounds the in-memory ring of engine lifecycle events
-	// (flushes, compactions, WAL activity), read via DB.Events. 0 selects
-	// the default (512); negative disables event recording.
-	EventLogSize int
 	// Logf receives engine event logs when set.
 	Logf func(format string, args ...any)
 
@@ -207,9 +201,9 @@ type Options struct {
 	// expiry deterministic.
 	Clock func() int64
 	// Latencies, when non-nil, is the OpLatencies instance the engine
-	// records into (and implies TrackLatency). The shard router shares one
-	// instance across every shard engine so aggregate latency quantiles
-	// come out of a single set of histograms.
+	// records into; nil gives the engine its own. The shard router shares
+	// one instance across every shard engine so aggregate latency
+	// quantiles come out of a single set of histograms.
 	Latencies *iostat.OpLatencies
 
 	// L0CompactionTrigger is the level-0 run count past which the picker
@@ -265,9 +259,6 @@ func (o *Options) resolve(live bool) error {
 	}
 	if o.FS == nil {
 		o.FS = vfs.Default
-	}
-	if o.Stats == nil {
-		o.Stats = &iostat.Stats{}
 	}
 	if o.Clock == nil {
 		o.Clock = func() int64 { return time.Now().UnixNano() }

@@ -24,9 +24,8 @@ import (
 //     constants writerOptionsForLevel sets); CachePolicy LRU is CacheClock
 //     off; the compaction shape is Shape().
 //   - RestartInterval 16 is gone: the sstable writer's default is 16.
-//   - EventLogSize 0 is 512: the event ring's default for 0 is 512.
 //
-// Every field but the handles (FS, Stats, Clock, Logf, Latencies) is
+// Every field but the handles (FS, Clock, Logf, Latencies) is
 // compared, so a row default that moves fails here.
 func TestResolvedConfigGolden(t *testing.T) {
 	serve := func(conc int) *lsmkv.Options {
@@ -46,7 +45,7 @@ func TestResolvedConfigGolden(t *testing.T) {
 		Filter:                         lsmkv.FilterBloom, BitsPerKey: 10,
 		RangeFilterBitsPerKey: 16, PrefixLength: 8, BlockSize: 4096,
 		CacheBytes: 8 << 20, ValueThreshold: 1024, VlogSegmentBytes: 64 << 20,
-		CompactionConcurrency: 2, AutoTuneInterval: 10 * time.Second, EventLogSize: 512,
+		CompactionConcurrency: 2, AutoTuneInterval: 10 * time.Second,
 	}}
 	shape := compaction.Shape{SizeRatio: 10, K: 1, Z: 1, L0Trigger: 4, BaseBytes: 40 << 20, MaxLevels: 7}
 	for _, tc := range []struct {
@@ -85,7 +84,7 @@ func TestResolvedConfigGolden(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		got.FS, got.Stats, got.Clock, got.Logf, got.Latencies = nil, nil, nil, nil, nil
+		got.FS, got.Clock, got.Logf, got.Latencies = nil, nil, nil, nil
 		want, wantShape := base, tc.shape
 		tc.want(&want, &wantShape)
 		if !reflect.DeepEqual(got, want) {

@@ -129,7 +129,7 @@ func (db *DB) visible(key []byte, kind kv.Kind, raw []byte) (value []byte, live 
 		if err != nil {
 			return nil, false, err
 		}
-		db.opts.Stats.VlogReads.Add(1)
+		db.stats.VlogReads.Add(1)
 		if value, err = db.vlog.Get(ptr); err != nil {
 			return nil, false, err
 		}
@@ -158,14 +158,10 @@ func (db *DB) GetTraced(key []byte) ([]byte, *iostat.Trace, error) {
 	return value, tr, err
 }
 
-// timedGet is the one timed point read: it stamps tr (when tracing) and
-// the Get histogram (when tracking latency) with the lookup's wall time,
-// and reads the clock only when one of them wants it.
+// timedGet is the one timed point read: it stamps the Get histogram, and
+// tr when tracing, with the lookup's wall time.
 func (db *DB) timedGet(key, dst []byte, tr *iostat.Trace) ([]byte, error) {
-	start := db.now()
-	if tr != nil && start.IsZero() {
-		start = time.Now()
-	}
+	start := time.Now()
 	value, err := db.getAppend(key, kv.MaxSeqNum, dst, tr)
 	if tr != nil {
 		tr.ElapsedUs = float64(time.Since(start).Nanoseconds()) / 1e3
@@ -177,7 +173,7 @@ func (db *DB) timedGet(key, dst []byte, tr *iostat.Trace) ([]byte, error) {
 // getAppend is the point read at snapshot snap: the newest version found
 // by getInternal, resolved by visible, appended to dst.
 func (db *DB) getAppend(key []byte, snap kv.SeqNum, dst []byte, tr *iostat.Trace) ([]byte, error) {
-	db.opts.Stats.PointLookups.Add(1)
+	db.stats.PointLookups.Add(1)
 	base := len(dst)
 	found, kind, ok, err := db.getInternal(key, snap, dst, tr)
 	if err != nil {
@@ -268,7 +264,7 @@ func (db *DB) getInternal(key []byte, snap kv.SeqNum, dst []byte, tr *iostat.Tra
 				}
 				continue
 			}
-			db.opts.Stats.RunsProbed.Add(1)
+			db.stats.RunsProbed.Add(1)
 			if rt != nil {
 				rt.Decision = iostat.DecisionProbed
 			}
@@ -308,21 +304,10 @@ func ScanAll(sc interface {
 	return sc.Err()
 }
 
-// now and observe are the engine's one latency-timing pair: an operation
-// reads start := db.now() before its work and calls db.observe after.
-// With tracking off (db.lat nil) now returns the zero time without
-// reading the clock and observe records nothing.
-func (db *DB) now() time.Time {
-	if db.lat == nil {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
+// observe is the engine's one latency-recording step: an operation reads
+// start := time.Now() before its work and calls db.observe after.
 func (db *DB) observe(pick func(*iostat.OpLatencies) *iostat.Histogram, start time.Time) {
-	if db.lat != nil {
-		pick(db.lat).Observe(time.Since(start))
-	}
+	pick(db.lat).Observe(time.Since(start))
 }
 
 func latGet(l *iostat.OpLatencies) *iostat.Histogram    { return &l.Get }

@@ -124,11 +124,13 @@ func TestOneReadPath(t *testing.T) {
 // one package's non-test files: per rendered callee ("r.f.ReadAt",
 // "kv.SplitExpiryValue") the enclosing function of every call, per
 // rendered selector ("iostat.EventFlush") the enclosing function of every
-// mention, and the functions that compare a shard count (n, db.n, s.db.n)
-// with the literal 1.
+// mention, per rendered composite-literal type ("iostat.OpLatencies") the
+// enclosing function of every literal, and the functions that compare a
+// shard count (n, db.n, s.db.n) with the literal 1.
 type funcIndex struct {
 	sites     map[string][]string
 	mentions  map[string][]string
+	literals  map[string][]string
 	nCompares []string
 }
 
@@ -140,7 +142,7 @@ func parseFuncs(t *testing.T, dir string) funcIndex {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := funcIndex{sites: map[string][]string{}, mentions: map[string][]string{}}
+	x := funcIndex{sites: map[string][]string{}, mentions: map[string][]string{}, literals: map[string][]string{}}
 	for _, pkg := range pkgs {
 		for _, file := range pkg.Files {
 			for _, decl := range file.Decls {
@@ -157,6 +159,10 @@ func parseFuncs(t *testing.T, dir string) funcIndex {
 					case *ast.SelectorExpr:
 						if sel := render(n); sel != "" {
 							x.mentions[sel] = append(x.mentions[sel], fn.Name.Name)
+						}
+					case *ast.CompositeLit:
+						if typ := render(n.Type); typ != "" {
+							x.literals[typ] = append(x.literals[typ], fn.Name.Name)
 						}
 					case *ast.BinaryExpr:
 						a, b := render(n.X), render(n.Y)

@@ -159,8 +159,8 @@ func (db *DB) ApplyReplicated(payload []byte) (uint64, error) {
 	db.slowdown()
 	n, err := db.commit(ops, false, firstSeq, payload)
 	if n > 0 {
-		db.opts.Stats.ReplRecordsApplied.Add(1)
-		db.opts.Stats.ReplBytesApplied.Add(int64(len(payload)))
+		db.stats.ReplRecordsApplied.Add(1)
+		db.stats.ReplBytesApplied.Add(int64(len(payload)))
 	}
 	if err != nil {
 		return 0, err

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"strings"
 	"time"
 
 	"lsmkv/internal/iostat"
@@ -73,7 +72,7 @@ func (s *Snapshot) Scan(lo, hi []byte, fn func(key, value []byte) bool) error {
 // fn owns the slices it is handed. Range filters screen runs that
 // provably hold no key in the range before any storage access.
 func (db *DB) Scan(lo, hi []byte, fn func(key, value []byte) bool) error {
-	start := db.now()
+	start := time.Now()
 	err := db.scan(lo, hi, kv.MaxSeqNum, fn)
 	db.observe(latScan, start)
 	return err
@@ -198,16 +197,6 @@ func (db *DB) Levels() []LevelInfo {
 	return slices.Clone(view.v.info)
 }
 
-// TotalRuns returns the number of sorted runs across all levels — the
-// quantity a zero-result point lookup probes in the worst case.
-func (db *DB) TotalRuns() int {
-	n := 0
-	for _, li := range db.Levels() {
-		n += li.Runs
-	}
-	return n
-}
-
 // IndexMemory returns resident bytes of pinned per-table structures
 // (fences, filters, learned models) across the current version.
 func (db *DB) IndexMemory() int {
@@ -217,20 +206,4 @@ func (db *DB) IndexMemory() int {
 	}
 	defer view.unref()
 	return view.v.indexBytes
-}
-
-// DebugString renders the tree shape for logs and the CLI.
-func (db *DB) DebugString() string {
-	var b strings.Builder
-	for _, li := range db.Levels() {
-		if li.Runs == 0 {
-			continue
-		}
-		fmt.Fprintf(&b, "L%d: %d runs, %d files, %.2f MiB\n",
-			li.Level, li.Runs, li.Files, float64(li.Bytes)/(1<<20))
-	}
-	if b.Len() == 0 {
-		return "(empty tree)\n"
-	}
-	return b.String()
 }

@@ -56,7 +56,7 @@ func (s *Snapshot) NewScanner(lo, hi []byte) (*Scanner, error) {
 // pinning the read state until Close; it reads at snap or the watermark
 // pin loaded, whichever is lower.
 func (db *DB) newScanner(lo, hi []byte, snap kv.SeqNum) (*Scanner, error) {
-	db.opts.Stats.RangeLookups.Add(1)
+	db.stats.RangeLookups.Add(1)
 
 	view, bound, err := db.pin()
 	if err != nil {

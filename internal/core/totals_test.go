@@ -293,7 +293,7 @@ func TestTreeTotalsMatchTableWalk(t *testing.T) {
 				}
 				check(fmt.Sprintf("round %d", round))
 			}
-			st := db.opts.Stats
+			st := db.stats
 			if st.Flushes.Load() == 0 || (st.TrivialMoves.Load() == 0) == tc.moves || st.Compactions.Load() == 0 {
 				t.Fatalf("history had %d flushes, %d trivial moves, %d merges; want flushes, merges and trivial moves=%v",
 					st.Flushes.Load(), st.TrivialMoves.Load(), st.Compactions.Load(), tc.moves)

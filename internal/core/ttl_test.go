@@ -160,7 +160,7 @@ func TestTTLCompactionReclaims(t *testing.T) {
 	if err := db.WaitIdle(); err != nil {
 		t.Fatal(err)
 	}
-	if db.opts.Stats.ExpiredDrops.Load() == 0 {
+	if db.stats.ExpiredDrops.Load() == 0 {
 		t.Fatal("no expired entries dropped by compaction")
 	}
 

@@ -161,7 +161,7 @@ func (db *DB) openTable(meta *manifest.FileMeta) (*tableHandle, error) {
 	reader, err := sstable.OpenReader(f, fi.Size(), sstable.ReaderOptions{
 		FileNum:           meta.Num,
 		Cache:             db.cacheIface(),
-		Stats:             db.opts.Stats,
+		Stats:             db.stats,
 		UseLearnedIndex:   db.opts.LearnedIndex != sstable.LearnedNone,
 		UseBlockHashIndex: db.opts.BlockHashIndex,
 	})

@@ -100,8 +100,7 @@ func (e Event) String() string {
 // EventLog is a bounded in-memory ring of Events: the most recent
 // capacity events are retained, older ones are evicted. Events are rare
 // (flushes, compactions, sheds), so a mutex suffices; the hot read/write
-// paths never touch it. A nil *EventLog discards adds and returns nothing,
-// so a disabled log costs one nil check.
+// paths never touch it.
 type EventLog struct {
 	mu  sync.Mutex
 	buf []Event // ring storage, len == capacity
@@ -109,23 +108,17 @@ type EventLog struct {
 	seq uint64  // total events ever added
 }
 
-// DefaultEventLogSize is the ring capacity used when none is given.
+// DefaultEventLogSize is the ring's capacity.
 const DefaultEventLogSize = 512
 
-// NewEventLog returns a ring retaining the last capacity events
-// (DefaultEventLogSize when capacity <= 0).
-func NewEventLog(capacity int) *EventLog {
-	if capacity <= 0 {
-		capacity = DefaultEventLogSize
-	}
-	return &EventLog{buf: make([]Event, capacity)}
+// NewEventLog returns a ring retaining the last DefaultEventLogSize
+// events.
+func NewEventLog() *EventLog {
+	return &EventLog{buf: make([]Event, DefaultEventLogSize)}
 }
 
-// Add records e, stamping Seq and (when zero) Time. Nil-safe.
+// Add records e, stamping Seq and (when zero) Time.
 func (l *EventLog) Add(e Event) {
-	if l == nil {
-		return
-	}
 	if e.Time.IsZero() {
 		e.Time = time.Now()
 	}
@@ -140,11 +133,8 @@ func (l *EventLog) Add(e Event) {
 }
 
 // Events returns the retained events in chronological order (oldest
-// first). Nil-safe (returns nil).
+// first).
 func (l *EventLog) Events() []Event {
-	if l == nil {
-		return nil
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	out := make([]Event, 0, l.n)
@@ -155,22 +145,16 @@ func (l *EventLog) Events() []Event {
 	return out
 }
 
-// Len returns the number of retained events. Nil-safe.
+// Len returns the number of retained events.
 func (l *EventLog) Len() int {
-	if l == nil {
-		return 0
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.n
 }
 
 // TotalAdded returns the number of events ever recorded, including
-// evicted ones. Nil-safe.
+// evicted ones.
 func (l *EventLog) TotalAdded() uint64 {
-	if l == nil {
-		return 0
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.seq

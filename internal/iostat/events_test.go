@@ -11,8 +11,8 @@ import (
 // TestEventLogBounded: the ring retains exactly the last `capacity`
 // events, in chronological order, with contiguous sequence numbers.
 func TestEventLogBounded(t *testing.T) {
-	const capacity = 64
-	l := NewEventLog(capacity)
+	const capacity = DefaultEventLogSize
+	l := NewEventLog()
 	const total = 1000
 	for i := 0; i < total; i++ {
 		l.Add(Event{Type: EventFlush, FromLevel: -1, ToLevel: 0, Detail: fmt.Sprintf("n%d", i)})
@@ -40,7 +40,7 @@ func TestEventLogBounded(t *testing.T) {
 
 // TestEventLogUnderfilled: before wrapping, everything added is returned.
 func TestEventLogUnderfilled(t *testing.T) {
-	l := NewEventLog(16)
+	l := NewEventLog()
 	for i := 0; i < 5; i++ {
 		l.Add(Event{Type: EventCompaction, FromLevel: i, ToLevel: i + 1})
 	}
@@ -58,19 +58,10 @@ func TestEventLogUnderfilled(t *testing.T) {
 	}
 }
 
-// TestEventLogNilSafe: a nil log must discard and answer empty.
-func TestEventLogNilSafe(t *testing.T) {
-	var l *EventLog
-	l.Add(Event{Type: EventFlush})
-	if l.Events() != nil || l.Len() != 0 || l.TotalAdded() != 0 {
-		t.Fatal("nil EventLog must be inert")
-	}
-}
-
 // TestEventLogConcurrent: concurrent adders never lose or duplicate a
 // sequence number (run under -race).
 func TestEventLogConcurrent(t *testing.T) {
-	l := NewEventLog(128)
+	l := NewEventLog()
 	var wg sync.WaitGroup
 	const workers, per = 8, 100
 	for w := 0; w < workers; w++ {
@@ -96,7 +87,7 @@ func TestEventLogConcurrent(t *testing.T) {
 
 // TestEventJSONAndString: events round-trip JSON and render a line.
 func TestEventJSONAndString(t *testing.T) {
-	l := NewEventLog(4)
+	l := NewEventLog()
 	l.Add(Event{
 		Type: EventCompaction, FromLevel: 1, ToLevel: 2,
 		InputFiles: 4, OutputFiles: 3, InputBytes: 4096, OutputBytes: 3072,

@@ -24,7 +24,7 @@ const (
 // Histogram is a lock-free log-bucketed histogram of non-negative int64
 // observations (nanoseconds, by convention). The zero value is ready to
 // use; all methods are safe for concurrent use, and every method is
-// nil-safe so a disabled instrument costs exactly one nil check.
+// nil-safe.
 type Histogram struct {
 	count   atomic.Int64
 	sum     atomic.Int64
@@ -182,8 +182,6 @@ func (s HistSnapshot) Summary() LatencySummary {
 }
 
 // OpLatencies bundles the core engine's per-operation latency histograms.
-// A nil *OpLatencies is the disabled instrument: recording through it is
-// a single nil check.
 type OpLatencies struct {
 	Get    Histogram
 	Put    Histogram
@@ -200,12 +198,8 @@ type OpLatencies struct {
 }
 
 // Summaries returns the per-operation latency summaries keyed by
-// operation name, omitting operations never recorded. Nil-safe (returns
-// nil).
+// operation name, omitting operations never recorded.
 func (l *OpLatencies) Summaries() map[string]LatencySummary {
-	if l == nil {
-		return nil
-	}
 	out := make(map[string]LatencySummary, 6)
 	for name, h := range map[string]*Histogram{
 		"get": &l.Get, "put": &l.Put, "delete": &l.Delete, "scan": &l.Scan,

@@ -139,7 +139,7 @@ func TestHistogramConcurrent(t *testing.T) {
 	}
 }
 
-// TestHistogramNilSafe: the disabled instrument must be inert.
+// TestHistogramNilSafe: a nil histogram must be inert.
 func TestHistogramNilSafe(t *testing.T) {
 	var h *Histogram
 	h.Record(5)
@@ -147,10 +147,6 @@ func TestHistogramNilSafe(t *testing.T) {
 	s := h.Snapshot()
 	if s.Count != 0 || s.Quantile(0.5) != 0 || s.Mean() != 0 {
 		t.Fatal("nil histogram must snapshot empty")
-	}
-	var l *OpLatencies
-	if l.Summaries() != nil {
-		t.Fatal("nil OpLatencies must summarize to nil")
 	}
 }
 

@@ -6,7 +6,8 @@
 //
 // Beyond the monotonic counters (Stats), the package carries the three
 // observability primitives the rest of the engine threads through its
-// hot paths, each inert at the cost of one nil check when disabled:
+// hot paths. Every engine records its counters, histograms and events
+// always; only a Trace is asked for per lookup:
 //
 //   - Histogram / OpLatencies: lock-free log-bucketed latency histograms
 //     with p50/p90/p99/p999 quantiles (Section 2's point-lookup cost is a

@@ -29,36 +29,13 @@ func TestOpLatenciesSummaries(t *testing.T) {
 	}
 }
 
-func TestOpLatenciesNilSafe(t *testing.T) {
-	var l *OpLatencies
-	if s := l.Summaries(); s != nil {
-		t.Fatalf("nil OpLatencies should summarize to nil, got %v", s)
-	}
-}
-
 func TestNewEventLogCapacities(t *testing.T) {
-	if l := NewEventLog(0); l == nil {
-		t.Fatal("capacity 0 should select the default size, not disable")
-	} else {
-		for i := 0; i < DefaultEventLogSize+10; i++ {
-			l.Add(Event{Type: EventFlush})
-		}
-		if l.Len() != DefaultEventLogSize {
-			t.Fatalf("default ring holds %d, want %d", l.Len(), DefaultEventLogSize)
-		}
+	l := NewEventLog()
+	for i := 0; i < DefaultEventLogSize+10; i++ {
+		l.Add(Event{Type: EventFlush})
 	}
-	// Disabling is the caller's job (a nil *EventLog); the constructor
-	// clamps nonsense capacities to the default instead.
-	if l := NewEventLog(-1); l == nil {
-		t.Fatal("negative capacity should clamp to default, not return nil")
-	}
-	if l := NewEventLog(3); l == nil || func() int {
-		for i := 0; i < 9; i++ {
-			l.Add(Event{Type: EventFlush})
-		}
-		return l.Len()
-	}() != 3 {
-		t.Fatal("explicit capacity not honored")
+	if l.Len() != DefaultEventLogSize {
+		t.Fatalf("ring holds %d, want %d", l.Len(), DefaultEventLogSize)
 	}
 }
 

@@ -148,10 +148,10 @@ type EventsPayload struct {
 type MetricsPayload struct {
 	Server Snapshot        `json:"server"`
 	Engine iostat.Snapshot `json:"engine"`
-	// EngineLatencies carries the engine's own per-operation histograms
-	// (present only when the engine tracks latency). Unlike Server.Ops,
-	// these exclude network, queueing, and commit-group wait. The "stall"
-	// key, when present, times hard write stalls — pair it with the
+	// EngineLatencies carries the engine's own per-operation histograms,
+	// which every engine records. Unlike Server.Ops, these exclude
+	// network, queueing, and commit-group wait. The "stall" key, present
+	// once a write has stalled, times hard write stalls — pair it with the
 	// engine's WriteStalls/WriteSlowdowns counters to diagnose
 	// backpressure (see OPERATIONS.md).
 	EngineLatencies map[string]iostat.LatencySummary `json:"engine_latencies,omitempty"`

@@ -143,7 +143,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:     cfg,
 		metrics: newMetrics(cfg.DB.Stats),
-		events:  iostat.NewEventLog(0),
+		events:  iostat.NewEventLog(),
 		conns:   make(map[*conn]struct{}),
 	}
 	for i := 0; i < cfg.DB.NumShards(); i++ {

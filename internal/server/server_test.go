@@ -75,7 +75,7 @@ var (
 // server.New.
 func startServer(t testing.TB, fs vfs.FS, shards int, mutate func(*server.Config)) (*server.Server, *shard.DB) {
 	t.Helper()
-	db, err := shard.Open(core.Options{Dir: "db", FS: fs, Design: core.Design{TrackLatency: true}}, shards)
+	db, err := shard.Open(core.Options{Dir: "db", FS: fs}, shards)
 	if err != nil {
 		t.Fatal(err)
 	}

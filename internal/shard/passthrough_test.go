@@ -15,7 +15,6 @@ import (
 func TestSingleShardPassthroughs(t *testing.T) {
 	fs := vfs.NewMem()
 	opts := testOpts(fs, "db")
-	opts.TrackLatency = true
 	db, err := Open(opts, 1)
 	if err != nil {
 		t.Fatal(err)

@@ -146,9 +146,7 @@ func (mc *Scanner) Close() error {
 // ascending, until fn returns false or the range is exhausted. fn owns
 // the slices it is handed: each call gets fresh copies it may keep.
 func (db *DB) Scan(lo, hi []byte, fn func(key, value []byte) bool) error {
-	if db.lat != nil {
-		defer func(start time.Time) { db.lat.Scan.Observe(time.Since(start)) }(time.Now())
-	}
+	defer func(start time.Time) { db.lat.Scan.Observe(time.Since(start)) }(time.Now())
 	sc, err := db.newScanner(lo, hi)
 	if err != nil {
 		return err

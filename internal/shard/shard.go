@@ -58,13 +58,9 @@ type DB struct {
 	fs      vfs.FS
 	n       int
 	engines []*core.DB
-	// stats holds the accounting handles Stats sums: one private handle per
-	// shard, or — when the caller supplied Options.Stats — that one handle,
-	// which every shard engine then records into.
-	stats []*iostat.Stats
 	// lat is the latency histogram set every shard engine records into
 	// (handed down as Options.Latencies), so aggregate quantiles come out
-	// of one set of histograms. Nil when latency tracking is off.
+	// of one set of histograms.
 	lat *iostat.OpLatencies
 
 	mu     sync.Mutex
@@ -135,7 +131,7 @@ func Open(opts core.Options, shards int) (*DB, error) {
 	}
 
 	db := &DB{dir: opts.Dir, fs: fs, n: n, lat: opts.Latencies}
-	if db.lat == nil && opts.TrackLatency {
+	if db.lat == nil {
 		db.lat = &iostat.OpLatencies{}
 	}
 	if n > 1 {
@@ -157,22 +153,16 @@ func Open(opts core.Options, shards int) (*DB, error) {
 			return nil, fmt.Errorf("shard: opening shard %d: %w", i, err)
 		}
 		db.engines[i] = eng
-		db.stats = append(db.stats, eng.StatsHandle())
-	}
-	if opts.Stats != nil {
-		// Every engine records into the caller's one handle; summing it
-		// once per shard would multiply it.
-		db.stats = db.stats[:1]
 	}
 	return db, nil
 }
 
 // shardOpts derives shard i's engine options from the caller's: same
-// design point, the caller's stats handle (a nil one makes the engine
-// allocate its own), and the shared latency histograms. Only where the engine lives depends on the
-// shard count: a lone engine sits in the database root — byte-for-byte
-// the classic single-engine layout — while each of several gets its own
-// shard-i/ directory and a log prefix saying which one is talking.
+// design point and the shared latency histograms. Only where the engine
+// lives depends on the shard count: a lone engine sits in the database
+// root — byte-for-byte the classic single-engine layout — while each of
+// several gets its own shard-i/ directory and a log prefix saying which
+// one is talking.
 func (db *DB) shardOpts(base core.Options, i int) core.Options {
 	o := base
 	o.FS = db.fs
@@ -516,28 +506,26 @@ func (db *DB) Close() error {
 // Stats returns a snapshot of the aggregate I/O counters: the per-shard
 // counters summed.
 func (db *DB) Stats() iostat.Snapshot {
-	agg := db.stats[0].Snapshot()
-	for _, s := range db.stats[1:] {
-		agg = agg.Add(s.Snapshot())
+	agg := db.engines[0].Stats()
+	for _, eng := range db.engines[1:] {
+		agg = agg.Add(eng.Stats())
 	}
 	return agg
 }
 
 // ShardStats returns each shard's own I/O counter snapshot, indexed by
-// shard. Engines opened on a caller-supplied Options.Stats handle all
-// record into it, so there is then one entry: the aggregate.
+// shard.
 func (db *DB) ShardStats() []iostat.Snapshot {
-	out := make([]iostat.Snapshot, len(db.stats))
-	for i, s := range db.stats {
-		out[i] = s.Snapshot()
+	out := make([]iostat.Snapshot, len(db.engines))
+	for i, eng := range db.engines {
+		out[i] = eng.Stats()
 	}
 	return out
 }
 
 // Latencies returns per-operation latency summaries keyed "get", "put",
 // "delete", "scan", "batch", plus "stall" for write-stall episodes;
-// zero-count histograms are omitted. Nil unless latency tracking is on.
-// All shards record into one shared histogram set, so these are true
+// zero-count histograms are omitted. All shards record into one shared histogram set, so these are true
 // aggregate quantiles, not an average of per-shard quantiles.
 func (db *DB) Latencies() map[string]iostat.LatencySummary { return db.lat.Summaries() }
 
@@ -582,8 +570,8 @@ func (db *DB) Levels() []core.LevelInfo {
 // worst-case point lookup probes, summed over the keyspace.
 func (db *DB) TotalRuns() int {
 	n := 0
-	for _, eng := range db.engines {
-		n += eng.TotalRuns()
+	for _, li := range db.Levels() {
+		n += li.Runs
 	}
 	return n
 }
@@ -603,12 +591,29 @@ func (db *DB) IndexMemory() int {
 func (db *DB) DebugString() string {
 	var b strings.Builder
 	for i, eng := range db.engines {
-		tree := eng.DebugString()
+		tree := renderTree(eng.Levels())
 		if db.n > 1 { // output format only
 			tree = fmt.Sprintf("shard %d:\n  %s\n", i,
 				strings.ReplaceAll(strings.TrimRight(tree, "\n"), "\n", "\n  "))
 		}
 		b.WriteString(tree)
+	}
+	return b.String()
+}
+
+// renderTree renders one engine's levels, a line per level that holds a
+// run.
+func renderTree(levels []core.LevelInfo) string {
+	var b strings.Builder
+	for _, li := range levels {
+		if li.Runs == 0 {
+			continue
+		}
+		fmt.Fprintf(&b, "L%d: %d runs, %d files, %.2f MiB\n",
+			li.Level, li.Runs, li.Files, float64(li.Bytes)/(1<<20))
+	}
+	if b.Len() == 0 {
+		return "(empty tree)\n"
 	}
 	return b.String()
 }
@@ -719,7 +724,7 @@ func migrate(opts core.Options, fs vfs.FS, n int) error {
 
 	// The shard engines live only for the copy: no WAL (a crash restarts
 	// the migration from the source engine anyway; durability comes from
-	// the flush-on-close), no latency tracking, private stats.
+	// the flush-on-close).
 	engines := make([]*core.DB, n)
 	defer func() {
 		for _, eng := range engines {
@@ -733,9 +738,6 @@ func migrate(opts core.Options, fs vfs.FS, n int) error {
 		o.Dir = ShardDir(opts.Dir, i)
 		o.FS = fs
 		o.DisableWAL = true
-		o.Stats = &iostat.Stats{}
-		o.TrackLatency = false
-		o.Latencies = nil
 		engines[i], err = core.Open(o)
 		if err != nil {
 			return err

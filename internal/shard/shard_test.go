@@ -291,7 +291,6 @@ func TestBatchSplitsAndAppliesPerShard(t *testing.T) {
 func TestAggregateStatsEventsLevels(t *testing.T) {
 	fs := vfs.NewMem()
 	opts := testOpts(fs, "db")
-	opts.TrackLatency = true
 	db, err := Open(opts, 3)
 	if err != nil {
 		t.Fatal(err)

@@ -51,7 +51,7 @@ type Target interface {
 	Stats() iostat.Snapshot
 	// TuningProfile summarizes data volume for the cost model.
 	TuningProfile() core.TuningProfile
-	// EventLog is the engine's event ring (may be nil).
+	// EventLog is the engine's event ring.
 	EventLog() *iostat.EventLog
 }
 

@@ -46,7 +46,7 @@ func newFakeTarget() *fakeTarget {
 			BlockSize:     4096,
 			MonkeyFilters: true,
 		},
-		events: iostat.NewEventLog(64),
+		events: iostat.NewEventLog(),
 	}
 }
 

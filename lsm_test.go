@@ -156,7 +156,7 @@ func TestOptionsFieldsGolden(t *testing.T) {
 		{"CompactionMaxBytesPerSec", "int64"}, {"CompactionConcurrency", "int"}, {"MaxImmutableMemtables", "int"},
 		{"L0SlowdownTrigger", "int"}, {"L0StopTrigger", "int"}, {"SlowdownMaxDelay", "Duration"},
 		{"PendingCompactionSlowdownBytes", "int64"}, {"AutoTune", "bool"}, {"AutoTuneInterval", "Duration"},
-		{"Stats", "*iostat.Stats"}, {"TrackLatency", "bool"}, {"EventLogSize", "int"},
+		{"TrackLatency", "bool"},
 		{"Logf", "func(string, ...interface {})"},
 	}
 	var got [][2]string
@@ -216,24 +216,71 @@ func TestHybridKZFacade(t *testing.T) {
 	}
 }
 
-// TestSharedStatsHandle: a caller-supplied Stats handle receives the
-// database's accounting at any shard count — every shard engine records
-// into it — and the aggregate view reads it once, not once per shard.
-func TestSharedStatsHandle(t *testing.T) {
+// TestInstrumentsAlwaysOn: under Default options, at one shard and at
+// three, every engine records its counters, latency histograms and
+// lifecycle events, and the router adds them up when they are read:
+// Stats is the sum of ShardStats, one entry per shard, with each lookup
+// counted once.
+func TestInstrumentsAlwaysOn(t *testing.T) {
 	for _, shards := range []int{1, 3} {
-		stats := &iostat.Stats{}
 		opts := Default()
-		opts.Stats = stats
 		opts.Shards = shards
 		db, err := Open(t.TempDir(), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		db.Put([]byte("k"), []byte("v"))
-		db.Get([]byte("k"))
-		if stats.PointLookups.Load() != 1 || db.Stats().PointLookups != 1 {
-			t.Errorf("shards=%d: caller's handle saw %d lookups, DB.Stats %d, want 1 and 1",
-				shards, stats.PointLookups.Load(), db.Stats().PointLookups)
+		const n = 60
+		for i := 0; i < n; i++ {
+			if err := db.Put([]byte(fmt.Sprintf("k%03d", i)), []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < n; i++ {
+			if _, err := db.Get([]byte(fmt.Sprintf("k%03d", i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.Scan(nil, nil, func(k, v []byte) bool { return true }); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+
+		lat := db.Latencies()
+		for _, op := range []string{"get", "put", "scan"} {
+			if lat[op].Count == 0 {
+				t.Errorf("shards=%d: no %s latencies in %v", shards, op, lat)
+			}
+		}
+		if lat["get"].Count != n || lat["put"].Count != n || lat["scan"].Count != 1 {
+			t.Errorf("shards=%d: get/put/scan counts %d/%d/%d, want %d/%d/1",
+				shards, lat["get"].Count, lat["put"].Count, lat["scan"].Count, n, n)
+		}
+
+		flushed := map[int]bool{}
+		for _, e := range db.Events() {
+			if e.Type == iostat.EventFlush {
+				flushed[e.Shard] = true
+			}
+		}
+		for i := 0; i < shards; i++ {
+			if !flushed[i] {
+				t.Errorf("shards=%d: no flush event tagged shard %d in %v", shards, i, db.Events())
+			}
+		}
+
+		per := db.ShardStats()
+		if len(per) != shards {
+			t.Fatalf("shards=%d: ShardStats has %d entries", shards, len(per))
+		}
+		sum := per[0]
+		for _, s := range per[1:] {
+			sum = sum.Add(s)
+		}
+		if agg := db.Stats(); !reflect.DeepEqual(agg, sum) || agg.PointLookups != n {
+			t.Errorf("shards=%d: Stats %+v\nis not the sum of ShardStats %+v, or counts %d lookups, want %d",
+				shards, agg, sum, agg.PointLookups, n)
 		}
 		db.Close()
 	}
