@@ -14,7 +14,7 @@ import (
 //   - GetAppend on a memtable-resident key: 0 allocs/op. The search key
 //     is encoded into pooled scratch and the caller's dst is reused.
 //   - GetAppend on a flushed key served from the block cache: 0
-//     allocs/op. The cached block decodes into a pooled readScratch;
+//     allocs/op. The cached block decodes into the pooled batch's probe;
 //     restart arrays, iterator key buffers, and the search key all come
 //     from the pool.
 //   - GetAppend with no cache: the block is read into the pooled
@@ -22,11 +22,11 @@ import (
 //   - GetAppend and MultiGet on a miss against a full cache
 //     (TestColdReadAllocs): the block is read into the same pooled
 //     scratch and only offered to the cache, which declines one-touch
-//     traffic — 0 allocs/op, and for MultiGet nothing on top of the
-//     result slices.
-//   - MultiGet: the batch path may allocate the result slices and one
-//     value copy per present key, but no more than 4 allocs/key at
-//     batch 64.
+//     traffic — 0 allocs/op, and for MultiGet nothing on top of its
+//     result slice and value arena.
+//   - MultiGet: one batch walk, whose result is two allocations
+//     whatever the batch size — the aligned result slice and the one
+//     arena every value is copied into.
 //
 // testing.AllocsPerRun averages over runs with GOMAXPROCS pinned to 1;
 // each section warms the path first so pool fills don't count against
@@ -126,9 +126,11 @@ func TestGetAllocs(t *testing.T) {
 }
 
 // TestMultiGetAllocs bounds the batch read path: at batch 64 over a
-// Zipfian-hot key set (all present, cache-warm), MultiGet may allocate
-// the aligned result slice and one value copy per key but must stay
-// under 4 allocs per key.
+// Zipfian-hot key set (all present, cache-warm), MultiGet allocates the
+// aligned result slice and the one arena the values share — a constant
+// per batch, not a cost per key. The batch's scratch (key order, per-key
+// outcomes, the table probe, the values before they are copied out) is
+// pooled.
 func TestMultiGetAllocs(t *testing.T) {
 	opts := Default()
 	opts.MemtableBytes = 1 << 20
@@ -168,10 +170,13 @@ func TestMultiGetAllocs(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		mget() // warm cache and pools
 	}
-	const ceiling = 4 * batch
+	if raceEnabled {
+		return // the pools the ceiling rests on leak by design under -race
+	}
+	const ceiling = 2
 	if allocs := testing.AllocsPerRun(50, mget); allocs > ceiling {
-		t.Errorf("MultiGet batch %d: %.1f allocs/batch (%.2f/key), ceiling %d",
-			batch, allocs, allocs/batch, ceiling)
+		t.Errorf("MultiGet batch %d: %.1f allocs/batch, ceiling %d (result slice + arena)",
+			batch, allocs, ceiling)
 	}
 }
 
@@ -180,7 +185,7 @@ func TestMultiGetAllocs(t *testing.T) {
 // block no lookup touched before, so each one misses, reads its block and
 // has it declined by admission. That costs no allocation: a GetAppend
 // into the caller's dst makes none, and a MultiGet makes its result slice
-// and one value copy per key, as it does on hits.
+// and its value arena, as it does on hits.
 func TestColdReadAllocs(t *testing.T) {
 	opts := Default()
 	opts.MemtableBytes = 1 << 20
@@ -248,9 +253,9 @@ func TestColdReadAllocs(t *testing.T) {
 	if getAllocs > 0 {
 		t.Errorf("cold GetAppend, full cache: %.2f allocs/op, ceiling 0", getAllocs)
 	}
-	if mgetAllocs > batch+1 {
-		t.Errorf("cold MultiGet of %d, full cache: %.1f allocs/op, ceiling %d (result slice + one value per key)",
-			batch, mgetAllocs, batch+1)
+	if mgetAllocs > 2 {
+		t.Errorf("cold MultiGet of %d, full cache: %.1f allocs/op, ceiling 2 (result slice + arena)",
+			batch, mgetAllocs)
 	}
 }
 

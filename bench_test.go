@@ -5,6 +5,7 @@ package lsmkv
 // internal/bench, and run with `lsmbench -e En`.
 
 import (
+	"math/rand"
 	"testing"
 
 	"lsmkv/internal/workload"
@@ -82,5 +83,48 @@ func BenchmarkDBGet(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	})
+	// Batched point reads in mget-cold's shape, batch 32, reported per
+	// key: the store is many times a full block cache, every key of a
+	// batch lies in a block of its own, and most blocks miss.
+	b.Run("multiget-32-cold", func(b *testing.B) {
+		opts := Default()
+		opts.MemtableBytes = 1 << 20
+		opts.BlockSize = 1024
+		opts.CacheBytes = 128 << 10
+		db, err := Open(b.TempDir(), opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { db.Close() })
+		// A 1 KiB block holds fewer than stride/2 keys, so keys stride
+		// apart, and the fill keys halfway between, are in different blocks.
+		const stride, nBlocks, batch = 64, 1200, 32
+		for i := int64(0); i < stride*nBlocks; i++ {
+			if err := db.Put(workload.Key(i), workload.Value(i, 32)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := db.Compact(); err != nil {
+			b.Fatal(err)
+		}
+		for blk := int64(0); blk < nBlocks; blk++ { // fill the cache
+			if _, err := db.Get(workload.Key(blk*stride + stride/2)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		keys := make([][]byte, nBlocks)
+		for i, blk := range rand.New(rand.NewSource(5)).Perm(nBlocks) {
+			keys[i] = workload.Key(int64(blk) * stride)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			at := i * batch % (nBlocks - batch)
+			if _, err := db.MultiGet(keys[at : at+batch]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/key")
 	})
 }

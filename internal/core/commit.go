@@ -416,7 +416,13 @@ func (db *DB) latest(key []byte, pending []BatchOp) (raw []byte, kind kv.Kind, f
 			return op.Value, op.Kind, true, nil
 		}
 	}
-	return db.getInternal(key, kv.MaxSeqNum, nil, nil)
+	var hit [1]pointHit
+	arena, err := db.walkOne(key, &hit, nil, kv.MaxSeqNum, false, nil)
+	if err != nil {
+		return nil, 0, false, err
+	}
+	h := &hit[0]
+	return arena[h.start:h.end], h.kind, h.found, nil
 }
 
 // pointsAt reports whether key's newest entry, pending overlaid as in

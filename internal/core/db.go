@@ -719,7 +719,10 @@ func (db *DB) Stats() iostat.Snapshot { return db.stats.Snapshot() }
 
 // Latencies returns per-operation latency summaries keyed "get", "put",
 // "delete", "scan", "batch", plus "stall" for write-stall episodes;
-// operations with no observations are omitted.
+// operations with no observations are omitted. Every key of a point-read
+// batch is one "get" observation: a single Get records its own time, and
+// each key of a MultiGet records its share of the batch's, the batch's
+// time over its size.
 func (db *DB) Latencies() map[string]iostat.LatencySummary { return db.lat.Summaries() }
 
 // Events returns the retained engine lifecycle events, oldest first

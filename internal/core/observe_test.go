@@ -165,7 +165,9 @@ func TestGetTracedTombstone(t *testing.T) {
 	}
 }
 
-func TestLatencyTrackingOptIn(t *testing.T) {
+// TestLatenciesAlwaysRecorded: an engine records every operation's
+// latency with nothing switched on, one "get" observation per key read.
+func TestLatenciesAlwaysRecorded(t *testing.T) {
 	db := openDB(t, smallOpts(t.TempDir()))
 	defer db.Close()
 

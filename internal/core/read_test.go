@@ -120,6 +120,53 @@ func TestOneReadPath(t *testing.T) {
 	}
 }
 
+// TestOnePointReadWalk pins the point read to one batch walk, in
+// TestOneMaintenancePath's idiom: every point read — a single Get is a
+// batch of one — pins its view, screens a table by filter, probes it and
+// moves a run cursor in walk alone, and the read events those steps count
+// reach Stats through a caller's tally and nowhere else. A second walk
+// beside it fails here.
+func TestOnePointReadWalk(t *testing.T) {
+	core := parseFuncs(t, ".")
+	suffixed := func(suffix string) (out []string) {
+		for callee, fns := range core.sites {
+			if strings.HasSuffix(callee, suffix) {
+				out = append(out, fns...)
+			}
+		}
+		return out
+	}
+	wantSites(t, "core: x.MayContain", suffixed(".MayContain"), "walk")
+	wantSites(t, "core: table probe (probe.Get)", core.sites["probe.Get"], "walk")
+	wantSites(t, "core: sstable.NewProbe", core.sites["sstable.NewProbe"], "walk")
+	wantSites(t, "core: run cursor (cursor{})", core.literals["cursor"], "walk")
+	wantSites(t, "core: run cursor (x.seek)", suffixed(".seek"), "walk")
+	// Among the point reads, walk alone pins a view; the rest of pin's
+	// callers are range reads and whole-tree readers.
+	wantSites(t, "core: x.db.pin", suffixed("db.pin"), "walk", "newScanner", "Levels", "IndexMemory", "prefetchOutputs")
+	wantSites(t, "core: x.db.walk", suffixed("db.walk"), "walkOne", "multiGet")
+	wantSites(t, "core: x.tally.FlushTo", suffixed(".tally.FlushTo"), "walk")
+
+	sstable := parseFuncs(t, "../sstable")
+	wantSites(t, "sstable: r.loadBlock", sstable.sites["r.loadBlock"], "Get", "PrefetchBlock")
+	wantSites(t, "sstable: ti.r.loadBlock", sstable.sites["ti.r.loadBlock"], "loadBlock")
+	wantSites(t, "sstable: p.Get", sstable.sites["p.Get"], "Get")
+
+	// One increment site per read event: the counters a tally carries are
+	// added to Stats by Tally.FlushTo only, never bumped directly.
+	for _, pkg := range []funcIndex{core, sstable} {
+		for callee, fns := range pkg.sites {
+			for _, counter := range []string{"PointLookups", "RunsProbed", "FilterProbes", "FilterNegatives",
+				"FilterFalsePositives", "BlockReads", "BytesRead", "BlockCacheHits", "BlockCacheMisses",
+				"BlockCacheAdmits", "BlockCacheRejects"} {
+				if strings.HasSuffix(callee, "."+counter+".Add") {
+					t.Errorf("%s is called in %v; a read event reaches Stats through a tally", callee, fns)
+				}
+			}
+		}
+	}
+}
+
 // funcIndex is what TestOneReadPath and TestOneMaintenancePath look at in
 // one package's non-test files: per rendered callee ("r.f.ReadAt",
 // "kv.SplitExpiryValue") the enclosing function of every call, per

@@ -55,7 +55,7 @@ func (s *Snapshot) Get(key []byte) ([]byte, error) {
 	if s.released {
 		return nil, errSnapshotReleased
 	}
-	return s.db.getAppend(key, s.seq, nil, nil)
+	return s.db.getOne(key, s.seq, nil, nil)
 }
 
 // Scan iterates the snapshot over [lo, hi]; see DB.Scan.

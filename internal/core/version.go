@@ -56,19 +56,28 @@ type run struct {
 	tables []*tableHandle
 }
 
-// find returns the table that may contain userKey, or nil.
-func (r *run) find(userKey []byte) *tableHandle {
-	i := sort.Search(len(r.tables), func(i int) bool {
-		return bytes.Compare(r.tables[i].meta.Smallest, userKey) > 0
+// cursor walks one run's tables forward, for keys given in ascending
+// order: each seek searches from the table the previous seek stood on,
+// so a batch's keys share one pass over the run, and a batch of one costs
+// one binary search.
+type cursor struct {
+	tables []*tableHandle // the table the cursor stands on, and those after it
+}
+
+// seek returns the table that may contain userKey, or nil. userKey must
+// not be below the key of the previous seek.
+func (c *cursor) seek(userKey []byte) *tableHandle {
+	i := sort.Search(len(c.tables), func(i int) bool {
+		return bytes.Compare(c.tables[i].meta.Smallest, userKey) > 0
 	}) - 1
 	if i < 0 {
 		return nil
 	}
-	t := r.tables[i]
-	if bytes.Compare(userKey, t.meta.Largest) > 0 {
-		return nil
+	c.tables = c.tables[i:]
+	if t := c.tables[0]; bytes.Compare(userKey, t.meta.Largest) <= 0 {
+		return t
 	}
-	return t
+	return nil
 }
 
 // overlaps returns the tables intersecting [lo, hi]; nil hi means +inf.

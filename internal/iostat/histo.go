@@ -23,8 +23,7 @@ const (
 
 // Histogram is a lock-free log-bucketed histogram of non-negative int64
 // observations (nanoseconds, by convention). The zero value is ready to
-// use; all methods are safe for concurrent use, and every method is
-// nil-safe.
+// use; all methods are safe for concurrent use.
 type Histogram struct {
 	count   atomic.Int64
 	sum     atomic.Int64
@@ -66,16 +65,18 @@ func bucketMid(i int) int64 {
 }
 
 // Record adds one observation of v (clamped at zero).
-func (h *Histogram) Record(v int64) {
-	if h == nil {
-		return
-	}
+func (h *Histogram) Record(v int64) { h.RecordN(v, 1) }
+
+// RecordN adds n observations of v (clamped at zero) at the cost of one:
+// a batch read records each of its keys' equal share of the batch's time
+// this way.
+func (h *Histogram) RecordN(v int64, n int) {
 	if v < 0 {
 		v = 0
 	}
-	h.count.Add(1)
-	h.sum.Add(v)
-	h.buckets[bucketIndex(v)].Add(1)
+	h.count.Add(int64(n))
+	h.sum.Add(v * int64(n))
+	h.buckets[bucketIndex(v)].Add(int64(n))
 	for {
 		old := h.max.Load()
 		if v <= old || h.max.CompareAndSwap(old, v) {
@@ -86,9 +87,6 @@ func (h *Histogram) Record(v int64) {
 
 // Observe records a duration in nanoseconds.
 func (h *Histogram) Observe(d time.Duration) {
-	if h == nil {
-		return
-	}
 	h.Record(int64(d))
 }
 
@@ -101,13 +99,9 @@ type HistSnapshot struct {
 	buckets [histBuckets]int64
 }
 
-// Snapshot copies the current histogram state. Nil-safe (returns an empty
-// snapshot).
+// Snapshot copies the current histogram state.
 func (h *Histogram) Snapshot() HistSnapshot {
 	var s HistSnapshot
-	if h == nil {
-		return s
-	}
 	s.Count = h.count.Load()
 	s.Sum = h.sum.Load()
 	s.Max = h.max.Load()

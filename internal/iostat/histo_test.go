@@ -139,17 +139,6 @@ func TestHistogramConcurrent(t *testing.T) {
 	}
 }
 
-// TestHistogramNilSafe: a nil histogram must be inert.
-func TestHistogramNilSafe(t *testing.T) {
-	var h *Histogram
-	h.Record(5)
-	h.Observe(time.Second)
-	s := h.Snapshot()
-	if s.Count != 0 || s.Quantile(0.5) != 0 || s.Mean() != 0 {
-		t.Fatal("nil histogram must snapshot empty")
-	}
-}
-
 // TestLatencySummary: the JSON summary carries the quantiles in us.
 func TestLatencySummary(t *testing.T) {
 	var h Histogram

@@ -173,6 +173,50 @@ type Snapshot struct {
 	ExpiredDrops           int64
 }
 
+// Tally is a read's private count of its point-read and block events:
+// plain integers the reading goroutine bumps without synchronisation,
+// named as the Stats counters they feed. A batch of point reads keeps one
+// and adds it to Stats once, when the batch ends; a table iterator keeps
+// one and adds it per block, so scans and compactions stay live in Stats
+// while they run. The loaders and screens that count these events
+// (sstable's loadBlock and filter screens, the engine's point-read walk)
+// count only here.
+type Tally struct {
+	PointLookups         int64
+	RunsProbed           int64
+	FilterProbes         int64
+	FilterNegatives      int64
+	FilterFalsePositives int64
+	BlockReads           int64
+	BytesRead            int64
+	BlockCacheHits       int64
+	BlockCacheMisses     int64
+	BlockCacheAdmits     int64
+	BlockCacheRejects    int64
+}
+
+// FlushTo adds t's counts to s, touching only the counters t moved, and
+// zeroes t.
+func (t *Tally) FlushTo(s *Stats) {
+	add := func(c *atomic.Int64, n int64) {
+		if n != 0 {
+			c.Add(n)
+		}
+	}
+	add(&s.PointLookups, t.PointLookups)
+	add(&s.RunsProbed, t.RunsProbed)
+	add(&s.FilterProbes, t.FilterProbes)
+	add(&s.FilterNegatives, t.FilterNegatives)
+	add(&s.FilterFalsePositives, t.FilterFalsePositives)
+	add(&s.BlockReads, t.BlockReads)
+	add(&s.BytesRead, t.BytesRead)
+	add(&s.BlockCacheHits, t.BlockCacheHits)
+	add(&s.BlockCacheMisses, t.BlockCacheMisses)
+	add(&s.BlockCacheAdmits, t.BlockCacheAdmits)
+	add(&s.BlockCacheRejects, t.BlockCacheRejects)
+	*t = Tally{}
+}
+
 // GroupSizeBuckets sizes the commit-group histogram: bucket i counts
 // groups of [2^i, 2^(i+1)) ops, and the last bucket is open-ended.
 const GroupSizeBuckets = 11

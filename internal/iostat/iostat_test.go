@@ -131,3 +131,41 @@ func TestEveryCounterIsCarried(t *testing.T) {
 		}
 	}
 }
+
+// TestTallyFlushesEveryField: each Tally field names a Stats counter, and
+// FlushTo adds it to that counter alone and zeroes the tally.
+func TestTallyFlushesEveryField(t *testing.T) {
+	var tl Tally
+	tv := reflect.ValueOf(&tl).Elem()
+	for i := 0; i < tv.NumField(); i++ {
+		tv.Field(i).SetInt(int64(i + 1))
+	}
+	var s Stats
+	tl.FlushTo(&s)
+	if tl != (Tally{}) {
+		t.Fatalf("FlushTo left %+v in the tally", tl)
+	}
+	snap := reflect.ValueOf(s.Snapshot())
+	carried := int64(0)
+	for i := 0; i < tv.NumField(); i++ {
+		name := tv.Type().Field(i).Name
+		f := snap.FieldByName(name)
+		if !f.IsValid() {
+			t.Errorf("Tally.%s names no Stats counter", name)
+			continue
+		}
+		if f.Int() != int64(i+1) {
+			t.Errorf("Stats.%s = %d after FlushTo, want %d", name, f.Int(), i+1)
+		}
+		carried += f.Int()
+	}
+	total := int64(0)
+	for i := 0; i < snap.NumField(); i++ {
+		if f := snap.Field(i); f.Kind() == reflect.Int64 {
+			total += f.Int()
+		}
+	}
+	if total != carried {
+		t.Errorf("FlushTo moved %d counts outside the tally's counters", total-carried)
+	}
+}

@@ -29,16 +29,6 @@ func TestOpLatenciesSummaries(t *testing.T) {
 	}
 }
 
-func TestNewEventLogCapacities(t *testing.T) {
-	l := NewEventLog()
-	for i := 0; i < DefaultEventLogSize+10; i++ {
-		l.Add(Event{Type: EventFlush})
-	}
-	if l.Len() != DefaultEventLogSize {
-		t.Fatalf("ring holds %d, want %d", l.Len(), DefaultEventLogSize)
-	}
-}
-
 func TestQuantileEdges(t *testing.T) {
 	var h Histogram
 	var empty HistSnapshot = h.Snapshot()

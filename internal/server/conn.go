@@ -221,9 +221,11 @@ func serveGet(c *conn, req *Request, dst []byte) ([]byte, error) {
 	return c.srv.cfg.DB.GetAppend(req.Key, dst)
 }
 
-// serveMultiGet serves the MULTIGET opcode: one batched lookup, fanned
-// out per shard in parallel by the engine, whose response carries
-// found/value slots aligned with the request's keys.
+// serveMultiGet serves the MULTIGET opcode: the request's keys as one
+// engine batch per shard they route to (one pinned view and one walk of
+// each run per batch, the shards' batches in parallel), whose response
+// carries found/value slots aligned with the request's keys. The values
+// alias the batches' arenas only until they are copied into dst.
 func serveMultiGet(c *conn, req *Request, dst []byte) ([]byte, error) {
 	vals, err := c.srv.cfg.DB.MultiGet(req.Keys)
 	if err != nil {

@@ -22,7 +22,6 @@
 package shard
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -217,57 +216,74 @@ func (db *DB) GetAppend(key, dst []byte) ([]byte, error) {
 }
 
 // MultiGet looks up every key and returns values aligned with keys; a
-// nil entry with a nil error means that key was absent. Keys that all
-// live on one shard — every call on a 1-shard database, and any call on
-// a sharded one that happens to — are probed inline on the caller's
-// goroutine; otherwise they are grouped by owning shard and the per-shard
-// probe loops run in parallel, so one batch amortizes routing and
-// scheduling the way ApplyBatch amortizes fsyncs. Duplicate keys are
-// looked up once per occurrence. The MULTIGET wire opcode maps directly
-// onto this.
+// nil entry with a nil error means that key was absent, and a present
+// empty value is a non-nil empty slice. Each engine serves its keys as
+// one batch walk (core.DB.MultiGet): one pinned view, each run walked
+// once in key order, the batch's work counted once. Keys that all live
+// on one shard — every call on a 1-shard database, and any call on a
+// sharded one that happens to — are that engine's batch, run on the
+// caller's goroutine; otherwise they are grouped by owning shard and the
+// per-shard batches run in parallel. Duplicate keys are looked up once
+// per occurrence. The MULTIGET wire opcode maps directly onto this.
 func (db *DB) MultiGet(keys [][]byte) ([][]byte, error) {
-	vals := make([][]byte, len(keys))
+	vals, _, err := db.multiGet(keys, false)
+	return vals, err
+}
+
+// MultiGetTraced is MultiGet with one read-path trace per key (absent
+// keys included — the interesting case), each stamped with the serving
+// shard; a trace's ElapsedUs is the key's share of its engine's batch.
+// Tracing allocates; use it for diagnostics.
+func (db *DB) MultiGetTraced(keys [][]byte) ([][]byte, []*iostat.Trace, error) {
+	return db.multiGet(keys, true)
+}
+
+// multiGet runs one engine batch per shard the keys route to and lays
+// the answers out in the caller's order.
+func (db *DB) multiGet(keys [][]byte, traced bool) ([][]byte, []*iostat.Trace, error) {
 	if s, ok := SoleShard(db.n, len(keys), func(i int) []byte { return keys[i] }); ok {
-		for i, k := range keys {
-			v, err := db.engines[s].Get(k)
-			if err := slot(vals, i, v, err); err != nil {
-				return vals, err
-			}
-		}
-		return vals, nil
+		return db.batch(s, keys, traced)
 	}
 	idxs := make([][]int, db.n)
 	for i, k := range keys {
 		s := Of(k, db.n)
 		idxs[s] = append(idxs[s], i)
 	}
-	return vals, fanOut(db.n, func(s int) error {
-		for _, i := range idxs[s] {
-			v, err := db.engines[s].Get(keys[i])
-			if err := slot(vals, i, v, err); err != nil {
-				return err
+	vals := make([][]byte, len(keys))
+	var trs []*iostat.Trace
+	if traced {
+		trs = make([]*iostat.Trace, len(keys))
+	}
+	return vals, trs, fanOut(db.n, func(s int) error {
+		if len(idxs[s]) == 0 {
+			return nil
+		}
+		sub := make([][]byte, len(idxs[s]))
+		for j, i := range idxs[s] {
+			sub[j] = keys[i]
+		}
+		v, tr, err := db.batch(s, sub, traced)
+		for j, i := range idxs[s] {
+			vals[i] = v[j]
+			if traced {
+				trs[i] = tr[j]
 			}
 		}
-		return nil
+		return err
 	})
 }
 
-// slot files one lookup's outcome under vals[i], for MultiGet and
-// MultiGetTraced alike: a found value (an empty one as a non-nil empty
-// slice, distinct from absent), nothing for ErrNotFound, and any other
-// error back to the caller.
-func slot(vals [][]byte, i int, v []byte, err error) error {
-	switch {
-	case err == nil:
-		if v == nil {
-			v = []byte{}
-		}
-		vals[i] = v
-	case errors.Is(err, core.ErrNotFound):
-	default:
-		return err
+// batch is shard s's engine batch over keys, its traces stamped with s.
+func (db *DB) batch(s int, keys [][]byte, traced bool) ([][]byte, []*iostat.Trace, error) {
+	if !traced {
+		vals, err := db.engines[s].MultiGet(keys)
+		return vals, nil, err
 	}
-	return nil
+	vals, trs, err := db.engines[s].MultiGetTraced(keys)
+	for _, tr := range trs {
+		tr.Shard = s
+	}
+	return vals, trs, err
 }
 
 // SoleShard reports the one shard every key of a call routes to, when
@@ -310,23 +326,6 @@ func fanOut(n int, work func(i int) error) error {
 	}
 	wg.Wait()
 	return firstErr
-}
-
-// MultiGetTraced is MultiGet with one read-path trace per key (absent
-// keys included — the interesting case), each stamped with the serving
-// shard. The probes run sequentially so traces align with keys without
-// interleaving. Tracing allocates; use it for diagnostics.
-func (db *DB) MultiGetTraced(keys [][]byte) ([][]byte, []*iostat.Trace, error) {
-	vals := make([][]byte, len(keys))
-	trs := make([]*iostat.Trace, len(keys))
-	for i, k := range keys {
-		v, tr, err := db.GetTraced(k)
-		if err := slot(vals, i, v, err); err != nil {
-			return vals, trs, err
-		}
-		trs[i] = tr
-	}
-	return vals, trs, nil
 }
 
 // Put stores key -> value, overwriting any previous version.
@@ -526,7 +525,9 @@ func (db *DB) ShardStats() []iostat.Snapshot {
 // Latencies returns per-operation latency summaries keyed "get", "put",
 // "delete", "scan", "batch", plus "stall" for write-stall episodes;
 // zero-count histograms are omitted. All shards record into one shared histogram set, so these are true
-// aggregate quantiles, not an average of per-shard quantiles.
+// aggregate quantiles, not an average of per-shard quantiles. Each key
+// of a MultiGet is one "get" observation of its share of its shard's
+// batch: the batch's time over its size.
 func (db *DB) Latencies() map[string]iostat.LatencySummary { return db.lat.Summaries() }
 
 // Events returns the retained engine lifecycle events, oldest first:

@@ -226,22 +226,23 @@ func (r *Reader) ApproxIndexMemory() int {
 // loadBlock is the one data-block loader, behind point lookups, table
 // iterators and prefetch alike: block-cache probe, on a miss ReadAt into
 // *buf — the caller's reusable buffer, which blk aliases until the
-// caller's next load — Stats and (when rt is non-nil) per-lookup trace
-// accounting, decodeBlockInto the caller's blk, and an Offer of the
-// verified bytes to the cache, which copies them only if it admits them.
-// A hit allocates nothing, and neither does a miss the cache declines.
-func (r *Reader) loadBlock(blk *block, buf *[]byte, h fence.BlockHandle, rt *iostat.RunTrace) error {
-	c, st := r.opts.Cache, r.opts.Stats
+// caller's next load — accounting into the caller's tally t and (when rt
+// is non-nil) its per-lookup trace, decodeBlockInto the caller's blk, and
+// an Offer of the verified bytes to the cache, which copies them only if
+// it admits them. A hit allocates nothing, and neither does a miss the
+// cache declines.
+func (r *Reader) loadBlock(blk *block, buf *[]byte, h fence.BlockHandle, t *iostat.Tally, rt *iostat.RunTrace) error {
+	c := r.opts.Cache
 	var raw []byte
 	hit := false
 	if c != nil {
 		if raw, hit = c.Get(r.opts.FileNum, h.Offset); hit {
-			st.BlockCacheHits.Add(1)
+			t.BlockCacheHits++
 			if rt != nil {
 				rt.CacheHits++
 			}
 		} else {
-			st.BlockCacheMisses.Add(1)
+			t.BlockCacheMisses++
 			if rt != nil {
 				rt.CacheMisses++
 			}
@@ -255,8 +256,8 @@ func (r *Reader) loadBlock(blk *block, buf *[]byte, h fence.BlockHandle, rt *ios
 		if _, err := r.f.ReadAt(raw, int64(h.Offset)); err != nil {
 			return err
 		}
-		st.BlockReads.Add(1)
-		st.BytesRead.Add(int64(h.Length))
+		t.BlockReads++
+		t.BytesRead += int64(h.Length)
 		if rt != nil {
 			rt.BlockReads++
 		}
@@ -264,12 +265,12 @@ func (r *Reader) loadBlock(blk *block, buf *[]byte, h fence.BlockHandle, rt *ios
 	err := decodeBlockInto(blk, raw)
 	if c != nil && !hit && err == nil {
 		if c.Offer(r.opts.FileNum, h.Offset, raw) {
-			st.BlockCacheAdmits.Add(1)
+			t.BlockCacheAdmits++
 			if rt != nil {
 				rt.CacheAdmitted++
 			}
 		} else {
-			st.BlockCacheRejects.Add(1)
+			t.BlockCacheRejects++
 		}
 	}
 	return err
@@ -289,15 +290,16 @@ func (r *Reader) PrefetchBlock(i int) error {
 	var (
 		blk block
 		buf []byte
-		rt  iostat.RunTrace
+		t   iostat.Tally
 	)
 	h := r.index.Entry(i).Handle
-	err := r.loadBlock(&blk, &buf, h, &rt)
-	if err == nil && rt.CacheMisses > rt.CacheAdmitted {
+	err := r.loadBlock(&blk, &buf, h, &t, nil)
+	if err == nil && t.BlockCacheRejects > 0 {
 		c.Insert(r.opts.FileNum, h.Offset, buf[:h.Length])
-		r.opts.Stats.BlockCacheRejects.Add(-1)
-		r.opts.Stats.BlockCacheAdmits.Add(1)
+		t.BlockCacheRejects--
+		t.BlockCacheAdmits++
 	}
+	t.FlushTo(r.opts.Stats)
 	return err
 }
 
@@ -328,20 +330,22 @@ func (r *Reader) BlockOrdinalForOffset(offset uint64) int {
 // PrefetchKey loads into the cache the block that would serve a lookup of
 // userKey.
 func (r *Reader) PrefetchKey(userKey []byte) error {
-	return r.PrefetchBlock(r.findStartBlock(userKey))
+	return r.PrefetchBlock(r.findStartBlock(userKey, 0))
 }
 
 // findStartBlock returns the ordinal of the first block that can contain
 // entries with user key >= userKey, for both lookups and scans. The block
 // *before* the first fence >= userKey may hold newer versions of userKey,
-// so scanning starts there.
-func (r *Reader) findStartBlock(userKey []byte) int {
+// so scanning starts there. The search covers blocks from on: a batch
+// passes the start block of its previous, smaller key, which no later key
+// can start before.
+func (r *Reader) findStartBlock(userKey []byte, from int) int {
 	n := r.index.Len()
 	var i int
 	if r.model != nil && n > 0 {
 		x := learned.KeyToUint64(userKey)
 		_, lo, hi := r.model.Predict(x)
-		lo, hi = max(0, min(lo, n-1)), max(0, min(hi, n-1))
+		lo, hi = max(from, min(lo, n-1)), max(from, min(hi, n-1))
 		// The model predicts block ordinals, but its error bound only
 		// covers trained fence keys; verify the search landed strictly
 		// inside the window (then sortedness makes it globally correct)
@@ -351,8 +355,8 @@ func (r *Reader) findStartBlock(userKey []byte) int {
 			i = lo + sort.Search(hi-lo+1, func(j int) bool {
 				return bytes.Compare(r.index.Entry(lo+j).FirstKey, userKey) >= 0
 			})
-			if i == lo && lo > 0 {
-				lo = max(0, lo-step)
+			if i == lo && lo > from {
+				lo = max(from, lo-step)
 				step *= 2
 				continue
 			}
@@ -364,8 +368,8 @@ func (r *Reader) findStartBlock(userKey []byte) int {
 			break
 		}
 	} else {
-		i = sort.Search(n, func(j int) bool {
-			return bytes.Compare(r.index.Entry(j).FirstKey, userKey) >= 0
+		i = from + sort.Search(n-from, func(j int) bool {
+			return bytes.Compare(r.index.Entry(from+j).FirstKey, userKey) >= 0
 		})
 	}
 	if i > 0 {
@@ -375,15 +379,15 @@ func (r *Reader) findStartBlock(userKey []byte) int {
 }
 
 // MayContain consults the table's point filter without touching storage,
-// recording the verdict into rt when tracing (rt non-nil). It returns
-// true when the table must be probed.
-func (r *Reader) MayContain(kh filter.KeyHash, rt *iostat.RunTrace) bool {
+// counting the probe into t and recording the verdict into rt when
+// tracing (rt non-nil). It returns true when the table must be probed.
+func (r *Reader) MayContain(kh filter.KeyHash, t *iostat.Tally, rt *iostat.RunTrace) bool {
 	verdict := iostat.FilterNone
 	if r.filter != nil {
-		r.opts.Stats.FilterProbes.Add(1)
+		t.FilterProbes++
 		verdict = iostat.FilterMaybe
 		if !r.filter.MayContainHash(kh) {
-			r.opts.Stats.FilterNegatives.Add(1)
+			t.FilterNegatives++
 			verdict = iostat.FilterNegativeVerdict
 		}
 	}
@@ -410,9 +414,15 @@ func (r *Reader) MayContainRange(lo, hi []byte) bool {
 // found=false means the table holds no visible version. The caller is
 // expected to have consulted MayContain first (the engine screens runs
 // with the shared key hash); Get itself applies partitioned filters. It
-// is GetAppend (see scratch.go) with a fresh value and no trace.
+// is a pooled Probe's lookup (see probe.go) of one key, with a fresh
+// value, no trace, and its counts added to the reader's Stats.
 func (r *Reader) Get(userKey []byte, kh filter.KeyHash, seq kv.SeqNum) (value []byte, kind kv.Kind, found bool, err error) {
-	return r.GetAppend(userKey, kh, seq, nil, nil)
+	p := NewProbe()
+	var t iostat.Tally
+	value, kind, found, err = p.Get(r, userKey, kh, seq, nil, &t, nil)
+	t.FlushTo(r.opts.Stats)
+	p.Release()
+	return value, kind, found, err
 }
 
 // NewIterator returns an iterator over the whole table.
@@ -423,13 +433,15 @@ func (r *Reader) NewIterator() kv.Iterator {
 // tableIter is the two-level iterator: fence index on top, block iterator
 // below. It owns one decoded block, one block iterator and one read
 // buffer, rebound to each block it walks into, so iterating a table
-// allocates neither per block nor per cache miss.
+// allocates neither per block nor per cache miss. It adds each block's
+// counts to Stats as it loads the block.
 type tableIter struct {
 	r        *Reader
 	blockOrd int
 	blk      block
 	bi       blockIter
 	buf      []byte
+	tally    iostat.Tally
 	loaded   bool // bi is bound to block blockOrd
 	err      error
 }
@@ -441,7 +453,9 @@ func (ti *tableIter) loadBlock(ord int) bool {
 	if ord < 0 || ord >= ti.r.index.Len() {
 		return false
 	}
-	if err := ti.r.loadBlock(&ti.blk, &ti.buf, ti.r.index.Entry(ord).Handle, nil); err != nil {
+	err := ti.r.loadBlock(&ti.blk, &ti.buf, ti.r.index.Entry(ord).Handle, &ti.tally, nil)
+	ti.tally.FlushTo(ti.r.opts.Stats)
+	if err != nil {
 		ti.err = err
 		return false
 	}
@@ -473,7 +487,7 @@ func (ti *tableIter) advanceBlock() bool {
 }
 
 func (ti *tableIter) SeekGE(target kv.InternalKey) bool {
-	start := ti.r.findStartBlock(target.UserKey)
+	start := ti.r.findStartBlock(target.UserKey, 0)
 	if !ti.loadBlock(start) {
 		return false
 	}

@@ -111,6 +111,55 @@ func TestTableGetAllVariants(t *testing.T) {
 	}
 }
 
+// TestProbeWalksAscendingKeys: one Probe given a table's keys in
+// ascending order — present and absent, repeated, below the first key and
+// past the last — answers each as a lookup of its own does, and walking
+// distinct keys it loads each block at most once, in every variant
+// (fences, learned models, hash indexes, partitioned filters).
+func TestProbeWalksAscendingKeys(t *testing.T) {
+	const n, stride = 2000, 3
+	for name, opts := range variantOptions() {
+		t.Run(name, func(t *testing.T) {
+			r := buildTable(t, opts, readerOptionsFor(name), n, stride)
+			distinct := [][]byte{[]byte("a")}
+			for i := 0; i < n*stride; i++ {
+				distinct = append(distinct, []byte(fmt.Sprintf("key%08d", i)))
+			}
+			distinct = append(distinct, []byte("zzz"))
+			var repeated [][]byte
+			for i, key := range distinct {
+				if repeated = append(repeated, key); i%97 == 0 {
+					repeated = append(repeated, key)
+				}
+			}
+			walk := func(keys [][]byte) (tally iostat.Tally) {
+				p := NewProbe()
+				defer p.Release()
+				for _, key := range keys {
+					kh := filter.HashKey(key)
+					v, kind, found, err := p.Get(r, key, kh, kv.MaxSeqNum, nil, &tally, nil)
+					wv, wkind, wfound, werr := r.Get(key, kh, kv.MaxSeqNum)
+					if err != nil || werr != nil {
+						t.Fatalf("%s: probe err %v, lookup err %v", key, err, werr)
+					}
+					if found != wfound || kind != wkind || !bytes.Equal(v, wv) {
+						t.Fatalf("%s: probe (%q, %v, %v), lookup (%q, %v, %v)", key, v, kind, found, wv, wkind, wfound)
+					}
+				}
+				return tally
+			}
+			walk(repeated)
+			reads := walk(distinct).BlockReads
+			if reads > int64(r.NumBlocks()) {
+				t.Errorf("%d block reads walking %d blocks in key order", reads, r.NumBlocks())
+			}
+			if name == "plain" && reads != int64(r.NumBlocks()) {
+				t.Errorf("plain: %d block reads, want each of %d blocks once", reads, r.NumBlocks())
+			}
+		})
+	}
+}
+
 func TestTableIteratorFullScan(t *testing.T) {
 	const n = 3000
 	for name, opts := range variantOptions() {
@@ -335,15 +384,18 @@ func TestStatsAccounting(t *testing.T) {
 		t.Errorf("expected block reads recorded: %+v", s)
 	}
 
-	// Absent keys screened by MayContain never touch storage.
+	// Absent keys screened by MayContain never touch storage. The screen
+	// counts into the caller's tally, which reaches Stats when flushed.
 	before := stats.Snapshot()
 	screened := 0
+	var tally iostat.Tally
 	for i := 0; i < 500; i++ {
 		key := []byte(fmt.Sprintf("nope%08d", i))
-		if !r.MayContain(filter.HashKey(key), nil) {
+		if !r.MayContain(filter.HashKey(key), &tally, nil) {
 			screened++
 		}
 	}
+	tally.FlushTo(stats)
 	after := stats.Snapshot()
 	if screened < 450 {
 		t.Errorf("bloom screened only %d/500 absent keys", screened)
