@@ -82,13 +82,17 @@ cover:
 race:
 	$(GO) test -race ./...
 
-# Crash-recovery property tests at full depth: each seeded iteration
-# writes a workload, severs the filesystem at a random operation, reopens
-# on the surviving (optionally torn) image, and checks the durability
-# invariant against the issued history.
+# Crash-recovery property tests at four times their default depth: each
+# seeded iteration of the crash oracle (internal/crashtest) writes a
+# workload, severs the filesystem at a random operation, reopens on the
+# surviving (optionally torn) image, and checks the durability invariant
+# against the issued history — for the engine, the shards, the server,
+# and every sampled design of the root package's lattice.
 crash:
 	$(GO) test ./internal/core/ -run 'TestCrash' -count=1 -crash.iters=100
-	$(GO) test ./internal/shard/ -run 'Crash' -count=1 -shardcrash.iters=50
+	$(GO) test ./internal/shard/ -run 'Crash' -count=1 -crash.iters=100
+	$(GO) test ./internal/server/ -run 'Crash' -count=1 -crash.iters=100
+	$(GO) test . -run 'TestDesignChoices' -count=1 -crash.iters=100
 
 # `make bench E=E14` runs one experiment of cmd/lsmbench and prints its
 # claim-vs-measured table (E14 compaction-pool stalls, E15 shard sweep,

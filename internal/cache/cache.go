@@ -102,16 +102,6 @@ func (c *Cache) EvictFile(file uint64) {
 	}
 }
 
-// ResidentBlocks returns how many blocks of the file are currently
-// cached; the compaction-aware prefetcher uses it to size its warm-up.
-func (c *Cache) ResidentBlocks(file uint64) int {
-	n := 0
-	for i := range c.shards {
-		n += c.shards[i].residentBlocks(file)
-	}
-	return n
-}
-
 // ResidentOffsets returns the block offsets of the file currently cached
 // — the hot-block telemetry the compaction-aware prefetcher translates
 // into key ranges to re-warm.
@@ -306,18 +296,6 @@ func (s *shard) evictFile(file uint64) {
 			s.remove(i)
 		}
 	}
-}
-
-func (s *shard) residentBlocks(file uint64) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for k := range s.table {
-		if k.file == file {
-			n++
-		}
-	}
-	return n
 }
 
 func (s *shard) residentOffsets(file uint64, out []uint64) []uint64 {

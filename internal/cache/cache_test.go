@@ -106,14 +106,14 @@ func TestEvictFile(t *testing.T) {
 		c.Insert(7, uint64(i), block(128))
 		c.Insert(8, uint64(i), block(128))
 	}
-	if got := c.ResidentBlocks(7); got != 50 {
-		t.Fatalf("ResidentBlocks(7)=%d want 50", got)
+	if got := len(c.ResidentOffsets(7)); got != 50 {
+		t.Fatalf("%d blocks of file 7 resident, want 50", got)
 	}
 	c.EvictFile(7)
-	if got := c.ResidentBlocks(7); got != 0 {
+	if got := len(c.ResidentOffsets(7)); got != 0 {
 		t.Errorf("file 7 still has %d blocks after EvictFile", got)
 	}
-	if got := c.ResidentBlocks(8); got != 50 {
+	if got := len(c.ResidentOffsets(8)); got != 50 {
 		t.Errorf("file 8 lost blocks: %d", got)
 	}
 }
@@ -127,11 +127,11 @@ func TestEvictFileFreesSlots(t *testing.T) {
 			for i := 0; i < 32; i++ {
 				c.Offer(7, uint64(i), block(1024))
 			}
-			if c.ResidentBlocks(7) == 0 {
+			if len(c.ResidentOffsets(7)) == 0 {
 				t.Fatalf("%v round %d: nothing admitted into an empty cache", p, round)
 			}
 			c.EvictFile(7)
-			if c.Len() != 0 || c.SizeBytes() != 0 || c.ResidentBlocks(7) != 0 {
+			if c.Len() != 0 || c.SizeBytes() != 0 || len(c.ResidentOffsets(7)) != 0 {
 				t.Fatalf("%v round %d: after EvictFile len=%d size=%d", p, round, c.Len(), c.SizeBytes())
 			}
 		}
@@ -201,7 +201,7 @@ func TestHotSetSurvivesSweep(t *testing.T) {
 				t.Errorf("%v: hot block %d evicted by one-touch traffic", p, i)
 			}
 		}
-		if n := c.ResidentBlocks(9); n > 0 {
+		if n := len(c.ResidentOffsets(9)); n > 0 {
 			t.Errorf("%v: %d one-touch blocks resident", p, n)
 		}
 	}

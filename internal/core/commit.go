@@ -383,7 +383,7 @@ func (db *DB) rmwValue(op BatchOp, pending []BatchOp) ([]byte, error) {
 	var cur []byte
 	if err == nil && found {
 		// A TTL entry is judged by the engine's clock like any other read.
-		cur, found, err = db.visible(op.Key, kind, raw)
+		cur, _, found, err = db.visible(op.Key, kind, raw)
 	}
 	if err != nil {
 		return nil, err

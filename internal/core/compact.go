@@ -280,6 +280,13 @@ func (db *DB) flush(buf *memtable.Memtable, im *immutableBuffer) error {
 	if meta != nil {
 		j.edit.add = []*manifest.FileMeta{meta}
 	}
+	// The table's value pointers must not outrun the value log: without a
+	// synced write nothing else has made the bytes they point at durable.
+	if db.vlog != nil {
+		if err := db.vlog.Sync(); err != nil {
+			return err
+		}
+	}
 	return db.finish(j)
 }
 
@@ -417,7 +424,7 @@ func (c *collapse) drop(ik kv.InternalKey, v []byte) bool {
 			c.tombstones++
 			return true
 		case kv.KindSetTTL:
-			if _, live, err := c.db.visible(ik.UserKey, ik.Kind, v); err == nil && !live {
+			if _, _, live, err := c.db.visible(ik.UserKey, ik.Kind, v); err == nil && !live {
 				c.expired++
 				return true
 			}

@@ -253,3 +253,23 @@ func TestFaultWALRotationFailsNoCommittedWrite(t *testing.T) {
 	defer db.Close()
 	check("after reopen", db)
 }
+
+// TestCloseReportsAFailedFlush: Close flushes what the memtables hold, and
+// a flush that fails in the background is Close's error. Without a WAL
+// nothing else keeps those writes, so a nil Close would call them durable.
+func TestCloseReportsAFailedFlush(t *testing.T) {
+	fs := vfs.NewFaulty(vfs.NewMem())
+	fs.Inject(vfs.Rule{Op: vfs.OpCreate, Path: ".sst", Repeat: true})
+	opts := crashDBOpts(fs, false)
+	opts.DisableWAL = true
+	db, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Put([]byte("a"), []byte("1")); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); !errors.Is(err, vfs.ErrInjected) {
+		t.Fatalf("Close after a failed flush: %v, want ErrInjected", err)
+	}
+}

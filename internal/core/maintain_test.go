@@ -1,9 +1,13 @@
 package core
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -105,6 +109,62 @@ func TestOneMaintenancePath(t *testing.T) {
 	}
 	wantSites(t, "iostat.NewEventLog", rings, "core.Open", "server.New")
 	wantSites(t, "iostat.OpLatencies{}", latencies, "core.Open", "shard.Open")
+}
+
+// TestOneCrashLoop pins crash testing to one loop: anywhere in the module,
+// test files included, a filesystem is told where to lose power
+// (CrashAfter), its operations are counted (OpCount) and a crash image is
+// taken (CrashImage) only inside internal/crashtest, the oracle, and the
+// vfs package that implements them — apart from the harnesses whose
+// property the oracle cannot state, each saying why in its doc comment,
+// and one test that counts operations as a cost, not a crash point. The
+// oracle is test-only: no non-test file imports it.
+func TestOneCrashLoop(t *testing.T) {
+	kept := map[string][]string{
+		"CrashAfter": {"core.TestCrashMidCheckpoint", "core.TestFollowerCrashMidApply"},
+		"CrashImage": {"core.TestCrashMidCheckpoint", "core.TestFollowerCrashMidApply"},
+		"OpCount":    {"core.TestGCResumesPastCleanSegments"},
+	}
+	got := map[string][]string{}
+	for _, dir := range moduleDirs(t) {
+		pkg := filepath.Base(dir)
+		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range files {
+			f, err := parser.ParseFile(token.NewFileSet(), name, nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, imp := range f.Imports {
+				if path, _ := strconv.Unquote(imp.Path.Value); path == "lsmkv/internal/crashtest" && !strings.HasSuffix(name, "_test.go") {
+					t.Errorf("%s imports the crash oracle outside a test", name)
+				}
+			}
+			if pkg == "crashtest" || pkg == "vfs" {
+				continue
+			}
+			for _, decl := range f.Decls {
+				fn, ok := decl.(*ast.FuncDecl)
+				if !ok {
+					continue
+				}
+				ast.Inspect(fn, func(n ast.Node) bool {
+					if sel, ok := n.(*ast.SelectorExpr); ok && kept[sel.Sel.Name] != nil {
+						got[sel.Sel.Name] = append(got[sel.Sel.Name], pkg+"."+fn.Name.Name)
+					}
+					return true
+				})
+			}
+		}
+	}
+	for method, want := range kept {
+		slices.Sort(got[method])
+		if fns := slices.Compact(got[method]); !slices.Equal(fns, want) {
+			t.Errorf("%s is called in %v, want only in crashtest, vfs and %v", method, fns, want)
+		}
+	}
 }
 
 // moduleDirs lists the directories of the main module's Go packages

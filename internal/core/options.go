@@ -104,7 +104,8 @@ type Design struct {
 	// LearnedIndex stores and uses a learned model over fences.
 	LearnedIndex sstable.LearnedKind
 
-	// CacheBytes is the block-cache capacity. Default 8 MiB; 0 disables.
+	// CacheBytes is the block-cache capacity. Zero selects the 8 MiB
+	// default; only DisableCache turns the cache off.
 	CacheBytes int64
 	// CacheClock selects CLOCK replacement instead of LRU.
 	CacheClock bool

@@ -117,34 +117,35 @@ func (db *DB) publishLocked() (retired *readState) {
 // place reads interpret an entry's kind. A tombstone, or a TTL entry at
 // or past its expiry by Options.Clock (it serves as a tombstone until
 // compaction reclaims it), is not live; a live TTL entry sheds its expiry
-// prefix; a value pointer is followed into the value log. A malformed
-// entry is an error on every read form, never a guess. The returned value
-// aliases raw unless the value log was read.
-func (db *DB) visible(key []byte, kind kv.Kind, raw []byte) (value []byte, live bool, err error) {
+// prefix, returned as expiry (0 for an entry without one); a value
+// pointer is followed into the value log. A malformed entry is an error
+// on every read form, never a guess. The returned value aliases raw
+// unless the value log was read.
+func (db *DB) visible(key []byte, kind kv.Kind, raw []byte) (value []byte, expiry int64, live bool, err error) {
 	switch kind {
 	case kv.KindDelete:
-		return nil, false, nil
+		return nil, 0, false, nil
 	case kv.KindSetTTL:
 		exp, payload, ok := kv.SplitExpiryValue(raw)
 		if !ok {
-			return nil, false, fmt.Errorf("lsmkv: corrupt ttl value for key %q", key)
+			return nil, 0, false, fmt.Errorf("lsmkv: corrupt ttl value for key %q", key)
 		}
 		if db.opts.Clock() >= exp {
-			return nil, false, nil
+			return nil, 0, false, nil
 		}
-		return payload, true, nil
+		return payload, exp, true, nil
 	case kv.KindValuePointer:
 		ptr, err := vlog.DecodePointer(raw)
 		if err != nil {
-			return nil, false, err
+			return nil, 0, false, err
 		}
 		db.stats.VlogReads.Add(1)
 		if value, err = db.vlog.Get(ptr); err != nil {
-			return nil, false, err
+			return nil, 0, false, err
 		}
-		return value, true, nil
+		return value, 0, true, nil
 	}
-	return raw, true, nil
+	return raw, 0, true, nil
 }
 
 // Get returns the newest visible value of key.
@@ -462,7 +463,7 @@ func (db *DB) resolve(b *pointBatch, arena []byte) error {
 		if !h.found {
 			continue
 		}
-		value, live, err := db.visible(b.keys[i], h.kind, arena[h.start:h.end])
+		value, _, live, err := db.visible(b.keys[i], h.kind, arena[h.start:h.end])
 		if err != nil {
 			return err
 		}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"lsmkv/internal/checkpoint"
+	"lsmkv/internal/crashtest"
 	"lsmkv/internal/vfs"
 )
 
@@ -18,8 +19,12 @@ import (
 //   - the half-written checkpoint directory is detectable (no CHECKPOINT
 //     marker) and Sweep removes it, so a markerless directory can never
 //     be mistaken for a backup.
+//
+// It keeps its own crash loop because the crashtest oracle cannot state
+// the second half: what matters is the checkpoint's marker and what
+// Sweep leaves, a property of a second directory, not of the history.
 func TestCrashMidCheckpoint(t *testing.T) {
-	for iter := 0; iter < *crashIters; iter++ {
+	for iter := 0; iter < crashtest.Iters(25); iter++ {
 		iter := iter
 		t.Run(fmt.Sprintf("seed=%d", iter), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(iter)))
@@ -119,6 +124,11 @@ func TestCrashMidCheckpoint(t *testing.T) {
 // consistent sequence prefix and that redelivering the full stream from
 // the start reconverges to the primary's exact content — the at-least-
 // once delivery contract ApplyReplicated's idempotence provides.
+//
+// It keeps its own crash loop because the crashtest oracle cannot state
+// that contract: it is about the watermark landing on a commit boundary
+// and about redelivering the stream after the crash, not about the
+// recovered state alone.
 func TestFollowerCrashMidApply(t *testing.T) {
 	// Capture a primary's commit stream once.
 	src := openDB(t, crashDBOpts(vfs.NewMem(), true))
@@ -139,7 +149,7 @@ func TestFollowerCrashMidApply(t *testing.T) {
 	}
 	firsts, counts, payloads := rec.snapshot()
 
-	for iter := 0; iter < *crashIters; iter++ {
+	for iter := 0; iter < crashtest.Iters(25); iter++ {
 		iter := iter
 		t.Run(fmt.Sprintf("seed=%d", iter), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(1000 + iter)))

@@ -32,6 +32,7 @@ type Scanner struct {
 	haveLast bool
 	key      []byte
 	value    []byte
+	expiry   int64
 	err      error
 	closed   bool
 }
@@ -141,7 +142,7 @@ func (sc *Scanner) Next() bool {
 		sc.haveLast = true
 		// lastUser is recorded either way, so the older versions of a
 		// deleted or expired key stay shadowed.
-		value, live, err := sc.db.visible(sc.lastUser, ik.Kind, sc.m.Value())
+		value, expiry, live, err := sc.db.visible(sc.lastUser, ik.Kind, sc.m.Value())
 		if err != nil {
 			sc.err = err
 			sc.valid = false
@@ -152,6 +153,7 @@ func (sc *Scanner) Next() bool {
 		}
 		sc.key = sc.lastUser
 		sc.value = value
+		sc.expiry = expiry
 		sc.valid = true
 		return true
 	}
@@ -167,6 +169,10 @@ func (sc *Scanner) Key() []byte { return sc.key }
 
 // Value returns the current value; valid until the next Next.
 func (sc *Scanner) Value() []byte { return sc.value }
+
+// Expiry returns the current key's absolute expiry in unix nanoseconds,
+// or 0 if it was written without a TTL.
+func (sc *Scanner) Expiry() int64 { return sc.expiry }
 
 // Err returns the first error the scan hit, if any.
 func (sc *Scanner) Err() error { return sc.err }

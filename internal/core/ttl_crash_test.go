@@ -1,133 +1,13 @@
 package core
 
 import (
-	"errors"
 	"fmt"
-	"math/rand"
 	"testing"
 	"time"
 
+	"lsmkv/internal/crashtest"
 	"lsmkv/internal/vfs"
 )
-
-// ttlCrashResult records how far the TTL workload got before the
-// filesystem froze: base puts and TTL overwrites are each issued in key
-// order, so the acknowledged sets are prefixes.
-type ttlCrashResult struct {
-	ackBase int // base puts acknowledged (durable: WAL sync on)
-	ackTTL  int // expired-TTL overwrites acknowledged
-}
-
-const ttlCrashKeys = 24
-
-func ttlCrashKey(i int) []byte { return []byte(fmt.Sprintf("t%02d", i)) }
-
-// runTTLCrashWorkload writes a plain base version of every key, flushes,
-// then overwrites each with a short-TTL version, advances the injected
-// clock past the deadline, and flushes again — which triggers the merge
-// that must drop the expired entries. A crash can land anywhere,
-// including mid-compaction.
-func runTTLCrashWorkload(fs vfs.FS, clock *int64) ttlCrashResult {
-	res := ttlCrashResult{}
-	opts := crashDBOpts(fs, true)
-	opts.Clock = func() int64 { return *clock }
-	db, err := Open(opts)
-	if err != nil {
-		return res
-	}
-	defer db.Close() // ignore errors: the FS may be frozen
-
-	for i := 0; i < ttlCrashKeys; i++ {
-		if db.Put(ttlCrashKey(i), []byte("base")) != nil {
-			return res
-		}
-		res.ackBase = i + 1
-	}
-	if db.Flush() != nil {
-		return res
-	}
-	for i := 0; i < ttlCrashKeys; i++ {
-		if db.PutTTL(ttlCrashKey(i), []byte("doomed"), time.Second) != nil {
-			return res
-		}
-		res.ackTTL = i + 1
-	}
-	*clock += int64(time.Hour)
-	if db.Flush() != nil { // second L0 run: triggers the expiring merge
-		return res
-	}
-	db.WaitIdle()
-	return res
-}
-
-// verifyTTLCrashImage reopens the crash image and checks the
-// no-resurrection invariant for every key:
-//   - TTL overwrite acknowledged → the key reads absent, whether the
-//     expiring compaction installed or not (lazy shadow vs physical drop
-//     must be indistinguishable);
-//   - TTL overwrite not yet issued → the durable base version reads back;
-//   - the single in-flight overwrite may have gone either way.
-func verifyTTLCrashImage(img vfs.FS, clock *int64, res ttlCrashResult) error {
-	opts := crashDBOpts(img, true)
-	opts.Clock = func() int64 { return *clock }
-	db, err := Open(opts)
-	if err != nil {
-		return fmt.Errorf("reopen after crash: %w", err)
-	}
-	defer db.Close()
-
-	for i := 0; i < res.ackBase; i++ {
-		v, err := db.Get(ttlCrashKey(i))
-		switch {
-		case i < res.ackTTL:
-			if !errors.Is(err, ErrNotFound) {
-				return fmt.Errorf("key %d: expired overwrite acknowledged but key still serves %q, %v", i, v, err)
-			}
-		case i == res.ackTTL:
-			// In-flight overwrite: durable-but-unacknowledged is legal.
-			if err != nil && !errors.Is(err, ErrNotFound) {
-				return fmt.Errorf("key %d (in-flight): %v", i, err)
-			}
-			if err == nil && string(v) != "base" {
-				return fmt.Errorf("key %d (in-flight): serves %q, want base or absent", i, v)
-			}
-		default:
-			if err != nil || string(v) != "base" {
-				return fmt.Errorf("key %d: base version lost: %q, %v", i, v, err)
-			}
-		}
-	}
-	return nil
-}
-
-func ttlCrashIteration(seed int64, torn bool) error {
-	rng := rand.New(rand.NewSource(seed))
-	t0 := time.Now().UnixNano()
-
-	// Dry run to size the crash window.
-	clock := t0
-	dry := vfs.NewFaulty(vfs.NewMem())
-	runTTLCrashWorkload(dry, &clock)
-	totalOps := dry.OpCount()
-	if totalOps < 2 {
-		return fmt.Errorf("dry run performed no filesystem ops")
-	}
-
-	clock = t0
-	mem := vfs.NewMem()
-	fs := vfs.NewFaulty(mem)
-	fs.CrashAfter(1 + rng.Int63n(totalOps))
-	res := runTTLCrashWorkload(fs, &clock)
-	fs.CrashNow()
-
-	var tornRng *rand.Rand
-	if torn {
-		tornRng = rng
-	}
-	img := mem.CrashImage(tornRng)
-	verifyClock := t0 + int64(2*time.Hour) // far past every deadline
-	return verifyTTLCrashImage(img, &verifyClock, res)
-}
 
 // TestCrashTTLNoResurrection: at every crash point — including inside
 // the compaction that physically drops expired entries — a key whose
@@ -135,12 +15,55 @@ func ttlCrashIteration(seed int64, torn bool) error {
 // The dangerous window is mid-merge: the output table exists but the
 // manifest still lists the inputs; a non-atomic install could drop the
 // expired entry while reviving the base version under it.
+//
+// The workload writes a plain base version of every key, flushes, then
+// overwrites each with a short-TTL version, advances the injected clock
+// past the deadline, and flushes again, which triggers the merge that
+// drops the expired entries. The image is read two hours on, so each TTL
+// overwrite is in the history as the deletion it has become.
 func TestCrashTTLNoResurrection(t *testing.T) {
-	for i := 0; i < *crashIters; i++ {
-		seed := int64(9000 + i)
-		torn := i%2 == 1
-		if err := ttlCrashIteration(seed, torn); err != nil {
-			t.Fatalf("seed %d (torn=%v): %v", seed, torn, err)
-		}
+	const keys = 24
+	t0 := time.Now().UnixNano()
+	opts := func(fs vfs.FS, clock *int64) Options {
+		o := crashDBOpts(fs, true)
+		o.Clock = func() int64 { return *clock }
+		return o
 	}
+	crashtest.Check(t, crashtest.Case{Seed: 9000, Iters: 25, Tails: crashtest.Alternate,
+		Reopen: reopenWith(func(img vfs.FS) Options {
+			later := t0 + int64(2*time.Hour) // past every deadline
+			return opts(img, &later)
+		}),
+		Run: func(e *crashtest.Env) {
+			clock := t0
+			db, err := Open(opts(e.FS, &clock))
+			if err != nil {
+				return
+			}
+			defer db.Close() // ignore errors: the FS may be frozen
+			key := func(i int) string { return fmt.Sprintf("t%02d", i) }
+			for i := range keys {
+				op := e.Issue(crashtest.Put(key(i), "base"))
+				if db.Put([]byte(key(i)), []byte("base")) != nil {
+					return
+				}
+				e.Ack(op)
+			}
+			if db.Flush() != nil {
+				return
+			}
+			for i := range keys {
+				op := e.Issue(crashtest.Del(key(i)))
+				if db.PutTTL([]byte(key(i)), []byte("doomed"), time.Second) != nil {
+					return
+				}
+				e.Ack(op)
+			}
+			clock += int64(time.Hour)
+			if db.Flush() != nil { // second L0 run: triggers the expiring merge
+				return
+			}
+			db.WaitIdle()
+		},
+	})
 }

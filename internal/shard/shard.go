@@ -761,9 +761,12 @@ func migrate(opts core.Options, fs vfs.FS, n int) error {
 	}
 	for sc.Next() {
 		i := Of(sc.Key(), n)
-		pending[i] = append(pending[i], core.PutOp(
-			append([]byte(nil), sc.Key()...),
-			append([]byte(nil), sc.Value()...)))
+		key, value := append([]byte(nil), sc.Key()...), append([]byte(nil), sc.Value()...)
+		op := core.PutOp(key, value)
+		if exp := sc.Expiry(); exp != 0 { // a TTL key keeps its deadline
+			op = core.PutTTLOp(key, value, exp)
+		}
+		pending[i] = append(pending[i], op)
 		if len(pending[i]) >= migrationBatchOps {
 			if err := flush(i); err != nil {
 				return err

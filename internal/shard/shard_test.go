@@ -5,7 +5,9 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"lsmkv/internal/core"
 	"lsmkv/internal/iostat"
@@ -144,10 +146,22 @@ func TestSingleShardLayoutIsClassic(t *testing.T) {
 
 func TestMigrationSingleToN(t *testing.T) {
 	fs := vfs.NewMem()
+	var now atomic.Int64
+	now.Store(time.Now().UnixNano())
+	opts := testOpts(fs, "db")
+	opts.Clock = now.Load
 	// Build a classic single-engine database with flushed tables, live
-	// overwrites, and deletions.
-	db := openShards(t, fs, "db", 1)
-	const n = 400
+	// overwrites, deletions, and keys that expire within the minute.
+	db, err := Open(opts, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n, ttls = 400, 20
+	for i := n; i < n+ttls; i++ {
+		if err := db.PutTTL(tkey(i), tval(i), time.Minute); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for i := 0; i < n; i++ {
 		if err := db.Put(tkey(i), tval(i)); err != nil {
 			t.Fatal(err)
@@ -170,8 +184,22 @@ func TestMigrationSingleToN(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Reopen sharded: one-shot migration.
-	db = openShards(t, fs, "db", 4)
+	// Reopen sharded: one-shot migration. A TTL key keeps its deadline:
+	// live until it, gone after.
+	if db, err = Open(opts, 4); err != nil {
+		t.Fatal(err)
+	}
+	for i := n; i < n+ttls; i++ {
+		if v, err := db.Get(tkey(i)); err != nil || string(v) != string(tval(i)) {
+			t.Fatalf("TTL key %d before its deadline: %q, %v", i, v, err)
+		}
+	}
+	now.Add(int64(time.Hour))
+	for i := n; i < n+ttls; i++ {
+		if v, err := db.Get(tkey(i)); err != core.ErrNotFound {
+			t.Fatalf("TTL key %d an hour past its deadline: %q, %v", i, v, err)
+		}
+	}
 	for i := 0; i < n; i++ {
 		v, err := db.Get(tkey(i))
 		switch {
@@ -443,6 +471,12 @@ func TestValueLogGCFansOut(t *testing.T) {
 	}
 }
 
+// TestMigrationCrashBeforeMarkerRestarts: a 1-to-N migration that fails
+// before its marker is written leaves the source engine intact, and the
+// next open clears the partial shard directories and migrates again.
+// It injects its fault itself instead of using the crashtest oracle,
+// which cannot state this property: it is about the migration marker
+// and a restart with a different shard count, not about a history.
 func TestMigrationCrashBeforeMarkerRestarts(t *testing.T) {
 	mem := vfs.NewMem()
 	db := openShards(t, mem, "db", 1)
@@ -485,6 +519,11 @@ func TestMigrationCrashBeforeMarkerRestarts(t *testing.T) {
 	}
 }
 
+// TestSweepAfterMarkerCrash: stale root engine files beside a sharded
+// database, as a crash between the migration marker and the root sweep
+// leaves them, are swept at the next open, and the marker is kept. Like
+// TestMigrationCrashBeforeMarkerRestarts it plants the crash's leftovers
+// itself: the crashtest oracle cannot state a property of the marker.
 func TestSweepAfterMarkerCrash(t *testing.T) {
 	// Simulate a crash after the marker write but before the root sweep:
 	// plant stale root engine files beside a sharded database.

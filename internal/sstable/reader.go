@@ -25,9 +25,6 @@ type BlockCache interface {
 	Offer(fileNum, offset uint64, block []byte) bool
 	// Insert adds block bytes unconditionally; the cache owns them after.
 	Insert(fileNum, offset uint64, block []byte)
-	// EvictFile drops every cached block of the file (after compaction
-	// deletes it).
-	EvictFile(fileNum uint64)
 }
 
 // ReaderOptions configures the read path of one table.

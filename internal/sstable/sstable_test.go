@@ -514,8 +514,6 @@ func (c *countingCache) Insert(f, o uint64, b []byte) { c.data[c.key(f, o)] = b 
 
 func (c *countingCache) Offer(f, o uint64, b []byte) bool { return false }
 
-func (c *countingCache) EvictFile(f uint64) {}
-
 func BenchmarkTableGet(b *testing.B) {
 	r := buildTable(b, WriterOptions{BlockSize: 4096, Filter: filter.Policy{Kind: filter.KindBloom, BitsPerKey: 10}},
 		ReaderOptions{}, 100000, 2)
