@@ -189,6 +189,19 @@ func (l *Log) Get(p Pointer) ([]byte, error) {
 	return val, nil
 }
 
+// Verify reads the value behind an encoded pointer and checks it as Get
+// does: nil if the log holds it whole, ErrNotFound if its segment is
+// gone, ErrCorrupt or a read error (io.EOF past the end) if not.
+// Recovery asks it of each logged pointer; it is not a user read.
+func (l *Log) Verify(encoded []byte) error {
+	p, err := DecodePointer(encoded)
+	if err != nil {
+		return err
+	}
+	_, err = l.Get(p)
+	return err
+}
+
 func (l *Log) segment(n uint64) (vfs.File, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
