@@ -108,11 +108,12 @@ else
 	$(GO) test -bench=. -benchmem ./...
 endif
 
-# Group-commit microbench: coalesced vs per-op-sync committer over the
-# full network stack (DESIGN.md "Group commit" quotes a run; put-sync in
-# the committed BENCH_*.json is the same path end to end).
+# Serving-layer microbenchmarks: group commit, coalesced vs per-op-sync
+# committer over the full network stack (DESIGN.md "Group commit" quotes
+# a run; put-sync in the committed BENCH_*.json is the same path end to
+# end), and one GET round trip over loopback with its allocations.
 bench-server:
-	$(GO) test ./internal/server/ -run xxx -bench BenchmarkGroupCommit -benchtime 1s
+	$(GO) test ./internal/server/ -run xxx -bench 'BenchmarkGroupCommit|BenchmarkWireGet' -benchtime 1s -benchmem
 
 # The claim-shaped experiment tables (DESIGN.md index, EXPERIMENTS.md record).
 experiments:

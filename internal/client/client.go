@@ -517,20 +517,28 @@ func (c *Client) call(req *server.Request) ([]byte, error) {
 // reports whether any byte of the request frame may have left this
 // process.
 func (c *Client) roundTrip(w *wire, req *server.Request) (body []byte, sent bool, err error) {
-	p := &pendingCall{ch: make(chan []byte, 1)}
+	p := callPool.Get().(*pendingCall)
 	if sent, err = w.send(req, p); err != nil {
 		return nil, sent, err
 	}
-	timer := time.NewTimer(c.opts.RequestTimeout)
-	defer timer.Stop()
+	p.timer.Reset(c.opts.RequestTimeout)
 	select {
 	case payload, ok := <-p.ch:
+		stopped := p.timer.Stop()
 		if !ok {
 			return nil, true, w.errOr(io.ErrUnexpectedEOF)
 		}
+		if stopped {
+			// The read loop took p out of the wire's pending set before
+			// its one send, and the timer never fired: nothing can reach
+			// p's channels any more.
+			callPool.Put(p)
+		}
 		resp, err := decode(payload, false)
 		return resp.Value, true, err
-	case <-timer.C:
+	case <-p.timer.C:
+		// The read loop may already hold p and be about to deliver the
+		// late response into p.ch: p never returns to the pool.
 		w.abandon(req.ID)
 		return nil, true, ErrTimeout
 	}
@@ -641,9 +649,28 @@ func (c *Client) dropWire(w *wire, err error) {
 // is the one with quit: it stays pending, its frames delivered in order,
 // until its consumer closes quit and abandons it.
 type pendingCall struct {
-	ch   chan []byte
-	quit chan struct{}
+	ch    chan []byte
+	quit  chan struct{}
+	timer *time.Timer // a plain call's RequestTimeout, stopped while pooled
 }
+
+// callPool recycles plain calls: a call goes back only after its one
+// response was received from ch and its timer was stopped before it
+// fired, so a reused call starts with an empty channel and an idle timer.
+// A call that timed out, or whose channel fail closed, is left to the GC,
+// and so is one whose timer fired as its response arrived: with
+// asynchronous timer channels (the default below go 1.23 in go.mod) the
+// expiry may still be on its way to timer.C after Stop has returned, so
+// no drain can be sure to catch it.
+var callPool = sync.Pool{New: func() any {
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return &pendingCall{ch: make(chan []byte, 1), timer: t}
+}}
+
+// encMaxRetain caps the encode buffer a wire keeps between requests; a
+// larger request (a big BATCH) is framed in a buffer the GC takes back.
+const encMaxRetain = 64 << 10
 
 type wire struct {
 	nc net.Conn
@@ -651,6 +678,7 @@ type wire struct {
 	bw *bufio.Writer
 
 	wmu sync.Mutex // serializes frame writes
+	enc []byte     // under wmu: the request being framed
 
 	pmu     sync.Mutex
 	pending map[uint32]*pendingCall
@@ -695,11 +723,14 @@ func (w *wire) send(req *server.Request, p *pendingCall) (sent bool, err error) 
 	w.pending[req.ID] = p
 	w.pmu.Unlock()
 
-	payload := server.AppendRequest(nil, req)
 	w.wmu.Lock()
-	err = server.WriteFrame(w.bw, payload)
+	w.enc = server.AppendRequest(w.enc[:0], req)
+	err = server.WriteFrame(w.bw, w.enc)
 	if err == nil {
 		err = w.bw.Flush()
+	}
+	if cap(w.enc) > encMaxRetain {
+		w.enc = nil
 	}
 	w.wmu.Unlock()
 	if err != nil {

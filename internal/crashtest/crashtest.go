@@ -90,6 +90,11 @@ func (e *Env) Inject(r vfs.Rule) { e.faulty.Inject(r) }
 // draws none.
 func (e *Env) CrashNow() { e.faulty.CrashNow() }
 
+// CrashAt loses power at the nth filesystem operation from now, a crash
+// point the workload names itself (say, to crash at each operation of a
+// short run in turn).
+func (e *Env) CrashAt(n int64) { e.faulty.CrashAfter(n) }
+
 // WindowStart and WindowEnd bracket the stretch of the run the seeded
 // crash point lands in; by default it is the whole run. A window holding
 // fewer than Case.MinWindow operations fails the iteration.

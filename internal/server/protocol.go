@@ -352,11 +352,10 @@ type KV struct {
 // ErrMalformed for frames too short to carry a payload header. The
 // allocation is bounded by max regardless of input.
 func ReadFrame(r io.Reader, max int) ([]byte, error) {
-	var hdr [frameHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	n, err := readFrameLen(r)
+	if err != nil {
 		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
 	if int64(n) > int64(max) {
 		return nil, ErrFrameTooLarge
 	}
@@ -373,11 +372,34 @@ func ReadFrame(r io.Reader, max int) ([]byte, error) {
 	return payload, nil
 }
 
-// WriteFrame writes the length prefix followed by payload.
-func WriteFrame(w *bufio.Writer, payload []byte) error {
+// readFrameLen reads a frame's length word, as io.ReadFull would. A
+// connection's bufio.Reader hands the word over in place: a local array
+// passed to an io.Reader would escape, one heap allocation per frame.
+func readFrameLen(r io.Reader) (uint32, error) {
+	if br, ok := r.(*bufio.Reader); ok {
+		b, err := br.Peek(frameHeaderLen)
+		if err != nil {
+			if err == io.EOF && len(b) > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return 0, err
+		}
+		br.Discard(frameHeaderLen)
+		return binary.LittleEndian.Uint32(b), nil
+	}
 	var hdr [frameHeaderLen]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return 0, err
+	}
+	return binary.LittleEndian.Uint32(hdr[:]), nil
+}
+
+// WriteFrame writes the length prefix followed by payload. The prefix is
+// appended in w's own free space (AvailableBuffer), so it costs no
+// allocation unless w is within four bytes of full.
+func WriteFrame(w *bufio.Writer, payload []byte) error {
+	hdr := binary.LittleEndian.AppendUint32(w.AvailableBuffer(), uint32(len(payload)))
+	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
 	_, err := w.Write(payload)

@@ -85,8 +85,11 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// A connection that completes no request for idleTimeout is closed;
-// writeTimeout bounds each response flush.
+// Connection deadlines. Each is re-armed only once the one in force was
+// set more than a sixteenth of its timeout ago (lazyDeadline), so a
+// connection idle for between 15/16 and 1× idleTimeout is closed, and
+// each flush of responses runs with at least 15/16 of writeTimeout
+// ahead of it.
 const idleTimeout, writeTimeout = 5 * time.Minute, 30 * time.Second
 
 func (c Config) withDefaults() (Config, error) {

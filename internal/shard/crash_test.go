@@ -2,6 +2,8 @@ package shard
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"lsmkv/internal/core"
@@ -133,4 +135,35 @@ func TestCrashMidFlushOneShard(t *testing.T) {
 		db.engines[1].Flush() // fails partway in the crash run: the crash point is inside
 		e.WindowEnd()
 	}))
+}
+
+// TestOpenCrashLeavesNoMarkerTemp: power lost at any of a fresh 4-shard
+// Open's first 60 filesystem operations — the SHARDS marker's temp file
+// written and not yet renamed among them — leaves no SHARDS.tmp once the
+// image has been reopened, adopting whatever layout it holds, and closed.
+func TestOpenCrashLeavesNoMarkerTemp(t *testing.T) {
+	for op := range int64(60) {
+		var img vfs.FS
+		err := crashtest.Run(crashtest.Case{Seed: 5000 + op,
+			Run: func(e *crashtest.Env) {
+				e.CrashAt(op + 1)
+				if db, err := Open(crashShardOpts(e.FS, false), 4); err == nil {
+					db.Close()
+				}
+			},
+			Reopen: func(fs vfs.FS) (crashtest.Store, error) {
+				img = fs
+				return Open(crashShardOpts(fs, false), 0)
+			},
+			Check: func(*crashtest.History, map[string]string) error {
+				if _, err := img.Stat(filepath.Join("db", markerName+".tmp")); !os.IsNotExist(err) {
+					return fmt.Errorf("%s.tmp after a reopen: %v", markerName, err)
+				}
+				return nil
+			},
+		}, 0)
+		if err != nil {
+			t.Fatalf("crash at op %d of Open: %v", op+1, err)
+		}
+	}
 }

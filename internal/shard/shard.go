@@ -96,6 +96,11 @@ func Open(opts core.Options, shards int) (*DB, error) {
 	if err := fs.MkdirAll(opts.Dir); err != nil {
 		return nil, err
 	}
+	// A marker write that lost power before its rename leaves its temp
+	// file; every open clears it, whatever layout it goes on to open.
+	if err := fs.Remove(filepath.Join(opts.Dir, markerName+".tmp")); err != nil && !os.IsNotExist(err) {
+		return nil, err
+	}
 
 	recorded, err := readMarker(fs, opts.Dir)
 	if err != nil {

@@ -28,7 +28,11 @@ type Probe struct {
 	search []byte // encoded internal search key
 	raw    []byte // block read buffer (cache misses and the cache-less path)
 	r      *Reader
-	from   int // the previous key's start block in r
+	seq    kv.SeqNum
+	// from is the last block of r the previous key's walk reached: every
+	// block before it holds only entries below that key's search key, so
+	// no later key's walk needs it.
+	from   int
 	loaded int // ordinal of the block blk holds for r, -1 for none
 }
 
@@ -52,18 +56,21 @@ func (p *Probe) Release() {
 
 // Get is the table's one point lookup: the newest version of userKey in r
 // visible at seq, its value appended to dst (which may be nil). Keys given
-// for the same table since the Probe last moved to it must ascend. The
+// for the same table and seq since the Probe last moved to them must
+// ascend; a repeated key loads no block its first lookup loaded. The
 // per-block partitioned filter verdicts and the block loads count into t,
 // and when tracing (rt non-nil) the landing block, the verdicts and the
 // cache and read outcomes are recorded into rt. It allocates nothing
 // unless the cache admits a block it missed.
 func (p *Probe) Get(r *Reader, userKey []byte, kh filter.KeyHash, seq kv.SeqNum, dst []byte, t *iostat.Tally, rt *iostat.RunTrace) (value []byte, kind kv.Kind, found bool, err error) {
-	if p.r != r {
-		p.r, p.from, p.loaded = r, 0, -1
+	if p.r != r || p.seq != seq {
+		p.r, p.seq, p.from, p.loaded = r, seq, 0, -1
 	}
 	p.search = kv.MakeSearchKey(userKey, seq).Encode(p.search[:0])
-	b := r.findStartBlock(userKey, p.from)
-	p.from = b
+	// A key equal to block b's first key starts in b-1, which may end in
+	// newer versions of it; if the previous key was the same one, its
+	// walk has already been through b-1.
+	b := max(r.findStartBlock(userKey, p.from), p.from)
 	if rt != nil {
 		rt.StartBlock = b
 		rt.LearnedIndex = r.model != nil
@@ -77,6 +84,10 @@ func (p *Probe) Get(r *Reader, userKey []byte, kh filter.KeyHash, seq kv.SeqNum,
 		if bytes.Compare(r.index.Entry(b).FirstKey, userKey) > 0 {
 			break
 		}
+		// The walk passes a block only when the next block's first key
+		// is at most userKey, so everything before b is below the search
+		// key.
+		p.from = b
 		if r.partitions != nil {
 			t.FilterProbes++
 			if !r.partitions[b].MayContainHash(kh) {
