@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race crash bench bench-server experiments examples fuzz serve clean cover fmt-check doc-check doc-links bench-check
+.PHONY: all build test race crash bench bench-read bench-server experiments examples fuzz serve clean cover fmt-check doc-check doc-links bench-check
 
 all: build test
 
@@ -107,6 +107,13 @@ ifdef E
 else
 	$(GO) test -bench=. -benchmem ./...
 endif
+
+# The engine's read benchmarks: point reads, MULTIGET and a 50-key scan
+# (block cache warm and cold) on benchDB's settled tree, loaded as the
+# repo's benchmark loads its store, so a load whose tree differs from the
+# first fails (bench_test.go); and the cold MULTIGET on a tree of its own.
+bench-read:
+	$(GO) test . -run xxx -bench 'BenchmarkDB(Get|Scan)' -benchmem
 
 # Serving-layer microbenchmarks: group commit, coalesced vs per-op-sync
 # committer over the full network stack (DESIGN.md "Group commit" quotes

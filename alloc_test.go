@@ -303,11 +303,13 @@ func TestWriteAllocs(t *testing.T) {
 }
 
 // TestScanAllocs bounds the range-read path: a 50-key Scan over flushed,
-// cache-warm data. fn owns its slices, so two copies per pair are the
-// floor (100); the rest is the scanner — the per-shard iterator stack
-// and the merge heaps, built once, and one block iterator per table that
-// is rebound, not reallocated, as it walks from block to block (a fresh
-// block and iterator per block made this 124).
+// cache-warm data. fn owns its slices, but the copies are cut from 8 KiB
+// chunks (one here, where two copies per pair once cost 100), and the
+// table iterators come from a pool with their read buffers, so what is
+// left is built once per scan: the shard scanner and its heap, the
+// engine scanner, its inputs, run iterators and merge heap (one
+// allocation each), the memtable iterator, the bounds' copy, the last
+// key's buffer and the copy chunk.
 func TestScanAllocs(t *testing.T) {
 	opts := Default()
 	opts.MemtableBytes = 1 << 20
@@ -337,9 +339,12 @@ func TestScanAllocs(t *testing.T) {
 		}
 	}
 	for i := 0; i < 8; i++ {
-		scan() // warm the cache
+		scan() // warm the cache and the iterator pool
 	}
-	const ceiling = 121
+	if raceEnabled {
+		return // the pool the ceiling rests on leaks by design under -race
+	}
+	const ceiling = 11
 	if allocs := testing.AllocsPerRun(100, scan); allocs > ceiling {
 		t.Errorf("50-key Scan: %.1f allocs, ceiling %d", allocs, ceiling)
 	}

@@ -5,6 +5,7 @@ package lsmkv
 // internal/bench, and run with `lsmbench -e En`.
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -16,23 +17,60 @@ const (
 	benchValue = 64
 )
 
-// benchDB loads a database with scrambled sequential keys.
+// benchShape is the Levels() of the first tree benchDB settled in this
+// process; every later one must match it.
+var benchShape string
+
+// benchDB loads scrambled sequential keys into a settled tree the way the
+// repo's benchmark loads its store: one compaction worker, batches of
+// 128, and a Flush plus Compact before each memtable's worth of keys can
+// fill the memtable, so no flush or compaction ever races the load and
+// the tree comes out the same on every run. The benchmark fails if it
+// does not.
 func benchDB(b *testing.B, opts *Options) *DB {
 	b.Helper()
 	opts.MemtableBytes = 64 << 10
+	opts.CompactionConcurrency = 1
 	db, err := Open(b.TempDir(), opts)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { db.Close() })
-	for i := int64(0); i < benchKeys; i++ {
-		k := workload.ScrambleKey(i, benchKeys)
-		if err := db.Put(workload.Key(k), workload.Value(k, benchValue)); err != nil {
+	settle := func() {
+		if err := db.Flush(); err != nil {
+			b.Fatal(err)
+		}
+		if err := db.Compact(); err != nil {
 			b.Fatal(err)
 		}
 	}
-	if err := db.Compact(); err != nil {
-		b.Fatal(err)
+	// memEntry is what the memtable charges for one entry: key, trailer,
+	// value, tower estimate.
+	const batch, memEntry = 128, 16 + 8 + benchValue + 48
+	ops := make([]BatchOp, 0, batch)
+	pending := 0
+	for i := int64(0); i < benchKeys; i++ {
+		k := workload.ScrambleKey(i, benchKeys)
+		ops = append(ops, PutOp(workload.Key(k), workload.Value(k, benchValue)))
+		if len(ops) < batch && i != benchKeys-1 {
+			continue
+		}
+		if err := db.ApplyBatch(ops, false); err != nil {
+			b.Fatal(err)
+		}
+		pending += len(ops) * memEntry
+		ops = ops[:0]
+		if pending+batch*memEntry > int(opts.MemtableBytes) {
+			pending = 0
+			settle()
+		}
+	}
+	settle()
+	shape := fmt.Sprint(db.Levels())
+	if benchShape == "" {
+		benchShape = shape
+	} else if shape != benchShape {
+		b.Fatalf("the loaded tree is %s, an earlier load's was %s", shape, benchShape)
 	}
 	return db
 }
@@ -127,4 +165,44 @@ func BenchmarkDBGet(b *testing.B) {
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/key")
 	})
+}
+
+// BenchmarkDBScan times a Scan that stops after 50 keys, from a random
+// start, on benchDB's settled tree, with the block cache warm (the tree
+// fits in it) and cold (no cache: every block a scan touches is read from
+// the file). ScrambleKey leaves gaps, so a scan is bounded by its count,
+// not by a key range.
+func BenchmarkDBScan(b *testing.B) {
+	for _, cold := range []bool{false, true} {
+		name := "warm"
+		if cold {
+			name = "cold"
+		}
+		b.Run(name, func(b *testing.B) {
+			opts := Default()
+			if cold {
+				opts.DisableCache()
+			}
+			db := benchDB(b, opts)
+			rng := rand.New(rand.NewSource(7))
+			scan := func() {
+				lo := rng.Int63n(benchKeys - 1000)
+				n := 0
+				err := db.Scan(workload.Key(lo), nil, func(_, _ []byte) bool { n++; return n < 50 })
+				if err != nil || n != 50 {
+					b.Fatalf("scan from %d: %d keys, %v", lo, n, err)
+				}
+			}
+			if !cold {
+				for i := 0; i < benchKeys/50; i++ {
+					scan() // warm the cache
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				scan()
+			}
+		})
+	}
 }

@@ -480,24 +480,54 @@ func (db *DB) resolve(b *pointBatch, arena []byte) error {
 	return nil
 }
 
+// scanChunk is the size of the buffers ScanAll copies rows into.
+const scanChunk = 8 << 10
+
 // ScanAll is the one copying scan loop, behind every callback-style scan
 // of this package and of internal/shard (whose merged Scanner has the
 // same four methods): it steps sc until the range is exhausted or fn
 // returns false, handing fn fresh copies of each key and value — fn owns
 // its slices — and returns the scanner's error. Closing sc stays with
-// the caller.
+// the caller. The copies are cut from 8 KiB chunks that are filled once
+// and never reused, one allocation per chunk rather than two per row; a
+// row larger than a chunk gets a buffer of its own. Each slice's capacity
+// ends where it does, so appending to one never touches another, and a
+// row fn keeps pins its chunk. An empty key or value is handed over as
+// nil.
 func ScanAll(sc interface {
 	Next() bool
 	Key() []byte
 	Value() []byte
 	Err() error
 }, fn func(key, value []byte) bool) error {
+	var chunk []byte
 	for sc.Next() {
-		if !fn(append([]byte(nil), sc.Key()...), append([]byte(nil), sc.Value()...)) {
+		k, v := sc.Key(), sc.Value()
+		n := len(k) + len(v)
+		var row []byte
+		if n > scanChunk {
+			row = make([]byte, n)
+		} else {
+			if n > cap(chunk)-len(chunk) {
+				chunk = make([]byte, 0, scanChunk)
+			}
+			row = chunk[len(chunk) : len(chunk)+n]
+			chunk = chunk[:len(chunk)+n]
+		}
+		copy(row[copy(row, k):], v)
+		if !fn(clip(row[:len(k)]), clip(row[len(k):])) {
 			break
 		}
 	}
 	return sc.Err()
+}
+
+// clip returns b with its capacity cut to its length, or nil when empty.
+func clip(b []byte) []byte {
+	if len(b) == 0 {
+		return nil
+	}
+	return b[:len(b):len(b)]
 }
 
 // observe is the engine's one latency-recording step: an operation reads

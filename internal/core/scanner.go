@@ -21,7 +21,7 @@ import (
 type Scanner struct {
 	db   *DB
 	view *readState
-	m    *mergingIter
+	m    mergingIter
 	lo   []byte
 	hi   []byte
 	snap kv.SeqNum
@@ -65,8 +65,14 @@ func (db *DB) newScanner(lo, hi []byte, snap kv.SeqNum) (*Scanner, error) {
 	}
 
 	// Youngest sources first: their merge ordinal breaks (impossible)
-	// ties, and more importantly this keeps the reasoning simple.
-	var iters []kv.Iterator
+	// ties, and more importantly this keeps the reasoning simple. The
+	// run iterators share one allocation, as do the inputs.
+	nRuns := 0
+	for _, level := range view.v.levels {
+		nRuns += len(level)
+	}
+	iters := make([]kv.Iterator, 0, 1+len(view.imms)+nRuns)
+	runs := make([]runIter, 0, nRuns)
 	iters = append(iters, view.mem.NewIterator())
 	for i := len(view.imms) - 1; i >= 0; i-- {
 		iters = append(iters, view.imms[i].NewIterator())
@@ -74,39 +80,49 @@ func (db *DB) newScanner(lo, hi []byte, snap kv.SeqNum) (*Scanner, error) {
 	if hi == nil || bytes.Compare(lo, hi) <= 0 {
 		for _, level := range view.v.levels {
 			for ri := len(level) - 1; ri >= 0; ri-- {
-				r := level[ri]
-				tables := r.overlaps(lo, hi)
-				if len(tables) == 0 {
-					continue
+				if tables := screenRange(level[ri].overlaps(lo, hi), lo, hi); len(tables) > 0 {
+					runs = append(runs, runIter{tables: tables, idx: -1})
+					iters = append(iters, &runs[len(runs)-1])
 				}
-				// Range-filter screening: drop tables that provably hold
-				// no key in [lo, hi]. Unbounded scans skip the filters —
-				// they cannot answer a half-open range.
-				var kept []*tableHandle
-				for _, th := range tables {
-					if hi == nil || th.reader.MayContainRange(lo, hi) {
-						kept = append(kept, th)
-					}
-				}
-				if len(kept) == 0 {
-					continue
-				}
-				iters = append(iters, newRunIter(&run{tables: kept}))
 			}
 		}
 	}
-	var hiCopy []byte
-	if hi != nil {
-		hiCopy = append(make([]byte, 0, len(hi)), hi...)
-	}
-	return &Scanner{
+	bounds := append(append(make([]byte, 0, len(lo)+len(hi)), lo...), hi...)
+	sc := &Scanner{
 		db:   db,
 		view: view,
-		m:    newMergingIter(iters),
-		lo:   append([]byte(nil), lo...),
-		hi:   hiCopy,
+		m:    mergingIter{inputs: iters, items: make([]mergeItem, 0, len(iters))},
+		lo:   bounds[:len(lo):len(lo)],
 		snap: min(snap, bound),
-	}, nil
+	}
+	if hi != nil {
+		sc.hi = bounds[len(lo):]
+	}
+	return sc, nil
+}
+
+// screenRange drops the tables a range filter proves hold no key in
+// [lo, hi], returning tables itself when it drops none. Unbounded scans
+// skip the filters: they cannot answer a half-open range.
+func screenRange(tables []*tableHandle, lo, hi []byte) []*tableHandle {
+	if hi == nil {
+		return tables
+	}
+	var kept []*tableHandle // nil until a table is dropped
+	for i, th := range tables {
+		switch {
+		case th.reader.MayContainRange(lo, hi):
+			if kept != nil {
+				kept = append(kept, th)
+			}
+		case kept == nil:
+			kept = append(make([]*tableHandle, 0, len(tables)-1), tables[:i]...)
+		}
+	}
+	if kept == nil {
+		return tables
+	}
+	return kept
 }
 
 // Next advances to the next visible key, returning false at the end of

@@ -80,19 +80,20 @@ func (c *cursor) seek(userKey []byte) *tableHandle {
 	return nil
 }
 
-// overlaps returns the tables intersecting [lo, hi]; nil hi means +inf.
+// overlaps returns the tables intersecting [lo, hi], nil hi meaning +inf,
+// as a subslice of r.tables: the caller must not modify it.
 func (r *run) overlaps(lo, hi []byte) []*tableHandle {
-	var out []*tableHandle
-	for _, t := range r.tables {
-		if hi != nil && bytes.Compare(t.meta.Smallest, hi) > 0 {
-			break
-		}
-		if lo != nil && bytes.Compare(t.meta.Largest, lo) < 0 {
-			continue
-		}
-		out = append(out, t)
+	// A run's tables are sorted and disjoint, so the ones that overlap are
+	// one stretch of them.
+	i := 0
+	if lo != nil {
+		i = sort.Search(len(r.tables), func(j int) bool { return bytes.Compare(r.tables[j].meta.Largest, lo) >= 0 })
 	}
-	return out
+	j := len(r.tables)
+	if hi != nil {
+		j = i + sort.Search(j-i, func(j int) bool { return bytes.Compare(r.tables[i+j].meta.Smallest, hi) > 0 })
+	}
+	return r.tables[i:j]
 }
 
 // version is an immutable snapshot of the tree structure. Read operations

@@ -40,7 +40,8 @@ type blockBuilder struct {
 	buf          []byte
 	restarts     []uint32
 	sinceRestart int
-	lastKey      []byte
+	lastKey      []byte // the previous entry's encoded internal key
+	encKey       []byte // the entry being added, encoded; swapped with lastKey
 	count        int
 	hib          fence.HashIndexBuilder
 }
@@ -53,7 +54,8 @@ func newBlockBuilder(restartInterval int, hashIndex bool) *blockBuilder {
 }
 
 func (b *blockBuilder) add(ikey kv.InternalKey, value []byte) {
-	encKey := ikey.Encode(nil)
+	b.encKey = ikey.Encode(b.encKey[:0])
+	encKey := b.encKey
 	shared := 0
 	if b.sinceRestart < b.restartInterval && b.count > 0 {
 		shared = kv.SharedPrefixLen(b.lastKey, encKey)
@@ -69,7 +71,7 @@ func (b *blockBuilder) add(ikey kv.InternalKey, value []byte) {
 	if b.hashIndex {
 		b.hib.Add(ikey.UserKey, len(b.restarts)-1)
 	}
-	b.lastKey = encKey
+	b.lastKey, b.encKey = encKey, b.lastKey
 	b.sinceRestart++
 	b.count++
 }
@@ -104,7 +106,7 @@ func (b *blockBuilder) reset() {
 	b.buf = b.buf[:0]
 	b.restarts = b.restarts[:0]
 	b.sinceRestart = 0
-	b.lastKey = nil
+	b.lastKey = b.lastKey[:0]
 	b.count = 0
 	b.hib.Reset()
 }
@@ -117,12 +119,24 @@ type block struct {
 	hasHash   bool
 }
 
-// decodeBlockInto validates the CRC and splits raw into payload, restart
-// array, and optional hash index, writing the view into a caller-owned
-// block and reusing its restart slice's capacity: point reads feed it
-// pooled scratch and table iterators their own block, so neither
-// allocates per block decoded.
+// decodeBlockInto validates the CRC of a block read from the file, then
+// parses it into blk (parseBlockInto).
 func decodeBlockInto(blk *block, raw []byte) error {
+	if crcOff := len(raw) - 4; crcOff >= blockTrailerLen &&
+		crc32.Checksum(raw[:crcOff], crcTable) != binary.LittleEndian.Uint32(raw[crcOff:]) {
+		*blk = block{restarts: blk.restarts}
+		return ErrChecksum
+	}
+	return parseBlockInto(blk, raw)
+}
+
+// parseBlockInto splits raw, a block whose CRC is already verified, into
+// payload, restart array, and optional hash index, writing the view into
+// a caller-owned block and reusing its restart slice's capacity: point
+// reads feed it pooled scratch and table iterators their own block, so
+// neither allocates per block decoded. A block-cache hit comes here
+// directly, since the cache admits only bytes decodeBlockInto accepted.
+func parseBlockInto(blk *block, raw []byte) error {
 	blk.data = nil
 	blk.hashIndex = fence.HashIndex{}
 	blk.hasHash = false
@@ -130,10 +144,6 @@ func decodeBlockInto(blk *block, raw []byte) error {
 		return ErrCorruptBlock
 	}
 	crcOff := len(raw) - 4
-	want := binary.LittleEndian.Uint32(raw[crcOff:])
-	if crc32.Checksum(raw[:crcOff], crcTable) != want {
-		return ErrChecksum
-	}
 	flag := raw[crcOff-1]
 	body := raw[:crcOff-1]
 	if flag&blockFlagHashIndex != 0 {

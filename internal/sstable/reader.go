@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"io"
 	"sort"
+	"sync"
 
 	"lsmkv/internal/fence"
 	"lsmkv/internal/filter"
@@ -227,7 +228,10 @@ func (r *Reader) ApproxIndexMemory() int {
 // is non-nil) its per-lookup trace, decodeBlockInto the caller's blk, and
 // an Offer of the verified bytes to the cache, which copies them only if
 // it admits them. A hit allocates nothing, and neither does a miss the
-// cache declines.
+// cache declines. Only bytes read from the file are checksummed: the cache
+// holds nothing but blocks that passed that check here (Offer after a
+// good decode, PrefetchBlock's Insert after a good load), so a hit is
+// parsed without it.
 func (r *Reader) loadBlock(blk *block, buf *[]byte, h fence.BlockHandle, t *iostat.Tally, rt *iostat.RunTrace) error {
 	c := r.opts.Cache
 	var raw []byte
@@ -259,8 +263,11 @@ func (r *Reader) loadBlock(blk *block, buf *[]byte, h fence.BlockHandle, t *iost
 			rt.BlockReads++
 		}
 	}
+	if hit {
+		return parseBlockInto(blk, raw)
+	}
 	err := decodeBlockInto(blk, raw)
-	if c != nil && !hit && err == nil {
+	if c != nil && err == nil {
 		if c.Offer(r.opts.FileNum, h.Offset, raw) {
 			t.BlockCacheAdmits++
 			if rt != nil {
@@ -422,26 +429,39 @@ func (r *Reader) Get(userKey []byte, kh filter.KeyHash, seq kv.SeqNum) (value []
 	return value, kind, found, err
 }
 
-// NewIterator returns an iterator over the whole table.
+// NewIterator returns an iterator over the whole table, taken from a pool
+// with the block read buffer it kept from earlier use. Close returns it to
+// the pool: the caller must not touch the iterator after Close, and a
+// second Close does nothing.
 func (r *Reader) NewIterator() kv.Iterator {
-	return &tableIter{r: r, blockOrd: -1}
+	ti := tableIterPool.Get().(*tableIter)
+	ti.r, ti.blockOrd = r, -1
+	return ti
 }
 
 // tableIter is the two-level iterator: fence index on top, block iterator
 // below. It owns one decoded block, one block iterator and one read
 // buffer, rebound to each block it walks into, so iterating a table
-// allocates neither per block nor per cache miss. It adds each block's
-// counts to Stats as it loads the block.
+// allocates neither per block nor per cache miss, and, pooled, not per
+// table either. It adds each block's counts to Stats as it loads the
+// block. r is nil once it is closed.
 type tableIter struct {
 	r        *Reader
 	blockOrd int
 	blk      block
 	bi       blockIter
 	buf      []byte
+	search   []byte // SeekGE's target, encoded
 	tally    iostat.Tally
 	loaded   bool // bi is bound to block blockOrd
 	err      error
 }
+
+var tableIterPool = sync.Pool{New: func() any { return new(tableIter) }}
+
+// maxPooledBlockBuf bounds the read buffer a pooled iterator keeps, so one
+// table of outsized blocks does not stay resident in the pool.
+const maxPooledBlockBuf = 64 << 10
 
 var _ kv.Iterator = (*tableIter)(nil)
 
@@ -488,7 +508,8 @@ func (ti *tableIter) SeekGE(target kv.InternalKey) bool {
 	if !ti.loadBlock(start) {
 		return false
 	}
-	if ti.bi.SeekGE(target) {
+	ti.search = target.Encode(ti.search[:0])
+	if ti.bi.seekGEEnc(ti.search) {
 		return true
 	}
 	if ti.bi.Error() != nil {
@@ -528,7 +549,19 @@ func (ti *tableIter) Error() error {
 	return nil
 }
 
+// Close returns the iterator to the pool, first dropping its views into
+// cached or read bytes (so a pooled iterator pins no evicted block), and
+// reports the error it ended on. A closed iterator's Close does nothing.
 func (ti *tableIter) Close() error {
-	ti.loaded = false
-	return ti.Error()
+	if ti.r == nil {
+		return nil
+	}
+	err := ti.Error()
+	buf := ti.buf
+	if cap(buf) > maxPooledBlockBuf {
+		buf = nil
+	}
+	*ti = tableIter{blk: block{restarts: ti.blk.restarts[:0]}, bi: blockIter{key: ti.bi.key[:0]}, buf: buf[:0], search: ti.search[:0]}
+	tableIterPool.Put(ti)
+	return err
 }

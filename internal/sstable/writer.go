@@ -163,7 +163,7 @@ func (tw *Writer) Add(ikey kv.InternalKey, value []byte) error {
 	tw.props.RawKeyBytes += uint64(ikey.Size())
 	tw.props.RawValueBytes += uint64(len(value))
 
-	tw.lastKey = ikey.Clone()
+	tw.lastKey = kv.InternalKey{UserKey: append(tw.lastKey.UserKey[:0], ikey.UserKey...), Seq: ikey.Seq, Kind: ikey.Kind}
 	tw.hasLast = true
 
 	if tw.block.estimatedSize() >= tw.opts.BlockSize {
