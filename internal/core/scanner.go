@@ -91,7 +91,7 @@ func (db *DB) newScanner(lo, hi []byte, snap kv.SeqNum) (*Scanner, error) {
 	sc := &Scanner{
 		db:   db,
 		view: view,
-		m:    mergingIter{inputs: iters, items: make([]mergeItem, 0, len(iters))},
+		m:    *newMergingIter(iters),
 		lo:   bounds[:len(lo):len(lo)],
 		snap: min(snap, bound),
 	}

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"bytes"
+	"container/heap"
 	"time"
 
 	"lsmkv/internal/core"
@@ -13,13 +14,13 @@ import (
 // needed. The merge is synchronous (a k-way heap, no goroutines): closing
 // a Scanner mid-stream releases every per-shard iterator immediately and
 // leaks nothing. While one stream is left, as it always is with one
-// shard, the scanner passes it through: nothing is compared.
+// shard, the heap is not touched: the stream passes through.
 //
 // Key and Value return slices valid only until the next call to Next. A
 // Scanner is not safe for concurrent use.
 type Scanner struct {
 	subs []*core.Scanner
-	h    []scanItem // a min-heap of the live streams by current key
+	h    scanHeap
 
 	started bool
 	closed  bool
@@ -34,33 +35,20 @@ type scanItem struct {
 	shard int
 }
 
-// less orders live per-shard scanners by their current key; the shard
+// scanHeap orders live per-shard scanners by their current key; the shard
 // index breaks (impossible, keyspaces are disjoint) ties deterministically.
-func (a *scanItem) less(b *scanItem) bool {
-	if c := bytes.Compare(a.sc.Key(), b.sc.Key()); c != 0 {
+type scanHeap []scanItem
+
+func (h scanHeap) Len() int { return len(h) }
+func (h scanHeap) Less(a, b int) bool {
+	if c := bytes.Compare(h[a].sc.Key(), h[b].sc.Key()); c != 0 {
 		return c < 0
 	}
-	return a.shard < b.shard
+	return h[a].shard < h[b].shard
 }
-
-// down sinks item i of the heap below every smaller child.
-func (mc *Scanner) down(i int) {
-	h := mc.h
-	for {
-		c := 2*i + 1
-		if c >= len(h) {
-			return
-		}
-		if r := c + 1; r < len(h) && h[r].less(&h[c]) {
-			c = r
-		}
-		if !h[c].less(&h[i]) {
-			return
-		}
-		h[i], h[c] = h[c], h[i]
-		i = c
-	}
-}
+func (h scanHeap) Swap(a, b int) { h[a], h[b] = h[b], h[a] }
+func (h *scanHeap) Push(x any)   { *h = append(*h, x.(scanItem)) }
+func (h *scanHeap) Pop() any     { old := *h; n := len(old); it := old[n-1]; *h = old[:n-1]; return it }
 
 // newScanner returns a merged Scanner over [lo, hi] (inclusive; nil hi
 // scans to the end of the keyspace) at the latest sequence number of each
@@ -83,7 +71,7 @@ func mergeScanners(n int, open func(i int) (*core.Scanner, error)) (*Scanner, er
 		}
 		subs = append(subs, sc)
 	}
-	return &Scanner{subs: subs, h: make([]scanItem, 0, n)}, nil
+	return &Scanner{subs: subs, h: make(scanHeap, 0, n)}, nil
 }
 
 // Next advances to the next visible key across all shards, returning
@@ -102,22 +90,22 @@ func (mc *Scanner) Next() bool {
 				return false
 			}
 		}
-		for i := len(mc.h)/2 - 1; i >= 0; i-- {
-			mc.down(i)
-		}
+		heap.Init(&mc.h)
 	} else if len(mc.h) > 0 {
-		if top := mc.h[0]; !top.sc.Next() {
-			if err := top.sc.Err(); err != nil {
-				mc.err = err
-				return false
+		if top := mc.h[0]; top.sc.Next() {
+			if len(mc.h) > 1 {
+				heap.Fix(&mc.h, 0)
 			}
-			// Drop the exhausted shard in place.
+		} else if err := top.sc.Err(); err != nil {
+			mc.err = err
+			return false
+		} else {
+			// Drop the exhausted shard (in place: heap.Pop would box it).
 			last := len(mc.h) - 1
 			mc.h[0] = mc.h[last]
-			mc.h = mc.h[:last]
-		}
-		if len(mc.h) > 1 {
-			mc.down(0)
+			if mc.h = mc.h[:last]; last > 0 {
+				heap.Fix(&mc.h, 0)
+			}
 		}
 	}
 	if len(mc.h) == 0 {
