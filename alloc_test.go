@@ -304,12 +304,11 @@ func TestWriteAllocs(t *testing.T) {
 
 // TestScanAllocs bounds the range-read path: a 50-key Scan over flushed,
 // cache-warm data. fn owns its slices, but the copies are cut from 8 KiB
-// chunks (one here, where two copies per pair once cost 100), and the
-// table iterators come from a pool with their read buffers, so what is
-// left is built once per scan: the shard scanner and its heap, the
-// engine scanner, its inputs, run iterators and merge heap (one
-// allocation each), the memtable iterator, the bounds' copy, the last
-// key's buffer and the copy chunk.
+// chunks (one here), and the table iterators come from a pool with their
+// read buffers, so what is left is built once per scan: the shard
+// scanner and its heap, the engine scanner, its inputs, run iterators
+// and merge heap (one allocation each), the memtable iterator, the
+// bounds' copy, the last key's buffer and the copy chunk.
 func TestScanAllocs(t *testing.T) {
 	opts := Default()
 	opts.MemtableBytes = 1 << 20
