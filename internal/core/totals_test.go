@@ -243,7 +243,7 @@ func TestTreeTotalsMatchTableWalk(t *testing.T) {
 			debtMatches := func(step string) int64 {
 				t.Helper()
 				db.mu.Lock()
-				got, want := db.debtLocked(), walkDebt(db.current, db.opts.shape())
+				got, want := db.debtLocked(db.current), walkDebt(db.current, db.opts.shape())
 				db.mu.Unlock()
 				if got != want {
 					t.Errorf("%s: debtLocked() = %d, the walk gave %d", step, got, want)
@@ -299,11 +299,26 @@ func TestTreeTotalsMatchTableWalk(t *testing.T) {
 					st.Flushes.Load(), st.TrivialMoves.Load(), st.Compactions.Load(), tc.moves)
 			}
 
+			// The rise is read on the tree as it stood at the Retune: the
+			// retune wakes the compactor, whose trivial moves can pay the
+			// new debt before the live gauge is read again.
+			db.mu.Lock()
+			pinned := db.current
+			pinned.ref()
+			db.mu.Unlock()
+			defer pinned.unref()
 			before := debtMatches("before Retune")
 			if err := db.Retune(Tunables{SizeRatio: tc.t}); err != nil {
 				t.Fatal(err)
 			}
-			at := debtMatches(fmt.Sprintf("at Retune(T=%d)", tc.t))
+			debtMatches(fmt.Sprintf("at Retune(T=%d)", tc.t))
+			db.mu.Lock()
+			shape := db.opts.shape()
+			at := db.debtLocked(pinned)
+			db.mu.Unlock()
+			if want := walkDebt(pinned, shape); at != want {
+				t.Errorf("at Retune(T=%d): the pinned tree's debt is %d, the walk gave %d", tc.t, at, want)
+			}
 			if tc.t < 4 && at <= before { // smaller capacities: the gauge must rise
 				t.Errorf("debt %d bytes at T=4, %d at T=%d", before, at, tc.t)
 			}
