@@ -340,11 +340,15 @@ func TestScanAllocs(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		scan() // warm the cache and the iterator pool
 	}
+	// Under -race sync.Pool drops a quarter of what it is handed back, so
+	// about one scan in four builds its table iterator anew (5 more
+	// allocations): 11 or 12 measured over 60 runs, ceiling 14. A scan
+	// with no iterator pool at all makes 16.
+	ceiling := 11.0
 	if raceEnabled {
-		return // the pool the ceiling rests on leaks by design under -race
+		ceiling = 14
 	}
-	const ceiling = 11
 	if allocs := testing.AllocsPerRun(100, scan); allocs > ceiling {
-		t.Errorf("50-key Scan: %.1f allocs, ceiling %d", allocs, ceiling)
+		t.Errorf("50-key Scan: %.1f allocs, ceiling %.0f", allocs, ceiling)
 	}
 }

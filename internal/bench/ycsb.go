@@ -189,10 +189,10 @@ func ttlDemo(dir string, scale Scale) (_ *Table, err error) {
 	// L0Trigger+1 = 3 runs) trips *after* the deadline even if the
 	// drained tree left L0 empty. Each sentinel run brackets the lease
 	// range so the merge pulls in every L1 file — reclamation requires
-	// the output to be bottommost for each expired key, which it is when
-	// no L1 file left outside the merge spans the key. The merge then
-	// reruns under the advanced clock and physically drops expired
-	// entries plus the base versions they shadow.
+	// the output to be bottommost, which it only is when no L1 file
+	// stays outside the merge. The merge then reruns under the advanced
+	// clock and physically drops expired entries plus the base versions
+	// they shadow.
 	for s := 0; s < 3; s++ {
 		if err := db.Put([]byte(fmt.Sprintf("a-sentinel%d", s)), []byte("x")); err != nil {
 			return nil, err

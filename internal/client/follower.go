@@ -191,15 +191,11 @@ func (f *Follower) stopped() bool {
 	}
 }
 
-// setConnected marks a new link live. It drops the last link's
-// heartbeat: lag is measured against this link's primary only, so a
-// redial does not read as caught up before its first heartbeat.
 func (f *Follower) setConnected(watermarks []uint64) {
 	f.mu.Lock()
 	f.connected = true
 	f.lastErr = ""
 	f.reconnects++
-	f.primarySeqs = f.primarySeqs[:0]
 	f.mu.Unlock()
 	f.cfg.Logf("replica: streaming from %s at watermarks %v", f.cfg.Addr, watermarks)
 }

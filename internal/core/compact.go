@@ -242,39 +242,25 @@ func (db *DB) gcHorizonLocked() kv.SeqNum {
 	return h
 }
 
-// olderOutside lists where output written to level may still have older
-// versions once the tables in leaving are gone: the user-key ranges of
-// the level's other tables and of every table below it, merged into
-// disjoint spans in ascending order. A key outside every span is at the
-// true bottom of the tree, so a tombstone for it shadows nothing that
-// stays.
-func (v *version) olderOutside(level int, leaving map[uint64]bool) []keySpan {
-	var spans []keySpan
+// bottommost reports whether output written to level lands at the true
+// bottom of the tree once the tables in leaving are gone: no level below
+// holds data, and no other table of level could hold an older version that
+// a dropped tombstone was shadowing.
+func (v *version) bottommost(level int, leaving map[uint64]bool) bool {
 	for li := level; li < len(v.levels); li++ {
 		for _, r := range v.levels[li] {
+			if li > level {
+				return false
+			}
 			for _, th := range r.tables {
 				if !leaving[th.meta.Num] {
-					spans = append(spans, keySpan{th.meta.Smallest, th.meta.Largest})
+					return false
 				}
 			}
 		}
 	}
-	slices.SortFunc(spans, func(a, b keySpan) int { return bytes.Compare(a.smallest, b.smallest) })
-	merged := spans[:0]
-	for _, sp := range spans {
-		if n := len(merged); n > 0 && bytes.Compare(sp.smallest, merged[n-1].largest) <= 0 {
-			if bytes.Compare(sp.largest, merged[n-1].largest) > 0 {
-				merged[n-1].largest = sp.largest
-			}
-			continue
-		}
-		merged = append(merged, sp)
-	}
-	return merged
+	return true
 }
-
-// keySpan is an inclusive user-key range.
-type keySpan struct{ smallest, largest []byte }
 
 // flush writes one buffer as a single-file run appended to level 0. im is
 // the flush-queue entry the buffer came from, nil for a recovered buffer.
@@ -349,7 +335,7 @@ func (db *DB) compact(task *compaction.Task) error {
 		return db.finish(j)
 	}
 	j.edit.obsolete = j.edit.remove
-	j.dropped = &collapse{db: db, horizon: horizon, outside: v.olderOutside(task.TargetLevel, j.edit.remove)}
+	j.dropped = &collapse{db: db, horizon: horizon, bottom: v.bottommost(task.TargetLevel, j.edit.remove)}
 	hotKeys := db.hotBlockKeys(tables) // before the install evicts the inputs' blocks
 
 	// Inputs are younger than targets, but merge correctness does not rest
@@ -397,14 +383,12 @@ func (db *DB) compact(task *compaction.Task) error {
 // collapse is a merge's version-collapse filter, the discard buildTable
 // consults entry by entry in merge order (user keys ascending, each key's
 // versions newest first): it drops the versions no snapshot can see and,
-// for a key at the bottom of the tree, obsolete tombstones and expired
-// TTL entries — and counts what it dropped, by cause.
+// when the output is the bottom of the tree, obsolete tombstones and
+// expired TTL entries — and counts what it dropped, by cause.
 type collapse struct {
 	db      *DB
 	horizon kv.SeqNum
-	// outside is what olderOutside gave for the job, its spans below the
-	// keys already asked about trimmed off the front.
-	outside []keySpan
+	bottom  bool
 
 	prevUser  []byte // nil before the first entry; a user key is never empty
 	prevBelow bool   // the version of prevUser last seen is at or below the horizon
@@ -427,14 +411,14 @@ func (c *collapse) drop(ik kv.InternalKey, v []byte) bool {
 	}
 	c.prevUser = append(c.prevUser[:0], ik.UserKey...)
 	c.prevBelow = ik.Seq <= c.horizon
-	// A tombstone below the horizon at its key's bottom vanishes; its
+	// A bottommost tombstone below the horizon vanishes; its
 	// below-horizon status still shadows the older versions that follow,
 	// so they are dropped too. A TTL entry reads no longer see (visible
 	// judges it, by the engine's clock) is an implicit tombstone and gets
 	// the same treatment — the entry and everything it shadows leave in
 	// one version install, so a crash can never resurrect the shadowed
 	// versions without also restoring the expired entry that hides them.
-	if c.prevBelow && (ik.Kind == kv.KindDelete || ik.Kind == kv.KindSetTTL) && c.atBottom(ik.UserKey) {
+	if c.bottom && c.prevBelow {
 		switch ik.Kind {
 		case kv.KindDelete:
 			c.tombstones++
@@ -447,16 +431,6 @@ func (c *collapse) drop(ik kv.InternalKey, v []byte) bool {
 		}
 	}
 	return false
-}
-
-// atBottom reports whether no table outside the job can hold a version
-// of user. Keys are asked in ascending order, so the spans wholly below
-// user are passed for good.
-func (c *collapse) atBottom(user []byte) bool {
-	for len(c.outside) > 0 && bytes.Compare(c.outside[0].largest, user) < 0 {
-		c.outside = c.outside[1:]
-	}
-	return len(c.outside) == 0 || bytes.Compare(user, c.outside[0].smallest) < 0
 }
 
 // finish is where every background job ends: the edit is installed, and

@@ -485,7 +485,7 @@ func (db *DB) slowdown() {
 			db.events.Add(iostat.Event{
 				Type: iostat.EventWriteSlowdown, FromLevel: -1, ToLevel: -1,
 				Detail: fmt.Sprintf("l0=%d debt=%dMiB delay=%s",
-					db.l0RunsLocked(), db.debtLocked(db.current)>>20, d),
+					db.l0RunsLocked(), db.debtLocked()>>20, d),
 			})
 		}
 		db.stats.WriteSlowdowns.Add(1)
@@ -558,7 +558,7 @@ func (db *DB) slowdownDelayLocked() time.Duration {
 		}
 	}
 	if limit := db.opts.PendingCompactionSlowdownBytes; limit > 0 {
-		if f := float64(db.debtLocked(db.current)-limit/2) / float64(limit-limit/2); f > frac {
+		if f := float64(db.debtLocked()-limit/2) / float64(limit-limit/2); f > frac {
 			frac = f
 		}
 	}
@@ -571,14 +571,15 @@ func (db *DB) slowdownDelayLocked() time.Duration {
 	return time.Duration(frac * frac * float64(maxDelay))
 }
 
-// debtLocked returns the pending compaction debt of v under the current
-// shape: the bytes v must rewrite to satisfy it, every byte in level 0
-// (all of it must be rewritten at least once) plus each deeper level's
-// bytes over its capacity. It reads v's level totals. Caller holds db.mu.
-func (db *DB) debtLocked(v *version) int64 {
+// debtLocked returns the pending compaction debt (bytes the tree must
+// rewrite to satisfy its shape): every byte in level 0 (all of it must be
+// rewritten at least once) plus each deeper level's bytes over its
+// capacity. It reads the current version's level totals and the shape,
+// the two things it depends on. Caller holds db.mu.
+func (db *DB) debtLocked() int64 {
 	shape := db.opts.shape()
 	var debt int64
-	for i, info := range v.info {
+	for i, info := range db.current.info {
 		sz := int64(info.Bytes)
 		if i == 0 {
 			debt += sz

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"lsmkv/internal/filter"
-	"lsmkv/internal/kv"
 	"lsmkv/internal/manifest"
 	"lsmkv/internal/rangefilter"
 )
@@ -370,47 +369,6 @@ func TestTombstonesPurgedAtBottom(t *testing.T) {
 		if _, err := db.Get(key(i)); !errors.Is(err, ErrNotFound) {
 			t.Fatalf("deleted key %d visible: %v", i, err)
 		}
-	}
-}
-
-// TestTombstoneDropPerKey pins the drop rule key by key: a merge into
-// level 1 drops a tombstone only where no table it leaves behind, in
-// level 1 or below, spans the key. The version a tombstone shadows goes
-// either way.
-func TestTombstoneDropPerKey(t *testing.T) {
-	table := func(num uint64, lo, hi string) *tableHandle {
-		return &tableHandle{meta: &manifest.FileMeta{Num: num, Smallest: []byte(lo), Largest: []byte(hi)}}
-	}
-	v := &version{levels: [][]*run{
-		{},
-		{{tables: []*tableHandle{table(1, "b", "d"), table(2, "f", "g")}}}, // 1 is an input
-		{{tables: []*tableHandle{table(3, "e", "f"), table(4, "m", "p")}}},
-		{{tables: []*tableHandle{table(5, "n", "r")}}},
-	}}
-	got := v.olderOutside(1, map[uint64]bool{1: true})
-	want := []keySpan{{[]byte("e"), []byte("g")}, {[]byte("m"), []byte("r")}}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("olderOutside = %q, want %q", got, want)
-	}
-
-	c := &collapse{horizon: 100, outside: got}
-	for _, tc := range []struct {
-		key  string
-		drop bool
-	}{{"a", true}, {"e", false}, {"g", false}, {"h", true}, {"m", false}, {"q", false}, {"r", false}, {"s", true}} {
-		tomb := c.drop(kv.MakeInternalKey([]byte(tc.key), 50, kv.KindDelete), nil)
-		older := c.drop(kv.MakeInternalKey([]byte(tc.key), 40, kv.KindSet), nil)
-		if tomb != tc.drop || !older {
-			t.Errorf("key %q: tombstone dropped %v (want %v), the version it shadows dropped %v",
-				tc.key, tomb, tc.drop, older)
-		}
-	}
-	if c.tombstones != 3 || c.shadowed != 8 {
-		t.Errorf("counted %d tombstones and %d shadowed, want 3 and 8", c.tombstones, c.shadowed)
-	}
-	// Above the horizon a tombstone stays even at its key's bottom.
-	if c.drop(kv.MakeInternalKey([]byte("t"), 200, kv.KindDelete), nil) {
-		t.Error("a tombstone above the horizon was dropped")
 	}
 }
 

@@ -102,40 +102,6 @@ func TestMergingIterEmptyInputs(t *testing.T) {
 	}
 }
 
-func TestMergingIterManySourcesProperty(t *testing.T) {
-	// Differential: merging K random sources equals sorting their union.
-	rng := rand.New(rand.NewSource(21))
-	for trial := 0; trial < 10; trial++ {
-		var iters []kv.Iterator
-		var all []kv.InternalKey
-		seq := 1
-		for s := 0; s < 5; s++ {
-			m := memtable.New()
-			for i := 0; i < 50; i++ {
-				k := fmt.Sprintf("k%03d", rng.Intn(200))
-				ik := kv.MakeInternalKey([]byte(k), kv.SeqNum(seq), kv.KindSet)
-				seq++
-				m.Add(kv.Entry{Key: ik, Value: []byte("v")})
-				all = append(all, ik.Clone())
-			}
-			iters = append(iters, m.NewIterator())
-		}
-		sort.Slice(all, func(i, j int) bool { return kv.CompareInternal(all[i], all[j]) < 0 })
-		m := newMergingIter(iters)
-		i := 0
-		for ok := m.First(); ok; ok = m.Next() {
-			if i >= len(all) || kv.CompareInternal(m.Key(), all[i]) != 0 {
-				t.Fatalf("trial %d: position %d diverges", trial, i)
-			}
-			i++
-		}
-		if i != len(all) {
-			t.Fatalf("trial %d: merged %d of %d", trial, i, len(all))
-		}
-		m.Close()
-	}
-}
-
 // sliceIter is a kv.Iterator over sorted entries that fails, with err,
 // instead of positioning at entry failAt or past it (-1: never).
 type sliceIter struct {
@@ -168,14 +134,15 @@ func (s *sliceIter) Value() []byte       { return s.entries[s.pos].Value }
 func (s *sliceIter) Error() error        { return s.err }
 func (s *sliceIter) Close() error        { s.closed++; return nil }
 
-// TestMergingIterMatchesSort: the merge of random inputs is the sort of
-// all their entries by user key ascending, trailer descending, then input
-// ordinal. The inputs share user keys, and some hold the very same
-// internal key, so ties fall to the ordinal; they run dry at different
-// points, some empty from the start; SeekGE lands anywhere; and an input
-// that fails stops the merge with its error after exactly the entries
-// that sort before its failure. Close closes every input once.
-func TestMergingIterMatchesSort(t *testing.T) {
+// TestMergingIterManySourcesProperty: the merge of random inputs is the
+// sort of all their entries by user key ascending, trailer descending,
+// then input ordinal. Inputs are memtables or sorted slices; they share
+// user keys, and some hold the very same internal key, so ties fall to
+// the ordinal; they run dry at different points, some empty from the
+// start; SeekGE lands anywhere; and a slice input that fails stops the
+// merge with its error after exactly the entries that sort before its
+// failure. Close closes every slice input once.
+func TestMergingIterManySourcesProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	type tagged struct {
 		ik  kv.InternalKey
@@ -183,7 +150,8 @@ func TestMergingIterMatchesSort(t *testing.T) {
 	}
 	for trial := 0; trial < 300; trial++ {
 		k := 1 + rng.Intn(7)
-		inputs := make([]*sliceIter, k)
+		inputs := make([]*sliceIter, k) // nil for a memtable input
+		iters := make([]kv.Iterator, k)
 		var all []tagged
 		for ord := range inputs {
 			seen := map[string]bool{}
@@ -195,8 +163,17 @@ func TestMergingIterMatchesSort(t *testing.T) {
 					es = append(es, kv.Entry{Key: ik, Value: []byte(fmt.Sprintf("%s/%d", id, ord))})
 				}
 			}
-			sort.Slice(es, func(i, j int) bool { return kv.CompareInternal(es[i].Key, es[j].Key) < 0 })
-			inputs[ord] = &sliceIter{entries: es, failAt: -1}
+			if rng.Intn(2) == 0 {
+				m := memtable.New()
+				for _, e := range es {
+					m.Add(e)
+				}
+				iters[ord] = m.NewIterator()
+			} else {
+				sort.Slice(es, func(i, j int) bool { return kv.CompareInternal(es[i].Key, es[j].Key) < 0 })
+				inputs[ord] = &sliceIter{entries: es, failAt: -1}
+				iters[ord] = inputs[ord]
+			}
 			for _, e := range es {
 				all = append(all, tagged{e.Key, ord})
 			}
@@ -219,7 +196,7 @@ func TestMergingIterMatchesSort(t *testing.T) {
 		// yields nothing if the seek already lands past the break.
 		fail := -1
 		if trial%4 == 3 {
-			if ord := rng.Intn(k); len(inputs[ord].entries) > 1 {
+			if ord := rng.Intn(k); inputs[ord] != nil && len(inputs[ord].entries) > 1 {
 				in := inputs[ord]
 				in.failAt = 1 + rng.Intn(len(in.entries)-1)
 				fail = 0
@@ -229,10 +206,6 @@ func TestMergingIterMatchesSort(t *testing.T) {
 					}
 				}
 			}
-		}
-		iters := make([]kv.Iterator, k)
-		for i, in := range inputs {
-			iters[i] = in
 		}
 		m := newMergingIter(iters)
 		ok := m.First()
@@ -263,7 +236,7 @@ func TestMergingIterMatchesSort(t *testing.T) {
 		m.Close()
 		m.Close()
 		for i, in := range inputs {
-			if in.closed != 1 {
+			if in != nil && in.closed != 1 {
 				t.Fatalf("trial %d: input %d closed %d times, want once", trial, i, in.closed)
 			}
 		}

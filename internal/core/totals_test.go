@@ -243,7 +243,7 @@ func TestTreeTotalsMatchTableWalk(t *testing.T) {
 			debtMatches := func(step string) int64 {
 				t.Helper()
 				db.mu.Lock()
-				got, want := db.debtLocked(db.current), walkDebt(db.current, db.opts.shape())
+				got, want := db.debtLocked(), walkDebt(db.current, db.opts.shape())
 				db.mu.Unlock()
 				if got != want {
 					t.Errorf("%s: debtLocked() = %d, the walk gave %d", step, got, want)
@@ -305,21 +305,18 @@ func TestTreeTotalsMatchTableWalk(t *testing.T) {
 			db.mu.Lock()
 			pinned := db.current
 			pinned.ref()
+			before := walkDebt(pinned, db.opts.shape())
 			db.mu.Unlock()
 			defer pinned.unref()
-			before := debtMatches("before Retune")
+			debtMatches("before Retune")
 			if err := db.Retune(Tunables{SizeRatio: tc.t}); err != nil {
 				t.Fatal(err)
 			}
 			debtMatches(fmt.Sprintf("at Retune(T=%d)", tc.t))
 			db.mu.Lock()
-			shape := db.opts.shape()
-			at := db.debtLocked(pinned)
+			at := walkDebt(pinned, db.opts.shape())
 			db.mu.Unlock()
-			if want := walkDebt(pinned, shape); at != want {
-				t.Errorf("at Retune(T=%d): the pinned tree's debt is %d, the walk gave %d", tc.t, at, want)
-			}
-			if tc.t < 4 && at <= before { // smaller capacities: the gauge must rise
+			if tc.t < 4 && at <= before { // smaller capacities: the debt must rise
 				t.Errorf("debt %d bytes at T=4, %d at T=%d", before, at, tc.t)
 			}
 			check(fmt.Sprintf("after Retune(T=%d)", tc.t))

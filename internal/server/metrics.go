@@ -194,8 +194,7 @@ type FollowerStatus struct {
 	// the primary's backlog: re-bootstrap required).
 	Fatal bool `json:"fatal,omitempty"`
 	// AppliedSeqs is the local engine's watermark vector; PrimarySeqs is
-	// the primary's, from the latest heartbeat on the current link (empty
-	// from a redial until that link's first heartbeat).
+	// the primary's, from its latest heartbeat.
 	AppliedSeqs []uint64 `json:"applied_seqs"`
 	PrimarySeqs []uint64 `json:"primary_seqs"`
 	// Lag is the summed per-shard sequence gap (0 when caught up).

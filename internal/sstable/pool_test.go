@@ -12,9 +12,12 @@ import (
 	"lsmkv/internal/kv"
 )
 
-// TestTableIterCloseTwice: a second Close of a pooled table iterator does
-// nothing — in particular it does not hand the iterator to the pool again,
-// where two later NewIterator calls would share it.
+// TestTableIterCloseTwice: a second Close of a pooled table iterator,
+// before any other NewIterator, does nothing — in particular it does not
+// hand the iterator to the pool again, where two later NewIterator calls
+// would share it. (After a reissue a stale Close would reach the new
+// owner; holders drop the iterator at Close, which TestScansRaceCompactions
+// exercises.)
 func TestTableIterCloseTwice(t *testing.T) {
 	r := buildTable(t, WriterOptions{BlockSize: 256}, ReaderOptions{}, 500, 2)
 	it := r.NewIterator()

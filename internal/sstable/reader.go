@@ -431,8 +431,10 @@ func (r *Reader) Get(userKey []byte, kh filter.KeyHash, seq kv.SeqNum) (value []
 
 // NewIterator returns an iterator over the whole table, taken from a pool
 // with the block read buffer it kept from earlier use. Close returns it to
-// the pool: the caller must not touch the iterator after Close, and a
-// second Close does nothing.
+// the pool, so the caller must drop the iterator at Close: once another
+// NewIterator has handed the object out again, any call through a stale
+// reference, a second Close included, acts on the new owner's iterator.
+// A second Close before that does nothing.
 func (r *Reader) NewIterator() kv.Iterator {
 	ti := tableIterPool.Get().(*tableIter)
 	ti.r, ti.blockOrd = r, -1
@@ -551,7 +553,8 @@ func (ti *tableIter) Error() error {
 
 // Close returns the iterator to the pool, first dropping its views into
 // cached or read bytes (so a pooled iterator pins no evicted block), and
-// reports the error it ended on. A closed iterator's Close does nothing.
+// reports the error it ended on. Closing it again does nothing only
+// until the pool hands it out again; see NewIterator.
 func (ti *tableIter) Close() error {
 	if ti.r == nil {
 		return nil
