@@ -44,16 +44,19 @@ doc-check:
 # agree with the server's own (doccheck imports it) on every number,
 # name, class and reserved mark, in both directions, and DESIGN.md's
 # experiment index and EXPERIMENTS.md's sections and summary must list
-# exactly the experiments internal/bench registers.
+# exactly the experiments internal/bench registers. The same build feeds
+# the census: every main package and the benchmark, built once without
+# inlining, must between them link every function of internal/ that
+# doccheck's allowlist does not excuse.
 doc-links:
 	@tmp=$$(mktemp -d); trap "rm -rf $$tmp" EXIT; \
+	$(GO) build -gcflags=all=-l -o $$tmp/bin/ ./... && \
+	$(GO) build -C benchmark -gcflags=all=-l -o $$tmp/bin/benchmark . || exit 1; \
 	for c in lsmserver lsmctl lsmtune; do \
-		$(GO) build -o $$tmp/$$c ./cmd/$$c || exit 1; \
-		$$tmp/$$c -h 2>$$tmp/$$c.help || true; \
+		$$tmp/bin/$$c -h 2>$$tmp/$$c.help || true; \
 	done; \
-	$(GO) run ./cmd/doccheck -root . -ops OPERATIONS.md -protocol PROTOCOL.md \
-		$$tmp/lsmserver.help $$tmp/lsmctl.help $$tmp/lsmtune.help \
-		&& echo "doc-links: OK"
+	$$tmp/bin/doccheck -root . -ops OPERATIONS.md -protocol PROTOCOL.md \
+		$$tmp/*.help $$tmp/bin/* && echo "doc-links: OK"
 
 # The repo's benchmark (benchmark/, see BENCHMARK.json) is a nested
 # module, so `go build ./... && go test ./...` does not run it (the root

@@ -4,12 +4,15 @@
 // operations runbook is a flag the binaries actually accept. make test
 // runs it, so a renamed document or a dropped flag fails the build
 // instead of leaving a dangling reference for an operator to trip over.
+// It also keeps the code from outgrowing its programs: a function that
+// no shipped binary links fails the build unless an allowlist says why
+// it stays.
 //
 // Usage:
 //
-//	doccheck -root . [-ops OPERATIONS.md] [-protocol PROTOCOL.md] [helpfile ...]
+//	doccheck -root . [-ops OPERATIONS.md] [-protocol PROTOCOL.md] [name.help ...] [binary ...]
 //
-// Five checks run:
+// Six checks run:
 //
 //   - Link check: every inline markdown link pointing at a local path,
 //     and every FILE.md mention in prose, must name a file that exists
@@ -35,6 +38,12 @@
 //     experiments internal/bench registers, once each — an experiment
 //     added without its documentation, or documented after it is gone,
 //     fails the build.
+//   - Census: every function declared in a non-test file of an internal/
+//     package must be linked into one of the binary arguments (every
+//     shipped program, built with -gcflags=all=-l so that none is
+//     inlined away; go tool nm lists their symbols) or be excused by an
+//     entry of unlinkedAllowed, which gives the reason it stays. An entry
+//     that excuses nothing, or a linked function, fails too.
 package main
 
 import (
@@ -92,8 +101,21 @@ func main() {
 	checkLinks(*root, complain)
 	checkExperiments(*root, complain)
 	checkKnobs(*root, complain)
+	// A positional argument is a captured -help output (name.help) or a
+	// shipped binary for the census.
+	var helpFiles, bins []string
+	for _, arg := range flag.Args() {
+		if strings.HasSuffix(arg, ".help") {
+			helpFiles = append(helpFiles, arg)
+		} else {
+			bins = append(bins, arg)
+		}
+	}
 	if *ops != "" {
-		checkFlags(*ops, flag.Args(), complain)
+		checkFlags(*ops, helpFiles, complain)
+	}
+	if len(bins) > 0 {
+		checkCensus(*root, bins, complain)
 	}
 	if *protocol != "" {
 		checkProtocol(*protocol, complain)

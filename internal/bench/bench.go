@@ -85,7 +85,7 @@ func Registry() []Experiment {
 		{"E10", "Robust tuning under workload uncertainty",
 			"Tuning for the worst case near the expected workload loses little at the expectation and wins under drift.", E10},
 		{"E11", "Point-filter implementations (the filter zoo)",
-			"Blocked Bloom trades FPR for single-cache-line probes; ribbon is smaller at equal FPR; cuckoo supports deletes.", E11},
+			"Blocked Bloom trades FPR for single-cache-line probes; ribbon is smaller at equal FPR; cuckoo sits between.", E11},
 		{"E12", "Shared hash computation across filter probes",
 			"Computing the key digest once and deriving every filter probe from it removes per-run hashing CPU.", E12},
 		{"E13", "Compaction throttling and foreground-latency stability",

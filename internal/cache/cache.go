@@ -23,13 +23,6 @@ const (
 	Clock
 )
 
-func (p Policy) String() string {
-	if p == Clock {
-		return "clock"
-	}
-	return "lru"
-}
-
 const numShards = 16
 
 type blockKey struct {
@@ -111,15 +104,6 @@ func (c *Cache) ResidentOffsets(file uint64) []uint64 {
 		out = c.shards[i].residentOffsets(file, out)
 	}
 	return out
-}
-
-// SizeBytes returns the total bytes resident.
-func (c *Cache) SizeBytes() int64 {
-	var n int64
-	for i := range c.shards {
-		n += c.shards[i].sizeBytes()
-	}
-	return n
 }
 
 // Len returns the number of resident blocks.
@@ -307,12 +291,6 @@ func (s *shard) residentOffsets(file uint64, out []uint64) []uint64 {
 		}
 	}
 	return out
-}
-
-func (s *shard) sizeBytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.size
 }
 
 func (s *shard) length() int {

@@ -8,9 +8,23 @@ import (
 
 func block(n int) []byte { return make([]byte, n) }
 
+var policyName = map[Policy]string{LRU: "lru", Clock: "clock"}
+
+// SizeBytes returns the total bytes resident.
+func (c *Cache) SizeBytes() int64 {
+	var n int64
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.mu.Lock()
+		n += s.size
+		s.mu.Unlock()
+	}
+	return n
+}
+
 func TestCacheBasicGetInsert(t *testing.T) {
 	for _, p := range []Policy{LRU, Clock} {
-		t.Run(p.String(), func(t *testing.T) {
+		t.Run(policyName[p], func(t *testing.T) {
 			c := New(1<<20, p)
 			if _, ok := c.Get(1, 0); ok {
 				t.Error("empty cache returned a hit")
@@ -33,7 +47,7 @@ func TestCacheBasicGetInsert(t *testing.T) {
 
 func TestCacheCapacityBounded(t *testing.T) {
 	for _, p := range []Policy{LRU, Clock} {
-		t.Run(p.String(), func(t *testing.T) {
+		t.Run(policyName[p], func(t *testing.T) {
 			const cap = 64 << 10
 			c := New(cap, p)
 			for i := 0; i < 1000; i++ {

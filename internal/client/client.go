@@ -69,14 +69,8 @@ type ServerError struct {
 
 func (e *ServerError) Error() string { return "client: server error: " + e.Msg }
 
-// Op is one batch operation; build with PutOp / DeleteOp.
+// Op is one batch operation; build with core.PutOp / core.DeleteOp.
 type Op = core.BatchOp
-
-// PutOp builds a set operation for Batch.
-func PutOp(key, value []byte) Op { return core.PutOp(key, value) }
-
-// DeleteOp builds a tombstone operation for Batch.
-func DeleteOp(key []byte) Op { return core.DeleteOp(key) }
 
 // KV is one scan result pair.
 type KV = server.KV

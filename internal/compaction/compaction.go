@@ -179,18 +179,6 @@ func (t *Task) Levels() []int {
 	return []int{t.FromLevel, t.TargetLevel}
 }
 
-// InputBytes returns the total bytes the task reads.
-func (t *Task) InputBytes() uint64 {
-	var s uint64
-	for _, f := range t.InputFiles {
-		s += f.Size
-	}
-	for _, f := range t.TargetFiles {
-		s += f.Size
-	}
-	return s
-}
-
 // Overlaps reports whether key ranges [aLo,aHi] and [bLo,bHi] intersect.
 func Overlaps(aLo, aHi, bLo, bHi []byte) bool {
 	return bytes.Compare(aLo, bHi) <= 0 && bytes.Compare(bLo, aHi) <= 0

@@ -25,9 +25,6 @@ func NewPicker(shape Shape) (*Picker, error) {
 	return &Picker{shape: shape, rrCursor: make(map[int][]byte)}, nil
 }
 
-// Shape returns the validated shape.
-func (p *Picker) Shape() Shape { return p.shape }
-
 // lastPopulated returns the deepest level index holding data, or 0.
 func lastPopulated(levels []manifest.Level) int {
 	last := 0
@@ -39,23 +36,17 @@ func lastPopulated(levels []manifest.Level) int {
 	return last
 }
 
-// Pick returns the most urgent compaction task, or nil when the tree
-// satisfies its shape. levels[0] is the first storage level (flushed
-// runs); deeper levels follow.
-func (p *Picker) Pick(levels []manifest.Level) *Task {
-	return p.PickUnder(levels, nil)
-}
-
 // PickUnder returns the most urgent compaction task accepted by admit, or
 // nil when no over-budget level yields an acceptable task. A nil admit
-// accepts everything. Candidate levels are ordered by priority: level 0
-// first (an overloaded L0 stalls writers, so its relief preempts
+// accepts everything. levels[0] is the first storage level (flushed
+// runs); deeper levels follow. Candidate levels are ordered by priority:
+// level 0 first (an overloaded L0 stalls writers, so its relief preempts
 // everything), then deeper levels by descending pressure score — except
 // that an over-budget merge target is always drained before its source
-// (the cascade rule below). The
-// Scheduler uses admit to skip tasks conflicting with in-flight jobs, so
-// the planner is only invoked for levels actually considered — the
-// round-robin cursor never advances for a level whose task was not taken.
+// (the cascade rule below). The Scheduler uses admit to skip tasks
+// conflicting with in-flight jobs, so the planner is only invoked for
+// levels actually considered — the round-robin cursor never advances for
+// a level whose task was not taken.
 func (p *Picker) PickUnder(levels []manifest.Level, admit func(*Task) bool) *Task {
 	if len(levels) == 0 {
 		return nil

@@ -28,7 +28,7 @@ func newSim(t *testing.T, shape Shape) *sim {
 	return &sim{
 		t:      t,
 		picker: p,
-		levels: make([]manifest.Level, p.Shape().MaxLevels),
+		levels: make([]manifest.Level, p.shape.MaxLevels),
 	}
 }
 
@@ -55,7 +55,7 @@ func (s *sim) drain() {
 		if steps > 10000 {
 			s.t.Fatal("compaction did not converge")
 		}
-		task := s.picker.Pick(s.levels)
+		task := s.picker.PickUnder(s.levels, nil)
 		if task == nil {
 			return
 		}
@@ -263,7 +263,7 @@ func TestSingleFileGranularityMovesOneFile(t *testing.T) {
 		mkFile(4, "a", "b", 4<<10),
 		mkFile(5, "e", "h", 4<<10),
 	}}}
-	task := p.Pick(levels)
+	task := p.PickUnder(levels, nil)
 	if task == nil {
 		t.Fatal("expected a task for oversized L1")
 	}
@@ -290,7 +290,7 @@ func TestMinOverlapPicksCheapestFile(t *testing.T) {
 	levels[2].Runs = []manifest.Run{{Files: []*manifest.FileMeta{
 		{Num: 3, Size: 8 << 10, Smallest: []byte("a"), Largest: []byte("c"), CreatedAt: 3},
 	}}}
-	task := p.Pick(levels)
+	task := p.PickUnder(levels, nil)
 	if task == nil {
 		t.Fatal("expected task")
 	}
@@ -314,7 +314,7 @@ func TestMostTombstonesPicker(t *testing.T) {
 		{Num: 1, Size: 8 << 10, Smallest: []byte("a"), Largest: []byte("c"), Entries: 100, Tombstones: 5, CreatedAt: 1},
 		{Num: 2, Size: 8 << 10, Smallest: []byte("d"), Largest: []byte("f"), Entries: 100, Tombstones: 90, CreatedAt: 2},
 	}}}
-	task := p.Pick(levels)
+	task := p.PickUnder(levels, nil)
 	if task == nil || task.InputFiles[0].Num != 2 {
 		t.Errorf("most-tombstones must pick file 2, got %+v", task)
 	}
@@ -331,7 +331,7 @@ func TestOldestPicker(t *testing.T) {
 		{Num: 5, Size: 8 << 10, Smallest: []byte("a"), Largest: []byte("c"), CreatedAt: 9},
 		{Num: 6, Size: 8 << 10, Smallest: []byte("d"), Largest: []byte("f"), CreatedAt: 2},
 	}}}
-	task := p.Pick(levels)
+	task := p.PickUnder(levels, nil)
 	if task == nil || task.InputFiles[0].Num != 6 {
 		t.Errorf("oldest must pick file 6 (seq 2), got %+v", task)
 	}
@@ -351,7 +351,7 @@ func TestRoundRobinCursorCycles(t *testing.T) {
 	}}}
 	var picked []uint64
 	for i := 0; i < 3; i++ {
-		task := p.Pick(levels)
+		task := p.PickUnder(levels, nil)
 		if task == nil {
 			t.Fatal("expected task")
 		}
@@ -401,10 +401,10 @@ func TestLevelCapacityGeometric(t *testing.T) {
 
 func TestEmptyTreeNoTask(t *testing.T) {
 	p, _ := NewPicker(Shape{SizeRatio: 4, K: 1, Z: 1, L0Trigger: 2, BaseBytes: 4 << 10, MaxLevels: 4})
-	if task := p.Pick(make([]manifest.Level, 4)); task != nil {
+	if task := p.PickUnder(make([]manifest.Level, 4), nil); task != nil {
 		t.Errorf("empty tree produced task: %+v", task)
 	}
-	if task := p.Pick(nil); task != nil {
+	if task := p.PickUnder(nil, nil); task != nil {
 		t.Errorf("nil levels produced task: %+v", task)
 	}
 }
@@ -419,7 +419,7 @@ func TestBottomLevelSelfMerge(t *testing.T) {
 			{Num: uint64(i + 1), Size: 1 << 20, Smallest: []byte("a"), Largest: []byte("z"), CreatedAt: uint64(i + 1)},
 		}})
 	}
-	task := p.Pick(levels)
+	task := p.PickUnder(levels, nil)
 	if task == nil {
 		t.Fatal("expected bottom self-merge")
 	}
@@ -450,16 +450,6 @@ func TestOverlapHelpers(t *testing.T) {
 	got := OverlappingFiles(run, []byte("e"), []byte("h"))
 	if len(got) != 2 || got[0].Num != 2 || got[1].Num != 3 {
 		t.Errorf("OverlappingFiles returned %+v", got)
-	}
-}
-
-func TestTaskInputBytes(t *testing.T) {
-	task := Task{
-		InputFiles:  []*manifest.FileMeta{{Size: 100}, {Size: 200}},
-		TargetFiles: []*manifest.FileMeta{{Size: 300}},
-	}
-	if got := task.InputBytes(); got != 600 {
-		t.Errorf("InputBytes=%d want 600", got)
 	}
 }
 
@@ -494,7 +484,7 @@ func ExamplePicker() {
 		{Files: []*manifest.FileMeta{{Num: 1, Size: 512, Smallest: []byte("a"), Largest: []byte("m"), CreatedAt: 1}}},
 		{Files: []*manifest.FileMeta{{Num: 2, Size: 512, Smallest: []byte("k"), Largest: []byte("z"), CreatedAt: 2}}},
 	}
-	task := p.Pick(levels)
+	task := p.PickUnder(levels, nil)
 	fmt.Printf("L%d -> L%d files=%d fresh=%v\n",
 		task.FromLevel, task.TargetLevel, len(task.InputFiles), task.FreshRun)
 	// Output: L0 -> L1 files=2 fresh=true

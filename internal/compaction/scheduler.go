@@ -128,11 +128,6 @@ func (s *Scheduler) Reshape(shape Shape) error {
 	return nil
 }
 
-// InFlight returns the number of claimed, unfinished tasks.
-func (s *Scheduler) InFlight() int {
-	return s.inflight
-}
-
 // Quiesced reports whether no task is in flight and the tree needs no
 // compaction — the "background work is finished" predicate.
 func (s *Scheduler) Quiesced(levels []manifest.Level) bool {

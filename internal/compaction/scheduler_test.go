@@ -86,7 +86,7 @@ func TestSchedulerDisjointClaims(t *testing.T) {
 	if t3 := s.Next(views); t3 != nil {
 		t.Fatalf("third task %+v conflicts with in-flight claims", t3)
 	}
-	if got := s.InFlight(); got != 2 {
+	if got := s.inflight; got != 2 {
 		t.Fatalf("InFlight = %d, want 2", got)
 	}
 
@@ -98,7 +98,7 @@ func TestSchedulerDisjointClaims(t *testing.T) {
 	}
 	s.Done(t2)
 	s.Done(t4)
-	if got := s.InFlight(); got != 0 {
+	if got := s.inflight; got != 0 {
 		t.Fatalf("InFlight = %d after all Done, want 0", got)
 	}
 }
@@ -244,7 +244,7 @@ func TestSchedulerClaimRace(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := s.InFlight(); got != 0 {
+	if got := s.inflight; got != 0 {
 		t.Fatalf("InFlight = %d after all workers finished, want 0", got)
 	}
 }

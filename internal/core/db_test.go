@@ -253,7 +253,7 @@ func TestSnapshotIsolation(t *testing.T) {
 	}
 	// Snapshot scan sees the old world.
 	n := 0
-	snap.Scan(key(0), key(100000), func(k, v []byte) bool { n++; return true })
+	scanSnapshot(snap, key(0), key(100000), func(k, v []byte) bool { n++; return true })
 	if n != 1 {
 		t.Fatalf("snapshot scan saw %d keys want 1", n)
 	}
@@ -460,15 +460,15 @@ func TestValueLogGCReclaims(t *testing.T) {
 		db.Put(key(i%10), payload)
 	}
 	db.Flush()
-	sizeBefore := db.vlog.SizeBytes()
+	sizeBefore := vlogBytes(t, db)
 	for i := 0; i < 10; i++ {
 		if _, err := db.RunValueLogGC(); err != nil {
 			t.Fatal(err)
 		}
 	}
 	db.Flush()
-	if db.vlog.SizeBytes() >= sizeBefore {
-		t.Errorf("GC did not reclaim: before=%d after=%d", sizeBefore, db.vlog.SizeBytes())
+	if after := vlogBytes(t, db); after >= sizeBefore {
+		t.Errorf("GC did not reclaim: before=%d after=%d", sizeBefore, after)
 	}
 	// All live keys still resolve.
 	for i := 0; i < 10; i++ {

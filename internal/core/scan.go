@@ -29,9 +29,6 @@ func (db *DB) NewSnapshot() *Snapshot {
 	return s
 }
 
-// Seq returns the snapshot's sequence number.
-func (s *Snapshot) Seq() kv.SeqNum { return s.seq }
-
 // Release unpins the snapshot; idempotent.
 func (s *Snapshot) Release() {
 	if s.released {
@@ -56,14 +53,6 @@ func (s *Snapshot) Get(key []byte) ([]byte, error) {
 		return nil, errSnapshotReleased
 	}
 	return s.db.getOne(key, s.seq, nil, nil)
-}
-
-// Scan iterates the snapshot over [lo, hi]; see DB.Scan.
-func (s *Snapshot) Scan(lo, hi []byte, fn func(key, value []byte) bool) error {
-	if s.released {
-		return errSnapshotReleased
-	}
-	return s.db.scan(lo, hi, s.seq, fn)
 }
 
 // Scan calls fn for the newest visible version of every key in [lo, hi]

@@ -137,17 +137,6 @@ func (x *Index) Find(userKey []byte) int {
 	return i - 1
 }
 
-// FindGE returns the index of the first block that may contain keys
-// >= userKey, for positioning range scans. It returns Len() when no block
-// qualifies.
-func (x *Index) FindGE(userKey []byte) int {
-	i := x.Find(userKey)
-	if i < 0 {
-		return 0
-	}
-	return i
-}
-
 // ApproxMemory returns the resident bytes of the fence array.
 func (x *Index) ApproxMemory() int {
 	total := 0

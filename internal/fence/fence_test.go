@@ -36,17 +36,6 @@ func TestIndexFind(t *testing.T) {
 	}
 }
 
-func TestIndexFindGE(t *testing.T) {
-	x := buildIndex("b", "f", "m")
-	// A scan from "a" must start at block 0 even though "a" precedes it.
-	if got := x.FindGE([]byte("a")); got != 0 {
-		t.Errorf("FindGE(a)=%d want 0", got)
-	}
-	if got := x.FindGE([]byte("g")); got != 1 {
-		t.Errorf("FindGE(g)=%d want 1", got)
-	}
-}
-
 func TestIndexEncodeDecodeRoundTrip(t *testing.T) {
 	var b Builder
 	for i := 0; i < 300; i++ {

@@ -45,14 +45,6 @@ func newBlockedBuilder(bitsPerKey float64) *blockedBuilder {
 
 func (b *blockedBuilder) AddHash(kh KeyHash) { b.hashes = append(b.hashes, kh) }
 
-func (b *blockedBuilder) EstimatedSize() int {
-	nblocks := int(math.Ceil(float64(len(b.hashes)) * b.bitsPerKey / blockBits))
-	if nblocks < 1 {
-		nblocks = 1
-	}
-	return blockedHeaderLen + nblocks*blockBytes
-}
-
 func (b *blockedBuilder) Finish() ([]byte, error) {
 	nblocks := uint64(math.Ceil(float64(len(b.hashes)) * b.bitsPerKey / blockBits))
 	if nblocks < 1 {
@@ -108,7 +100,5 @@ func (r *blockedReader) MayContainHash(kh KeyHash) bool {
 	}
 	return true
 }
-
-func (r *blockedReader) Kind() FilterKind { return KindBlockedBloom }
 
 func (r *blockedReader) ApproxMemory() int { return blockedHeaderLen + len(r.data) }

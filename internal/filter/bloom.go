@@ -70,10 +70,6 @@ func newBloomBuilder(bitsPerKey float64) *bloomBuilder {
 
 func (b *bloomBuilder) AddHash(kh KeyHash) { b.hashes = append(b.hashes, kh) }
 
-func (b *bloomBuilder) EstimatedSize() int {
-	return bloomHeaderLen + (int(float64(len(b.hashes))*b.bitsPerKey)+63)/64*8
-}
-
 func (b *bloomBuilder) Finish() ([]byte, error) {
 	nbits := uint64(float64(len(b.hashes)) * b.bitsPerKey)
 	if nbits < 64 {
@@ -123,7 +119,5 @@ func (r *bloomReader) MayContainHash(kh KeyHash) bool {
 	}
 	return true
 }
-
-func (r *bloomReader) Kind() FilterKind { return KindBloom }
 
 func (r *bloomReader) ApproxMemory() int { return bloomHeaderLen + len(r.bits) }

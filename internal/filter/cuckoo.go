@@ -7,9 +7,9 @@ import (
 
 // Cuckoo filter (Fan et al., CoNEXT'14), the Bloom replacement used by
 // SlimDB and Chucky: 4-way bucketized, partial-key fingerprints, two
-// candidate buckets related by the partial-key XOR trick. Unlike Bloom
-// filters it supports deletion, which lets an LSM engine subtract merged
-// runs' keys instead of rebuilding filters.
+// candidate buckets related by the partial-key XOR trick. Unlike a Bloom
+// filter, a cuckoo filter can support deletion; this one has none,
+// because a run's filter is immutable and a merge builds a new one.
 //
 // Serialized layout:
 //
@@ -69,16 +69,15 @@ func (p packedSlots) set(i int, v uint16) {
 	}
 }
 
-// Cuckoo is a mutable cuckoo filter. It backs both the Builder/Reader
-// integration with sstables and the standalone delete-capable use case.
+// Cuckoo is a cuckoo filter: mutable while a Builder fills it, read-only
+// once decoded behind a Reader.
 type Cuckoo struct {
 	fpBits   int
 	mask     uint64 // bucketCount - 1
 	nbuckets int
 	slots    packedSlots
 	stash    []uint64 // H1 of keys that failed insertion
-	count    int
-	rng      uint64 // xorshift state for eviction choice
+	rng      uint64   // xorshift state for eviction choice
 }
 
 // NewCuckoo creates a cuckoo filter sized for capacity keys at the given
@@ -150,13 +149,11 @@ func (c *Cuckoo) Insert(kh KeyHash) bool {
 	b1 := c.bucketIndex(kh)
 	if i := c.emptyInBucket(b1); i >= 0 {
 		c.slots.set(i, fp)
-		c.count++
 		return true
 	}
 	b2 := c.altBucket(b1, fp)
 	if i := c.emptyInBucket(b2); i >= 0 {
 		c.slots.set(i, fp)
-		c.count++
 		return true
 	}
 	// Evict: random walk between the two candidate buckets.
@@ -173,7 +170,6 @@ func (c *Cuckoo) Insert(kh KeyHash) bool {
 		b = c.altBucket(b, cur)
 		if i := c.emptyInBucket(b); i >= 0 {
 			c.slots.set(i, cur)
-			c.count++
 			return true
 		}
 	}
@@ -183,7 +179,6 @@ func (c *Cuckoo) Insert(kh KeyHash) bool {
 	// the displaced fingerprint back by undoing nothing: instead, stash is
 	// keyed on fingerprints paired with buckets.
 	c.stash = append(c.stash, uint64(cur)|b<<16)
-	c.count++
 	return false
 }
 
@@ -217,44 +212,6 @@ func (c *Cuckoo) stashContains(b1, b2 uint64, fp uint16) bool {
 		}
 	}
 	return false
-}
-
-// Delete removes one instance of the key's fingerprint. It reports whether
-// a matching fingerprint was found. Deleting a key that was never inserted
-// may remove a colliding key's fingerprint — the standard cuckoo-filter
-// caveat; callers must only delete keys they inserted.
-func (c *Cuckoo) Delete(kh KeyHash) bool {
-	fp := c.fingerprint(kh)
-	b1 := c.bucketIndex(kh)
-	if i := c.findInBucket(b1, fp); i >= 0 {
-		c.slots.set(i, 0)
-		c.count--
-		return true
-	}
-	b2 := c.altBucket(b1, fp)
-	if i := c.findInBucket(b2, fp); i >= 0 {
-		c.slots.set(i, 0)
-		c.count--
-		return true
-	}
-	for j, e := range c.stash {
-		efp := uint16(e & 0xffff)
-		eb := e >> 16
-		if efp == fp && (eb == b1 || eb == b2) {
-			c.stash = append(c.stash[:j], c.stash[j+1:]...)
-			c.count--
-			return true
-		}
-	}
-	return false
-}
-
-// Count returns the number of resident fingerprints.
-func (c *Cuckoo) Count() int { return c.count }
-
-// LoadFactor returns occupied slots over total slots.
-func (c *Cuckoo) LoadFactor() float64 {
-	return float64(c.count) / float64(c.nbuckets*cuckooSlots)
 }
 
 // Encode serializes the filter.
@@ -297,13 +254,6 @@ func DecodeCuckoo(data []byte) (*Cuckoo, error) {
 	for i := 0; i < nstash; i++ {
 		c.stash = append(c.stash, binary.LittleEndian.Uint64(rest[i*cuckooStashBinary:]))
 	}
-	// Recount occupancy.
-	for i := 0; i < nbuckets*cuckooSlots; i++ {
-		if c.slots.get(i) != 0 {
-			c.count++
-		}
-	}
-	c.count += len(c.stash)
 	return c, nil
 }
 
@@ -323,10 +273,6 @@ func newCuckooBuilder(n int, bitsPerKey float64) *cuckooBuilder {
 
 func (b *cuckooBuilder) AddHash(kh KeyHash) { b.c.Insert(kh) }
 
-func (b *cuckooBuilder) EstimatedSize() int {
-	return cuckooHeaderLen + len(b.c.slots.data) + len(b.c.stash)*cuckooStashBinary
-}
-
 func (b *cuckooBuilder) Finish() ([]byte, error) { return b.c.Encode(), nil }
 
 type cuckooReader struct{ c *Cuckoo }
@@ -340,7 +286,6 @@ func newCuckooReader(data []byte) (*cuckooReader, error) {
 }
 
 func (r *cuckooReader) MayContainHash(kh KeyHash) bool { return r.c.Contains(kh) }
-func (r *cuckooReader) Kind() FilterKind               { return KindCuckoo }
 func (r *cuckooReader) ApproxMemory() int {
 	return cuckooHeaderLen + len(r.c.slots.data) + len(r.c.stash)*cuckooStashBinary
 }

@@ -45,24 +45,6 @@ func (k FilterKind) String() string {
 	}
 }
 
-// ParseKind maps a configuration string to a FilterKind.
-func ParseKind(s string) (FilterKind, error) {
-	switch s {
-	case "", "none":
-		return KindNone, nil
-	case "bloom":
-		return KindBloom, nil
-	case "blocked-bloom", "blocked":
-		return KindBlockedBloom, nil
-	case "cuckoo":
-		return KindCuckoo, nil
-	case "ribbon":
-		return KindRibbon, nil
-	default:
-		return KindNone, fmt.Errorf("%w: %q", ErrUnknownKind, s)
-	}
-}
-
 // Builder accumulates the key set of one sorted run (or one filter
 // partition) and serializes a probe-ready filter.
 type Builder interface {
@@ -70,9 +52,6 @@ type Builder interface {
 	AddHash(kh KeyHash)
 	// Finish serializes the filter. The builder is single-use.
 	Finish() ([]byte, error)
-	// EstimatedSize returns the expected serialized size in bytes for the
-	// keys added so far.
-	EstimatedSize() int
 }
 
 // Reader answers membership queries against a serialized filter.
@@ -80,8 +59,6 @@ type Reader interface {
 	// MayContainHash reports whether the key with the given digest may be a
 	// member. False means definitely absent.
 	MayContainHash(kh KeyHash) bool
-	// Kind returns the filter implementation tag.
-	Kind() FilterKind
 	// ApproxMemory returns the resident size of the filter in bytes.
 	ApproxMemory() int
 }
@@ -148,10 +125,8 @@ type noneBuilder struct{}
 
 func (noneBuilder) AddHash(KeyHash)         {}
 func (noneBuilder) Finish() ([]byte, error) { return nil, nil }
-func (noneBuilder) EstimatedSize() int      { return 0 }
 
 type noneReader struct{}
 
 func (noneReader) MayContainHash(KeyHash) bool { return true }
-func (noneReader) Kind() FilterKind            { return KindNone }
 func (noneReader) ApproxMemory() int           { return 0 }

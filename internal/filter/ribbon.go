@@ -97,10 +97,6 @@ func (b *ribbonBuilder) AddHash(kh KeyHash) {
 	b.stash = append(b.stash, kh.H1)
 }
 
-func (b *ribbonBuilder) EstimatedSize() int {
-	return ribbonHeaderLen + (b.m*b.r+7)/8 + len(b.stash)*8
-}
-
 func (b *ribbonBuilder) Finish() ([]byte, error) {
 	// Back substitution, highest slot first.
 	sol := newPackedSlots(b.r, b.m)
@@ -189,8 +185,6 @@ func (rd *ribbonReader) MayContainHash(kh KeyHash) bool {
 	}
 	return false
 }
-
-func (rd *ribbonReader) Kind() FilterKind { return KindRibbon }
 
 func (rd *ribbonReader) ApproxMemory() int { return rd.size }
 

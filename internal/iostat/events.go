@@ -151,11 +151,3 @@ func (l *EventLog) Len() int {
 	defer l.mu.Unlock()
 	return l.n
 }
-
-// TotalAdded returns the number of events ever recorded, including
-// evicted ones.
-func (l *EventLog) TotalAdded() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.seq
-}

@@ -8,6 +8,14 @@ import (
 	"testing"
 )
 
+// TotalAdded returns the number of events ever recorded, including
+// evicted ones.
+func (l *EventLog) TotalAdded() uint64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.seq
+}
+
 // TestEventLogBounded: the ring retains exactly the last `capacity`
 // events, in chronological order, with contiguous sequence numbers.
 func TestEventLogBounded(t *testing.T) {

@@ -5,11 +5,6 @@ import (
 	"math"
 )
 
-// AppendUvarint appends x in unsigned varint form.
-func AppendUvarint(dst []byte, x uint64) []byte {
-	return binary.AppendUvarint(dst, x)
-}
-
 // AppendLengthPrefixed appends a uvarint length followed by the bytes.
 func AppendLengthPrefixed(dst, b []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(b)))

@@ -176,11 +176,6 @@ type Entry struct {
 // Size returns the approximate in-memory footprint of the entry payload.
 func (e Entry) Size() int { return e.Key.Size() + len(e.Value) }
 
-// Clone deep-copies the entry.
-func (e Entry) Clone() Entry {
-	return Entry{Key: e.Key.Clone(), Value: append([]byte(nil), e.Value...)}
-}
-
 // Iterator is the engine-wide positional iterator contract over versioned
 // entries. Implementations are not safe for concurrent use.
 //

@@ -218,9 +218,6 @@ func (m *Memtable) ApproxSize() int64 { return m.size.Load() }
 // Len returns the number of entries in both levels.
 func (m *Memtable) Len() int { return int(m.count.Load()) }
 
-// Empty reports whether the memtable holds no entries.
-func (m *Memtable) Empty() bool { return m.count.Load() == 0 }
-
 // NewIterator drains a two-level buffer's front and returns an iterator
 // over the skiplist. The iterator observes entries linked before each
 // positioning call (a later front entry only once drained); the engine

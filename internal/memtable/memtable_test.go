@@ -133,6 +133,9 @@ func TestMemtableSeekGE(t *testing.T) {
 	}
 }
 
+// Empty reports whether the memtable holds no entries.
+func (m *Memtable) Empty() bool { return m.count.Load() == 0 }
+
 func TestMemtableSizeGrows(t *testing.T) {
 	m := New()
 	if m.ApproxSize() != 0 || !m.Empty() {

@@ -102,14 +102,6 @@ func (r *prefixReader) probe(p []byte) bool {
 	return r.bloom.MayContainHash(filter.HashKey(p))
 }
 
-func (r *prefixReader) MayContainKey(key []byte) bool {
-	p := key
-	if len(p) > r.prefixLen {
-		p = p[:r.prefixLen]
-	}
-	return r.probe(p)
-}
-
 func (r *prefixReader) MayContainRange(lo, hi []byte) bool {
 	// Only ranges confined to a single full-length prefix are answerable.
 	if len(lo) < r.prefixLen || len(hi) < r.prefixLen {

@@ -65,24 +65,6 @@ func (k Kind) String() string {
 	}
 }
 
-// ParseKind maps a configuration string to a Kind.
-func ParseKind(s string) (Kind, error) {
-	switch s {
-	case "", "none":
-		return KindNone, nil
-	case "prefix":
-		return KindPrefix, nil
-	case "surf":
-		return KindSuRF, nil
-	case "rosetta":
-		return KindRosetta, nil
-	case "snarf":
-		return KindSNARF, nil
-	default:
-		return KindNone, fmt.Errorf("%w: %q", ErrUnknownKind, s)
-	}
-}
-
 // SuRFMode selects the suffix strategy of the SuRF variant.
 type SuRFMode uint8
 
@@ -107,8 +89,6 @@ type Builder interface {
 
 // Reader answers range-emptiness queries against a serialized filter.
 type Reader interface {
-	// MayContainKey reports whether key may be a member.
-	MayContainKey(key []byte) bool
 	// MayContainRange reports whether any member may lie in [lo, hi]
 	// (inclusive bounds). False means the run definitely has no key there.
 	MayContainRange(lo, hi []byte) bool
@@ -185,7 +165,6 @@ func (noneBuilder) Finish() ([]byte, error) { return nil, nil }
 
 type noneReader struct{}
 
-func (noneReader) MayContainKey([]byte) bool        { return true }
 func (noneReader) MayContainRange(_, _ []byte) bool { return true }
 func (noneReader) Kind() Kind                       { return KindNone }
 func (noneReader) ApproxMemory() int                { return 0 }

@@ -210,14 +210,6 @@ func decodeRosetta(data []byte) (*rosettaReader, error) {
 	return r, nil
 }
 
-func (r *rosettaReader) MayContainKey(key []byte) bool {
-	v, rel := r.dom.mapKey(key)
-	if rel != relInside {
-		return false // key cannot carry the common prefix of the set
-	}
-	return r.levels[0].mayContain(v, 0)
-}
-
 func (r *rosettaReader) MayContainRange(lo, hi []byte) bool {
 	a, b, empty := r.dom.mapRange(lo, hi)
 	if empty {

@@ -246,22 +246,6 @@ func (r *snarfReader) anyBit(from, to uint64) bool {
 	return false
 }
 
-func (r *snarfReader) MayContainKey(key []byte) bool {
-	if len(r.model.xs) == 0 {
-		return false
-	}
-	v, rel := r.dom.mapKey(key)
-	if rel != relInside {
-		return false
-	}
-	// Keys outside the trained numeric domain are definitely absent.
-	if v < r.model.xs[0] || v > r.model.xs[len(r.model.xs)-1] {
-		return false
-	}
-	b := r.model.eval(v)
-	return r.anyBit(b, b)
-}
-
 func (r *snarfReader) MayContainRange(lo, hi []byte) bool {
 	if len(r.model.xs) == 0 {
 		return false

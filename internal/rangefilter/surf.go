@@ -173,26 +173,6 @@ func (r *surfReader) MayContainRange(lo, hi []byte) bool {
 	return idx < len(r.entries) && bytes.Compare(r.entries[idx], hi) <= 0
 }
 
-func (r *surfReader) MayContainKey(key []byte) bool {
-	if len(r.entries) == 0 {
-		return false
-	}
-	idx, prevIsPrefix := r.lookup(key, key)
-	var match int
-	switch {
-	case prevIsPrefix:
-		match = idx - 1
-	case idx < len(r.entries) && bytes.Equal(r.entries[idx], key):
-		match = idx
-	default:
-		return false
-	}
-	if r.mode == SuRFHash {
-		return r.hashes[match] == byte(filter.Hash64(key, 0x5a))
-	}
-	return true
-}
-
 func (r *surfReader) Kind() Kind { return KindSuRF }
 
 func (r *surfReader) ApproxMemory() int { return r.size }

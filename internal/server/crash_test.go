@@ -83,7 +83,7 @@ func TestNetworkCrashRecovery(t *testing.T) {
 						val := key + "#val"
 						op := e.Issue(crashtest.Put(key, val))
 						if i%10 == 9 { // the batch path too
-							err = cl.Batch([]client.Op{client.PutOp([]byte(key), []byte(val))})
+							err = cl.Batch([]client.Op{core.PutOp([]byte(key), []byte(val))})
 						} else {
 							err = cl.Put([]byte(key), []byte(val))
 						}

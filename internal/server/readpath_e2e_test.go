@@ -48,9 +48,9 @@ func runMultiGetSuite(t *testing.T, cl *client.Client) {
 	val := func(i int) []byte { return []byte(fmt.Sprintf("value-%04d", i)) }
 	var ops []client.Op
 	for i := 0; i < n; i++ {
-		ops = append(ops, client.PutOp(key(i), val(i)))
+		ops = append(ops, core.PutOp(key(i), val(i)))
 	}
-	ops = append(ops, client.PutOp([]byte("mg-empty"), nil))
+	ops = append(ops, core.PutOp([]byte("mg-empty"), nil))
 	if err := cl.Batch(ops); err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestScanStreamProperty(t *testing.T) {
 				k := fmt.Sprintf("prop-%06d", rng.Intn(5000))
 				v := fmt.Sprintf("v%08d", rng.Int63())
 				oracle[k] = v
-				ops = append(ops, client.PutOp([]byte(k), []byte(v)))
+				ops = append(ops, core.PutOp([]byte(k), []byte(v)))
 			}
 			if err := cl.Batch(ops); err != nil {
 				t.Fatal(err)
@@ -239,7 +239,7 @@ func TestScanStreamEarlyStop(t *testing.T) {
 	cl := dialTest(t, srv, nil)
 	var ops []client.Op
 	for i := 0; i < 500; i++ {
-		ops = append(ops, client.PutOp([]byte(fmt.Sprintf("stop-%04d", i)), []byte("v")))
+		ops = append(ops, core.PutOp([]byte(fmt.Sprintf("stop-%04d", i)), []byte("v")))
 	}
 	if err := cl.Batch(ops); err != nil {
 		t.Fatal(err)
@@ -296,7 +296,7 @@ func TestScanStreamMidStreamKill(t *testing.T) {
 	const n = 4000
 	var ops []client.Op
 	for i := 0; i < n; i++ {
-		ops = append(ops, client.PutOp([]byte(fmt.Sprintf("kill-%05d", i)), []byte("payload-xxxxxxxx")))
+		ops = append(ops, core.PutOp([]byte(fmt.Sprintf("kill-%05d", i)), []byte("payload-xxxxxxxx")))
 		if len(ops) == 512 {
 			if err := seedCl.Batch(ops); err != nil {
 				t.Fatal(err)

@@ -15,6 +15,7 @@ import (
 	"lsmkv"
 	"lsmkv/internal/checkpoint"
 	"lsmkv/internal/client"
+	"lsmkv/internal/core"
 	"lsmkv/internal/replica"
 	"lsmkv/internal/server"
 )
@@ -229,8 +230,8 @@ func TestReplicationE2E(t *testing.T) {
 	// acknowledged but absent on the follower — absent, not torn.
 	follower.Stop()
 	acks2, err := cl.BatchSeq([]client.Op{
-		client.PutOp([]byte("unshipped-a"), []byte("ua")),
-		client.PutOp([]byte("unshipped-b"), []byte("ub")),
+		core.PutOp([]byte("unshipped-a"), []byte("ua")),
+		core.PutOp([]byte("unshipped-b"), []byte("ub")),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -146,9 +146,9 @@ func TestServerBasicOps(t *testing.T) {
 		t.Fatalf("deleted key: want ErrNotFound, got %v", err)
 	}
 	if err := cl.Batch([]client.Op{
-		client.PutOp([]byte("c1"), []byte("x")),
-		client.PutOp([]byte("c2"), []byte("y")),
-		client.DeleteOp([]byte("beta")),
+		core.PutOp([]byte("c1"), []byte("x")),
+		core.PutOp([]byte("c2"), []byte("y")),
+		core.DeleteOp([]byte("beta")),
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -42,7 +42,7 @@ func TestShardedServerEndToEnd(t *testing.T) {
 	// The rest through BATCH frames spanning shards.
 	var ops []client.Op
 	for i := n / 2; i < n; i++ {
-		ops = append(ops, client.PutOp(key(i), val(i)))
+		ops = append(ops, core.PutOp(key(i), val(i)))
 		if len(ops) == 32 {
 			if err := cl.Batch(ops); err != nil {
 				t.Fatal(err)
@@ -129,9 +129,9 @@ func TestShardedBatchAtomicPerShard(t *testing.T) {
 
 	var ops []client.Op
 	for i := 0; i < 100; i++ {
-		ops = append(ops, client.PutOp([]byte(fmt.Sprintf("span-%03d", i)), []byte("v")))
+		ops = append(ops, core.PutOp([]byte(fmt.Sprintf("span-%03d", i)), []byte("v")))
 	}
-	ops = append(ops, client.DeleteOp([]byte("span-000")))
+	ops = append(ops, core.DeleteOp([]byte("span-000")))
 	if err := cl.Batch(ops); err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestBatchOnOneShardIsOneWALRecord(t *testing.T) {
 			var ops []client.Op
 			for i := 0; len(ops) < 20; i++ {
 				if k := []byte(fmt.Sprintf("one-%04d", i)); db.ShardOf(k) == 0 {
-					ops = append(ops, client.PutOp(k, []byte("v")))
+					ops = append(ops, core.PutOp(k, []byte("v")))
 				}
 			}
 			before := db.Stats().WALRecords
@@ -208,7 +208,7 @@ func TestShardedShutdownNoGoroutineLeak(t *testing.T) {
 	}
 	var ops []client.Op
 	for i := 0; i < 2000; i++ {
-		ops = append(ops, client.PutOp([]byte(fmt.Sprintf("leak-%05d", i)), []byte("v")))
+		ops = append(ops, core.PutOp([]byte(fmt.Sprintf("leak-%05d", i)), []byte("v")))
 	}
 	if err := cl.Batch(ops); err != nil {
 		t.Fatal(err)
@@ -300,7 +300,7 @@ func TestCrossShardBatchesNeverDeadlock(t *testing.T) {
 					}
 					var ops []client.Op
 					for _, k := range keys {
-						ops = append(ops, client.PutOp(k, k))
+						ops = append(ops, core.PutOp(k, k))
 					}
 					if err := cl.Batch(ops); err != nil {
 						done <- err
@@ -361,7 +361,7 @@ func TestCrossShardBatchSyncsShardsInParallel(t *testing.T) {
 	cl := dialTest(t, srv, nil)
 	var ops []client.Op
 	for _, k := range keysOnShards(db, "parallel") {
-		ops = append(ops, client.PutOp(k, k))
+		ops = append(ops, core.PutOp(k, k))
 	}
 	fs.peak.Store(0)
 	before := db.Stats().WALSyncs

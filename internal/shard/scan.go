@@ -24,7 +24,6 @@ type Scanner struct {
 
 	started bool
 	closed  bool
-	shard   int
 	key     []byte
 	value   []byte
 	err     error
@@ -112,7 +111,7 @@ func (mc *Scanner) Next() bool {
 		return false
 	}
 	top := mc.h[0]
-	mc.key, mc.value, mc.shard = top.sc.Key(), top.sc.Value(), top.shard
+	mc.key, mc.value = top.sc.Key(), top.sc.Value()
 	return true
 }
 
@@ -121,9 +120,6 @@ func (mc *Scanner) Key() []byte { return mc.key }
 
 // Value returns the current value; valid until the next Next.
 func (mc *Scanner) Value() []byte { return mc.value }
-
-// Shard returns the shard the current key lives in.
-func (mc *Scanner) Shard() int { return mc.shard }
 
 // Err returns the first error the scan hit, if any.
 func (mc *Scanner) Err() error { return mc.err }

@@ -239,8 +239,8 @@ func TestScannerShardTagging(t *testing.T) {
 		if prev != nil && bytes.Compare(prev, sc.Key()) >= 0 {
 			t.Fatalf("merge out of order: %q then %q", prev, sc.Key())
 		}
-		if want := db.ShardOf(sc.Key()); sc.Shard() != want {
-			t.Fatalf("key %q tagged shard %d, routed to %d", sc.Key(), sc.Shard(), want)
+		if want := db.ShardOf(sc.Key()); sc.h[0].shard != want {
+			t.Fatalf("key %q merged from shard %d, routed to %d", sc.Key(), sc.h[0].shard, want)
 		}
 		prev = append(prev[:0], sc.Key()...)
 		count++

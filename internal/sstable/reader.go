@@ -186,9 +186,6 @@ func OpenReader(f io.ReaderAt, size int64, opts ReaderOptions) (*Reader, error) 
 	return r, nil
 }
 
-// Properties returns the table's summary metadata.
-func (r *Reader) Properties() Properties { return r.props }
-
 // FilterMemory returns the resident bytes of the table's point filter(s)
 // alone — the quantity Monkey's allocation distributes across levels.
 func (r *Reader) FilterMemory() int {
@@ -306,9 +303,6 @@ func (r *Reader) PrefetchBlock(i int) error {
 	t.FlushTo(r.opts.Stats)
 	return err
 }
-
-// NumBlocks returns the number of data blocks.
-func (r *Reader) NumBlocks() int { return r.index.Len() }
 
 // BlockFirstKey returns the first user key of block i, or nil when out of
 // range. The compaction-aware prefetcher uses it to translate hot block

@@ -130,7 +130,7 @@ func TestProbeWalksAscendingKeys(t *testing.T) {
 			// one whose walk starts a block early, in case newer versions
 			// of it end that block.
 			firsts := map[string]bool{}
-			for b := range r.NumBlocks() {
+			for b := range r.index.Len() {
 				firsts[string(r.index.Entry(b).FirstKey)] = true
 			}
 			var repeated [][]byte
@@ -156,14 +156,14 @@ func TestProbeWalksAscendingKeys(t *testing.T) {
 				return tally
 			}
 			reads := walk(distinct).BlockReads
-			if reads > int64(r.NumBlocks()) {
-				t.Errorf("%d block reads walking %d blocks in key order", reads, r.NumBlocks())
+			if reads > int64(r.index.Len()) {
+				t.Errorf("%d block reads walking %d blocks in key order", reads, r.index.Len())
 			}
 			if again := walk(repeated).BlockReads; again != reads {
 				t.Errorf("%d block reads with keys repeated, %d without", again, reads)
 			}
-			if name == "plain" && reads != int64(r.NumBlocks()) {
-				t.Errorf("plain: %d block reads, want each of %d blocks once", reads, r.NumBlocks())
+			if name == "plain" && reads != int64(r.index.Len()) {
+				t.Errorf("plain: %d block reads, want each of %d blocks once", reads, r.index.Len())
 			}
 		})
 	}
@@ -247,8 +247,8 @@ func TestTableMultiVersionKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.NumBlocks() < 5 {
-		t.Fatalf("expected many blocks, got %d", r.NumBlocks())
+	if r.index.Len() < 5 {
+		t.Fatalf("expected many blocks, got %d", r.index.Len())
 	}
 	for _, snap := range []kv.SeqNum{1, 2, 50, 99, 100, 200} {
 		want := snap
@@ -306,7 +306,7 @@ func TestTableTombstones(t *testing.T) {
 
 func TestTableProperties(t *testing.T) {
 	r := buildTable(t, WriterOptions{BlockSize: 512}, ReaderOptions{}, 500, 2)
-	p := r.Properties()
+	p := r.props
 	if p.NumEntries != 500 {
 		t.Errorf("NumEntries=%d", p.NumEntries)
 	}
@@ -319,8 +319,8 @@ func TestTableProperties(t *testing.T) {
 	if p.SmallestSeq != 1 || p.LargestSeq != 500 {
 		t.Errorf("seq bounds [%d,%d]", p.SmallestSeq, p.LargestSeq)
 	}
-	if p.NumBlocks == 0 || int(p.NumBlocks) != r.NumBlocks() {
-		t.Errorf("NumBlocks=%d reader says %d", p.NumBlocks, r.NumBlocks())
+	if p.NumBlocks == 0 || int(p.NumBlocks) != r.index.Len() {
+		t.Errorf("NumBlocks=%d reader says %d", p.NumBlocks, r.index.Len())
 	}
 }
 
@@ -481,7 +481,7 @@ func TestPrefetchBlockWarmsCache(t *testing.T) {
 	stats := &iostat.Stats{}
 	r := buildTable(t, WriterOptions{BlockSize: 512},
 		ReaderOptions{Cache: c, Stats: stats, FileNum: 7}, 1000, 2)
-	for i := 0; i < r.NumBlocks(); i++ {
+	for i := 0; i < r.index.Len(); i++ {
 		if err := r.PrefetchBlock(i); err != nil {
 			t.Fatal(err)
 		}
@@ -489,8 +489,8 @@ func TestPrefetchBlockWarmsCache(t *testing.T) {
 	before := stats.Snapshot()
 	// Every offer was declined and every block inserted anyway: prefetch
 	// books what became resident as admitted.
-	if before.BlockCacheAdmits != int64(r.NumBlocks()) || before.BlockCacheRejects != 0 {
-		t.Errorf("prefetch of %d blocks: %d admits, %d rejects", r.NumBlocks(), before.BlockCacheAdmits, before.BlockCacheRejects)
+	if before.BlockCacheAdmits != int64(r.index.Len()) || before.BlockCacheRejects != 0 {
+		t.Errorf("prefetch of %d blocks: %d admits, %d rejects", r.index.Len(), before.BlockCacheAdmits, before.BlockCacheRejects)
 	}
 	key := []byte(fmt.Sprintf("key%08d", 100*2))
 	_, _, found, err := r.Get(key, filter.HashKey(key), kv.MaxSeqNum)
@@ -553,10 +553,10 @@ func BenchmarkTableScan(b *testing.B) {
 // its ordinal, and an offset where no block starts maps to -1.
 func TestBlockOrdinalForOffset(t *testing.T) {
 	r := buildTable(t, WriterOptions{BlockSize: 512}, ReaderOptions{}, 2000, 2)
-	if r.NumBlocks() < 10 {
-		t.Fatalf("only %d blocks", r.NumBlocks())
+	if r.index.Len() < 10 {
+		t.Fatalf("only %d blocks", r.index.Len())
 	}
-	for i := 0; i < r.NumBlocks(); i++ {
+	for i := 0; i < r.index.Len(); i++ {
 		h := r.index.Entry(i).Handle
 		if got := r.BlockOrdinalForOffset(h.Offset); got != i {
 			t.Fatalf("offset %d of block %d maps to %d", h.Offset, i, got)

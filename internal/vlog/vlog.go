@@ -264,19 +264,6 @@ func (l *Log) Segments() []uint64 {
 	return out
 }
 
-// SizeBytes returns the total bytes across all segments.
-func (l *Log) SizeBytes() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var total int64
-	for _, f := range l.segments {
-		if fi, err := f.Stat(); err == nil {
-			total += fi.Size()
-		}
-	}
-	return total
-}
-
 // Entry is one record of a sealed segment, as GC hands it to its callback.
 type Entry struct {
 	Key []byte

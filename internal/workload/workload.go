@@ -177,25 +177,6 @@ const (
 	OpDelete
 )
 
-func (o OpKind) String() string {
-	switch o {
-	case OpInsert:
-		return "insert"
-	case OpUpdate:
-		return "update"
-	case OpRead:
-		return "read"
-	case OpReadAbsent:
-		return "read-absent"
-	case OpScan:
-		return "scan"
-	case OpDelete:
-		return "delete"
-	default:
-		return "op?"
-	}
-}
-
 // Mix is an operation mix with fractions summing to ~1.
 type Mix struct {
 	Insert, Update, Read, ReadAbsent, Scan, Delete float64
